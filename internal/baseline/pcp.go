@@ -44,6 +44,9 @@ func NewPCP(initRate float64) *PCP {
 	return &PCP{ProbeInterval: 0.2, TrainLen: 8, Aggressiveness: 1.5, rate: initRate, minRTT: 1e9}
 }
 
+// Reset restores the state NewPCP(initRate) builds, in place.
+func (p *PCP) Reset(initRate float64) { *p = *NewPCP(initRate) }
+
 // Name implements cc.RateAlgo.
 func (p *PCP) Name() string { return "pcp" }
 

@@ -41,6 +41,10 @@ func NewSabul(capacityHint float64) *Sabul {
 	return &Sabul{CapacityHint: capacityHint, SYN: 0.01, Beta: 1.5e-6, rate: 16 * 1500}
 }
 
+// Reset restores the state NewSabul(capacityHint) builds, in place (the
+// constructor call inlines and its literal stays on the stack).
+func (s *Sabul) Reset(capacityHint float64) { *s = *NewSabul(capacityHint) }
+
 // Name implements cc.RateAlgo.
 func (s *Sabul) Name() string { return "sabul" }
 

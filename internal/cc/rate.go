@@ -193,8 +193,8 @@ func (s *RateSender) algoOnLost(seq int64, now float64) {
 }
 
 // Reset returns the sender to its just-constructed state around a new
-// algorithm, for a new trial on a reset engine. The sequence window's entry
-// chunks, the retransmission queue backing, the rate-trace backing and the
+// algorithm, for a new trial on a reset engine. The sequence window's ring,
+// the retransmission queue backing, the rate-trace backing and the
 // Eng/Flow/SendData/Pool wiring are all retained, so steady-state reuse
 // allocates nothing; every tunable returns to its constructor default and
 // callers re-apply per-trial knobs exactly as they would on a fresh sender.
@@ -216,11 +216,6 @@ func (s *RateSender) Reset(algo RateAlgo) {
 	s.RateTrace = s.RateTrace[:0]
 	s.lastRate = 0
 }
-
-// SetArena points the sequence window's free-list refills at a shared
-// chunk arena (one per experiment worker). Like the Eng/Flow/SendData/Pool
-// wiring, the arena survives Reset.
-func (s *RateSender) SetArena(a *PktArena) { s.win.arena = a }
 
 // Start begins transmission.
 func (s *RateSender) Start() {
@@ -247,7 +242,7 @@ func (s *RateSender) Unfreeze() {
 	s.frozen = false
 	if s.started && !s.done {
 		s.sendLoop()
-		if s.outstandingUnsacked() > 0 {
+		if s.win.outstanding() > 0 {
 			s.armTail()
 		}
 	}
@@ -302,34 +297,36 @@ func (s *RateSender) sendLoop() {
 }
 
 func (s *RateSender) sendOne(now float64) {
-	var st *pktState
+	seq := int64(-1)
 	for s.rtxHead < len(s.rtxQ) {
-		seq := s.rtxQ[s.rtxHead]
+		cand := s.rtxQ[s.rtxHead]
 		s.rtxHead++
 		if s.rtxHead == len(s.rtxQ) {
 			s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
 		}
-		cand := s.win.lookup(seq)
-		if cand != nil && cand.lost && !cand.sacked {
-			st = cand
+		if st := s.win.lookup(cand); st != nil && st.lost && !st.sacked {
 			st.lost = false
 			st.rtx = true
+			st.sentAt = now
 			s.rtxPkts++
+			seq = cand
 			break
 		}
 	}
-	if st == nil {
+	if seq < 0 {
 		if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets {
 			return
 		}
-		st = s.win.add(s.nextSeq)
+		seq = s.nextSeq
+		s.win.add().sentAt = now
 		s.nextSeq++
 	}
+	// The window entry is final here: nothing below holds a pointer into
+	// the ring across the algorithm and network callbacks.
 	s.sentPkts++
-	st.sentAt = now
 	p := s.Pool.Get()
-	p.Flow, p.Seq, p.Size, p.Sent = s.Flow, st.seq, s.PktSize, now
-	s.algoOnSend(st.seq, s.PktSize, now)
+	p.Flow, p.Seq, p.Size, p.Sent = s.Flow, seq, s.PktSize, now
+	s.algoOnSend(seq, s.PktSize, now)
 	s.SendData(p)
 	s.armTail()
 }
@@ -379,17 +376,17 @@ func (s *RateSender) onTail() {
 		return
 	}
 	rto := s.tailDelay()
-	for i := s.win.head; i < len(s.win.entries); i++ {
-		st := s.win.entries[i]
+	for seq := s.win.base; seq < s.win.next; seq++ {
+		st := s.win.at(seq)
 		// Only packets older than the tail delay are presumed lost;
 		// fresher ones may simply still be in flight.
 		if !st.sacked && !st.lost && now-st.sentAt > rto {
 			st.lost = true
-			s.rtxQ = append(s.rtxQ, st.seq)
-			s.algoOnLost(st.seq, now)
+			s.rtxQ = append(s.rtxQ, seq)
+			s.algoOnLost(seq, now)
 		}
 	}
-	if s.outstandingUnsacked() > 0 || s.hasData() {
+	if s.win.outstanding() > 0 || s.hasData() {
 		s.Eng.Rearm(&s.tailTimer, s.tailDelay(), s.onTailFn)
 	}
 	// Pacing may have stopped on a fully-sent finite flow; resume for the
@@ -398,8 +395,6 @@ func (s *RateSender) onTail() {
 		s.sendLoop()
 	}
 }
-
-func (s *RateSender) outstandingUnsacked() int { return s.win.outstanding() }
 
 // OnAck processes an arriving acknowledgment. The sender consumes the ACK:
 // when a pool is set the packet is recycled immediately, so callers must not
@@ -415,7 +410,7 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 	now := s.Eng.Now()
 
 	if st := s.win.lookup(sackSeq); st != nil && !st.sacked {
-		st.sacked = true
+		s.win.markSacked(st)
 		rtt := now - echoSent
 		if !st.rtx {
 			s.Est.Sample(rtt)
@@ -433,18 +428,14 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 		cumAdvanced = true
 	}
 	for s.win.headBelow(s.cumAck) {
-		st := s.win.popHead()
-		if !st.sacked {
+		if seq, st := s.win.popHead(); !st.sacked {
 			// Delivered, but its own SACK was lost on the reverse path:
 			// cumulative coverage proves delivery, so tell the algorithm
 			// (no RTT sample). Without this, ACK-path loss would inflate
 			// the monitor's measured loss rate.
-			st.sacked = true
-			s.algoOnAck(st.seq, 0, now)
+			s.algoOnAck(seq, 0, now)
 		}
-		s.win.recycle(st)
 	}
-	s.win.maybeCompact()
 
 	// Refresh the tail deadline only when the cumulative point advances:
 	// a lost retransmission leaves a hole SACK-gap detection cannot
@@ -453,25 +444,21 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 		s.tailDeadline = now + s.tailDelay()
 	}
 
-	// SACK-gap loss detection. The window slice is sorted by seq, so start
-	// at the first unexamined entry; each sequence is visited once.
+	// SACK-gap loss detection. Start at the first unexamined sequence still
+	// tracked; each sequence is visited once.
 	limit := s.sackHigh - s.DupThresh
 	if limit >= s.lossScan {
-		for i := s.win.search(s.lossScan); i < len(s.win.entries); i++ {
-			st := s.win.entries[i]
-			if st.seq > limit {
-				break
-			}
-			if !st.sacked && !st.lost {
+		for seq := max(s.lossScan, s.win.base); seq <= limit && seq < s.win.next; seq++ {
+			if st := s.win.at(seq); !st.sacked && !st.lost {
 				st.lost = true
-				s.rtxQ = append(s.rtxQ, st.seq)
-				s.algoOnLost(st.seq, now)
+				s.rtxQ = append(s.rtxQ, seq)
+				s.algoOnLost(seq, now)
 			}
 		}
 		s.lossScan = limit + 1
 	}
 
-	if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets && s.outstandingUnsacked() == 0 {
+	if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets && s.win.outstanding() == 0 {
 		s.done = true
 		s.sendTimer.Stop()
 		s.tailTimer.Stop()

@@ -1,139 +1,101 @@
 package cc
 
-// pktChunk is the refill granularity of a seqWindow's entry free list.
-const pktChunk = 64
-
-// pktArenaBlock is the allocation granularity of a PktArena, in entries.
-const pktArenaBlock = 16 * pktChunk
-
-// PktArena carves pktChunk-sized pktState sub-slices out of larger blocks.
-// One arena per experiment worker, shared by every sender that worker ever
-// builds (see exp.Runner), turns the per-window chunk allocations of a
-// many-flow trial into a handful of block allocations — and because blocks
-// outlive trials, a warm worker's windows refill without allocating at all.
-// pktState is pointer-free, so blocks cost the GC nothing to scan.
-type PktArena struct {
-	block []pktState
+// pktState tracks one outstanding data packet at the sender. Its sequence
+// number is its position in the seqWindow, not a field.
+type pktState struct {
+	sentAt float64 // time of the most recent (re)transmission
+	sacked bool
+	lost   bool
+	rtx    bool
 }
 
-// chunk returns a zeroed pktChunk-entry slice carved from the current block.
-func (a *PktArena) chunk() []pktState {
-	if len(a.block) < pktChunk {
-		a.block = make([]pktState, pktArenaBlock)
-	}
-	c := a.block[:pktChunk:pktChunk]
-	a.block = a.block[pktChunk:]
-	return c
-}
+// seqWinMinSlots is the ring's first allocation, in entries.
+const seqWinMinSlots = 64
 
-// seqWindow tracks the outstanding packets of one sender, ordered by
-// sequence number. It is the single implementation of the window machinery
-// both RateSender and WindowSender build on: entries are appended in seq
-// order, found by binary search (no per-packet map), detached from the
-// head as the cumulative ACK advances, and recycled through a free list so
-// steady-state operation allocates nothing.
+// seqWindow tracks the outstanding packets of one sender. It is the single
+// implementation of the window machinery both RateSender and WindowSender
+// build on. Senders add sequences contiguously and detach them from the head
+// as the cumulative ACK advances, so the tracked set is always the dense
+// range [base, next): entries live by value in one power-of-two ring indexed
+// seq & mask (the idiom of core.miRing and seqSet), a lookup is a bounds
+// check and one indexed load, and the ring allocates only when the window
+// outgrows it. pktState is pointer-free, so the ring costs the GC nothing to
+// scan and its stores need no write barrier.
+//
+// A *pktState returned by add, lookup or at points into the ring and is valid
+// only until the next add (which may grow the ring): callers finish with it
+// before handing control to anything that can send.
 type seqWindow struct {
-	entries []*pktState // ordered by seq; slots below head are nil
-	head    int
-	free    []*pktState
-	// arena, when set, supplies free-list refill chunks (see PktArena).
-	arena *PktArena
+	ring       []pktState // len is 0 or a power of two
+	base, next int64      // tracked sequences; empty iff base == next
+	unsacked   int        // entries in [base, next) not yet SACKed
 }
 
-// add appends a fresh or recycled entry for seq, which must exceed every
-// seq already tracked (callers add in transmission order).
-func (w *seqWindow) add(seq int64) *pktState {
-	if len(w.free) == 0 {
-		// Refill in chunks: a window ramping to its peak (incast collapse,
-		// deep-BDP flights) would otherwise allocate one object per packet.
-		var chunk []pktState
-		if w.arena != nil {
-			chunk = w.arena.chunk()
-		} else {
-			chunk = make([]pktState, pktChunk)
-		}
-		for i := range chunk {
-			w.free = append(w.free, &chunk[i])
-		}
+// add starts tracking the next sequence (callers add in transmission order,
+// one past the previous add) and returns its zeroed entry.
+func (w *seqWindow) add() *pktState {
+	if int(w.next-w.base) == len(w.ring) {
+		w.grow()
 	}
-	n := len(w.free)
-	st := w.free[n-1]
-	w.free = w.free[:n-1]
-	*st = pktState{seq: seq}
-	w.entries = append(w.entries, st)
+	st := &w.ring[w.next&int64(len(w.ring)-1)]
+	*st = pktState{}
+	w.next++
+	w.unsacked++
 	return st
 }
 
-// search returns the index of the first live entry with seq >= target.
-func (w *seqWindow) search(target int64) int {
-	lo, hi := w.head, len(w.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.entries[mid].seq < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// grow doubles the ring, re-placing live entries under the new mask.
+func (w *seqWindow) grow() {
+	old := w.ring
+	w.ring = make([]pktState, max(seqWinMinSlots, 2*len(old)))
+	oldMask, mask := int64(len(old)-1), int64(len(w.ring)-1)
+	for seq := w.base; seq < w.next; seq++ {
+		w.ring[seq&mask] = old[seq&oldMask]
 	}
-	return lo
+}
+
+// at returns the entry of a tracked sequence (base <= seq < next).
+func (w *seqWindow) at(seq int64) *pktState {
+	return &w.ring[seq&int64(len(w.ring)-1)]
 }
 
 // lookup returns the entry tracking seq, or nil.
 func (w *seqWindow) lookup(seq int64) *pktState {
-	if i := w.search(seq); i < len(w.entries) && w.entries[i].seq == seq {
-		return w.entries[i]
+	if seq < w.base || seq >= w.next {
+		return nil
 	}
-	return nil
+	return w.at(seq)
+}
+
+// markSacked records the SACK of a tracked, not yet SACKed entry.
+func (w *seqWindow) markSacked(st *pktState) {
+	st.sacked = true
+	w.unsacked--
 }
 
 // headBelow reports whether the oldest tracked entry exists and has a
 // sequence below seq (the head-advance loop condition).
 func (w *seqWindow) headBelow(seq int64) bool {
-	return w.head < len(w.entries) && w.entries[w.head].seq < seq
+	return w.base < w.next && w.base < seq
 }
 
-// popHead detaches the oldest tracked entry. The caller finishes with it
-// and then hands it back via recycle.
-func (w *seqWindow) popHead() *pktState {
-	st := w.entries[w.head]
-	w.entries[w.head] = nil
-	w.head++
-	return st
-}
-
-// recycle returns a detached entry to the free list for reuse by add.
-func (w *seqWindow) recycle(st *pktState) { w.free = append(w.free, st) }
-
-// maybeCompact shifts the live region down once the dead prefix dominates,
-// reusing the backing array.
-func (w *seqWindow) maybeCompact() {
-	if w.head > 1024 && w.head*2 > len(w.entries) {
-		n := copy(w.entries, w.entries[w.head:])
-		clear(w.entries[n:])
-		w.entries = w.entries[:n]
-		w.head = 0
+// popHead stops tracking the oldest sequence and returns it with its final
+// state.
+func (w *seqWindow) popHead() (int64, pktState) {
+	seq := w.base
+	st := *w.at(seq)
+	if !st.sacked {
+		w.unsacked--
 	}
+	w.base++
+	return seq, st
 }
 
-// reset empties the window for a new flow, recycling every live entry into
-// the free list so the chunk storage is reused (steady-state reset allocates
-// nothing).
+// reset empties the window for a new flow; the ring is retained.
 func (w *seqWindow) reset() {
-	for i := w.head; i < len(w.entries); i++ {
-		w.free = append(w.free, w.entries[i])
-	}
-	clear(w.entries)
-	w.entries = w.entries[:0]
-	w.head = 0
+	w.base, w.next = 0, 0
+	w.unsacked = 0
 }
 
-// outstanding counts entries not yet SACKed.
-func (w *seqWindow) outstanding() int {
-	n := 0
-	for i := w.head; i < len(w.entries); i++ {
-		if !w.entries[i].sacked {
-			n++
-		}
-	}
-	return n
-}
+// outstanding returns the number of tracked entries not yet SACKed.
+func (w *seqWindow) outstanding() int { return w.unsacked }

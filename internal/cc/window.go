@@ -5,15 +5,6 @@ import (
 	"pcc/internal/sim"
 )
 
-// pktState tracks one outstanding data packet at the sender.
-type pktState struct {
-	seq    int64
-	sentAt float64 // time of the most recent (re)transmission
-	sacked bool
-	lost   bool
-	rtx    bool
-}
-
 // WindowSender drives a WindowAlgo over a simulated path. Reliability is
 // SACK-based: every ACK carries the sequence it acknowledges; a packet is
 // declared lost when DupThresh packets above it have been SACKed (the SACK
@@ -123,8 +114,8 @@ func (s *WindowSender) initDefaults(algo WindowAlgo) {
 }
 
 // Reset returns the sender to its just-constructed state around a new
-// algorithm, for a new trial on a reset engine. The sequence window's entry
-// chunks, the retransmission queue backing and the Eng/Flow/SendData/Pool
+// algorithm, for a new trial on a reset engine. The sequence window's ring,
+// the retransmission queue backing and the Eng/Flow/SendData/Pool
 // wiring are retained; every tunable returns to its constructor default and
 // callers re-apply per-trial knobs exactly as on a fresh sender.
 func (s *WindowSender) Reset(algo WindowAlgo) {
@@ -146,11 +137,6 @@ func (s *WindowSender) Reset(algo WindowAlgo) {
 	s.done, s.started = false, false
 	s.frozen = false
 }
-
-// SetArena points the sequence window's free-list refills at a shared
-// chunk arena (one per experiment worker). Like the Eng/Flow/SendData/Pool
-// wiring, the arena survives Reset.
-func (s *WindowSender) SetArena(a *PktArena) { s.win.arena = a }
 
 // Start begins transmission.
 func (s *WindowSender) Start() {
@@ -254,34 +240,36 @@ func (s *WindowSender) schedulePace() {
 // sendOne transmits the next retransmission or new packet.
 func (s *WindowSender) sendOne() {
 	now := s.Eng.Now()
-	var st *pktState
+	seq := int64(-1)
 	for s.rtxHead < len(s.rtxQ) {
-		seq := s.rtxQ[s.rtxHead]
+		cand := s.rtxQ[s.rtxHead]
 		s.rtxHead++
 		if s.rtxHead == len(s.rtxQ) {
 			s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
 		}
-		cand := s.win.lookup(seq)
-		if cand != nil && cand.lost && !cand.sacked {
-			st = cand
+		if st := s.win.lookup(cand); st != nil && st.lost && !st.sacked {
 			st.lost = false
 			st.rtx = true
+			st.sentAt = now
 			s.rtxPkts++
+			seq = cand
 			break
 		}
 	}
-	if st == nil {
+	if seq < 0 {
 		if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets {
 			return
 		}
-		st = s.win.add(s.nextSeq)
+		seq = s.nextSeq
+		s.win.add().sentAt = now
 		s.nextSeq++
 	}
+	// The window entry is final here: no pointer into the ring is held
+	// across the network callback.
 	s.pipe++
 	s.sentPkts++
-	st.sentAt = now
 	p := s.Pool.Get()
-	p.Flow, p.Seq, p.Size, p.Sent = s.Flow, st.seq, s.PktSize, now
+	p.Flow, p.Seq, p.Size, p.Sent = s.Flow, seq, s.PktSize, now
 	s.SendData(p)
 	s.armRTO()
 }
@@ -321,7 +309,7 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 	var rttSample float64
 
 	if st := s.win.lookup(sackSeq); st != nil && !st.sacked {
-		st.sacked = true
+		s.win.markSacked(st)
 		if st.lost {
 			st.lost = false // was queued for rtx but arrived after all
 		} else {
@@ -343,18 +331,15 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 		cumAdvanced = true
 	}
 	for s.win.headBelow(s.cumAck) {
-		st := s.win.popHead()
-		if !st.sacked {
-			if st.lost {
-				st.sacked = true // neutralize any queued rtx
-			} else {
+		if _, st := s.win.popHead(); !st.sacked {
+			// A lost entry already left the pipe; its queued rtx is
+			// neutralized by no longer being tracked.
+			if !st.lost {
 				s.pipe--
 			}
 			newly++
 		}
-		s.win.recycle(st)
 	}
-	s.win.maybeCompact()
 
 	if rttSample > 0 {
 		s.Est.Sample(rttSample)
@@ -383,15 +368,11 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 	lossEvent := false
 	limit := s.sackHigh - s.DupThresh
 	if limit >= s.lossScan {
-		for i := s.win.search(s.lossScan); i < len(s.win.entries); i++ {
-			st := s.win.entries[i]
-			if st.seq > limit {
-				break
-			}
-			if !st.sacked && !st.lost {
+		for seq := max(s.lossScan, s.win.base); seq <= limit && seq < s.win.next; seq++ {
+			if st := s.win.at(seq); !st.sacked && !st.lost {
 				st.lost = true
 				s.pipe--
-				s.rtxQ = append(s.rtxQ, st.seq)
+				s.rtxQ = append(s.rtxQ, seq)
 				lossEvent = true
 			}
 		}
@@ -407,7 +388,7 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 	}
 
 	// Completion for finite flows.
-	if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets && s.outstanding() == 0 {
+	if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets && s.win.outstanding() == 0 {
 		s.done = true
 		s.rtoTimer.Stop()
 		s.paceTimer.Stop()
@@ -419,9 +400,6 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 
 	s.trySend()
 }
-
-// outstanding counts packets neither SACKed nor cumulatively acknowledged.
-func (s *WindowSender) outstanding() int { return s.win.outstanding() }
 
 // onRTO handles a retransmission timeout: every un-SACKed outstanding packet
 // is presumed lost and the algorithm collapses its window.
@@ -440,11 +418,10 @@ func (s *WindowSender) onRTO() {
 		s.rtoBackoff = 64
 	}
 	s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
-	for i := s.win.head; i < len(s.win.entries); i++ {
-		st := s.win.entries[i]
-		if !st.sacked {
+	for seq := s.win.base; seq < s.win.next; seq++ {
+		if st := s.win.at(seq); !st.sacked {
 			st.lost = true
-			s.rtxQ = append(s.rtxQ, st.seq)
+			s.rtxQ = append(s.rtxQ, seq)
 		}
 	}
 	s.pipe = 0

@@ -1,15 +1,20 @@
 package exp
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // TrialScratch is a per-worker trial arena: a cache of fully built Runners
 // keyed by experiment-variant, so the hundreds of short trials a Monte-Carlo
 // sweep runs (§4's evaluation is sweeps by construction) reuse their
 // engine, topology, flows, PCC/TCP state and packet pool instead of
-// rebuilding them from scratch every trial. RunTrials/RunPoints hand each
-// worker goroutine one scratch for its whole slice of the sweep (see
-// pool.go), so arenas are strictly goroutine-local, like everything else a
-// trial owns.
+// rebuilding them from scratch every trial: a warm trial — a cache hit
+// whose flows keep their protocols — allocates nothing in the harness,
+// finding the runner included (arena_test.go pins zero for every protocol).
+// RunTrials/RunPoints hand each worker goroutine one scratch for its whole
+// slice of the sweep (see pool.go), so arenas are strictly goroutine-local,
+// like everything else a trial owns.
 //
 // Reuse is placement-policy only. A cache hit re-specs the cached runner in
 // place — engine reset, links/queues re-parameterized, seed chain rewound,
@@ -30,7 +35,7 @@ import "sync"
 // shape) falls back to a fresh build or per-flow rebuild with identical
 // semantics.
 type TrialScratch struct {
-	runners map[string]*Runner
+	runners map[runnerKey]*Runner
 	// f64 is a general float64 scratch drivers may use for per-trial series
 	// (SeriesMbpsInto, metrics.SortInto) between runner builds.
 	f64 []float64
@@ -69,6 +74,15 @@ func (ts *TrialScratch) Provenance() TrialProvenance {
 	return p
 }
 
+// runnerKey is the arena's cache key: the caller's variant key qualified by
+// runner family and, for dumbbells, queue kind (a queue kind change under
+// one caller key would otherwise rebuild on every alternation). A struct key
+// lets a lookup hash the parts in place instead of concatenating them.
+type runnerKey struct {
+	topology   bool
+	queue, key string
+}
+
 // maxArenaRunners bounds the cached simulations per worker. Real drivers
 // use a handful of variant keys; the flush is a backstop so a pathological
 // key choice degrades to fresh builds instead of unbounded retention.
@@ -78,12 +92,11 @@ const maxArenaRunners = 32
 // key, re-specced in place, or a freshly built one on first use (or when
 // the queue kind changed under the key).
 func (ts *TrialScratch) Runner(key string, p PathSpec) *Runner {
-	k := "d\x00" + p.QueueKind + "\x00" + key
-	if r := ts.runners[k]; r != nil && r.respecDumbbell(p) {
+	if r := ts.runners[runnerKey{queue: p.QueueKind, key: key}]; r != nil && r.respecDumbbell(p) {
 		return r
 	}
 	r := NewRunner(p)
-	ts.put(k, r)
+	ts.put(runnerKey{queue: p.QueueKind, key: strings.Clone(key)}, r)
 	return r
 }
 
@@ -91,20 +104,23 @@ func (ts *TrialScratch) Runner(key string, p PathSpec) *Runner {
 // runner is reused when the spec's link structure (names, endpoints, queue
 // kinds) matches the cached build; parameters are re-specced per trial.
 func (ts *TrialScratch) TopologyRunner(key string, spec TopologySpec) *Runner {
-	k := "t\x00" + key
-	if r := ts.runners[k]; r != nil && r.respecTopology(spec) {
+	if r := ts.runners[runnerKey{topology: true, key: key}]; r != nil && r.respecTopology(spec) {
 		return r
 	}
 	r := NewTopologyRunner(spec)
-	ts.put(k, r)
+	ts.put(runnerKey{topology: true, key: strings.Clone(key)}, r)
 	return r
 }
 
-func (ts *TrialScratch) put(key string, r *Runner) {
+// put caches a freshly built runner. Callers pass a private copy of their
+// caller's key: Runner and TopologyRunner then retain nothing of their key
+// argument, so a driver assembling a short key per trial does it on its
+// stack.
+func (ts *TrialScratch) put(k runnerKey, r *Runner) {
 	if ts.runners == nil {
-		ts.runners = make(map[string]*Runner)
+		ts.runners = make(map[runnerKey]*Runner)
 	} else if len(ts.runners) >= maxArenaRunners {
 		clear(ts.runners)
 	}
-	ts.runners[key] = r
+	ts.runners[k] = r
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pcc/internal/netem"
+	"pcc/internal/tcp"
 )
 
 // arenaTrial is one short mixed-shape trial, parameterized enough to drag
@@ -120,72 +121,109 @@ func TestArenaRouteShapeChangeUnderOneKey(t *testing.T) {
 	}
 }
 
-// steadyAllocBudget is the allowed per-trial allocation count on a warm
-// arena. A cold build of the same trials allocates thousands of objects
-// (engine, topology, routes, windows, 607-word RNG registers); steady-state
-// reuse must stay below this small fixed budget (per-trial closures for
-// driver callbacks, the arena key string, and algorithm stubs).
-const steadyAllocBudget = 100
-
-// TestArenaSteadyStateAllocsDumbbell pins the tentpole's "second-and-later
-// trials near zero setup allocations" claim for a dumbbell runner.
-func TestArenaSteadyStateAllocsDumbbell(t *testing.T) {
-	ts := new(TrialScratch)
-	trial := func() {
-		r := ts.Runner("pcc", PathSpec{RateMbps: 20, RTT: 0.020, Loss: 0.001, BufBytes: 50 * netem.KB, Seed: 9})
-		f := r.AddFlow(FlowSpec{Proto: "pcc", FlowKB: 64})
-		r.Run(2)
-		if f.GoodputMbps(2) <= 0 {
-			t.Fatal("trial produced no goodput")
-		}
+// TestArenaVariantFlipUnderOneKey pins the algorithm-recycling fallback: one
+// runner key's flow 0 walks through protocol sequences that reuse the
+// previous trial's algorithm object in place (cubic → cubic), flip variant
+// within a sender category (cubic → newreno, newreno → pacing, sabul → pcp)
+// and flip category (cubic → pcc → cubic) — each trial identical to the
+// same trial on a fresh runner.
+func TestArenaVariantFlipUnderOneKey(t *testing.T) {
+	t.Parallel()
+	protos := []string{"cubic", "pcc", "cubic", "cubic", "newreno", "pacing", "newreno", "reno",
+		"sabul", "sabul", "pcp", "pcp", "sabul", "pcc", "pcc", "vegas", "cubic"}
+	trial := func(ts *TrialScratch, i int) float64 {
+		r := ts.Runner("shared", PathSpec{RateMbps: 20, RTT: 0.020, Loss: 0.002, BufBytes: 40 * netem.KB, Seed: TrialSeed(31, i)})
+		f := r.AddFlow(FlowSpec{Proto: protos[i], FlowKB: 256})
+		g := r.AddFlow(FlowSpec{Proto: protos[(i+1)%len(protos)], StartAt: 0.1})
+		r.Run(3)
+		return f.GoodputMbps(3) + 1e3*g.GoodputMbps(3)
 	}
-	trial() // cold build
-	trial() // grow retained storage to steady state
-	avg := testing.AllocsPerRun(5, trial)
-	t.Logf("warm dumbbell trial: %.0f allocs", avg)
-	if avg > steadyAllocBudget {
-		t.Errorf("warm dumbbell trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
+	warm := new(TrialScratch)
+	for pass := 0; pass < 2; pass++ {
+		for i := range protos {
+			fresh := trial(new(TrialScratch), i)
+			if got := trial(warm, i); got != fresh || got <= 0 {
+				t.Fatalf("pass %d trial %d (%s after %s): warm arena %v != fresh %v", pass, i,
+					protos[i], protos[(i+len(protos)-1)%len(protos)], got, fresh)
+			}
+		}
 	}
 }
 
-// TestArenaSteadyStateAllocsTopology pins the same bound for a 3-hop
+// steadyAllocBudget is the allowed per-trial allocation count on a warm
+// arena, from finding the cached runner to the end of the run: none. A cold
+// build of the same trial allocates thousands of objects (engine, topology,
+// routes, windows, 607-word RNG registers); a warm one — same key, same
+// protocols — rewinds all of it in place, the algorithm objects and the
+// flow-start event included.
+const steadyAllocBudget = 0
+
+// driverAllocBudget is the per-trial allowance for warm trials run through a
+// driver's own trial function (widechain, linkflap, wan): what those
+// allocate per trial — spec, route and key assembly, fault schedules —
+// belongs to the driver, not to the arena.
+const driverAllocBudget = 100
+
+// checkSteadyStateAllocs measures warm trials of every protocol AddFlow
+// accepts: per protocol a cold trial, a second to grow retained storage to
+// steady state, then trials of add (find the runner, add the flow), a
+// 2-second run and a goodput read, which must allocate nothing. Specs and
+// routes are built once outside add, as a driver's sweep does; the runner key
+// is assembled per trial, as drivers also do — the arena must not retain it,
+// or the concatenation would move to the heap.
+func checkSteadyStateAllocs(t *testing.T, add func(ts *TrialScratch, proto string) (*Runner, *Flow)) {
+	for _, proto := range append([]string{"pcc", "sabul", "pcp", "pacing"}, tcp.Variants()...) {
+		t.Run(proto, func(t *testing.T) {
+			ts := new(TrialScratch)
+			trial := func() {
+				r, f := add(ts, proto)
+				r.Run(2)
+				if f.GoodputMbps(2) <= 0 {
+					t.Fatal("trial produced no goodput")
+				}
+			}
+			trial()
+			trial()
+			if avg := testing.AllocsPerRun(5, trial); avg > steadyAllocBudget {
+				t.Errorf("warm trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
+			}
+		})
+	}
+}
+
+// TestArenaSteadyStateAllocsDumbbell pins "a warm trial allocates nothing"
+// for a dumbbell runner with wire loss.
+func TestArenaSteadyStateAllocsDumbbell(t *testing.T) {
+	path := PathSpec{RateMbps: 20, RTT: 0.020, Loss: 0.001, BufBytes: 50 * netem.KB, Seed: 9}
+	checkSteadyStateAllocs(t, func(ts *TrialScratch, proto string) (*Runner, *Flow) {
+		r := ts.Runner("steady/"+proto, path)
+		return r, r.AddFlow(FlowSpec{Proto: proto, FlowKB: 64})
+	})
+}
+
+// TestArenaSteadyStateAllocsTopology pins the same for a 3-hop
 // routed-topology runner with a multi-hop route and an ACK delay hop.
 func TestArenaSteadyStateAllocsTopology(t *testing.T) {
-	ts := new(TrialScratch)
-	spec := func() TopologySpec {
-		s := TopologySpec{Seed: 11}
-		for i := 0; i < 3; i++ {
-			s.Links = append(s.Links, LinkSpec{
-				Name: hopName(i), From: fmt.Sprintf("n%d", i), To: fmt.Sprintf("n%d", i+1),
-				RateMbps: 50, Delay: 0.002, BufBytes: 100 * netem.KB,
-			})
-		}
-		return s
+	chain := TopologySpec{Seed: 11}
+	for i := 0; i < 3; i++ {
+		chain.Links = append(chain.Links, LinkSpec{
+			Name: hopName(i), From: fmt.Sprintf("n%d", i), To: fmt.Sprintf("n%d", i+1),
+			RateMbps: 50, Delay: 0.002, BufBytes: 100 * netem.KB,
+		})
 	}
 	fwd := []netem.HopSpec{netem.DelayHop(0.001), netem.LinkHop(hopName(0)), netem.LinkHop(hopName(1)), netem.LinkHop(hopName(2))}
 	rev := []netem.HopSpec{netem.DelayHop(0.007)}
-	trial := func() {
-		r := ts.TopologyRunner("3hop", spec())
-		f := r.AddFlow(FlowSpec{Proto: "pcc", FlowKB: 64, FwdRoute: fwd, RevRoute: rev})
-		r.Run(2)
-		if f.GoodputMbps(2) <= 0 {
-			t.Fatal("trial produced no goodput")
-		}
-	}
-	trial()
-	trial()
-	avg := testing.AllocsPerRun(5, trial)
-	t.Logf("warm 3-hop trial: %.0f allocs", avg)
-	if avg > steadyAllocBudget {
-		t.Errorf("warm 3-hop trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
-	}
+	checkSteadyStateAllocs(t, func(ts *TrialScratch, proto string) (*Runner, *Flow) {
+		r := ts.TopologyRunner("steady/"+proto, chain)
+		return r, r.AddFlow(FlowSpec{Proto: proto, FlowKB: 64, FwdRoute: fwd, RevRoute: rev})
+	})
 }
 
 // TestArenaSteadyStateAllocsSharded pins the warm-trial budget on the shard
-// axis: a sharded widechain trial reuses its shard group, per-shard engines,
-// pools and arenas, and the mailbox merge scratch across trials, so
-// steady-state trials stay within the same budget as single-engine runners
-// (the per-trial cost is the spec/route assembly, not the sharding).
+// axis: a sharded widechain trial reuses its shard group, per-shard engines
+// and pools, and the mailbox merge scratch across trials, so what a
+// steady-state trial allocates is the driver's spec/route assembly, not the
+// sharding.
 func TestArenaSteadyStateAllocsSharded(t *testing.T) {
 	ts := new(TrialScratch)
 	trial := func() {
@@ -197,10 +235,10 @@ func TestArenaSteadyStateAllocsSharded(t *testing.T) {
 	trial() // grow retained storage to steady state
 	avg := testing.AllocsPerRun(5, trial)
 	t.Logf("warm sharded widechain trial: %.0f allocs", avg)
-	if avg > steadyAllocBudget {
-		t.Errorf("warm sharded trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
+	if avg > driverAllocBudget {
+		t.Errorf("warm sharded trial allocates %.0f objects, budget %d", avg, driverAllocBudget)
 	}
-	if r := ts.runners["t\x004/1/pcc/2"]; r == nil || r.Group == nil {
+	if r := ts.runners[runnerKey{topology: true, key: "4/1/pcc/2"}]; r == nil || r.Group == nil {
 		t.Fatal("trial did not run sharded; the budget above measured the wrong path")
 	}
 }

@@ -244,7 +244,7 @@ func TestChaosArenaSteadyStateAllocs(t *testing.T) {
 	trial() // grow retained storage to steady state
 	avg := testing.AllocsPerRun(5, trial)
 	t.Logf("warm faulted trial: %.0f allocs", avg)
-	if avg > steadyAllocBudget {
-		t.Errorf("warm faulted trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
+	if avg > driverAllocBudget {
+		t.Errorf("warm faulted trial allocates %.0f objects, budget %d", avg, driverAllocBudget)
 	}
 }

@@ -126,7 +126,7 @@ func TestShardedRunnerActuallyShards(t *testing.T) {
 	if g1 != g4 {
 		t.Fatalf("widechain trial goodput differs: shards=1 → %v, shards=4 → %v", g1, g4)
 	}
-	r := ts4.runners["t\x00"+"12/2/pcc/4"]
+	r := ts4.runners[runnerKey{topology: true, key: "12/2/pcc/4"}]
 	if r == nil {
 		t.Fatal("sharded trial runner not cached under its arena key")
 	}

@@ -225,11 +225,6 @@ type Runner struct {
 	// rands recycles driver-requested RNG streams (NextRand) across trials.
 	rands   []*rand.Rand
 	randIdx int
-	// arenas supply pktState chunks to every sender this runner ever
-	// builds — one arena per shard, so refills never cross shard
-	// goroutines. The slice is sized at construction and never reallocated
-	// (senders hold interior pointers). See cc.PktArena.
-	arenas []cc.PktArena
 
 	// Fault-injection state (topology runners with TopologySpec.Faults).
 	// faultSpec is the schedule as specced; faultEvs its materialized,
@@ -329,7 +324,6 @@ func NewRunner(p PathSpec) *Runner {
 	r := &Runner{Eng: eng, Seeds: seeds, Net: net, Topo: net.Topo, Path: p, PktPool: pool}
 	r.Engines = []*sim.Engine{eng}
 	r.Pools = []*netem.PacketPool{pool}
-	r.arenas = make([]cc.PktArena, 1)
 	r.bindSinks()
 	return r
 }
@@ -373,7 +367,6 @@ func NewTopologyRunner(ts TopologySpec) *Runner {
 	}
 	r.Eng = r.Engines[0]
 	r.PktPool = r.Pools[0]
-	r.arenas = make([]cc.PktArena, len(r.Engines))
 	for _, ls := range ts.Links {
 		r.Topo.AddLink(ls.Name, ls.From, ls.To, makeQueue(ls.QueueKind, ls.BufBytes),
 			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, seeds.NextRand())
@@ -813,10 +806,12 @@ func (r *Runner) routeRTT(fwd, rev []netem.HopSpec) float64 {
 //
 // On an arena-reused runner, AddFlow recycles the flow previously holding
 // this id: the receiver and (when the sender category matches) the sender
-// are reset in place, the network routes are re-specced, and PCC state —
-// including its RNG register, MI records and seq→MI ring — is rewound
-// rather than rebuilt. Every path draws the runner's seed chain at the same
-// positions a fresh build would, so results are bit-identical.
+// are reset in place, the network routes are re-specced, and the algorithm
+// object — PCC with its RNG register, MI records and seq→MI ring, or a TCP
+// variant, SABUL or PCP restored to its constructor state — is rewound
+// rather than rebuilt when the protocol is unchanged. A warm trial therefore
+// allocates nothing here. Every path draws the runner's seed chain at the
+// same positions a fresh build would, so results are bit-identical.
 func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	id := len(r.Flows)
 	topoFlow := len(spec.FwdRoute) > 0
@@ -954,31 +949,43 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			panic("exp: sabul on a link-less route needs CapacityHint")
 		}
 		f.PCC = nil
-		r.setRateSender(f, baseline.NewSabul(hint), sEng)
+		sabul, ok := recycledRateAlgo(f).(*baseline.Sabul)
+		if !ok {
+			sabul = new(baseline.Sabul)
+		}
+		sabul.Reset(hint) // NewSabul(hint)'s state, in place
+		r.setRateSender(f, sabul, sEng)
 	case "pcp":
 		f.PCC = nil
-		r.setRateSender(f, baseline.NewPCP(0), sEng)
-	case "pacing":
-		r.setWindowSender(f, tcp.NewReno(), sEng)
-		f.WS.Paced = true
-		f.WS.RTTHint = rtt
+		pcp, ok := recycledRateAlgo(f).(*baseline.PCP)
+		if !ok {
+			pcp = new(baseline.PCP)
+		}
+		pcp.Reset(0) // NewPCP(0)'s state, in place
+		r.setRateSender(f, pcp, sEng)
 	default:
-		algo, err := tcp.New(spec.Proto)
-		if err != nil {
-			panic(err)
+		variant := spec.Proto
+		if variant == "pacing" {
+			variant = "newreno"
+		}
+		algo := recycledWindowAlgo(f, variant)
+		if algo == nil {
+			var err error
+			if algo, err = tcp.New(variant); err != nil {
+				panic(err)
+			}
 		}
 		r.setWindowSender(f, algo, sEng)
+		f.WS.Paced = spec.Proto == "pacing"
 		f.WS.RTTHint = rtt
 	}
-	// Pin the sender to its shard: the engine its pacing/window timers run
-	// on and the arena its pktState refills draw from (recycled senders may
-	// move shards when a new trial routes the flow differently).
+	// Pin the sender to its shard's engine, which its pacing/window timers
+	// run on (recycled senders may move shards when a new trial routes the
+	// flow differently).
 	if f.RS != nil {
 		f.RS.Eng = sEng
-		f.RS.SetArena(&r.arenas[sShard])
 	} else {
 		f.WS.Eng = sEng
-		f.WS.SetArena(&r.arenas[sShard])
 	}
 	if f.WS != nil && capacity > 0 {
 		// Socket-buffer-like clamp: 8x the path BDP, floored generously so
@@ -1013,14 +1020,48 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	} else {
 		r.Net.RespecFlow(id, cfg, r.Seeds, f.dataSink, f.ackSink)
 	}
-	sEng.At(spec.StartAt, f.startFn)
+	// At's schedule call and (at, seq) draw without the *Timer nobody keeps.
+	// Post adds its delay back onto the clock, so it is used only when that
+	// round trip is exact: always at trial set-up (clock at zero) and for
+	// flows starting now.
+	if now := sEng.Now(); spec.StartAt >= now && now+(spec.StartAt-now) == spec.StartAt {
+		sEng.Post(spec.StartAt-now, f.startFn)
+	} else {
+		sEng.At(spec.StartAt, f.startFn)
+	}
 	return f
+}
+
+// recycledRateAlgo returns the rate algorithm flow f's sender ran in the
+// runner's previous trial, or nil.
+func recycledRateAlgo(f *Flow) cc.RateAlgo {
+	if f.RS == nil {
+		return nil
+	}
+	return f.RS.Algo
+}
+
+// recycledWindowAlgo returns the window algorithm flow f's sender ran in the
+// runner's previous trial, restored to its constructor state, when that is
+// the named tcp variant; nil otherwise (first use, variant flip, or an
+// algorithm that cannot restore itself), and the caller builds a fresh one.
+func recycledWindowAlgo(f *Flow, variant string) cc.WindowAlgo {
+	if f.WS == nil {
+		return nil
+	}
+	algo := f.WS.Algo
+	restorable, ok := algo.(interface{ Reset() })
+	if !ok || algo.Name() != variant {
+		return nil
+	}
+	restorable.Reset()
+	return algo
 }
 
 // setRateSender installs a rate-based sender for the flow: the previous
 // RateSender is reset in place when one exists, else a fresh one replaces
-// whatever sender category the flow had before. The caller pins Eng and the
-// arena afterwards (both may change with the flow's shard placement).
+// whatever sender category the flow had before. The caller pins Eng
+// afterwards (it may change with the flow's shard placement).
 func (r *Runner) setRateSender(f *Flow, algo cc.RateAlgo, eng *sim.Engine) {
 	if f.RS != nil {
 		f.RS.Reset(algo)

@@ -135,7 +135,7 @@ func TestWANArenaSteadyStateAllocs(t *testing.T) {
 	trial() // grow retained storage to steady state
 	avg := testing.AllocsPerRun(5, trial)
 	t.Logf("warm wan trial (%d links, %d flows): %.0f allocs", sh.graph.NumLinks(), len(sh.flows), avg)
-	if avg > steadyAllocBudget {
-		t.Errorf("warm wan trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
+	if avg > driverAllocBudget {
+		t.Errorf("warm wan trial allocates %.0f objects, budget %d", avg, driverAllocBudget)
 	}
 }

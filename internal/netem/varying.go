@@ -47,8 +47,8 @@ func StartVarying(eng *sim.Engine, d *Dumbbell, flowID int, spec VaryingSpec, rn
 		d.Bottleneck.LossRate = loss
 		d.SetFlowDelays(flowID, rtt/2, rtt/2)
 		*trace = append(*trace, Sample{At: now, Rate: rate, RTT: rtt, Loss: loss})
-		eng.After(spec.Period, redraw)
+		eng.Post(spec.Period, redraw)
 	}
-	eng.After(0, redraw)
+	eng.Post(0, redraw)
 	return trace
 }

@@ -14,15 +14,26 @@ package sim
 // Uint64 reproduce math/rand's rngSource step for step (the seeding chain
 // XORs the lfCooked warm-up table just as the original does), so swapping a
 // CachedSource underneath a rand.Rand changes no recorded report byte.
-// Snapshots cost 607 words (~5 KB) per distinct seed and live until the
-// source is garbage; experiment arenas see one seed per trial index, so a
-// source's cache stays a handful of entries.
+// Snapshots cost 607 words (~5 KB) each. A source keeps the snapSlots most
+// recently learned seeds: experiment arenas see one seed per trial index of
+// a sweep — a handful, all retained — while a long-lived server fed
+// never-seen seeds overwrites the oldest snapshot in place instead of
+// growing without limit.
 type CachedSource struct {
 	tap  int
 	feed int
 	vec  [lfLen]int64
-	snap map[int64]*[lfLen]int64
+	// snapSeed[i] is the seed whose post-seed register snap[i] holds; once
+	// both are full, oldest is the slot the next new seed overwrites.
+	snapSeed []int64
+	snap     []*[lfLen]int64
+	oldest   int
 }
+
+// snapSlots bounds the snapshots one source retains (~80 KB): twice the 8
+// recurring seeds the incast grids sweep, few enough that finding a seed is
+// a scan of two cache lines.
+const snapSlots = 16
 
 const (
 	lfLen      = 607
@@ -62,9 +73,11 @@ func lehmer(x int32) int32 {
 func (s *CachedSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = lfLen - lfTap
-	if v := s.snap[seed]; v != nil {
-		s.vec = *v
-		return
+	for i, have := range s.snapSeed {
+		if have == seed {
+			s.vec = *s.snap[i]
+			return
+		}
 	}
 	x := seed % lfInt32Max
 	if x < 0 {
@@ -86,11 +99,15 @@ func (s *CachedSource) Seed(seed int64) {
 			s.vec[i] = u
 		}
 	}
-	if s.snap == nil {
-		s.snap = make(map[int64]*[lfLen]int64, 4)
+	if len(s.snap) < snapSlots {
+		v := s.vec
+		s.snapSeed = append(s.snapSeed, seed)
+		s.snap = append(s.snap, &v)
+		return
 	}
-	v := s.vec
-	s.snap[seed] = &v
+	s.snapSeed[s.oldest] = seed
+	*s.snap[s.oldest] = s.vec
+	s.oldest = (s.oldest + 1) % snapSlots
 }
 
 // Uint64 returns the next raw register sum, exactly as math/rand does.

@@ -66,3 +66,50 @@ func TestCachedSourceReseedSnapshot(t *testing.T) {
 		t.Fatalf("draw after double cached reseed: %d, want %d", got, first[0])
 	}
 }
+
+// TestCachedSourceSnapshotsBounded pins the snapshot cap: a source fed
+// never-seen seeds (a long-lived server) keeps at most snapSlots snapshots,
+// recurring seeds within the cap keep hitting, and every seed — retained,
+// evicted and re-learned, or overwriting a slot — still yields math/rand's
+// stream.
+func TestCachedSourceSnapshotsBounded(t *testing.T) {
+	t.Parallel()
+	s := NewCachedSource(0)
+	r := rand.New(s)
+	check := func(seed int64) {
+		t.Helper()
+		ref := rand.New(rand.NewSource(seed))
+		r.Seed(seed)
+		for i := 0; i < 700; i++ { // past one full turn of the 607-word register
+			if a, b := ref.Int63(), r.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: %d != %d", seed, i, b, a)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 10_000; seed++ {
+		s.Seed(seed)
+		if len(s.snap) > snapSlots || len(s.snapSeed) != len(s.snap) {
+			t.Fatalf("after %d distinct seeds: %d snapshots for %d seeds, cap %d", seed, len(s.snap), len(s.snapSeed), snapSlots)
+		}
+	}
+	check(3)      // evicted long ago: re-learned, overwriting the oldest slot
+	check(10_000) // still retained: restored from its snapshot
+	check(3)      // retained again
+	// The drawn-from register must not have leaked into a snapshot.
+	check(10_000)
+	// 8 recurring seeds (the incast grids) fit: after one pass none is evicted.
+	for pass := 0; pass < 3; pass++ {
+		for seed := int64(20_000); seed < 20_008; seed++ {
+			s.Seed(seed)
+		}
+	}
+	for seed := int64(20_000); seed < 20_008; seed++ {
+		found := false
+		for _, have := range s.snapSeed {
+			found = found || have == seed
+		}
+		if !found {
+			t.Fatalf("recurring seed %d was evicted", seed)
+		}
+	}
+}

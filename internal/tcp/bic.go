@@ -24,6 +24,9 @@ func NewBic() *BicAlgo {
 	return &BicAlgo{reno: newRenoState(), SMax: 16, SMin: 0.01, Beta: 0.8, LowWindow: 14, FastConvergence: true}
 }
 
+// Reset restores the state NewBic builds, in place.
+func (a *BicAlgo) Reset() { *a = *NewBic() }
+
 // Name implements cc.WindowAlgo.
 func (a *BicAlgo) Name() string { return "bic" }
 

@@ -32,6 +32,9 @@ func NewCubic() *CubicAlgo {
 	return &CubicAlgo{reno: newRenoState(), C: 0.4, Beta: 0.7, FastConvergence: true, epochStart: -1}
 }
 
+// Reset restores the state NewCubic builds, in place.
+func (a *CubicAlgo) Reset() { *a = *NewCubic() }
+
 // Name implements cc.WindowAlgo.
 func (a *CubicAlgo) Name() string { return "cubic" }
 

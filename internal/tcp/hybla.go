@@ -33,6 +33,9 @@ func NewHybla() *HyblaAlgo {
 	return h
 }
 
+// Reset restores the state NewHybla builds, in place.
+func (a *HyblaAlgo) Reset() { *a = *NewHybla() }
+
 // Name implements cc.WindowAlgo.
 func (a *HyblaAlgo) Name() string { return "hybla" }
 

@@ -31,6 +31,9 @@ func NewIllinois() *IllinoisAlgo {
 	}
 }
 
+// Reset restores the state NewIllinois builds, in place.
+func (a *IllinoisAlgo) Reset() { *a = *NewIllinois() }
+
 // Name implements cc.WindowAlgo.
 func (a *IllinoisAlgo) Name() string { return "illinois" }
 

@@ -50,6 +50,10 @@ type NewRenoAlgo struct {
 // NewReno returns a New Reno instance.
 func NewReno() *NewRenoAlgo { return &NewRenoAlgo{reno: newRenoState()} }
 
+// Reset restores the state NewReno builds, in place (the constructor call
+// inlines and its literal stays on the stack).
+func (a *NewRenoAlgo) Reset() { *a = *NewReno() }
+
 // Name implements cc.WindowAlgo.
 func (a *NewRenoAlgo) Name() string { return "newreno" }
 

@@ -23,6 +23,9 @@ func NewVegas() *VegasAlgo {
 	return &VegasAlgo{reno: newRenoState(), Alpha: 2, Beta: 4, Gamma: 1, baseRTT: 1e9, epochStart: -1, epochMin: 1e9}
 }
 
+// Reset restores the state NewVegas builds, in place.
+func (a *VegasAlgo) Reset() { *a = *NewVegas() }
+
 // Name implements cc.WindowAlgo.
 func (a *VegasAlgo) Name() string { return "vegas" }
 

@@ -20,6 +20,9 @@ func NewWestwood() *WestwoodAlgo {
 	return &WestwoodAlgo{reno: newRenoState(), epochStart: -1}
 }
 
+// Reset restores the state NewWestwood builds, in place.
+func (a *WestwoodAlgo) Reset() { *a = *NewWestwood() }
+
 // Name implements cc.WindowAlgo.
 func (a *WestwoodAlgo) Name() string { return "westwood" }
 

@@ -28,9 +28,9 @@ func PoissonArrivals(eng *sim.Engine, rng *rand.Rand, rate float64, stop float64
 		}
 		spawn(i)
 		i++
-		eng.After(rng.ExpFloat64()/rate, next)
+		eng.Post(rng.ExpFloat64()/rate, next)
 	}
-	eng.After(rng.ExpFloat64()/rate, next)
+	eng.Post(rng.ExpFloat64()/rate, next)
 }
 
 // ParetoFlowKB draws a short-flow size in KB from a bounded Pareto
