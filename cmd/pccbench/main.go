@@ -12,9 +12,8 @@
 // Scale shortens experiment durations/trial counts proportionally (default
 // 0.2); shapes are preserved, absolute convergence detail improves with
 // scale. Seeds make every run reproducible: each experiment fans its trials
-// out across a worker pool (bounded by -par, the PCC_PAR environment
-// variable, or GOMAXPROCS, in that order) and produces byte-identical
-// tables at any worker count. -shards (or PCC_SHARDS) additionally caps how
+// out across a worker pool (bounded by -par, else GOMAXPROCS) and produces
+// byte-identical tables at any worker count. -shards additionally caps how
 // many conservative engine shards a single trial may use (experiments opt
 // in per topology; see internal/sim.ShardGroup) — reports are byte-identical
 // at any shard count too, so the two knobs budget cores between
@@ -38,11 +37,11 @@ var (
 	id         = flag.String("exp", "", "experiment id (figN, table1, loss50, theory) or 'all'")
 	scale      = flag.Float64("scale", 0.2, "duration/trial scale in (0,1]; 1.0 = paper durations")
 	seed       = flag.Int64("seed", 42, "root RNG seed")
-	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: PCC_PAR env, then GOMAXPROCS; 1 = sequential)")
-	shards     = flag.Int("shards", 0, "max conservative engine shards per trial (0 = auto: PCC_SHARDS env, then 1)")
-	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = auto: PCC_NODES env, then scale-derived)")
-	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = auto: PCC_FLOWS env, then scale-derived)")
-	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = PCC_TRIAL_TIMEOUT env, then disabled)")
+	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: GOMAXPROCS; 1 = sequential)")
+	shards     = flag.Int("shards", 0, "max conservative engine shards per trial (0 = auto: 1)")
+	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = auto: scale-derived)")
+	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = auto: scale-derived)")
+	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = disabled)")
 	list       = flag.Bool("list", false, "list experiment ids and exit")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")

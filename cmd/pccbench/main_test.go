@@ -69,7 +69,7 @@ func TestShardsFlag(t *testing.T) {
 
 // TestTrialTimeoutFlag pins the -trialtimeout → exp.SetTrialTimeout plumbing
 // through the real flag instance, and that resetting the flag restores the
-// default resolution order (PCC_TRIAL_TIMEOUT env, then disabled).
+// default (disabled).
 func TestTrialTimeoutFlag(t *testing.T) {
 	defer func() {
 		exp.SetTrialTimeout(0)

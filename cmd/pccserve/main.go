@@ -45,7 +45,7 @@ var (
 	queue        = flag.Int("queue", 64, "admitted units across all requests before 429")
 	maxunits     = flag.Int("maxunits", 256, "per-request unit budget")
 	sweeptimeout = flag.Duration("sweeptimeout", 0, "server-side deadline per sweep (0 = none)")
-	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog (0 = PCC_TRIAL_TIMEOUT env, then disabled)")
+	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog (0 = disabled)")
 	par          = flag.Int("par", 0, "worker goroutines per unit's trial pool (0 = auto)")
 	shards       = flag.Int("shards", 0, "max engine shards per trial (0 = auto)")
 	draingrace   = flag.Duration("draingrace", 30*time.Second, "max time to wait for in-flight sweeps on shutdown")

@@ -149,14 +149,6 @@ func (r *Receiver) UniqueBytes() int64 { return r.uniqueBytes }
 // TotalPackets returns every delivered packet including duplicates.
 func (r *Receiver) TotalPackets() int64 { return r.totalPkts }
 
-// Goodput returns unique bytes per second over [from, to].
-func (r *Receiver) Goodput(from, to float64) float64 {
-	if to <= from {
-		return 0
-	}
-	return float64(r.uniqueBytes) / (to - from)
-}
-
 // BucketSeries returns per-bucket goodput in bytes/s. Valid when Bucket > 0.
 func (r *Receiver) BucketSeries() []float64 {
 	return r.BucketSeriesInto(nil)

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"pcc/internal/core"
 	"pcc/internal/netem"
 )
@@ -13,7 +15,7 @@ import (
 //   - the single-loss forgiveness in the safe utility,
 //   - the Vivace gradient utility extension,
 //   - ε granularity.
-func RunAblation(scale float64, seed int64) *Report {
+func RunAblation(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 40, scale)
 
@@ -59,7 +61,7 @@ func RunAblation(scale float64, seed int64) *Report {
 		Title:  "design-choice ablations on the Fig. 7 path (100 Mbps, 30 ms)",
 		Header: []string{"variant", "goodput_Mbps", "reversions", "inconclusive"},
 	}
-	rep.Rows = RunPointsScratch(len(variants), func(i int, ts *TrialScratch) []string {
+	rows, err := RunPointsScratchCtx(ctx, len(variants), func(i int, ts *TrialScratch) []string {
 		v := variants[i]
 		cfg := v.cfg()
 		r := ts.Runner("pcc", PathSpec{RateMbps: 100, RTT: 0.030, Loss: v.loss, BufBytes: 375 * netem.KB, Seed: seed})
@@ -72,7 +74,11 @@ func RunAblation(scale float64, seed int64) *Report {
 			f2(float64(f.PCC.Controller().Inconclusive())),
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Rows = rows
 	rep.Notes = append(rep.Notes,
 		"no-forgiveness shows the startup trap the loss de-noising fixes; no-RCT trades stability for speed (Fig. 16)")
-	return rep
+	return rep, nil
 }

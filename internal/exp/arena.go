@@ -12,7 +12,7 @@ import (
 // rebuilding them from scratch every trial: a warm trial — a cache hit
 // whose flows keep their protocols — allocates nothing in the harness,
 // finding the runner included (arena_test.go pins zero for every protocol).
-// RunTrials/RunPoints hand each worker goroutine one scratch for its whole
+// The pool hands each worker goroutine one scratch for its whole
 // slice of the sweep (see pool.go), so arenas are strictly goroutine-local,
 // like everything else a trial owns.
 //

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,7 +136,10 @@ func TestShapeDynamicNetwork(t *testing.T) {
 	t.Parallel()
 	// Fig. 11 core claim: PCC tracks a rapidly changing network far better
 	// than CUBIC.
-	rep, series := RunFig11(0.25, 42)
+	rep, series, err := RunFig11(context.Background(), 0.25, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep == nil || len(series.Optimal) == 0 {
 		t.Fatal("fig11 produced no series")
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -13,7 +14,7 @@ import (
 // 5 s early; the metric is longTput/shortTput (1.0 = perfectly fair). PCC's
 // convergence depends on utility, not on control-cycle length, so it should
 // stay near 1.
-func RunFig8(scale float64, seed int64) *Report {
+func RunFig8(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(500, 60, scale)
 	longRTTs := []float64{0.020, 0.040, 0.060, 0.080, 0.100}
@@ -25,7 +26,7 @@ func RunFig8(scale float64, seed int64) *Report {
 		Header: append([]string{"long_RTT_ms"}, protos...),
 	}
 	shortBDP := int(netem.Mbps(100) * 0.010)
-	ratios := RunPointsScratch(len(longRTTs)*len(protos), func(i int, ts *TrialScratch) float64 {
+	ratios, err := RunPointsScratchCtx(ctx, len(longRTTs)*len(protos), func(i int, ts *TrialScratch) float64 {
 		r := ts.Runner(protos[i%len(protos)], PathSpec{RateMbps: 100, RTT: 0.010, BufBytes: shortBDP, Seed: seed})
 		long := r.AddFlow(FlowSpec{Proto: protos[i%len(protos)], RTT: longRTTs[i/len(protos)], StartAt: 0, Bucket: 1})
 		short := r.AddFlow(FlowSpec{Proto: protos[i%len(protos)], RTT: 0.010, StartAt: 5, Bucket: 1})
@@ -37,6 +38,9 @@ func RunFig8(scale float64, seed int64) *Report {
 		}
 		return lt / st
 	})
+	if err != nil {
+		return nil, err
+	}
 	for li, lr := range longRTTs {
 		row := []string{f1(lr * 1e3)}
 		for pi := range protos {
@@ -45,14 +49,14 @@ func RunFig8(scale float64, seed int64) *Report {
 		rep.Rows = append(rep.Rows, row)
 	}
 	rep.Notes = append(rep.Notes, "1.00 = RTT-fair; paper: PCC near 1 across the sweep, New Reno far below")
-	return rep
+	return rep, nil
 }
 
 // RunFig12 reproduces Fig. 12 (§4.2.1): four flows starting 500 s apart on
 // a 100 Mbps / 30 ms dumbbell with a BDP buffer. It reports each phase's
 // per-flow mean rate and the mean per-flow standard deviation — PCC
 // converges to the equal share with far lower variance than CUBIC.
-func RunFig12(scale float64, seed int64) *Report {
+func RunFig12(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	stagger := scaledDur(500, 30, scale)
 	protos := []string{"pcc", "cubic"}
@@ -62,7 +66,7 @@ func RunFig12(scale float64, seed int64) *Report {
 		Title:  "convergence of 4 staggered flows (100 Mbps, 30 ms, BDP buffer)",
 		Header: []string{"proto", "phase(n_flows)", "mean_rates_Mbps", "mean_stddev_Mbps", "jain"},
 	}
-	protoRows := RunPointsScratch(len(protos), func(pi int, ts *TrialScratch) [][]string {
+	protoRows, err := RunPointsScratchCtx(ctx, len(protos), func(pi int, ts *TrialScratch) [][]string {
 		proto := protos[pi]
 		r := ts.Runner(proto, PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: 375 * netem.KB, Seed: seed})
 		flows := make([]*Flow, 4)
@@ -93,16 +97,19 @@ func RunFig12(scale float64, seed int64) *Report {
 		}
 		return rows
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, rows := range protoRows {
 		rep.Rows = append(rep.Rows, rows...)
 	}
 	rep.Notes = append(rep.Notes, "paper: PCC flows hold steady equal shares; CUBIC shows high variance and short-term unfairness")
-	return rep
+	return rep, nil
 }
 
 // RunFig13 reproduces Fig. 13 (§4.2.1): Jain's fairness index at varying
 // time scales for 2/3/4 concurrent flows, PCC vs CUBIC vs New Reno.
-func RunFig13(scale float64, seed int64) *Report {
+func RunFig13(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(500, 120, scale)
 	protos := []string{"pcc", "cubic", "newreno"}
@@ -114,7 +121,7 @@ func RunFig13(scale float64, seed int64) *Report {
 		Header: append([]string{"proto", "flows"}, intHeaders(timescales, "s")...),
 	}
 	flowCounts := []int{2, 3, 4}
-	rows := RunPointsScratch(len(protos)*len(flowCounts), func(i int, ts *TrialScratch) []string {
+	rows, err := RunPointsScratchCtx(ctx, len(protos)*len(flowCounts), func(i int, ts *TrialScratch) []string {
 		proto := protos[i/len(flowCounts)]
 		nf := flowCounts[i%len(flowCounts)]
 		r := ts.Runner(proto, PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: 375 * netem.KB, Seed: seed})
@@ -139,9 +146,12 @@ func RunFig13(scale float64, seed int64) *Report {
 		}
 		return row
 	})
+	if err != nil {
+		return nil, err
+	}
 	rep.Rows = append(rep.Rows, rows...)
 	rep.Notes = append(rep.Notes, "paper: PCC above 0.99 at every time scale; CUBIC/New Reno notably lower at short scales")
-	return rep
+	return rep, nil
 }
 
 // sliceSeries cuts a 1 Hz series to [from, to) seconds.

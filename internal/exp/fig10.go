@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/netem"
@@ -13,7 +14,7 @@ import (
 // completes. Synchronized window bursts drive TCP into RTO-bound collapse
 // (min RTO 200 ms); PCC's paced, rate-targeted transmission keeps goodput
 // at a large fraction of capacity.
-func RunFig10(scale float64, seed int64) *Report {
+func RunFig10(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	trials := int(5 * scale)
 	if trials < 1 {
@@ -48,10 +49,15 @@ func RunFig10(scale float64, seed int64) *Report {
 	// (flow pool, windows, packet chunks) to the sweep's high-water mark, so
 	// every smaller point reuses it warm instead of growing step by step.
 	order := descendingBy(len(jobs), func(i int) int { return jobs[i].n })
-	goodputs := RunPointsScratchOrdered(order, func(i int, ts *TrialScratch) float64 {
+	goodputs := make([]float64, len(jobs))
+	err := RunTrialsScratchCtx(ctx, len(jobs), func(k int, ts *TrialScratch) {
+		i := order[k]
 		j := jobs[i]
-		return incastGoodput(ts, j.proto, j.n, j.sizeKB, seed+int64(j.trial)*131)
+		goodputs[i] = incastGoodput(ts, j.proto, j.n, j.sizeKB, seed+int64(j.trial)*131)
 	})
+	if err != nil {
+		return nil, err
+	}
 	var ratios []string
 	ji := 0
 	for _, sizeKB := range sizesKB {
@@ -80,7 +86,7 @@ func RunFig10(scale float64, seed int64) *Report {
 	}
 	rep.Notes = append(rep.Notes, "paper: with >=10 senders PCC sustains 60-80% of max goodput, 7-8x TCP")
 	_ = ratios
-	return rep
+	return rep, nil
 }
 
 // incastGoodput runs one incast trial and returns aggregate goodput in

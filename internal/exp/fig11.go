@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -19,7 +20,7 @@ type Fig11Series struct {
 // bandwidth (10–100 Mbps), RTT (10–100 ms) and loss (0–1%) are all redrawn
 // every 5 s. The paper reports PCC at 83% of optimal over 500 s, 14x CUBIC
 // and 5.6x Illinois.
-func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
+func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, *Fig11Series, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(500, 100, scale)
 	protos := []string{"pcc", "cubic", "illinois"}
@@ -35,7 +36,7 @@ func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
 		achieved []float64
 		trace    []netem.Sample
 	}
-	trialOut := RunPointsScratch(len(protos), func(pi int, ts *TrialScratch) fig11Trial {
+	trialOut, err := RunPointsScratchCtx(ctx, len(protos), func(pi int, ts *TrialScratch) fig11Trial {
 		proto := protos[pi]
 		// Same seed → identical sequence of drawn network conditions for
 		// every protocol.
@@ -48,6 +49,9 @@ func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
 		r.Run(dur)
 		return fig11Trial{goodput: f.GoodputMbps(dur), achieved: f.SeriesMbps(), trace: *trace}
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 
 	series := &Fig11Series{Achieved: map[string][]float64{}}
 	results := map[string]float64{}
@@ -86,5 +90,5 @@ func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
 		rep.Rows = append(rep.Rows, []string{proto, f2(t), f2(t / optMean), ratio})
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("mean available bandwidth %.1f Mbps; paper: PCC 83%% of optimal, 14x CUBIC, 5.6x Illinois", optMean))
-	return rep, series
+	return rep, series, nil
 }

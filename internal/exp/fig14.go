@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/netem"
@@ -13,7 +14,7 @@ import (
 // is the normal flow's throughput when competing with PCC divided by its
 // throughput when competing with TCP-Selfish: above 1 means PCC is the
 // friendlier neighbour.
-func RunFig14(scale float64, seed int64) *Report {
+func RunFig14(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 40, scale)
 	nets := []struct {
@@ -41,15 +42,21 @@ func RunFig14(scale float64, seed int64) *Report {
 		}
 		return counts[(i/2)%len(counts)] * width
 	})
-	tputs := RunPointsScratchOrdered(order, func(i int, ts *TrialScratch) float64 {
+	tputs := make([]float64, nPoints)
+	err := RunTrialsScratchCtx(ctx, nPoints, func(k int, ts *TrialScratch) {
+		i := order[k]
 		nw := nets[i/(len(counts)*2)]
 		n := counts[(i/2)%len(counts)]
 		buf := int(netem.Mbps(nw.RateMbps) * nw.RTT)
 		if i%2 == 0 {
-			return normalTCPThroughput(ts, nw.RateMbps, nw.RTT, buf, n, "pcc", 1, dur, seed)
+			tputs[i] = normalTCPThroughput(ts, nw.RateMbps, nw.RTT, buf, n, "pcc", 1, dur, seed)
+		} else {
+			tputs[i] = normalTCPThroughput(ts, nw.RateMbps, nw.RTT, buf, n, "newreno", 10, dur, seed)
 		}
-		return normalTCPThroughput(ts, nw.RateMbps, nw.RTT, buf, n, "newreno", 10, dur, seed)
 	})
+	if err != nil {
+		return nil, err
+	}
 	for ni, nw := range nets {
 		row := []string{fmt.Sprintf("%.0fMbps,%.0fms", nw.RateMbps, nw.RTT*1e3)}
 		for ci := range counts {
@@ -65,7 +72,7 @@ func RunFig14(scale float64, seed int64) *Report {
 	}
 	rep.Notes = append(rep.Notes,
 		">1: PCC is friendlier than the 10-parallel-TCP selfish practice (paper: ratio rises above 1 as selfish senders increase)")
-	return rep
+	return rep, nil
 }
 
 // normalTCPThroughput measures one normal New Reno flow's goodput (Mbps)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -13,7 +14,7 @@ import (
 // path, with the arrival rate chosen to hit a target utilization; the
 // figure reports median/mean/95th-percentile FCT for PCC vs TCP. PCC's
 // TCP-like startup keeps its short-flow FCT comparable.
-func RunFig15(scale float64, seed int64) *Report {
+func RunFig15(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(240, 60, scale)
 	loads := []float64{0.05, 0.15, 0.25, 0.35, 0.50, 0.65, 0.75}
@@ -25,9 +26,12 @@ func RunFig15(scale float64, seed int64) *Report {
 		Title:  "short-flow FCT (100 KB flows, 15 Mbps, 60 ms): Poisson arrivals at varying load",
 		Header: []string{"load", "proto", "flows", "median_ms", "mean_ms", "p95_ms"},
 	}
-	allFCTs := RunPointsScratch(len(loads)*len(protos), func(i int, ts *TrialScratch) []float64 {
+	allFCTs, err := RunPointsScratchCtx(ctx, len(loads)*len(protos), func(i int, ts *TrialScratch) []float64 {
 		return shortFlowFCTs(ts, protos[i%len(protos)], loads[i/len(protos)], flowKB, dur, seed)
 	})
+	if err != nil {
+		return nil, err
+	}
 	var sorted []float64 // one sort per cell serves median and p95
 	for li, load := range loads {
 		for pi, proto := range protos {
@@ -46,7 +50,7 @@ func RunFig15(scale float64, seed int64) *Report {
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: PCC matches TCP's median and 95th-percentile FCT (95th at 75% load ~20% longer)")
-	return rep
+	return rep, nil
 }
 
 // shortFlowFCTs runs the Poisson short-flow workload and returns the

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/core"
@@ -22,7 +23,7 @@ type TradeoffPoint struct {
 // throughput std-dev over the following 60 s. PCC traces a curve through
 // the space by sweeping T_m and ε_min, with and without RCTs; the TCP
 // variants are fixed points.
-func RunFig16(scale float64, seed int64) *Report {
+func RunFig16(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	trials := int(5 * scale)
 	if trials < 1 {
@@ -59,11 +60,14 @@ func RunFig16(scale float64, seed int64) *Report {
 		Header: []string{"config", "convergence_s", "stddev_Mbps"},
 	}
 	type trialResult struct{ conv, std float64 }
-	results := RunPointsScratch(len(cfgs)*trials, func(i int, ts *TrialScratch) trialResult {
+	results, err := RunPointsScratchCtx(ctx, len(cfgs)*trials, func(i int, ts *TrialScratch) trialResult {
 		c := cfgs[i/trials]
 		conv, std := tradeoffTrial(ts, c.proto, c.pcc, seed+int64(i%trials)*977)
 		return trialResult{conv: conv, std: std}
 	})
+	if err != nil {
+		return nil, err
+	}
 	for ci, c := range cfgs {
 		var convs, stds []float64
 		for trial := 0; trial < trials; trial++ {
@@ -81,7 +85,7 @@ func RunFig16(scale float64, seed int64) *Report {
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: PCC's curve dominates the TCP points; RCT trades ~3% convergence time for ~35% variance reduction at Tm=1.0RTT eps=0.01")
-	return rep
+	return rep, nil
 }
 
 // pccTradeoffConfig builds a PCC config with a fixed MI length (in RTTs)

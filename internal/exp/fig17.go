@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/core"
@@ -14,7 +15,7 @@ import (
 // point: TCP needs CoDel to get good power (10.5x difference between
 // AQMs), while PCC keeps its own queue tiny so both AQMs give the same —
 // and higher — power.
-func RunFig17(scale float64, seed int64) *Report {
+func RunFig17(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(120, 40, scale)
 
@@ -36,7 +37,7 @@ func RunFig17(scale float64, seed int64) *Report {
 		Header: []string{"combination", "tput_Mbps", "mean_RTT_ms", "power"},
 	}
 	type cellResult struct{ tput, rtt float64 }
-	cellOut := RunPointsScratch(len(cells), func(i int, ts *TrialScratch) cellResult {
+	cellOut, err := RunPointsScratchCtx(ctx, len(cells), func(i int, ts *TrialScratch) cellResult {
 		c := cells[i]
 		// Bufferbloat = very deep per-flow FIFO (2 MB); CoDel children get
 		// the same physical cap but drain the standing queue.
@@ -53,6 +54,9 @@ func RunFig17(scale float64, seed int64) *Report {
 		res.rtt /= 2
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	powers := map[string]float64{}
 	for i, c := range cells {
 		tput, rtt := cellOut[i].tput, cellOut[i].rtt
@@ -70,7 +74,7 @@ func RunFig17(scale float64, seed int64) *Report {
 			safeDiv(powers["PCC+CoDel+FQ"], powers["PCC+Bufferbloat+FQ"]),
 			safeDiv(powers["PCC+Bufferbloat+FQ"], powers["TCP+CoDel+FQ"])))
 	}
-	return rep
+	return rep, nil
 }
 
 // flowForPower builds the flow spec for one interactive flow of the Fig. 17

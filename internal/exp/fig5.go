@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -12,7 +13,7 @@ import (
 // PCC, CUBIC, SABUL and PCP throughput and reports the distribution of
 // PCC's improvement ratio (paper: 5.52x median vs CUBIC, >=10x on 41% of
 // pairs; 1.41x median vs SABUL; 4.58x median vs PCP).
-func RunFig5(scale float64, seed int64) *Report {
+func RunFig5(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	n := int(40 * scale)
 	if n < 8 {
@@ -22,7 +23,7 @@ func RunFig5(scale float64, seed int64) *Report {
 	paths := workload.SampleInternetPaths(n, seed)
 
 	rivals := []string{"cubic", "sabul", "pcp"}
-	perPath := RunPointsScratch(len(paths), func(i int, ts *TrialScratch) []float64 {
+	perPath, err := RunPointsScratchCtx(ctx, len(paths), func(i int, ts *TrialScratch) []float64 {
 		p := paths[i]
 		path := PathSpec{RateMbps: p.RateMbps, RTT: p.RTT, Loss: p.Loss, BufBytes: p.BufBytes, Seed: seed + int64(i)*7}
 		pccT := runSingle(ts, path, "pcc", dur, nil)
@@ -36,6 +37,9 @@ func RunFig5(scale float64, seed int64) *Report {
 		}
 		return out
 	})
+	if err != nil {
+		return nil, err
+	}
 	ratios := map[string][]float64{}
 	for _, rs := range perPath {
 		for k, rival := range rivals {
@@ -63,5 +67,5 @@ func RunFig5(scale float64, seed int64) *Report {
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: median 5.52x vs CUBIC (>=10x on 41% of pairs), 1.41x vs SABUL, 4.58x vs PCP")
-	return rep
+	return rep, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/netem"
@@ -16,7 +17,7 @@ import (
 // The report gives whole-run goodput, the pre-fault reference rate, goodput
 // over the flap window, and the recovery time: how long after the final heal
 // the flow takes to first reach 80% of its pre-fault rate.
-func RunLinkFlap(scale float64, seed int64) *Report {
+func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
 	protos := []string{"pcc", "cubic"}
@@ -33,7 +34,7 @@ func RunLinkFlap(scale float64, seed int64) *Report {
 		row   []string
 		notes []string
 	}
-	results := RunPointsScratch(len(protos), func(i int, ts *TrialScratch) lfResult {
+	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) lfResult {
 		proto := protos[i]
 		r, long := linkFlapTrial(ts, proto, dur, TrialSeed(seed, i), shards)
 
@@ -62,6 +63,9 @@ func RunLinkFlap(scale float64, seed int64) *Report {
 		}
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, res := range results {
 		rep.Rows = append(rep.Rows, res.row)
 		rep.Notes = append(rep.Notes, res.notes...)
@@ -69,7 +73,7 @@ func RunLinkFlap(scale float64, seed int64) *Report {
 	rep.Notes = append(rep.Notes,
 		"ref_Mbps: goodput before the first outage; flap_Mbps: goodput across the flap window; recovery_s: time after the last heal to reach 80% of ref",
 		"fault_dropped counts in-flight packets destroyed by the outages; conservation must hold through every down/up transition")
-	return rep
+	return rep, nil
 }
 
 // linkFlapTrial builds and runs one flap trial: a 3-hop chain of 100 Mbps

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -19,7 +20,7 @@ import (
 // conservation (offered = delivered + wire-lost + queue-dropped + queued +
 // serializing, in bytes) at every hop, which packet counts alone could not
 // certify once sizes mix.
-func RunMixMTU(scale float64, seed int64) *Report {
+func RunMixMTU(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(90, 20, scale)
 	protos := []string{"pcc", "cubic", "newreno"}
@@ -33,7 +34,7 @@ func RunMixMTU(scale float64, seed int64) *Report {
 		row   []string
 		notes []string
 	}
-	results := RunPointsScratch(len(protos), func(i int, ts *TrialScratch) mmResult {
+	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) mmResult {
 		proto := protos[i]
 		r, flows := mixMTUTrial(ts, proto, dur, TrialSeed(seed, i))
 		tput := make([]float64, len(flows))
@@ -57,6 +58,9 @@ func RunMixMTU(scale float64, seed int64) *Report {
 		}
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, res := range results {
 		rep.Rows = append(rep.Rows, res.row)
 		rep.Notes = append(rep.Notes, res.notes...)
@@ -64,7 +68,7 @@ func RunMixMTU(scale float64, seed int64) *Report {
 	rep.Notes = append(rep.Notes,
 		"flows: one 9000 B jumbo bulk, one 1400 B standard, two 512 B interactive, plus Poisson 512 B mice on both hops",
 		"conserved: per-link byte ledger balances at every hop (offered = delivered + wire_lost + queue_dropped + queued + serializing)")
-	return rep
+	return rep, nil
 }
 
 // mixMTUTrial builds and runs one mixed-MTU simulation over a two-hop path

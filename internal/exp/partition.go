@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -18,7 +19,7 @@ import (
 // a sharp signal — and Jain fairness across the per-hop cross flows over the
 // final window checks that a hard partition does not leave the
 // utility-driven allocation (§2.2) stuck in an unfair state.
-func RunPartition(scale float64, seed int64) *Report {
+func RunPartition(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
 	protos := []string{"pcc", "cubic"}
@@ -35,7 +36,7 @@ func RunPartition(scale float64, seed int64) *Report {
 		row   []string
 		notes []string
 	}
-	results := RunPointsScratch(len(protos), func(i int, ts *TrialScratch) ptResult {
+	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) ptResult {
 		proto := protos[i]
 		r, _, cross := partitionTrial(ts, proto, dur, cutAt, healAt, TrialSeed(seed, i), shards)
 		victim := cross[1] // the cross flow whose hop gets cut
@@ -62,6 +63,9 @@ func RunPartition(scale float64, seed int64) *Report {
 		}
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, res := range results {
 		rep.Rows = append(rep.Rows, res.row)
 		rep.Notes = append(rep.Notes, res.notes...)
@@ -69,7 +73,7 @@ func RunPartition(scale float64, seed int64) *Report {
 	rep.Notes = append(rep.Notes,
 		"ref_Mbps: cut-hop cross-flow goodput before the cut; reconverge_s: time after the heal to reach 80% of ref; jain_final: fairness across the per-hop cross flows over the last 20% of the run",
 		"the partition severs hop 1 in both directions, so the long flow loses data and ACK paths at once; hops 0/2/3 keep serving their cross flows throughout")
-	return rep
+	return rep, nil
 }
 
 // partitionTrial builds and runs one partition trial: a 4-hop parking lot

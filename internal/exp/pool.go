@@ -3,11 +3,9 @@ package exp
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +14,7 @@ import (
 // This file is the parallel experiment engine. Every trial of every driver
 // in this package is a self-contained deterministic simulation — it builds
 // its own sim.Engine and derives every RNG stream from the PathSpec seed —
-// so trials are embarrassingly parallel. RunTrials/RunPoints fan a trial
+// so trials are embarrassingly parallel. runTrials fans a trial
 // function out across a bounded worker pool while keeping results indexed
 // by trial number, which makes the assembled report byte-identical to a
 // sequential run regardless of goroutine scheduling (asserted by
@@ -24,15 +22,13 @@ import (
 //
 // Worker-count resolution, most specific wins:
 //
-//  1. the explicit count passed to RunTrialsWith/RunPointsWith,
-//  2. SetWorkers (cmd/pccbench's -par flag),
-//  3. the PCC_PAR environment variable,
-//  4. GOMAXPROCS divided by the shard count.
+//  1. SetWorkers (cmd/pccbench's -par flag),
+//  2. GOMAXPROCS divided by the shard count.
 //
 // Workers and shards are the two parallelism axes — across trials and
 // inside one trial (sim.ShardGroup) — and a sweep uses workers × shards
 // cores. The automatic default budgets the machine across both
-// (GOMAXPROCS/Shards() workers); an explicit SetWorkers/PCC_PAR is taken
+// (GOMAXPROCS/Shards() workers); an explicit SetWorkers is taken
 // literally, so deliberate oversubscription stays expressible.
 
 // workerOverride holds the SetWorkers value; 0 means "not set".
@@ -41,8 +37,8 @@ var workerOverride atomic.Int64
 // shardOverride holds the SetShards value; 0 means "not set".
 var shardOverride atomic.Int64
 
-// SetWorkers overrides the default worker count for RunTrials/RunPoints.
-// n <= 0 restores automatic resolution (PCC_PAR, then GOMAXPROCS/Shards).
+// SetWorkers overrides the default worker count of every sweep.
+// n <= 0 restores the default (GOMAXPROCS/Shards).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -50,15 +46,10 @@ func SetWorkers(n int) {
 	workerOverride.Store(int64(n))
 }
 
-// Workers returns the worker count RunTrials will use.
+// Workers returns the worker count sweeps will use.
 func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
-	}
-	if s := os.Getenv("PCC_PAR"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
 	}
 	if w := runtime.GOMAXPROCS(0) / Shards(); w > 1 {
 		return w
@@ -67,8 +58,8 @@ func Workers() int {
 }
 
 // SetShards overrides the intra-trial shard count experiments request for
-// their topologies (cmd/pccbench's -shards flag). n <= 0 restores automatic
-// resolution (PCC_SHARDS, then 1). The value is a ceiling: the topology
+// their topologies (cmd/pccbench's -shards flag). n <= 0 restores the
+// default (1). The value is a ceiling: the topology
 // partitioner may use fewer shards when the graph cannot support that many,
 // and experiments whose topologies do not benefit ignore it entirely.
 func SetShards(n int) {
@@ -83,11 +74,6 @@ func Shards() int {
 	if n := int(shardOverride.Load()); n > 0 {
 		return n
 	}
-	if s := os.Getenv("PCC_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
 	return 1
 }
 
@@ -98,8 +84,8 @@ var nodeOverride atomic.Int64
 var flowOverride atomic.Int64
 
 // SetNodes overrides the node count generated-topology experiments target
-// (cmd/pccbench's -nodes flag). n <= 0 restores automatic resolution
-// (PCC_NODES, then the experiment's scale-derived default). Generators
+// (cmd/pccbench's -nodes flag). n <= 0 restores the experiment's
+// scale-derived default. Generators
 // round the target to the nearest structurally valid size, so the built
 // topology may differ slightly from the request.
 func SetNodes(n int) {
@@ -115,18 +101,12 @@ func Nodes() int {
 	if n := int(nodeOverride.Load()); n > 0 {
 		return n
 	}
-	if s := os.Getenv("PCC_NODES"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
 	return 0
 }
 
 // SetFlows overrides the concurrent flow count generated-topology
-// experiments target (cmd/pccbench's -flows flag). n <= 0 restores
-// automatic resolution (PCC_FLOWS, then the experiment's scale-derived
-// default).
+// experiments target (cmd/pccbench's -flows flag). n <= 0 restores the
+// experiment's scale-derived default.
 func SetFlows(n int) {
 	if n < 0 {
 		n = 0
@@ -140,11 +120,6 @@ func Flows() int {
 	if n := int(flowOverride.Load()); n > 0 {
 		return n
 	}
-	if s := os.Getenv("PCC_FLOWS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
 	return 0
 }
 
@@ -156,34 +131,21 @@ func Flows() int {
 // write barriers tax the simulator's hottest loops. Trading bounded heap
 // headroom for throughput is the standard batch-job setting. The previous
 // target is restored when the outermost sweep finishes; results are
-// unaffected (GC timing is invisible to a deterministic simulation). Set
-// PCC_GOGC to override the sweep-time target (0 disables the adjustment).
+// unaffected (GC timing is invisible to a deterministic simulation).
 var gcRelax struct {
-	mu     sync.Mutex
-	depth  int
-	prev   int
-	active bool
+	mu    sync.Mutex
+	depth int
+	prev  int
 }
 
-func gcRelaxTarget() int {
-	if s := os.Getenv("PCC_GOGC"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return 400
-}
+// gcRelaxPercent is the sweep-time GOGC target.
+const gcRelaxPercent = 400
 
 func enterGCRelax() {
 	gcRelax.mu.Lock()
 	gcRelax.depth++
 	if gcRelax.depth == 1 {
-		if t := gcRelaxTarget(); t > 0 {
-			gcRelax.prev = debug.SetGCPercent(t)
-			gcRelax.active = true
-		} else {
-			gcRelax.active = false
-		}
+		gcRelax.prev = debug.SetGCPercent(gcRelaxPercent)
 	}
 	gcRelax.mu.Unlock()
 }
@@ -191,9 +153,8 @@ func enterGCRelax() {
 func exitGCRelax() {
 	gcRelax.mu.Lock()
 	gcRelax.depth--
-	if gcRelax.depth == 0 && gcRelax.active {
+	if gcRelax.depth == 0 {
 		debug.SetGCPercent(gcRelax.prev)
-		gcRelax.active = false
 	}
 	gcRelax.mu.Unlock()
 }
@@ -203,8 +164,8 @@ func exitGCRelax() {
 var trialTimeoutOverride atomic.Int64
 
 // SetTrialTimeout overrides the per-trial watchdog deadline (cmd/pccbench's
-// -trialtimeout flag, pccserve's -trialtimeout). d <= 0 restores automatic
-// resolution (PCC_TRIAL_TIMEOUT, then disabled). When a deadline is active,
+// -trialtimeout flag, pccserve's -trialtimeout). d <= 0 restores the
+// default (disabled). When a deadline is active,
 // every trial runs under a watchdog that converts a hang into a typed
 // *TrialTimeoutError instead of wedging the sweep forever (see runTrial).
 func SetTrialTimeout(d time.Duration) {
@@ -215,21 +176,9 @@ func SetTrialTimeout(d time.Duration) {
 }
 
 // TrialTimeout returns the active per-trial watchdog deadline; 0 means the
-// watchdog is disabled. PCC_TRIAL_TIMEOUT accepts a Go duration ("30s",
-// "2m") or a bare integer number of seconds.
+// watchdog is disabled.
 func TrialTimeout() time.Duration {
-	if n := trialTimeoutOverride.Load(); n > 0 {
-		return time.Duration(n)
-	}
-	if s := os.Getenv("PCC_TRIAL_TIMEOUT"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 {
-			return d
-		}
-		if sec, err := strconv.Atoi(s); err == nil && sec > 0 {
-			return time.Duration(sec) * time.Second
-		}
-	}
-	return 0
+	return time.Duration(trialTimeoutOverride.Load())
 }
 
 // TrialPanicError wraps a panic that escaped a trial function, carrying
@@ -273,7 +222,7 @@ func (e *TrialPanicError) Unwrap() error {
 }
 
 // TrialTimeoutError reports a trial that exceeded the per-trial watchdog
-// deadline (SetTrialTimeout / PCC_TRIAL_TIMEOUT / pccbench -trialtimeout).
+// deadline (SetTrialTimeout / pccbench -trialtimeout).
 // It carries the same provenance fields as TrialPanicError, so a hang is as
 // replayable as a crash. Go cannot kill the hung goroutine: it is abandoned
 // together with its trial arena and the sweep aborts, which fails the sweep
@@ -319,39 +268,12 @@ func (e *SweepCancelledError) Error() string {
 
 func (e *SweepCancelledError) Unwrap() error { return e.Err }
 
-// runTrialGuarded runs one trial and converts any escaping panic into a
-// *TrialPanicError stamped with the scratch's provenance fields, re-raised
-// as a panic so both the sequential path and the worker-pool recovery see
-// the same typed value. An already-typed panic passes through untouched
-// (nested pools must not double-wrap).
-func runTrialGuarded(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch r.(type) {
-		case *TrialPanicError, *TrialTimeoutError:
-			panic(r)
-		}
-		prov := ts.Provenance()
-		panic(&TrialPanicError{
-			Experiment: prov.Exp,
-			Variant:    prov.Variant,
-			Seed:       prov.Seed,
-			Trial:      trial,
-			Worker:     worker,
-			Value:      r,
-			Stack:      debug.Stack(),
-		})
-	}()
-	fn(trial, ts)
-}
-
-// catchTrialPanic runs one guarded trial and converts the typed panic the
-// guard raises into a returned error, so the pool can abort a sweep with an
-// error instead of unwinding worker goroutines.
-func catchTrialPanic(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) (err error) {
+// guardTrial runs one trial and converts any escaping panic into a returned
+// *TrialPanicError stamped with the scratch's provenance fields, so the pool
+// can abort a sweep with an error instead of unwinding worker goroutines.
+// An already-typed panic is returned untouched (nested pools must not
+// double-wrap).
+func guardTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) (err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -360,10 +282,19 @@ func catchTrialPanic(fn func(trial int, ts *TrialScratch), trial, worker int, ts
 		case *TrialTimeoutError:
 			err = r
 		default:
-			panic(r) // unreachable: runTrialGuarded types every panic
+			prov := ts.Provenance()
+			err = &TrialPanicError{
+				Experiment: prov.Exp,
+				Variant:    prov.Variant,
+				Seed:       prov.Seed,
+				Trial:      trial,
+				Worker:     worker,
+				Value:      r,
+				Stack:      debug.Stack(),
+			}
 		}
 	}()
-	runTrialGuarded(fn, trial, worker, ts)
+	fn(trial, ts)
 	return nil
 }
 
@@ -371,20 +302,20 @@ func catchTrialPanic(fn func(trial int, ts *TrialScratch), trial, worker int, ts
 // error: *TrialPanicError if the trial panicked, *TrialTimeoutError if the
 // watchdog deadline (timeout > 0) elapsed first, nil on success. When the
 // watchdog is armed the trial runs on its own goroutine so the deadline can
-// fire while it is stuck; scratchLost reports that this goroutine was
-// abandoned still owning ts (the timeout path), in which case the caller
-// must neither reuse nor recycle that arena.
-func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch, timeout time.Duration) (trialErr error, scratchLost bool) {
+// fire while it is stuck; on the timeout path that goroutine is abandoned
+// still owning ts, so after any error the caller must neither reuse nor
+// recycle that arena.
+func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch, timeout time.Duration) error {
 	if timeout <= 0 {
-		return catchTrialPanic(fn, trial, worker, ts), false
+		return guardTrial(fn, trial, worker, ts)
 	}
 	done := make(chan error, 1) // buffered: a post-deadline finish must not leak the goroutine
-	go func() { done <- catchTrialPanic(fn, trial, worker, ts) }()
+	go func() { done <- guardTrial(fn, trial, worker, ts) }()
 	watchdog := time.NewTimer(timeout)
 	defer watchdog.Stop()
 	select {
 	case err := <-done:
-		return err, false
+		return err
 	case <-watchdog.C:
 		prov := ts.Provenance()
 		return &TrialTimeoutError{
@@ -394,7 +325,7 @@ func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Trial
 			Trial:      trial,
 			Worker:     worker,
 			Timeout:    timeout,
-		}, true
+		}
 	}
 }
 
@@ -412,72 +343,26 @@ var scratchPool = sync.Pool{New: func() any { return new(TrialScratch) }}
 func acquireScratch() *TrialScratch   { return scratchPool.Get().(*TrialScratch) }
 func releaseScratch(ts *TrialScratch) { scratchPool.Put(ts) }
 
-// RunTrials runs fn(trial) for every trial in [0, n) across the default
-// number of workers. fn must be self-contained: it builds its own Runner
-// (and therefore its own engine, RNGs and packet pool) from a seed derived
-// from the trial index, and writes any result into a slot owned by that
-// index. Calls may execute on different goroutines in any order; RunTrials
-// returns after all complete. A panic in any trial is wrapped in a
-// *TrialPanicError and re-raised on the caller's goroutine, matching
-// sequential behaviour; a watchdog timeout is re-raised as a
-// *TrialTimeoutError the same way.
-func RunTrials(n int, fn func(trial int)) { RunTrialsWith(Workers(), n, fn) }
-
-// RunTrialsWith is RunTrials with an explicit worker count (1 = sequential,
-// in trial order, on the calling goroutine).
-func RunTrialsWith(workers, n int, fn func(trial int)) {
-	RunTrialsScratchWith(workers, n, func(i int, _ *TrialScratch) { fn(i) })
-}
-
-// RunTrialsCtx is RunTrials with cancellation: the sweep stops scheduling
-// at the next trial boundary once ctx is cancelled (in-flight trials
-// finish) and returns a *SweepCancelledError recording how many trials
-// completed. Trial panics and watchdog timeouts are returned as typed
-// errors instead of re-raised.
-func RunTrialsCtx(ctx context.Context, n int, fn func(trial int)) error {
-	return RunTrialsCtxWith(ctx, Workers(), n, fn)
-}
-
-// RunTrialsCtxWith is RunTrialsCtx with an explicit worker count.
-func RunTrialsCtxWith(ctx context.Context, workers, n int, fn func(trial int)) error {
-	return RunTrialsScratchCtxWith(ctx, workers, n, func(i int, _ *TrialScratch) { fn(i) })
-}
-
-// RunTrialsScratch is RunTrials for trial functions that build their
-// runners through a TrialScratch arena: each worker goroutine owns one
-// scratch for its whole slice of the sweep, so consecutive trials on a
-// worker reuse fully built simulation state (see arena.go). The scratch
-// reaches only one trial at a time; results remain byte-identical at any
-// worker count because arena reuse is placement-policy only.
-func RunTrialsScratch(n int, fn func(trial int, ts *TrialScratch)) {
-	RunTrialsScratchWith(Workers(), n, fn)
-}
-
-// RunTrialsScratchWith is RunTrialsScratch with an explicit worker count
-// (1 = sequential, in trial order, on the calling goroutine, with a single
-// scratch serving every trial).
-func RunTrialsScratchWith(workers, n int, fn func(trial int, ts *TrialScratch)) {
-	if err := RunTrialsScratchCtxWith(context.Background(), workers, n, fn); err != nil {
-		// Background never cancels, so err is a typed trial failure; re-raise
-		// it to preserve the legacy panic contract of the non-ctx API.
-		panic(err)
-	}
-}
-
-// RunTrialsScratchCtx is RunTrialsScratch with cancellation (see
-// RunTrialsCtx).
-func RunTrialsScratchCtx(ctx context.Context, n int, fn func(trial int, ts *TrialScratch)) error {
-	return RunTrialsScratchCtxWith(ctx, Workers(), n, fn)
-}
-
-// RunTrialsScratchCtxWith is the engine beneath every RunTrials/RunPoints
-// variant. The context is consulted only at trial boundaries — a trial that
+// runTrials is the engine beneath every sweep: it runs fn(trial, ts) for
+// every trial in [0, n) across the given number of workers (1 = sequential,
+// in trial order, on the calling goroutine, with a single scratch serving
+// every trial). fn must be self-contained: it builds its own Runner (and
+// therefore its own engine, RNGs and packet pool) from a seed derived from
+// the trial index, and writes any result into a slot owned by that index.
+// Calls may execute on different goroutines in any order. Each worker
+// goroutine owns one TrialScratch for its whole slice of the sweep, so
+// consecutive trials on a worker reuse fully built simulation state (see
+// arena.go); the scratch reaches only one trial at a time, and results
+// remain byte-identical at any worker count because arena reuse is
+// placement-policy only.
+//
+// The context is consulted only at trial boundaries — a trial that
 // has started always runs to completion (or to its watchdog deadline) — so
 // cancellation can never tear a simulation down mid-event. It returns nil
 // when all n trials completed, a *SweepCancelledError when ctx stopped the
 // sweep first, or the typed *TrialPanicError/*TrialTimeoutError of the
 // first failing trial (which also aborts the sweep).
-func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial int, ts *TrialScratch)) error {
+func runTrials(ctx context.Context, workers, n int, fn func(trial int, ts *TrialScratch)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -505,7 +390,7 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 				releaseScratch(ts)
 				return cancelled(i)
 			}
-			if err, _ := runTrial(fn, i, 0, ts, timeout); err != nil {
+			if err := runTrial(fn, i, 0, ts, timeout); err != nil {
 				// Drop the arena: panicked trials may leave cached runners
 				// mid-build, timed-out trials still own theirs.
 				return err
@@ -549,7 +434,7 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 				if i >= n {
 					return
 				}
-				if err, _ := runTrial(fn, i, w, ts, timeout); err != nil {
+				if err := runTrial(fn, i, w, ts, timeout); err != nil {
 					// Abort the sweep: workers stop claiming trials, so the
 					// failure surfaces without first burning through the rest
 					// of the grid. The arena is dropped, not recycled.
@@ -576,66 +461,50 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 	return nil
 }
 
-// RunPoints runs fn over [0, n) in parallel and returns the results in
-// index order: out[i] == fn(i) no matter which worker computed it. This is
-// the workhorse of the drivers: a figure's sweep grid is flattened into
-// n points, computed concurrently, and reassembled into rows sequentially
-// so row order and floating-point aggregation order never change.
-func RunPoints[T any](n int, fn func(point int) T) []T {
-	return RunPointsWith[T](Workers(), n, fn)
+// RunTrialsScratchCtx runs fn over [0, n) on the default number of workers
+// (see runTrials). The sweep stops scheduling at the next trial boundary
+// once ctx is cancelled (in-flight trials finish) and returns a
+// *SweepCancelledError recording how many trials completed; trial panics and
+// watchdog timeouts are returned as typed errors.
+func RunTrialsScratchCtx(ctx context.Context, n int, fn func(trial int, ts *TrialScratch)) error {
+	return runTrials(ctx, Workers(), n, fn)
 }
 
-// RunPointsWith is RunPoints with an explicit worker count.
-func RunPointsWith[T any](workers, n int, fn func(point int) T) []T {
-	out := make([]T, n)
-	RunTrialsWith(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// RunPointsCtx is RunPoints with cancellation. On a non-nil error the
-// returned slice still holds every completed point (the partial results a
-// serving layer can stream); unstarted slots are zero values.
-func RunPointsCtx[T any](ctx context.Context, n int, fn func(point int) T) ([]T, error) {
-	return RunPointsCtxWith[T](ctx, Workers(), n, fn)
-}
-
-// RunPointsCtxWith is RunPointsCtx with an explicit worker count.
-func RunPointsCtxWith[T any](ctx context.Context, workers, n int, fn func(point int) T) ([]T, error) {
-	out := make([]T, n)
-	err := RunTrialsCtxWith(ctx, workers, n, func(i int) { out[i] = fn(i) })
-	return out, err
-}
-
-// RunPointsScratch is RunPoints for point functions that build their
-// runners through a per-worker TrialScratch arena (see RunTrialsScratch).
-func RunPointsScratch[T any](n int, fn func(point int, ts *TrialScratch) T) []T {
-	return RunPointsScratchWith[T](Workers(), n, fn)
-}
-
-// RunPointsScratchWith is RunPointsScratch with an explicit worker count.
-func RunPointsScratchWith[T any](workers, n int, fn func(point int, ts *TrialScratch) T) []T {
-	out := make([]T, n)
-	RunTrialsScratchWith(workers, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out
-}
-
-// RunPointsScratchCtx is RunPointsScratch with cancellation (see
-// RunPointsCtx for the partial-result contract).
+// RunPointsScratchCtx runs fn over [0, n) in parallel and returns the
+// results in index order: out[i] == fn(i) no matter which worker computed
+// it. This is the workhorse of the drivers: a figure's sweep grid is
+// flattened into n points, computed concurrently, and reassembled into rows
+// sequentially so row order and floating-point aggregation order never
+// change. On a non-nil error the returned slice still holds every completed
+// point (the partial results a serving layer can stream); unstarted slots
+// are zero values.
 func RunPointsScratchCtx[T any](ctx context.Context, n int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
-	return RunPointsScratchCtxWith[T](ctx, Workers(), n, fn)
-}
-
-// RunPointsScratchCtxWith is RunPointsScratchCtx with an explicit worker
-// count.
-func RunPointsScratchCtxWith[T any](ctx context.Context, workers, n int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
 	out := make([]T, n)
-	err := RunTrialsScratchCtxWith(ctx, workers, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
+	err := RunTrialsScratchCtx(ctx, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
 	return out, err
 }
 
-// RunTrialsScratchOrdered is RunTrialsScratch with an explicit execution
-// order: workers claim positions of order front to back and run
-// fn(order[k]). order must be a permutation of [0, len(order)). Because
+// RunTrialsScratch is RunTrialsScratchCtx without cancellation; a trial
+// panic is wrapped in a *TrialPanicError and re-raised on the caller's
+// goroutine, matching sequential behaviour, and a watchdog timeout is
+// re-raised as a *TrialTimeoutError the same way.
+func RunTrialsScratch(n int, fn func(trial int, ts *TrialScratch)) {
+	if err := RunTrialsScratchCtx(context.Background(), n, fn); err != nil {
+		// Background never cancels, so err is a typed trial failure.
+		panic(err)
+	}
+}
+
+// RunPointsScratch is RunPointsScratchCtx with RunTrialsScratch's panic
+// contract.
+func RunPointsScratch[T any](n int, fn func(point int, ts *TrialScratch) T) []T {
+	out := make([]T, n)
+	RunTrialsScratch(n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
+	return out
+}
+
+// descendingBy returns a permutation of [0, n) that is stable-sorted by
+// descending size(i) — the canonical largest-shape-first order. Because
 // every trial is self-contained and results are written to slots owned by
 // the trial index, execution order is placement policy only — reports stay
 // byte-identical under any permutation. Drivers use it to run a sweep's
@@ -643,32 +512,6 @@ func RunPointsScratchCtxWith[T any](ctx context.Context, workers, n int, fn func
 // on its first trials and every later, smaller shape rebuilds warm (a
 // smallest-first grid instead re-grows windows and flow pools at each step
 // up).
-func RunTrialsScratchOrdered(order []int, fn func(trial int, ts *TrialScratch)) {
-	RunTrialsScratchWith(Workers(), len(order), func(k int, ts *TrialScratch) { fn(order[k], ts) })
-}
-
-// RunTrialsScratchOrderedCtx is RunTrialsScratchOrdered with cancellation.
-func RunTrialsScratchOrderedCtx(ctx context.Context, order []int, fn func(trial int, ts *TrialScratch)) error {
-	return RunTrialsScratchCtxWith(ctx, Workers(), len(order), func(k int, ts *TrialScratch) { fn(order[k], ts) })
-}
-
-// RunPointsScratchOrdered is RunPointsScratch with an explicit execution
-// order (see RunTrialsScratchOrdered); out[i] still holds fn(i).
-func RunPointsScratchOrdered[T any](order []int, fn func(point int, ts *TrialScratch) T) []T {
-	out := make([]T, len(order))
-	RunTrialsScratchOrdered(order, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out
-}
-
-// RunPointsScratchOrderedCtx is RunPointsScratchOrdered with cancellation.
-func RunPointsScratchOrderedCtx[T any](ctx context.Context, order []int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
-	out := make([]T, len(order))
-	err := RunTrialsScratchOrderedCtx(ctx, order, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out, err
-}
-
-// descendingBy returns a permutation of [0, n) that is stable-sorted by
-// descending size(i) — the canonical largest-shape-first order.
 func descendingBy(n int, size func(i int) int) []int {
 	order := make([]int, n)
 	for i := range order {

@@ -40,7 +40,8 @@ func TestRunTrialsCtxCancelledMidSweep(t *testing.T) {
 		const n = 1000
 		release := make(chan struct{})
 		cancelAfter := 5
-		out, err := RunPointsScratchCtxWith(ctx, workers, n, func(i int, ts *TrialScratch) int {
+		out := make([]int, n)
+		err := runTrials(ctx, workers, n, func(i int, ts *TrialScratch) {
 			if i == cancelAfter {
 				cancel()
 				close(release)
@@ -53,7 +54,7 @@ func TestRunTrialsCtxCancelledMidSweep(t *testing.T) {
 				case <-time.After(time.Second):
 				}
 			}
-			return i + 1
+			out[i] = i + 1
 		})
 		cancel()
 		if err == nil {
@@ -90,7 +91,7 @@ func TestRunTrialsCtxCancelledMidSweep(t *testing.T) {
 func TestRunTrialsCtxCompletesDespiteLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, err := RunPointsCtx(ctx, 8, func(i int) int { return i * i })
+	out, err := RunPointsScratchCtx(ctx, 8, func(i int, _ *TrialScratch) int { return i * i })
 	if err != nil {
 		t.Fatalf("uncancelled sweep returned %v", err)
 	}
@@ -106,7 +107,7 @@ func TestRunTrialsCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := RunTrialsCtx(ctx, 10, func(int) { ran = true })
+	err := RunTrialsScratchCtx(ctx, 10, func(int, *TrialScratch) { ran = true })
 	var sc *SweepCancelledError
 	if !errors.As(err, &sc) || sc.Completed != 0 {
 		t.Fatalf("err = %v, want *SweepCancelledError with 0 completed", err)
@@ -122,7 +123,7 @@ func TestRunTrialsCtxNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_ = RunTrialsCtxWith(ctx, 8, 64, func(i int) {
+		_ = runTrials(ctx, 8, 64, func(i int, _ *TrialScratch) {
 			if i == 3 {
 				cancel()
 			}
@@ -142,7 +143,7 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		release := make(chan struct{})
 		SetTrialTimeout(50 * time.Millisecond)
-		err := RunTrialsScratchCtxWith(context.Background(), workers, 8,
+		err := runTrials(context.Background(), workers, 8,
 			func(i int, ts *TrialScratch) {
 				ts.Stamp("hangexp", "pcc", TrialSeed(99, i))
 				if i == 2 {
@@ -168,7 +169,7 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 		close(release)
 
 		// The pool must still be fully usable after a timeout abort.
-		out := RunPointsWith(workers, 4, func(i int) int { return i })
+		out := pointsWith(workers, 4, func(i int) int { return i })
 		for i, v := range out {
 			if v != i {
 				t.Fatalf("workers=%d: pool broken after timeout: out[%d] = %d", workers, i, v)
@@ -178,8 +179,7 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 }
 
 // TestTrialTimeoutKnobResolution pins the watchdog knob's resolution order:
-// SetTrialTimeout wins, then PCC_TRIAL_TIMEOUT (duration or bare seconds),
-// then disabled.
+// SetTrialTimeout wins, then disabled.
 func TestTrialTimeoutKnobResolution(t *testing.T) {
 	defer SetTrialTimeout(0)
 	SetTrialTimeout(3 * time.Second)
@@ -187,17 +187,8 @@ func TestTrialTimeoutKnobResolution(t *testing.T) {
 		t.Errorf("after SetTrialTimeout(3s), TrialTimeout() = %v", got)
 	}
 	SetTrialTimeout(0)
-	t.Setenv("PCC_TRIAL_TIMEOUT", "250ms")
-	if got := TrialTimeout(); got != 250*time.Millisecond {
-		t.Errorf("PCC_TRIAL_TIMEOUT=250ms, TrialTimeout() = %v", got)
-	}
-	t.Setenv("PCC_TRIAL_TIMEOUT", "45")
-	if got := TrialTimeout(); got != 45*time.Second {
-		t.Errorf("PCC_TRIAL_TIMEOUT=45, TrialTimeout() = %v (bare ints are seconds)", got)
-	}
-	t.Setenv("PCC_TRIAL_TIMEOUT", "nonsense")
 	if got := TrialTimeout(); got != 0 {
-		t.Errorf("PCC_TRIAL_TIMEOUT=nonsense, TrialTimeout() = %v, want 0", got)
+		t.Errorf("after SetTrialTimeout(0), TrialTimeout() = %v, want 0 (disabled)", got)
 	}
 }
 
@@ -207,13 +198,11 @@ func TestTrialTimeoutKnobResolution(t *testing.T) {
 // server's error ledger long after the goroutine is gone.
 func TestTrialPanicCapturesStack(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		tpe := recoverTrialPanic(t, func() {
-			RunTrialsScratchWith(workers, 4, func(i int, ts *TrialScratch) {
-				ts.Stamp("stackexp", "x", TrialSeed(1, i))
-				if i%2 == 1 {
-					explodeForStackTest()
-				}
-			})
+		tpe := trialPanicOf(t, workers, 4, func(i int, ts *TrialScratch) {
+			ts.Stamp("stackexp", "x", TrialSeed(1, i))
+			if i%2 == 1 {
+				explodeForStackTest()
+			}
 		})
 		if len(tpe.Stack) == 0 {
 			t.Fatalf("workers=%d: no stack captured", workers)
@@ -230,18 +219,34 @@ func explodeForStackTest() {
 	panic("boom for stack capture")
 }
 
-// TestRunCtxTheoryCancels exercises a ctx-native driver end to end: RunCtx
-// on "theory" with an expired deadline must come back with a typed
-// cancellation, while a live context produces the full report.
-func TestRunCtxTheoryCancels(t *testing.T) {
+// TestRunCtxCancelsEveryExperiment holds cancellation uniform across the
+// registry: under a pre-cancelled context every registered experiment hands
+// its ctx to the pool, which runs zero trials and comes back with a typed
+// cancellation. A driver that sweeps under context.Background() instead runs
+// to completion and fails this; so does one that burns the time budget
+// before reaching its sweep. A live context still produces the full report.
+func TestRunCtxCancelsEveryExperiment(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunCtx(ctx, "theory", 0.2, 42)
-	var sc *SweepCancelledError
-	if rep != nil || !errors.As(err, &sc) {
-		t.Fatalf("cancelled RunCtx = (%v, %v), want (nil, *SweepCancelledError)", rep, err)
+	start := time.Now()
+	for _, id := range IDs() {
+		rep, err := RunCtx(ctx, id, 0.01, 42)
+		var sc *SweepCancelledError
+		if rep != nil || !errors.As(err, &sc) {
+			t.Errorf("%s: cancelled RunCtx = (%v, %v), want (nil, *SweepCancelledError)", id, rep, err)
+			continue
+		}
+		if sc.Completed != 0 {
+			t.Errorf("%s: %d trials ran under a pre-cancelled context", id, sc.Completed)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: errors.Is(err, context.Canceled) = false for %v", id, err)
+		}
 	}
-	rep, err = RunCtx(context.Background(), "theory", 0.2, 42)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cancelled registry pass took %v, want well under a second", d)
+	}
+	rep, err := RunCtx(context.Background(), "theory", 0.2, 42)
 	if err != nil || rep == nil || len(rep.Rows) == 0 {
 		t.Fatalf("live RunCtx(theory) = (%v, %v), want a populated report", rep, err)
 	}

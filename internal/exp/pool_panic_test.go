@@ -1,28 +1,24 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
-// recoverTrialPanic runs f and returns the *TrialPanicError it panics with,
-// failing the test if f panics with anything else or not at all.
-func recoverTrialPanic(t *testing.T, f func()) *TrialPanicError {
+// trialPanicOf runs a sweep at an explicit pool width and returns the
+// *TrialPanicError it fails with, failing the test if the sweep succeeds or
+// fails with anything else.
+func trialPanicOf(t *testing.T, workers, n int, fn func(i int, ts *TrialScratch)) *TrialPanicError {
 	t.Helper()
-	var tpe *TrialPanicError
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("trial panic was swallowed")
-			}
-			var ok bool
-			if tpe, ok = r.(*TrialPanicError); !ok {
-				t.Fatalf("re-raised panic is %T (%v), want *TrialPanicError", r, r)
-			}
-		}()
-		f()
-	}()
+	err := runTrials(context.Background(), workers, n, fn)
+	if err == nil {
+		t.Fatal("trial panic was swallowed")
+	}
+	tpe, ok := err.(*TrialPanicError)
+	if !ok {
+		t.Fatalf("sweep error is %T (%v), want *TrialPanicError", err, err)
+	}
 	return tpe
 }
 
@@ -32,14 +28,12 @@ func recoverTrialPanic(t *testing.T, f func()) *TrialPanicError {
 func TestTrialPanicWrappedSequential(t *testing.T) {
 	ran := 0
 	boom := errors.New("queue invariant violated")
-	tpe := recoverTrialPanic(t, func() {
-		RunTrialsScratchWith(1, 5, func(i int, ts *TrialScratch) {
-			ts.Stamp("linkflap", "pcc", TrialSeed(42, i))
-			ran++
-			if i == 2 {
-				panic(boom)
-			}
-		})
+	tpe := trialPanicOf(t, 1, 5, func(i int, ts *TrialScratch) {
+		ts.Stamp("linkflap", "pcc", TrialSeed(42, i))
+		ran++
+		if i == 2 {
+			panic(boom)
+		}
 	})
 	if ran != 3 {
 		t.Errorf("ran %d trials before the panic, want 3", ran)
@@ -56,16 +50,14 @@ func TestTrialPanicWrappedSequential(t *testing.T) {
 }
 
 // TestTrialPanicWrappedParallel checks the worker-pool path: the panic
-// aborts the sweep and the first one re-raised is typed, without
+// aborts the sweep and the first one returned is typed, without
 // double-wrapping on its way through the worker recovery.
 func TestTrialPanicWrappedParallel(t *testing.T) {
-	tpe := recoverTrialPanic(t, func() {
-		RunTrialsScratchWith(4, 64, func(i int, ts *TrialScratch) {
-			ts.Stamp("partition", "cubic", TrialSeed(7, i))
-			if i%3 == 1 {
-				panic("non-error payload")
-			}
-		})
+	tpe := trialPanicOf(t, 4, 64, func(i int, ts *TrialScratch) {
+		ts.Stamp("partition", "cubic", TrialSeed(7, i))
+		if i%3 == 1 {
+			panic("non-error payload")
+		}
 	})
 	if tpe.Experiment != "partition" || tpe.Variant != "cubic" {
 		t.Errorf("provenance = %+v, want experiment partition, variant cubic", tpe)
@@ -87,5 +79,23 @@ func TestTrialPanicWrappedParallel(t *testing.T) {
 	}
 	if got := tpe.Error(); got == "" {
 		t.Error("empty Error() message")
+	}
+}
+
+// TestTrialPanicNestedNotRewrapped: a trial that runs a sweep of its own
+// through the panicking wrappers re-raises the inner sweep's typed failure;
+// the outer pool must hand back that very value, inner provenance intact.
+func TestTrialPanicNestedNotRewrapped(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		tpe := trialPanicOf(t, workers, 4, func(i int, ts *TrialScratch) {
+			ts.Stamp("outer", "o", 1)
+			RunTrialsScratch(1, func(j int, inner *TrialScratch) {
+				inner.Stamp("inner", "i", 2)
+				panic("inner boom")
+			})
+		})
+		if tpe.Experiment != "inner" || tpe.Value != "inner boom" {
+			t.Errorf("workers=%d: nested failure rewrapped: %+v", workers, tpe)
+		}
 	}
 }

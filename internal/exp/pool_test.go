@@ -1,23 +1,35 @@
 package exp
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"pcc/internal/netem"
 )
 
+// pointsWith runs fn over [0, n) at an explicit pool width and returns the
+// results in index order; a trial failure is re-raised, as RunPointsScratch
+// does at the default width.
+func pointsWith[T any](workers, n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	if err := runTrials(context.Background(), workers, n, func(i int, _ *TrialScratch) { out[i] = fn(i) }); err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestRunPointsOrder(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 2, 7, 32} {
-		out := RunPointsWith(workers, 100, func(i int) int { return i * i })
+		out := pointsWith(workers, 100, func(i int) int { return i * i })
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
-	if got := RunPointsWith(4, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := pointsWith(4, 0, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("n=0 returned %d results", len(got))
 	}
 }
@@ -29,7 +41,7 @@ func TestRunTrialsPanicPropagates(t *testing.T) {
 			t.Fatal("panic in a trial must reach the caller, as in sequential execution")
 		}
 	}()
-	RunTrialsWith(4, 16, func(i int) {
+	RunTrialsScratch(16, func(i int, _ *TrialScratch) {
 		if i == 11 {
 			panic("boom")
 		}
@@ -37,24 +49,15 @@ func TestRunTrialsPanicPropagates(t *testing.T) {
 }
 
 func TestWorkersResolution(t *testing.T) {
-	// Not parallel: mutates the global override and the environment.
+	// Not parallel: mutates the global override.
 	defer SetWorkers(0)
 	SetWorkers(3)
 	if got := Workers(); got != 3 {
 		t.Fatalf("SetWorkers(3) → Workers() = %d", got)
 	}
 	SetWorkers(0)
-	t.Setenv("PCC_PAR", "5")
-	if got := Workers(); got != 5 {
-		t.Fatalf("PCC_PAR=5 → Workers() = %d", got)
-	}
-	t.Setenv("PCC_PAR", "not-a-number")
 	if got := Workers(); got < 1 {
-		t.Fatalf("garbage PCC_PAR must fall back to GOMAXPROCS, got %d", got)
-	}
-	SetWorkers(2)
-	if got := Workers(); got != 2 {
-		t.Fatalf("explicit SetWorkers must beat PCC_PAR, got %d", got)
+		t.Fatalf("unset override must fall back to GOMAXPROCS, got %d", got)
 	}
 }
 
@@ -87,9 +90,9 @@ func TestPoolStressTinyTrials(t *testing.T) {
 	if testing.Short() {
 		trials = 32
 	}
-	want := RunPointsWith(1, trials, stressTrial)
+	want := pointsWith(1, trials, stressTrial)
 	for _, workers := range []int{4, 16} {
-		got := RunPointsWith(workers, trials, stressTrial)
+		got := pointsWith(workers, trials, stressTrial)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d trial %d: got %v, want %v (parallel run diverged)", workers, i, got[i], want[i])
@@ -110,7 +113,7 @@ func TestPoolConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := RunPointsWith(4, 12, stressTrial)
+			out := pointsWith(4, 12, stressTrial)
 			for i, v := range out {
 				if v != stressTrial(i) {
 					errs <- "concurrent pool user got divergent result"

@@ -8,86 +8,53 @@ import (
 	"pcc/internal/theory"
 )
 
-// Driver runs one experiment at the given scale and seed. This is the
-// legacy driver shape: it has no cancellation point of its own and reports
-// failures by panicking (which the pool types into *TrialPanicError /
-// *TrialTimeoutError).
-type Driver func(scale float64, seed int64) *Report
-
-// DriverCtx is the context-aware driver shape: the driver threads ctx into
-// the pool's Ctx variants so a cancelled context stops its sweep at the
-// next trial boundary, returning a *SweepCancelledError (or the typed error
-// of a failing trial) instead of panicking. Drivers migrate to this shape
-// incrementally; legacy drivers are adapted via liftDriver.
+// DriverCtx runs one experiment at the given scale and seed. The driver
+// threads ctx into its sweep so a cancelled context stops it at the next
+// trial boundary, returning a *SweepCancelledError (or the typed error of a
+// failing trial) instead of panicking.
 type DriverCtx func(ctx context.Context, scale float64, seed int64) (*Report, error)
 
-// liftDriver adapts a legacy Driver to the ctx-aware shape. The driver runs
-// to completion once started — cancellation applies only at the call
-// boundary — and typed trial failures escaping it as panics
-// (*TrialPanicError, *TrialTimeoutError) are converted into returned
-// errors; any other panic is a bug and propagates.
-func liftDriver(d Driver) DriverCtx {
-	return func(ctx context.Context, scale float64, seed int64) (rep *Report, err error) {
-		if ctx.Err() != nil {
-			cause := context.Cause(ctx)
-			if cause == nil {
-				cause = ctx.Err()
-			}
-			return nil, &SweepCancelledError{Completed: 0, Total: 1, Err: cause}
-		}
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case *TrialPanicError:
-				rep, err = nil, r
-			case *TrialTimeoutError:
-				rep, err = nil, r
-			default:
-				panic(r)
-			}
-		}()
-		return d(scale, seed), nil
-	}
-}
-
 // drivers maps experiment IDs to their drivers. Registration happens at
-// init time (or, for tests and extensions, via Register before any
+// init time (or, for tests and extensions, via RegisterCtx before any
 // concurrent Run/RunCtx calls); the map is read-only afterwards, so the
 // serving layer may dispatch from many goroutines without locking.
 var drivers = map[string]DriverCtx{
-	"fig5":      liftDriver(RunFig5),
-	"fig6":      liftDriver(RunFig6),
-	"fig7":      liftDriver(RunFig7),
-	"fig8":      liftDriver(RunFig8),
-	"fig9":      liftDriver(RunFig9),
-	"fig10":     liftDriver(RunFig10),
-	"fig11":     liftDriver(func(scale float64, seed int64) *Report { r, _ := RunFig11(scale, seed); return r }),
-	"fig12":     liftDriver(RunFig12),
-	"fig13":     liftDriver(RunFig13),
-	"fig14":     liftDriver(RunFig14),
-	"fig15":     liftDriver(RunFig15),
-	"fig16":     liftDriver(RunFig16),
-	"fig17":     liftDriver(RunFig17),
-	"table1":    liftDriver(RunTable1),
-	"loss50":    liftDriver(RunLossResilient),
+	"fig5":      RunFig5,
+	"fig6":      RunFig6,
+	"fig7":      RunFig7,
+	"fig8":      RunFig8,
+	"fig9":      RunFig9,
+	"fig10":     RunFig10,
+	"fig11":     fig11Report,
+	"fig12":     RunFig12,
+	"fig13":     RunFig13,
+	"fig14":     RunFig14,
+	"fig15":     RunFig15,
+	"fig16":     RunFig16,
+	"fig17":     RunFig17,
+	"table1":    RunTable1,
+	"loss50":    RunLossResilient,
 	"theory":    RunTheory,
-	"ablation":  liftDriver(RunAblation),
-	"linkflap":  liftDriver(RunLinkFlap),
+	"ablation":  RunAblation,
+	"linkflap":  RunLinkFlap,
 	"parklot":   RunParkingLot,
-	"partition": liftDriver(RunPartition),
-	"revpath":   liftDriver(RunRevPath),
-	"wan":       liftDriver(RunWAN),
-	"mixmtu":    liftDriver(RunMixMTU),
-	"widechain": liftDriver(RunWideChain),
+	"partition": RunPartition,
+	"revpath":   RunRevPath,
+	"wan":       RunWAN,
+	"mixmtu":    RunMixMTU,
+	"widechain": RunWideChain,
 }
 
-// Register adds a legacy driver under a new ID. It is intended for tests
-// and extensions, panics on a duplicate ID, and must complete before any
+// fig11Report is RunFig11 in the driver shape: it drops the series.
+func fig11Report(ctx context.Context, scale float64, seed int64) (*Report, error) {
+	rep, _, err := RunFig11(ctx, scale, seed)
+	return rep, err
+}
+
+// RegisterCtx adds a driver under a new ID. It is intended for tests and
+// extensions, panics on a duplicate ID, and must complete before any
 // concurrent Run/RunCtx calls (the registry is lock-free read-only at
 // serving time).
-func Register(id string, d Driver) { RegisterCtx(id, liftDriver(d)) }
-
-// RegisterCtx is Register for context-aware drivers.
 func RegisterCtx(id string, d DriverCtx) {
 	if _, dup := drivers[id]; dup {
 		panic(fmt.Sprintf("exp: duplicate experiment id %q", id))
@@ -102,9 +69,8 @@ func Run(id string, scale float64, seed int64) (*Report, error) {
 	return RunCtx(context.Background(), id, scale, seed)
 }
 
-// RunCtx is Run with cancellation: ctx-aware drivers stop their sweep at
-// the next trial boundary and return a *SweepCancelledError; legacy drivers
-// honour ctx at the call boundary only.
+// RunCtx is Run with cancellation: the driver stops its sweep at the next
+// trial boundary and returns a *SweepCancelledError.
 func RunCtx(ctx context.Context, id string, scale float64, seed int64) (*Report, error) {
 	d, ok := drivers[id]
 	if !ok {
@@ -137,7 +103,7 @@ func RunTheory(ctx context.Context, scale float64, seed int64) (*Report, error) 
 	const C = 100.0
 	const eps = 0.01
 	senderCounts := []int{2, 3, 4, 8, 16}
-	rows, err := RunPointsCtx(ctx, len(senderCounts), func(i int) []string {
+	rows, err := RunPointsScratchCtx(ctx, len(senderCounts), func(i int, _ *TrialScratch) []string {
 		n := senderCounts[i]
 		g := theory.NewGame(C, n)
 		xh := g.Equilibrium(n, eps)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/netem"
@@ -17,7 +18,7 @@ import (
 // the capacity the opposing ACK stream consumes (~3 Mbps at full forward
 // rate), and the fat-link flow is depressed by ACK queueing delay and ACK
 // drops on the saturated reverse bottleneck.
-func RunRevPath(scale float64, seed int64) *Report {
+func RunRevPath(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(90, 30, scale)
 	protos := []string{"pcc", "cubic", "newreno"}
@@ -32,7 +33,7 @@ func RunRevPath(scale float64, seed int64) *Report {
 		notes    []string
 	}
 	// Three runs per protocol: forward flow alone, reverse flow alone, both.
-	results := RunPointsScratch(len(protos)*3, func(i int, ts *TrialScratch) rpResult {
+	results, err := RunPointsScratchCtx(ctx, len(protos)*3, func(i int, ts *TrialScratch) rpResult {
 		proto := protos[i/3]
 		mode := i % 3 // 0: fwd solo, 1: rev solo, 2: duplex
 		// Keyed by (proto, mode): each mode has a different flow/route
@@ -68,6 +69,9 @@ func RunRevPath(scale float64, seed int64) *Report {
 		}
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	for pi, proto := range protos {
 		fwdSolo := results[pi*3].fwd
 		revSolo := results[pi*3+1].rev
@@ -82,7 +86,7 @@ func RunRevPath(scale float64, seed int64) *Report {
 	rep.Notes = append(rep.Notes,
 		"solo: the flow runs alone (its ACK link is idle); duplex: both directions active, data shares a queue with opposing ACKs",
 		"rev_ratio < 1: the thin-link flow cedes the bandwidth the opposing ACK stream occupies; fwd_ratio < 1: ACK queueing/drops on the saturated thin link throttle the fat-link flow")
-	return rep
+	return rep, nil
 }
 
 // revPathRunner builds the asymmetric two-node topology: a 100 Mbps "fat"

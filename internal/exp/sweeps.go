@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/core"
@@ -22,7 +23,7 @@ func runSingle(ts *TrialScratch, path PathSpec, proto string, dur float64, util 
 // 800 ms RTT, 0.74% random loss — sweeping the bottleneck buffer from
 // 1.5 KB to 1 MB. PCC should sit near capacity even with tiny buffers while
 // Hybla/Illinois/CUBIC/New Reno collapse.
-func RunFig6(scale float64, seed int64) *Report {
+func RunFig6(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 60, scale)
 	buffers := []int{1500, 7500, 15 * netem.KB, 30 * netem.KB, 75 * netem.KB, 150 * netem.KB, 375 * netem.KB, 1000 * netem.KB}
@@ -33,10 +34,13 @@ func RunFig6(scale float64, seed int64) *Report {
 		Title:  "satellite link (42 Mbps, 800 ms RTT, 0.74% loss): throughput vs buffer size",
 		Header: append([]string{"buffer_KB"}, protos...),
 	}
-	tputs := RunPointsScratch(len(buffers)*len(protos), func(i int, ts *TrialScratch) float64 {
+	tputs, err := RunPointsScratchCtx(ctx, len(buffers)*len(protos), func(i int, ts *TrialScratch) float64 {
 		path := PathSpec{RateMbps: 42, RTT: 0.8, Loss: 0.0074, BufBytes: buffers[i/len(protos)], Seed: seed}
 		return runSingle(ts, path, protos[i%len(protos)], dur, nil)
 	})
+	if err != nil {
+		return nil, err
+	}
 	var pccAt1MB, hyblaAt1MB float64
 	for bi, buf := range buffers {
 		row := []string{fmt.Sprintf("%.1f", float64(buf)/netem.KB)}
@@ -58,13 +62,13 @@ func RunFig6(scale float64, seed int64) *Report {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("at 1 MB buffer: PCC %.1f Mbps vs Hybla %.1f Mbps (%.1fx; paper: 17x)",
 			pccAt1MB, hyblaAt1MB, pccAt1MB/hyblaAt1MB))
 	}
-	return rep
+	return rep, nil
 }
 
 // RunFig7 reproduces Fig. 7 (§4.1.4): random-loss resilience on a 100 Mbps,
 // 30 ms link, sweeping loss 0–6% on both directions. PCC should hold >90%
 // of achievable capacity to 1% loss; CUBIC collapses by 0.1%.
-func RunFig7(scale float64, seed int64) *Report {
+func RunFig7(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 30, scale)
 	losses := []float64{0, 0.001, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.04, 0.05, 0.06}
@@ -75,7 +79,7 @@ func RunFig7(scale float64, seed int64) *Report {
 		Title:  "random loss (100 Mbps, 30 ms): throughput vs loss rate",
 		Header: append(append([]string{"loss"}, protos...), "achievable"),
 	}
-	tputs := RunPointsScratch(len(losses)*len(protos), func(i int, ts *TrialScratch) float64 {
+	tputs, err := RunPointsScratchCtx(ctx, len(losses)*len(protos), func(i int, ts *TrialScratch) float64 {
 		loss := losses[i/len(protos)]
 		path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: loss, BufBytes: 375 * netem.KB, Seed: seed}
 		// Loss applies on forward path; paper also injects reverse loss.
@@ -84,6 +88,9 @@ func RunFig7(scale float64, seed int64) *Report {
 		r.Run(dur)
 		return f.GoodputMbps(dur)
 	})
+	if err != nil {
+		return nil, err
+	}
 	var pccAt2, cubicAt2 float64
 	for li, loss := range losses {
 		row := []string{f3(loss)}
@@ -105,13 +112,13 @@ func RunFig7(scale float64, seed int64) *Report {
 	if cubicAt2 > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("at 2%% loss: PCC/CUBIC = %.1fx (paper: 37x)", pccAt2/cubicAt2))
 	}
-	return rep
+	return rep, nil
 }
 
 // RunFig9 reproduces Fig. 9 (§4.1.6): shallow buffers on a 100 Mbps, 30 ms
 // link, buffer swept from one packet to 1×BDP (375 KB). PCC needs ~6 MSS
 // for 90% utilization; CUBIC and even paced New Reno need far more.
-func RunFig9(scale float64, seed int64) *Report {
+func RunFig9(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 30, scale)
 	buffers := []int{1500, 3000, 4500, 9000, 15 * netem.KB, 30 * netem.KB, 75 * netem.KB, 150 * netem.KB, 225 * netem.KB, 300 * netem.KB, 375 * netem.KB}
@@ -122,10 +129,13 @@ func RunFig9(scale float64, seed int64) *Report {
 		Title:  "shallow buffers (100 Mbps, 30 ms): throughput vs buffer size",
 		Header: append([]string{"buffer_KB"}, protos...),
 	}
-	tputs := RunPointsScratch(len(buffers)*len(protos), func(i int, ts *TrialScratch) float64 {
+	tputs, err := RunPointsScratchCtx(ctx, len(buffers)*len(protos), func(i int, ts *TrialScratch) float64 {
 		path := PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: buffers[i/len(protos)], Seed: seed}
 		return runSingle(ts, path, protos[i%len(protos)], dur, nil)
 	})
+	if err != nil {
+		return nil, err
+	}
 	buf90 := map[string]float64{}
 	for bi, buf := range buffers {
 		row := []string{fmt.Sprintf("%.1f", float64(buf)/netem.KB)}
@@ -147,13 +157,13 @@ func RunFig9(scale float64, seed int64) *Report {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("%s never reaches 90%% capacity in sweep", proto))
 		}
 	}
-	return rep
+	return rep, nil
 }
 
 // RunLossResilient reproduces §4.4.2: with fair queueing isolating flows, a
 // PCC sender using u = T·(1−L) keeps near its achievable share under 10–50%
 // random loss, while CUBIC gets essentially nothing.
-func RunLossResilient(scale float64, seed int64) *Report {
+func RunLossResilient(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 30, scale)
 	losses := []float64{0.10, 0.20, 0.30, 0.40, 0.50}
@@ -165,7 +175,7 @@ func RunLossResilient(scale float64, seed int64) *Report {
 	}
 	var ratioAt10 float64
 	hlCfg := core.HeavyLossConfig(0.030)
-	tputs := RunPointsScratch(len(losses)*2, func(i int, ts *TrialScratch) float64 {
+	tputs, err := RunPointsScratchCtx(ctx, len(losses)*2, func(i int, ts *TrialScratch) float64 {
 		loss := losses[i/2]
 		path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: loss, BufBytes: 375 * netem.KB, QueueKind: "fq", Seed: seed}
 		if i%2 == 0 {
@@ -176,6 +186,9 @@ func RunLossResilient(scale float64, seed int64) *Report {
 		}
 		return runSingle(ts, path, "cubic", dur, nil)
 	})
+	if err != nil {
+		return nil, err
+	}
 	for li, loss := range losses {
 		pccT, cubicT := tputs[li*2], tputs[li*2+1]
 		ach := 100 * (1 - loss)
@@ -189,5 +202,5 @@ func RunLossResilient(scale float64, seed int64) *Report {
 	if ratioAt10 > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("at 10%% loss: PCC/CUBIC = %.0fx (paper: 151x)", ratioAt10))
 	}
-	return rep
+	return rep, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/netem"
@@ -29,7 +30,7 @@ var table1Pairs = []interDCPair{
 // 800 Mbps reserved-bandwidth paths. The reservation's rate limiter has a
 // small buffer (here 75 KB — a fraction of each path's BDP), which is the
 // paper's explanation for TCP's collapse; PCC and SABUL track the limit.
-func RunTable1(scale float64, seed int64) *Report {
+func RunTable1(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(100, 10, scale)
 	protos := []string{"pcc", "sabul", "cubic", "illinois"}
@@ -39,11 +40,14 @@ func RunTable1(scale float64, seed int64) *Report {
 		Title:  "inter-data-center, 800 Mbps reserved paths with small-buffer rate limiter",
 		Header: append([]string{"pair", "RTT_ms"}, protos...),
 	}
-	tputs := RunPointsScratch(len(table1Pairs)*len(protos), func(i int, ts *TrialScratch) float64 {
+	tputs, err := RunPointsScratchCtx(ctx, len(table1Pairs)*len(protos), func(i int, ts *TrialScratch) float64 {
 		pair := table1Pairs[i/len(protos)]
 		path := PathSpec{RateMbps: 800, RTT: pair.RTT, BufBytes: 75 * netem.KB, Seed: seed + int64(i/len(protos))}
 		return runSingle(ts, path, protos[i%len(protos)], dur, nil)
 	})
+	if err != nil {
+		return nil, err
+	}
 	var sumPCC, sumIll float64
 	var maxRatio float64
 	for i, pair := range table1Pairs {
@@ -70,5 +74,5 @@ func RunTable1(scale float64, seed int64) *Report {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("PCC vs Illinois: %.1fx on average, up to %.1fx (paper: 5.2x avg, up to 7.5x)",
 			sumPCC/sumIll, maxRatio))
 	}
-	return rep
+	return rep, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -21,9 +22,8 @@ import (
 // link, and the generator's domain hints feed the shard partitioner, so
 // one trial spreads across cores while reports stay byte-identical at any
 // worker/shard count (determinism_test.go asserts this). The node and flow
-// targets scale with -scale and can be pinned with -nodes/-flows
-// (PCC_NODES/PCC_FLOWS).
-func RunWAN(scale float64, seed int64) *Report {
+// targets scale with -scale and can be pinned with -nodes/-flows.
+func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(25, 5, scale)
 	shards := Shards()
@@ -51,7 +51,7 @@ func RunWAN(scale float64, seed int64) *Report {
 		row   []string
 		notes []string
 	}
-	results := RunPointsScratch(len(protos), func(i int, ts *TrialScratch) wanResult {
+	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) wanResult {
 		proto := protos[i]
 		r, goodput := wanTrial(ts, sh, proto, dur, TrialSeed(seed, i))
 		sum := 0.0
@@ -90,6 +90,9 @@ func RunWAN(scale float64, seed int64) *Report {
 		}
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, res := range results {
 		rep.Rows = append(rep.Rows, res.row)
 		rep.Notes = append(rep.Notes, res.notes...)
@@ -97,7 +100,7 @@ func RunWAN(scale float64, seed int64) *Report {
 	rep.Notes = append(rep.Notes,
 		"flows pair random stub routers over shortest paths; agg/mean/p10 are whole-run goodputs from each flow's staggered start",
 		"conserved: links whose byte ledger balances (offered = delivered + lost + dropped + queued + in-flight), audited per generated link")
-	return rep
+	return rep, nil
 }
 
 // wanFlow is one precomputed flow of a WANShape: routed hop chains plus a

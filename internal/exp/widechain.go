@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -18,10 +19,10 @@ import (
 // conservative engine: per-hop delays are heterogeneous (4.0–5.2 ms), so the
 // node graph partitions into positive-delay-separated shards with ≥4 ms
 // lookahead, cross-shard traffic dominates, and one trial can use several
-// cores (TopologySpec.Shards, wired to PCC_SHARDS / pccbench -shards).
+// cores (TopologySpec.Shards, wired to pccbench -shards).
 // Reports are byte-identical at every shard count — the shard axis is
 // deliberately absent from the rows — which determinism_test.go asserts.
-func RunWideChain(scale float64, seed int64) *Report {
+func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
 	nHops := 4 + int(8*scale+0.5)
@@ -39,7 +40,7 @@ func RunWideChain(scale float64, seed int64) *Report {
 		row   []string
 		notes []string
 	}
-	results := RunPointsScratch(len(protos), func(i int, ts *TrialScratch) wcResult {
+	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) wcResult {
 		proto := protos[i]
 		r, long, cross := wideChainTrial(ts, nHops, perHop, proto, dur, TrialSeed(seed, i), shards)
 		longT := long.WindowMbps(0.2*dur, dur)
@@ -62,6 +63,9 @@ func RunWideChain(scale float64, seed int64) *Report {
 		}
 		return res
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, res := range results {
 		rep.Rows = append(rep.Rows, res.row)
 		rep.Notes = append(rep.Notes, res.notes...)
@@ -69,7 +73,7 @@ func RunWideChain(scale float64, seed int64) *Report {
 	rep.Notes = append(rep.Notes,
 		"long flow crosses every hop against 2 per-hop cross flows; its share shrinks with depth (it pays the sum of per-hop congestion), the parklot limitation at WAN scale",
 		"reverse links are 10x the forward rate, so ACK paths add propagation but no queueing")
-	return rep
+	return rep, nil
 }
 
 // RunWideChainTrial runs one benchmark-shaped widechain trial (12 hops, PCC,

@@ -274,8 +274,3 @@ func (l *Link) WireLostBytes() int64 { return l.lostBytes }
 // link is idle) — the only bytes inside the link that are neither queued
 // nor yet delivered/lost.
 func (l *Link) TxBytes() int64 { return l.txBytes }
-
-// Utilization returns the fraction of [since, now] the link spent
-// transmitting, assuming the caller tracked `since` themselves; exposed as a
-// simple helper for experiments that need instantaneous busy state.
-func (l *Link) Busy() bool { return l.busy }

@@ -47,6 +47,3 @@ type Packet struct {
 	// behaviour; PCC itself needs no marks).
 	Marked bool
 }
-
-// IsData reports whether p is a data packet.
-func (p *Packet) IsData() bool { return !p.Ack }

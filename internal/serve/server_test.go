@@ -22,22 +22,21 @@ import (
 // test binary. They live beside the real drivers in exp's registry, which is
 // exactly how an extension would add experiments to a running daemon.
 func init() {
-	exp.Register("srvtest", func(scale float64, seed int64) *exp.Report {
+	exp.RegisterCtx("srvtest", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
 		return &exp.Report{
 			ID: "srvtest", Title: "serve test driver",
 			Header: []string{"scale", "seed"},
 			Rows:   [][]string{{fmt.Sprintf("%.3f", scale), fmt.Sprintf("%d", seed)}},
-		}
+		}, nil
 	})
-	exp.Register("srvpanic", func(scale float64, seed int64) *exp.Report {
-		exp.RunTrialsScratchWith(1, 1, func(i int, ts *exp.TrialScratch) {
+	exp.RegisterCtx("srvpanic", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
+		return nil, exp.RunTrialsScratchCtx(ctx, 1, func(i int, ts *exp.TrialScratch) {
 			ts.Stamp("srvpanic", "inj", seed)
 			srvPanicTrial()
 		})
-		return nil
 	})
 	exp.RegisterCtx("srvhang", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
-		err := exp.RunTrialsScratchCtxWith(ctx, 1, 1, func(i int, ts *exp.TrialScratch) {
+		err := exp.RunTrialsScratchCtx(ctx, 1, func(i int, ts *exp.TrialScratch) {
 			ts.Stamp("srvhang", "wedge", seed)
 			<-srvHangRelease
 		})

@@ -78,15 +78,6 @@ func (t *Timer) Active() bool {
 	return t.live() && !t.ev.dead
 }
 
-// When returns the absolute simulated time at which the timer fires.
-// It is meaningful only while Active.
-func (t *Timer) When() Time {
-	if !t.live() {
-		return math.Inf(1)
-	}
-	return t.ev.at
-}
-
 // eventHeap is a 4-ary min-heap ordered by (at, seq). It is implemented
 // directly rather than via container/heap: the event loop is the hottest
 // code in the repository and the interface-based heap spends most of its

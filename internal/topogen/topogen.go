@@ -109,17 +109,6 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // Node returns the name of node i (add order).
 func (g *Graph) Node(i int) string { return g.nodes[i] }
 
-// NodeIndex returns a node's dense id, or -1 when unknown.
-func (g *Graph) NodeIndex(name string) int {
-	if i, ok := g.nodeIdx[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// Hint returns node i's shard hint.
-func (g *Graph) Hint(i int) int { return g.hints[i] }
-
 // Links returns the link slice in add order. Callers must not mutate it.
 func (g *Graph) Links() []Link { return g.links }
 
