@@ -1,7 +1,10 @@
 // Command pccserve is the sweep-serving daemon: it accepts experiment
 // sweep requests over HTTP, schedules units onto the same trial pool
-// pccbench uses, streams per-unit reports as NDJSON, and memoizes results
-// in a crash-safe content-addressed cache.
+// pccbench uses, streams per-unit reports as NDJSON (it flushes whenever
+// the stream would otherwise wait: before blocking on a unit still being
+// computed, and after the summary line), and memoizes results in a
+// crash-safe content-addressed cache with a verified in-memory tier in
+// front of the disk store.
 //
 // Usage:
 //
@@ -13,7 +16,7 @@
 //	POST /v1/sweep       run a sweep, stream NDJSON result lines in unit order
 //	GET  /v1/experiments list experiment ids
 //	GET  /v1/errors      recent quarantined trial panics/timeouts (with stacks)
-//	GET  /v1/stats       cache + scheduler counters
+//	GET  /v1/stats       cache (both tiers) + scheduler counters
 //	GET  /healthz        liveness (200 even while draining)
 //	GET  /readyz         readiness (503 once draining)
 //

@@ -43,6 +43,7 @@ type Server struct {
 	sched    *Scheduler
 	ledger   *Ledger
 	mux      *http.ServeMux
+	known    map[string]bool // exp.IDs() at construction; the registry is read-only by then
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
@@ -71,6 +72,10 @@ func NewServer(cfg Config) (*Server, error) {
 		sched:  NewScheduler(cfg.Workers, cfg.Queue),
 		ledger: NewLedger(cfg.LedgerSize),
 		mux:    http.NewServeMux(),
+		known:  make(map[string]bool),
+	}
+	for _, id := range exp.IDs() {
+		s.known[id] = true
 	}
 	if cfg.CacheDir != "" {
 		c, err := NewCache(cfg.CacheDir)
@@ -118,7 +123,12 @@ type SweepRequest struct {
 	Timeout string `json:"timeout"`
 }
 
-// units expands the request into an ordered unit list.
+// maxSweepBody caps a POST /v1/sweep body: far above what MaxUnits' worth of
+// ids, scales and seeds needs.
+const maxSweepBody = 1 << 20
+
+// units expands the request into an ordered unit list, refusing a sweep over
+// the per-request budget before expanding it.
 func (s *Server) units(req *SweepRequest) ([]Key, error) {
 	if len(req.Experiments) == 0 {
 		return nil, errors.New("no experiments given")
@@ -129,13 +139,13 @@ func (s *Server) units(req *SweepRequest) ([]Key, error) {
 	if len(req.Seeds) == 0 {
 		req.Seeds = []int64{1}
 	}
-	known := make(map[string]bool)
-	for _, id := range exp.IDs() {
-		known[id] = true
+	n := len(req.Experiments) * len(req.Scales) * len(req.Seeds)
+	if n > s.cfg.MaxUnits {
+		return nil, fmt.Errorf("sweep of %d units exceeds per-request budget of %d", n, s.cfg.MaxUnits)
 	}
-	var keys []Key
+	keys := make([]Key, 0, n)
 	for _, e := range req.Experiments {
-		if !known[e] {
+		if !s.known[e] {
 			return nil, fmt.Errorf("unknown experiment %q", e)
 		}
 		for _, sc := range req.Scales {
@@ -169,8 +179,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), status)
 		return
 	}
 	keys, err := s.units(&req)
@@ -178,10 +193,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(keys) > s.cfg.MaxUnits {
-		http.Error(w, fmt.Sprintf("sweep of %d units exceeds per-request budget of %d",
-			len(keys), s.cfg.MaxUnits), http.StatusBadRequest)
-		return
+
+	// Deadline: server cap, tightened (never loosened) by the request. A
+	// timeout that does not parse to a positive duration is a 400, not "no
+	// deadline".
+	timeout := s.cfg.SweepTimeout
+	if req.Timeout != "" {
+		d, err := time.ParseDuration(req.Timeout)
+		if err == nil && d <= 0 {
+			err = fmt.Errorf("duration %s is not positive", req.Timeout)
+		}
+		if err != nil {
+			http.Error(w, "bad timeout: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if timeout == 0 || d < timeout {
+			timeout = d
+		}
 	}
 
 	// Admission: all units reserved atomically, or a clean 429 with a
@@ -195,16 +223,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sweeps.Add(1)
 
-	// Deadline: server cap, tightened (never loosened) by the request.
 	ctx := r.Context()
-	timeout := s.cfg.SweepTimeout
-	if req.Timeout != "" {
-		if d, err := time.ParseDuration(req.Timeout); err == nil && d > 0 {
-			if timeout == 0 || d < timeout {
-				timeout = d
-			}
-		}
-	}
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -219,7 +238,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // streamSweep resolves every unit — cache hit, or scheduled compute — and
 // writes result lines strictly in unit order. All misses are submitted up
 // front so the workers overlap them; the in-order await is the ordered
-// emitter that keeps bodies byte-identical run over run.
+// emitter that keeps bodies byte-identical run over run. The stream is
+// flushed before every wait on a pending unit and after the summary, so a
+// computed line reaches the client as soon as it exists and a run of cached
+// lines goes out together.
 func (s *Server) streamSweep(ctx context.Context, lw *lineWriter, keys []Key) {
 	type slot struct {
 		cached []byte
@@ -250,6 +272,7 @@ func (s *Server) streamSweep(ctx context.Context, lw *lineWriter, keys []Key) {
 			Done: !cancelled, Cancelled: cancelled,
 			Units: len(keys), Completed: completed, Failed: failed,
 		})
+		lw.flush()
 	}
 
 	for i, sl := range slots {
@@ -262,6 +285,7 @@ func (s *Server) streamSweep(ctx context.Context, lw *lineWriter, keys []Key) {
 			continue
 		}
 		var ur unitResult
+		lw.flush() // about to wait: deliver the lines already written
 		select {
 		case ur = <-sl.res:
 		case <-ctx.Done():

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -52,6 +53,19 @@ func init() {
 			return nil, &exp.SweepCancelledError{Completed: 0, Total: 1, Err: context.Cause(ctx)}
 		}
 		return &exp.Report{ID: "srvgate", Header: []string{"seed"},
+			Rows: [][]string{{fmt.Sprintf("%d", seed)}}}, nil
+	})
+	// srvgateeven gates only even seeds, so one sweep can hold a finished
+	// unit followed by a blocked one.
+	exp.RegisterCtx("srvgateeven", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
+		if seed%2 == 0 {
+			select {
+			case <-currentGate():
+			case <-ctx.Done():
+				return nil, &exp.SweepCancelledError{Completed: 0, Total: 1, Err: context.Cause(ctx)}
+			}
+		}
+		return &exp.Report{ID: "srvgateeven", Header: []string{"seed"},
 			Rows: [][]string{{fmt.Sprintf("%d", seed)}}}, nil
 	})
 	exp.RegisterCtx("srvslow", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
@@ -613,5 +627,231 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown experiment status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSweepRequestValidation: a timeout that is not a positive Go duration
+// is a 400 (it used to mean "no deadline"), an oversized body is refused,
+// and a refused request holds no admission slots.
+func TestSweepRequestValidation(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	sweep := func(timeout string) string {
+		return `{"experiments":["srvtest"],"seeds":[1],"timeout":"` + timeout + `"}`
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		message    string
+	}{
+		{"bare number", sweep("30"), http.StatusBadRequest, "missing unit"},
+		{"negative", sweep("-5s"), http.StatusBadRequest, "not positive"},
+		{"zero", sweep("0s"), http.StatusBadRequest, "not positive"},
+		{"words", sweep("soon"), http.StatusBadRequest, "invalid duration"},
+		{"valid", sweep("30s"), http.StatusOK, `"done":true`},
+		{"absent", `{"experiments":["srvtest"],"seeds":[1]}`, http.StatusOK, `"done":true`},
+		{"oversized body", `{"experiments":["srvtest"],"variant":"` + strings.Repeat("v", maxSweepBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := postSweep(t, ts.URL, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp)
+			if resp.StatusCode != tc.status || !bytes.Contains(body, []byte(tc.message)) {
+				t.Errorf("status %d, body %q; want %d mentioning %q", resp.StatusCode, body, tc.status, tc.message)
+			}
+			if st := srv.sched.Stats(); st.Reserved != 0 {
+				t.Errorf("%d admission slots held after the response", st.Reserved)
+			}
+		})
+	}
+}
+
+// TestStreamFlushesBeforeBlocking: a finished line must reach the client
+// while the next unit is still computing — whether that line was computed
+// (seed 1, cold) or served from the cache (seed 1 again) — because the
+// stream flushes before it waits, not only at the end.
+func TestStreamFlushesBeforeBlocking(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
+	for _, tc := range []struct {
+		name     string
+		seeds    string
+		wantHits int64
+	}{
+		{"computed line then blocked unit", "[1,2]", 0},
+		{"cached line then blocked unit", "[1,4]", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			open, once := resetGate(), sync.Once{}
+			release := func() { once.Do(open) }
+			defer release() // a failed assertion must not leave a worker wedged
+			// The deadline turns "line 1 is stuck in the server's buffer" into
+			// a failure instead of a hang.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweep",
+				strings.NewReader(`{"experiments":["srvgateeven"],"seeds":`+tc.seeds+`}`))
+			resp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Fatalf("no response while unit 2 is gated: %v", err)
+			}
+			defer resp.Body.Close()
+			br := bufio.NewReader(resp.Body)
+
+			// Unit 2 cannot finish until release(): line 1 has to arrive first.
+			line, err := br.ReadBytes('\n')
+			if err != nil {
+				t.Fatalf("line 1 did not arrive while unit 2 is gated: %v", err)
+			}
+			var first ResultLine
+			if err := json.Unmarshal(line, &first); err != nil {
+				t.Fatal(err)
+			}
+			if first.Seed != 1 || first.Report == "" {
+				t.Fatalf("first line = %+v, want seed 1's report", first)
+			}
+			if st := srv.sched.Stats(); st.Reserved != 1 {
+				t.Fatalf("reserved = %d while unit 2 is gated, want 1", st.Reserved)
+			}
+			if hits := srv.cache.Stats().Hits; hits != tc.wantHits {
+				t.Errorf("cache hits = %d, want %d", hits, tc.wantHits)
+			}
+
+			release()
+			rest, err := io.ReadAll(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lines := ndjsonLines(t, rest); len(lines) != 2 || lines[1]["done"] != true {
+				t.Fatalf("rest of stream = %s", rest)
+			}
+		})
+	}
+}
+
+// TestMixedSweepByteIdentical: a sweep whose units are [cached, miss,
+// cached] streams the same bytes as its cold run, in the same order.
+func TestMixedSweepByteIdentical(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
+	req := `{"experiments":["srvtest"],"scales":[0.5],"seeds":[1,2,3]}`
+	post := func() []byte {
+		resp, err := postSweep(t, ts.URL, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readAll(t, resp)
+	}
+	cold := post()
+	warm := post() // admits all three to memory
+	srv.cache.Poison(Key{Experiment: "srvtest", Seed: 2, Scale: 0.5, Code: "test-pin"})
+	before := srv.cache.Stats()
+	mixed := post()
+	if !bytes.Equal(cold, warm) || !bytes.Equal(cold, mixed) {
+		t.Fatalf("bodies differ:\ncold  %s\nwarm  %s\nmixed %s", cold, warm, mixed)
+	}
+	after := srv.cache.Stats()
+	if after.Hits-before.Hits != 2 || after.Misses-before.Misses != 1 || after.MemHits-before.MemHits != 2 {
+		t.Errorf("mixed sweep moved stats %+v -> %+v, want 2 memory hits and 1 miss", before, after)
+	}
+}
+
+// stubResponse is a ResponseWriter with no connection behind it: it counts
+// writes and flushes, and fails every Write after failAfter of them
+// (failAfter < 0: never), which is what a vanished client looks like.
+type stubResponse struct {
+	header          http.Header
+	writes, flushes int
+	failAfter       int
+}
+
+func (w *stubResponse) Header() http.Header { return w.header }
+func (w *stubResponse) WriteHeader(int)     {}
+func (w *stubResponse) Flush()              { w.flushes++ }
+func (w *stubResponse) Write(p []byte) (int, error) {
+	if w.failAfter >= 0 && w.writes >= w.failAfter {
+		return 0, errors.New("write: broken pipe")
+	}
+	w.writes++
+	return len(p), nil
+}
+
+// cachedSweep warms an 8-unit sweep until every unit is in the memory tier
+// and returns its keys.
+func cachedSweep(t *testing.T, srv *Server, ts *httptest.Server) []Key {
+	t.Helper()
+	sreq := SweepRequest{Experiments: []string{"srvtest"}, Scales: []float64{0.5}, Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
+	body, _ := json.Marshal(sreq)
+	for i := 0; i < 2; i++ { // cold, then the disk read that admits
+		resp, err := postSweep(t, ts.URL, string(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+	}
+	keys, err := srv.units(&sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.cache.Stats(); st.MemEntries != int64(len(keys)) {
+		t.Fatalf("warm-up left %d of %d units in memory", st.MemEntries, len(keys))
+	}
+	return keys
+}
+
+// TestDisconnectDuringCachedSweep: a fully cached sweep never waits on a
+// unit, so the only way it learns the client is gone is a failed write. That
+// must still end as a cancelled sweep holding no slots and no goroutines.
+func TestDisconnectDuringCachedSweep(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
+	keys := cachedSweep(t, srv, ts)
+	http.DefaultClient.CloseIdleConnections()
+	ts.CloseClientConnections()
+	base := runtime.NumGoroutine()
+
+	if !srv.sched.Reserve(len(keys)) {
+		t.Fatal("reserve failed")
+	}
+	w := &stubResponse{header: http.Header{}, failAfter: 3}
+	srv.streamSweep(context.Background(), newLineWriter(w), keys)
+
+	if w.writes != 3 {
+		t.Errorf("%d writes reached the client, want 3", w.writes)
+	}
+	if n := srv.sweepsCancelled.Load(); n != 1 {
+		t.Errorf("sweepsCancelled = %d, want 1", n)
+	}
+	if n := srv.sweepsDone.Load(); n != 2 {
+		t.Errorf("sweepsDone = %d, want only the 2 warm-up sweeps", n)
+	}
+	if st := srv.sched.Stats(); st.Reserved != 0 {
+		t.Errorf("%d admission slots still held", st.Reserved)
+	}
+	waitServeGoroutinesSettle(t, base)
+}
+
+// TestCachedSweepAllocsAndFlushes pins the cost of the hit path where tier-1
+// can see it: a fully cached 8-unit sweep is one Write per line, a single
+// flush, and a fixed handful of allocations — none of them per unit. (The
+// disk path it replaces allocated about 20 per unit.)
+func TestCachedSweepAllocsAndFlushes(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
+	keys := cachedSweep(t, srv, ts)
+	w := &stubResponse{header: http.Header{}, failAfter: -1}
+	ctx := context.Background()
+	sweep := func() {
+		srv.sched.Reserve(len(keys))
+		srv.streamSweep(ctx, newLineWriter(w), keys)
+	}
+	sweep()
+	if w.writes != len(keys)+1 || w.flushes != 1 {
+		t.Errorf("cached sweep made %d writes and %d flushes, want %d and 1", w.writes, w.flushes, len(keys)+1)
+	}
+	if st := srv.sched.Stats(); st.Reserved != 0 {
+		t.Errorf("%d admission slots still held", st.Reserved)
+	}
+	const perUnit = 1 // 5 per sweep today, so one more per hit already fails
+	if allocs := testing.AllocsPerRun(100, sweep); allocs > perUnit*float64(len(keys)) {
+		t.Errorf("cached %d-unit sweep allocates %.0f times, budget %d per unit", len(keys), allocs, perUnit)
 	}
 }

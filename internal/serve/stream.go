@@ -54,12 +54,17 @@ func marshalResult(k Key, report string) []byte {
 	return b
 }
 
-// lineWriter serializes NDJSON writes to one response and flushes after each
-// line so clients see progress trial-by-trial rather than at sweep end.
+// lineWriter serializes NDJSON writes to one response. Lines are buffered by
+// the ResponseWriter; the stream flushes whenever it would otherwise wait —
+// before blocking on a unit still being computed, and after the summary — so
+// clients see progress trial-by-trial while a run of cached units costs one
+// flush, not one per line.
 type lineWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-	f  http.Flusher
+	mu    sync.Mutex
+	w     io.Writer
+	f     http.Flusher
+	buf   []byte // the line being written plus its newline: one Write per line
+	dirty bool   // written since the last flush
 }
 
 func newLineWriter(w http.ResponseWriter) *lineWriter {
@@ -68,20 +73,25 @@ func newLineWriter(w http.ResponseWriter) *lineWriter {
 	return lw
 }
 
-// writeRaw emits pre-marshalled line bytes plus the newline.
+// writeRaw emits pre-marshalled line bytes plus the newline. It does not
+// flush, and it never writes to line (cached payloads are shared).
 func (lw *lineWriter) writeRaw(line []byte) error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
-	if _, err := lw.w.Write(line); err != nil {
-		return err
-	}
-	if _, err := lw.w.Write([]byte{'\n'}); err != nil {
-		return err
-	}
-	if lw.f != nil {
+	lw.buf = append(append(lw.buf[:0], line...), '\n')
+	lw.dirty = true
+	_, err := lw.w.Write(lw.buf)
+	return err
+}
+
+// flush pushes everything written so far to the client.
+func (lw *lineWriter) flush() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.dirty && lw.f != nil {
 		lw.f.Flush()
 	}
-	return nil
+	lw.dirty = false
 }
 
 // writeJSON marshals v and emits it as one line.

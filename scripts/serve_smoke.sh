@@ -8,7 +8,9 @@
 #      (the daemon serves exactly what the CLI computes),
 #   2. re-POSTing the identical sweep returns a byte-identical body and the
 #      second serve was a cache hit (/v1/stats),
-#   3. SIGTERM drains: readyz flips to 503 and the process exits 0.
+#   3. a third POST is byte-identical again and came from the cache's memory
+#      tier (the second, a verified disk read, admitted it),
+#   4. SIGTERM drains: readyz flips to 503 and the process exits 0.
 #
 # Usage: scripts/serve_smoke.sh [SCALE]   # default scale 0.05
 set -euo pipefail
@@ -38,6 +40,7 @@ curl -fsS "http://127.0.0.1:$PORT/readyz" > /dev/null
 REQ="{\"experiments\":[\"parklot\"],\"scales\":[$SCALE],\"seeds\":[$SEED]}"
 curl -fsS -N -X POST -d "$REQ" "http://127.0.0.1:$PORT/v1/sweep" > "$TMP/sweep1.ndjson"
 curl -fsS -N -X POST -d "$REQ" "http://127.0.0.1:$PORT/v1/sweep" > "$TMP/sweep2.ndjson"
+curl -fsS -N -X POST -d "$REQ" "http://127.0.0.1:$PORT/v1/sweep" > "$TMP/sweep3.ndjson"
 
 # 1. Served report == direct pccbench run. pccbench appends a "(exp in Ns)"
 # timing line the server intentionally omits; strip it before comparing.
@@ -63,7 +66,16 @@ if [ "$HITS" -lt 1 ]; then
 fi
 echo "second sweep came from the cache (hits=$HITS)"
 
-# 3. SIGTERM drain: readyz goes 503, process exits 0.
+# 3. Third serve: byte-identical, from memory.
+cmp "$TMP/sweep1.ndjson" "$TMP/sweep3.ndjson"
+MEM_HITS=$(curl -fsS "http://127.0.0.1:$PORT/v1/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["cache"]["mem_hits"])')
+if [ "$MEM_HITS" -lt 1 ]; then
+    echo "serve_smoke.sh: third sweep was not served from the memory tier (mem_hits=$MEM_HITS)" >&2
+    exit 1
+fi
+echo "third sweep is byte-identical and came from memory (mem_hits=$MEM_HITS)"
+
+# 4. SIGTERM drain: readyz goes 503, process exits 0.
 kill -TERM "$SRV_PID"
 for _ in $(seq 1 50); do
     CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/readyz" || echo down)
