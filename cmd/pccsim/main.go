@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strconv"
 	"strings"
@@ -25,6 +24,7 @@ import (
 
 	"pcc/internal/core"
 	"pcc/internal/exp"
+	"pcc/internal/tcp"
 )
 
 func main() {
@@ -39,6 +39,19 @@ func main() {
 	series := flag.Bool("series", false, "print 1 Hz per-flow goodput series")
 	flag.Parse()
 
+	// Everything the harness would panic on (or silently simulate nothing
+	// for) is refused here, before anything is built.
+	err := validatePath(*rate, rtt.Seconds(), *dur, *queue)
+	var specs []exp.FlowSpec
+	var labels []string
+	if err == nil {
+		specs, labels, err = parseFlows(*flows, rtt.Seconds())
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pccsim:", err)
+		os.Exit(2)
+	}
+
 	r := exp.NewRunner(exp.PathSpec{
 		RateMbps:  *rate,
 		RTT:       rtt.Seconds(),
@@ -49,22 +62,8 @@ func main() {
 	})
 
 	var handles []*exp.Flow
-	var labels []string
-	for _, spec := range strings.Split(*flows, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		fs, label, err := parseFlow(spec, rtt.Seconds())
-		if err != nil {
-			log.Fatalf("pccsim: %v", err)
-		}
-		fs.Bucket = 1
+	for _, fs := range specs {
 		handles = append(handles, r.AddFlow(fs))
-		labels = append(labels, label)
-	}
-	if len(handles) == 0 {
-		log.Fatal("pccsim: no flows given")
 	}
 
 	r.Run(*dur)
@@ -98,17 +97,55 @@ func main() {
 			fmt.Println(row)
 		}
 	}
-	_ = os.Stdout
+}
+
+// validatePath rejects the path flags the harness cannot simulate: an
+// unknown queue kind, or a rate, RTT or duration that is not positive.
+func validatePath(rateMbps, rtt, dur float64, queue string) error {
+	switch queue {
+	case "droptail", "codel", "fq", "fqcodel":
+	default:
+		return fmt.Errorf("unknown queue kind %q (droptail, codel, fq, fqcodel)", queue)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"rate", rateMbps}, {"rtt", rtt}, {"dur", dur}} {
+		if !(f.v > 0) {
+			return fmt.Errorf("-%s must be positive, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// parseFlows decodes the comma-separated -flows list into specs and their
+// display labels.
+func parseFlows(list string, rtt float64) (specs []exp.FlowSpec, labels []string, err error) {
+	for _, spec := range strings.Split(list, ",") {
+		if spec = strings.TrimSpace(spec); spec == "" {
+			continue
+		}
+		fs, err := parseFlow(spec, rtt)
+		if err != nil {
+			return nil, nil, err
+		}
+		fs.Bucket = 1
+		specs = append(specs, fs)
+		labels = append(labels, spec)
+	}
+	if len(specs) == 0 {
+		return nil, nil, fmt.Errorf("no flows given")
+	}
+	return specs, labels, nil
 }
 
 // parseFlow decodes PROTO[:UTILITY][@START].
-func parseFlow(spec string, rtt float64) (exp.FlowSpec, string, error) {
-	label := spec
+func parseFlow(spec string, rtt float64) (exp.FlowSpec, error) {
 	start := 0.0
 	if at := strings.LastIndex(spec, "@"); at >= 0 {
 		v, err := strconv.ParseFloat(spec[at+1:], 64)
-		if err != nil {
-			return exp.FlowSpec{}, "", fmt.Errorf("bad start time in %q: %v", spec, err)
+		if err != nil || !(v >= 0) {
+			return exp.FlowSpec{}, fmt.Errorf("bad start time in %q", spec)
 		}
 		start = v
 		spec = spec[:at]
@@ -116,6 +153,13 @@ func parseFlow(spec string, rtt float64) (exp.FlowSpec, string, error) {
 	proto, utility := spec, ""
 	if c := strings.Index(spec, ":"); c >= 0 {
 		proto, utility = spec[:c], spec[c+1:]
+	}
+	switch proto {
+	case "pcc", "sabul", "pcp", "pacing":
+	default:
+		if _, err := tcp.New(proto); err != nil {
+			return exp.FlowSpec{}, fmt.Errorf("unknown protocol %q (pcc, sabul, pcp, pacing, %s)", proto, strings.Join(tcp.Variants(), ", "))
+		}
 	}
 	fs := exp.FlowSpec{Proto: proto, StartAt: start}
 	switch utility {
@@ -131,7 +175,7 @@ func parseFlow(spec string, rtt float64) (exp.FlowSpec, string, error) {
 		cfg.Utility = core.NewVivaceUtility()
 		fs.PCCConfig = &cfg
 	default:
-		return exp.FlowSpec{}, "", fmt.Errorf("unknown utility %q", utility)
+		return exp.FlowSpec{}, fmt.Errorf("unknown utility %q", utility)
 	}
-	return fs, label, nil
+	return fs, nil
 }

@@ -18,11 +18,11 @@ import (
 //
 // Reuse is placement-policy only. A cache hit re-specs the cached runner in
 // place — engine reset, links/queues re-parameterized, seed chain rewound,
-// flows reset — through code paths that draw the per-trial seed chain at
-// exactly the positions a fresh build would, so a trial's results are
-// bit-identical whether it hit or missed the cache (the determinism suite
-// exercises this directly: different worker counts produce entirely
-// different hit patterns, yet reports must match byte-for-byte).
+// flows reset — and a miss builds an empty skeleton and runs that same
+// respec on it, so a trial's results are bit-identical whether it hit or
+// missed the cache (the determinism suite exercises this directly:
+// different worker counts produce entirely different hit patterns, yet
+// reports must match byte-for-byte).
 //
 // The key identifies an experiment variant within one driver: trials whose
 // network/flow structure matches should share a key (their parameter
@@ -36,6 +36,8 @@ import (
 // semantics.
 type TrialScratch struct {
 	runners map[runnerKey]*Runner
+	// link is where Runner spells a PathSpec out as a one-link TopologySpec.
+	link [1]LinkSpec
 	// f64 is a general float64 scratch drivers may use for per-trial series
 	// (SeriesMbpsInto, metrics.SortInto) between runner builds.
 	f64 []float64
@@ -75,9 +77,10 @@ func (ts *TrialScratch) Provenance() TrialProvenance {
 }
 
 // runnerKey is the arena's cache key: the caller's variant key qualified by
-// runner family and, for dumbbells, queue kind (a queue kind change under
-// one caller key would otherwise rebuild on every alternation). A struct key
-// lets a lookup hash the parts in place instead of concatenating them.
+// entry point (Runner and TopologyRunner callers never share a runner) and,
+// for dumbbells, queue kind (a queue kind change under one caller key would
+// otherwise rebuild on every alternation). A struct key lets a lookup hash
+// the parts in place instead of concatenating them.
 type runnerKey struct {
 	topology   bool
 	queue, key string
@@ -92,11 +95,8 @@ const maxArenaRunners = 32
 // key, re-specced in place, or a freshly built one on first use (or when
 // the queue kind changed under the key).
 func (ts *TrialScratch) Runner(key string, p PathSpec) *Runner {
-	if r := ts.runners[runnerKey{queue: p.QueueKind, key: key}]; r != nil && r.respecDumbbell(p) {
-		return r
-	}
-	r := NewRunner(p)
-	ts.put(runnerKey{queue: p.QueueKind, key: strings.Clone(key)}, r)
+	r := ts.runner(false, p.QueueKind, key, p.oneLink(&ts.link))
+	r.Path = p
 	return r
 }
 
@@ -104,23 +104,26 @@ func (ts *TrialScratch) Runner(key string, p PathSpec) *Runner {
 // runner is reused when the spec's link structure (names, endpoints, queue
 // kinds) matches the cached build; parameters are re-specced per trial.
 func (ts *TrialScratch) TopologyRunner(key string, spec TopologySpec) *Runner {
-	if r := ts.runners[runnerKey{topology: true, key: key}]; r != nil && r.respecTopology(spec) {
-		return r
-	}
-	r := NewTopologyRunner(spec)
-	ts.put(runnerKey{topology: true, key: strings.Clone(key)}, r)
-	return r
+	return ts.runner(true, "", key, spec)
 }
 
-// put caches a freshly built runner. Callers pass a private copy of their
-// caller's key: Runner and TopologyRunner then retain nothing of their key
-// argument, so a driver assembling a short key per trial does it on its
-// stack.
-func (ts *TrialScratch) put(k runnerKey, r *Runner) {
+// runner finds, respecs and returns the cached runner for a key, or builds
+// and caches a fresh one when there is none or its skeleton does not match
+// the spec. The lookup and the cached key are separate literals, and the
+// cached one holds a private copy of the caller's string: one value serving
+// both would make the caller's key escape, and a driver assembling a short
+// key per trial could no longer do it on its stack.
+func (ts *TrialScratch) runner(topology bool, queue, key string, spec TopologySpec) *Runner {
+	if r := ts.runners[runnerKey{topology, queue, key}]; r != nil && r.matches(spec) {
+		r.respec(spec)
+		return r
+	}
 	if ts.runners == nil {
 		ts.runners = make(map[runnerKey]*Runner)
 	} else if len(ts.runners) >= maxArenaRunners {
 		clear(ts.runners)
 	}
-	ts.runners[k] = r
+	r := NewTopologyRunner(spec)
+	ts.runners[runnerKey{topology, queue, strings.Clone(key)}] = r
+	return r
 }

@@ -45,7 +45,8 @@ func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, *Fig11Se
 		// Derive the variation stream from the experiment seed alone so
 		// every protocol faces the identical sequence of conditions.
 		varyRng := sim.NewSeeds(seed ^ 0x5eed).NextRand()
-		trace := netem.StartVarying(r.Eng, r.Net, f.ID, spec, varyRng, dur)
+		fwd, rev := r.Topo.FlowRoutes(f.ID)
+		trace := netem.StartVarying(r.Eng, r.bottleneck, fwd, rev, spec, varyRng, dur)
 		r.Run(dur)
 		return fig11Trial{goodput: f.GoodputMbps(dur), achieved: f.SeriesMbps(), trace: *trace}
 	})

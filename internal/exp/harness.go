@@ -1,7 +1,7 @@
 // Package exp contains one driver per table/figure of the paper's
 // evaluation (§4), plus the shared harness that assembles simulated
-// dumbbells, flows and protocols. Each driver returns structured rows that
-// cmd/pccbench and bench_test.go print; EXPERIMENTS.md records
+// topologies, flows and protocols. Each driver returns a Report that
+// cmd/pccbench prints and cmd/pccserve streams; EXPERIMENTS.md records
 // paper-vs-measured for each.
 package exp
 
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,10 +40,11 @@ type LinkSpec struct {
 	QueueKind string
 }
 
-// TopologySpec describes a general multi-link network for experiments the
-// dumbbell cannot express: multiple bottlenecks in series, congested ACK
-// paths, cross-traffic on interior links. Flows on a topology runner carry
-// explicit routes in their FlowSpec (FwdRoute/RevRoute).
+// TopologySpec describes the network a runner is built over: any directed
+// link graph, from the one-link dumbbell a PathSpec translates into up to
+// multiple bottlenecks in series, congested ACK paths and cross-traffic on
+// interior links. Flows carry explicit routes in their FlowSpec
+// (FwdRoute/RevRoute); only on a dumbbell may they leave them out.
 //
 // Specs need not be hand-written: GraphSpec converts a topogen-generated
 // graph (fat-tree, transit-stub WAN, LEO chain, delay-matrix mesh) into a
@@ -86,7 +88,8 @@ type TopologySpec struct {
 	ShardHints map[string]int
 }
 
-// PathSpec describes the shared bottleneck of a dumbbell.
+// PathSpec describes the shared bottleneck of a dumbbell: shorthand for the
+// one-link TopologySpec most of the paper's figures run on (see oneLink).
 type PathSpec struct {
 	// RateMbps is the bottleneck capacity in Mbps.
 	RateMbps float64
@@ -111,8 +114,8 @@ type FlowSpec struct {
 	Proto string
 	// RTT overrides the path RTT for this flow (0 = path default).
 	RTT float64
-	// RevLoss is ACK-path Bernoulli loss (dumbbell runners only; a
-	// topology route expresses ACK loss with netem.LossyDelayHop).
+	// RevLoss is ACK-path Bernoulli loss of a route-less dumbbell flow (an
+	// explicit route expresses ACK loss with netem.LossyDelayHop).
 	RevLoss float64
 	// StartAt is the flow's start time, seconds.
 	StartAt float64
@@ -135,10 +138,12 @@ type FlowSpec struct {
 	CapacityHint float64
 	// TraceRate records the rate-based sender's target-rate trace.
 	TraceRate bool
-	// FwdRoute/RevRoute are the flow's explicit routes on a topology
-	// runner (hop chains over named links and delay segments). Both must be
-	// set together; leave empty on a dumbbell runner. When RTT is 0 it is
-	// inferred from the routes' propagation delays.
+	// FwdRoute/RevRoute are the flow's explicit routes (hop chains over
+	// named links and delay segments). Both must be set together. On a
+	// dumbbell runner they may both be empty: the flow then crosses the
+	// bottleneck behind an RTT/2 access delay and is acknowledged over an
+	// uncongested RTT/2 return path with RevLoss. When RTT is 0 it is
+	// inferred from explicit routes' propagation delays.
 	FwdRoute []netem.HopSpec
 	RevRoute []netem.HopSpec
 }
@@ -164,37 +169,39 @@ type Flow struct {
 	// srcNode/dstNode are the nodes the flow's sender and receiver live at
 	// (the forward route's first link tail and last link head), recorded so
 	// node-crash faults can freeze exactly the endpoints hosted at the
-	// crashed node. Empty on dumbbell flows and link-less routes.
+	// crashed node. Empty without a fault schedule and on link-less routes.
 	srcNode, dstNode string
 }
 
-// Runner assembles and runs one simulation — a dumbbell (NewRunner) or a
-// general multi-link topology (NewTopologyRunner). A Runner (like its
-// Engine) is single-threaded; parallel experiments give every trial its own
-// Runner (see pool.go), which also keeps the packet free list goroutine-local.
+// Runner assembles and runs one simulation over a link graph — the one-link
+// dumbbell of NewRunner or the general topology of NewTopologyRunner, one
+// code path either way. A Runner (like its Engine) is single-threaded;
+// parallel experiments give every trial its own Runner (see pool.go), which
+// also keeps the packet free list goroutine-local.
 //
 // Runners built through a TrialScratch arena are additionally *reused*
-// across trials: respec methods rewind the engine, links, queues and flows
-// in place so steady-state trials pay almost no setup allocations, with
-// results bit-identical to a fresh build (the respec paths draw the seed
-// chain at exactly the positions the constructors do).
+// across trials: respec rewinds the engine, links, queues and flows in place
+// so steady-state trials pay no setup allocations. A fresh runner is an
+// empty skeleton put through that same respec, so a trial's results cannot
+// depend on whether its runner was built or reused.
 type Runner struct {
 	Eng   *sim.Engine
 	Seeds *sim.Seeds
-	// Net is the dumbbell view; nil on a topology runner.
-	Net *netem.Dumbbell
-	// Topo is the underlying network graph, set on every runner (a
-	// dumbbell is a two-node topology).
-	Topo  *netem.Topology
+	// Topo is the network graph (a dumbbell is a two-node topology).
+	Topo *netem.Topology
+	// bottleneck is the link route-less flows cross: the one named
+	// netem.BottleneckLink, nil on a graph without one.
+	bottleneck *netem.Link
+	// Path is the dumbbell's PathSpec — the default RTT of route-less flows
+	// — and just the seed on a general topology.
 	Path  PathSpec
 	Flows []*Flow
-	// PktPool recycles packets across all flows of this runner.
-	PktPool *netem.PacketPool
 
 	// Group is the conservative shard group driving a sharded topology
 	// runner; nil when the trial runs on one engine. Engines/Pools always
-	// hold one entry per shard (a single entry — Eng/PktPool — when
-	// unsharded), so flow placement code indexes them uniformly.
+	// hold one entry per shard (a single entry — Eng and the runner's one
+	// packet free list — when unsharded), so flow placement code indexes
+	// them uniformly.
 	Group   *sim.ShardGroup
 	Engines []*sim.Engine
 	Pools   []*netem.PacketPool
@@ -206,27 +213,17 @@ type Runner struct {
 	// sendData/sendAck are the topology injection method values, bound once.
 	sendData func(*netem.Packet)
 	sendAck  func(*netem.Packet)
-	// reclaim recycles in-flight packets back into PktPool when the engine
-	// is reset between trials; reclaims holds the per-shard variants used
-	// by ShardGroup.Reset (reclaims[0] == reclaim).
-	reclaim  func(arg any)
+	// reclaims[i] recycles in-flight packets back into Pools[i] when shard
+	// i's engine is reset between trials.
 	reclaims []func(arg any)
-	// linkShape remembers the TopologySpec link structure this runner was
-	// built from (topology runners only), for respec shape verification.
-	linkShape []LinkSpec
-	// reqShards is the TopologySpec.Shards this runner was built under;
-	// a different request forces a rebuild (engines are pinned at build).
-	reqShards int
-	// shardHints is the TopologySpec.ShardHints the runner was built
-	// under; a different hint map implies a different partition, hence a
-	// rebuild (compared with maps.Equal — drivers reuse one hint map
-	// across trials, so the common respec compares an identical map).
-	shardHints map[string]int
+	// built holds what of its spec fixed the skeleton — a copy of the links,
+	// the shard request and hints — for matches to compare a trial's against.
+	built TopologySpec
 	// rands recycles driver-requested RNG streams (NextRand) across trials.
 	rands   []*rand.Rand
 	randIdx int
 
-	// Fault-injection state (topology runners with TopologySpec.Faults).
+	// Fault-injection state (runners with TopologySpec.Faults).
 	// faultSpec is the schedule as specced; faultEvs its materialized,
 	// time-sorted event list (flap jitter applied); faultActs the resolved
 	// per-shard actions scheduled on the engines; faultLinks the flat link
@@ -272,59 +269,42 @@ func makeQueue(kind string, bufBytes int) netem.Queue {
 	}
 }
 
-// resetQueue re-specs a queue built by makeQueue(kind, ...) in place for a
-// new trial, draining queued packets into pool. It reports false when q was
-// not built by that kind (the runner must then be rebuilt).
-func resetQueue(q netem.Queue, kind string, bufBytes int, pool *netem.PacketPool) bool {
-	switch kind {
-	case "", "droptail":
-		dt, ok := q.(*netem.DropTail)
-		if !ok {
-			return false
-		}
-		dt.Reset(bufBytes, pool)
-	case "codel":
-		cd, ok := q.(*netem.CoDel)
-		if !ok {
-			return false
-		}
-		cd.Reset(bufBytes)
-	case "fq":
-		fq, ok := q.(*netem.FQ)
-		if !ok || fq.NewChild != nil {
-			return false
-		}
-		fq.Reset(bufBytes)
-	case "fqcodel":
-		fq, ok := q.(*netem.FQ)
-		if !ok || fq.NewChild == nil {
-			return false
-		}
-		// The child constructor captured the build-time capacity; refresh it
-		// only when the capacity actually changed, so same-capacity warm
-		// trials stay closure-allocation-free.
-		refresh := fq.PerFlowBytes != bufBytes
-		fq.Reset(bufBytes)
+// resetQueue re-specs a queue built by makeQueue in place for a new trial,
+// draining queued packets into pool.
+func resetQueue(q netem.Queue, bufBytes int, pool *netem.PacketPool) {
+	switch q := q.(type) {
+	case *netem.DropTail:
+		q.Reset(bufBytes, pool)
+	case *netem.CoDel:
+		q.Reset(bufBytes)
+	case *netem.FQ:
+		// An fqcodel's child constructor captured the build-time capacity;
+		// refresh it only when the capacity actually changed, so
+		// same-capacity warm trials stay closure-allocation-free.
+		refresh := q.NewChild != nil && q.PerFlowBytes != bufBytes
+		q.Reset(bufBytes)
 		if refresh {
-			fq.NewChild = func() netem.Queue { return netem.NewCoDel(bufBytes) }
+			q.NewChild = func() netem.Queue { return netem.NewCoDel(bufBytes) }
 		}
-	default:
-		return false
 	}
-	return true
 }
 
-// NewRunner builds the dumbbell for the given path.
+// oneLink translates the dumbbell into the TopologySpec it is shorthand
+// for: a single zero-delay bottleneck from "senders" to "receivers" (all
+// propagation delay lives in the flows' access hops). The link is written
+// into caller-provided storage so an arena's warm path allocates nothing.
+func (p PathSpec) oneLink(link *[1]LinkSpec) TopologySpec {
+	link[0] = LinkSpec{Name: netem.BottleneckLink, From: "senders", To: "receivers",
+		RateMbps: p.RateMbps, Loss: p.Loss, BufBytes: p.BufBytes, QueueKind: p.QueueKind}
+	return TopologySpec{Links: link[:], Seed: p.Seed}
+}
+
+// NewRunner builds the dumbbell for the given path. Flows added to it may
+// omit their routes (see FlowSpec.FwdRoute).
 func NewRunner(p PathSpec) *Runner {
-	eng := sim.NewEngine()
-	seeds := sim.NewSeeds(p.Seed)
-	net := netem.NewDumbbell(eng, makeQueue(p.QueueKind, p.BufBytes), netem.Mbps(p.RateMbps), p.Loss, seeds)
-	pool := &netem.PacketPool{}
-	net.UsePool(pool)
-	r := &Runner{Eng: eng, Seeds: seeds, Net: net, Topo: net.Topo, Path: p, PktPool: pool}
-	r.Engines = []*sim.Engine{eng}
-	r.Pools = []*netem.PacketPool{pool}
-	r.bindSinks()
+	var link [1]LinkSpec
+	r := NewTopologyRunner(p.oneLink(&link))
+	r.Path = p
 	return r
 }
 
@@ -334,9 +314,14 @@ func NewRunner(p PathSpec) *Runner {
 // clusters, the trial runs sharded across a sim.ShardGroup; otherwise it
 // falls back to the classic single engine. Either way, seeds are drawn in
 // the same order, so results never depend on the shard count.
+//
+// Building fixes only the skeleton — engines and shard placement, the link
+// graph with its queues; everything a trial parameterizes (seed chain, link
+// rates/delays/loss streams, queue capacities, fault plan) is set by the
+// one respec every later trial on this runner also goes through.
 func NewTopologyRunner(ts TopologySpec) *Runner {
-	seeds := sim.NewSeeds(ts.Seed)
-	r := &Runner{Seeds: seeds, Path: PathSpec{Seed: ts.Seed}, reqShards: ts.Shards, shardHints: ts.ShardHints}
+	r := &Runner{Seeds: sim.NewSeeds(ts.Seed), faultSig: faultSig(ts.Faults),
+		built: TopologySpec{Links: slices.Clone(ts.Links), Shards: ts.Shards, ShardHints: ts.ShardHints}}
 	if ts.Shards > 1 {
 		edges := make([]netem.Edge, len(ts.Links))
 		for i, ls := range ts.Links {
@@ -366,15 +351,14 @@ func NewTopologyRunner(ts TopologySpec) *Runner {
 		r.Topo = topo
 	}
 	r.Eng = r.Engines[0]
-	r.PktPool = r.Pools[0]
 	for _, ls := range ts.Links {
+		// No loss stream yet: respec seeds it, lazily (see netem.Rng).
 		r.Topo.AddLink(ls.Name, ls.From, ls.To, makeQueue(ls.QueueKind, ls.BufBytes),
-			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, seeds.NextRand())
+			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, nil)
 	}
-	r.linkShape = append(r.linkShape, ts.Links...)
+	r.bottleneck = r.Topo.LinkByName(netem.BottleneckLink)
 	r.bindSinks()
-	r.faultSig = faultSig(ts.Faults)
-	r.installFaults(ts.Faults)
+	r.respec(ts)
 	return r
 }
 
@@ -489,54 +473,34 @@ func (r *Runner) bindSinks() {
 			}
 		}
 	}
-	r.reclaim = r.reclaims[0]
 }
 
-// respecDumbbell rewinds a cached dumbbell runner for a new trial: engine
-// reset (in-flight packets recycled), seed chain rewound to the new root,
-// bottleneck queue and link re-specced in place. It reports false when the
-// queue kind changed, in which case the caller builds a fresh runner.
-// Previously added flows stay parked in flowPool for AddFlow to reuse.
-func (r *Runner) respecDumbbell(p PathSpec) bool {
-	if r.Net == nil {
-		return false
-	}
-	q := r.Net.Bottleneck.Queue
-	r.Eng.Reset(r.reclaim)
-	r.Seeds.Reset(p.Seed)
-	if !resetQueue(q, p.QueueKind, p.BufBytes, r.PktPool) {
-		return false
-	}
-	// The same chain position NewDumbbell's AddLink drew its loss rng from.
-	r.Net.Bottleneck.Reset(netem.Mbps(p.RateMbps), 0, p.Loss, r.Seeds.Next())
-	r.Path = p
-	r.Flows = r.Flows[:0]
-	r.randIdx = 0
-	return true
-}
-
-// respecTopology rewinds a cached topology runner for a new trial. It
-// reports false when the link structure (names, endpoints, queue kinds)
-// differs from the cached build.
-func (r *Runner) respecTopology(ts TopologySpec) bool {
-	if r.Net != nil || len(r.linkShape) != len(ts.Links) || r.reqShards != ts.Shards {
-		return false
-	}
-	if !maps.Equal(r.shardHints, ts.ShardHints) {
-		// Different hints imply a different node partition: rebuild.
-		return false
-	}
-	if r.faultSig != faultSig(ts.Faults) {
-		// A different fault target set implies different shard pins (and a
-		// fresh runner draws or skips the jitter stream accordingly): rebuild.
+// matches reports whether the runner's skeleton fits the spec, so that
+// respec can rewind it for a trial of ts: same link structure (names,
+// endpoints, queue kinds), shard request and hints, and fault target set.
+func (r *Runner) matches(ts TopologySpec) bool {
+	// Engines are pinned at build: a different shard request, hint map
+	// (drivers reuse one across trials, so this usually compares a map with
+	// itself) or fault target set means a different partition.
+	if len(r.built.Links) != len(ts.Links) || r.built.Shards != ts.Shards ||
+		!maps.Equal(r.built.ShardHints, ts.ShardHints) || r.faultSig != faultSig(ts.Faults) {
 		return false
 	}
 	for i, ls := range ts.Links {
-		prev := r.linkShape[i]
+		prev := r.built.Links[i]
 		if prev.Name != ls.Name || prev.From != ls.From || prev.To != ls.To || prev.QueueKind != ls.QueueKind {
 			return false
 		}
 	}
+	return true
+}
+
+// respec rewinds the runner for a new trial of a spec it matches: engines
+// reset (in-flight packets recycled), seed chain rewound to the new root,
+// every link and queue re-parameterized in place with one seed drawn per
+// link in AddLink order, and the fault plan installed. Previously added
+// flows stay parked in flowPool for AddFlow to reuse.
+func (r *Runner) respec(ts TopologySpec) {
 	if r.Group != nil {
 		r.Group.Reset(r.reclaims)
 		// Packets migrate between shards during a run (recycled where they
@@ -544,32 +508,27 @@ func (r *Runner) respecTopology(ts TopologySpec) bool {
 		// spares to keep warm trials allocation-free.
 		netem.RebalancePools(r.Pools)
 	} else {
-		r.Eng.Reset(r.reclaim)
+		r.Eng.Reset(r.reclaims[0])
 	}
 	r.Seeds.Reset(ts.Seed)
 	for i, ls := range ts.Links {
-		// Shape was verified name-by-name above, so the rewind indexes links
-		// by registration order — no per-link map probe on a path that runs
-		// once per trial over potentially thousands of links.
+		// matches verified the shape name-by-name, so the rewind indexes
+		// links by registration order — no per-link map probe on a path that
+		// runs once per trial over potentially thousands of links.
 		l := r.Topo.LinkAt(i)
-		if !resetQueue(l.Queue, ls.QueueKind, ls.BufBytes, r.PktPool) {
-			return false
-		}
-		// Per-link seed draws in AddLink order, as the constructor made them.
+		resetQueue(l.Queue, ls.BufBytes, r.Pools[0])
 		l.Reset(netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, r.Seeds.Next())
 	}
 	r.Path = PathSpec{Seed: ts.Seed}
 	r.Flows = r.Flows[:0]
 	r.randIdx = 0
 	r.installFaults(ts.Faults)
-	return true
 }
 
-// installFaults materializes and schedules a fault plan on a freshly built
-// or just-respecced runner (engines at time zero). It draws exactly one
-// runner RNG stream — flap jitter — and only when the spec carries a
-// schedule, so unfaulted experiments' seed chains are untouched and faulted
-// ones draw at the same position fresh and respecced. Acts are resolved
+// installFaults materializes and schedules a fault plan on a just-respecced
+// runner (engines at time zero). It draws exactly one runner RNG stream —
+// flap jitter — and only when the spec carries a schedule, so unfaulted
+// experiments' seed chains are untouched. Acts are resolved
 // per shard: a partition cutting links on several shards becomes one
 // down-act per link, each scheduled on its link's home engine.
 func (r *Runner) installFaults(s *netem.FaultSchedule) {
@@ -635,7 +594,7 @@ func (r *Runner) pushFaultAct(kind netem.FaultKind, at float64, links []string, 
 	}
 	if node != "" {
 		a.shard = r.Topo.NodeShard(node)
-		for _, ls := range r.linkShape {
+		for _, ls := range r.built.Links {
 			if ls.From == node || ls.To == node {
 				push(ls.Name)
 			}
@@ -798,9 +757,10 @@ func (r *Runner) routeRTT(fwd, rev []netem.HopSpec) float64 {
 	return sum
 }
 
-// AddFlow registers a flow; it will start at spec.StartAt. On a topology
-// runner the spec must carry FwdRoute/RevRoute; on a dumbbell runner the
-// flow's path is the shared bottleneck with RTT/RevLoss access segments.
+// AddFlow registers a flow; it will start at spec.StartAt. The spec carries
+// FwdRoute/RevRoute; without them the flow takes the dumbbell's default
+// path — the shared bottleneck behind RTT/2 access segments, RevLoss on the
+// way back — which only a runner with a link of that name can route.
 // AddFlow may be called while the simulation is running (cross-traffic
 // generators) provided StartAt is not in the past.
 //
@@ -810,31 +770,38 @@ func (r *Runner) routeRTT(fwd, rev []netem.HopSpec) float64 {
 // object — PCC with its RNG register, MI records and seq→MI ring, or a TCP
 // variant, SABUL or PCP restored to its constructor state — is rewound
 // rather than rebuilt when the protocol is unchanged. A warm trial therefore
-// allocates nothing here. Every path draws the runner's seed chain at the
-// same positions a fresh build would, so results are bit-identical.
+// allocates nothing here. Fresh or recycled, a flow draws the runner's seed
+// chain at the same positions, so results are bit-identical.
 func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	id := len(r.Flows)
-	topoFlow := len(spec.FwdRoute) > 0
-	if r.Net == nil && !topoFlow {
-		panic("exp: flows on a topology runner need FwdRoute/RevRoute")
-	}
-	if topoFlow != (len(spec.RevRoute) > 0) {
+	fwd, rev := spec.FwdRoute, spec.RevRoute
+	if (len(fwd) > 0) != (len(rev) > 0) {
 		panic("exp: FwdRoute and RevRoute must be set together")
 	}
-	if topoFlow && spec.RevLoss != 0 {
-		panic("exp: RevLoss is ignored on explicit routes; use netem.LossyDelayHop in RevRoute")
-	}
-	rtt := spec.RTT
-	if rtt <= 0 {
-		if topoFlow {
-			rtt = r.routeRTT(spec.FwdRoute, spec.RevRoute)
-		} else {
+	rtt, capacity := spec.RTT, 0.0
+	// The dumbbell's default routes live on this frame: nothing below
+	// retains a route slice, so a route-less flow allocates none.
+	var access [2]netem.HopSpec
+	var back [1]netem.HopSpec
+	if len(fwd) == 0 {
+		if r.bottleneck == nil {
+			panic("exp: flows on a topology runner need FwdRoute/RevRoute")
+		}
+		if rtt <= 0 {
 			rtt = r.Path.RTT
 		}
-	}
-	capacity := r.Capacity()
-	if topoFlow {
-		capacity = r.RouteCapacity(spec.FwdRoute)
+		capacity = r.Capacity()
+		access = [2]netem.HopSpec{netem.DelayHop(rtt / 2), netem.LinkHop(netem.BottleneckLink)}
+		back = [1]netem.HopSpec{netem.LossyDelayHop(rtt/2, spec.RevLoss)}
+		fwd, rev = access[:], back[:]
+	} else {
+		if spec.RevLoss != 0 {
+			panic("exp: RevLoss is ignored on explicit routes; use netem.LossyDelayHop in RevRoute")
+		}
+		if rtt <= 0 {
+			rtt = r.routeRTT(fwd, rev)
+		}
+		capacity = r.RouteCapacity(fwd)
 	}
 	pktSize := spec.PacketSize
 	if pktSize <= 0 {
@@ -844,15 +811,15 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	// are injected (the forward route's entry shard), the receiver where
 	// they are delivered. Unsharded runners have a single shard 0.
 	sShard, rShard := 0, 0
-	if r.Group != nil && topoFlow {
-		sShard, rShard = r.Topo.RouteEnds(spec.FwdRoute)
+	if r.Group != nil {
+		sShard, rShard = r.Topo.RouteEnds(fwd)
 	}
 	// Resolve the endpoint nodes for node-crash freezing: the tail of the
 	// first link and the head of the last link on the forward route.
 	srcNode, dstNode := "", ""
-	if topoFlow && !r.faultSpec.Empty() {
+	if !r.faultSpec.Empty() {
 		first, last := "", ""
-		for _, hs := range spec.FwdRoute {
+		for _, hs := range fwd {
 			if hs.Link == "" {
 				continue
 			}
@@ -995,7 +962,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.WS.MaxCwnd = 8*bdpPkts + 1000
 	}
 
-	cfg := netem.FlowConfig{FwdDelay: rtt / 2, RevDelay: rtt / 2, RevLoss: spec.RevLoss}
 	if f.RS != nil {
 		f.RS.Pool = sPool
 		f.RS.PktSize = pktSize
@@ -1013,13 +979,9 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.WS.FlowPackets = flowPkts
 		f.WS.OnDone = f.onDone
 	}
-	// Register the flow's route(s) with the network; one RNG stream is
-	// drawn from r.Seeds either way, fresh build or respec.
-	if topoFlow {
-		r.Topo.RespecFlow(id, spec.FwdRoute, spec.RevRoute, r.Seeds, f.dataSink, f.ackSink)
-	} else {
-		r.Net.RespecFlow(id, cfg, r.Seeds, f.dataSink, f.ackSink)
-	}
+	// Register the flow's routes with the network; one RNG stream is drawn
+	// from r.Seeds, new flow id or recycled one.
+	r.Topo.RespecFlow(id, fwd, rev, r.Seeds, f.dataSink, f.ackSink)
 	// At's schedule call and (at, seq) draw without the *Timer nobody keeps.
 	// Post adds its delay back onto the clock, so it is used only when that
 	// round trip is exact: always at trial set-up (clock at zero) and for
@@ -1097,58 +1059,36 @@ const topOffenderNotes = 5
 
 // LinkStatsNotes renders the runner's per-link accounting as report notes
 // (AddLink order, so output is deterministic).
-func (r *Runner) LinkStatsNotes() []string {
-	return r.LinkStatsNotesInto(nil)
-}
+func (r *Runner) LinkStatsNotes() []string { return r.linkNotes(false) }
 
-// LinkStatsNotesInto is LinkStatsNotes appending into dst[:0], reusing its
-// backing array (the note strings themselves still allocate). Topologies
-// with more than maxPerLinkNotes links delegate to the aggregate summary.
-func (r *Runner) LinkStatsNotesInto(dst []string) []string {
-	if r.Topo.NumLinks() > maxPerLinkNotes {
-		return r.ConservationNotesInto(dst, topOffenderNotes)
-	}
-	dst = dst[:0]
-	for _, s := range r.Topo.Stats() {
-		dst = append(dst, fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d",
-			s.Name, s.Delivered, s.WireLost, s.QueueDropped))
-	}
-	return dst
-}
+// FaultStatsNotes is LinkStatsNotes including the fault ledger and the
+// conservation verdict. Chaos drivers use it so every down/up and
+// partition/heal transition is auditable in the report (and a conservation
+// violation is visible as conserved=false rather than silently wrong
+// goodput).
+func (r *Runner) FaultStatsNotes() []string { return r.linkNotes(true) }
 
-// FaultStatsNotesInto renders per-link accounting including the fault ledger
-// and the conservation verdict, appending into dst[:0]. Chaos drivers use it
-// instead of LinkStatsNotesInto so every down/up and partition/heal
-// transition is auditable in the report (and a conservation violation is
-// visible as conserved=false rather than silently wrong goodput). Topologies
-// with more than maxPerLinkNotes links delegate to the aggregate summary,
-// which still names every non-conserved link.
-func (r *Runner) FaultStatsNotesInto(dst []string) []string {
-	if r.Topo.NumLinks() > maxPerLinkNotes {
-		return r.ConservationNotesInto(dst, topOffenderNotes)
-	}
-	dst = dst[:0]
-	for _, s := range r.Topo.Stats() {
-		dst = append(dst, fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d fault_dropped=%d conserved=%v",
-			s.Name, s.Delivered, s.WireLost, s.QueueDropped, s.FaultDropped, s.Conserved()))
-	}
-	return dst
-}
-
-// ConservationNotesInto renders the byte-conservation audit for large
-// topologies, appending into dst[:0]: one aggregate line (link count,
-// conserved/violated split, byte totals per ledger term), the topK
-// loss-heaviest links (by wire-lost + queue-dropped + fault-dropped bytes,
-// AddLink order on ties — deterministic), and one line per non-conserved
-// link with its full ledger, so a violation is never hidden by the
-// summarization. Topologies at or under maxPerLinkNotes links fall back to
-// the per-link fault notes.
-func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
+// linkNotes renders one note per link, with or without the fault ledger.
+// Topologies with more than maxPerLinkNotes links get the byte-conservation
+// audit instead: one aggregate line (link count, conserved/violated split,
+// byte totals per ledger term), the topOffenderNotes loss-heaviest links (by
+// wire-lost + queue-dropped + fault-dropped bytes, AddLink order on ties —
+// deterministic), and one line per non-conserved link with its full ledger,
+// so a violation is never hidden by the summarization.
+func (r *Runner) linkNotes(ledger bool) []string {
 	stats := r.Topo.Stats()
+	var notes []string
 	if len(stats) <= maxPerLinkNotes {
-		return r.FaultStatsNotesInto(dst)
+		for _, s := range stats {
+			note := fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d",
+				s.Name, s.Delivered, s.WireLost, s.QueueDropped)
+			if ledger {
+				note += fmt.Sprintf(" fault_dropped=%d conserved=%v", s.FaultDropped, s.Conserved())
+			}
+			notes = append(notes, note)
+		}
+		return notes
 	}
-	dst = dst[:0]
 	var delivered, wireLost, queueDropped, faultDropped int64
 	violated := 0
 	for i := range stats {
@@ -1161,7 +1101,7 @@ func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
 			violated++
 		}
 	}
-	dst = append(dst, fmt.Sprintf(
+	notes = append(notes, fmt.Sprintf(
 		"links: %d total, %d conserved, %d violated; bytes delivered=%d wire_lost=%d queue_dropped=%d fault_dropped=%d",
 		len(stats), len(stats)-violated, violated, delivered, wireLost, queueDropped, faultDropped))
 
@@ -1175,12 +1115,12 @@ func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
 	sort.SliceStable(order, func(a, b int) bool {
 		return lossBytes(&stats[order[a]]) > lossBytes(&stats[order[b]])
 	})
-	for k := 0; k < topK && k < len(order); k++ {
+	for k := 0; k < topOffenderNotes && k < len(order); k++ {
 		s := &stats[order[k]]
 		if lossBytes(s) == 0 {
 			break
 		}
-		dst = append(dst, fmt.Sprintf(
+		notes = append(notes, fmt.Sprintf(
 			"top_loss %d: link %s: wire_lost_B=%d queue_dropped_B=%d fault_dropped_B=%d delivered_B=%d conserved=%v",
 			k+1, s.Name, s.WireLostBytes, s.QueueDroppedBytes, s.FaultDroppedBytes, s.DeliveredBytes, s.Conserved()))
 	}
@@ -1189,11 +1129,11 @@ func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
 		if s.Conserved() {
 			continue
 		}
-		dst = append(dst, fmt.Sprintf(
+		notes = append(notes, fmt.Sprintf(
 			"VIOLATED link %s: offered_B=%d delivered_B=%d wire_lost_B=%d queue_dropped_B=%d fault_dropped_B=%d queued_B=%d tx_B=%d",
 			s.Name, s.OfferedBytes, s.DeliveredBytes, s.WireLostBytes, s.QueueDroppedBytes, s.FaultDroppedBytes, s.QueuedBytes, s.TxBytes))
 	}
-	return dst
+	return notes
 }
 
 // Run advances the simulation to the given time (seconds) — all shards in

@@ -59,7 +59,7 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 			f1(long.WindowMbps(0.1*dur, dur)), f1(ref), f1(flapT), fmtRecovery(rec),
 		}}
 		if proto == "pcc" {
-			res.notes = r.FaultStatsNotesInto(nil)
+			res.notes = r.FaultStatsNotes()
 		}
 		return res
 	})

@@ -59,7 +59,7 @@ func RunPartition(ctx context.Context, scale float64, seed int64) (*Report, erro
 			f1(victim.WindowMbps(0.1*dur, dur)), f1(ref), fmtRecovery(rec), f3(jain),
 		}}
 		if proto == "pcc" {
-			res.notes = r.FaultStatsNotesInto(nil)
+			res.notes = r.FaultStatsNotes()
 		}
 		return res
 	})

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,4 +130,44 @@ func TestTopologyRunnerRequiresRoutes(t *testing.T) {
 		}
 	}()
 	r.AddFlow(FlowSpec{Proto: "pcc"})
+}
+
+// TestDumbbellIsOneLinkTopology pins the translation NewRunner performs: a
+// PathSpec with route-less flows is the one-link TopologySpec with the
+// two-hop data route and one-hop lossy ACK route spelled out, bit for bit —
+// goodput, bucket series and link accounting — per sender category, queue
+// kind and loss setting (forward and reverse streams both drawing).
+func TestDumbbellIsOneLinkTopology(t *testing.T) {
+	t.Parallel()
+	const rtt, dur = 0.020, 4.0
+	for _, proto := range []string{"pcc", "cubic", "sabul"} {
+		for _, queue := range []string{"droptail", "fq"} {
+			for _, loss := range []float64{0, 0.005} {
+				p := PathSpec{RateMbps: 20, RTT: rtt, Loss: loss, BufBytes: 40 * netem.KB, QueueKind: queue, Seed: 17}
+				d := NewRunner(p)
+				df := d.AddFlow(FlowSpec{Proto: proto, RevLoss: loss, Bucket: 0.5})
+				d.Run(dur)
+
+				g := NewTopologyRunner(TopologySpec{Seed: p.Seed, Links: []LinkSpec{{
+					Name: netem.BottleneckLink, From: "src", To: "dst",
+					RateMbps: p.RateMbps, Loss: loss, BufBytes: p.BufBytes, QueueKind: queue,
+				}}})
+				gf := g.AddFlow(FlowSpec{Proto: proto, Bucket: 0.5,
+					FwdRoute: []netem.HopSpec{netem.DelayHop(rtt / 2), netem.LinkHop(netem.BottleneckLink)},
+					RevRoute: []netem.HopSpec{netem.LossyDelayHop(rtt/2, loss)},
+				})
+				g.Run(dur)
+
+				if a, b := df.GoodputMbps(dur), gf.GoodputMbps(dur); a != b || a <= 0 {
+					t.Errorf("%s/%s/loss %v: dumbbell goodput %v, one-link topology %v", proto, queue, loss, a, b)
+				}
+				if a, b := df.SeriesMbps(), gf.SeriesMbps(); !slices.Equal(a, b) {
+					t.Errorf("%s/%s/loss %v: series differ:\n%v\n%v", proto, queue, loss, a, b)
+				}
+				if a, b := d.LinkStatsNotes(), g.LinkStatsNotes(); !slices.Equal(a, b) || len(a) != 1 {
+					t.Errorf("%s/%s/loss %v: link notes differ:\n%v\n%v", proto, queue, loss, a, b)
+				}
+			}
+		}
+	}
 }

@@ -75,7 +75,7 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 			fmt.Sprintf("%d/%d", conserved, len(stats)),
 		}}
 		if proto == "pcc" {
-			res.notes = r.ConservationNotesInto(nil, topOffenderNotes)
+			res.notes = r.FaultStatsNotes()
 			down, up := 0, 0
 			for _, ev := range r.FaultEvents() {
 				switch ev.Kind {

@@ -12,13 +12,13 @@ import (
 // path is uncongested but may have its own propagation delay and random
 // loss (§4.1.4 injects loss "on both forward and backward paths").
 //
-// Since the general-topology refactor, Dumbbell is a thin constructor over
-// Topology: each flow's forward route is [access-delay hop, bottleneck
-// link] and its reverse route a single delay hop with optional Bernoulli
-// loss — exactly the event and RNG sequence of the original hardwired
-// implementation, so recorded experiment outputs are unchanged. All
-// propagation delay lives in the per-flow access hops; the bottleneck link
-// contributes only queueing plus serialization.
+// Dumbbell is a thin constructor over Topology, kept as the fixture of this
+// package's and cc's tests: each flow's forward route is [access-delay hop,
+// bottleneck link] and its reverse route a single delay hop with optional
+// Bernoulli loss. The experiment harness builds the same two-node graph
+// from a one-link exp.TopologySpec instead. All propagation delay lives in
+// the per-flow access hops; the bottleneck link contributes only queueing
+// plus serialization.
 type Dumbbell struct {
 	Eng *sim.Engine
 	// Topo is the underlying graph; use it for per-link stats or to layer
@@ -68,17 +68,6 @@ func SymmetricRTT(rtt float64) FlowConfig {
 // receives ACKs back at the sender.
 func (d *Dumbbell) AddFlow(id int, cfg FlowConfig, seeds *sim.Seeds, dataSink, ackSink func(*Packet)) {
 	d.Topo.AddFlow(id,
-		[]HopSpec{DelayHop(cfg.FwdDelay), LinkHop(BottleneckLink)},
-		[]HopSpec{LossyDelayHop(cfg.RevDelay, cfg.RevLoss)},
-		seeds, dataSink, ackSink)
-}
-
-// RespecFlow is AddFlow's arena-reuse counterpart: for a known flow id it
-// re-specs the existing access hops and reverse path in place (see
-// Topology.RespecFlow); for a new id it registers the flow exactly as
-// AddFlow does. Call only between simulations, after the engine was Reset.
-func (d *Dumbbell) RespecFlow(id int, cfg FlowConfig, seeds *sim.Seeds, dataSink, ackSink func(*Packet)) {
-	d.Topo.RespecFlow(id,
 		[]HopSpec{DelayHop(cfg.FwdDelay), LinkHop(BottleneckLink)},
 		[]HopSpec{LossyDelayHop(cfg.RevDelay, cfg.RevLoss)},
 		seeds, dataSink, ackSink)

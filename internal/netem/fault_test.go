@@ -263,7 +263,8 @@ func TestVaryingDoesNotResurrectDownedLink(t *testing.T) {
 	d.AddFlow(0, SymmetricRTT(0.030), seeds,
 		func(p *Packet) { deliveredAt = append(deliveredAt, eng.Now()) }, nil)
 	spec := VaryingSpec{Period: 0.05, RateMin: Mbps(50), RateMax: Mbps(100), RTTMin: 0.01, RTTMax: 0.05, LossMin: 0, LossMax: 0}
-	StartVarying(eng, d, 0, spec, seeds.NextRand(), 1)
+	fwd, rev := d.Topo.FlowRoutes(0)
+	StartVarying(eng, d.Bottleneck, fwd, rev, spec, seeds.NextRand(), 1)
 	// Steady trickle of offered traffic for the whole second.
 	for i := 0; i < 100; i++ {
 		i := i

@@ -238,7 +238,8 @@ func TestVaryingRedraw(t *testing.T) {
 	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
 	d.AddFlow(0, SymmetricRTT(0.030), seeds, nil, nil)
 	spec := VaryingSpec{Period: 1, RateMin: Mbps(10), RateMax: Mbps(100), RTTMin: 0.01, RTTMax: 0.1, LossMin: 0, LossMax: 0.01}
-	trace := StartVarying(eng, d, 0, spec, seeds.NextRand(), 10)
+	fwd, rev := d.Topo.FlowRoutes(0)
+	trace := StartVarying(eng, d.Bottleneck, fwd, rev, spec, seeds.NextRand(), 10)
 	eng.RunUntil(10)
 	if len(*trace) != 10 {
 		t.Fatalf("got %d redraws, want 10", len(*trace))

@@ -28,11 +28,11 @@ type Sample struct {
 	Loss float64
 }
 
-// StartVarying re-draws the dumbbell's bottleneck rate/loss and flow id's
-// path delays every spec.Period seconds until stop, recording each drawn
-// condition. The returned slice is appended to as the simulation runs; read
-// it only after the engine finishes.
-func StartVarying(eng *sim.Engine, d *Dumbbell, flowID int, spec VaryingSpec, rng *rand.Rand, stop float64) *[]Sample {
+// StartVarying re-draws the bottleneck's rate/loss and the leading delay hop
+// of one flow's two routes every spec.Period seconds until stop, recording
+// each drawn condition. The returned slice is appended to as the simulation
+// runs; read it only after the engine finishes.
+func StartVarying(eng *sim.Engine, bottleneck *Link, fwd, rev *Route, spec VaryingSpec, rng *rand.Rand, stop float64) *[]Sample {
 	trace := &[]Sample{}
 	var redraw func()
 	redraw = func() {
@@ -43,9 +43,10 @@ func StartVarying(eng *sim.Engine, d *Dumbbell, flowID int, spec VaryingSpec, rn
 		rate := spec.RateMin + rng.Float64()*(spec.RateMax-spec.RateMin)
 		rtt := spec.RTTMin + rng.Float64()*(spec.RTTMax-spec.RTTMin)
 		loss := spec.LossMin + rng.Float64()*(spec.LossMax-spec.LossMin)
-		d.Bottleneck.Rate = rate
-		d.Bottleneck.LossRate = loss
-		d.SetFlowDelays(flowID, rtt/2, rtt/2)
+		bottleneck.Rate = rate
+		bottleneck.LossRate = loss
+		fwd.SetDelay(0, rtt/2)
+		rev.SetDelay(0, rtt/2)
 		*trace = append(*trace, Sample{At: now, Rate: rate, RTT: rtt, Loss: loss})
 		eng.Post(spec.Period, redraw)
 	}

@@ -33,6 +33,8 @@ func BenchmarkEventChurnDeep(b *testing.B) {
 		n++
 		if n < b.N {
 			e.Post(0.001, tick)
+		} else {
+			e.Halt() // leave the ballast queued
 		}
 	}
 	for i := 0; i < pending; i++ {
@@ -41,8 +43,7 @@ func BenchmarkEventChurnDeep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Post(0.001, tick)
-	for n < b.N && e.step() {
-	}
+	e.Run()
 }
 
 // BenchmarkWheelChurn measures the timing-wheel path under a dense timer
@@ -64,6 +65,8 @@ func BenchmarkWheelChurn(b *testing.B) {
 			n++
 			if n < b.N {
 				e.Post(delay, fn)
+			} else {
+				e.Halt()
 			}
 		}
 		return fn
@@ -73,8 +76,7 @@ func BenchmarkWheelChurn(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n < b.N && e.step() {
-	}
+	e.Run()
 }
 
 // BenchmarkPostArg measures the closure-free packet-delivery path used by

@@ -588,7 +588,7 @@ func (e *Engine) batchInsert(ev *Event) {
 // dispatch exactly: each entry is dead-checked at execution time, not
 // collection time, so a Timer.Stop issued by an earlier same-instant
 // callback still cancels a later one; each event is released immediately
-// before its callback runs, exactly as step does; Halt mid-batch pushes the
+// before its callback runs, exactly as Run's heap fast path does; Halt mid-batch pushes the
 // unexecuted remainder back into the heap.
 func (e *Engine) runBatch() {
 	e.inBurst = true
@@ -618,28 +618,6 @@ func (e *Engine) runBatch() {
 	// write barrier per slot.
 	e.batch = e.batch[:0]
 	e.inBurst = false
-}
-
-// step executes the earliest event. It reports false when no live event
-// remains.
-func (e *Engine) step() bool {
-	// Fast path: nothing bucketed in the wheel and a live heap top.
-	if !(e.wheel.count == 0 && len(e.events) > 0 && !e.events[0].ev.dead) && e.peekLive() == nil {
-		return false
-	}
-	ev := e.heapPop()
-	at, fn, afn, arg := ev.at, ev.fn, ev.afn, ev.arg
-	// Recycle before running: the callback may schedule new events, and
-	// handing it this slot keeps the free list hot.
-	e.release(ev)
-	e.now = at
-	e.nRun++
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
-	return true
 }
 
 // Run executes events until the queue drains or Halt is called. The loop
