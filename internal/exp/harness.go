@@ -10,8 +10,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"sort"
-	"strings"
 
 	"pcc/internal/baseline"
 	"pcc/internal/cc"
@@ -240,19 +238,6 @@ type Runner struct {
 	faultFn    func(any)
 }
 
-// faultAct is one resolved fault action: a kind applied to the links
-// faultLinks[lo:hi] (plus a node for crash/restart), scheduled at time at on
-// the engine of shard. Partition/Heal events are resolved into per-link
-// down/up acts so each act touches exactly one shard's links.
-type faultAct struct {
-	kind              netem.FaultKind
-	at                float64
-	lo, hi            int
-	node              string
-	shard             int
-	rate, delay, loss float64
-}
-
 // makeQueue builds the AQM a Path/LinkSpec asks for.
 func makeQueue(kind string, bufBytes int) netem.Queue {
 	switch kind {
@@ -377,89 +362,6 @@ func GraphSpec(g *topogen.Graph, seed int64, shards int) TopologySpec {
 	return TopologySpec{Links: links, Seed: seed, Shards: shards, ShardHints: g.ShardHints()}
 }
 
-// appendFaultPins adds zero-delay pin edges for every link a fault schedule
-// touches — directly by name, or by incidence to a crashed node — so the
-// partitioner contracts each such link's endpoints onto one shard and the
-// fault act can run entirely on that link's home engine. Pinning is
-// per-link: a partition cutting links in distant parts of the graph pins
-// each link locally without collapsing the shards between them.
-func appendFaultPins(edges []netem.Edge, ts TopologySpec) []netem.Edge {
-	if ts.Faults.Empty() {
-		return edges
-	}
-	byName := make(map[string]LinkSpec, len(ts.Links))
-	for _, ls := range ts.Links {
-		byName[ls.Name] = ls
-	}
-	pinLink := func(name string) {
-		ls, ok := byName[name]
-		if !ok {
-			panic(fmt.Sprintf("exp: fault schedule references unknown link %q", name))
-		}
-		edges = append(edges, netem.Edge{From: ls.From, To: ls.To})
-	}
-	pinNode := func(node string) {
-		for _, ls := range ts.Links {
-			if ls.From == node || ls.To == node {
-				edges = append(edges, netem.Edge{From: ls.From, To: ls.To})
-			}
-		}
-	}
-	for _, ev := range ts.Faults.Events {
-		switch ev.Kind {
-		case netem.FaultLinkDown, netem.FaultLinkUp, netem.FaultDegrade:
-			pinLink(ev.Link)
-		case netem.FaultPartition, netem.FaultHeal:
-			for _, name := range ev.Links {
-				pinLink(name)
-			}
-		case netem.FaultNodeCrash, netem.FaultNodeRestart:
-			pinNode(ev.Node)
-		}
-	}
-	for _, f := range ts.Faults.Flaps {
-		pinLink(f.Link)
-	}
-	return edges
-}
-
-// faultSig summarizes the pin-relevant structure of a schedule: the sorted
-// set of link and node names it touches. Two schedules with the same
-// signature pin the same edges, so an arena-cached runner may be re-specced
-// between them even though event times and parameters differ per trial.
-func faultSig(s *netem.FaultSchedule) string {
-	if s.Empty() {
-		return ""
-	}
-	var names []string
-	for _, ev := range s.Events {
-		if ev.Link != "" {
-			names = append(names, "l:"+ev.Link)
-		}
-		for _, n := range ev.Links {
-			names = append(names, "l:"+n)
-		}
-		if ev.Node != "" {
-			names = append(names, "n:"+ev.Node)
-		}
-	}
-	for _, f := range s.Flaps {
-		names = append(names, "l:"+f.Link)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	prev := ""
-	for _, n := range names {
-		if n == prev {
-			continue
-		}
-		b.WriteString(n)
-		b.WriteByte('\x00')
-		prev = n
-	}
-	return b.String()
-}
-
 // bindSinks caches the per-runner function values every flow shares.
 func (r *Runner) bindSinks() {
 	r.sendData = r.Topo.SendData
@@ -523,168 +425,6 @@ func (r *Runner) respec(ts TopologySpec) {
 	r.Flows = r.Flows[:0]
 	r.randIdx = 0
 	r.installFaults(ts.Faults)
-}
-
-// installFaults materializes and schedules a fault plan on a just-respecced
-// runner (engines at time zero). It draws exactly one runner RNG stream —
-// flap jitter — and only when the spec carries a schedule, so unfaulted
-// experiments' seed chains are untouched. Acts are resolved
-// per shard: a partition cutting links on several shards becomes one
-// down-act per link, each scheduled on its link's home engine.
-func (r *Runner) installFaults(s *netem.FaultSchedule) {
-	r.faultSpec = s
-	if s.Empty() {
-		return
-	}
-	jrng := r.NextRand()
-	r.faultEvs = s.Materialize(r.faultEvs[:0], jrng)
-	r.faultActs = r.faultActs[:0]
-	r.faultLinks = r.faultLinks[:0]
-	for i := range r.faultEvs {
-		ev := &r.faultEvs[i]
-		switch ev.Kind {
-		case netem.FaultLinkDown, netem.FaultLinkUp:
-			r.pushFaultAct(ev.Kind, ev.At, []string{ev.Link}, "", ev)
-		case netem.FaultDegrade:
-			r.pushFaultAct(netem.FaultDegrade, ev.At, []string{ev.Link}, "", ev)
-		case netem.FaultPartition:
-			for _, name := range ev.Links {
-				r.pushFaultAct(netem.FaultLinkDown, ev.At, []string{name}, "", ev)
-			}
-		case netem.FaultHeal:
-			for _, name := range ev.Links {
-				r.pushFaultAct(netem.FaultLinkUp, ev.At, []string{name}, "", ev)
-			}
-		case netem.FaultNodeCrash, netem.FaultNodeRestart:
-			r.pushFaultAct(ev.Kind, ev.At, nil, ev.Node, ev)
-		}
-	}
-	if r.faultFn == nil {
-		r.faultFn = func(a any) { r.runFault(a.(*faultAct)) }
-	}
-	// Schedule in a second pass: faultActs is final now, so interior
-	// pointers into it stay valid for the whole trial.
-	for i := range r.faultActs {
-		a := &r.faultActs[i]
-		r.Engines[a.shard].PostArg(a.at, r.faultFn, a)
-	}
-}
-
-// pushFaultAct resolves one fault event into an act over named links (or a
-// node's incident links) and appends it. All of an act's links must live on
-// one shard; the fault pins added at build time guarantee that for exactly
-// the links a schedule references, so a violation means the respec path was
-// handed a schedule touching links the build never pinned.
-func (r *Runner) pushFaultAct(kind netem.FaultKind, at float64, links []string, node string, ev *netem.FaultEvent) {
-	a := faultAct{kind: kind, at: at, node: node, lo: len(r.faultLinks), shard: -1,
-		rate: ev.RateBps, delay: ev.Delay, loss: ev.Loss}
-	push := func(name string) {
-		l := r.Topo.LinkByName(name)
-		if l == nil {
-			panic(fmt.Sprintf("exp: fault schedule references unknown link %q", name))
-		}
-		from, _ := r.Topo.LinkEnds(name)
-		shard := r.Topo.NodeShard(from)
-		if a.shard < 0 {
-			a.shard = shard
-		} else if a.shard != shard {
-			panic(fmt.Sprintf("exp: fault act spans shards %d and %d (link %q not pinned at build — did the schedule's target set change without a rebuild?)", a.shard, shard, name))
-		}
-		r.faultLinks = append(r.faultLinks, l)
-	}
-	if node != "" {
-		a.shard = r.Topo.NodeShard(node)
-		for _, ls := range r.built.Links {
-			if ls.From == node || ls.To == node {
-				push(ls.Name)
-			}
-		}
-	} else {
-		for _, name := range links {
-			push(name)
-		}
-	}
-	if a.shard < 0 {
-		a.shard = 0
-	}
-	a.hi = len(r.faultLinks)
-	r.faultActs = append(r.faultActs, a)
-}
-
-// runFault applies one act at its scheduled instant, on the engine of the
-// shard every target link lives on.
-func (r *Runner) runFault(a *faultAct) {
-	switch a.kind {
-	case netem.FaultLinkDown:
-		for _, l := range r.faultLinks[a.lo:a.hi] {
-			l.SetDown(true)
-		}
-	case netem.FaultLinkUp:
-		for _, l := range r.faultLinks[a.lo:a.hi] {
-			l.SetDown(false)
-		}
-	case netem.FaultDegrade:
-		for _, l := range r.faultLinks[a.lo:a.hi] {
-			if a.rate > 0 {
-				l.Rate = a.rate
-			}
-			if a.delay >= 0 {
-				l.Delay = a.delay
-			}
-			if a.loss >= 0 {
-				l.LossRate = a.loss
-			}
-		}
-	case netem.FaultNodeCrash:
-		for _, l := range r.faultLinks[a.lo:a.hi] {
-			l.SetDown(true)
-		}
-		r.freezeNode(a.node, true)
-	case netem.FaultNodeRestart:
-		for _, l := range r.faultLinks[a.lo:a.hi] {
-			l.SetDown(false)
-		}
-		r.freezeNode(a.node, false)
-	}
-}
-
-// freezeNode freezes or resumes every sender and receiver hosted at the
-// node. The endpoints of a flow live on the shards its routes start and end
-// on — the same shards the crashed node's links were pinned to — so this
-// runs engine-locally.
-func (r *Runner) freezeNode(node string, frozen bool) {
-	for _, f := range r.Flows {
-		if f.srcNode == node {
-			switch {
-			case f.RS != nil && frozen:
-				f.RS.Freeze()
-			case f.RS != nil:
-				f.RS.Unfreeze()
-			case f.WS != nil && frozen:
-				f.WS.Freeze()
-			case f.WS != nil:
-				f.WS.Unfreeze()
-			}
-		}
-		if f.dstNode == node {
-			if frozen {
-				f.Recv.Freeze()
-			} else {
-				f.Recv.Unfreeze()
-			}
-		}
-	}
-}
-
-// FaultEvents returns the materialized, time-sorted fault event list of the
-// current trial (flap jitter applied), so drivers can compute fault-relative
-// metrics like recovery time after the last heal. Nil when the runner has no
-// fault schedule.
-func (r *Runner) FaultEvents() []netem.FaultEvent {
-	if r.faultSpec.Empty() {
-		return nil
-	}
-	return r.faultEvs
 }
 
 // NextRand returns a generator seeded from the runner's derivation chain —
@@ -1044,96 +784,6 @@ func (r *Runner) setWindowSender(f *Flow, algo cc.WindowAlgo, eng *sim.Engine) {
 	f.RS = nil
 	f.WS = cc.NewWindowSender(eng, f.ID, algo, r.sendData)
 	f.ackSink = f.WS.OnAck
-}
-
-// maxPerLinkNotes is the report threshold between per-link notes and the
-// aggregate conservation summary: topologies up to this many links list
-// every link; generated topologies above it (a transit-stub WAN has
-// hundreds) get totals plus the loss-heaviest links, because a per-link
-// dump would drown the report.
-const maxPerLinkNotes = 20
-
-// topOffenderNotes is how many loss-heaviest links the aggregate summary
-// names individually.
-const topOffenderNotes = 5
-
-// LinkStatsNotes renders the runner's per-link accounting as report notes
-// (AddLink order, so output is deterministic).
-func (r *Runner) LinkStatsNotes() []string { return r.linkNotes(false) }
-
-// FaultStatsNotes is LinkStatsNotes including the fault ledger and the
-// conservation verdict. Chaos drivers use it so every down/up and
-// partition/heal transition is auditable in the report (and a conservation
-// violation is visible as conserved=false rather than silently wrong
-// goodput).
-func (r *Runner) FaultStatsNotes() []string { return r.linkNotes(true) }
-
-// linkNotes renders one note per link, with or without the fault ledger.
-// Topologies with more than maxPerLinkNotes links get the byte-conservation
-// audit instead: one aggregate line (link count, conserved/violated split,
-// byte totals per ledger term), the topOffenderNotes loss-heaviest links (by
-// wire-lost + queue-dropped + fault-dropped bytes, AddLink order on ties —
-// deterministic), and one line per non-conserved link with its full ledger,
-// so a violation is never hidden by the summarization.
-func (r *Runner) linkNotes(ledger bool) []string {
-	stats := r.Topo.Stats()
-	var notes []string
-	if len(stats) <= maxPerLinkNotes {
-		for _, s := range stats {
-			note := fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d",
-				s.Name, s.Delivered, s.WireLost, s.QueueDropped)
-			if ledger {
-				note += fmt.Sprintf(" fault_dropped=%d conserved=%v", s.FaultDropped, s.Conserved())
-			}
-			notes = append(notes, note)
-		}
-		return notes
-	}
-	var delivered, wireLost, queueDropped, faultDropped int64
-	violated := 0
-	for i := range stats {
-		s := &stats[i]
-		delivered += s.DeliveredBytes
-		wireLost += s.WireLostBytes
-		queueDropped += s.QueueDroppedBytes
-		faultDropped += s.FaultDroppedBytes
-		if !s.Conserved() {
-			violated++
-		}
-	}
-	notes = append(notes, fmt.Sprintf(
-		"links: %d total, %d conserved, %d violated; bytes delivered=%d wire_lost=%d queue_dropped=%d fault_dropped=%d",
-		len(stats), len(stats)-violated, violated, delivered, wireLost, queueDropped, faultDropped))
-
-	lossBytes := func(s *netem.LinkStats) int64 {
-		return s.WireLostBytes + s.QueueDroppedBytes + s.FaultDroppedBytes
-	}
-	order := make([]int, len(stats))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return lossBytes(&stats[order[a]]) > lossBytes(&stats[order[b]])
-	})
-	for k := 0; k < topOffenderNotes && k < len(order); k++ {
-		s := &stats[order[k]]
-		if lossBytes(s) == 0 {
-			break
-		}
-		notes = append(notes, fmt.Sprintf(
-			"top_loss %d: link %s: wire_lost_B=%d queue_dropped_B=%d fault_dropped_B=%d delivered_B=%d conserved=%v",
-			k+1, s.Name, s.WireLostBytes, s.QueueDroppedBytes, s.FaultDroppedBytes, s.DeliveredBytes, s.Conserved()))
-	}
-	for i := range stats {
-		s := &stats[i]
-		if s.Conserved() {
-			continue
-		}
-		notes = append(notes, fmt.Sprintf(
-			"VIOLATED link %s: offered_B=%d delivered_B=%d wire_lost_B=%d queue_dropped_B=%d fault_dropped_B=%d queued_B=%d tx_B=%d",
-			s.Name, s.OfferedBytes, s.DeliveredBytes, s.WireLostBytes, s.QueueDroppedBytes, s.FaultDroppedBytes, s.QueuedBytes, s.TxBytes))
-	}
-	return notes
 }
 
 // Run advances the simulation to the given time (seconds) — all shards in
