@@ -519,10 +519,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		panic("exp: FwdRoute and RevRoute must be set together")
 	}
 	rtt, capacity := spec.RTT, 0.0
-	// The dumbbell's default routes live on this frame: nothing below
-	// retains a route slice, so a route-less flow allocates none.
-	var access [2]netem.HopSpec
-	var back [1]netem.HopSpec
 	if len(fwd) == 0 {
 		if r.bottleneck == nil {
 			panic("exp: flows on a topology runner need FwdRoute/RevRoute")
@@ -531,8 +527,10 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			rtt = r.Path.RTT
 		}
 		capacity = r.Capacity()
-		access = [2]netem.HopSpec{netem.DelayHop(rtt / 2), netem.LinkHop(netem.BottleneckLink)}
-		back = [1]netem.HopSpec{netem.LossyDelayHop(rtt/2, spec.RevLoss)}
+		// The dumbbell's default routes stay on this frame: nothing below
+		// retains a route slice, so a route-less flow allocates none.
+		access := [2]netem.HopSpec{netem.DelayHop(rtt / 2), netem.LinkHop(netem.BottleneckLink)}
+		back := [1]netem.HopSpec{netem.LossyDelayHop(rtt/2, spec.RevLoss)}
 		fwd, rev = access[:], back[:]
 	} else {
 		if spec.RevLoss != 0 {

@@ -73,8 +73,7 @@ func (d *Dumbbell) AddFlow(id int, cfg FlowConfig, seeds *sim.Seeds, dataSink, a
 		seeds, dataSink, ackSink)
 }
 
-// SetFlowDelays changes a flow's propagation delays at runtime (used by the
-// rapidly-changing-network experiment).
+// SetFlowDelays changes a flow's propagation delays at runtime.
 func (d *Dumbbell) SetFlowDelays(id int, fwd, rev float64) {
 	fr, rr := d.Topo.FlowRoutes(id)
 	if fr == nil {
