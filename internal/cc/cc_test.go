@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pcc/internal/netem"
+	"pcc/internal/sack"
 	"pcc/internal/sim"
 )
 
@@ -285,6 +286,70 @@ func TestRateSenderHonorsPktSize(t *testing.T) {
 		}
 		if rem := recv.UniqueBytes() % int64(size); rem != 0 {
 			t.Fatalf("size %d: delivered bytes %d not a multiple of the wire size", size, recv.UniqueBytes())
+		}
+	}
+}
+
+// scanOutstanding recounts a scoreboard's un-SACKed entries the O(window) way.
+func scanOutstanding(b *sack.Board) int {
+	n := 0
+	for seq := b.CumAck(); seq < b.Next(); seq++ {
+		if !b.Lookup(seq).Sacked {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSenderOutstandingCounterMatchesScan runs both senders through real
+// SACK, loss, retransmission, cumulative-coverage (lost ACKs) and timeout
+// sequences on a lossy path and checks, between events throughout the run,
+// that the scoreboard's un-SACKed counter — what flow completion, the tail
+// timer and Unfreeze now read — equals a full scan.
+func TestSenderOutstandingCounterMatchesScan(t *testing.T) {
+	t.Parallel()
+	for _, kind := range []string{"window", "rate"} {
+		eng := sim.NewEngine()
+		d, seeds := buildPath(eng, 21, 20, 0.030, 0.05, 30*netem.KB)
+		recv := NewReceiver(eng, 0)
+		recv.SendAck = d.SendAck
+		var board *sack.Board
+		var ackSink func(*netem.Packet)
+		var start func()
+		var retransmitted func() int64
+		done := false
+		switch kind {
+		case "window":
+			ws := NewWindowSender(eng, 0, &fixedWindow{w: 60}, d.SendData)
+			ws.FlowPackets = 4000
+			ws.OnDone = func(float64) { done = true }
+			board, ackSink, start, retransmitted = &ws.board, ws.OnAck, ws.Start, ws.Retransmitted
+		case "rate":
+			rs := NewRateSender(eng, 0, &fixedRate{r: netem.Mbps(25)}, d.SendData)
+			rs.FlowPackets = 4000
+			rs.OnDone = func(float64) { done = true }
+			board, ackSink, start, retransmitted = &rs.board, rs.OnAck, rs.Start, rs.Retransmitted
+		}
+		d.AddFlow(0, netem.FlowConfig{FwdDelay: 0.015, RevDelay: 0.015, RevLoss: 0.05}, seeds, recv.OnData, ackSink)
+		checks := 0
+		var probe func()
+		probe = func() {
+			if got, want := board.Outstanding(), scanOutstanding(board); got != want {
+				t.Fatalf("%s sender at %.4f s: counter %d, scan %d over [%d,%d)", kind, eng.Now(), got, want, board.CumAck(), board.Next())
+			}
+			checks++
+			if !done {
+				eng.Post(0.0007, probe)
+			}
+		}
+		eng.Post(0, start)
+		eng.Post(0, probe)
+		eng.RunUntil(300)
+		if !done || board.Outstanding() != 0 {
+			t.Fatalf("%s sender: done=%v with %d outstanding", kind, done, board.Outstanding())
+		}
+		if retransmitted() == 0 || checks < 1000 {
+			t.Fatalf("%s sender: %d retransmissions over %d probes; the path did not exercise recovery", kind, retransmitted(), checks)
 		}
 	}
 }

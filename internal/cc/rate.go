@@ -9,65 +9,23 @@ import (
 
 // RateSender drives a RateAlgo (PCC, SABUL, PCP) over a simulated path.
 // Transmission is clocked purely by the algorithm's pacing rate — there is
-// no window. Reliability is SACK-based like WindowSender's: packets are
-// declared lost by SACK gap or by a tail timer, queued for retransmission,
-// and retransmissions consume pacing slots exactly like new data (§3.1:
-// "the Sending Module sends packets (new or retransmission) at a certain
-// sending rate").
+// no window. Reliability is the shared sack.Board, as in WindowSender and
+// the real-UDP transport: packets are declared lost by SACK gap or by a tail
+// timer, queued for retransmission, and retransmissions consume pacing slots
+// exactly like new data (§3.1: "the Sending Module sends packets (new or
+// retransmission) at a certain sending rate").
 type RateSender struct {
-	Eng  *sim.Engine
-	Flow int
+	flowCore
 	Algo RateAlgo
-	// SendData transmits a data packet (wired to Dumbbell.SendData).
-	SendData func(*netem.Packet)
-	Est      *RTTEstimator
-
-	// FlowPackets, when > 0, limits the flow length; 0 means unbounded.
-	FlowPackets int64
-	// OnDone fires when every packet of a finite flow has been acknowledged.
-	OnDone func(now float64)
-	// DupThresh is the SACK reordering threshold (default 3).
-	DupThresh int64
 	// MinRate floors the pacing rate so a flow can never stall itself
 	// (default 2 packets/second).
 	MinRate float64
-	// RTTHint seeds timers before the first RTT sample (default 0.1 s).
-	RTTHint float64
-	// Pool, when set, recycles packets: data packets are allocated from it
-	// and consumed ACKs are returned to it. It must belong to this sender's
-	// engine (pooling never crosses goroutines).
-	Pool *netem.PacketPool
-	// PktSize is the wire size of every data packet this flow sends
-	// (default MSS). It is what the pacing clock spaces, what the network
-	// serializes, and what the algorithm's OnSend hook is told.
-	PktSize int
-
-	win      seqWindow
-	nextSeq  int64
-	cumAck   int64
-	sackHigh int64
-	lossScan int64
-	// rtxQ[rtxHead:] is the retransmission FIFO, consumed by index so the
-	// backing array's capacity survives (front re-slicing would cost one
-	// allocation per detected loss in steady state; see WindowSender.rtxQ).
-	rtxQ    []int64
-	rtxHead int
 
 	sendTimer    sim.Timer
 	tailTimer    sim.Timer
 	tailDeadline float64
 	sendLoopFn   func()
 	onTailFn     func()
-
-	sentPkts int64
-	rtxPkts  int64
-	rttSum   float64
-	rttCnt   int64
-	done     bool
-	started  bool
-	// frozen parks the sender during an injected node crash: pacing and
-	// tail-loss timers stop and arriving ACKs are consumed without effect.
-	frozen bool
 
 	// rate trace for rate-over-time plots: appended whenever the polled
 	// rate changes by more than 0.1%.
@@ -93,12 +51,7 @@ type RatePoint struct {
 
 // NewRateSender wires a rate-based algorithm to a path.
 func NewRateSender(eng *sim.Engine, flow int, algo RateAlgo, sendData func(*netem.Packet)) *RateSender {
-	s := &RateSender{
-		Eng:      eng,
-		Flow:     flow,
-		SendData: sendData,
-		Est:      NewRTTEstimator(),
-	}
+	s := &RateSender{flowCore: newFlowCore(eng, flow, sendData)}
 	// Bound once: the pacing and tail-loss loops reschedule themselves every
 	// packet, and a method value allocates a closure per use.
 	s.sendLoopFn = s.sendLoop
@@ -107,9 +60,8 @@ func NewRateSender(eng *sim.Engine, flow int, algo RateAlgo, sendData func(*nete
 	return s
 }
 
-// initDefaults applies the non-zero constructor defaults, shared by
-// NewRateSender and Reset so an arena-reused sender cannot drift from a
-// fresh one when a default changes.
+// initDefaults applies the rate sender's own constructor defaults, shared by
+// NewRateSender and Reset (flowCore.reset covers the common ones).
 func (s *RateSender) initDefaults(algo RateAlgo) {
 	s.Algo = algo
 	s.algoPCC, s.algoSabul, s.algoPCP = nil, nil, nil
@@ -121,11 +73,7 @@ func (s *RateSender) initDefaults(algo RateAlgo) {
 	case *baseline.PCP:
 		s.algoPCP = a
 	}
-	s.DupThresh = 3
 	s.MinRate = 2 * MSS
-	s.RTTHint = 0.1
-	s.PktSize = MSS
-	s.sackHigh = -1
 }
 
 // algoRate, algoOnSend, algoOnAck and algoOnLost are the devirtualized
@@ -193,25 +141,15 @@ func (s *RateSender) algoOnLost(seq int64, now float64) {
 }
 
 // Reset returns the sender to its just-constructed state around a new
-// algorithm, for a new trial on a reset engine. The sequence window's ring,
-// the retransmission queue backing, the rate-trace backing and the
-// Eng/Flow/SendData/Pool wiring are all retained, so steady-state reuse
-// allocates nothing; every tunable returns to its constructor default and
-// callers re-apply per-trial knobs exactly as they would on a fresh sender.
+// algorithm, for a new trial on a reset engine. What flowCore.reset retains
+// and the rate-trace backing survive, so steady-state reuse allocates
+// nothing; every tunable returns to its constructor default and callers
+// re-apply per-trial knobs exactly as they would on a fresh sender.
 func (s *RateSender) Reset(algo RateAlgo) {
+	s.flowCore.reset()
 	s.initDefaults(algo)
-	s.Est.Reset()
-	s.FlowPackets = 0
-	s.OnDone = nil
-	s.win.reset()
-	s.nextSeq, s.cumAck, s.lossScan = 0, 0, 0
-	s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
 	s.sendTimer, s.tailTimer = sim.Timer{}, sim.Timer{}
 	s.tailDeadline = 0
-	s.sentPkts, s.rtxPkts = 0, 0
-	s.rttSum, s.rttCnt = 0, 0
-	s.done, s.started = false, false
-	s.frozen = false
 	s.TraceRate = false
 	s.RateTrace = s.RateTrace[:0]
 	s.lastRate = 0
@@ -242,24 +180,10 @@ func (s *RateSender) Unfreeze() {
 	s.frozen = false
 	if s.started && !s.done {
 		s.sendLoop()
-		if s.win.outstanding() > 0 {
+		if s.board.Outstanding() > 0 {
 			s.armTail()
 		}
 	}
-}
-
-// Sent returns total data transmissions (including retransmissions).
-func (s *RateSender) Sent() int64 { return s.sentPkts }
-
-// Retransmitted returns the number of retransmissions.
-func (s *RateSender) Retransmitted() int64 { return s.rtxPkts }
-
-// MeanRTT returns the average of all valid RTT samples (0 if none).
-func (s *RateSender) MeanRTT() float64 {
-	if s.rttCnt == 0 {
-		return 0
-	}
-	return s.rttSum / float64(s.rttCnt)
 }
 
 func (s *RateSender) rate() float64 {
@@ -270,13 +194,6 @@ func (s *RateSender) rate() float64 {
 	return r
 }
 
-func (s *RateSender) hasData() bool {
-	if s.rtxHead < len(s.rtxQ) {
-		return true
-	}
-	return s.FlowPackets == 0 || s.nextSeq < s.FlowPackets
-}
-
 // sendLoop transmits one packet and schedules the next transmission at the
 // current pacing rate.
 func (s *RateSender) sendLoop() {
@@ -284,7 +201,12 @@ func (s *RateSender) sendLoop() {
 		return
 	}
 	now := s.Eng.Now()
-	s.sendOne(now)
+	// nil when the queue held only retransmissions already acknowledged.
+	if p := s.nextPacket(now); p != nil {
+		s.algoOnSend(p.Seq, s.PktSize, now)
+		s.SendData(p)
+		s.armTail()
+	}
 	r := s.rate()
 	if s.TraceRate {
 		if s.lastRate == 0 || r < s.lastRate*0.999 || r > s.lastRate*1.001 {
@@ -294,41 +216,6 @@ func (s *RateSender) sendLoop() {
 	}
 	interval := float64(s.PktSize) / r
 	s.Eng.Rearm(&s.sendTimer, interval, s.sendLoopFn)
-}
-
-func (s *RateSender) sendOne(now float64) {
-	seq := int64(-1)
-	for s.rtxHead < len(s.rtxQ) {
-		cand := s.rtxQ[s.rtxHead]
-		s.rtxHead++
-		if s.rtxHead == len(s.rtxQ) {
-			s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
-		}
-		if st := s.win.lookup(cand); st != nil && st.lost && !st.sacked {
-			st.lost = false
-			st.rtx = true
-			st.sentAt = now
-			s.rtxPkts++
-			seq = cand
-			break
-		}
-	}
-	if seq < 0 {
-		if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets {
-			return
-		}
-		seq = s.nextSeq
-		s.win.add().sentAt = now
-		s.nextSeq++
-	}
-	// The window entry is final here: nothing below holds a pointer into
-	// the ring across the algorithm and network callbacks.
-	s.sentPkts++
-	p := s.Pool.Get()
-	p.Flow, p.Seq, p.Size, p.Sent = s.Flow, seq, s.PktSize, now
-	s.algoOnSend(seq, s.PktSize, now)
-	s.SendData(p)
-	s.armTail()
 }
 
 // tailDelay is the tail-loss detection delay. Unlike kernel TCP's RTO
@@ -376,17 +263,15 @@ func (s *RateSender) onTail() {
 		return
 	}
 	rto := s.tailDelay()
-	for seq := s.win.base; seq < s.win.next; seq++ {
-		st := s.win.at(seq)
+	for seq, st := s.board.NextOutstanding(0); seq >= 0; seq, st = s.board.NextOutstanding(seq + 1) {
 		// Only packets older than the tail delay are presumed lost;
 		// fresher ones may simply still be in flight.
-		if !st.sacked && !st.lost && now-st.sentAt > rto {
-			st.lost = true
-			s.rtxQ = append(s.rtxQ, seq)
+		if now-st.SentAt > rto {
+			s.board.MarkLost(seq)
 			s.algoOnLost(seq, now)
 		}
 	}
-	if s.win.outstanding() > 0 || s.hasData() {
+	if s.board.Outstanding() > 0 || s.hasData() {
 		s.Eng.Rearm(&s.tailTimer, s.tailDelay(), s.onTailFn)
 	}
 	// Pacing may have stopped on a fully-sent finite flow; resume for the
@@ -409,26 +294,18 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 	}
 	now := s.Eng.Now()
 
-	if st := s.win.lookup(sackSeq); st != nil && !st.sacked {
-		s.win.markSacked(st)
+	if st := s.board.Sack(sackSeq); st != nil {
 		rtt := now - echoSent
-		if !st.rtx {
+		if st.Attempts == 0 { // Karn: no samples from retransmitted packets
 			s.Est.Sample(rtt)
 			s.rttSum += rtt
 			s.rttCnt++
 		}
 		s.algoOnAck(sackSeq, rtt, now)
 	}
-	if sackSeq > s.sackHigh {
-		s.sackHigh = sackSeq
-	}
-	cumAdvanced := false
-	if cumAck > s.cumAck {
-		s.cumAck = cumAck
-		cumAdvanced = true
-	}
-	for s.win.headBelow(s.cumAck) {
-		if seq, st := s.win.popHead(); !st.sacked {
+	cumAdvanced := cumAck > s.board.CumAck()
+	for s.board.HeadBelow(cumAck) {
+		if seq, st := s.board.PopHead(); !st.Sacked {
 			// Delivered, but its own SACK was lost on the reverse path:
 			// cumulative coverage proves delivery, so tell the algorithm
 			// (no RTT sample). Without this, ACK-path loss would inflate
@@ -444,27 +321,14 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 		s.tailDeadline = now + s.tailDelay()
 	}
 
-	// SACK-gap loss detection. Start at the first unexamined sequence still
-	// tracked; each sequence is visited once.
-	limit := s.sackHigh - s.DupThresh
-	if limit >= s.lossScan {
-		for seq := max(s.lossScan, s.win.base); seq <= limit && seq < s.win.next; seq++ {
-			if st := s.win.at(seq); !st.sacked && !st.lost {
-				st.lost = true
-				s.rtxQ = append(s.rtxQ, seq)
-				s.algoOnLost(seq, now)
-			}
-		}
-		s.lossScan = limit + 1
+	for seq := s.board.NextGapLoss(); seq >= 0; seq = s.board.NextGapLoss() {
+		s.algoOnLost(seq, now)
 	}
 
-	if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets && s.win.outstanding() == 0 {
-		s.done = true
+	if s.complete() {
 		s.sendTimer.Stop()
 		s.tailTimer.Stop()
-		if s.OnDone != nil {
-			s.OnDone(now)
-		}
+		s.finish(now)
 		return
 	}
 	// Pacing may have stopped on a fully-sent finite flow; resume if

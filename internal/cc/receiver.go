@@ -11,8 +11,8 @@ import (
 type Receiver struct {
 	Eng  *sim.Engine
 	Flow int
-	// SendAck transmits an ACK onto the reverse path (wired to
-	// Dumbbell.SendAck by the experiment).
+	// SendAck transmits an ACK onto the reverse path (the harness wires it
+	// to the flow's reverse Topology route).
 	SendAck func(*netem.Packet)
 
 	// FlowPackets, when > 0, is the flow length in packets; OnComplete

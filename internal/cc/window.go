@@ -6,53 +6,22 @@ import (
 )
 
 // WindowSender drives a WindowAlgo over a simulated path. Reliability is
-// SACK-based: every ACK carries the sequence it acknowledges; a packet is
-// declared lost when DupThresh packets above it have been SACKed (the SACK
-// analogue of triple-duplicate-ACK), or when the retransmission timer fires.
+// SACK-based, on the shared sack.Board: every ACK carries the sequence it
+// acknowledges; a packet is declared lost when sack.DupThresh packets above
+// it have been SACKed (the SACK analogue of triple-duplicate-ACK), or when
+// the retransmission timer fires. What is kept here is what a window sender
+// adds: the pipe estimate, the recovery episode and the RTO policy.
 type WindowSender struct {
-	Eng  *sim.Engine
-	Flow int
+	flowCore
 	Algo WindowAlgo
-	// SendData transmits a data packet (wired to Dumbbell.SendData).
-	SendData func(*netem.Packet)
-	Est      *RTTEstimator
-
-	// FlowPackets, when > 0, limits the flow length; 0 means unbounded.
-	FlowPackets int64
-	// OnDone fires when every packet of a finite flow has been acknowledged.
-	OnDone func(now float64)
 	// Paced enables packet pacing at cwnd/SRTT (the "TCP Pacing" baseline
 	// of §4.1.6).
 	Paced bool
-	// RTTHint seeds the pacing rate before the first RTT sample.
-	RTTHint float64
-	// DupThresh is the SACK reordering threshold (default 3).
-	DupThresh int64
 	// MaxCwnd models the receiver window / socket buffer: the congestion
 	// window is clamped to this many packets (default 65536).
 	MaxCwnd float64
-	// Pool, when set, recycles packets: data packets are allocated from it
-	// and consumed ACKs are returned to it. It must belong to this sender's
-	// engine (pooling never crosses goroutines).
-	Pool *netem.PacketPool
-	// PktSize is the wire size of every data packet this flow sends
-	// (default MSS); the cwnd stays packet-denominated, so a small-packet
-	// flow's window covers proportionally fewer bytes.
-	PktSize int
 
-	win      seqWindow
-	nextSeq  int64
-	cumAck   int64
-	sackHigh int64 // highest SACKed sequence
-	lossScan int64 // sequences below this have been examined for SACK loss
-	pipe     int
-	// rtxQ[rtxHead:] is the retransmission FIFO. Consuming by index instead
-	// of re-slicing the front keeps the backing array's capacity: a
-	// front-sliced queue strands its consumed prefix, so in steady state
-	// (queue near-empty, head at the end of the backing) every push
-	// allocates a fresh array — one allocation per detected loss.
-	rtxQ    []int64
-	rtxHead int
+	pipe int // packets believed in flight: sent, not SACKed, not declared lost
 
 	inRecovery bool
 	recover    int64
@@ -64,26 +33,11 @@ type WindowSender struct {
 
 	paceTimer sim.Timer
 	paceFn    func()
-
-	sentPkts int64
-	rtxPkts  int64
-	rttSum   float64
-	rttCnt   int64
-	done     bool
-	started  bool
-	// frozen parks the sender during an injected node crash: the RTO and
-	// pacing timers stop and arriving ACKs are consumed without effect.
-	frozen bool
 }
 
 // NewWindowSender wires a window-based algorithm to a path.
 func NewWindowSender(eng *sim.Engine, flow int, algo WindowAlgo, sendData func(*netem.Packet)) *WindowSender {
-	s := &WindowSender{
-		Eng:      eng,
-		Flow:     flow,
-		SendData: sendData,
-		Est:      NewRTTEstimator(),
-	}
+	s := &WindowSender{flowCore: newFlowCore(eng, flow, sendData)}
 	s.initDefaults(algo)
 	// Bound once: these loops reschedule themselves constantly and a method
 	// value or capturing closure would allocate per use.
@@ -100,42 +54,27 @@ func NewWindowSender(eng *sim.Engine, flow int, algo WindowAlgo, sendData func(*
 	return s
 }
 
-// initDefaults applies the non-zero constructor defaults, shared by
-// NewWindowSender and Reset so an arena-reused sender cannot drift from a
-// fresh one when a default changes.
+// initDefaults applies the window sender's own constructor defaults, shared
+// by NewWindowSender and Reset (flowCore.reset covers the common ones).
 func (s *WindowSender) initDefaults(algo WindowAlgo) {
 	s.Algo = algo
-	s.RTTHint = 0.1
-	s.DupThresh = 3
 	s.MaxCwnd = 65536
-	s.PktSize = MSS
-	s.sackHigh = -1
 	s.rtoBackoff = 1
 }
 
 // Reset returns the sender to its just-constructed state around a new
-// algorithm, for a new trial on a reset engine. The sequence window's ring,
-// the retransmission queue backing and the Eng/Flow/SendData/Pool
-// wiring are retained; every tunable returns to its constructor default and
-// callers re-apply per-trial knobs exactly as on a fresh sender.
+// algorithm, for a new trial on a reset engine. What flowCore.reset retains
+// survives; every tunable returns to its constructor default and callers
+// re-apply per-trial knobs exactly as on a fresh sender.
 func (s *WindowSender) Reset(algo WindowAlgo) {
+	s.flowCore.reset()
 	s.initDefaults(algo)
-	s.Est.Reset()
-	s.FlowPackets = 0
-	s.OnDone = nil
 	s.Paced = false
-	s.win.reset()
-	s.nextSeq, s.cumAck, s.lossScan = 0, 0, 0
 	s.pipe = 0
-	s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
 	s.inRecovery = false
 	s.recover = 0
 	s.rtoTimer, s.paceTimer = sim.Timer{}, sim.Timer{}
 	s.rtoDeadline = 0
-	s.sentPkts, s.rtxPkts = 0, 0
-	s.rttSum, s.rttCnt = 0, 0
-	s.done, s.started = false, false
-	s.frozen = false
 }
 
 // Start begins transmission.
@@ -163,24 +102,10 @@ func (s *WindowSender) Unfreeze() {
 	s.frozen = false
 	if s.started && !s.done {
 		s.trySend()
-		if s.pipe > 0 || s.rtxHead < len(s.rtxQ) {
+		if s.pipe > 0 || s.board.HasRtx() {
 			s.armRTO()
 		}
 	}
-}
-
-// Sent returns total data transmissions (including retransmissions).
-func (s *WindowSender) Sent() int64 { return s.sentPkts }
-
-// Retransmitted returns the number of retransmissions.
-func (s *WindowSender) Retransmitted() int64 { return s.rtxPkts }
-
-// MeanRTT returns the average of all valid RTT samples (0 if none).
-func (s *WindowSender) MeanRTT() float64 {
-	if s.rttCnt == 0 {
-		return 0
-	}
-	return s.rttSum / float64(s.rttCnt)
 }
 
 func (s *WindowSender) cwnd() float64 {
@@ -192,13 +117,6 @@ func (s *WindowSender) cwnd() float64 {
 		w = s.MaxCwnd
 	}
 	return w
-}
-
-func (s *WindowSender) hasData() bool {
-	if s.rtxHead < len(s.rtxQ) {
-		return true
-	}
-	return s.FlowPackets == 0 || s.nextSeq < s.FlowPackets
 }
 
 // trySend transmits as allowed by cwnd (immediately, or via the pacer).
@@ -239,37 +157,11 @@ func (s *WindowSender) schedulePace() {
 
 // sendOne transmits the next retransmission or new packet.
 func (s *WindowSender) sendOne() {
-	now := s.Eng.Now()
-	seq := int64(-1)
-	for s.rtxHead < len(s.rtxQ) {
-		cand := s.rtxQ[s.rtxHead]
-		s.rtxHead++
-		if s.rtxHead == len(s.rtxQ) {
-			s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
-		}
-		if st := s.win.lookup(cand); st != nil && st.lost && !st.sacked {
-			st.lost = false
-			st.rtx = true
-			st.sentAt = now
-			s.rtxPkts++
-			seq = cand
-			break
-		}
+	p := s.nextPacket(s.Eng.Now())
+	if p == nil {
+		return
 	}
-	if seq < 0 {
-		if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets {
-			return
-		}
-		seq = s.nextSeq
-		s.win.add().sentAt = now
-		s.nextSeq++
-	}
-	// The window entry is final here: no pointer into the ring is held
-	// across the network callback.
 	s.pipe++
-	s.sentPkts++
-	p := s.Pool.Get()
-	p.Flow, p.Seq, p.Size, p.Sent = s.Flow, seq, s.PktSize, now
 	s.SendData(p)
 	s.armRTO()
 }
@@ -286,7 +178,7 @@ func (s *WindowSender) armRTO() {
 }
 
 func (s *WindowSender) resetRTO() {
-	if s.pipe > 0 || s.rtxHead < len(s.rtxQ) {
+	if s.pipe > 0 || s.board.HasRtx() {
 		s.rtoDeadline = s.Eng.Now() + s.Est.RTO()*s.rtoBackoff
 	} else {
 		s.rtoTimer.Stop()
@@ -308,33 +200,25 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 	newly := 0
 	var rttSample float64
 
-	if st := s.win.lookup(sackSeq); st != nil && !st.sacked {
-		s.win.markSacked(st)
-		if st.lost {
-			st.lost = false // was queued for rtx but arrived after all
-		} else {
+	if st := s.board.Sack(sackSeq); st != nil {
+		// A lost entry already left the pipe (it was queued for rtx but
+		// arrived after all; Pick skips it now that it is SACKed).
+		if !st.Lost {
 			s.pipe--
 		}
 		newly++
-		if !st.rtx { // Karn: no samples from retransmitted packets
+		if st.Attempts == 0 { // Karn: no samples from retransmitted packets
 			rttSample = now - echoSent
 		}
 	}
-	if sackSeq > s.sackHigh {
-		s.sackHigh = sackSeq
-	}
 
 	// Advance the cumulative window head.
-	cumAdvanced := false
-	if cumAck > s.cumAck {
-		s.cumAck = cumAck
-		cumAdvanced = true
-	}
-	for s.win.headBelow(s.cumAck) {
-		if _, st := s.win.popHead(); !st.sacked {
+	cumAdvanced := cumAck > s.board.CumAck()
+	for s.board.HeadBelow(cumAck) {
+		if _, st := s.board.PopHead(); !st.Sacked {
 			// A lost entry already left the pipe; its queued rtx is
 			// neutralized by no longer being tracked.
-			if !st.lost {
+			if !st.Lost {
 				s.pipe--
 			}
 			newly++
@@ -362,39 +246,26 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 		s.resetRTO()
 	}
 
-	// SACK loss detection: a packet is lost once DupThresh packets above it
-	// have been SACKed. Each sequence is examined at most once (lossScan is
-	// monotone outside of RTO recovery).
+	// SACK-gap loss detection; each newly lost packet leaves the pipe.
 	lossEvent := false
-	limit := s.sackHigh - s.DupThresh
-	if limit >= s.lossScan {
-		for seq := max(s.lossScan, s.win.base); seq <= limit && seq < s.win.next; seq++ {
-			if st := s.win.at(seq); !st.sacked && !st.lost {
-				st.lost = true
-				s.pipe--
-				s.rtxQ = append(s.rtxQ, seq)
-				lossEvent = true
-			}
-		}
-		s.lossScan = limit + 1
+	for s.board.NextGapLoss() >= 0 {
+		s.pipe--
+		lossEvent = true
 	}
 	if lossEvent && !s.inRecovery {
 		s.inRecovery = true
-		s.recover = s.nextSeq - 1
+		s.recover = s.board.Next() - 1
 		s.Algo.OnLossEvent(now)
 	}
-	if s.inRecovery && s.cumAck > s.recover {
+	if s.inRecovery && s.board.CumAck() > s.recover {
 		s.inRecovery = false
 	}
 
 	// Completion for finite flows.
-	if s.FlowPackets > 0 && s.nextSeq >= s.FlowPackets && s.win.outstanding() == 0 {
-		s.done = true
+	if s.complete() {
 		s.rtoTimer.Stop()
 		s.paceTimer.Stop()
-		if s.OnDone != nil {
-			s.OnDone(now)
-		}
+		s.finish(now)
 		return
 	}
 
@@ -417,17 +288,10 @@ func (s *WindowSender) onRTO() {
 	if s.rtoBackoff > 64 {
 		s.rtoBackoff = 64
 	}
-	s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
-	for seq := s.win.base; seq < s.win.next; seq++ {
-		if st := s.win.at(seq); !st.sacked {
-			st.lost = true
-			s.rtxQ = append(s.rtxQ, seq)
-		}
-	}
+	s.board.LoseAll()
 	s.pipe = 0
-	s.lossScan = s.nextSeq // re-examine nothing until new SACK evidence
 	s.inRecovery = true
-	s.recover = s.nextSeq - 1
+	s.recover = s.board.Next() - 1
 	s.trySend()
 	s.armRTO()
 }

@@ -1,24 +1,21 @@
-package cc
+package sack
 
 import (
 	"math/rand"
 	"testing"
-
-	"pcc/internal/netem"
-	"pcc/internal/sim"
 )
 
 // refWindow is the naive model the dense ring is checked against: one map
 // entry per tracked sequence, every query answered by probing or scanning.
 type refWindow struct {
-	m          map[int64]pktState
+	m          map[int64]Entry
 	base, next int64
 }
 
 func (r *refWindow) outstanding() int {
 	n := 0
 	for _, st := range r.m {
-		if !st.sacked {
+		if !st.Sacked {
 			n++
 		}
 	}
@@ -29,7 +26,7 @@ func (r *refWindow) outstanding() int {
 func scanOutstanding(w *seqWindow) int {
 	n := 0
 	for seq := w.base; seq < w.next; seq++ {
-		if !w.at(seq).sacked {
+		if !w.at(seq).Sacked {
 			n++
 		}
 	}
@@ -46,13 +43,13 @@ type windowPair struct {
 }
 
 func newWindowPair(t *testing.T) *windowPair {
-	return &windowPair{t: t, ref: refWindow{m: map[int64]pktState{}}}
+	return &windowPair{t: t, ref: refWindow{m: map[int64]Entry{}}}
 }
 
 func (p *windowPair) add() {
 	p.stamp++
-	p.w.add().sentAt = p.stamp
-	p.ref.m[p.ref.next] = pktState{sentAt: p.stamp}
+	p.w.add().SentAt = p.stamp
+	p.ref.m[p.ref.next] = Entry{SentAt: p.stamp}
 	p.ref.next++
 }
 
@@ -61,16 +58,16 @@ func (p *windowPair) touch(seq int64, kind int) {
 	st, want := p.w.lookup(seq), p.ref.m[seq]
 	switch kind {
 	case 0:
-		if !want.sacked {
+		if !want.Sacked {
 			p.w.markSacked(st)
-			want.sacked = true
+			want.Sacked = true
 		}
 	case 1:
-		st.lost, want.lost = true, true
+		st.Lost, want.Lost = true, true
 	case 2:
 		p.stamp++
-		st.lost, st.rtx, st.sentAt = false, true, p.stamp
-		want.lost, want.rtx, want.sentAt = false, true, p.stamp
+		st.Lost, st.Attempts, st.SentAt = false, st.Attempts+1, p.stamp
+		want.Lost, want.Attempts, want.SentAt = false, want.Attempts+1, p.stamp
 	}
 	p.ref.m[seq] = want
 }
@@ -86,7 +83,7 @@ func (p *windowPair) popHead() {
 
 func (p *windowPair) reset() {
 	p.w.reset()
-	p.ref = refWindow{m: map[int64]pktState{}}
+	p.ref = refWindow{m: map[int64]Entry{}}
 }
 
 // check compares every observable of the two windows, probing a margin of
@@ -106,7 +103,7 @@ func (p *windowPair) check() {
 			p.t.Fatalf("lookup(%d) = %+v, want %+v", seq, *got, want)
 		}
 	}
-	if got, want := p.w.outstanding(), p.ref.outstanding(); got != want || scanOutstanding(&p.w) != want {
+	if got, want := p.w.unsacked, p.ref.outstanding(); got != want || scanOutstanding(&p.w) != want {
 		p.t.Fatalf("outstanding() = %d (scan %d), want %d", got, scanOutstanding(&p.w), want)
 	}
 	for _, seq := range []int64{p.ref.base - 1, p.ref.base, p.ref.base + 1, p.ref.next + 1} {
@@ -116,29 +113,37 @@ func (p *windowPair) check() {
 	}
 }
 
-// TestSeqWindowMatchesMapReference is the dense window's differential test:
-// random add / lookup / sack / loss / rtx / popHead / reset sequences agree
-// with the map model at every step, including the counter that replaced the
-// O(window) outstanding scan.
+// TestSeqWindowMatchesMapReference is the ledger's differential test. The
+// "window" row drives the dense ring alone: random add / lookup / sack /
+// loss / rtx / popHead / reset sequences agree with the map model at every
+// step, including the counter that replaced the O(window) outstanding scan.
+// The "board" rows (board_test.go) drive the whole scoreboard — pick-next,
+// Sack, cumulative advance, gap scan, tail sweep, RTO, ring growth — against
+// a naive map-and-slice reference under seeded random interleavings.
 func TestSeqWindowMatchesMapReference(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(1))
-	p := newWindowPair(t)
-	for op := 0; op < 20_000; op++ {
-		size := p.ref.next - p.ref.base
-		switch k := rng.Intn(100); {
-		case k < 40:
-			p.add()
-		case k < 70 && size > 0:
-			p.touch(p.ref.base+rng.Int63n(size), rng.Intn(3))
-		case k < 99 && size > 0:
-			for n := rng.Int63n(min(size, 8)) + 1; n > 0; n-- {
-				p.popHead()
+	t.Run("window", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		p := newWindowPair(t)
+		for op := 0; op < 20_000; op++ {
+			size := p.ref.next - p.ref.base
+			switch k := rng.Intn(100); {
+			case k < 40:
+				p.add()
+			case k < 70 && size > 0:
+				p.touch(p.ref.base+rng.Int63n(size), rng.Intn(3))
+			case k < 99 && size > 0:
+				for n := rng.Int63n(min(size, 8)) + 1; n > 0; n-- {
+					p.popHead()
+				}
+			case k == 99:
+				p.reset()
 			}
-		case k == 99:
-			p.reset()
+			p.check()
 		}
-		p.check()
+	})
+	for _, row := range boardRows {
+		t.Run("board/"+row.name, func(t *testing.T) { runBoardDifferential(t, row) })
 	}
 }
 
@@ -211,58 +216,5 @@ func TestSeqWindowIndexWrap(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("a warm window allocates %.1f objects per flow, want 0", avg)
-	}
-}
-
-// TestSenderOutstandingCounterMatchesScan runs both senders through real
-// SACK, loss, retransmission, cumulative-coverage (lost ACKs) and timeout
-// sequences on a lossy path and checks, between events throughout the run,
-// that the window's un-SACKed counter — what flow completion, the tail
-// timer and Unfreeze now read — equals a full scan.
-func TestSenderOutstandingCounterMatchesScan(t *testing.T) {
-	t.Parallel()
-	for _, kind := range []string{"window", "rate"} {
-		eng := sim.NewEngine()
-		d, seeds := buildPath(eng, 21, 20, 0.030, 0.05, 30*netem.KB)
-		recv := NewReceiver(eng, 0)
-		recv.SendAck = d.SendAck
-		var win *seqWindow
-		var ackSink func(*netem.Packet)
-		var start func()
-		var retransmitted func() int64
-		done := false
-		switch kind {
-		case "window":
-			ws := NewWindowSender(eng, 0, &fixedWindow{w: 60}, d.SendData)
-			ws.FlowPackets = 4000
-			ws.OnDone = func(float64) { done = true }
-			win, ackSink, start, retransmitted = &ws.win, ws.OnAck, ws.Start, ws.Retransmitted
-		case "rate":
-			rs := NewRateSender(eng, 0, &fixedRate{r: netem.Mbps(25)}, d.SendData)
-			rs.FlowPackets = 4000
-			rs.OnDone = func(float64) { done = true }
-			win, ackSink, start, retransmitted = &rs.win, rs.OnAck, rs.Start, rs.Retransmitted
-		}
-		d.AddFlow(0, netem.FlowConfig{FwdDelay: 0.015, RevDelay: 0.015, RevLoss: 0.05}, seeds, recv.OnData, ackSink)
-		checks := 0
-		var probe func()
-		probe = func() {
-			if got, want := win.outstanding(), scanOutstanding(win); got != want {
-				t.Fatalf("%s sender at %.4f s: counter %d, scan %d over [%d,%d)", kind, eng.Now(), got, want, win.base, win.next)
-			}
-			checks++
-			if !done {
-				eng.Post(0.0007, probe)
-			}
-		}
-		eng.Post(0, start)
-		eng.Post(0, probe)
-		eng.RunUntil(300)
-		if !done || win.outstanding() != 0 {
-			t.Fatalf("%s sender: done=%v with %d outstanding", kind, done, win.outstanding())
-		}
-		if retransmitted() == 0 || checks < 1000 {
-			t.Fatalf("%s sender: %d retransmissions over %d probes; the path did not exercise recovery", kind, retransmitted(), checks)
-		}
 	}
 }

@@ -50,13 +50,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("data re-encode mismatch:\n in: %x\nout: %x", b[:n], out[:n])
 			}
 		case typeAck:
-			a, err := decodeAck(b)
+			a, err := decodeAck(b, nil)
 			if err != nil {
 				return
 			}
 			out := make([]byte, 14+16*len(a.Ranges)+16)
 			n := encodeAck(out, a)
-			a2, err := decodeAck(out[:n])
+			a2, err := decodeAck(out[:n], nil)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded ack failed: %v", err)
 			}
@@ -84,11 +84,48 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if _, _, err := decodeData(b); err == nil {
 				t.Fatal("decodeData accepted a mistyped packet")
 			}
-			if _, err := decodeAck(b); err == nil {
+			if _, err := decodeAck(b, nil); err == nil {
 				t.Fatal("decodeAck accepted a mistyped packet")
 			}
 			if _, _, err := decodeFin(b); err == nil {
 				t.Fatal("decodeFin accepted a mistyped packet")
+			}
+		}
+	})
+}
+
+// FuzzSenderOnAck feeds arbitrary bytes through decodeAck into a mid-flow
+// sendCore: whatever the wire says, OnAck returns, panics nowhere,
+// acknowledges no sequence that was not sent and cannot complete a flow that
+// has data left to send. The seed corpus is the four forged ACKs of
+// TestForgedAckCannotHangOrComplete.
+func FuzzSenderOnAck(f *testing.F) {
+	var buf [1024]byte
+	for _, row := range forgedAcks {
+		f.Add(append([]byte(nil), buf[:encodeAck(buf[:], row.ack)]...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a, err := decodeAck(b, nil)
+		if err != nil {
+			return
+		}
+		c, _ := testCore(t, 8*MSS)
+		pkt := make([]byte, dataHeaderLen+MSS)
+		now := 0.0
+		for i := 0; i < 4; i++ {
+			_, now = c.Poll(now, pkt)
+		}
+		c.OnAck(a, now)
+		if c.board.Next() != 4 || c.board.CumAck() > 4 || c.ackedBytes > 4*MSS {
+			t.Fatalf("ack %+v: board [%d,%d), %d bytes acked with 4 packets sent", a, c.board.CumAck(), c.board.Next(), c.ackedBytes)
+		}
+		if c.dataDone() || c.finished() {
+			t.Fatalf("ack %+v completed a flow with 4 of 8 packets unsent", a)
+		}
+		// The core must still be drivable: everything unsent goes out.
+		for c.sent-c.rtx < 8 {
+			if _, now = c.Poll(now, pkt); c.finished() {
+				t.Fatalf("ack %+v failed the flow: %v", a, c.err)
 			}
 		}
 	})

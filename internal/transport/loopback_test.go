@@ -147,53 +147,3 @@ func TestFinRetransmitSurvivesLoss(t *testing.T) {
 		t.Errorf("only %d FINs sent; the retransmission timer never fired", seen)
 	}
 }
-
-// TestTailCheckAgeGate is the regression for the tail retransmission storm:
-// the drained-stream check must only re-mark packets older than an RTO, not
-// every unacked packet on every 2 ms idle tick.
-func TestTailCheckAgeGate(t *testing.T) {
-	data := make([]byte, 10*MSS)
-	s, err := NewSender(nil, nil, core.DefaultConfig(0.01), bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.start = time.Now()
-	// Simulate a fully-sent stream: every packet just left the wire.
-	now := s.now()
-	s.nextSeq = int64(len(s.payloads))
-	for i := range s.sentAt {
-		s.sentAt[i] = now
-	}
-	s.sacked[3] = true
-
-	s.scheduleTailCheck()
-	if len(s.rtxQ) != 0 {
-		t.Fatalf("tail check declared %d fresh in-flight packets lost (the old storm)", len(s.rtxQ))
-	}
-
-	// Age the odd-numbered packets past any plausible RTO; the young and
-	// the SACKed must stay untouched.
-	for i := range s.sentAt {
-		if i%2 == 1 {
-			s.sentAt[i] = now - 10
-		}
-	}
-	s.scheduleTailCheck()
-	for _, seq := range s.rtxQ {
-		if seq%2 != 1 || s.sacked[seq] {
-			t.Fatalf("tail check marked seq %d (young or SACKed)", seq)
-		}
-		if !s.lost[seq] {
-			t.Fatalf("seq %d queued but not marked lost", seq)
-		}
-	}
-	want := 0
-	for i := range s.payloads {
-		if i%2 == 1 && !s.sacked[i] {
-			want++
-		}
-	}
-	if len(s.rtxQ) != want {
-		t.Fatalf("tail check marked %d packets, want %d aged unSACKed ones", len(s.rtxQ), want)
-	}
-}

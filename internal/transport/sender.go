@@ -2,7 +2,6 @@ package transport
 
 import (
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -10,97 +9,41 @@ import (
 	"pcc/internal/core"
 )
 
-// finRetries bounds how many times the flow-terminating FIN is sent. Each
-// copy is confirmed by the receiver's fin-ack (EchoSeq == finAckEcho); the
-// repeats, exponentially spaced up to finGapCeil, only exist for the case
-// where FINs or fin-acks are being lost. Exhausting the budget without a
-// confirmation surfaces a RetryExceededError with Stage "fin".
-const finRetries = 10
-
 // Sender transmits a byte stream over UDP, paced at the rate the PCC
 // controller chooses. It is the real-network counterpart of the simulator's
-// RateSender: the identical core.PCC state machine drives both (§2.3 —
-// deployment needs only a sender-side change). Byte accounting is
-// size-accurate end to end: every packet — including the short final
-// chunk — reports its true payload length to the monitor, which credits
-// exactly that size when the ACK returns.
+// RateSender: the identical core.PCC state machine and the identical
+// sack.Board scoreboard drive both (§2.3 — deployment needs only a
+// sender-side change). Byte accounting is size-accurate end to end: every
+// packet — including the short final chunk — reports its true payload
+// length to the monitor, which credits exactly that size when the ACK
+// returns.
+//
+// Sender itself is only the real-time driver of a sendCore: a read loop
+// feeding it ACKs, one pacing loop polling it and sleeping until it asks to
+// be woken, the wall clock, and the one mutex the two loops share.
 type Sender struct {
-	conn   UDPConn
-	peer   *net.UDPAddr
-	flowID uint32
+	conn UDPConn
+	peer *net.UDPAddr
 
-	mu    sync.Mutex
-	pcc   *core.PCC
+	mu    sync.Mutex // guards core
+	core  *sendCore
 	start time.Time
 
-	payloads [][]byte // chunked flow contents
-	sacked   []bool
-	lost     []bool
-	sentAt   []float64 // time of the most recent (re)transmission, per seq
-	attempts []int     // retransmissions so far, per seq (first send not counted)
-	rtxQ     []int64
-	cumAck   int64
-	sackHigh int64
-	lossScan int64
-	nextSeq  int64
-
-	sent       int64
-	rtx        int64
-	sentBytes  int64 // payload bytes over all transmissions
-	rtxBytes   int64 // payload bytes of retransmissions only
-	ackedBytes int64 // payload bytes acknowledged (each seq once)
-
-	doneCh chan struct{}
-	once   sync.Once
-
-	// failCh is closed (with failErr set first) when a retry budget is
-	// exhausted; Run returns failErr instead of looping forever against a
-	// dead peer.
-	failCh   chan struct{}
-	failOnce sync.Once
-	failErr  error
-
-	// finAck is closed when the receiver confirms a FIN.
-	finAck     chan struct{}
-	finAckOnce sync.Once
+	doneCh chan struct{} // closed by the pacing loop alone, once all data is acknowledged
+	// kick wakes the pacing loop early when an ACK finishes the data or
+	// confirms the FIN. Capacity 1: a pending wake-up covers any later one.
+	kick chan struct{}
 }
 
 // NewSender chunks the contents of r into packets and prepares a sender
 // with the given PCC configuration. The whole flow is buffered in memory —
 // these tools move files, like the paper's prototype.
 func NewSender(conn UDPConn, peer *net.UDPAddr, cfg core.Config, r io.Reader) (*Sender, error) {
-	if cfg.PacketSize == 0 {
-		// The monitor's MI floor should track the wire's payload budget
-		// (1400 B), not the 1500-byte simulator default.
-		cfg.PacketSize = MSS
+	c, err := newSendCore(cfg, r)
+	if err != nil {
+		return nil, err
 	}
-	s := &Sender{
-		conn:   conn,
-		peer:   peer,
-		flowID: 1,
-		pcc:    core.New(cfg, nil),
-		doneCh: make(chan struct{}),
-		failCh: make(chan struct{}),
-		finAck: make(chan struct{}),
-	}
-	buf := make([]byte, MSS)
-	for {
-		n, err := io.ReadFull(r, buf)
-		if n > 0 {
-			s.payloads = append(s.payloads, append([]byte(nil), buf[:n]...))
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.sacked = make([]bool, len(s.payloads))
-	s.lost = make([]bool, len(s.payloads))
-	s.sentAt = make([]float64, len(s.payloads))
-	s.attempts = make([]int, len(s.payloads))
-	return s, nil
+	return &Sender{conn: conn, peer: peer, core: c, doneCh: make(chan struct{}), kick: make(chan struct{}, 1)}, nil
 }
 
 // Done is closed when every packet has been acknowledged.
@@ -110,7 +53,7 @@ func (s *Sender) Done() <-chan struct{} { return s.doneCh }
 func (s *Sender) Stats() (sent, rtx int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sent, s.rtx
+	return s.core.sent, s.core.rtx
 }
 
 // ByteStats returns the sender's byte ledger: payload bytes over all
@@ -121,259 +64,86 @@ func (s *Sender) Stats() (sent, rtx int64) {
 func (s *Sender) ByteStats() (sent, rtx, acked int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sentBytes, s.rtxBytes, s.ackedBytes
+	return s.core.sentBytes, s.core.rtxBytes, s.core.ackedBytes
 }
 
 // Rate returns the controller's current rate in bytes/s.
 func (s *Sender) Rate() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pcc.Rate(s.now())
+	return s.core.pcc.Rate(s.now())
 }
 
 func (s *Sender) now() float64 { return time.Since(s.start).Seconds() }
 
-// Run transmits until the flow is fully acknowledged or the socket fails.
+// Run transmits until the flow is fully acknowledged and its FIN confirmed,
+// a retry budget is exhausted (a *RetryExceededError), or the socket fails.
 func (s *Sender) Run() error {
-	s.start = time.Now()
 	s.mu.Lock()
-	s.pcc.Start(0)
+	s.start = time.Now()
 	s.mu.Unlock()
-	if len(s.payloads) == 0 {
-		// Empty flow: nothing will ever be acknowledged, so complete now
-		// and just announce the zero length.
-		s.once.Do(func() { close(s.doneCh) })
-	}
-
 	go s.ackLoop()
 
 	pktBuf := make([]byte, dataHeaderLen+MSS)
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	announced := false
 	for {
-		select {
-		case <-s.doneCh:
-			return s.sendFin()
-		case <-s.failCh:
-			return s.failErr
-		default:
-		}
-
 		s.mu.Lock()
-		seq, payload, isRtx := s.pickNextLocked()
-		var interval time.Duration
-		if payload != nil {
-			now := s.now()
-			rate := s.pcc.Rate(now)
-			if rate < 2*MSS {
-				rate = 2 * MSS
-			}
-			nanos := time.Since(s.start).Nanoseconds()
-			n := encodeData(pktBuf, s.flowID, seq, nanos, payload)
-			s.pcc.OnSend(seq, len(payload), now)
-			s.sentAt[seq] = now
-			s.sent++
-			s.sentBytes += int64(len(payload))
-			if isRtx {
-				s.rtxBytes += int64(len(payload))
-			}
-			s.mu.Unlock()
+		n, wakeAt := s.core.Poll(s.now(), pktBuf)
+		dataDone, finished, err := s.core.dataDone(), s.core.finished(), s.core.err
+		s.mu.Unlock()
+		if dataDone && !announced {
+			announced = true
+			close(s.doneCh)
+		}
+		if finished {
+			return err
+		}
+		if n > 0 {
 			if _, err := s.conn.WriteToUDP(pktBuf[:n], s.peer); err != nil {
+				if dataDone {
+					// The socket closed under the FIN handshake; the flow
+					// itself is already fully acknowledged, so that is
+					// success, not failure.
+					return nil
+				}
 				return err
 			}
-			interval = time.Duration(float64(len(payload)) / rate * 1e9)
-		} else {
-			// Everything sent; wait for stragglers or retransmissions.
-			s.mu.Unlock()
-			interval = 2 * time.Millisecond
-			s.scheduleTailCheck()
 		}
-		time.Sleep(interval)
+		if wait := wakeAt - s.now(); wait > 0 {
+			timer.Reset(time.Duration(wait * 1e9))
+			select {
+			case <-timer.C:
+			case <-s.kick:
+			}
+		}
 	}
 }
 
-// sendFin announces the flow length and waits for the receiver's fin-ack.
-// Each unconfirmed copy is followed by an exponentially growing wait — the
-// first gap a couple of smoothed RTTs, doubling up to finGapCeil — and
-// exhausting the budget without a confirmation returns a typed
-// RetryExceededError. A write error means the socket closed under us; the
-// flow itself is already fully acknowledged, so that is success, not
-// failure.
-func (s *Sender) sendFin() error {
-	finBuf := make([]byte, 16)
-	n := encodeFin(finBuf, s.flowID, int64(len(s.payloads)))
-	s.mu.Lock()
-	gap := 2 * s.pcc.SRTT()
-	s.mu.Unlock()
-	if gap < 0.005 {
-		gap = 0.005
-	}
-	if gap > 0.1 {
-		gap = 0.1
-	}
-	for i := 0; i < finRetries; i++ {
-		if _, err := s.conn.WriteToUDP(finBuf[:n], s.peer); err != nil {
-			return nil
-		}
-		select {
-		case <-s.finAck:
-			return nil
-		case <-time.After(time.Duration(gap * 1e9)):
-		}
-		gap *= 2
-		if gap > finGapCeil {
-			gap = finGapCeil
-		}
-	}
-	return &RetryExceededError{Stage: "fin", FlowID: s.flowID, Seq: -1, Attempts: finRetries}
-}
-
-// pickNextLocked returns the next retransmission or fresh packet, and
-// whether it is a retransmission.
-func (s *Sender) pickNextLocked() (int64, []byte, bool) {
-	for len(s.rtxQ) > 0 {
-		seq := s.rtxQ[0]
-		s.rtxQ = s.rtxQ[1:]
-		if !s.sacked[seq] && s.lost[seq] {
-			s.lost[seq] = false
-			s.rtx++
-			s.attempts[seq]++
-			return seq, s.payloads[seq], true
-		}
-	}
-	if s.nextSeq < int64(len(s.payloads)) {
-		seq := s.nextSeq
-		s.nextSeq++
-		return seq, s.payloads[seq], false
-	}
-	return 0, nil, false
-}
-
-// scheduleTailCheck re-marks long-unacknowledged packets as lost when the
-// stream has drained (tail loss). Only packets older than their RTO are
-// eligible — fresher ones may simply still be in flight, and re-marking
-// them on every 2 ms idle tick would turn the stream tail into a spurious
-// retransmission storm (each copy re-entering the queue before its
-// predecessor's ACK could possibly return).
-//
-// The RTO is per-sequence and exponentially backed off: base (2 smoothed
-// RTTs, floored) doubled per prior retransmission of that sequence, capped
-// at rtoCeil. A packet that would exceed its retry budget fails the flow
-// with a typed error instead of re-queueing: "connect" while nothing has
-// ever been acknowledged (the establishment budget is short), "data" after.
-func (s *Sender) scheduleTailCheck() {
-	s.mu.Lock()
-	base := 2 * s.pcc.SRTT()
-	if base < 0.05 {
-		base = 0.05
-	}
-	now := s.now()
-	var give *RetryExceededError
-	for seq := s.cumAck; seq < s.nextSeq; seq++ {
-		if s.sacked[seq] || s.lost[seq] {
-			continue
-		}
-		rto := math.Ldexp(base, s.attempts[seq])
-		if rto > rtoCeil {
-			rto = rtoCeil
-		}
-		if now-s.sentAt[seq] <= rto {
-			continue
-		}
-		limit, stage := maxDataRetries, "data"
-		if s.ackedBytes == 0 && s.cumAck == 0 {
-			limit, stage = maxConnRetries, "connect"
-		}
-		if s.attempts[seq] >= limit {
-			give = &RetryExceededError{Stage: stage, FlowID: s.flowID, Seq: seq, Attempts: s.attempts[seq]}
-			break
-		}
-		s.lost[seq] = true
-		s.rtxQ = append(s.rtxQ, seq)
-	}
-	s.mu.Unlock()
-	if give != nil {
-		s.fail(give)
-	}
-}
-
-// fail records the first fatal error and unblocks Run.
-func (s *Sender) fail(err error) {
-	s.failOnce.Do(func() {
-		s.failErr = err
-		close(s.failCh)
-	})
-}
-
-// ackLoop ingests acknowledgments.
+// ackLoop ingests acknowledgments until the socket closes.
 func (s *Sender) ackLoop() {
 	buf := make([]byte, 2048)
+	var ranges []AckRange // decode scratch, reused across datagrams
 	for {
 		n, _, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
 			return
 		}
-		if n == 0 || buf[0] != typeAck {
-			continue
-		}
-		a, err := decodeAck(buf[:n])
+		a, err := decodeAck(buf[:n], ranges)
 		if err != nil {
 			continue
 		}
-		s.onAck(a)
-	}
-}
-
-func (s *Sender) onAck(a Ack) {
-	if a.EchoSeq == finAckEcho {
-		// The receiver confirmed a FIN; the flow was already fully
-		// acknowledged when the FIN went out, so there is no data feedback
-		// left to ingest.
-		s.finAckOnce.Do(func() { close(s.finAck) })
-		return
-	}
-	s.mu.Lock()
-	now := s.now()
-
-	ackOne := func(seq int64, rtt float64) {
-		if seq < 0 || seq >= int64(len(s.sacked)) || s.sacked[seq] {
-			return
+		ranges = a.Ranges
+		s.mu.Lock()
+		s.core.OnAck(a, s.now())
+		wake := s.core.dataDone()
+		s.mu.Unlock()
+		if wake {
+			select {
+			case s.kick <- struct{}{}:
+			default:
+			}
 		}
-		s.sacked[seq] = true
-		s.ackedBytes += int64(len(s.payloads[seq]))
-		s.pcc.OnAck(seq, rtt, now)
-	}
-
-	if a.EchoSeq >= 0 && a.EchoSeq < int64(len(s.sacked)) {
-		rtt := float64(time.Since(s.start).Nanoseconds()-a.EchoNanos) / 1e9
-		ackOne(a.EchoSeq, rtt)
-	}
-	for ; s.cumAck < a.CumAck && s.cumAck < int64(len(s.sacked)); s.cumAck++ {
-		ackOne(s.cumAck, 0)
-	}
-	for _, rg := range a.Ranges {
-		for seq := rg.Start; seq <= rg.End && seq < int64(len(s.sacked)); seq++ {
-			ackOne(seq, 0)
-		}
-		if rg.End > s.sackHigh {
-			s.sackHigh = rg.End
-		}
-	}
-	if a.CumAck-1 > s.sackHigh {
-		s.sackHigh = a.CumAck - 1
-	}
-
-	// SACK-gap loss detection, one pass per sequence.
-	limit := s.sackHigh - 3
-	for ; s.lossScan <= limit && s.lossScan < int64(len(s.sacked)); s.lossScan++ {
-		seq := s.lossScan
-		if !s.sacked[seq] && !s.lost[seq] {
-			s.lost[seq] = true
-			s.rtxQ = append(s.rtxQ, seq)
-		}
-	}
-
-	complete := s.cumAck >= int64(len(s.payloads))
-	s.mu.Unlock()
-	if complete {
-		s.once.Do(func() { close(s.doneCh) })
 	}
 }

@@ -42,7 +42,7 @@ func TestWireAckRoundTripQuick(t *testing.T) {
 		}
 		buf := make([]byte, 2048)
 		n := encodeAck(buf, a)
-		got, err := decodeAck(buf[:n])
+		got, err := decodeAck(buf[:n], nil)
 		if err != nil {
 			return false
 		}
@@ -61,7 +61,7 @@ func TestWireDecodeRejectsGarbage(t *testing.T) {
 	if _, _, err := decodeData([]byte{typeAck, 0}); err == nil {
 		t.Error("decodeData accepted an ack")
 	}
-	if _, err := decodeAck([]byte{typeData}); err == nil {
+	if _, err := decodeAck([]byte{typeData}, nil); err == nil {
 		t.Error("decodeAck accepted a short packet")
 	}
 	if _, _, err := decodeFin([]byte{typeFin, 0}); err == nil {

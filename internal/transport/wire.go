@@ -131,14 +131,18 @@ func encodeAck(buf []byte, a Ack) int {
 	return off + 16
 }
 
-// decodeAck parses an acknowledgment.
-func decodeAck(b []byte) (Ack, error) {
+// decodeAck parses an acknowledgment. The ranges are decoded into scratch's
+// backing array (nil allocates), so a caller that passes the previous Ack's
+// Ranges back in decodes a stream of ACKs without allocating; the returned
+// Ack is then valid until the next call.
+func decodeAck(b []byte, scratch []AckRange) (Ack, error) {
 	if len(b) < 14 || b[0] != typeAck {
 		return Ack{}, errors.New("transport: short or mistyped ack")
 	}
 	a := Ack{
 		FlowID: binary.BigEndian.Uint32(b[1:]),
 		CumAck: int64(binary.BigEndian.Uint64(b[5:])),
+		Ranges: scratch[:0],
 	}
 	n := int(b[13])
 	off := 14

@@ -25,7 +25,7 @@ func TestAckMaxRangesFitsAckBuf(t *testing.T) {
 	if n > len(buf) {
 		t.Fatalf("32-range ack needs %d bytes, receiver buffer holds %d", n, len(buf))
 	}
-	got, err := decodeAck(buf[:n])
+	got, err := decodeAck(buf[:n], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAckMaxRangesFitsAckBuf(t *testing.T) {
 	// One range past the maximum must truncate to 32, not overflow.
 	a.Ranges = append(a.Ranges, AckRange{Start: 9000, End: 9001})
 	n = encodeAck(buf, a)
-	got, err = decodeAck(buf[:n])
+	got, err = decodeAck(buf[:n], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func TestDecodeAckTruncatedEcho(t *testing.T) {
 	buf := make([]byte, 1024)
 	n := encodeAck(buf, a)
 	for cut := n - 1; cut >= 14; cut-- {
-		if _, err := decodeAck(buf[:cut]); err == nil {
+		if _, err := decodeAck(buf[:cut], nil); err == nil {
 			t.Fatalf("decodeAck accepted an ack truncated to %d of %d bytes", cut, n)
 		}
 	}
 	// Below the fixed header it must also reject.
 	for cut := 13; cut >= 0; cut-- {
-		if _, err := decodeAck(buf[:cut]); err == nil {
+		if _, err := decodeAck(buf[:cut], nil); err == nil {
 			t.Fatalf("decodeAck accepted a %d-byte fragment", cut)
 		}
 	}
