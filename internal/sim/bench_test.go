@@ -1,11 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEventChurn measures the core schedule→pop→run loop: a chain of
 // self-rescheduling events, the dominant pattern of every sender's pacing
-// loop. With the event free list and the direct 4-ary heap this runs
-// allocation-free after warm-up.
+// loop. With the event free list this runs allocation-free after warm-up.
 func BenchmarkEventChurn(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -22,8 +24,9 @@ func BenchmarkEventChurn(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEventChurnDeep measures pop cost with a deep heap (many pending
-// events), the regime of large incast scenarios.
+// BenchmarkEventChurnDeep measures pop cost over many pending far timers
+// (they sit in the overflow heap, off the pop path) — the first worst case of
+// a sorted near-run, had they been let into it.
 func BenchmarkEventChurnDeep(b *testing.B) {
 	e := NewEngine()
 	const pending = 4096
@@ -49,9 +52,8 @@ func BenchmarkEventChurnDeep(b *testing.B) {
 // BenchmarkWheelChurn measures the timing-wheel path under a dense timer
 // population: 4096 live timers rescheduling at spread-out delays across the
 // level-0 and level-1 bands, the regime of an incast's worth of senders'
-// pacing/monitor/tail timers. The pure heap pays O(log n) per event here;
-// the wheel buckets each insertion in O(1) and the residual heap stays
-// shallow.
+// pacing/monitor/tail timers. A pure heap pays O(log n) per event here;
+// the wheel buckets each insertion in O(1) and the near-run stays short.
 func BenchmarkWheelChurn(b *testing.B) {
 	e := NewEngine()
 	const timers = 4096
@@ -77,6 +79,68 @@ func BenchmarkWheelChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// wanTimers arms the timer population a routed WAN trial keeps alive (measured
+// on exp.RunWANTrial, 120 nodes / 200 flows): 850 self-re-arming timers with
+// periods spread over 28 µs-10 ms — link serializers, pipe heads, pacing
+// loops — and 200 at 1-3 s, the per-flow tail timers. fired runs on every
+// expiry, before the re-arm.
+func wanTimers(e *Engine, fired func()) {
+	arm := func(period float64) {
+		var fn func()
+		fn = func() {
+			fired()
+			e.Post(period, fn)
+		}
+		e.Post(period, fn)
+	}
+	for i := 0; i < 850; i++ {
+		arm(28e-6 * float64(1+i%357))
+	}
+	for i := 0; i < 200; i++ {
+		arm(1 + 0.01*float64(i))
+	}
+}
+
+// BenchmarkWANTimers measures the scheduler on the traffic it actually
+// serves: a few hundred persistent timers re-armed millions of times.
+func BenchmarkWANTimers(b *testing.B) {
+	e := NewEngine()
+	n := 0
+	wanTimers(e, func() {
+		if n++; n >= b.N {
+			e.Halt()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkTickCrowd is the second worst case of a sorted near-run: 4096
+// events inside one 8 µs tick, scheduled in random order.
+func BenchmarkTickCrowd(b *testing.B) {
+	const crowd = 4096
+	rng := rand.New(rand.NewSource(1))
+	var off [crowd]float64
+	for i := range off {
+		off[i] = 0.001 + rng.Float64()*wheelGranularity
+	}
+	e := NewEngine()
+	noop := func() {}
+	round := func(k int) {
+		for _, d := range off[:k] {
+			e.Post(d, noop)
+		}
+		e.Run()
+	}
+	round(crowd) // size the near-run, spill and slot once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= crowd {
+		round(min(n, crowd))
+	}
 }
 
 // BenchmarkPostArg measures the closure-free packet-delivery path used by

@@ -132,18 +132,171 @@ func TestBurstDispatchTotalOrder(t *testing.T) {
 			}
 			e.Run()
 
-			want := m.expected()
-			if len(fired) != len(want) {
-				t.Fatalf("%d events fired, want %d", len(fired), len(want))
-			}
-			for i := range want {
-				if fired[i] != want[i] {
-					t.Fatalf("firing order diverges at %d: got id %d (at=%g), want id %d (at=%g)",
-						i, fired[i], m.at[fired[i]], want[i], m.at[want[i]])
-				}
-			}
+			checkOrder(t, fired, &m)
 		})
 	}
+	t.Run("crowd-in-one-tick", burstRowCrowd)
+	t.Run("flushed-pipe-slot-in-near-run", burstRowFlushedSlot)
+	t.Run("halt-mid-batch", burstRowHalt)
+}
+
+// checkOrder fails unless fired is exactly the model's live records in
+// (at, seq) order.
+func checkOrder(t *testing.T, fired []int, m *burstModel) {
+	t.Helper()
+	want := m.expected()
+	if len(fired) != len(want) {
+		t.Fatalf("%d events fired, want %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("firing order diverges at %d: got id %d (at=%g), want id %d (at=%g)",
+				i, fired[i], m.at[fired[i]], want[i], m.at[want[i]])
+		}
+	}
+}
+
+// burstRowCrowd is the dense-tick worst case of a sorted near-run, both ways
+// a crowd can reach it: 4096 events inside one tick scheduled ahead of time
+// in random order (one wheel slot, flushed at once) and 4096 more scheduled
+// from inside that tick (direct in-window inserts), with duplicates so seq
+// breaks ties.
+func burstRowCrowd(t *testing.T) {
+	t.Parallel()
+	const crowd = 4096
+	rng := rand.New(rand.NewSource(23))
+	e := NewEngine()
+	loadEngine(e)
+	var m burstModel
+	var fired []int
+	base := 125.1 * wheelGranularity
+	inTick := func() float64 {
+		at := base + float64(rng.Intn(crowd/4))*0.8*wheelGranularity/(crowd/4)
+		if tickOf(at) != tickOf(base) {
+			t.Fatalf("test bug: %g left the tick of %g", at, base)
+		}
+		return at
+	}
+	m.add(base)
+	e.At(base, func() {
+		fired = append(fired, 0)
+		for i := 0; i < crowd; i++ {
+			at := inTick()
+			id := m.add(at)
+			e.At(at, func() { fired = append(fired, id) })
+		}
+	})
+	for i := 0; i < crowd; i++ {
+		at := inTick()
+		id := m.add(at)
+		e.At(at, func() { fired = append(fired, id) })
+	}
+	e.RunUntil(1)
+	checkOrder(t, fired, &m)
+}
+
+// burstRowFlushedSlot kills a pipe's armed delivery slot while it sits in the
+// near-run, re-posts before and after the dead arming's timestamp (the
+// dynamic fallback, then the slot again), and checks every survivor against
+// the reference order.
+func burstRowFlushedSlot(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	loadEngine(e)
+	var m burstModel
+	var fired []int
+	rec := func(id int) func() { return func() { fired = append(fired, id) } }
+	p := e.NewPipe(func(a any) { fired = append(fired, a.(int)) })
+	post := func(delay float64) int {
+		id := m.add(e.Now() + delay)
+		p.Post(delay, id)
+		return id
+	}
+	at := func(delay float64) {
+		id := m.add(e.Now() + delay)
+		e.At(e.Now()+delay, rec(id))
+	}
+	spawn := func(when float64, fn func()) {
+		id := m.add(when)
+		e.At(when, func() {
+			fired = append(fired, id)
+			fn()
+		})
+	}
+	spawn(0.001, func() {
+		// Inside the current tick: the armed slot lands in the near-run.
+		a, b := post(3e-6), post(5e-6)
+		if tickOf(p.slot.at) >= e.wheel.cur {
+			t.Errorf("test bug: the armed slot was bucketed, not placed in the near-run")
+		}
+		at(1e-6)
+		at(4e-6)
+		p.Flush(nil)
+		m.dead[a], m.dead[b] = true, true
+		post(2e-6) // before the dead arming at +3 µs: dynamic fallback
+		if p.dyn == nil {
+			t.Errorf("re-post before the dead arming's time did not take the dynamic fallback")
+		}
+		at(6e-6)
+	})
+	spawn(0.001+20e-6, func() {
+		post(1e-6) // the clock is past the dead arming: the slot is reusable
+		if p.stale {
+			t.Errorf("slot still stale after the clock passed its dead arming")
+		}
+		post(2e-6)
+	})
+	e.RunUntil(1)
+	checkOrder(t, fired, &m)
+}
+
+// burstRowHalt halts in the middle of a collected batch and in the middle of
+// a chain spawned by a lone event: the unexecuted remainder must go back to
+// the scheduler, be counted by Pending, and fire first, in order, on resume.
+func burstRowHalt(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	loadEngine(e)
+	base := e.Pending()
+	var fired []int
+	rec := func(id int, halt bool) func() {
+		return func() {
+			fired = append(fired, id)
+			if halt {
+				e.Halt()
+			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		e.At(0.002, rec(i, i == 2)) // a collected batch; the third entry halts
+	}
+	e.At(0.002+1e-6, rec(6, false))
+	e.At(0.003, func() { // a lone event chaining three same-instant ones
+		fired = append(fired, 7)
+		e.At(0.003, rec(8, true))
+		e.At(0.003, rec(9, false))
+		e.At(0.003, rec(10, false))
+	})
+	expect := func(n, pending int) {
+		t.Helper()
+		if len(fired) != n {
+			t.Fatalf("fired %v, want the first %d", fired, n)
+		}
+		for i, id := range fired {
+			if id != i {
+				t.Fatalf("fired %v, want ids in order", fired)
+			}
+		}
+		if got := e.Pending() - base; got != pending {
+			t.Fatalf("Pending = %d after %d events, want %d", got, n, pending)
+		}
+	}
+	e.Run()
+	expect(3, 5)
+	e.Run()
+	expect(9, 2)
+	e.RunUntil(1)
+	expect(11, 0)
 }
 
 // TestPendingMatchesReality is the Pending-vs-reality property: after an
@@ -215,6 +368,64 @@ func TestPendingMatchesReality(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("reset-mid-run-then-rerun", pendingRowResetRerun)
+}
+
+// pendingRowResetRerun abandons a run halfway — events left in every band,
+// a half-drained pipe, a cancelled timer — Resets, and re-runs the identical
+// script: Pending must read zero after the Reset and the re-run must fire
+// exactly what a fresh engine fires, in the same order.
+func pendingRowResetRerun(t *testing.T) {
+	t.Parallel()
+	script := func(e *Engine, until float64) []int {
+		rng := rand.New(rand.NewSource(5))
+		var fired []int
+		p := e.NewPipe(func(a any) { fired = append(fired, a.(int)) })
+		defer e.DropPipe(p)
+		for id := 0; id < 600; id++ {
+			id := id
+			// Same tick, level 0, level 1, level 2 and beyond the horizon.
+			at := [...]float64{3e-6, 1e-3, 0.2, 30, 200}[rng.Intn(5)] * (1 + rng.Float64())
+			switch rng.Intn(3) {
+			case 0:
+				e.At(at, func() { fired = append(fired, id) })
+			case 1:
+				if tm := e.At(at, func() { fired = append(fired, id) }); rng.Intn(4) == 0 {
+					tm.Stop()
+				}
+			case 2:
+				p.Post(at, id)
+			}
+		}
+		e.RunUntil(until)
+		if until < 1e3 {
+			if e.Pending() == 0 {
+				t.Fatalf("test bug: nothing pending at %g", until)
+			}
+			e.Reset(nil)
+			if got := e.Pending(); got != 0 {
+				t.Fatalf("Pending() = %d after a mid-run Reset, want 0", got)
+			}
+		}
+		return fired
+	}
+	want := script(NewEngine(), 1e3)
+	e := NewEngine()
+	for _, mid := range []float64{1e-5, 0.3, 45, 250} {
+		if part := script(e, mid); len(part) == 0 || len(part) >= len(want) {
+			t.Fatalf("run to %g fired %d of %d events, want a strict part", mid, len(part), len(want))
+		}
+		got := script(e, 1e3)
+		if len(got) != len(want) {
+			t.Fatalf("re-run after Reset at %g fired %d events, want %d", mid, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("re-run after Reset at %g diverges at %d: id %d, want %d", mid, i, got[i], want[i])
+			}
+		}
+		e.Reset(nil)
 	}
 }
 

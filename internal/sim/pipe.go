@@ -5,14 +5,14 @@ package sim
 // of constant-delay hops — entries posted in time order also fire in time
 // order — to keep an arbitrarily long in-flight train (a high-BDP link can
 // carry tens of thousands of packets) out of the engine's scheduling
-// structures: the pipe occupies one heap/wheel slot for its head entry,
+// structures: the pipe occupies one scheduler slot for its head entry,
 // re-armed as entries drain, so scheduler size is O(pipes), not O(in-flight
 // packets).
 //
 // Determinism is preserved exactly. Post draws one engine sequence number
 // per entry — the same draw Engine.PostArg would have made — and the pipe's
 // scheduler slot is armed with the head entry's own (at, seq), so every
-// delivery interleaves with heap and wheel events in precisely the
+// delivery interleaves with every other event in precisely the
 // engine-wide (at, seq) order the per-event implementation produced. If an
 // entry is posted with a timestamp before the current tail (a hop whose
 // delay was lowered mid-flight; packets then physically overtake), the pipe
@@ -35,9 +35,10 @@ type Pipe struct {
 	slot Event
 	// stale marks the slot as killed by Flush while still lodged in a
 	// scheduling structure: until the dead arming provably pops, arm must
-	// not refresh the slot in place (a double insert would corrupt the heap)
-	// and instead falls back to a dynamic engine event (dyn/dynGen track the
-	// outstanding one so a later Flush can cancel it too).
+	// not refresh the slot in place (a double insert would corrupt whichever
+	// band holds it) and instead falls back to a dynamic engine event
+	// (dyn/dynGen track the outstanding one so a later Flush can cancel it
+	// too).
 	stale  bool
 	dyn    *Event
 	dynGen uint64
@@ -92,18 +93,18 @@ func (p *Pipe) Post(delay float64, arg any) {
 }
 
 // arm schedules the pipe's delivery slot at the head entry's (at, seq).
-// Re-arming with a stored — hence older — seq is safe: the heap orders by
-// (at, seq), and the head's timestamp is never in the engine's past. The
+// Re-arming with a stored — hence older — seq is safe: the near-run orders
+// by (at, seq), and the head's timestamp is never in the engine's past. The
 // slot is the pipe's own pinned Event, refreshed in place: by the time arm
 // runs the previous arming has always been popped and released (release
 // precedes every callback), so no scheduling structure still references it.
 //
 // Flush breaks that invariant: it kills an armed slot without popping it,
-// leaving the dead arming lodged in the heap/wheel/batch. While stale, arm
-// falls back to a dynamically allocated event — unless the clock has moved
-// strictly past the dead arming's timestamp, which proves it was popped
-// (dead events are released at the heap top before any later-time event
-// runs) and the slot is safe to reuse again.
+// leaving the dead arming lodged in a wheel slot, the near-run or the batch.
+// While stale, arm falls back to a dynamically allocated event — unless the
+// clock has moved strictly past the dead arming's timestamp, which proves it
+// was released (the scheduler releases a dead event before any later-time
+// event runs: wheel.go, invariant 6) and the slot is safe to reuse again.
 func (p *Pipe) arm() {
 	head := &p.buf[p.head]
 	if p.stale {

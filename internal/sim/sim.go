@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Time is a simulated instant, in seconds since simulation start.
@@ -78,28 +79,105 @@ func (t *Timer) Active() bool {
 	return t.live() && !t.ev.dead
 }
 
-// eventHeap is a 4-ary min-heap ordered by (at, seq). It is implemented
-// directly rather than via container/heap: the event loop is the hottest
-// code in the repository and the interface-based heap spends most of its
-// time in Less/Swap dynamic dispatch. The wider fan-out also halves the
-// tree depth relative to a binary heap, which matters for the pop-heavy
-// access pattern of a simulation. The ordering key rides inline in each
-// slot so sift comparisons stay within the heap's own backing array
-// instead of chasing an *Event cache line per compare.
-type heapItem struct {
+// entry is an event with its ordering key inline, so comparisons stay
+// within the near-run's (or the overflow heap's) own backing array instead of
+// chasing an *Event cache line per compare.
+type entry struct {
 	at  Time
 	seq uint64
 	ev  *Event
 }
 
-type eventHeap []heapItem
-
-func evLess(a, b *heapItem) bool {
+func evLess(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
+
+// nearShiftMax bounds the work of one nearInsert: an event that belongs more
+// than this many places from the back of the near-run goes to spill instead,
+// and spill is sorted and merged in one pass before the next pop. A crowd of
+// k events inside one tick therefore costs O(k log k), not O(k²), whether it
+// arrives by direct placement or as one flushed slot.
+const nearShiftMax = 64
+
+// nearInsert puts ev into the near-run by insertion from the back. Nearly
+// every arrival — the contents of the next slot, a timer re-armed a few
+// microseconds out — belongs at or near the back.
+func (e *Engine) nearInsert(ev *Event) {
+	it := entry{at: ev.at, seq: ev.seq, ev: ev}
+	if k := len(e.near) - nearShiftMax; k > e.head && evLess(&it, &e.near[k-1]) {
+		e.spill = append(e.spill, it)
+		return
+	}
+	if len(e.near) == cap(e.near) {
+		e.nearRoom(1)
+	}
+	n := e.near[:len(e.near)+1]
+	i := len(n) - 1
+	for ; i > e.head && evLess(&it, &n[i-1]); i-- {
+		n[i] = n[i-1]
+	}
+	n[i] = it
+	e.near = n
+}
+
+// nearRoom makes room for extra more entries, reclaiming the consumed prefix
+// before growing.
+func (e *Engine) nearRoom(extra int) {
+	if e.head > 0 {
+		e.near = e.near[:copy(e.near, e.near[e.head:])]
+		e.head = 0
+	}
+	e.near = slices.Grow(e.near, extra)
+}
+
+// nearPop removes and returns the head of the near-run. Consumed entries
+// keep their stale pointers: events are engine-pooled, so the pin is free and
+// skipping the clear avoids a write barrier per pop.
+func (e *Engine) nearPop() *Event {
+	ev := e.near[e.head].ev
+	e.head++
+	if e.head == len(e.near) {
+		e.head = 0
+		e.near = e.near[:0]
+	}
+	return ev
+}
+
+// mergeSpill sorts spill and merges it into the near-run from the back.
+func (e *Engine) mergeSpill() {
+	sp := e.spill
+	slices.SortFunc(sp, func(a, b entry) int {
+		if evLess(&a, &b) {
+			return -1
+		}
+		return 1 // (at, seq) keys are unique
+	})
+	if len(e.near)+len(sp) > cap(e.near) {
+		e.nearRoom(len(sp))
+	}
+	i, j := len(e.near)-1, len(sp)-1
+	n := e.near[:len(e.near)+len(sp)]
+	for o := len(n) - 1; j >= 0; o-- {
+		if i >= e.head && evLess(&sp[j], &n[i]) {
+			n[o] = n[i]
+			i--
+		} else {
+			n[o] = sp[j]
+			j--
+		}
+	}
+	e.near = n
+	e.spill = sp[:0]
+}
+
+// eventHeap is a 4-ary min-heap ordered by (at, seq), holding the overflow
+// band: events beyond the wheel's horizon (see wheel.go). It is implemented
+// directly rather than via container/heap to keep Less/Swap dynamic dispatch
+// out of it.
+type eventHeap []entry
 
 func (h eventHeap) siftUp(i int) {
 	it := h[i]
@@ -141,21 +219,19 @@ func (h eventHeap) siftDown(i int) {
 	h[i] = it
 }
 
-func (e *Engine) heapPush(ev *Event) {
-	e.events = append(e.events, heapItem{at: ev.at, seq: ev.seq, ev: ev})
-	e.events.siftUp(len(e.events) - 1)
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, entry{at: ev.at, seq: ev.seq, ev: ev})
+	h.siftUp(len(*h) - 1)
 }
 
-func (e *Engine) heapPop() *Event {
-	h := e.events
-	top := h[0].ev
-	n := len(h) - 1
-	h[0] = h[n]
-	// h[n] keeps its stale pointer: events are engine-pooled, so the pin is
-	// free and skipping the clear avoids a write barrier per pop.
-	e.events = h[:n]
+func (h *eventHeap) pop() *Event {
+	old := *h
+	top := old[0].ev
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
 	if n > 0 {
-		e.events.siftDown(0)
+		h.siftDown(0)
 	}
 	return top
 }
@@ -166,15 +242,18 @@ func (e *Engine) heapPop() *Event {
 type Engine struct {
 	now     Time
 	nextSeq uint64
-	// events is the residual heap: events inside the current wheel tick,
-	// events beyond the wheel horizon, and the contents of flushed wheel
-	// slots. Final ordering is always decided here, by (at, seq).
-	events eventHeap
-	// wheel buckets the dense near-future band of timers so their
-	// insertion is O(1) instead of an O(log n) heap push (see wheel.go).
+	// near is the sorted run that decides firing order, consumed from
+	// near[head]; spill is its unsorted annex; over is the beyond-horizon
+	// overflow heap; wheel buckets everything in between. See wheel.go for
+	// the bands and their invariants.
+	near  []entry
+	head  int
+	spill []entry
+	over  eventHeap
 	wheel wheel
+	stats Stats
 	// pipes lists every FIFO delay line (see pipe.go); entries there are
-	// pending work the heap and wheel do not see.
+	// pending work the scheduler bands do not see.
 	pipes []*Pipe
 	// free recycles fired Events; its size is bounded by the peak number of
 	// simultaneously queued events.
@@ -184,15 +263,15 @@ type Engine struct {
 
 	// batch is the burst-dispatch scratch: every live event sharing the
 	// earliest pending timestamp is popped here in one scheduler probe and
-	// executed in seq order without re-probing the wheel or heap between
+	// executed in seq order without re-probing the scheduler between
 	// events (see Run). Events scheduled *during* the burst at exactly the
 	// burst timestamp join the batch in place instead of round-tripping
-	// through the heap; batchPos is the index of the entry currently
-	// executing. batch is empty whenever the engine is not inside Run /
-	// RunUntil.
-	batch    []*Event
-	batchPos int
-	inBurst  bool
+	// through the near-run; batchFree is the first index such an arrival may
+	// take, one past the entry currently executing. batch is empty and
+	// batchFree zero whenever the engine is not inside a burst.
+	batch     []*Event
+	batchFree int
+	inBurst   bool
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -206,6 +285,25 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far. It is exposed for
 // tests and benchmarks.
 func (e *Engine) Processed() uint64 { return e.nRun }
+
+// Stats counts what the scheduler did since NewEngine or the last Reset. It
+// exists to keep wheel.go's claims checkable — which band placements land
+// in, how long the near-run really is — and is plain field increments: no
+// allocation, no flag, and nothing here ever reaches a report.
+type Stats struct {
+	// Placed counts placements by band (BandNear … BandOverflow). Events
+	// that join a running burst are not placed at all.
+	Placed [numBands]uint64
+	// Cascades counts events moved down from a coarser band.
+	Cascades uint64
+	// Advances counts the probes that had to move the wheel cursor; NearSum
+	// and NearMax are the near-run's length right after each — when it is
+	// longest — summed and maximised.
+	Advances, NearSum, NearMax uint64
+}
+
+// Stats returns the scheduler counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
@@ -268,48 +366,46 @@ func (e *Engine) scheduleSeq(at Time, seq uint64, afn func(any), arg any) {
 	e.place(ev)
 }
 
-// wheelMinHeap is the heap size below which place bypasses the wheel: with
-// only a handful of pending events a direct O(log n) push/pop is cheaper
-// than bucketing plus a slot flush. Placement is purely a cost policy — the
-// heap decides final (at, seq) order either way (see wheel.go) — so the
-// threshold cannot change any simulation result.
-const wheelMinHeap = 8
+// nearMin is the near-run length below which an engine with nothing bucketed
+// skips the wheel: with only a handful of pending events a direct sorted
+// insert is cheaper than bucketing plus a slot flush. Measured, not assumed:
+// without it a lone self-re-arming timer costs 25 ns per event instead of 14,
+// and fig16 and table1 — which never hold more than this — run 3 % and 10 %
+// longer (BENCH_23.json). Placement is purely a cost policy — the near-run
+// decides (at, seq) order either way (see wheel.go) — so the threshold cannot
+// change any simulation result.
+const nearMin = 8
 
-// place routes a ready event to the timing wheel when it lands in the
-// bucketable band, else to the heap.
+// place routes a ready event to its band.
 func (e *Engine) place(ev *Event) {
 	if e.inBurst && ev.at == e.now {
 		// Scheduled during a burst at exactly the burst timestamp: it belongs
 		// to the batch being executed, so insert it in seq position directly
-		// instead of round-tripping through the heap. Fresh sequence numbers
-		// (every Post/After/Rearm) exceed all batch seqs and append; only a
-		// Pipe re-arming its delivery slot with a stored older seq has to
-		// walk backward, and never past the executing position (the pipe's
+		// instead of round-tripping through the near-run. Fresh sequence
+		// numbers (every Post/After/Rearm) exceed all batch seqs and append;
+		// only a Pipe re-arming its delivery slot with a stored older seq has
+		// to walk backward, and never past the executing position (the pipe's
 		// next head always outranks the entry that just fired).
 		e.batchInsert(ev)
 		return
 	}
-	if len(e.events) < wheelMinHeap || ev.at <= e.events[0].at {
-		// Near-empty engine, or an event earlier than everything already
-		// queued: it pops before anything could accumulate above it, so
-		// bucketing buys nothing and the flush round-trip is pure cost.
-		e.heapPush(ev)
-		return
-	}
 	if e.wheel.count == 0 {
-		// An empty wheel's cursor can be arbitrarily stale in either
-		// direction: a long quiet stretch leaves it behind the clock, and
-		// an empty-wheel flush toward a far heap top fast-forwards it past
-		// the horizon (wheelFlushBelow's count==0 jump). Either way every
-		// insert would look out-of-band and the wheel would silently
-		// degrade to pure-heap scheduling. With no events and an empty
-		// level 1 the cursor invariants are vacuous, so snapping it to the
-		// clock is always safe.
+		if len(e.near)-e.head < nearMin {
+			e.stats.Placed[BandNear]++
+			e.nearInsert(ev)
+			return
+		}
+		// With no level holding anything the cursor carries no information
+		// and may be stale in either direction: a quiet stretch leaves it
+		// behind the clock, peek parks it past every tick or jumps it to the
+		// overflow band. Either way inserts would land in the wrong band and
+		// the wheel would silently degrade to one sorted run. The cursor
+		// invariants are vacuous here, so snapping it to the clock is always
+		// safe; the overflow band may have come within the horizon.
 		e.wheel.cur = tickOf(e.now)
+		e.refill()
 	}
-	if !e.wheel.insert(ev) {
-		e.heapPush(ev)
-	}
+	e.stats.Placed[e.bucket(ev)]++
 }
 
 // At schedules fn at absolute time at.
@@ -378,8 +474,8 @@ func (e *Engine) Halt() { e.halted = true }
 
 // Reset returns the engine to its initial state — clock at zero, no queued
 // events, sequence counter restarted — while retaining every piece of
-// allocated storage: the heap's backing array, the wheel's slot arrays, each
-// registered Pipe's ring, and the event free list. A reset engine therefore
+// allocated storage: the near-run's and overflow heap's backing arrays, the
+// wheel's slot arrays, each registered Pipe's ring, and the event free list. A reset engine therefore
 // schedules its next simulation without the warm-up allocations a fresh
 // NewEngine pays, and (because nextSeq restarts at zero) produces exactly
 // the event sequence a fresh engine would.
@@ -390,33 +486,30 @@ func (e *Engine) Halt() { e.halted = true }
 // Pending niladic events are simply discarded. Timers handed out before the
 // reset become inert (their generation no longer matches).
 func (e *Engine) Reset(reclaim func(arg any)) {
-	for i := range e.events {
-		ev := e.events[i].ev
+	drop := func(ev *Event) {
 		if reclaim != nil && ev.arg != nil && !ev.dead {
 			reclaim(ev.arg)
 		}
 		e.release(ev)
 	}
-	e.events = e.events[:0]
-	for l := range e.wheel.levels {
-		lvl := &e.wheel.levels[l]
-		for w, word := range lvl.occupied {
-			for word != 0 {
-				s := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				for _, ev := range lvl.slots[s] {
-					if reclaim != nil && ev.arg != nil && !ev.dead {
-						reclaim(ev.arg)
-					}
-					e.release(ev)
-				}
-				lvl.slots[s] = lvl.slots[s][:0]
-			}
-			lvl.occupied[w] = 0
+	for _, run := range [][]entry{e.near[e.head:], e.spill, e.over} {
+		for i := range run {
+			drop(run[i].ev)
 		}
 	}
-	e.wheel.cur = 0
-	e.wheel.count = 0
+	e.near, e.head, e.spill, e.over = e.near[:0], 0, e.spill[:0], e.over[:0]
+	w := &e.wheel
+	for l := range w.levels {
+		for wi, word := range w.levels[l].occupied {
+			for ; word != 0; word &= word - 1 {
+				for _, ev := range w.take(l, wi<<6+bits.TrailingZeros64(word)) {
+					drop(ev)
+				}
+			}
+		}
+	}
+	w.cur = 0
+	e.stats = Stats{}
 	for _, p := range e.pipes {
 		for i := 0; i < p.count; i++ {
 			ent := &p.buf[(p.head+i)&(len(p.buf)-1)]
@@ -425,22 +518,19 @@ func (e *Engine) Reset(reclaim func(arg any)) {
 			}
 		}
 		p.head, p.count, p.armed = 0, 0, false
-		// A slot marked stale by Flush is fully released below (every heap,
-		// wheel and batch entry goes through release), so it is safe to reuse
-		// immediately, and any dynamic fallback event is recycled the same way.
+		// A slot marked stale by Flush is fully released here (every near-run,
+		// wheel, overflow and batch entry goes through release), so it is safe
+		// to reuse immediately, and any dynamic fallback event is recycled the
+		// same way.
 		p.stale, p.dyn = false, nil
 	}
 	if e.inBurst {
 		// Reset issued from inside a burst callback: drop the unexecuted
 		// remainder of the batch so runBatch's loop terminates cleanly.
-		for i := e.batchPos + 1; i < len(e.batch); i++ {
-			ev := e.batch[i]
-			if reclaim != nil && ev.arg != nil && !ev.dead {
-				reclaim(ev.arg)
-			}
-			e.release(ev)
+		for _, ev := range e.batch[e.batchFree:] {
+			drop(ev)
 		}
-		e.batch = e.batch[:e.batchPos+1]
+		e.batch = e.batch[:e.batchFree]
 	}
 	e.now = 0
 	e.nextSeq = 0
@@ -471,13 +561,15 @@ func (e *Engine) DropPipe(p *Pipe) {
 }
 
 // Pending returns the number of live queued events, wherever they reside:
-// the heap, the timing wheel, or a Pipe (pipe entries cannot be cancelled,
-// so all of them count as live).
+// the near-run, the timing wheel, the overflow heap, or a Pipe (pipe entries
+// cannot be cancelled, so all of them count as live).
 func (e *Engine) Pending() int {
 	n := 0
-	for i := range e.events {
-		if !e.events[i].ev.dead {
-			n++
+	for _, run := range [][]entry{e.near[e.head:], e.spill, e.over} {
+		for i := range run {
+			if !run[i].ev.dead {
+				n++
+			}
 		}
 	}
 	for l := range e.wheel.levels {
@@ -492,15 +584,15 @@ func (e *Engine) Pending() int {
 	for _, p := range e.pipes {
 		n += p.count
 		if p.armed {
-			n-- // the armed head is already counted as a heap/wheel event
+			n-- // the armed head is already counted as a scheduler event
 		}
 	}
 	if e.inBurst {
 		// Called from inside a burst callback: the batch entries past the
 		// executing position are pending too (the executing entry itself is
 		// already released).
-		for i := e.batchPos + 1; i < len(e.batch); i++ {
-			if !e.batch[i].dead {
+		for _, ev := range e.batch[e.batchFree:] {
+			if !ev.dead {
 				n++
 			}
 		}
@@ -508,64 +600,13 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// runAt dispatches every live event at t0, the timestamp peekLive just
-// returned (so the heap top is live and at t0). The wheel needs no further
-// probe: peekLive has already flushed it far enough that every remaining
-// wheel event is strictly later than t0 (see wheel.go's slack argument), so
-// a same-timestamp run can only live at the heap top. When the top event is
-// alone at t0 — the overwhelmingly common case outside synchronized packet
-// trains — it dispatches inline without touching the batch scratch; larger
-// runs are popped into the batch (successive pops from the (at, seq)-ordered
-// heap arrive in seq order, releasing cancelled events on the way) and
-// executed by runBatch.
-func (e *Engine) runAt(t0 Time) {
-	ev := e.heapPop()
-	if len(e.events) == 0 || e.events[0].at != t0 {
-		// Alone at t0: dispatch inline, skipping batch collection — but keep
-		// the burst machinery armed (batchPos -1 = nothing executing) so any
-		// same-instant events the callback schedules still chain into the
-		// batch instead of round-tripping through the heap; a
-		// delivery→ack→forward cascade fires entirely at one instant.
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		e.release(ev)
-		e.now = t0
-		e.nRun++
-		e.batch = e.batch[:0]
-		e.batchPos = -1
-		e.inBurst = true
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		if len(e.batch) == 0 {
-			e.inBurst = false
-			return
-		}
-		if e.halted {
-			// Halt stops after the event that called it: hand the chained
-			// remainder back to the heap, exactly as runBatch does.
-			for _, b := range e.batch {
-				e.heapPush(b)
-			}
-			e.batch = e.batch[:0]
-			e.inBurst = false
-			return
-		}
-		e.runBatch()
-		return
+// unbatch hands batch[from:] back to the near-run after a Halt. They sort to
+// its front: everything else pending at the burst instant joined the batch.
+func (e *Engine) unbatch(from int) {
+	for _, ev := range e.batch[from:] {
+		e.nearInsert(ev)
 	}
-	e.batch = append(e.batch[:0], ev)
-	for len(e.events) > 0 && e.events[0].at == t0 {
-		next := e.heapPop()
-		if next.dead {
-			e.release(next)
-			continue
-		}
-		e.batch = append(e.batch, next)
-	}
-	e.now = t0
-	e.runBatch()
+	e.batch = e.batch[:0]
 }
 
 // batchInsert places an event scheduled during the current burst (at exactly
@@ -575,7 +616,7 @@ func (e *Engine) runAt(t0 Time) {
 func (e *Engine) batchInsert(ev *Event) {
 	b := append(e.batch, ev)
 	i := len(b) - 1
-	for i > e.batchPos+1 && b[i-1].seq > ev.seq {
+	for i > e.batchFree && b[i-1].seq > ev.seq {
 		b[i] = b[i-1]
 		i--
 	}
@@ -588,12 +629,13 @@ func (e *Engine) batchInsert(ev *Event) {
 // dispatch exactly: each entry is dead-checked at execution time, not
 // collection time, so a Timer.Stop issued by an earlier same-instant
 // callback still cancels a later one; each event is released immediately
-// before its callback runs, exactly as Run's heap fast path does; Halt mid-batch pushes the
-// unexecuted remainder back into the heap.
+// before its callback runs; Halt mid-batch hands the unexecuted remainder
+// back to the near-run.
 func (e *Engine) runBatch() {
 	e.inBurst = true
-	for e.batchPos = 0; e.batchPos < len(e.batch); e.batchPos++ {
-		ev := e.batch[e.batchPos]
+	for pos := 0; pos < len(e.batch); pos++ {
+		ev := e.batch[pos]
+		e.batchFree = pos + 1
 		if ev.dead {
 			e.release(ev)
 			continue
@@ -607,9 +649,7 @@ func (e *Engine) runBatch() {
 			afn(arg)
 		}
 		if e.halted {
-			for i := e.batchPos + 1; i < len(e.batch); i++ {
-				e.heapPush(e.batch[i])
-			}
+			e.unbatch(pos + 1)
 			break
 		}
 	}
@@ -617,65 +657,95 @@ func (e *Engine) runBatch() {
 	// engine-pooled, so the pin is free and skipping the clears avoids a
 	// write barrier per slot.
 	e.batch = e.batch[:0]
+	e.batchFree = 0
 	e.inBurst = false
 }
 
-// Run executes events until the queue drains or Halt is called. The loop
-// dispatches in bursts: one scheduler probe finds the earliest live
-// timestamp, then every event sharing it is popped and executed in seq
-// order without re-probing the wheel or heap in between (same-instant packet
+// run is the dispatch loop behind Run, RunUntil and RunBefore: it executes
+// every event with a timestamp <= lim, in bursts. One scheduler probe finds
+// the earliest live timestamp t0, then every event sharing it is executed in
+// seq order without re-probing the scheduler in between (same-instant packet
 // trains — an incast tick, a saturated link's dequeue+delivery+feed cluster
 // — are the common case at high BDP). Execution order is identical to
 // per-event dispatch: the batch preserves the engine-wide (at, seq) total
 // order, and events scheduled during the burst at the burst instant join
 // the batch in seq position (see place).
-func (e *Engine) Run() {
+//
+// The wheel needs no second probe for the burst: the first has already
+// advanced it far enough that every bucketed event is strictly later than t0
+// (wheel.go, invariant 3), so a same-timestamp run can only be the next
+// entries of the near-run.
+func (e *Engine) run(lim Time) {
 	e.halted = false
+	bound := tickOf(lim) + 1
 	for !e.halted {
-		// Wheel-empty fast path: with nothing bucketed, probing the
-		// scheduler is a single comparison, so batching would amortize
-		// nothing — dispatch straight off the heap as before.
-		if e.wheel.count == 0 {
-			if len(e.events) == 0 {
-				return
-			}
-			if ev := e.events[0].ev; !ev.dead {
-				e.heapPop()
-				at, fn, afn, arg := ev.at, ev.fn, ev.afn, ev.arg
-				e.release(ev)
-				e.now = at
-				e.nRun++
-				if fn != nil {
-					fn()
-				} else {
-					afn(arg)
-				}
-				continue
-			}
-		}
-		// Wheel active: a live heap top strictly below the wheel cursor
-		// needs no flush — the probe is two comparisons, done inline. The
-		// slow probe only runs when the wheel actually has to rotate.
-		if len(e.events) > 0 {
-			it := &e.events[0]
-			if !it.ev.dead && e.wheel.cur > tickOf(it.at)+1 {
-				e.runAt(it.at)
-				continue
-			}
-		}
-		top := e.peekLiveSlow()
-		if top == nil {
+		// The common case needs no probe: a live head already behind the
+		// cursor (wheel.go, invariant 3). Spelled out here because a call per
+		// event is measurable on a near-empty engine.
+		var ev *Event
+		if it := e.near[e.head:]; len(it) > 0 && len(e.spill) == 0 && !it[0].ev.dead && e.wheel.cur > tickOf(it[0].at) {
+			ev = it[0].ev
+		} else if ev = e.peek(bound); ev == nil {
 			return
 		}
-		e.runAt(top.at)
+		t0 := ev.at
+		if t0 > lim {
+			return
+		}
+		e.nearPop()
+		e.now = t0
+		if e.head < len(e.near) && e.near[e.head].at == t0 {
+			// A same-instant run: copy it into the batch (the near-run is
+			// (at, seq)-ordered, so it arrives in seq order; cancelled events
+			// are released on the way).
+			e.batch = append(e.batch, ev)
+			for e.head < len(e.near) && e.near[e.head].at == t0 {
+				if next := e.nearPop(); next.dead {
+					e.release(next)
+				} else {
+					e.batch = append(e.batch, next)
+				}
+			}
+		} else {
+			// Alone at t0 — the overwhelmingly common case outside
+			// synchronized packet trains: dispatch inline, skipping batch
+			// collection, but with the burst machinery armed (an empty batch,
+			// batchFree 0) so any same-instant events the callback schedules
+			// still chain into the batch instead of round-tripping through
+			// the near-run; a delivery→ack→forward cascade fires entirely at
+			// one instant.
+			fn, afn, arg := ev.fn, ev.afn, ev.arg
+			e.release(ev)
+			e.nRun++
+			e.inBurst = true
+			if fn != nil {
+				fn()
+			} else {
+				afn(arg)
+			}
+			if len(e.batch) == 0 {
+				e.inBurst = false
+				continue
+			}
+			if e.halted {
+				// Halt stops after the event that called it.
+				e.unbatch(0)
+				e.inBurst = false
+				return
+			}
+		}
+		e.runBatch()
 	}
 }
 
+// Run executes events until the queue drains or Halt is called.
+func (e *Engine) Run() { e.run(math.Inf(1)) }
+
 // NextEventAt returns the timestamp of the earliest live pending event, or
-// +Inf when the engine is drained. Probing may flush timing-wheel slots into
-// the heap, which is placement only and cannot change any result.
+// +Inf when the engine is drained. Probing may move events between scheduler
+// bands, which is placement only and cannot change any result.
 func (e *Engine) NextEventAt() Time {
-	if ev := e.peekLive(); ev != nil {
+	if ev := e.peek(math.MaxInt64); ev != nil {
 		return ev.at
 	}
 	return math.Inf(1)
@@ -686,53 +756,13 @@ func (e *Engine) NextEventAt() Time {
 // runs events at exactly limit nor force-advances the clock: conservative
 // shard rounds execute half-open [now, limit) windows, and only the group
 // coordinator knows the final deadline (see ShardGroup).
-func (e *Engine) RunBefore(limit Time) {
-	e.halted = false
-	for !e.halted {
-		if len(e.events) > 0 {
-			it := &e.events[0]
-			if !it.ev.dead && (e.wheel.count == 0 || e.wheel.cur > tickOf(it.at)+1) {
-				if it.at >= limit {
-					return
-				}
-				e.runAt(it.at)
-				continue
-			}
-		}
-		next := e.peekLiveSlow()
-		if next == nil || next.at >= limit {
-			return
-		}
-		e.runAt(next.at)
-	}
-}
+func (e *Engine) RunBefore(limit Time) { e.run(math.Nextafter(limit, math.Inf(-1))) }
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to exactly deadline. Events scheduled after the deadline remain
 // queued, so simulations can be resumed with further RunUntil calls.
-// Dispatch is burst-mode, as in Run.
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for !e.halted {
-		// Inline probe, as in Run: a live heap top that is provably the
-		// earliest pending event (wheel empty or strictly above it) settles
-		// the deadline comparison without the slow probe.
-		if len(e.events) > 0 {
-			it := &e.events[0]
-			if !it.ev.dead && (e.wheel.count == 0 || e.wheel.cur > tickOf(it.at)+1) {
-				if it.at > deadline {
-					break
-				}
-				e.runAt(it.at)
-				continue
-			}
-		}
-		next := e.peekLiveSlow()
-		if next == nil || next.at > deadline {
-			break
-		}
-		e.runAt(next.at)
-	}
+	e.run(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}

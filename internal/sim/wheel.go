@@ -1,51 +1,104 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
-// Hierarchical timing wheel.
+// The scheduler: a sorted near-run under a three-level timing wheel.
 //
-// The wheel sits in front of the event heap and absorbs the dense band of
-// near-future timers (packet-timescale pacing loops, monitor intervals,
-// retransmission timers) at O(1) insertion cost. Simulated time is bucketed
-// into fixed-width ticks; each wheel level is a ring of slots one tick (level
-// 0) or wheelSlotCount ticks (level 1) wide. An event lands in the slot
-// covering its timestamp; when the engine needs events from a slot, the whole
-// slot is flushed into the heap at once, so the heap only ever holds
+// The engine serves a few hundred persistent timers — a serializer and a
+// pipe head per link, a pacing and a tail timer per flow — re-armed millions
+// of times. A pending event lives in exactly one of four bands, chosen by how
+// far its tick lies past the wheel cursor when it is placed:
 //
-//   - events inside the current tick (too near to bucket),
-//   - events beyond the wheel horizon (the far-overflow band), and
-//   - the contents of recently flushed slots.
+//	near      a run sorted by (at, seq) and consumed from the front: every
+//	          event whose tick is behind the cursor. This, and only this,
+//	          decides firing order. Pop is an index bump; an arrival enters
+//	          by a short insertion from the back.
+//	level 0-2 three rings of 256 slots, 1 / 256 / 65 536 ticks wide, reaching
+//	          2 ms / 524 ms / 134 s ahead. O(1) to enter, unordered inside a
+//	          slot. Level-0 slots are flushed into the near-run as the cursor
+//	          passes; upper slots cascade down a level as it enters them.
+//	overflow  a 4-ary heap for the rare event beyond 134 s, refilled into the
+//	          wheel as the horizon reaches it and never read when popping.
 //
-// Ordering is therefore still decided exclusively by the heap's (at, seq)
-// comparison: the wheel never reorders anything, it only defers heap
-// insertion, which keeps every simulation byte-identical to the pure-heap
-// engine while cutting the heap's size — and the O(log n) cost of every
-// push/pop — down to the handful of events in flight around "now".
+// Placement is a cost policy and nothing else: whichever band an event
+// starts in, it reaches the near-run before it can be the earliest pending
+// event, and the near-run orders it against everything else by (at, seq).
+// Reports are therefore byte-identical to a plain priority queue's.
 //
-// Float rounding: tickOf truncates at/granularity, and the product can round
-// up across an integer boundary, so a computed tick overshoots the exact
-// floor by at most one (it never undershoots: truncation of a value ≥ the
-// exact quotient minus one ulp cannot go below the exact floor). Every
-// consumer therefore keeps one tick of slack: an event is safe to leave in
-// the wheel only while its slot start is at least two ticks past the
-// reference timestamp.
+// Measured on the 120-node / 200-flow WAN trial (Engine.Stats): 94 % of
+// placements land in level 0, 5 % in the near-run, 1 % in level 1, 0.01 % in
+// level 2 and none in the overflow heap; the cursor moves once per 15 events
+// and the near-run is 16 entries long right after it has (its longest).
+// TestStatsWANTimers holds a synthetic copy of that traffic to those numbers.
+//
+// Invariants:
+//
+//  1. Every event in a level or in the overflow heap has tickOf(at) >= cur:
+//     an event enters a level only with tick >= cur, and cur passes a tick
+//     only by flushing that tick's level-0 slot into the near-run.
+//  2. near[head:] is sorted by (at, seq). spill is the unsorted remainder of
+//     a crowd — arrivals that belonged more than nearShiftMax places from
+//     the back — and is sorted and merged before the next pop.
+//  3. The near-run's head may fire once cur > tickOf(head.at) and spill is
+//     empty. tickOf is monotone (a correctly rounded multiply by a positive
+//     constant, then truncation), so by (1) everything outside the near-run
+//     then has a strictly later timestamp. No extra tick of float slack is
+//     needed; integer time would not shorten this.
+//  4. The level-k slot covering cur's own level-(k-1) block holds nothing due
+//     in that block: it is cascaded down at the moment cur enters the block,
+//     so a ring index never means two laps at once. (What bucket files there
+//     afterwards is due one lap later and waits for the next entry.)
+//  5. Bounded flush: one probe moves the cursor no further than one tick past
+//     the first occupied slot, never to the tick of a far event that happens
+//     to head the near-run, and never past the bound of a RunUntil/RunBefore.
+//     So while anything is bucketed cur is at most one tick ahead of the
+//     clock, and the near-run holds about one tick of traffic. With every
+//     level empty the cursor carries no information: peek parks it past
+//     every tick, and place snaps it back to the clock before the next
+//     insert.
+//  6. A cancelled event is released where the scheduler meets it — flushing,
+//     cascading, refilling, or at the near-run's head — and never travels
+//     further. In particular a Pipe delivery slot killed by Pipe.Flush stays
+//     lodged where it was (a slot, the near-run, spill, the batch) only until
+//     the scheduler passes its timestamp: no later event fires before the
+//     cursor has passed the dead arming's tick (3), flushed its slot (1) and
+//     popped it off the near-run (2). Once the clock is strictly past that
+//     timestamp the slot is free, which is what Pipe.arm's stale check
+//     relies on.
 const (
 	wheelBits      = 8
 	wheelSlotCount = 1 << wheelBits // slots per level
 	wheelMask      = wheelSlotCount - 1
-	// wheelGranularity is the level-0 tick width in seconds. 16 µs is near
-	// the serialization time of one MSS at 1 Gbps, the finest timer scale
-	// the simulations produce in bulk; level 0 then spans ~4.1 ms and level
-	// 1 ~1.05 s, so everything up to satellite-RTT timers stays in the
-	// wheel and only truly far timers overflow to the heap.
-	wheelGranularity = 16e-6
+	wheelLevels    = 3
+	// wheelGranularity is the level-0 tick width in seconds, a measured
+	// constant: on the 120-node WAN trial 8 µs is fastest and 4-16 µs are
+	// within 10 % of it (BENCH_23.json). A finer tick shortens the near-run
+	// (less insertion work) but flushes more, emptier slots.
+	wheelGranularity = 8e-6
 	wheelInvGran     = 1 / wheelGranularity
-	// wheelSpan0/wheelSpan1 are the level horizons in ticks.
-	wheelSpan0 = wheelSlotCount
-	wheelSpan1 = wheelSlotCount * wheelSlotCount
+	// wheelSpan0/1 are the level-0 and level-1 horizons in ticks;
+	// wheelHorizon is where the overflow band begins.
+	wheelSpan0   = 1 << wheelBits
+	wheelSpan1   = 1 << (2 * wheelBits)
+	wheelHorizon = 1 << (wheelLevels * wheelBits)
 )
 
-func tickOf(at Time) int64 { return int64(at * wheelInvGran) }
+// tickOf is monotone in at, which invariant 3 rests on; timestamps too large
+// for an int64 tick count share the last tick.
+func tickOf(at Time) int64 {
+	if !(at < maxTickTime) {
+		return maxTick
+	}
+	return int64(at * wheelInvGran)
+}
+
+const (
+	maxTick     = 1 << 62
+	maxTickTime = maxTick * wheelGranularity
+)
 
 // wheelLevel is one ring of slots with an occupancy bitmap (one bit per
 // slot) so advancing across empty regions costs a few word scans, not a
@@ -53,26 +106,7 @@ func tickOf(at Time) int64 { return int64(at * wheelInvGran) }
 type wheelLevel struct {
 	slots    [wheelSlotCount][]*Event
 	occupied [wheelSlotCount / 64]uint64
-	// arena seeds first-touch slots with small capacity carved from one
-	// shared block, so a fresh engine does not pay one growth chain of
-	// allocations per slot it ever uses. Slot backing arrays are retained
-	// across flushes either way.
-	arena []*Event
-}
-
-const wheelSlotSeedCap = 4
-
-func (l *wheelLevel) put(slot int, ev *Event) {
-	s := l.slots[slot]
-	if s == nil {
-		if len(l.arena) < wheelSlotSeedCap {
-			l.arena = make([]*Event, wheelSlotCount*wheelSlotSeedCap)
-		}
-		s = l.arena[:0:wheelSlotSeedCap]
-		l.arena = l.arena[wheelSlotSeedCap:]
-	}
-	l.slots[slot] = append(s, ev)
-	l.occupied[slot>>6] |= 1 << (slot & 63)
+	n        int // events in this level
 }
 
 // nextOccupied returns the smallest occupied slot index >= from, or -1.
@@ -94,167 +128,205 @@ func (l *wheelLevel) nextOccupied(from int) int {
 }
 
 type wheel struct {
-	levels [2]wheelLevel
-	// cur is the first tick not yet flushed: every event still in the wheel
-	// has a computed tick >= cur, and the level-1 slot covering cur's block
-	// has already been cascaded down.
-	cur   int64
-	count int
+	// cur is the first tick not yet flushed (invariant 1). It and count lead
+	// the struct so the run loop's probe stays on the cache line of the
+	// near-run's header.
+	cur    int64
+	count  int // events in all levels
+	levels [wheelLevels]wheelLevel
+	// arena seeds first-touch slots with small capacity carved from one
+	// block shared by all levels, so a fresh engine pays one allocation per
+	// 256 slots it ever touches instead of one growth chain per slot — and
+	// the sparse upper levels add none of their own. Slot backing arrays are
+	// retained across flushes either way.
+	arena []*Event
 }
 
-// insert buckets ev into the wheel, or reports false when the event belongs
-// in the heap instead: timestamps within the current tick (flushing slack)
-// or beyond the level-1 horizon.
-func (w *wheel) insert(ev *Event) bool {
-	t := tickOf(ev.at)
-	d := t - w.cur
-	if d < 1 {
-		return false
-	}
-	if d < wheelSpan0 {
-		w.levels[0].put(int(t&wheelMask), ev)
-	} else if d < wheelSpan1 {
-		w.levels[1].put(int((t>>wheelBits)&wheelMask), ev)
-	} else {
-		return false
-	}
-	w.count++
-	return true
-}
+const wheelSlotSeedCap = 4
 
-// flushSlot empties one level-0 slot into the heap. Cancelled events are
-// released here instead of travelling through the heap. The slot's backing
-// array is retained, so steady-state flushing does not allocate.
-func (e *Engine) flushSlot(l *wheelLevel, slot int) {
-	evs := l.slots[slot]
-	for _, ev := range evs {
-		if ev.dead {
-			e.release(ev)
-		} else {
-			e.heapPush(ev)
+func (w *wheel) put(level, slot int, ev *Event) {
+	l := &w.levels[level]
+	s := l.slots[slot]
+	if s == nil {
+		if len(w.arena) < wheelSlotSeedCap {
+			w.arena = make([]*Event, wheelSlotCount*wheelSlotSeedCap)
 		}
+		s = w.arena[:0:wheelSlotSeedCap]
+		w.arena = w.arena[wheelSlotSeedCap:]
 	}
+	l.slots[slot] = append(s, ev)
+	l.occupied[slot>>6] |= 1 << (slot & 63)
+	l.n++
+	w.count++
+}
+
+// take empties one slot and returns what it held. The backing array is
+// retained, so steady-state flushing does not allocate.
+func (w *wheel) take(level, slot int) []*Event {
+	l := &w.levels[level]
+	evs := l.slots[slot]
 	l.slots[slot] = evs[:0]
 	l.occupied[slot>>6] &^= 1 << (slot & 63)
-	e.wheel.count -= len(evs)
+	l.n -= len(evs)
+	w.count -= len(evs)
+	return evs
 }
 
-// cascade moves the level-1 slot covering the block that starts at tick
-// `base` down into level 0. Called exactly once per block, when cur first
-// enters it, so level-0 slot indices never collide across blocks.
-func (e *Engine) cascade(base int64) {
+// Bands, in the order Stats.Placed counts them.
+const (
+	BandNear = iota
+	BandL0
+	BandL1
+	BandL2
+	BandOverflow
+	numBands
+)
+
+// bucket files ev by the distance of its tick from the cursor.
+func (e *Engine) bucket(ev *Event) int {
 	w := &e.wheel
-	l1 := &w.levels[1]
-	slot := int((base >> wheelBits) & wheelMask)
-	if l1.occupied[slot>>6]&(1<<(slot&63)) == 0 {
+	t := tickOf(ev.at)
+	d := t - w.cur
+	switch {
+	case d < 0:
+		e.nearInsert(ev)
+		return BandNear
+	case d < wheelSpan0:
+		w.put(0, int(t&wheelMask), ev)
+		return BandL0
+	case d < wheelSpan1:
+		w.put(1, int((t>>wheelBits)&wheelMask), ev)
+		return BandL1
+	case d < wheelHorizon:
+		w.put(2, int((t>>(2*wheelBits))&wheelMask), ev)
+		return BandL2
+	}
+	e.over.push(ev)
+	return BandOverflow
+}
+
+// rebucket moves events that left a coarser band (a cascaded slot, the
+// overflow heap) to where they belong now. Cancelled events are released
+// here instead of travelling further.
+func (e *Engine) rebucket(ev *Event) {
+	if ev.dead {
+		e.release(ev)
 		return
 	}
-	evs := l1.slots[slot]
-	for _, ev := range evs {
-		if ev.dead {
-			e.release(ev)
-			w.count--
-			continue
-		}
-		w.levels[0].put(int(tickOf(ev.at)&wheelMask), ev)
-	}
-	l1.slots[slot] = evs[:0]
-	l1.occupied[slot>>6] &^= 1 << (slot & 63)
+	e.stats.Cascades++
+	e.bucket(ev)
 }
 
-// wheelFlushBelow moves every wheel event with tick < T into the heap and
-// advances cur to at least T.
-func (e *Engine) wheelFlushBelow(T int64) {
+// cascade runs when cur enters a new level-0 block: the level-1 slot covering
+// the block moves down, preceded — when the block also opens a level-1 lap —
+// by the level-2 slot covering that lap and by whatever part of the overflow
+// band the horizon now reaches (invariant 4).
+func (e *Engine) cascade() {
 	w := &e.wheel
-	for w.cur < T {
-		if w.count == 0 {
-			// An empty wheel has nothing to cascade either; jump.
-			w.cur = T
-			return
+	if w.cur&(wheelSpan1-1) == 0 {
+		e.refill()
+		for _, ev := range w.take(2, int((w.cur>>(2*wheelBits))&wheelMask)) {
+			e.rebucket(ev)
 		}
-		base := w.cur &^ int64(wheelMask)
-		blockEnd := base + wheelSlotCount // first tick of the next block
-		lim := T
-		if lim > blockEnd {
-			lim = blockEnd
-		}
-		l0 := &w.levels[0]
-		for i := int(w.cur & wheelMask); ; {
-			s := l0.nextOccupied(i)
-			if s < 0 || base+int64(s) >= lim {
-				break
+	}
+	for _, ev := range w.take(1, int((w.cur>>wheelBits)&wheelMask)) {
+		e.rebucket(ev)
+	}
+}
+
+// refill moves every overflow event the horizon has reached into the wheel.
+// It runs at each level-1 lap boundary and after each cursor jump, which is
+// 65 536 ticks or more before any such event is due.
+func (e *Engine) refill() {
+	for len(e.over) > 0 && tickOf(e.over[0].at)-e.wheel.cur < wheelHorizon {
+		e.rebucket(e.over.pop())
+	}
+}
+
+// advance moves cur forward to at most lim, flushing the level-0 slots it
+// passes into the near-run, and stops one tick past the first slot that held
+// anything (invariant 5).
+func (e *Engine) advance(lim int64) {
+	w := &e.wheel
+	for w.cur < lim && w.count > 0 {
+		base := w.cur &^ wheelMask
+		stop := min(lim, base+wheelSlotCount)
+		if s := w.levels[0].nextOccupied(int(w.cur & wheelMask)); s >= 0 && base+int64(s) < stop {
+			for _, ev := range w.take(0, s) {
+				if ev.dead {
+					e.release(ev)
+				} else {
+					e.nearInsert(ev)
+				}
 			}
-			e.flushSlot(l0, s)
-			i = s + 1
-		}
-		w.cur = lim
-		if w.cur == blockEnd {
-			e.cascade(blockEnd)
-		}
-	}
-}
-
-// wheelFlushNext advances to the next occupied slot and flushes it, for the
-// heap-empty case. It returns once the heap is non-empty or the wheel
-// drains (a flushed slot may contain only cancelled events).
-func (e *Engine) wheelFlushNext() {
-	w := &e.wheel
-	for w.count > 0 && len(e.events) == 0 {
-		base := w.cur &^ int64(wheelMask)
-		if s := w.levels[0].nextOccupied(int(w.cur & wheelMask)); s >= 0 {
-			e.flushSlot(&w.levels[0], s)
 			w.cur = base + int64(s) + 1
-			if w.cur&wheelMask == 0 {
-				e.cascade(w.cur)
+			lim = w.cur
+		} else {
+			if w.levels[0].n == 0 && w.levels[1].n == 0 {
+				// Only level 2 holds anything, and none of it before the next
+				// level-1 lap: skip the empty blocks in one step.
+				stop = min(lim, w.cur|(wheelSpan1-1)+1)
 			}
-			continue
+			w.cur = stop
 		}
-		// Nothing left in this block at level 0: step to the next block.
-		w.cur = base + wheelSlotCount
-		e.cascade(w.cur)
+		if w.cur&wheelMask == 0 {
+			e.cascade()
+		}
 	}
 }
 
-// peekLive flushes the wheel just far enough that the earliest live pending
-// event, if any, sits at the heap top, and returns it (nil when the engine
-// is drained). The one-tick slack absorbs tickOf's floor-overshoot (see the
-// package comment above).
-func (e *Engine) peekLive() *Event {
-	// Fast path, small enough to inline into the run loops: a live heap top
-	// that is provably earlier than every wheel event (or the wheel is
-	// empty). This is the steady state of pipe-dominated workloads, where
-	// the top few events churn in the heap while the wheel holds the far
-	// timers.
-	if len(e.events) > 0 {
-		it := &e.events[0]
-		if !it.ev.dead && (e.wheel.count == 0 || e.wheel.cur > tickOf(it.at)+1) {
-			return it.ev
-		}
-	}
-	return e.peekLiveSlow()
-}
-
-func (e *Engine) peekLiveSlow() *Event {
+// peek advances the scheduler just far enough that the earliest live pending
+// event heads the near-run, and returns it — or nil when every pending event
+// has a tick >= bound, so none is due at or before the time bound was made
+// from. The cursor never moves past bound, which keeps it at the clock across
+// RunUntil/RunBefore calls that stop short of a far event. Engine.run tests
+// the common case — a live head already behind the cursor — before calling.
+func (e *Engine) peek(bound int64) *Event {
+	w := &e.wheel
 	for {
-		for len(e.events) > 0 && e.events[0].ev.dead {
-			e.release(e.heapPop())
+		if len(e.spill) > 0 {
+			e.mergeSpill()
 		}
-		if e.wheel.count == 0 {
-			if len(e.events) == 0 {
+		for e.head < len(e.near) && e.near[e.head].ev.dead {
+			e.release(e.nearPop())
+		}
+		var head *Event
+		lim := bound
+		if e.head < len(e.near) {
+			head = e.near[e.head].ev
+			if lim = tickOf(head.at) + 1; w.cur >= lim {
+				return head
+			}
+			lim = min(lim, bound)
+		}
+		if w.count == 0 {
+			if len(e.over) == 0 {
+				// Nothing outside the near-run: park the cursor past every
+				// tick so run's inline test passes without a second condition
+				// (place resets it before anything is bucketed again).
+				w.cur = math.MaxInt64
+				return head
+			}
+			if head != nil && evLess(&e.near[e.head], &e.over[0]) {
+				return head
+			}
+			// The overflow top is the earliest pending event. With every
+			// level empty the cursor may jump straight to it.
+			ot := tickOf(e.over[0].at)
+			if ot >= bound {
 				return nil
 			}
-			return e.events[0].ev
-		}
-		if len(e.events) == 0 {
-			e.wheelFlushNext()
+			w.cur = ot
+			e.refill()
 			continue
 		}
-		hTick := tickOf(e.events[0].at)
-		if e.wheel.cur > hTick+1 {
-			// Every wheel event has tick >= cur >= hTick+2, hence an exact
-			// timestamp >= (hTick+1)*granularity > heap top's. Safe to pop.
-			return e.events[0].ev
+		if w.cur >= bound {
+			return nil
 		}
-		e.wheelFlushBelow(hTick + 2)
+		e.advance(lim)
+		live := uint64(len(e.near) - e.head + len(e.spill))
+		e.stats.Advances++
+		e.stats.NearSum += live
+		e.stats.NearMax = max(e.stats.NearMax, live)
 	}
 }
