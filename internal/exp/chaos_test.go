@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"pcc/internal/netem"
@@ -246,5 +247,44 @@ func TestChaosArenaSteadyStateAllocs(t *testing.T) {
 	t.Logf("warm faulted trial: %.0f allocs", avg)
 	if avg > driverAllocBudget {
 		t.Errorf("warm faulted trial allocates %.0f objects, budget %d", avg, driverAllocBudget)
+	}
+}
+
+// TestDegradeSparesPacketOnTheWire pins when a FaultDegrade rate step takes
+// effect: a step landing mid-serialization changes neither that packet's
+// completion nor its delivery, and stretches every later one — "from the next
+// transmission", which the link's setters must keep exact now that
+// completions are processed lazily.
+func TestDegradeSparesPacketOnTheWire(t *testing.T) {
+	t.Parallel()
+	// 12 Mbps serializes 1500 B in 1 ms; the step to 6 Mbps lands half-way
+	// through the first packet.
+	r := NewTopologyRunner(TopologySpec{
+		Seed:  1,
+		Links: []LinkSpec{{Name: "l", From: "a", To: "b", RateMbps: 12, Delay: 0.010, BufBytes: 100 * netem.KB}},
+		Faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
+			{At: 0.0015, Kind: netem.FaultDegrade, Link: "l", RateBps: netem.Mbps(6), Delay: -1, Loss: -1},
+		}},
+	})
+	var arrivals []float64
+	r.Topo.AddFlow(0, []netem.HopSpec{netem.LinkHop("l")}, []netem.HopSpec{netem.DelayHop(0)}, r.Seeds,
+		func(*netem.Packet) { arrivals = append(arrivals, r.Eng.Now()) }, nil)
+	r.Eng.At(0.001, func() {
+		for i := int64(0); i < 3; i++ {
+			r.Topo.SendData(&netem.Packet{Flow: 0, Seq: i, Size: 1500})
+		}
+	})
+	r.Run(1)
+	want := []float64{0.002 + 0.010, 0.004 + 0.010, 0.006 + 0.010}
+	if len(arrivals) != len(want) {
+		t.Fatalf("delivered %d packets, want %d", len(arrivals), len(want))
+	}
+	for i := range want {
+		if math.Abs(arrivals[i]-want[i]) > 1e-12 {
+			t.Fatalf("packet %d arrived at %v, want %v (arrivals %v)", i, arrivals[i], want[i], arrivals)
+		}
+	}
+	if got := r.Topo.LinkByName("l").Rate(); got != netem.Mbps(6) {
+		t.Fatalf("link rate %v after the degrade, want %v", got, netem.Mbps(6))
 	}
 }

@@ -205,13 +205,13 @@ func (r *Runner) runFault(a *faultAct) {
 	case netem.FaultDegrade:
 		for _, l := range r.faultLinks[a.lo:a.hi] {
 			if a.rate > 0 {
-				l.Rate = a.rate
+				l.SetRate(a.rate)
 			}
 			if a.delay >= 0 {
-				l.Delay = a.delay
+				l.SetDelay(a.delay)
 			}
 			if a.loss >= 0 {
-				l.LossRate = a.loss
+				l.SetLossRate(a.loss)
 			}
 		}
 	case netem.FaultNodeCrash:

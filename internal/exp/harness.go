@@ -467,8 +467,8 @@ func (r *Runner) RouteCapacity(route []netem.HopSpec) float64 {
 		if l == nil {
 			panic(fmt.Sprintf("exp: route references unknown link %q", h.Link))
 		}
-		if c == 0 || l.Rate < c {
-			c = l.Rate
+		if c == 0 || l.Rate() < c {
+			c = l.Rate()
 		}
 	}
 	if c == 0 {
@@ -488,7 +488,7 @@ func (r *Runner) routeRTT(fwd, rev []netem.HopSpec) float64 {
 				if l == nil {
 					panic(fmt.Sprintf("exp: route references unknown link %q", h.Link))
 				}
-				sum += l.Delay
+				sum += l.Delay()
 			} else {
 				sum += h.Delay
 			}

@@ -16,7 +16,7 @@ import (
 //
 // Fault semantics at the link level are implemented by Link.SetDown (drop
 // the in-flight train into the fault ledger, park the serializer, keep the
-// queue) and by direct parameter writes for Degrade. Node faults
+// queue) and by Link.SetRate/SetDelay/SetLossRate for Degrade. Node faults
 // additionally freeze the endpoints' sender/receiver state (see
 // internal/cc Freeze/Unfreeze); that wiring lives in the harness, which
 // knows which flows terminate at which nodes.

@@ -250,6 +250,72 @@ func TestSetDownIdempotent(t *testing.T) {
 	}
 }
 
+// TestSetDownFlapWithinOneSerialization flaps the link for less than one
+// serialization time: the wire head's completion falls after the heal, so it
+// survives and is delivered on schedule, and only what was propagating dies.
+func TestSetDownFlapWithinOneSerialization(t *testing.T) {
+	eng := sim.NewEngine()
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.010, 0, nil)
+	arrivals := map[int64]float64{}
+	link.Sink = func(p *Packet) { arrivals[p.Seq] = eng.Now() }
+	eng.At(0, func() {
+		for i := int64(0); i < 3; i++ {
+			link.Send(pkt(0, i, 1500))
+		}
+	})
+	// Packet 0 is propagating, packet 1 on the wire until 2 ms.
+	eng.At(0.0013, func() { link.SetDown(true) })
+	eng.At(0.0016, func() {
+		link.SetDown(false)
+		if !linkConserved(link) {
+			t.Error("conservation broken at the heal")
+		}
+	})
+	eng.Run()
+	if _, ok := arrivals[0]; ok || link.FaultDropped() != 1 {
+		t.Fatalf("packet 0 arrived %v, fault ledger %d; want it destroyed in flight", ok, link.FaultDropped())
+	}
+	for seq, want := range map[int64]float64{1: 0.002 + 0.010, 2: 0.003 + 0.010} {
+		if got, ok := arrivals[seq]; !ok || math.Abs(got-want) > 1e-12 {
+			t.Fatalf("packet %d arrived at %v (delivered %v), want %v: the wire head must survive a flap shorter than its serialization", seq, got, ok, want)
+		}
+	}
+	if !linkConserved(link) {
+		t.Fatal("conservation broken at end of run")
+	}
+}
+
+// TestSetDownDropsPacketRidingWake takes the link down while a completed
+// packet rides the armed wake instead of the pipe: it is in flight like any
+// pipe entry, so it must land in the fault ledger, never at the sink.
+func TestSetDownDropsPacketRidingWake(t *testing.T) {
+	eng := sim.NewEngine()
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.010, 0, nil)
+	delivered := 0
+	link.Sink = func(p *Packet) { delivered++ }
+	eng.At(0, func() { link.Send(pkt(0, 0, 1500)) })
+	// The second arrival completes packet 0 lazily; its delivery instant is
+	// the one the wake is armed for.
+	eng.At(0.0015, func() { link.Send(pkt(0, 1, 1500)) })
+	eng.At(0.002, func() {
+		if link.carry == nil || link.pipe.Len() != 0 {
+			t.Errorf("setup: carry %v, pipe %d; want packet 0 riding the wake", link.carry, link.pipe.Len())
+		}
+		link.SetDown(true)
+		if link.FaultDropped() != 1 || link.Delivered() != 0 || !linkConserved(link) {
+			t.Errorf("after SetDown: fault ledger %d, delivered %d, conserved %v; want 1, 0, true",
+				link.FaultDropped(), link.Delivered(), linkConserved(link))
+		}
+	})
+	eng.Run()
+	if delivered != 0 || link.FaultDropped() != 2 {
+		t.Fatalf("delivered %d, fault ledger %d; want 0 and 2 (the rider and the doomed wire head)", delivered, link.FaultDropped())
+	}
+	if !linkConserved(link) {
+		t.Fatal("conservation broken at end of run")
+	}
+}
+
 // TestVaryingDoesNotResurrectDownedLink composes the two variation layers on
 // one dumbbell bottleneck: VaryingSpec keeps re-drawing rate/loss/RTT while
 // a fault holds the link down. Parameter writes must not restart the

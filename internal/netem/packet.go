@@ -35,6 +35,10 @@ type Packet struct {
 
 	// Ack marks an acknowledgment travelling the reverse path.
 	Ack bool
+	// Marked carries an optional congestion mark (used by tests probing AQM
+	// behaviour; PCC itself needs no marks). It sits beside Ack so the two
+	// flags share a word and the struct stays in the 80-byte size class.
+	Marked bool
 	// CumAck is the receiver's next expected sequence number (cumulative
 	// acknowledgment), valid when Ack is set.
 	CumAck int64
@@ -43,7 +47,8 @@ type Packet struct {
 	SackSeq int64
 	// EchoSent is the Sent timestamp of the acknowledged data packet.
 	EchoSent float64
-	// Marked carries an optional congestion mark (used by tests probing AQM
-	// behaviour; PCC itself needs no marks).
-	Marked bool
+	// hop is the route hop the packet is crossing, set when a Topology route
+	// offers it to a link so the link's exit can continue the route without a
+	// per-flow table lookup. PacketPool.Put's zeroing clears it.
+	hop *hop
 }

@@ -204,3 +204,48 @@ func TestLinkResetReplaysLossStream(t *testing.T) {
 		t.Fatal("byte ledgers diverged after respec")
 	}
 }
+
+// TestLinkResetMidSerialization resets a link whose wire head and wake rider
+// sit on no engine event, where Engine.Reset's reclaim cannot see them:
+// Link.Reset must hand both back to the pool, or identical warm reruns would
+// allocate.
+func TestLinkResetMidSerialization(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := &PacketPool{}
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.010, 0, nil)
+	link.Pool = pool
+	delivered := 0
+	link.Sink = func(p *Packet) { delivered++; pool.Put(p) }
+	send := func() {
+		p := pool.Get()
+		p.Size = 1500
+		link.Send(p)
+	}
+	sendTwo := func() { send(); send() }
+	reclaim := func(a any) {
+		if p, ok := a.(*Packet); ok {
+			pool.Put(p)
+		}
+	}
+	trial := func() {
+		eng.Reset(reclaim)
+		link.Queue.(*DropTail).Reset(-1, pool)
+		link.Reset(1500*1000, 0.010, 0, 1)
+		eng.Post(0, send)
+		eng.Post(0.0015, sendTwo)
+		// Packet 0 rides the wake, packet 1 is on the wire, packet 2 queued.
+		eng.RunUntil(0.002)
+	}
+	trial()
+	if link.carry == nil || link.tx == nil || link.Queue.Len() != 1 || delivered != 0 {
+		t.Fatalf("setup: carry %v, tx %v, queued %d, delivered %d", link.carry, link.tx, link.Queue.Len(), delivered)
+	}
+	trial()
+	pool.missed = 0
+	if allocs := testing.AllocsPerRun(20, trial); allocs != 0 {
+		t.Fatalf("warm rerun allocates %v per trial, want 0", allocs)
+	}
+	if pool.missed != 0 {
+		t.Fatalf("warm reruns missed the pool %d times: Link.Reset leaked the wire head or the wake's rider", pool.missed)
+	}
+}

@@ -217,9 +217,15 @@ func growPut[T any](s []T, id int, v T) []T {
 	return s
 }
 
-// dispatch is the link's Sink: it looks up the exiting packet's route hop
-// and forwards along the route. Packets of unrouted flows are recycled.
+// dispatch is the link's Sink: it forwards the exiting packet along its
+// route. The hop rides in the packet (hop.enter put it there); the per-flow
+// tables serve packets handed to the link directly. Packets of unrouted
+// flows are recycled.
 func (li *linkInfo) dispatch(t *Topology, p *Packet) {
+	if h := p.hop; h != nil && h.link == li {
+		h.forward(p)
+		return
+	}
 	m := li.data
 	if p.Ack {
 		m = li.ack
@@ -277,6 +283,7 @@ type hop struct {
 // enter offers a packet to this hop.
 func (h *hop) enter(p *Packet) {
 	if h.link != nil {
+		p.hop = h
 		h.link.link.Send(p)
 		return
 	}
@@ -807,25 +814,13 @@ func (s LinkStats) Conserved() bool {
 }
 
 // Stats returns per-link accounting in AddLink order (deterministic, so
-// reports embedding it stay byte-identical across runs).
+// reports embedding it stay byte-identical across runs), each link's exact at
+// its clock.
 func (t *Topology) Stats() []LinkStats {
 	out := make([]LinkStats, len(t.links))
 	for i, li := range t.links {
-		out[i] = LinkStats{
-			Name:         li.name,
-			Delivered:    li.link.Delivered(),
-			WireLost:     li.link.WireLost(),
-			QueueDropped: li.link.Queue.Dropped(),
-			FaultDropped: li.link.FaultDropped(),
-
-			OfferedBytes:      li.link.OfferedBytes(),
-			DeliveredBytes:    li.link.DeliveredBytes(),
-			WireLostBytes:     li.link.WireLostBytes(),
-			QueueDroppedBytes: li.link.Queue.DroppedBytes(),
-			FaultDroppedBytes: li.link.FaultDroppedBytes(),
-			QueuedBytes:       int64(li.link.Queue.Bytes()),
-			TxBytes:           li.link.TxBytes(),
-		}
+		out[i] = li.link.ledger()
+		out[i].Name = li.name
 	}
 	return out
 }

@@ -283,3 +283,23 @@ func TestDumbbellPanicsCarryFlowID(t *testing.T) {
 	mustPanic(t, []string{"SendAck", "42"}, func() { d.SendAck(&Packet{Flow: 42, Ack: true}) })
 	mustPanic(t, []string{"SetFlowDelays", "43"}, func() { d.SetFlowDelays(43, 0.01, 0.01) })
 }
+
+// TestDispatchFallsBackToRouteTable hands packets to an interior link
+// directly — no hop.enter stamped them, or a stale stamp names another link —
+// and checks the link's exit still continues the flow's route from its table.
+func TestDispatchFallsBackToRouteTable(t *testing.T) {
+	eng := sim.NewEngine()
+	seeds := sim.NewSeeds(1)
+	topo, delivered := threeHopTopo(t, eng, seeds, []int{-1, -1, -1}, []float64{0, 0, 0})
+	fwd, _ := topo.FlowRoutes(0)
+	l2 := topo.LinkByName("l2")
+	l2.Send(&Packet{Flow: 0, Size: 1500})
+	l2.Send(&Packet{Flow: 0, Size: 1500, hop: fwd.hops[1]}) // stamped for l1
+	eng.Run()
+	if *delivered != 2 {
+		t.Fatalf("delivered %d of 2 hand-injected packets", *delivered)
+	}
+	if got := topo.LinkByName("l3").Delivered(); got != 2 {
+		t.Fatalf("l3 forwarded %d, want 2", got)
+	}
+}

@@ -43,8 +43,8 @@ func StartVarying(eng *sim.Engine, bottleneck *Link, fwd, rev *Route, spec Varyi
 		rate := spec.RateMin + rng.Float64()*(spec.RateMax-spec.RateMin)
 		rtt := spec.RTTMin + rng.Float64()*(spec.RTTMax-spec.RTTMin)
 		loss := spec.LossMin + rng.Float64()*(spec.LossMax-spec.LossMin)
-		bottleneck.Rate = rate
-		bottleneck.LossRate = loss
+		bottleneck.SetRate(rate)
+		bottleneck.SetLossRate(loss)
 		fwd.SetDelay(0, rtt/2)
 		rev.SetDelay(0, rtt/2)
 		*trace = append(*trace, Sample{At: now, Rate: rate, RTT: rtt, Loss: loss})

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // Pipe is a FIFO delay line: a ring of (at, seq, arg) entries delivered
 // through a single self-rearming scheduler slot. It exploits the structure
 // of constant-delay hops — entries posted in time order also fire in time
@@ -75,8 +80,18 @@ func (p *Pipe) Post(delay float64, arg any) {
 	if delay < 0 {
 		delay = 0
 	}
+	p.PostAt(p.e.now+delay, arg)
+}
+
+// PostAt is Post at an absolute time, for a stage that computes its delivery
+// instants itself (a link finishing serializations lazily posts at
+// completion+delay, and now+(t-now) is not t in floating point). Like every
+// absolute-time schedule it panics on a timestamp in the engine's past.
+func (p *Pipe) PostAt(at Time, arg any) {
 	e := p.e
-	at := e.now + delay
+	if at < e.now {
+		panic(fmt.Sprintf("sim: pipe entry at %v before now %v", at, e.now))
+	}
 	seq := e.nextSeq
 	e.nextSeq++
 	if p.count > 0 && at < p.buf[(p.head+p.count-1)&(len(p.buf)-1)].at {
@@ -90,6 +105,15 @@ func (p *Pipe) Post(delay float64, arg any) {
 	if !p.armed {
 		p.arm()
 	}
+}
+
+// NextAt returns the timestamp of the pipe's pending delivery — its oldest
+// queued entry — or +Inf when nothing is queued.
+func (p *Pipe) NextAt() Time {
+	if p.count == 0 {
+		return math.Inf(1)
+	}
+	return p.buf[p.head].at
 }
 
 // arm schedules the pipe's delivery slot at the head entry's (at, seq).

@@ -455,6 +455,16 @@ func (e *Engine) Post(delay float64, fn func()) {
 	e.schedule(e.now+delay, fn, nil, nil)
 }
 
+// PostAt is Post at an absolute time, for callers that computed the instant
+// themselves (now+(at-now) is not at in floating point). Like At it panics on
+// a timestamp in the engine's past.
+func (e *Engine) PostAt(at Time, fn func()) {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	e.schedule(at, fn, nil, nil)
+}
+
 // PostArg schedules fn(arg) delay seconds from now, fire-and-forget.
 // Because fn is typically a long-lived function value and arg rides in the
 // event itself, hot paths can schedule per-packet work with zero closure

@@ -355,8 +355,8 @@ func TestStatsWANTimers(t *testing.T) {
 	if st.Advances == 0 || st.Placed[BandL0] == 0 || st.Placed[BandL1] == 0 || st.Placed[BandL2] == 0 {
 		t.Fatalf("traffic missed a band: %+v", st)
 	}
-	if mean := float64(st.NearSum) / float64(st.Advances); mean > 16 {
-		t.Errorf("mean near-run after an advance = %.1f entries, want <= 16 (%+v)", mean, st)
+	if mean := float64(st.NearSum) / float64(st.Advances); mean > 11 {
+		t.Errorf("mean near-run after an advance = %.1f entries, want <= 11 (%+v)", mean, st)
 	}
 	if st.Placed[BandOverflow] != 0 {
 		t.Errorf("%d placements overflowed the wheel, want 0", st.Placed[BandOverflow])
