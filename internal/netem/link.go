@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -34,17 +35,33 @@ const KB = 1000
 // Queue's Enqueue/Dequeue(now) call sequence are those of a serializer that
 // fired one engine event per completion, so AQMs see the same clock.
 //
-// Invariant: a link with a packet on the wire has a pending touch no later
-// than that packet's delivery. The propagation pipe provides it whenever its
-// head is due by then — a loaded link with delay >= one serialization time,
-// where every delivery also completes what finished behind it: one engine
-// event per packet-hop. Otherwise the link arms its one own event, the wake,
-// at txEnd+delay; the wake completes the packet and delivers it in the same
-// event, and a packet completed early by another touch rides the armed wake
-// (carry) instead of the pipe. Two populations arm the wake at txEnd itself:
-// a cross-shard link, whose XDeliver mailbox post must be made at the
-// completion instant, and a link that is down, so the clock still reaches the
-// doomed packet's completion.
+// Arrivals are lazy too. A delay hop that feeds the link (a flow's access
+// segment, see Topology) does not post a delivery event whose only effect
+// would be to call Send: it posts the packet into the link's inbox with
+// SendAt, stamped (at, seq) with the sequence number that event would have
+// drawn (sim.Engine.DrawSeq). The inbox is sorted by (at, seq), and each
+// arrival is admitted — as a Send at its own instant: completions strictly
+// before at, enqueue, start if idle — by the first touch of the link it
+// precedes. Like the wire head, inbox entries are link-local: they are not
+// engine events, Engine.Pending does not count them and Engine.Reset does not
+// see them (Reset here returns them to Pool).
+//
+// Invariant: a link has a pending touch no later than the first instant its
+// lazy state must be made real — for a packet on the wire, its delivery; for
+// an idle, up link with a non-empty inbox, the delivery of the inbox head
+// were it admitted, head.at+size/rate+delay. The propagation pipe provides
+// the touch whenever its head is due by then — a loaded link with delay >=
+// one serialization time, where every delivery also completes what finished
+// behind it and admits what arrived in front of it: one engine event per
+// packet-hop. Otherwise the link arms its one own event, the wake, there; the
+// wake admits, completes and delivers in the same event, and a packet
+// completed early by another touch rides the armed wake (carry) instead of
+// the pipe. Two populations arm the wake at the completion itself: a
+// cross-shard link, whose XDeliver mailbox post must be made at the completion
+// instant, and a link that is down, so the clock still reaches the doomed
+// packet's completion (a down link needs no touch for its inbox: arrivals only
+// queue there, at their own instants, whenever they are admitted). SetRate
+// re-covers, since a faster rate moves the inbox head's delivery earlier.
 //
 // Tie rule: Send processes the completions strictly before now, enqueues, and
 // leaves a completion at exactly now to the next touch — arrival first. The
@@ -56,7 +73,26 @@ const KB = 1000
 // serialization started, after the arriving packet's delivery had drawn its
 // own one upstream propagation delay earlier — and the one the recorded
 // report digests hold; completion first moves 11 of the 24. Every other touch
-// is inclusive.
+// is inclusive. An inbox arrival admitted at exactly a txEnd follows the same
+// rule.
+//
+// Admission rules. A touch from another event — a direct Send, a getter or a
+// setter — admits exactly the arrivals that would have fired before it:
+// sim.Engine.Precedes(at, seq), which outside any callback means everything
+// at or before the clock. The link's own touches (its wake and its pipe
+// deliveries) admit every arrival due by the clock: own touches yield. Their
+// sequence numbers are drawn lazily — a wake is armed when an arrival is
+// posted, a pipe entry when a completion is processed — so they are older than
+// the ones a delivery-event link would have drawn, which armed its wake only
+// when the arrival was delivered: a wake armed when the head arrival was
+// posted would outrank same-instant arrivals posted after it that the
+// delivery-event link let in first. Pure (at, seq) for own touches moves the
+// fig5, fig6 and fig9 digests; the yield rule keeps all 24.
+//
+// Between the rounds of a sharded run (sim.ShardGroup) an engine's clock rests
+// on the last event it executed, not on the round's limit, so a getter there
+// sees the link as of that event: arrivals due later in the round wait in the
+// inbox, where a delivery-event link would already have taken them in.
 //
 // Rate, delay and loss rate may be changed at any time through the setters
 // (the rapidly-changing network of §4.1.7); each brings the link up to the
@@ -102,6 +138,14 @@ type Link struct {
 	carry   *Packet
 	carryAt float64
 	wakeFn  func()
+	// inbox holds the arrivals feeding delay hops posted ahead of time
+	// (SendAt), sorted by (at, seq) from ibHead on; the prefix before ibHead
+	// is admitted and dead. Admitting the last entry truncates the slice, so
+	// an inbox with nothing pending has length 0 — the one compare a link
+	// without a feeder pays per touch. A busy link's inbox never drains to
+	// empty, so there the prefix is compacted away (see room) instead.
+	inbox  []arrival
+	ibHead int
 
 	delivered int64
 	lost      int64
@@ -155,6 +199,9 @@ func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, rng *ra
 	// Sink is typically assigned after construction; the delivery paths
 	// read it at delivery time.
 	l.deliverFn = func(a any) {
+		if len(l.inbox) > 0 {
+			l.admit(true)
+		}
 		l.sync()
 		l.cover()
 		l.Sink(a.(*Packet))
@@ -173,12 +220,13 @@ func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, rng *ra
 
 // Reset re-specs the link in place for a new simulation on a reset engine:
 // new rate/delay/loss parameters, a re-seeded loss stream, and zeroed
-// counters, with the propagation pipe and queue storage retained. The wire
-// head and a packet riding the wake are on no engine event, so Engine.Reset's
-// reclaim cannot see them: they return to Pool here. The seed must come from
-// the same derivation-chain position a fresh NewLink would have drawn its rng
-// from, so the loss process is bit-identical to a fresh build. The caller
-// resets the queue separately (capacity may change).
+// counters, with the propagation pipe, inbox and queue storage retained. The
+// wire head, a packet riding the wake and the inbox's arrivals are on no
+// engine event, so Engine.Reset's reclaim cannot see them: they return to
+// Pool here. The seed must come from the same derivation-chain position a
+// fresh NewLink would have drawn its rng from, so the loss process is
+// bit-identical to a fresh build. The caller resets the queue separately
+// (capacity may change).
 func (l *Link) Reset(rateBps, delay, lossRate float64, seed int64) {
 	l.rate, l.delay, l.lossRate = rateBps, delay, lossRate
 	l.dt, _ = l.Queue.(*DropTail)
@@ -186,6 +234,10 @@ func (l *Link) Reset(rateBps, delay, lossRate float64, seed int64) {
 	l.Pool.Put(l.tx)
 	l.Pool.Put(l.carry)
 	l.tx, l.carry = nil, nil
+	for _, a := range l.inbox[l.ibHead:] {
+		l.Pool.Put(a.p)
+	}
+	l.inbox, l.ibHead = l.inbox[:0], 0
 	l.wakeAt = math.Inf(1)
 	l.down = false
 	l.delivered, l.lost = 0, 0
@@ -193,11 +245,21 @@ func (l *Link) Reset(rateBps, delay, lossRate float64, seed int64) {
 	l.offeredBytes, l.deliveredBytes, l.lostBytes = 0, 0, 0
 }
 
-// Send offers a packet to the link. Packets rejected by the queue are
-// dropped silently (the queue counts them).
+// arrival is one inbox entry: a packet due at the link at, stamped with the
+// sequence number its delivery event would have drawn.
+type arrival struct {
+	at  float64
+	seq uint64
+	p   *Packet
+}
+
+// Send offers a packet to the link now. Packets rejected by the queue are
+// dropped silently (the queue counts them). It spells out arrive's transition
+// instead of calling it: Send is every link's per-packet entry, and a shared
+// helper read 4-5 ns a packet slower on the LinkForward benchmark (62 ns).
 func (l *Link) Send(p *Packet) {
+	moved := len(l.inbox) > 0 && l.admit(false)
 	now := l.Eng.Now()
-	moved := false
 	// Strictly before now: the arrival sees the queue before a completion at
 	// this very instant pops it (the tie rule).
 	for l.tx != nil && l.txEnd < now {
@@ -219,6 +281,106 @@ func (l *Link) Send(p *Packet) {
 	}
 	if moved {
 		l.cover()
+	}
+}
+
+// SendAt offers p to the link at the instant at, not before the clock, on
+// behalf of a delay hop that feeds it: the packet waits in the inbox under
+// the sequence number a delivery event posted now would have drawn, and is
+// admitted exactly as Send at that instant would have taken it in (see the
+// admission rules above). Arrivals may be posted out of time order — a
+// feeding hop's delay can shrink mid-flight — and still arrive in (at, seq)
+// order.
+func (l *Link) SendAt(p *Packet, at float64) {
+	e := l.Eng
+	if at < e.Now() {
+		panic(fmt.Sprintf("netem: SendAt %v before now %v", at, e.Now()))
+	}
+	a := arrival{at: at, seq: e.DrawSeq(), p: p}
+	if n := len(l.inbox); n > 0 && at < l.inbox[n-1].at {
+		// A fresh seq is the largest, so a lands after every entry at its
+		// instant and before every later one.
+		if l.insert(a) == l.ibHead && l.tx == nil {
+			l.cover()
+		}
+		return
+	}
+	l.room()
+	l.inbox = append(l.inbox, a)
+	if len(l.inbox)-l.ibHead == 1 && l.tx == nil {
+		l.cover()
+	}
+}
+
+// insert puts a into the inbox at its (at, seq) place and returns the index.
+func (l *Link) insert(a arrival) int {
+	l.room()
+	lo, hi := l.ibHead, len(l.inbox)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); l.inbox[m].at <= a.at {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	l.inbox = append(l.inbox, arrival{})
+	copy(l.inbox[lo+1:], l.inbox[lo:])
+	l.inbox[lo] = a
+	return lo
+}
+
+// room compacts the admitted prefix away when the inbox is full and at least
+// half of it is dead, so appending neither grows it without bound behind a
+// busy link nor copies a long live run for a slot or two.
+func (l *Link) room() {
+	if n := len(l.inbox); n == cap(l.inbox) && l.ibHead > 0 && 2*l.ibHead >= n {
+		l.inbox = l.inbox[:copy(l.inbox, l.inbox[l.ibHead:])]
+		l.ibHead = 0
+	}
+}
+
+// admit takes in the inbox arrivals the current touch comes after, each as a
+// Send at its own instant, and reports whether there were any. own marks a
+// touch by the link's own wake or pipe delivery, which takes in every arrival
+// due by the clock (own touches yield).
+func (l *Link) admit(own bool) bool {
+	e := l.Eng
+	now := e.Now()
+	i := l.ibHead
+	for ; i < len(l.inbox); i++ {
+		a := &l.inbox[i]
+		if a.at > now || !own && !e.Precedes(a.at, a.seq) {
+			break
+		}
+		l.arrive(a.p, a.at)
+	}
+	if i == l.ibHead {
+		return false
+	}
+	if i == len(l.inbox) {
+		l.inbox, l.ibHead = l.inbox[:0], 0
+	} else {
+		l.ibHead = i
+	}
+	return true
+}
+
+// arrive is Send's state transition at an admitted arrival's own instant.
+func (l *Link) arrive(p *Packet, at float64) {
+	for l.tx != nil && l.txEnd < at {
+		l.finish()
+	}
+	l.offeredBytes += int64(p.Size)
+	var ok bool
+	if l.dt != nil {
+		ok = l.dt.Enqueue(p, at)
+	} else {
+		ok = l.Queue.Enqueue(p, at)
+	}
+	if !ok {
+		l.Pool.Put(p)
+	} else if l.tx == nil && !l.down {
+		l.transmit(at)
 	}
 }
 
@@ -281,14 +443,25 @@ func (l *Link) sync() {
 
 // cover re-establishes the invariant after the link's state moved: if neither
 // the pending wake nor the pipe's head touches the link by the time the wire
-// head needs it, a wake is armed there.
+// head — or, on an idle link, the inbox head — needs it, a wake is armed
+// there. The inbox head's instant is computed as its transmit and finish would
+// compute it, so the wake lands on its delivery exactly and can carry it.
 func (l *Link) cover() {
-	if l.tx == nil {
+	var need float64
+	switch {
+	case l.tx != nil:
+		need = l.txEnd
+		if l.XDeliver == nil && !l.down {
+			need += l.delay
+		}
+	case len(l.inbox) > 0 && !l.down:
+		a := &l.inbox[l.ibHead]
+		need = a.at + float64(a.p.Size)/l.rate
+		if l.XDeliver == nil {
+			need += l.delay
+		}
+	default:
 		return
-	}
-	need := l.txEnd
-	if l.XDeliver == nil && !l.down {
-		need += l.delay
 	}
 	if min(l.wakeAt, l.pipe.NextAt()) <= need {
 		return
@@ -297,10 +470,13 @@ func (l *Link) cover() {
 	l.Eng.PostAt(need, l.wakeFn)
 }
 
-// onWake is a wake firing: it completes what is due — the packet it was
-// armed for becomes its carry on the way — and delivers the carry.
+// onWake is a wake firing: it admits and completes what is due — the packet
+// it was armed for becomes its carry on the way — and delivers the carry.
 func (l *Link) onWake() {
 	now := l.Eng.Now()
+	if len(l.inbox) > 0 {
+		l.admit(true)
+	}
 	l.sync()
 	if l.wakeAt == now {
 		l.wakeAt = math.Inf(1)
@@ -316,10 +492,15 @@ func (l *Link) onWake() {
 }
 
 // settle brings the link up to the clock before its state is read or
-// changed from outside.
+// changed from outside: the arrivals that precede the caller are admitted,
+// then the completions due are processed.
 func (l *Link) settle() {
+	moved := len(l.inbox) > 0 && l.admit(false)
 	if l.tx != nil && l.txEnd <= l.Eng.Now() {
 		l.sync()
+		moved = true
+	}
+	if moved {
 		l.cover()
 	}
 }
@@ -334,10 +515,12 @@ func (l *Link) Delay() float64 { return l.delay }
 func (l *Link) LossRate() float64 { return l.lossRate }
 
 // SetRate changes the serialization rate from the next transmission on; the
-// packet on the wire completes when it was going to.
+// packet on the wire completes when it was going to. An idle link's inbox
+// head is delivered at the new rate, so the link re-covers it.
 func (l *Link) SetRate(rateBps float64) {
 	l.settle()
 	l.rate = rateBps
+	l.cover()
 }
 
 // SetDelay changes the propagation delay from the next completion on.
@@ -388,10 +571,10 @@ func (l *Link) SetDown(down bool) {
 // Down reports whether the link is administratively down.
 func (l *Link) Down() bool { return l.down }
 
-// The counters below are exact at the clock: each getter first processes the
-// completions due by now, so the conservation identity holds whenever it is
-// sampled (reading Queue's own counters after any of them sees the same
-// instant).
+// The counters below are exact at the clock: each getter first admits the
+// arrivals that precede it and processes the completions due by now, so the
+// conservation identity holds whenever it is sampled (reading Queue's own
+// counters after any of them sees the same instant).
 
 // FaultDropped returns the number of packets destroyed by fault injection
 // (in-flight train flushed on SetDown plus wire-head packets finishing while
@@ -409,7 +592,7 @@ func (l *Link) WireLost() int64 { l.settle(); return l.lost }
 
 // OfferedBytes returns the wire bytes of every packet offered to the link,
 // accepted or not.
-func (l *Link) OfferedBytes() int64 { return l.offeredBytes }
+func (l *Link) OfferedBytes() int64 { l.settle(); return l.offeredBytes }
 
 // DeliveredBytes returns the wire bytes delivered to the sink.
 func (l *Link) DeliveredBytes() int64 { l.settle(); return l.deliveredBytes }

@@ -342,6 +342,91 @@ func TestLinkTieArrivalSeesQueueBeforeCompletion(t *testing.T) {
 	if refDrops != lazyDrops || refFirst != lazyFirst || refGot != lazyGot {
 		t.Fatalf("reference: %d drops (first seq %d), %d delivered; lazy link %d/%d/%d", refDrops, refFirst, refGot, lazyDrops, lazyFirst, lazyGot)
 	}
+
+	// The same ties with the arrival coming out of the link's inbox, each
+	// against the pipe-fed reference (inbox_test.go) and a pinned outcome:
+	// which packets arrive, and when, in units of one serialization.
+	for _, row := range []struct {
+		name   string
+		access []float64
+		cap    int
+		script func(r *feedRig)
+		want   map[int64]float64
+	}{{
+		// The train of the test above, arriving through an access hop: the
+		// first arrival lands at exactly the pending txEnd of a full queue and
+		// is refused (arrival first).
+		name: "inbox-arrival-at-txEnd", access: []float64{prop + tx}, cap: k * 1500,
+		script: func(r *feedRig) {
+			for i := int64(0); i < n; i++ {
+				r.eng.At(float64(i)*tx, func() { r.send(0, &Packet{Seq: i, Size: 1500}) })
+			}
+			r.eng.At(prop, func() {
+				for i := int64(0); i <= k; i++ {
+					r.link.Send(&Packet{Seq: 100 + i, Size: 1500})
+				}
+			})
+		},
+		want: map[int64]float64{100: 5, 101: 6, 102: 7, 103: 8, 104: 9, 105: 10, 106: 11,
+			1: 12, 2: 13, 3: 14, 4: 15, 5: 16, 6: 17, 7: 18, 8: 19, 9: 20, 10: 21, 11: 22},
+	}, {
+		// Packet 1 is posted at 0 for 8 and arms the idle link's wake for its
+		// delivery at 9; packet 2, posted at 5 for 9, draws a later seq than
+		// that wake, and packet 3 fills the one-packet queue at 8.5. A
+		// delivery-event link armed its wake only when packet 1 arrived, after
+		// packet 2 was posted, so packet 2 met the full queue first and was
+		// refused: own touches yield. Under pure (at, seq) the wake would
+		// complete packet 1 first, free the queue and let packet 2 in.
+		name: "inbox-arrival-at-wake", access: []float64{8 * tx, 4 * tx}, cap: 1500,
+		script: func(r *feedRig) {
+			r.eng.At(0, func() { r.send(0, &Packet{Seq: 1, Size: 1500}) })
+			r.eng.At(5*tx, func() { r.send(1, &Packet{Seq: 2, Size: 1500}) })
+			r.eng.At(8.5*tx, func() { r.link.Send(&Packet{Seq: 3, Size: 1500}) })
+		},
+		want: map[int64]float64{1: 9, 3: 10},
+	}, {
+		// A direct Send at the instant of a pending inbox entry with a lower
+		// seq: the entry was posted first, so it is admitted first.
+		name: "direct-send-after-inbox-entry", access: []float64{2 * tx}, cap: -1,
+		script: func(r *feedRig) {
+			r.eng.At(0, func() {
+				r.send(0, &Packet{Seq: 1, Size: 1500})
+				r.eng.At(2*tx, func() { r.link.Send(&Packet{Seq: 2, Size: 1500}) })
+			})
+		},
+		want: map[int64]float64{1: 3, 2: 4},
+	}, {
+		// ... and with a higher seq: the direct Send's event was scheduled
+		// before the entry was posted, so it goes first.
+		name: "direct-send-before-inbox-entry", access: []float64{2 * tx}, cap: -1,
+		script: func(r *feedRig) {
+			r.eng.At(2*tx, func() { r.link.Send(&Packet{Seq: 2, Size: 1500}) })
+			r.eng.At(0, func() { r.send(0, &Packet{Seq: 1, Size: 1500}) })
+		},
+		want: map[int64]float64{2: 3, 1: 4},
+	}} {
+		t.Run(row.name, func(t *testing.T) {
+			var samples [2][]LinkStats
+			rigs := [2]*feedRig{
+				inboxRig(t, NewDropTail(row.cap), rate, 0, 0, 1, row.access, false),
+				pipeFedRig(t, NewDropTail(row.cap), rate, 0, 0, 1, row.access, false),
+			}
+			for i, r := range rigs {
+				row.script(r)
+				r.eng.Run()
+				samples[i] = []LinkStats{r.link.ledger()}
+			}
+			sameRun(t, row.name, rigs[0], rigs[1], samples[0], samples[1])
+			if len(rigs[0].got) != len(row.want) {
+				t.Fatalf("delivered %v, want %v (in units of tx)", rigs[0].got, row.want)
+			}
+			for seq, at := range row.want {
+				if got, ok := rigs[0].got[seq]; !ok || got != at*tx {
+					t.Fatalf("packet %d delivered at %v tx (present %v), want %v tx", seq, got/tx, ok, at)
+				}
+			}
+		})
+	}
 }
 
 // TestLinkEventBudget holds the link to its event contract with counts that
@@ -425,6 +510,78 @@ func TestLinkEventBudget(t *testing.T) {
 		eng.Run()
 		if got != 1 || eng.Pending() != 0 || eng.Processed() != 1 {
 			t.Fatalf("delivered %d, pending %d, events %d; want 1, 0, 1", got, eng.Pending(), eng.Processed())
+		}
+	})
+
+	t.Run("access hop", func(t *testing.T) {
+		// A DelayHop → link route fed at line rate: the access hop posts into
+		// the link's inbox, so the pair costs one engine event per packet (a
+		// delivery-event access hop cost two).
+		const n = 1000
+		eng := sim.NewEngine()
+		topo := NewTopology(eng)
+		topo.AddLink("L", "A", "B", NewDropTail(-1), rate, 2*tx, 0, nil)
+		got := 0
+		topo.AddFlow(0, []HopSpec{DelayHop(5 * tx), LinkHop("L")}, []HopSpec{DelayHop(0)}, sim.NewSeeds(1), func(*Packet) { got++ }, nil)
+		feed(eng, n, tx, topo.SendData)
+		eng.Run()
+		if got != n || eng.Processed() != 2*n {
+			t.Fatalf("delivered %d with %d events, want %d with exactly %d (one injector + one link event per packet)", got, eng.Processed(), n, 2*n)
+		}
+	})
+
+	t.Run("dumbbell", func(t *testing.T) {
+		// One flow over the dumbbell at a fixed seed, paced past the
+		// bottleneck's rate into a shallow queue, with wire loss and ACK loss.
+		// Every data packet used to cost one more event — its access hop's
+		// delivery — than it does now: pacing, the bottleneck's delivery and
+		// the ACK's delivery are what remains.
+		const (
+			n = 3000
+			// The count with each access hop delivering through its own
+			// engine event (the access hop a sim.Pipe), same seed.
+			pipeFedEvents = 10758
+		)
+		eng := sim.NewEngine()
+		seeds := sim.NewSeeds(42)
+		d := NewDumbbell(eng, NewDropTail(8*1500), rate, 0.01, seeds)
+		acks := 0
+		d.AddFlow(0, FlowConfig{FwdDelay: 0.02, RevDelay: 0.02, RevLoss: 0.01}, seeds,
+			func(p *Packet) { d.SendAck(&Packet{Flow: 0, Ack: true, Size: 40, CumAck: p.Seq}) },
+			func(*Packet) { acks++ })
+		feed(eng, n, 0.8*tx, d.SendData)
+		eng.Run()
+		if s := d.Bottleneck.Delivered(); acks == 0 || s == int64(acks) || s == n {
+			t.Fatalf("%d data packets, %d delivered, %d ACKs back: want queue drops and ACK losses", n, s, acks)
+		}
+		if got := eng.Processed(); got != pipeFedEvents-n {
+			t.Fatalf("%d events, want exactly %d: the pipe-fed count %d less one per data packet", got, pipeFedEvents-n, pipeFedEvents)
+		}
+	})
+
+	t.Run("inbox capacity", func(t *testing.T) {
+		// A link that never idles never drains its inbox to empty, so the
+		// admitted prefix must be compacted away rather than grow: a million
+		// arrivals, about 22 of them pending at any time, in a slice that stays
+		// within four times the most ever pending.
+		const n = 1_000_000
+		eng := sim.NewEngine()
+		pool := &PacketPool{}
+		l := NewLink(eng, NewDropTail(4*1500), rate, 0, 0, nil)
+		l.Pool, l.Sink = pool, pool.Put
+		maxCap, maxPending := 0, 0
+		feed(eng, n, 0.9*tx, func(p *Packet) {
+			q := pool.Get()
+			q.Size = p.Size
+			l.SendAt(q, eng.Now()+20*tx)
+			maxCap, maxPending = max(maxCap, cap(l.inbox)), max(maxPending, len(l.inbox)-l.ibHead)
+		})
+		eng.Run()
+		if l.Queue.Dropped() == 0 || l.Delivered()+l.Queue.Dropped() != n {
+			t.Fatalf("%d delivered, %d dropped of %d: want an overloaded link that accounts for every arrival", l.Delivered(), l.Queue.Dropped(), n)
+		}
+		if maxCap > 4*maxPending || maxPending > 24 {
+			t.Fatalf("inbox capacity reached %d for at most %d pending arrivals", maxCap, maxPending)
 		}
 	})
 }

@@ -248,4 +248,66 @@ func TestLinkResetMidSerialization(t *testing.T) {
 	if pool.missed != 0 {
 		t.Fatalf("warm reruns missed the pool %d times: Link.Reset leaked the wire head or the wake's rider", pool.missed)
 	}
+
+	t.Run("inbox", func(t *testing.T) {
+		// Arrivals an access hop posted ahead of time wait in the inbox, on no
+		// engine event either: a reset with some pending must recycle them and
+		// leave nothing behind for the next trial to admit.
+		const at0, gap = 0.004, 0.0015
+		eng := sim.NewEngine()
+		pool := &PacketPool{}
+		link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.010, 0, nil)
+		link.Pool = pool
+		delivered := 0
+		link.Sink = func(p *Packet) { delivered++; pool.Put(p) }
+		reclaim := func(a any) {
+			if p, ok := a.(*Packet); ok {
+				pool.Put(p)
+			}
+		}
+		post := func() {
+			for i := 0; i < 3; i++ {
+				p := pool.Get()
+				p.Size = 1500
+				link.SendAt(p, eng.Now()+at0+float64(i)*gap)
+			}
+		}
+		var first LinkStats
+		trials, differ := 0, 0
+		trial := func() {
+			eng.Reset(reclaim)
+			link.Queue.(*DropTail).Reset(-1, pool)
+			link.Reset(1500*1000, 0.010, 0, 1)
+			eng.Post(0, post)
+			eng.Post(0.003, post)
+			// The ledger at 6.5 ms admits the arrivals at 4 and 5.5 ms — one
+			// now rides the wake, one the pipe — and four (7, 7, 8.5, 10 ms)
+			// stay pending.
+			eng.RunUntil(0.0065)
+			if s := link.ledger(); trials == 0 {
+				first = s
+			} else if s != first {
+				differ++
+			}
+			trials++
+		}
+		trial()
+		if pending := len(link.inbox) - link.ibHead; pending != 4 || link.carry == nil || link.pipe.Len() != 1 {
+			t.Fatalf("setup: %d arrivals pending, carry %v, pipe %d; want 4, one riding the wake, one on the pipe", pending, link.carry, link.pipe.Len())
+		}
+		trial()
+		pool.missed = 0
+		if allocs := testing.AllocsPerRun(20, trial); allocs != 0 {
+			t.Fatalf("warm rerun allocates %v per trial, want 0", allocs)
+		}
+		if pool.missed != 0 {
+			t.Fatalf("warm reruns missed the pool %d times: Link.Reset leaked the inbox", pool.missed)
+		}
+		if differ != 0 || first.OfferedBytes != 2*1500 || !first.Conserved() {
+			t.Fatalf("%d of %d reruns differ from the first trial's ledger %+v", differ, trials, first)
+		}
+		if delivered != 0 {
+			t.Fatalf("%d packets reached the sink; a trial stops before the first delivery", delivered)
+		}
+	})
 }

@@ -13,10 +13,10 @@ import (
 // on — multiple bottlenecks in series (parking lot), congested ACK paths
 // (data and ACKs of opposing flows sharing a link), and cross-traffic that
 // touches only a subset of hops — while keeping the simulator's invariants:
-// all per-packet scheduling is closure-free and batched (each delay stage is
-// a sim.Pipe allocated once at registration), every drop point recycles
-// through the topology's PacketPool, and for a fixed seed the event sequence
-// is bit-reproducible.
+// all per-packet scheduling is closure-free and batched (a delay stage is a
+// sim.Pipe allocated once at registration or, in front of a link, that
+// link's inbox), every drop point recycles through the topology's PacketPool,
+// and for a fixed seed the event sequence is bit-reproducible.
 //
 // A route hop is either
 //
@@ -268,15 +268,23 @@ type hop struct {
 
 	next *hop          // nil ⇒ this is the last hop
 	sink func(*Packet) // terminal delivery, set on the last hop only
-	// deliverFn is the delay hop's delivery callback, shared by the pipe
-	// and the zero-delay direct path.
+	// feed is set on a delay hop whose next hop is a link on the same shard —
+	// every flow's access segment — and replaces its pipe: the hop posts
+	// straight into the link's inbox (Link.SendAt), whose admission does
+	// everything a delivery event would have done, which was only to call
+	// Send. Sorted insertion there keeps packets that overtake after a
+	// SetDelay shrink in delivery order.
+	feed *Link
+	// deliverFn is the delay hop's delivery callback, shared by the pipe,
+	// the mailbox and the zero-delay direct path.
 	deliverFn func(any)
-	// pipe is a delay hop's propagation delay line (see sim.Pipe): the
-	// hop's whole in-flight train shares one self-rearming scheduler slot,
-	// so an 800 ms satellite access segment holds one slot, not one heap
-	// event per packet. If SetDelay shrinks the delay mid-flight, the pipe
-	// transparently falls back to per-event scheduling for the overtaking
-	// packets, preserving the exact delivery order of the per-event path.
+	// pipe is the propagation delay line of a delay hop without a feed (see
+	// sim.Pipe): the hop's whole in-flight train shares one self-rearming
+	// scheduler slot, so an 800 ms satellite segment holds one slot, not one
+	// heap event per packet. If SetDelay shrinks the delay mid-flight, the
+	// pipe transparently falls back to per-event scheduling for the
+	// overtaking packets, preserving the exact delivery order of the
+	// per-event path.
 	pipe *sim.Pipe
 }
 
@@ -293,6 +301,11 @@ func (h *hop) enter(p *Packet) {
 		} else {
 			h.t.Pool.Put(p)
 		}
+		return
+	}
+	if h.feed != nil {
+		p.hop = h.next
+		h.feed.SendAt(p, h.eng.Now()+max(h.delay, 0))
 		return
 	}
 	if h.xdst >= 0 {
@@ -696,33 +709,43 @@ func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink 
 			h.rng = rng
 			h.shard = cur
 			h.eng = t.engineFor(cur)
-			h.deliverFn = func(a any) { h.forward(a.(*Packet)) }
 		}
 		r.hops = append(r.hops, h)
 	}
 	// Resolve pass: each delay hop delivers where the next hop executes (or
 	// at the route exit); a target on another shard makes it a cross-shard
-	// hop riding the group mailbox instead of a local pipe.
+	// hop riding the group mailbox, and a link on its own shard makes it the
+	// link's feed. Only the rest — trailing hops and delay chains — keep a
+	// local pipe.
 	for i, h := range r.hops {
 		if h.link != nil {
 			h.pool = t.poolShard(h.shard)
 			h.dstPool = t.poolShard(h.link.sinkShard)
 			continue
 		}
+		var next *hop
 		target := exitShard
 		if i+1 < len(r.hops) {
-			target = r.hops[i+1].shard
+			next = r.hops[i+1]
+			target = next.shard
 		}
 		h.pool = t.poolShard(h.shard)
-		if target != h.shard {
+		switch {
+		case target != h.shard:
 			if h.delay < t.lookahead {
 				panic(fmt.Sprintf("netem: flow %d %s route crosses shard %d→%d over a %vs delay hop, below group lookahead %v",
 					id, dir, h.shard, target, h.delay, t.lookahead))
 			}
 			h.xdst = target
 			h.dstPool = t.poolShard(target)
-		} else {
+		case next != nil && next.link != nil:
+			h.feed = next.link.link
+			continue
+		default:
 			h.dstPool = t.poolShard(h.shard)
+		}
+		h.deliverFn = func(a any) { h.forward(a.(*Packet)) }
+		if h.xdst < 0 {
 			h.pipe = h.eng.NewPipe(h.deliverFn)
 		}
 	}

@@ -226,13 +226,15 @@ func (g *ShardGroup) start() {
 	g.res = make(chan any, len(g.engines))
 	for i := range g.engines {
 		g.cmd[i] = make(chan shardCmd)
-		go g.worker(i)
+		go g.worker(g.engines[i], g.cmd[i])
 	}
 }
 
-func (g *ShardGroup) worker(i int) {
-	e := g.engines[i]
-	for c := range g.cmd[i] {
+// worker takes its engine and channel as arguments: a Close right after
+// start (a RunUntil with no round to run) clears g.cmd before a new worker
+// goroutine may first read it.
+func (g *ShardGroup) worker(e *Engine, cmd <-chan shardCmd) {
+	for c := range cmd {
 		func() {
 			defer func() { g.res <- recover() }()
 			if c.strict {

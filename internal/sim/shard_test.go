@@ -190,6 +190,28 @@ func TestShardGroupResume(t *testing.T) {
 			}
 		}
 	}
+
+	t.Run("precedes-between-rounds", func(t *testing.T) {
+		// A shard's round is RunBefore(limit), which leaves the clock on the
+		// last event it executed, not on limit. Work stamped with DrawSeq
+		// between the two — a netem link's inbox arrival — has therefore not
+		// happened for a getter at the barrier, though a delivery event in its
+		// place would have run in that round; a RunUntil, which advances the
+		// clock to its deadline, settles it.
+		g := NewShardGroup(2, 1e-3)
+		defer g.Close()
+		e := g.Engine(0)
+		e.PostAt(0.2e-3, func() {})
+		s := e.DrawSeq()
+		e.RunBefore(1e-3)
+		if e.Now() != 0.2e-3 || !e.Precedes(0.2e-3, s) || e.Precedes(0.5e-3, s) {
+			t.Fatalf("after a round to 1 ms: clock %v, stamp at 0.5 ms happened %v; want 0.2 ms and false", e.Now(), e.Precedes(0.5e-3, s))
+		}
+		g.RunUntil(1e-3)
+		if e.Now() != 1e-3 || !e.Precedes(0.5e-3, s) {
+			t.Fatalf("after RunUntil(1 ms): clock %v, stamp at 0.5 ms happened %v; want 1 ms and true", e.Now(), e.Precedes(0.5e-3, s))
+		}
+	})
 }
 
 func TestShardGroupPostBelowLookaheadPanics(t *testing.T) {

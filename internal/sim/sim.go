@@ -272,11 +272,16 @@ type Engine struct {
 	batch     []*Event
 	batchFree int
 	inBurst   bool
+	// cur is the sequence number of the executing event, the other half of
+	// Precedes' position: math.MaxUint64 outside a callback, so everything at
+	// or before the clock has happened. A Halt leaves it at the halting event,
+	// where the engine stands until the next run.
+	cur uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{cur: math.MaxUint64}
 }
 
 // Now returns the current simulated time.
@@ -304,6 +309,28 @@ type Stats struct {
 
 // Stats returns the scheduler counters.
 func (e *Engine) Stats() Stats { return e.stats }
+
+// DrawSeq draws the next sequence number without scheduling anything: the
+// number a Post made at this point would have drawn. A component that keeps
+// timestamped work of its own instead of posting events (a netem link's
+// inbox) stamps it with (at, DrawSeq()) and asks Precedes where that work
+// falls in the engine's total order. Such work is the component's, not the
+// engine's: Pending and NextEventAt do not see it, and Reset does not reclaim
+// it.
+func (e *Engine) DrawSeq() uint64 {
+	s := e.nextSeq
+	e.nextSeq++
+	return s
+}
+
+// Precedes reports whether an event stamped (at, seq) would already have
+// fired: whether it orders before the executing event — inside a callback,
+// including one dispatched inline or from a same-instant burst — and, outside
+// any callback, whether at is at or before the clock. After a Halt the engine
+// stands just past the halting event until it runs again.
+func (e *Engine) Precedes(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq < e.cur
+}
 
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
@@ -544,6 +571,7 @@ func (e *Engine) Reset(reclaim func(arg any)) {
 	}
 	e.now = 0
 	e.nextSeq = 0
+	e.cur = math.MaxUint64
 	e.nRun = 0
 	e.halted = false
 }
@@ -572,7 +600,10 @@ func (e *Engine) DropPipe(p *Pipe) {
 
 // Pending returns the number of live queued events, wherever they reside:
 // the near-run, the timing wheel, the overflow heap, or a Pipe (pipe entries
-// cannot be cancelled, so all of them count as live).
+// cannot be cancelled, so all of them count as live). Work a component keeps
+// outside the engine — a netem link's wire head and its inbox of
+// DrawSeq-stamped arrivals — is not counted; such a component keeps an event
+// of its own pending while it holds any.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, run := range [][]entry{e.near[e.head:], e.spill, e.over} {
@@ -651,6 +682,7 @@ func (e *Engine) runBatch() {
 			continue
 		}
 		fn, afn, arg := ev.fn, ev.afn, ev.arg
+		e.cur = ev.seq
 		e.release(ev)
 		e.nRun++
 		if fn != nil {
@@ -696,11 +728,11 @@ func (e *Engine) run(lim Time) {
 		if it := e.near[e.head:]; len(it) > 0 && len(e.spill) == 0 && !it[0].ev.dead && e.wheel.cur > tickOf(it[0].at) {
 			ev = it[0].ev
 		} else if ev = e.peek(bound); ev == nil {
-			return
+			break
 		}
 		t0 := ev.at
 		if t0 > lim {
-			return
+			break
 		}
 		e.nearPop()
 		e.now = t0
@@ -725,6 +757,7 @@ func (e *Engine) run(lim Time) {
 			// the near-run; a delivery→ack→forward cascade fires entirely at
 			// one instant.
 			fn, afn, arg := ev.fn, ev.afn, ev.arg
+			e.cur = ev.seq
 			e.release(ev)
 			e.nRun++
 			e.inBurst = true
@@ -745,6 +778,9 @@ func (e *Engine) run(lim Time) {
 			}
 		}
 		e.runBatch()
+	}
+	if !e.halted {
+		e.cur = math.MaxUint64
 	}
 }
 

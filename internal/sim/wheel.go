@@ -28,12 +28,12 @@ import (
 // event, and the near-run orders it against everything else by (at, seq).
 // Reports are therefore byte-identical to a plain priority queue's.
 //
-// Measured on the 120-node / 200-flow WAN trial (Engine.Stats): 96.4 % of
-// placements land in level 0, 2.1 % in level 1, 1.5 % in the near-run, 0.02 %
-// in level 2 and none in the overflow heap; the cursor moves once per 9 events
-// and the near-run is 10.6 entries long right after it has (its longest), 29
-// at most. TestStatsWANTimers holds a synthetic copy of that traffic to those
-// numbers.
+// Measured on the 120-node / 200-flow WAN trial (Engine.Stats, 4.75 M events
+// since access hops post into the links they feed): 96.2 % of placements land
+// in level 0, 2.1 % in level 1, 1.7 % in the near-run, 0.02 % in level 2 and
+// none in the overflow heap; the cursor moves once per 8.1 events and the
+// near-run is 9.5 entries long right after it has (its longest), 28 at most.
+// TestStatsWANTimers holds a synthetic copy of that traffic to those numbers.
 //
 // Invariants:
 //
