@@ -275,8 +275,8 @@ type hop struct {
 	// Send. Sorted insertion there keeps packets that overtake after a
 	// SetDelay shrink in delivery order.
 	feed *Link
-	// deliverFn is the delay hop's delivery callback, shared by the pipe,
-	// the mailbox and the zero-delay direct path.
+	// deliverFn is the delay hop's delivery callback, shared by the pipe and
+	// the mailbox.
 	deliverFn func(any)
 	// pipe is the propagation delay line of a delay hop without a feed (see
 	// sim.Pipe): the hop's whole in-flight train shares one self-rearming
@@ -310,12 +310,6 @@ func (h *hop) enter(p *Packet) {
 	}
 	if h.xdst >= 0 {
 		h.t.group.Post(h.shard, h.xdst, h.delay, h.deliverFn, p)
-		return
-	}
-	if h.delay == 0 {
-		// Same (at, seq) draw and callback as the pipe path, without the
-		// ring bookkeeping a never-batching zero-delay stage would pay.
-		h.eng.PostArg(0, h.deliverFn, p)
 		return
 	}
 	h.pipe.Post(h.delay, p)

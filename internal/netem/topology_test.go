@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -49,6 +50,61 @@ func TestTopologyMultiHopTiming(t *testing.T) {
 	want := 0.003 + 0.010 + 0.010 + 0.010 + 0.020
 	if arrival < want-1e-9 || arrival > want+1e-9 {
 		t.Fatalf("arrival at %v, want %v", arrival, want)
+	}
+	t.Run("trailing-zero-delay-hop", topoRowTrailingZeroDelay)
+}
+
+// topoRowTrailingZeroDelay routes a flow over a link into a trailing
+// DelayHop(0), the shape of an ACK's last mile, and moves that hop's delay up,
+// back to 0 and up again with packets in flight, so packets entering after
+// each shrink overtake the train ahead of them. Every packet must reach the
+// sink at the instant it entered the hop plus the delay then in force, in
+// (at, seq) order, where seq is the order packets entered the hop.
+func topoRowTrailingZeroDelay(t *testing.T) {
+	eng := sim.NewEngine()
+	topo := NewTopology(eng)
+	l := topo.AddLink("l", "A", "B", NewDropTail(-1), Mbps(100), 0.001, 0, nil)
+	type delivery struct {
+		at  float64
+		seq int64
+	}
+	var want, got []delivery
+	fwd, _ := topo.AddFlow(0,
+		[]HopSpec{LinkHop("l"), DelayHop(0)},
+		[]HopSpec{DelayHop(0)},
+		sim.NewSeeds(4),
+		func(p *Packet) { got = append(got, delivery{eng.Now(), p.Seq}) },
+		nil)
+	last := fwd.hops[1]
+	exit := l.Sink
+	l.Sink = func(p *Packet) {
+		want = append(want, delivery{eng.Now() + last.delay, p.Seq})
+		exit(p)
+	}
+	// 500-byte packets serialize in 40 µs, so one every 50 µs never queues.
+	for i := 0; i < 400; i++ {
+		eng.At(float64(i)*50e-6, func() { topo.SendData(pkt(0, int64(i), 500)) })
+	}
+	for _, c := range []struct{ at, delay float64 }{{0.005, 0.003}, {0.010, 0}, {0.012, 0.003}, {0.015, 0}} {
+		eng.At(c.at, func() { fwd.SetDelay(1, c.delay) })
+	}
+	eng.Run()
+
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(got) != 400 || len(want) != 400 {
+		t.Fatalf("%d packets delivered, %d entered the last hop, want 400", len(got), len(want))
+	}
+	overtaken := 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d: packet %d at %v, want packet %d at %v", i, got[i].seq, got[i].at, want[i].seq, want[i].at)
+		}
+		if i > 0 && got[i].seq < got[i-1].seq {
+			overtaken++
+		}
+	}
+	if overtaken == 0 {
+		t.Fatal("no packet overtook the train: the delay shrinks were too gentle")
 	}
 }
 

@@ -144,6 +144,30 @@ func BenchmarkTickCrowd(b *testing.B) {
 	}
 }
 
+// BenchmarkSameInstant measures same-timestamp trains: 64 events share every
+// instant (a tick re-posting itself beside 63 no-ops, posted in one callback),
+// the shape of an incast's synchronized packets and of the bench module's
+// sim.burst_ns probe. Each one enters the near-run behind its equals.
+func BenchmarkSameInstant(b *testing.B) {
+	e := NewEngine()
+	left := b.N
+	noop := func() {}
+	var tick func()
+	tick = func() {
+		if left -= 64; left <= 0 {
+			e.Halt()
+		}
+		for i := 0; i < 63; i++ {
+			e.Post(0.001, noop)
+		}
+		e.Post(0.001, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Post(0.001, tick)
+	e.Run()
+}
+
 // BenchmarkPostArg measures the closure-free packet-delivery path used by
 // netem's links: a long-lived func(any) plus a pointer payload.
 func BenchmarkPostArg(b *testing.B) {

@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// These tests pin the burst-dispatch rework: however events reach the
-// dispatcher — straight off the heap, promoted from a wheel slot, through a
-// pipe's self-rearming delivery slot, or via the pipe's shrinking-delay
-// engine fallback — the observable firing order is the engine-wide
-// (at, seq) total order, and Pending always equals the number of events
-// that will actually fire.
+// These tests pin the dispatcher: however events reach it — straight off the
+// overflow heap, promoted from a wheel slot, through a pipe's self-rearming
+// delivery slot, or via the pipe's shrinking-delay engine fallback — the
+// observable firing order is the engine-wide (at, seq) total order, and
+// Pending always equals the number of events that will actually fire.
 
 // burstModel accumulates a reference model of a random workload: one record
 // per drawn sequence number, in draw order, so the expected firing order is
@@ -66,8 +65,8 @@ func TestBurstDispatchTotalOrder(t *testing.T) {
 			rec = func(id int) {
 				fired = append(fired, id)
 				if nested > 0 && rng.Intn(6) == 0 {
-					// Same-tick nested event: lands in the running burst via
-					// batchInsert and must fire later this instant, in seq
+					// Same-instant nested event: enters the near-run behind
+					// its equals and must fire later this instant, in seq
 					// order.
 					nested--
 					nid := m.add(e.Now())
@@ -75,8 +74,8 @@ func TestBurstDispatchTotalOrder(t *testing.T) {
 				}
 				if len(timers) > 0 && rng.Intn(8) == 0 {
 					// Mid-run stop of a strictly-future timer: its event is
-					// already placed (heap, wheel, or current batch tail) and
-					// must be skipped by the dead-check at execution.
+					// already placed (heap, wheel or near-run) and must be
+					// skipped by the dead-check at execution.
 					k := rng.Intn(len(timers))
 					lt := timers[k]
 					if !m.dead[lt.id] && m.at[lt.id] > e.Now() {
@@ -138,6 +137,7 @@ func TestBurstDispatchTotalOrder(t *testing.T) {
 	t.Run("crowd-in-one-tick", burstRowCrowd)
 	t.Run("flushed-pipe-slot-in-near-run", burstRowFlushedSlot)
 	t.Run("halt-mid-batch", burstRowHalt)
+	t.Run("same-instant-fresh-and-older-rearm", burstRowSameInstant)
 }
 
 // checkOrder fails unless fired is exactly the model's live records in
@@ -250,9 +250,10 @@ func burstRowFlushedSlot(t *testing.T) {
 	checkOrder(t, fired, &m)
 }
 
-// burstRowHalt halts in the middle of a collected batch and in the middle of
-// a chain spawned by a lone event: the unexecuted remainder must go back to
-// the scheduler, be counted by Pending, and fire first, in order, on resume.
+// burstRowHalt halts in the middle of a same-instant run scheduled ahead and
+// in the middle of a chain a lone event spawns at its own instant: the
+// unexecuted remainder must stay queued, be counted by Pending, and fire
+// first, in order, on resume.
 func burstRowHalt(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
@@ -268,7 +269,7 @@ func burstRowHalt(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		e.At(0.002, rec(i, i == 2)) // a collected batch; the third entry halts
+		e.At(0.002, rec(i, i == 2)) // a same-instant run; the third entry halts
 	}
 	e.At(0.002+1e-6, rec(6, false))
 	e.At(0.003, func() { // a lone event chaining three same-instant ones
@@ -299,11 +300,64 @@ func burstRowHalt(t *testing.T) {
 	expect(11, 0)
 }
 
+// burstRowSameInstant is a same-instant train with no path of its own: a pipe
+// holding entries at one instant T interleaved with events at T, whose
+// callbacks schedule fresh events at their own instant and post further
+// entries at T into the pipe. Each delivery re-arms the pipe's slot with the
+// next entry's stored seq, older than events drawn after it and still queued
+// at T, so the re-arm must walk back behind the executing event to its own
+// place. It runs on a bare engine (the near-run alone) and on a loaded one
+// (the wheel engaged).
+func burstRowSameInstant(t *testing.T) {
+	t.Parallel()
+	const T = 0.002
+	for _, loaded := range []bool{false, true} {
+		e := NewEngine()
+		if loaded {
+			loadEngine(e)
+		}
+		var m burstModel
+		var fired []int
+		var p *Pipe
+		spawned, olderRearms := 0, 0
+		var rec func(id int)
+		rec = func(id int) {
+			fired = append(fired, id)
+			if e.Now() != T || spawned == 40 {
+				return
+			}
+			spawned++
+			nid := m.add(T)
+			e.At(T, func() { rec(nid) })
+			if spawned%3 == 0 {
+				p.Post(0, m.add(T))
+			}
+		}
+		p = e.NewPipe(func(a any) {
+			if p.armed && p.slot.at == T && p.slot.seq+1 < e.nextSeq {
+				olderRearms++
+			}
+			rec(a.(int))
+		})
+		for _, at := range []float64{T / 2, T, T, T, T, T, T, T, T, T, T, 2 * T} {
+			id := m.add(at)
+			e.At(at, func() { rec(id) })
+			p.Post(at, m.add(at))
+		}
+		e.Run()
+		checkOrder(t, fired, &m)
+		if spawned < 40 || olderRearms < 10 {
+			t.Fatalf("loaded=%v: %d events spawned at T and %d re-arms behind later draws; workload too tame",
+				loaded, spawned, olderRearms)
+		}
+	}
+}
+
 // TestPendingMatchesReality is the Pending-vs-reality property: after an
 // arbitrary seeded sequence of schedules, cancels, pipe posts and Resets,
 // Engine.Pending equals the number of events that actually fire. This
 // covers the subtle counting paths — the armed pipe head (counted once,
-// not twice), dead wheel entries, dead heap events, and batch remainders.
+// not twice), dead wheel entries and dead heap events.
 func TestPendingMatchesReality(t *testing.T) {
 	for _, seed := range []int64{3, 99, 2026} {
 		seed := seed
@@ -370,6 +424,69 @@ func TestPendingMatchesReality(t *testing.T) {
 		})
 	}
 	t.Run("reset-mid-run-then-rerun", pendingRowResetRerun)
+	t.Run("reset-reclaims-dropped-args", pendingRowReclaim)
+}
+
+// pendingRowReclaim stops runs part-way — arg-carrying events in every band,
+// two pipes with armed slots, overtaking pipe entries riding engine events, and
+// a flushed pipe re-armed through its dynamic fallback — and checks that Reset
+// hands reclaim exactly the args that were posted and neither fired nor
+// flushed: each once, and nothing else (no pipe, no cancelled event).
+func pendingRowReclaim(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	e := NewEngine()
+	live := map[int]bool{} // posted, not yet fired or flushed
+	gone := func(a any) {
+		id := a.(int)
+		if !live[id] {
+			t.Fatalf("arg %d fired or was flushed twice", id)
+		}
+		delete(live, id)
+	}
+	pa, pb := e.NewPipe(gone), e.NewPipe(gone)
+	id := 0
+	next := func() int { id++; live[id] = true; return id }
+	for trial := 0; trial < 6; trial++ {
+		for i := 0; i < 400; i++ {
+			// Same tick, level 0, level 1, level 2 and beyond the horizon.
+			d := [...]float64{3e-6, 1e-3, 0.2, 30, 200}[rng.Intn(5)] * rng.Float64()
+			switch rng.Intn(5) {
+			case 0:
+				e.PostArg(d, gone, next())
+			case 1:
+				pa.Post(d, next())
+			case 2:
+				pb.Post(d, next())
+			case 3:
+				e.After(d, func() {}).Stop()
+			case 4:
+				e.After(d, func() {})
+			}
+		}
+		mid := 1e-3 * float64(1+trial)
+		e.At(mid, func() {
+			// The armed slot lies past mid: while its dead arming is lodged,
+			// the next head rides the dynamic fallback, and an entry before
+			// it overtakes as an engine event. Both are pending at the reset.
+			pa.Flush(gone)
+			pa.Post(pa.slot.at-mid, next())
+			pa.Post((pa.slot.at-mid)/2, next())
+		})
+		e.RunUntil(mid)
+		if !pb.armed || pa.dyn == nil {
+			t.Fatalf("trial %d: test bug: want pb's slot and pa's fallback armed at the reset", trial)
+		}
+		e.Reset(func(a any) {
+			if _, ok := a.(int); !ok {
+				t.Fatalf("trial %d: reclaim got %T, not a dropped entry's arg", trial, a)
+			}
+			gone(a)
+		})
+		if len(live) != 0 || e.Pending() != 0 {
+			t.Fatalf("trial %d: %d posted args neither fired nor reclaimed, %d pending", trial, len(live), e.Pending())
+		}
+	}
 }
 
 // pendingRowResetRerun abandons a run halfway — events left in every band,

@@ -92,13 +92,12 @@ func (p *Pipe) PostAt(at Time, arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: pipe entry at %v before now %v", at, e.now))
 	}
-	seq := e.nextSeq
-	e.nextSeq++
+	seq := e.DrawSeq()
 	if p.count > 0 && at < p.buf[(p.head+p.count-1)&(len(p.buf)-1)].at {
 		// Out-of-order entry (the stage's delay shrank since the tail was
 		// posted): deliver through the engine so it can overtake, exactly
 		// as the per-event path did.
-		e.scheduleSeq(at, seq, p.fn, arg)
+		e.scheduleSeq(at, seq, nil, p.fn, arg)
 		return
 	}
 	p.push(pipeEntry{at: at, seq: seq, arg: arg})
@@ -118,13 +117,15 @@ func (p *Pipe) NextAt() Time {
 
 // arm schedules the pipe's delivery slot at the head entry's (at, seq).
 // Re-arming with a stored — hence older — seq is safe: the near-run orders
-// by (at, seq), and the head's timestamp is never in the engine's past. The
-// slot is the pipe's own pinned Event, refreshed in place: by the time arm
-// runs the previous arming has always been popped and released (release
-// precedes every callback), so no scheduling structure still references it.
+// by (at, seq), the head's timestamp is never in the engine's past, and the
+// head outranks the entry that just fired, so a re-arm at the executing
+// instant lands behind the executing event, in its own place. The slot is
+// the pipe's own pinned Event, refreshed in place: by the time arm runs the
+// previous arming has always been popped and released (release precedes
+// every callback), so no scheduling structure still references it.
 //
 // Flush breaks that invariant: it kills an armed slot without popping it,
-// leaving the dead arming lodged in a wheel slot, the near-run or the batch.
+// leaving the dead arming lodged in a wheel slot or the near-run.
 // While stale, arm falls back to a dynamically allocated event — unless the
 // clock has moved strictly past the dead arming's timestamp, which proves it
 // was released (the scheduler releases a dead event before any later-time
@@ -135,16 +136,8 @@ func (p *Pipe) arm() {
 		if p.e.now > p.slot.at {
 			p.stale = false
 		} else {
-			ev := p.e.alloc()
-			ev.at = head.at
-			ev.seq = head.seq
-			ev.fn = nil
-			ev.afn = pipeFire
-			ev.arg = p
-			ev.dead = false
-			p.e.place(ev)
-			p.dyn = ev
-			p.dynGen = ev.gen
+			p.dyn = p.e.scheduleSeq(head.at, head.seq, nil, pipeFire, p)
+			p.dynGen = p.dyn.gen
 			p.armed = true
 			return
 		}

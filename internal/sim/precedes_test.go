@@ -7,8 +7,8 @@ import "testing"
 // the same stamp is only a DrawSeq number kept beside its instant, the way a
 // netem link keeps its inbox. Each DrawSeq must return the number b's Post
 // drew at the same point, and inside every event a runs — alone at its
-// instant (the inline path) or in a same-instant burst — Precedes must say of
-// each stamp exactly whether b fired it before that event. Outside any
+// instant or sharing it with events before it — Precedes must say of each
+// stamp exactly whether b fired it before that event. Outside any
 // callback every stamp at or before the clock has happened; after a Halt the
 // engine stands just past the halting event.
 func TestDrawSeqMatchesPostAndPrecedes(t *testing.T) {
@@ -21,10 +21,11 @@ func TestDrawSeqMatchesPostAndPrecedes(t *testing.T) {
 		fired := map[int]int{}      // item → its position in b's firing order
 		postSeq := map[int]uint64{} // stamp item → the seq b's Post drew
 		var stamps []stamp
-		var inline, burst, checked int
+		var alone, shared, checked int
 
 		run := func(e *Engine, real bool) {
 			next, pos := 0, 0
+			last := Time(-1) // the instant of the last event a ran
 			var spawn func(at Time, depth int)
 			spawn = func(at Time, depth int) {
 				id := next
@@ -48,11 +49,12 @@ func TestDrawSeqMatchesPostAndPrecedes(t *testing.T) {
 						fired[id] = pos
 						pos++
 					} else {
-						if len(e.batch) == 0 {
-							inline++
+						if e.Now() == last {
+							shared++
 						} else {
-							burst++
+							alone++
 						}
+						last = e.Now()
 						for _, s := range stamps {
 							if got, want := e.Precedes(s.at, s.seq), fired[s.id] < fired[id]; got != want {
 								t.Fatalf("seed %d: inside event %d at %v, Precedes(stamp %d at %v) = %v, want %v",
@@ -66,7 +68,7 @@ func TestDrawSeqMatchesPostAndPrecedes(t *testing.T) {
 					}
 					for c := uint64(0); c < h>>8&3; c++ {
 						hc := mix64(h + c)
-						d := 0.0 // the same instant: joins the running burst
+						d := 0.0 // the same instant, behind the running event
 						switch hc & 3 {
 						case 1:
 							d = float64(1+hc>>40%4) * 1e-3 // onto the shared grid
@@ -85,9 +87,9 @@ func TestDrawSeqMatchesPostAndPrecedes(t *testing.T) {
 		run(NewEngine(), true)
 		a := NewEngine()
 		run(a, false)
-		if inline == 0 || burst == 0 || len(stamps) < 50 || checked < 1000 {
-			t.Fatalf("seed %d: %d inline and %d burst events checked %d times against %d stamps; workload too tame",
-				seed, inline, burst, checked, len(stamps))
+		if alone == 0 || shared == 0 || len(stamps) < 50 || checked < 1000 {
+			t.Fatalf("seed %d: %d events alone at their instant and %d sharing one checked %d times against %d stamps; workload too tame",
+				seed, alone, shared, checked, len(stamps))
 		}
 		for _, s := range stamps {
 			if got := a.Precedes(s.at, s.seq); got != (s.at <= a.Now()) {

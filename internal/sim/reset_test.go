@@ -56,7 +56,8 @@ func TestEngineResetReproducesFreshRun(t *testing.T) {
 
 // TestEngineResetReclaimsArgs verifies Reset hands every live arg-carrying
 // event and pipe entry to the reclaim callback exactly once — heap events,
-// wheel-bucketed events, and pipe entries — and skips cancelled timers.
+// wheel-bucketed events, and pipe entries — and nothing else: not cancelled
+// timers, and not the pipe's armed delivery slot, whose arg is the pipe.
 func TestEngineResetReclaimsArgs(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
@@ -81,7 +82,7 @@ func TestEngineResetReclaimsArgs(t *testing.T) {
 	e.Reset(func(a any) {
 		id, ok := a.(int)
 		if !ok {
-			return // the pipe's armed slot carries the pipe itself; skip
+			t.Fatalf("reclaim got %T %v, not a dropped entry's arg", a, a)
 		}
 		if got[id] {
 			t.Fatalf("arg %d reclaimed twice", id)

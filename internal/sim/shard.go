@@ -210,7 +210,7 @@ func (g *ShardGroup) deliver() {
 		})
 		e := g.engines[d]
 		for i := range m {
-			e.schedule(m[i].at, nil, m[i].fn, m[i].arg)
+			e.scheduleSeq(m[i].at, e.DrawSeq(), nil, m[i].fn, m[i].arg)
 		}
 		g.merge = m[:0]
 	}

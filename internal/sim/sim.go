@@ -261,17 +261,6 @@ type Engine struct {
 	nRun   uint64
 	halted bool
 
-	// batch is the burst-dispatch scratch: every live event sharing the
-	// earliest pending timestamp is popped here in one scheduler probe and
-	// executed in seq order without re-probing the scheduler between
-	// events (see Run). Events scheduled *during* the burst at exactly the
-	// burst timestamp join the batch in place instead of round-tripping
-	// through the near-run; batchFree is the first index such an arrival may
-	// take, one past the entry currently executing. batch is empty and
-	// batchFree zero whenever the engine is not inside a burst.
-	batch     []*Event
-	batchFree int
-	inBurst   bool
 	// cur is the sequence number of the executing event, the other half of
 	// Precedes' position: math.MaxUint64 outside a callback, so everything at
 	// or before the clock has happened. A Halt leaves it at the halting event,
@@ -296,8 +285,7 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 // in, how long the near-run really is — and is plain field increments: no
 // allocation, no flag, and nothing here ever reaches a report.
 type Stats struct {
-	// Placed counts placements by band (BandNear … BandOverflow). Events
-	// that join a running burst are not placed at all.
+	// Placed counts placements by band (BandNear … BandOverflow).
 	Placed [numBands]uint64
 	// Cascades counts events moved down from a coarser band.
 	Cascades uint64
@@ -324,10 +312,9 @@ func (e *Engine) DrawSeq() uint64 {
 }
 
 // Precedes reports whether an event stamped (at, seq) would already have
-// fired: whether it orders before the executing event — inside a callback,
-// including one dispatched inline or from a same-instant burst — and, outside
-// any callback, whether at is at or before the clock. After a Halt the engine
-// stands just past the halting event until it runs again.
+// fired: inside a callback, whether it orders before the executing event;
+// outside any callback, whether at is at or before the clock. After a Halt the
+// engine stands just past the halting event until it runs again.
 func (e *Engine) Precedes(at Time, seq uint64) bool {
 	return at < e.now || at == e.now && seq < e.cur
 }
@@ -356,41 +343,25 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// schedule queues a recycled or fresh event. Scheduling in the past panics:
-// it is always a bug in the caller, and silently reordering time would
-// corrupt results.
-func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	ev := e.alloc()
-	ev.at = at
-	ev.seq = e.nextSeq
-	ev.fn = fn
-	ev.afn = afn
-	ev.arg = arg
-	ev.dead = false
-	e.nextSeq++
-	e.place(ev)
-	return ev
-}
-
-// scheduleSeq queues fn(arg) at an absolute time under a sequence number the
-// caller already drew from nextSeq. It exists for Pipes, which draw one seq
-// per entry at Post time and arm their delivery slot with the head entry's
-// stored (at, seq) so batched entries keep their original engine-wide order.
-func (e *Engine) scheduleSeq(at Time, seq uint64, afn func(any), arg any) {
+// scheduleSeq queues a recycled or fresh event at (at, seq), the one event
+// constructor. Every fresh schedule passes a DrawSeq number; a Pipe's dynamic
+// events pass the seq its entry drew at Post time, so an entry delivered
+// outside the ring keeps its engine-wide (at, seq) place. Scheduling in the
+// past panics: it is always a bug in the caller, and silently reordering time
+// would corrupt results.
+func (e *Engine) scheduleSeq(at Time, seq uint64, fn func(), afn func(any), arg any) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = seq
-	ev.fn = nil
+	ev.fn = fn
 	ev.afn = afn
 	ev.arg = arg
 	ev.dead = false
 	e.place(ev)
+	return ev
 }
 
 // nearMin is the near-run length below which an engine with nothing bucketed
@@ -405,17 +376,6 @@ const nearMin = 8
 
 // place routes a ready event to its band.
 func (e *Engine) place(ev *Event) {
-	if e.inBurst && ev.at == e.now {
-		// Scheduled during a burst at exactly the burst timestamp: it belongs
-		// to the batch being executed, so insert it in seq position directly
-		// instead of round-tripping through the near-run. Fresh sequence
-		// numbers (every Post/After/Rearm) exceed all batch seqs and append;
-		// only a Pipe re-arming its delivery slot with a stored older seq has
-		// to walk backward, and never past the executing position (the pipe's
-		// next head always outranks the entry that just fired).
-		e.batchInsert(ev)
-		return
-	}
 	if e.wheel.count == 0 {
 		if len(e.near)-e.head < nearMin {
 			e.stats.Placed[BandNear]++
@@ -440,7 +400,7 @@ func (e *Engine) At(at Time, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := e.schedule(at, fn, nil, nil)
+	ev := e.scheduleSeq(at, e.DrawSeq(), fn, nil, nil)
 	return &Timer{ev: ev, gen: ev.gen}
 }
 
@@ -465,7 +425,7 @@ func (e *Engine) Rearm(t *Timer, delay float64, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.schedule(e.now+delay, fn, nil, nil)
+	ev := e.scheduleSeq(e.now+delay, e.DrawSeq(), fn, nil, nil)
 	t.ev = ev
 	t.gen = ev.gen
 }
@@ -479,7 +439,7 @@ func (e *Engine) Post(delay float64, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.schedule(e.now+delay, fn, nil, nil)
+	e.scheduleSeq(e.now+delay, e.DrawSeq(), fn, nil, nil)
 }
 
 // PostAt is Post at an absolute time, for callers that computed the instant
@@ -489,7 +449,7 @@ func (e *Engine) PostAt(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e.schedule(at, fn, nil, nil)
+	e.scheduleSeq(at, e.DrawSeq(), fn, nil, nil)
 }
 
 // PostArg schedules fn(arg) delay seconds from now, fire-and-forget.
@@ -503,7 +463,7 @@ func (e *Engine) PostArg(delay float64, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.schedule(e.now+delay, nil, fn, arg)
+	e.scheduleSeq(e.now+delay, e.DrawSeq(), nil, fn, arg)
 }
 
 // Halt stops the run loop after the currently executing event returns.
@@ -512,10 +472,10 @@ func (e *Engine) Halt() { e.halted = true }
 // Reset returns the engine to its initial state — clock at zero, no queued
 // events, sequence counter restarted — while retaining every piece of
 // allocated storage: the near-run's and overflow heap's backing arrays, the
-// wheel's slot arrays, each registered Pipe's ring, and the event free list. A reset engine therefore
-// schedules its next simulation without the warm-up allocations a fresh
-// NewEngine pays, and (because nextSeq restarts at zero) produces exactly
-// the event sequence a fresh engine would.
+// wheel's slot arrays, each registered Pipe's ring, and the event free list.
+// A reset engine therefore schedules its next simulation without the warm-up
+// allocations a fresh NewEngine pays, and (because nextSeq restarts at zero)
+// produces exactly the event sequence a fresh engine would.
 //
 // reclaim, when non-nil, is called with the arg of every dropped
 // arg-carrying event and pipe entry, so callers can recycle pooled objects
@@ -525,7 +485,11 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) Reset(reclaim func(arg any)) {
 	drop := func(ev *Event) {
 		if reclaim != nil && ev.arg != nil && !ev.dead {
-			reclaim(ev.arg)
+			// A pipe's own delivery event carries the pipe, not an entry; its
+			// entries are reclaimed with the pipes below.
+			if _, slot := ev.arg.(*Pipe); !slot {
+				reclaim(ev.arg)
+			}
 		}
 		e.release(ev)
 	}
@@ -556,18 +520,10 @@ func (e *Engine) Reset(reclaim func(arg any)) {
 		}
 		p.head, p.count, p.armed = 0, 0, false
 		// A slot marked stale by Flush is fully released here (every near-run,
-		// wheel, overflow and batch entry goes through release), so it is safe
-		// to reuse immediately, and any dynamic fallback event is recycled the
+		// wheel and overflow entry goes through release), so it is safe to
+		// reuse immediately, and any dynamic fallback event is recycled the
 		// same way.
 		p.stale, p.dyn = false, nil
-	}
-	if e.inBurst {
-		// Reset issued from inside a burst callback: drop the unexecuted
-		// remainder of the batch so runBatch's loop terminates cleanly.
-		for _, ev := range e.batch[e.batchFree:] {
-			drop(ev)
-		}
-		e.batch = e.batch[:e.batchFree]
 	}
 	e.now = 0
 	e.nextSeq = 0
@@ -628,95 +584,16 @@ func (e *Engine) Pending() int {
 			n-- // the armed head is already counted as a scheduler event
 		}
 	}
-	if e.inBurst {
-		// Called from inside a burst callback: the batch entries past the
-		// executing position are pending too (the executing entry itself is
-		// already released).
-		for _, ev := range e.batch[e.batchFree:] {
-			if !ev.dead {
-				n++
-			}
-		}
-	}
 	return n
 }
 
-// unbatch hands batch[from:] back to the near-run after a Halt. They sort to
-// its front: everything else pending at the burst instant joined the batch.
-func (e *Engine) unbatch(from int) {
-	for _, ev := range e.batch[from:] {
-		e.nearInsert(ev)
-	}
-	e.batch = e.batch[:0]
-}
-
-// batchInsert places an event scheduled during the current burst (at exactly
-// the burst timestamp) into seq position within the batch, strictly after
-// the executing entry. The common case — a fresh sequence number larger than
-// everything queued — is a pure append.
-func (e *Engine) batchInsert(ev *Event) {
-	b := append(e.batch, ev)
-	i := len(b) - 1
-	for i > e.batchFree && b[i-1].seq > ev.seq {
-		b[i] = b[i-1]
-		i--
-	}
-	b[i] = ev
-	e.batch = b
-}
-
-// runBatch executes the collected batch in index (hence seq) order without
-// re-probing the scheduler between events. Semantics match per-event
-// dispatch exactly: each entry is dead-checked at execution time, not
-// collection time, so a Timer.Stop issued by an earlier same-instant
-// callback still cancels a later one; each event is released immediately
-// before its callback runs; Halt mid-batch hands the unexecuted remainder
-// back to the near-run.
-func (e *Engine) runBatch() {
-	e.inBurst = true
-	for pos := 0; pos < len(e.batch); pos++ {
-		ev := e.batch[pos]
-		e.batchFree = pos + 1
-		if ev.dead {
-			e.release(ev)
-			continue
-		}
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		e.cur = ev.seq
-		e.release(ev)
-		e.nRun++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		if e.halted {
-			e.unbatch(pos + 1)
-			break
-		}
-	}
-	// Entries keep their stale pointers until overwritten: events are
-	// engine-pooled, so the pin is free and skipping the clears avoids a
-	// write barrier per slot.
-	e.batch = e.batch[:0]
-	e.batchFree = 0
-	e.inBurst = false
-}
-
 // run is the dispatch loop behind Run, RunUntil and RunBefore: it executes
-// every event with a timestamp <= lim, in bursts. One scheduler probe finds
-// the earliest live timestamp t0, then every event sharing it is executed in
-// seq order without re-probing the scheduler in between (same-instant packet
-// trains — an incast tick, a saturated link's dequeue+delivery+feed cluster
-// — are the common case at high BDP). Execution order is identical to
-// per-event dispatch: the batch preserves the engine-wide (at, seq) total
-// order, and events scheduled during the burst at the burst instant join
-// the batch in seq position (see place).
-//
-// The wheel needs no second probe for the burst: the first has already
-// advanced it far enough that every bucketed event is strictly later than t0
-// (wheel.go, invariant 3), so a same-timestamp run can only be the next
-// entries of the near-run.
+// every event with a timestamp <= lim, one at a time, in (at, seq) order.
+// Same-instant events need no path of their own. One a callback schedules at
+// its own instant enters the near-run behind its equals: a fresh seq outranks
+// everything queued, and a Pipe re-arming with its next entry's older stored
+// seq walks back to that entry's place, which is never before the executing
+// event's. The near-run's order is the engine-wide total order.
 func (e *Engine) run(lim Time) {
 	e.halted = false
 	bound := tickOf(lim) + 1
@@ -730,54 +607,20 @@ func (e *Engine) run(lim Time) {
 		} else if ev = e.peek(bound); ev == nil {
 			break
 		}
-		t0 := ev.at
-		if t0 > lim {
+		if ev.at > lim {
 			break
 		}
 		e.nearPop()
-		e.now = t0
-		if e.head < len(e.near) && e.near[e.head].at == t0 {
-			// A same-instant run: copy it into the batch (the near-run is
-			// (at, seq)-ordered, so it arrives in seq order; cancelled events
-			// are released on the way).
-			e.batch = append(e.batch, ev)
-			for e.head < len(e.near) && e.near[e.head].at == t0 {
-				if next := e.nearPop(); next.dead {
-					e.release(next)
-				} else {
-					e.batch = append(e.batch, next)
-				}
-			}
+		e.now = ev.at
+		e.cur = ev.seq
+		fn, afn, arg := ev.fn, ev.afn, ev.arg
+		e.release(ev)
+		e.nRun++
+		if fn != nil {
+			fn()
 		} else {
-			// Alone at t0 — the overwhelmingly common case outside
-			// synchronized packet trains: dispatch inline, skipping batch
-			// collection, but with the burst machinery armed (an empty batch,
-			// batchFree 0) so any same-instant events the callback schedules
-			// still chain into the batch instead of round-tripping through
-			// the near-run; a delivery→ack→forward cascade fires entirely at
-			// one instant.
-			fn, afn, arg := ev.fn, ev.afn, ev.arg
-			e.cur = ev.seq
-			e.release(ev)
-			e.nRun++
-			e.inBurst = true
-			if fn != nil {
-				fn()
-			} else {
-				afn(arg)
-			}
-			if len(e.batch) == 0 {
-				e.inBurst = false
-				continue
-			}
-			if e.halted {
-				// Halt stops after the event that called it.
-				e.unbatch(0)
-				e.inBurst = false
-				return
-			}
+			afn(arg)
 		}
-		e.runBatch()
 	}
 	if !e.halted {
 		e.cur = math.MaxUint64

@@ -63,7 +63,7 @@ import (
 //  6. A cancelled event is released where the scheduler meets it — flushing,
 //     cascading, refilling, or at the near-run's head — and never travels
 //     further. In particular a Pipe delivery slot killed by Pipe.Flush stays
-//     lodged where it was (a slot, the near-run, spill, the batch) only until
+//     lodged where it was (a slot, the near-run, spill) only until
 //     the scheduler passes its timestamp: no later event fires before the
 //     cursor has passed the dead arming's tick (3), flushed its slot (1) and
 //     popped it off the near-run (2). Once the clock is strictly past that
