@@ -6,18 +6,13 @@
 //	pccbench -exp fig7            # one experiment at default scale
 //	pccbench -exp all -scale 1.0  # every experiment at paper-duration scale
 //	pccbench -exp fig10 -par 8    # pin the worker pool to 8 goroutines
-//	pccbench -exp widechain -shards 4  # shard each trial's engine 4 ways
 //	pccbench -list
 //
 // Scale shortens experiment durations/trial counts proportionally (default
 // 0.2); shapes are preserved, absolute convergence detail improves with
 // scale. Seeds make every run reproducible: each experiment fans its trials
 // out across a worker pool (bounded by -par, else GOMAXPROCS) and produces
-// byte-identical tables at any worker count. -shards additionally caps how
-// many conservative engine shards a single trial may use (experiments opt
-// in per topology; see internal/sim.ShardGroup) — reports are byte-identical
-// at any shard count too, so the two knobs budget cores between
-// across-trial and within-trial parallelism without affecting results.
+// byte-identical tables at any worker count; each trial runs on one engine.
 package main
 
 import (
@@ -38,7 +33,6 @@ var (
 	scale      = flag.Float64("scale", 0.2, "duration/trial scale in (0,1]; 1.0 = paper durations")
 	seed       = flag.Int64("seed", 42, "root RNG seed")
 	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: GOMAXPROCS; 1 = sequential)")
-	shards     = flag.Int("shards", 0, "max conservative engine shards per trial (0 = auto: 1)")
 	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = auto: scale-derived)")
 	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = auto: scale-derived)")
 	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = disabled)")
@@ -49,14 +43,12 @@ var (
 
 // applyKnobs pushes the parsed parallelism and scale flags into exp's
 // process-wide overrides. Every driver fans its independent trials out over
-// exp's worker pool and shards opted-in topologies across engines; results
-// are bit-identical at any worker or shard count. -nodes/-flows pin the
-// size of generated-topology experiments (wan) independently of -scale —
-// unlike the parallelism knobs, they change what is simulated, so they
-// change the report.
+// exp's worker pool; results are bit-identical at any worker count.
+// -nodes/-flows pin the size of generated-topology experiments (wan)
+// independently of -scale — unlike -par, they change what is simulated, so
+// they change the report.
 func applyKnobs() {
 	exp.SetWorkers(*par)
-	exp.SetShards(*shards)
 	exp.SetNodes(*nodes)
 	exp.SetFlows(*flows)
 	exp.SetTrialTimeout(*trialTO)

@@ -38,35 +38,6 @@ func TestListGolden(t *testing.T) {
 	}
 }
 
-// TestShardsFlag pins the -shards → exp.SetShards plumbing through the real
-// flag instances: after applyKnobs, exp.Shards() must reflect the flag, and
-// resetting it must restore the default resolution order (env, then 1).
-func TestShardsFlag(t *testing.T) {
-	defer func() {
-		exp.SetShards(0)
-		exp.SetWorkers(0)
-		if err := flag.Set("shards", "0"); err != nil {
-			t.Error(err)
-		}
-		if err := flag.Set("par", "0"); err != nil {
-			t.Error(err)
-		}
-	}()
-	if err := flag.Set("shards", "3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := flag.Set("par", "2"); err != nil {
-		t.Fatal(err)
-	}
-	applyKnobs()
-	if got := exp.Shards(); got != 3 {
-		t.Errorf("after -shards 3, exp.Shards() = %d, want 3", got)
-	}
-	if got := exp.Workers(); got != 2 {
-		t.Errorf("after -par 2, exp.Workers() = %d, want 2", got)
-	}
-}
-
 // TestTrialTimeoutFlag pins the -trialtimeout → exp.SetTrialTimeout plumbing
 // through the real flag instance, and that resetting the flag restores the
 // default (disabled).
@@ -92,26 +63,28 @@ func TestTrialTimeoutFlag(t *testing.T) {
 
 // TestScaleFlags pins the -nodes/-flows → exp.SetNodes/SetFlows plumbing:
 // the generated-topology size knobs ride through applyKnobs exactly like
-// the parallelism flags, and resetting them restores the scale-derived
+// the -par worker flag, and resetting them restores the scale-derived
 // default (exp.Nodes()/Flows() report 0 = no override).
 func TestScaleFlags(t *testing.T) {
 	defer func() {
 		exp.SetNodes(0)
 		exp.SetFlows(0)
-		if err := flag.Set("nodes", "0"); err != nil {
-			t.Error(err)
-		}
-		if err := flag.Set("flows", "0"); err != nil {
-			t.Error(err)
+		exp.SetWorkers(0)
+		for _, name := range []string{"nodes", "flows", "par"} {
+			if err := flag.Set(name, "0"); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
-	if err := flag.Set("nodes", "120"); err != nil {
-		t.Fatal(err)
-	}
-	if err := flag.Set("flows", "1500"); err != nil {
-		t.Fatal(err)
+	for name, v := range map[string]string{"nodes": "120", "flows": "1500", "par": "2"} {
+		if err := flag.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	applyKnobs()
+	if got := exp.Workers(); got != 2 {
+		t.Errorf("after -par 2, exp.Workers() = %d, want 2", got)
+	}
 	if got := exp.Nodes(); got != 120 {
 		t.Errorf("after -nodes 120, exp.Nodes() = %d, want 120", got)
 	}

@@ -50,7 +50,6 @@ var (
 	sweeptimeout = flag.Duration("sweeptimeout", 0, "server-side deadline per sweep (0 = none)")
 	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog (0 = disabled)")
 	par          = flag.Int("par", 0, "worker goroutines per unit's trial pool (0 = auto)")
-	shards       = flag.Int("shards", 0, "max engine shards per trial (0 = auto)")
 	draingrace   = flag.Duration("draingrace", 30*time.Second, "max time to wait for in-flight sweeps on shutdown")
 )
 
@@ -61,7 +60,6 @@ func main() {
 func run() int {
 	flag.Parse()
 	exp.SetWorkers(*par)
-	exp.SetShards(*shards)
 	exp.SetTrialTimeout(*trialtimeout)
 
 	srv, err := serve.NewServer(serve.Config{

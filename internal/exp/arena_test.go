@@ -219,37 +219,6 @@ func TestArenaSteadyStateAllocsTopology(t *testing.T) {
 	})
 }
 
-// TestArenaSteadyStateAllocsSharded pins the warm-trial budget on the shard
-// axis: a sharded widechain trial reuses its shard group, per-shard engines
-// and pools, and the mailbox merge scratch across trials, so what a
-// steady-state trial allocates is the driver's spec/route assembly, not the
-// sharding.
-func TestArenaSteadyStateAllocsSharded(t *testing.T) {
-	ts := new(TrialScratch)
-	trial := func() {
-		if g := RunWideChainTrial2(ts); g <= 0 {
-			t.Fatal("trial produced no goodput")
-		}
-	}
-	trial() // cold build (engines, workers, topology, flows)
-	trial() // grow retained storage to steady state
-	avg := testing.AllocsPerRun(5, trial)
-	t.Logf("warm sharded widechain trial: %.0f allocs", avg)
-	if avg > driverAllocBudget {
-		t.Errorf("warm sharded trial allocates %.0f objects, budget %d", avg, driverAllocBudget)
-	}
-	if r := ts.runners[runnerKey{topology: true, key: "4/1/pcc/2"}]; r == nil || r.Group == nil {
-		t.Fatal("trial did not run sharded; the budget above measured the wrong path")
-	}
-}
-
-// RunWideChainTrial2 is the alloc test's small sharded trial: 4 hops, one
-// cross flow per hop, 2 shards, 2 simulated seconds.
-func RunWideChainTrial2(ts *TrialScratch) float64 {
-	_, long, _ := wideChainTrial(ts, 4, 1, "pcc", 2.0, 13, 2)
-	return long.WindowMbps(0.4, 2.0)
-}
-
 // TestSeriesMbpsIntoReuses pins the scratch-reusing series path: 0
 // allocations once the destination has capacity, identical values to the
 // allocating path.

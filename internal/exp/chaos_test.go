@@ -10,19 +10,17 @@ import (
 
 // TestChaosDeterminism extends the byte-identical-report guarantee to the
 // fault-injection experiments: flap jitter draws ride the runner's seed
-// derivation chain and every fault act runs on its target link's home
-// engine, so linkflap and partition reports must not depend on the worker
-// count or the shard ceiling. This is the chaos slice of the CI determinism
-// matrix: workers {1,2,8} × shards {1,4}.
+// derivation chain, so linkflap and partition reports must not depend on the
+// worker count. This is the chaos slice of the CI determinism matrix:
+// workers {1,2,8}.
 func TestChaosDeterminism(t *testing.T) {
 	if testing.Short() {
 		// The -short race job covers this axis with
 		// TestChaosDeterminismRacePair; the CI determinism job runs the full
 		// matrix un-shortened.
-		t.Skip("full chaos worker × shard matrix")
+		t.Skip("full chaos worker matrix")
 	}
 	defer SetWorkers(0)
-	defer SetShards(0)
 	cases := []struct {
 		id   string
 		seed int64
@@ -33,26 +31,19 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s/%d", tc.id, tc.seed), func(t *testing.T) {
-			render := func(shards, workers int) string {
-				SetShards(shards)
+			render := func(workers int) string {
 				SetWorkers(workers)
 				rep, err := Run(tc.id, 0.01, tc.seed)
 				if err != nil {
-					t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				return rep.String()
 			}
-			base := render(1, 1)
+			base := render(1)
 			for _, workers := range []int{2, 8} {
-				if got := render(1, workers); got != base {
+				if got := render(workers); got != base {
 					t.Errorf("report differs between workers=1 and workers=%d:\n--- base ---\n%s--- workers=%d ---\n%s",
 						workers, base, workers, got)
-				}
-			}
-			for _, workers := range []int{1, 2, 8} {
-				if got := render(4, workers); got != base {
-					t.Errorf("report differs between shards=1 and shards=4 workers=%d:\n--- base ---\n%s--- shards=4 ---\n%s",
-						workers, base, got)
 				}
 			}
 		})
@@ -60,24 +51,22 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosDeterminismRacePair is the CI -race slice of the chaos axis: one
-// faulted sharded-vs-single pair per experiment under the race detector,
-// with concurrent shard workers and concurrent trial workers.
+// faulted workers-1-vs-2 pair per experiment under the race detector, with
+// concurrent trial workers.
 func TestChaosDeterminismRacePair(t *testing.T) {
 	defer SetWorkers(0)
-	defer SetShards(0)
 	for _, id := range []string{"linkflap", "partition"} {
-		render := func(shards, workers int) string {
-			SetShards(shards)
+		render := func(workers int) string {
 			SetWorkers(workers)
 			rep, err := Run(id, 0.01, 42)
 			if err != nil {
-				t.Fatalf("%s shards=%d: %v", id, shards, err)
+				t.Fatalf("%s workers=%d: %v", id, workers, err)
 			}
 			return rep.String()
 		}
-		base := render(1, 1)
-		if got := render(2, 2); got != base {
-			t.Errorf("%s report differs between shards=1 and shards=2 workers=2:\n--- shards=1 ---\n%s--- shards=2 ---\n%s", id, base, got)
+		base := render(1)
+		if got := render(2); got != base {
+			t.Errorf("%s report differs between workers=1 and workers=2:\n--- workers=1 ---\n%s--- workers=2 ---\n%s", id, base, got)
 		}
 	}
 }
@@ -171,7 +160,7 @@ func TestChaosArenaMatchesFresh(t *testing.T) {
 	}
 	flapTrial := func(ts *TrialScratch, i int) float64 {
 		proto := []string{"pcc", "cubic"}[i%2]
-		_, long := linkFlapTrial(ts, proto, 10, TrialSeed(44, i), 2)
+		_, long := linkFlapTrial(ts, proto, 10, TrialSeed(44, i))
 		return long.WindowMbps(1, 10)
 	}
 	warm := new(TrialScratch)
@@ -188,8 +177,8 @@ func TestChaosArenaMatchesFresh(t *testing.T) {
 }
 
 // TestChaosArenaRespecDifferentTargets alternates the faulted link under one
-// arena key: the fault signature differs, so the warm path must rebuild
-// rather than respec, and results must stay fresh-identical.
+// arena key: the warm path respecs the runner in place for a schedule with
+// different targets, and results must stay fresh-identical.
 func TestChaosArenaRespecDifferentTargets(t *testing.T) {
 	t.Parallel()
 	trial := func(ts *TrialScratch, i int) float64 {

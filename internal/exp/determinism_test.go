@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestParallelMatchesSequential is the tentpole guarantee of the parallel
 // experiment engine: for a fixed root seed, a driver's report is
@@ -55,105 +52,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedMatchesSingleEngine extends the determinism guarantee to the
-// intra-trial parallelism axis: for a fixed (scale, seed), a report is
-// byte-identical whether a trial runs on one engine or sharded across a
-// conservative sim.ShardGroup, at every workers × shards combination. The
-// widechain experiment actually shards (its heterogeneous-delay chain
-// partitions cleanly); parklot and mixmtu exercise the opposite contract —
-// experiments that do not request sharding must be untouched by the global
-// shard ceiling.
-func TestShardedMatchesSingleEngine(t *testing.T) {
-	if testing.Short() {
-		// 7 full runs per case; the -short race job covers the shard axis
-		// with TestShardDeterminismRacePair, and the CI determinism job
-		// runs this matrix un-shortened.
-		t.Skip("full shard × worker matrix")
-	}
-	defer SetWorkers(0)
-	defer SetShards(0)
-	cases := []struct {
-		id    string
-		scale float64
-		seed  int64
-	}{
-		{"widechain", 0.01, 42},
-		{"widechain", 0.05, 42},
-		{"widechain", 0.01, 7},
-		{"widechain", 0.05, 7},
-		{"parklot", 0.01, 42},
-		{"mixmtu", 0.01, 42},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/%g/%d", tc.id, tc.scale, tc.seed), func(t *testing.T) {
-			render := func(shards, workers int) string {
-				SetShards(shards)
-				SetWorkers(workers)
-				rep, err := Run(tc.id, tc.scale, tc.seed)
-				if err != nil {
-					t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-				}
-				return rep.String()
-			}
-			base := render(1, 1)
-			for _, shards := range []int{2, 4} {
-				for _, workers := range []int{1, 2, 8} {
-					if got := render(shards, workers); got != base {
-						t.Errorf("report differs between shards=1 and shards=%d workers=%d:\n--- shards=1 ---\n%s--- shards=%d ---\n%s",
-							shards, workers, base, shards, got)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestShardedRunnerActuallyShards guards the test above against silently
-// passing because sharding quietly fell back to one engine: a
-// benchmark-shaped widechain topology at a ceiling of 4 must really build a
-// multi-engine shard group, and the single-trial goodput must match the
-// unsharded run exactly.
-func TestShardedRunnerActuallyShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two 12-hop 12-second trials")
-	}
-	var ts1, ts4 TrialScratch
-	g1 := RunWideChainTrial(&ts1, 1, 42)
-	g4 := RunWideChainTrial(&ts4, 4, 42)
-	if g1 != g4 {
-		t.Fatalf("widechain trial goodput differs: shards=1 → %v, shards=4 → %v", g1, g4)
-	}
-	r := ts4.runners[runnerKey{topology: true, key: "12/2/pcc/4"}]
-	if r == nil {
-		t.Fatal("sharded trial runner not cached under its arena key")
-	}
-	if r.Group == nil || r.Group.Len() < 2 {
-		t.Fatalf("shards=4 widechain runner did not shard (group=%v)", r.Group)
-	}
-}
-
-// TestShardDeterminismRacePair is the CI -race slice of the shard axis: one
-// sharded-vs-single pair under the race detector, exercising the full
-// harness (per-shard pools, arenas, mailbox merge) with concurrent shard
-// workers AND concurrent trial workers.
-func TestShardDeterminismRacePair(t *testing.T) {
-	defer SetWorkers(0)
-	defer SetShards(0)
-	render := func(shards, workers int) string {
-		SetShards(shards)
-		SetWorkers(workers)
-		rep, err := Run("widechain", 0.01, 42)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return rep.String()
-	}
-	base := render(1, 1)
-	if got := render(2, 2); got != base {
-		t.Errorf("report differs between shards=1 and shards=2 workers=2:\n--- shards=1 ---\n%s--- shards=2 ---\n%s", base, got)
 	}
 }
 

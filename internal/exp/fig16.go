@@ -9,13 +9,6 @@ import (
 	"pcc/internal/netem"
 )
 
-// TradeoffPoint is one point in the Fig. 16 stability-reactiveness space.
-type TradeoffPoint struct {
-	Label       string
-	ConvergeSec float64 // forward-looking convergence time of the new flow
-	StdDevMbps  float64 // throughput std-dev for 60 s after convergence
-}
-
 // RunFig16 reproduces Fig. 16 (§4.2.2): the convergence-time /
 // rate-variance trade-off. Flow A occupies a 100 Mbps / 30 ms path; flow B
 // joins at t=20 s. Convergence time is the first t after which B stays

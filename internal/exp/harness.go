@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -46,7 +45,7 @@ type LinkSpec struct {
 //
 // Specs need not be hand-written: GraphSpec converts a topogen-generated
 // graph (fat-tree, transit-stub WAN, LEO chain, delay-matrix mesh) into a
-// TopologySpec carrying the generator's links and shard hints, and
+// TopologySpec carrying the generator's links, and
 // topogen.Router computes the matching deterministic FwdRoute/RevRoute hop
 // chains — the construction path of the internet-scale experiments.
 type TopologySpec struct {
@@ -56,34 +55,12 @@ type TopologySpec struct {
 	Links []LinkSpec
 	// Seed roots all randomness for the run.
 	Seed int64
-	// Shards > 1 asks the runner to partition the topology's nodes across
-	// that many engines running in conservative lockstep (see
-	// sim.ShardGroup) so one trial uses several cores. It is a ceiling: the
-	// partitioner merges zero-delay neighborhoods and may use fewer shards,
-	// or decline entirely (falling back to the classic single engine).
-	// Results are byte-identical at every shard count; the experiment suite
-	// asserts it. Sharded runners require all flows to be added before Run
-	// and every flow's delay hops to live on one shard (see
-	// netem.Topology.Shard).
-	Shards int
 	// Faults, when non-nil and non-empty, injects timed hard faults (link
 	// down/up flaps, step degrades, partitions, node crashes) into the trial:
 	// the schedule is materialized at build time — flap jitter drawn from one
-	// runner RNG stream — and scheduled as plain engine events on each target
-	// link's home shard, so faults compose with arenas and sharding without
-	// perturbing determinism. Every link a fault references (and every link
-	// incident to a crashed node) is pinned to a single shard with its
-	// opposite endpoint, so a fault never has to reach across engines
-	// mid-run; cross-shard lookahead stays the static topology minimum.
+	// runner RNG stream — and scheduled as plain engine events, so faults
+	// compose with arenas without perturbing determinism.
 	Faults *netem.FaultSchedule
-	// ShardHints, when non-nil, biases the shard partitioning: nodes
-	// sharing a hint value are contracted onto one shard like zero-delay
-	// neighborhoods (see netem.PartitionNodesHinted). Generators emit
-	// their locality structure here — a fat-tree pod, a transit domain
-	// with its stubs, a LEO segment — so cut edges fall only on the
-	// wide-delay inter-group links. Hints compose with fault pins and are
-	// placement-only: results stay byte-identical with or without them.
-	ShardHints map[string]int
 }
 
 // PathSpec describes the shared bottleneck of a dumbbell: shorthand for the
@@ -173,9 +150,9 @@ type Flow struct {
 
 // Runner assembles and runs one simulation over a link graph — the one-link
 // dumbbell of NewRunner or the general topology of NewTopologyRunner, one
-// code path either way. A Runner (like its Engine) is single-threaded;
-// parallel experiments give every trial its own Runner (see pool.go), which
-// also keeps the packet free list goroutine-local.
+// code path either way, on one Engine. A Runner (like its Engine) is
+// single-threaded; parallel experiments give every trial its own Runner (see
+// pool.go), which also keeps the packet free list goroutine-local.
 //
 // Runners built through a TrialScratch arena are additionally *reused*
 // across trials: respec rewinds the engine, links, queues and flows in place
@@ -195,14 +172,9 @@ type Runner struct {
 	Path  PathSpec
 	Flows []*Flow
 
-	// Group is the conservative shard group driving a sharded topology
-	// runner; nil when the trial runs on one engine. Engines/Pools always
-	// hold one entry per shard (a single entry — Eng and the runner's one
-	// packet free list — when unsharded), so flow placement code indexes
-	// them uniformly.
-	Group   *sim.ShardGroup
+	// Engines is []*sim.Engine{Eng}; pinned by bench/ until ROADMAP item 1's
+	// [benchmark] PR.
 	Engines []*sim.Engine
-	Pools   []*netem.PacketPool
 
 	// flowPool holds every Flow ever created on this runner, by id, so a
 	// re-specced trial reuses flow k's receiver, sender window storage and
@@ -211,12 +183,12 @@ type Runner struct {
 	// sendData/sendAck are the topology injection method values, bound once.
 	sendData func(*netem.Packet)
 	sendAck  func(*netem.Packet)
-	// reclaims[i] recycles in-flight packets back into Pools[i] when shard
-	// i's engine is reset between trials.
-	reclaims []func(arg any)
-	// built holds what of its spec fixed the skeleton — a copy of the links,
-	// the shard request and hints — for matches to compare a trial's against.
-	built TopologySpec
+	// reclaim recycles in-flight packets into the topology's pool when the
+	// engine is reset between trials.
+	reclaim func(arg any)
+	// links is a copy of the spec's links, which fixed the skeleton, for
+	// matches to compare a trial's against.
+	links []LinkSpec
 	// rands recycles driver-requested RNG streams (NextRand) across trials.
 	rands   []*rand.Rand
 	randIdx int
@@ -224,17 +196,13 @@ type Runner struct {
 	// Fault-injection state (runners with TopologySpec.Faults).
 	// faultSpec is the schedule as specced; faultEvs its materialized,
 	// time-sorted event list (flap jitter applied); faultActs the resolved
-	// per-shard actions scheduled on the engines; faultLinks the flat link
-	// table the acts index by range (so act resolution never allocates per
-	// act after the first trial); faultSig the pin-relevant structure
-	// signature respec compares (a schedule referencing different links or
-	// nodes implies a different shard pinning, hence a rebuild); faultFn the
-	// shared dispatch trampoline.
+	// actions scheduled on the engine; faultLinks the flat link table the
+	// acts index by range (so act resolution never allocates per act after
+	// the first trial); faultFn the shared dispatch trampoline.
 	faultSpec  *netem.FaultSchedule
 	faultEvs   []netem.FaultEvent
 	faultActs  []faultAct
 	faultLinks []*netem.Link
-	faultSig   string
 	faultFn    func(any)
 }
 
@@ -294,48 +262,18 @@ func NewRunner(p PathSpec) *Runner {
 }
 
 // NewTopologyRunner builds a runner over a general network graph. Flows
-// added to it must carry explicit FwdRoute/RevRoute hop chains. When
-// ts.Shards > 1 and the node graph partitions into positive-delay-separated
-// clusters, the trial runs sharded across a sim.ShardGroup; otherwise it
-// falls back to the classic single engine. Either way, seeds are drawn in
-// the same order, so results never depend on the shard count.
+// added to it must carry explicit FwdRoute/RevRoute hop chains.
 //
-// Building fixes only the skeleton — engines and shard placement, the link
-// graph with its queues; everything a trial parameterizes (seed chain, link
+// Building fixes only the skeleton — the engine, the link graph with its
+// queues; everything a trial parameterizes (seed chain, link
 // rates/delays/loss streams, queue capacities, fault plan) is set by the
 // one respec every later trial on this runner also goes through.
 func NewTopologyRunner(ts TopologySpec) *Runner {
-	r := &Runner{Seeds: sim.NewSeeds(ts.Seed), faultSig: faultSig(ts.Faults),
-		built: TopologySpec{Links: slices.Clone(ts.Links), Shards: ts.Shards, ShardHints: ts.ShardHints}}
-	if ts.Shards > 1 {
-		edges := make([]netem.Edge, len(ts.Links))
-		for i, ls := range ts.Links {
-			edges[i] = netem.Edge{From: ls.From, To: ls.To, Delay: ls.Delay}
-		}
-		edges = appendFaultPins(edges, ts)
-		if assign, n, lookahead := netem.PartitionNodesHinted(edges, ts.Shards, ts.ShardHints); n > 1 {
-			group := sim.NewShardGroup(n, lookahead)
-			pools := make([]*netem.PacketPool, n)
-			engines := make([]*sim.Engine, n)
-			for i := range pools {
-				pools[i] = &netem.PacketPool{}
-				engines[i] = group.Engine(i)
-			}
-			topo := netem.NewTopology(group.Engine(0))
-			topo.Shard(group, assign, pools)
-			r.Group, r.Engines, r.Pools, r.Topo = group, engines, pools, topo
-		}
-	}
-	if r.Topo == nil {
-		eng := sim.NewEngine()
-		topo := netem.NewTopology(eng)
-		pool := &netem.PacketPool{}
-		topo.UsePool(pool)
-		r.Engines = []*sim.Engine{eng}
-		r.Pools = []*netem.PacketPool{pool}
-		r.Topo = topo
-	}
-	r.Eng = r.Engines[0]
+	r := &Runner{Seeds: sim.NewSeeds(ts.Seed), links: slices.Clone(ts.Links)}
+	r.Eng = sim.NewEngine()
+	r.Engines = []*sim.Engine{r.Eng}
+	r.Topo = netem.NewTopology(r.Eng)
+	r.Topo.UsePool(&netem.PacketPool{})
 	for _, ls := range ts.Links {
 		// No loss stream yet: respec seeds it, lazily (see netem.Rng).
 		r.Topo.AddLink(ls.Name, ls.From, ls.To, makeQueue(ls.QueueKind, ls.BufBytes),
@@ -348,48 +286,41 @@ func NewTopologyRunner(ts TopologySpec) *Runner {
 }
 
 // GraphSpec converts a topogen-generated graph into a TopologySpec: links
-// copied in add order (droptail queues) with the generator's shard hints
-// carried through. Drivers build it once per experiment variant and stamp
-// Seed/Shards/Faults per trial — the link slice and hint map may be shared
-// read-only across trials and workers, which keeps warm arena trials
-// allocation-free.
+// copied in add order (droptail queues). Drivers build it once per
+// experiment variant and stamp Seed/Faults per trial — the link slice may be
+// shared read-only across trials and workers, which keeps warm arena trials
+// allocation-free. shards is ignored; pinned by bench/ until ROADMAP item 1's
+// [benchmark] PR.
 func GraphSpec(g *topogen.Graph, seed int64, shards int) TopologySpec {
 	links := make([]LinkSpec, g.NumLinks())
 	for i, l := range g.Links() {
 		links[i] = LinkSpec{Name: l.Name, From: l.From, To: l.To,
 			RateMbps: l.RateMbps, Delay: l.Delay, Loss: l.Loss, BufBytes: l.BufBytes}
 	}
-	return TopologySpec{Links: links, Seed: seed, Shards: shards, ShardHints: g.ShardHints()}
+	return TopologySpec{Links: links, Seed: seed}
 }
 
 // bindSinks caches the per-runner function values every flow shares.
 func (r *Runner) bindSinks() {
 	r.sendData = r.Topo.SendData
 	r.sendAck = r.Topo.SendAck
-	r.reclaims = make([]func(any), len(r.Pools))
-	for i, pool := range r.Pools {
-		pool := pool
-		r.reclaims[i] = func(arg any) {
-			if p, ok := arg.(*netem.Packet); ok {
-				pool.Put(p)
-			}
+	pool := r.Topo.Pool
+	r.reclaim = func(arg any) {
+		if p, ok := arg.(*netem.Packet); ok {
+			pool.Put(p)
 		}
 	}
 }
 
 // matches reports whether the runner's skeleton fits the spec, so that
 // respec can rewind it for a trial of ts: same link structure (names,
-// endpoints, queue kinds), shard request and hints, and fault target set.
+// endpoints, queue kinds).
 func (r *Runner) matches(ts TopologySpec) bool {
-	// Engines are pinned at build: a different shard request, hint map
-	// (drivers reuse one across trials, so this usually compares a map with
-	// itself) or fault target set means a different partition.
-	if len(r.built.Links) != len(ts.Links) || r.built.Shards != ts.Shards ||
-		!maps.Equal(r.built.ShardHints, ts.ShardHints) || r.faultSig != faultSig(ts.Faults) {
+	if len(r.links) != len(ts.Links) {
 		return false
 	}
 	for i, ls := range ts.Links {
-		prev := r.built.Links[i]
+		prev := r.links[i]
 		if prev.Name != ls.Name || prev.From != ls.From || prev.To != ls.To || prev.QueueKind != ls.QueueKind {
 			return false
 		}
@@ -397,28 +328,20 @@ func (r *Runner) matches(ts TopologySpec) bool {
 	return true
 }
 
-// respec rewinds the runner for a new trial of a spec it matches: engines
+// respec rewinds the runner for a new trial of a spec it matches: engine
 // reset (in-flight packets recycled), seed chain rewound to the new root,
 // every link and queue re-parameterized in place with one seed drawn per
 // link in AddLink order, and the fault plan installed. Previously added
 // flows stay parked in flowPool for AddFlow to reuse.
 func (r *Runner) respec(ts TopologySpec) {
-	if r.Group != nil {
-		r.Group.Reset(r.reclaims)
-		// Packets migrate between shards during a run (recycled where they
-		// die, not where they were allocated), so redistribute the parked
-		// spares to keep warm trials allocation-free.
-		netem.RebalancePools(r.Pools)
-	} else {
-		r.Eng.Reset(r.reclaims[0])
-	}
+	r.Eng.Reset(r.reclaim)
 	r.Seeds.Reset(ts.Seed)
 	for i, ls := range ts.Links {
 		// matches verified the shape name-by-name, so the rewind indexes
 		// links by registration order — no per-link map probe on a path that
 		// runs once per trial over potentially thousands of links.
 		l := r.Topo.LinkAt(i)
-		resetQueue(l.Queue, ls.BufBytes, r.Pools[0])
+		resetQueue(l.Queue, ls.BufBytes, r.Topo.Pool)
 		l.Reset(netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, r.Seeds.Next())
 	}
 	r.Path = PathSpec{Seed: ts.Seed}
@@ -545,13 +468,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	if pktSize <= 0 {
 		pktSize = cc.MSS
 	}
-	// Place the flow's endpoints: the sender lives where its data packets
-	// are injected (the forward route's entry shard), the receiver where
-	// they are delivered. Unsharded runners have a single shard 0.
-	sShard, rShard := 0, 0
-	if r.Group != nil {
-		sShard, rShard = r.Topo.RouteEnds(fwd)
-	}
 	// Resolve the endpoint nodes for node-crash freezing: the tail of the
 	// first link and the head of the last link on the forward route.
 	srcNode, dstNode := "", ""
@@ -571,8 +487,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			_, dstNode = r.Topo.LinkEnds(last)
 		}
 	}
-	sEng, rEng := r.Engines[sShard], r.Engines[rShard]
-	sPool, rPool := r.Pools[sShard], r.Pools[rShard]
+	pool := r.Topo.Pool
 
 	// Acquire the flow handle: recycled from a previous trial on this
 	// runner, or fresh. The receiver is protocol-agnostic and always reused.
@@ -582,12 +497,10 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.Spec = spec
 		f.DoneAt = -1
 		f.Recv.Reset()
-		f.Recv.Eng = rEng
-		f.Recv.Pool = rPool
 	} else {
 		f = &Flow{ID: id, Spec: spec, DoneAt: -1}
-		f.Recv = cc.NewReceiver(rEng, id)
-		f.Recv.Pool = rPool
+		f.Recv = cc.NewReceiver(r.Eng, id)
+		f.Recv.Pool = pool
 		f.Recv.SendAck = r.sendAck
 		f.dataSink = f.Recv.OnData
 		f.onDone = func(now float64) { f.DoneAt = now }
@@ -643,7 +556,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			// CachedSource memoizes the post-seed state, so the Reset branch
 			// above rewinds this generator with a copy instead of a reseed.
 			f.PCC = core.New(pcfg, rand.New(sim.NewCachedSource(algoSeed)))
-			r.setRateSender(f, f.PCC, sEng)
+			r.setRateSender(f, f.PCC)
 		}
 	case "sabul":
 		hint := spec.CapacityHint
@@ -659,7 +572,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			sabul = new(baseline.Sabul)
 		}
 		sabul.Reset(hint) // NewSabul(hint)'s state, in place
-		r.setRateSender(f, sabul, sEng)
+		r.setRateSender(f, sabul)
 	case "pcp":
 		f.PCC = nil
 		pcp, ok := recycledRateAlgo(f).(*baseline.PCP)
@@ -667,7 +580,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			pcp = new(baseline.PCP)
 		}
 		pcp.Reset(0) // NewPCP(0)'s state, in place
-		r.setRateSender(f, pcp, sEng)
+		r.setRateSender(f, pcp)
 	default:
 		variant := spec.Proto
 		if variant == "pacing" {
@@ -680,17 +593,9 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 				panic(err)
 			}
 		}
-		r.setWindowSender(f, algo, sEng)
+		r.setWindowSender(f, algo)
 		f.WS.Paced = spec.Proto == "pacing"
 		f.WS.RTTHint = rtt
-	}
-	// Pin the sender to its shard's engine, which its pacing/window timers
-	// run on (recycled senders may move shards when a new trial routes the
-	// flow differently).
-	if f.RS != nil {
-		f.RS.Eng = sEng
-	} else {
-		f.WS.Eng = sEng
 	}
 	if f.WS != nil && capacity > 0 {
 		// Socket-buffer-like clamp: 8x the path BDP, floored generously so
@@ -701,7 +606,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	}
 
 	if f.RS != nil {
-		f.RS.Pool = sPool
+		f.RS.Pool = pool
 		f.RS.PktSize = pktSize
 		// Keep the sender-side floor at 2 packets/s in the flow's own
 		// size, matching the algorithms' scaled MinRate (for the default
@@ -712,7 +617,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.RS.TraceRate = spec.TraceRate
 		f.RS.OnDone = f.onDone
 	} else {
-		f.WS.Pool = sPool
+		f.WS.Pool = pool
 		f.WS.PktSize = pktSize
 		f.WS.FlowPackets = flowPkts
 		f.WS.OnDone = f.onDone
@@ -724,10 +629,10 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	// Post adds its delay back onto the clock, so it is used only when that
 	// round trip is exact: always at trial set-up (clock at zero) and for
 	// flows starting now.
-	if now := sEng.Now(); spec.StartAt >= now && now+(spec.StartAt-now) == spec.StartAt {
-		sEng.Post(spec.StartAt-now, f.startFn)
+	if now := r.Eng.Now(); spec.StartAt >= now && now+(spec.StartAt-now) == spec.StartAt {
+		r.Eng.Post(spec.StartAt-now, f.startFn)
 	} else {
-		sEng.At(spec.StartAt, f.startFn)
+		r.Eng.At(spec.StartAt, f.startFn)
 	}
 	return f
 }
@@ -760,39 +665,31 @@ func recycledWindowAlgo(f *Flow, variant string) cc.WindowAlgo {
 
 // setRateSender installs a rate-based sender for the flow: the previous
 // RateSender is reset in place when one exists, else a fresh one replaces
-// whatever sender category the flow had before. The caller pins Eng
-// afterwards (it may change with the flow's shard placement).
-func (r *Runner) setRateSender(f *Flow, algo cc.RateAlgo, eng *sim.Engine) {
+// whatever sender category the flow had before.
+func (r *Runner) setRateSender(f *Flow, algo cc.RateAlgo) {
 	if f.RS != nil {
 		f.RS.Reset(algo)
 		return
 	}
 	f.WS = nil
-	f.RS = cc.NewRateSender(eng, f.ID, algo, r.sendData)
+	f.RS = cc.NewRateSender(r.Eng, f.ID, algo, r.sendData)
 	f.ackSink = f.RS.OnAck
 }
 
 // setWindowSender is setRateSender's window-based counterpart.
-func (r *Runner) setWindowSender(f *Flow, algo cc.WindowAlgo, eng *sim.Engine) {
+func (r *Runner) setWindowSender(f *Flow, algo cc.WindowAlgo) {
 	f.PCC = nil
 	if f.WS != nil {
 		f.WS.Reset(algo)
 		return
 	}
 	f.RS = nil
-	f.WS = cc.NewWindowSender(eng, f.ID, algo, r.sendData)
+	f.WS = cc.NewWindowSender(r.Eng, f.ID, algo, r.sendData)
 	f.ackSink = f.WS.OnAck
 }
 
-// Run advances the simulation to the given time (seconds) — all shards in
-// conservative lockstep on a sharded runner, the single engine otherwise.
-func (r *Runner) Run(until float64) {
-	if r.Group != nil {
-		r.Group.RunUntil(until)
-		return
-	}
-	r.Eng.RunUntil(until)
-}
+// Run advances the simulation to the given time (seconds).
+func (r *Runner) Run(until float64) { r.Eng.RunUntil(until) }
 
 // GoodputMbps returns a flow's whole-run goodput in Mbps measured from its
 // start time to `until`.

@@ -21,7 +21,6 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
 	protos := []string{"pcc", "cubic"}
-	shards := Shards()
 	firstDownAt := 0.25 * dur
 
 	rep := &Report{
@@ -36,7 +35,7 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 	}
 	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) lfResult {
 		proto := protos[i]
-		r, long := linkFlapTrial(ts, proto, dur, TrialSeed(seed, i), shards)
+		r, long := linkFlapTrial(ts, proto, dur, TrialSeed(seed, i))
 
 		const bucket = 0.1
 		ref := long.WindowMbps(0.1*dur, firstDownAt)
@@ -79,10 +78,8 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 // linkFlapTrial builds and runs one flap trial: a 3-hop chain of 100 Mbps
 // bottlenecks with real reverse links, one flow over all hops (Fig. 8 style:
 // a single sender, so the rate trace isolates the control loop's reaction to
-// the outages), and a FlapSpec on the middle forward link f1. The flap pins
-// n1–n2 onto one shard; the end nodes still shard off across the
-// heterogeneous per-hop delays.
-func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64, shards int) (*Runner, *Flow) {
+// the outages), and a FlapSpec on the middle forward link f1.
+func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64) (*Runner, *Flow) {
 	ts.Stamp("linkflap", proto, seed)
 	const (
 		nHops    = 3
@@ -92,8 +89,7 @@ func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64, shar
 	)
 	hopDelay := func(i int) float64 { return 0.004 + 0.0003*float64(i%5) }
 	spec := TopologySpec{
-		Seed:   seed,
-		Shards: shards,
+		Seed: seed,
 		Faults: &netem.FaultSchedule{Flaps: []netem.FlapSpec{{
 			Link:        fwdName(1),
 			FirstDownAt: 0.25 * dur,
@@ -114,7 +110,7 @@ func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64, shar
 				RateMbps: revMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
 			})
 	}
-	r := ts.TopologyRunner(fmt.Sprintf("flap/%s/%d", proto, shards), spec)
+	r := ts.TopologyRunner("flap/"+proto, spec)
 
 	longFwd := []netem.HopSpec{netem.DelayHop(accessD)}
 	for i := 0; i < nHops; i++ {

@@ -23,7 +23,6 @@ func RunPartition(ctx context.Context, scale float64, seed int64) (*Report, erro
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
 	protos := []string{"pcc", "cubic"}
-	shards := Shards()
 	cutAt, healAt := 0.35*dur, 0.55*dur
 
 	rep := &Report{
@@ -38,7 +37,7 @@ func RunPartition(ctx context.Context, scale float64, seed int64) (*Report, erro
 	}
 	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) ptResult {
 		proto := protos[i]
-		r, _, cross := partitionTrial(ts, proto, dur, cutAt, healAt, TrialSeed(seed, i), shards)
+		r, _, cross := partitionTrial(ts, proto, dur, cutAt, healAt, TrialSeed(seed, i))
 		victim := cross[1] // the cross flow whose hop gets cut
 
 		const bucket = 0.1
@@ -79,10 +78,8 @@ func RunPartition(ctx context.Context, scale float64, seed int64) (*Report, erro
 // partitionTrial builds and runs one partition trial: a 4-hop parking lot
 // (100 Mbps forward bottlenecks, 1 Gbps reverse links, heterogeneous 4.0–5.2
 // ms hop delays) with one long flow over the chain and one cross flow per
-// hop, plus a Partition/Heal event pair cutting f1 and b1. Only n1–n2 is
-// pinned together by the fault, so the topology still splits into four
-// shards.
-func partitionTrial(ts *TrialScratch, proto string, dur, cutAt, healAt float64, seed int64, shards int) (*Runner, *Flow, []*Flow) {
+// hop, plus a Partition/Heal event pair cutting f1 and b1.
+func partitionTrial(ts *TrialScratch, proto string, dur, cutAt, healAt float64, seed int64) (*Runner, *Flow, []*Flow) {
 	ts.Stamp("partition", proto, seed)
 	const (
 		nHops    = 4
@@ -93,8 +90,7 @@ func partitionTrial(ts *TrialScratch, proto string, dur, cutAt, healAt float64, 
 	hopDelay := func(i int) float64 { return 0.004 + 0.0003*float64(i%5) }
 	cutLinks := []string{fwdName(1), revName(1)}
 	spec := TopologySpec{
-		Seed:   seed,
-		Shards: shards,
+		Seed: seed,
 		Faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
 			{At: cutAt, Kind: netem.FaultPartition, Links: cutLinks},
 			{At: healAt, Kind: netem.FaultHeal, Links: cutLinks},
@@ -111,7 +107,7 @@ func partitionTrial(ts *TrialScratch, proto string, dur, cutAt, healAt float64, 
 				RateMbps: revMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
 			})
 	}
-	r := ts.TopologyRunner(fmt.Sprintf("part/%s/%d", proto, shards), spec)
+	r := ts.TopologyRunner("part/"+proto, spec)
 
 	longFwd := []netem.HopSpec{netem.DelayHop(accessD)}
 	for i := 0; i < nHops; i++ {

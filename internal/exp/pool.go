@@ -20,25 +20,14 @@ import (
 // sequential run regardless of goroutine scheduling (asserted by
 // determinism_test.go).
 //
-// Worker-count resolution, most specific wins:
-//
-//  1. SetWorkers (cmd/pccbench's -par flag),
-//  2. GOMAXPROCS divided by the shard count.
-//
-// Workers and shards are the two parallelism axes — across trials and
-// inside one trial (sim.ShardGroup) — and a sweep uses workers × shards
-// cores. The automatic default budgets the machine across both
-// (GOMAXPROCS/Shards() workers); an explicit SetWorkers is taken
-// literally, so deliberate oversubscription stays expressible.
+// The worker count is SetWorkers (cmd/pccbench's -par flag) when set, else
+// GOMAXPROCS. Trials are the only parallelism axis: each runs on one engine.
 
 // workerOverride holds the SetWorkers value; 0 means "not set".
 var workerOverride atomic.Int64
 
-// shardOverride holds the SetShards value; 0 means "not set".
-var shardOverride atomic.Int64
-
 // SetWorkers overrides the default worker count of every sweep.
-// n <= 0 restores the default (GOMAXPROCS/Shards).
+// n <= 0 restores the default (GOMAXPROCS).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -51,30 +40,7 @@ func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
 	}
-	if w := runtime.GOMAXPROCS(0) / Shards(); w > 1 {
-		return w
-	}
-	return 1
-}
-
-// SetShards overrides the intra-trial shard count experiments request for
-// their topologies (cmd/pccbench's -shards flag). n <= 0 restores the
-// default (1). The value is a ceiling: the topology
-// partitioner may use fewer shards when the graph cannot support that many,
-// and experiments whose topologies do not benefit ignore it entirely.
-func SetShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	shardOverride.Store(int64(n))
-}
-
-// Shards returns the shard ceiling sharding-aware experiments will request.
-func Shards() int {
-	if n := int(shardOverride.Load()); n > 0 {
-		return n
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // nodeOverride holds the SetNodes value; 0 means "not set".

@@ -19,14 +19,12 @@ import (
 // scale: does utility-driven control keep aggregate goodput and fairness
 // when thousands of flows share a real WAN graph and the backbone fails
 // under them? Per-link byte conservation is audited over every generated
-// link, and the generator's domain hints feed the shard partitioner, so
-// one trial spreads across cores while reports stay byte-identical at any
-// worker/shard count (determinism_test.go asserts this). The node and flow
-// targets scale with -scale and can be pinned with -nodes/-flows.
+// link, and reports stay byte-identical at any worker count
+// (determinism_test.go asserts this). The node and flow targets scale with
+// -scale and can be pinned with -nodes/-flows.
 func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(25, 5, scale)
-	shards := Shards()
 	nodeTarget := Nodes()
 	if nodeTarget == 0 {
 		nodeTarget = int(500*scale + 0.5)
@@ -38,7 +36,7 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 			flowTarget = 40
 		}
 	}
-	sh := NewWANShape(nodeTarget, flowTarget, shards, dur, seed)
+	sh := NewWANShape(nodeTarget, flowTarget, 1, dur, seed)
 	protos := []string{"pcc", "cubic"}
 
 	rep := &Report{
@@ -111,11 +109,11 @@ type wanFlow struct {
 }
 
 // WANShape is the precomputed, trial-invariant part of a wan run: the
-// generated graph, the TopologySpec built from it (links, shard hints and
-// the x0 flap schedule, shared read-only), and every flow's routed hop
-// chains. Building it once per RunWAN keeps the topogen Router's
-// single-threaded route cache out of the trial fan-out and lets warm arena
-// trials respec against identical link and hint slices.
+// generated graph, the TopologySpec built from it (links and the x0 flap
+// schedule, shared read-only), and every flow's routed hop chains. Building
+// it once per RunWAN keeps the topogen Router's single-threaded route cache
+// out of the trial fan-out and lets warm arena trials respec against an
+// identical link slice.
 type WANShape struct {
 	graph *topogen.Graph
 	base  TopologySpec
@@ -127,7 +125,8 @@ type WANShape struct {
 // flap schedule sized to dur. The generator rounds nodeTarget up to the
 // nearest structurally valid size (12 transit routers + 36 stub routers per
 // stubs-per-router step). Pair selection and per-flow access delays draw
-// from seed only, so every proto variant runs the identical workload.
+// from seed only, so every proto variant runs the identical workload. shards
+// is ignored; pinned by bench/ until ROADMAP item 1's [benchmark] PR.
 func NewWANShape(nodeTarget, flowTarget, shards int, dur float64, seed int64) *WANShape {
 	spr := 1
 	if nodeTarget > 48 {
@@ -160,9 +159,7 @@ func NewWANShape(nodeTarget, flowTarget, shards int, dur float64, seed int64) *W
 		for dst == src {
 			dst = stubs[rng.Intn(len(stubs))]
 		}
-		// Last-mile delay outside the shared graph; the hop rides the flow's
-		// source shard (fwd head, rev tail), the same placement widechain
-		// uses, so routed links stay free to cross shards.
+		// Last-mile delay outside the shared graph (fwd head, rev tail).
 		access := 0.0005 + 0.002*rng.Float64()
 		fwdLinks := router.PathLinks(src, dst)
 		revLinks := router.PathLinks(dst, src)
@@ -181,7 +178,7 @@ func NewWANShape(nodeTarget, flowTarget, shards int, dur float64, seed int64) *W
 			startAt: 0.2 * dur * float64(k) / float64(flowTarget),
 		}
 	}
-	base := GraphSpec(g, 0, shards)
+	base := GraphSpec(g, 0, 1)
 	base.Faults = &netem.FaultSchedule{Flaps: []netem.FlapSpec{{
 		Link:        "x0",
 		FirstDownAt: 0.3 * dur,
@@ -197,15 +194,14 @@ func NewWANShape(nodeTarget, flowTarget, shards int, dur float64, seed int64) *W
 func (sh *WANShape) NumNodes() int { return sh.graph.NumNodes() }
 
 // wanTrial runs one wan simulation on a precomputed shape: respec the
-// topology (links, hints and flap schedule are shared slices, so a warm
-// arena runner rewinds in place), add every routed flow with its staggered
-// start, run to dur, and return the per-flow whole-run goodputs in flow
-// order.
+// topology (links and flap schedule are shared, so a warm arena runner
+// rewinds in place), add every routed flow with its staggered start, run to
+// dur, and return the per-flow whole-run goodputs in flow order.
 func wanTrial(ts *TrialScratch, sh *WANShape, proto string, dur float64, seed int64) (*Runner, []float64) {
 	ts.Stamp("wan", proto, seed)
 	spec := sh.base
 	spec.Seed = seed
-	key := fmt.Sprintf("wan/%d/%d/%s/%d", sh.graph.NumNodes(), len(sh.flows), proto, spec.Shards)
+	key := fmt.Sprintf("wan/%d/%d/%s", sh.graph.NumNodes(), len(sh.flows), proto)
 	r := ts.TopologyRunner(key, spec)
 	flows := make([]*Flow, len(sh.flows))
 	for k := range sh.flows {
@@ -225,8 +221,7 @@ func wanTrial(ts *TrialScratch, sh *WANShape, proto string, dur float64, seed in
 // RunWANTrial runs one benchmark-shaped wan trial on a prebuilt shape and
 // returns the aggregate goodput in Mbps. BenchmarkWAN calls it so the
 // graph generation and routing measured by BenchmarkWANBuild stay out of
-// the simulation loop; the returned figure must not depend on the shape's
-// shard ceiling.
+// the simulation loop.
 func RunWANTrial(ts *TrialScratch, sh *WANShape, dur float64, seed int64) float64 {
 	_, goodput := wanTrial(ts, sh, "pcc", dur, seed)
 	sum := 0.0

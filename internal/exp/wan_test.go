@@ -8,40 +8,31 @@ import (
 )
 
 // TestWANDeterminism extends the byte-identical-report guarantee to the
-// generated-topology experiment: graph generation, shortest-path routing,
-// hint-driven shard placement and the backbone flap schedule are all
-// deterministic, so the wan report must not depend on the worker count or
-// the shard ceiling. Workers {1,2,8} × shards {1,4}, the CI determinism
+// generated-topology experiment: graph generation, shortest-path routing
+// and the backbone flap schedule are all deterministic, so the wan report
+// must not depend on the worker count. Workers {1,2,8}, the CI determinism
 // matrix, at small scale.
 func TestWANDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full wan worker × shard matrix")
+		t.Skip("full wan worker matrix")
 	}
 	defer SetWorkers(0)
-	defer SetShards(0)
-	render := func(shards, workers int) string {
-		SetShards(shards)
+	render := func(workers int) string {
 		SetWorkers(workers)
 		rep, err := Run("wan", 0.01, 42)
 		if err != nil {
-			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return rep.String()
 	}
-	base := render(1, 1)
+	base := render(1)
 	if !strings.Contains(base, "0 violated") {
 		t.Fatalf("base wan report shows conservation violations:\n%s", base)
 	}
 	for _, workers := range []int{2, 8} {
-		if got := render(1, workers); got != base {
+		if got := render(workers); got != base {
 			t.Errorf("report differs between workers=1 and workers=%d:\n--- base ---\n%s--- workers=%d ---\n%s",
 				workers, base, workers, got)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		if got := render(4, workers); got != base {
-			t.Errorf("report differs between shards=1 and shards=4 workers=%d:\n--- base ---\n%s--- shards=4 ---\n%s",
-				workers, base, got)
 		}
 	}
 }
@@ -52,7 +43,7 @@ func TestWANDeterminism(t *testing.T) {
 // link balancing when the simulation stops.
 func TestWANConservation(t *testing.T) {
 	const dur = 5.0
-	sh := NewWANShape(100, 1000, 2, dur, 42)
+	sh := NewWANShape(100, 1000, 1, dur, 42)
 	if n := sh.NumNodes(); n < 100 {
 		t.Fatalf("generated %d nodes, want >= 100", n)
 	}
@@ -102,12 +93,11 @@ func TestWANConservation(t *testing.T) {
 }
 
 // TestWANArenaMatchesFresh pins the generated-topology respec path: a wan
-// trial re-run on a warm arena (identical link slice, shard hints and flap
-// schedule shared from one WANShape) must be bit-identical to a fresh
-// build.
+// trial re-run on a warm arena (identical link slice and flap schedule
+// shared from one WANShape) must be bit-identical to a fresh build.
 func TestWANArenaMatchesFresh(t *testing.T) {
 	t.Parallel()
-	sh := NewWANShape(20, 12, 2, 3.0, 9)
+	sh := NewWANShape(20, 12, 1, 3.0, 9)
 	trial := func(ts *TrialScratch, i int) float64 {
 		return RunWANTrial(ts, sh, 3.0, TrialSeed(9, i))
 	}
@@ -121,10 +111,10 @@ func TestWANArenaMatchesFresh(t *testing.T) {
 
 // TestWANArenaSteadyStateAllocs holds warm generated-topology trials to the
 // arena budget: respeccing a 100+-link generated graph in place (per-link
-// rewind, shared hint map, shared flap schedule) must not scale allocations
+// rewind, shared flap schedule) must not scale allocations
 // with topology size.
 func TestWANArenaSteadyStateAllocs(t *testing.T) {
-	sh := NewWANShape(20, 8, 2, 2.0, 13)
+	sh := NewWANShape(20, 8, 1, 2.0, 13)
 	ts := new(TrialScratch)
 	trial := func() {
 		if RunWANTrial(ts, sh, 2.0, 13) <= 0 {

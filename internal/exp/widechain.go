@@ -11,24 +11,17 @@ import (
 // RunWideChain ("widechain") is the programmatic N-hop × M-flow parking-lot
 // generator: one long flow crossing every hop of a chain of 100 Mbps
 // bottlenecks while each hop carries its own cross flows, with real reverse
-// links (1 Gbps, uncongested) so ACKs traverse the chain too. It serves two
-// purposes. Scientifically it extends the parklot robustness probe
-// (§2.2–§2.3: utility-driven control with no network knowledge) to much
-// deeper chains — the first slice of the 100–1000-node WAN scenarios on the
-// roadmap. Mechanically it is the showcase workload for the sharded
-// conservative engine: per-hop delays are heterogeneous (4.0–5.2 ms), so the
-// node graph partitions into positive-delay-separated shards with ≥4 ms
-// lookahead, cross-shard traffic dominates, and one trial can use several
-// cores (TopologySpec.Shards, wired to pccbench -shards).
-// Reports are byte-identical at every shard count — the shard axis is
-// deliberately absent from the rows — which determinism_test.go asserts.
+// links (1 Gbps, uncongested) so ACKs traverse the chain too. It extends the
+// parklot robustness probe (§2.2–§2.3: utility-driven control with no
+// network knowledge) to much deeper chains — the first slice of the
+// 100–1000-node WAN scenarios on the roadmap. Per-hop delays are
+// heterogeneous (4.0–5.2 ms), so no two hops' propagation trains line up.
 func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
 	nHops := 4 + int(8*scale+0.5)
 	const perHop = 2
 	protos := []string{"pcc", "cubic"}
-	shards := Shards()
 
 	rep := &Report{
 		ID: "widechain",
@@ -42,7 +35,7 @@ func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, erro
 	}
 	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) wcResult {
 		proto := protos[i]
-		r, long, cross := wideChainTrial(ts, nHops, perHop, proto, dur, TrialSeed(seed, i), shards)
+		r, long, cross := wideChainTrial(ts, nHops, perHop, proto, dur, TrialSeed(seed, i))
 		longT := long.WindowMbps(0.2*dur, dur)
 		crossT := ts.f64[:0]
 		for _, c := range cross {
@@ -77,30 +70,26 @@ func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, erro
 }
 
 // RunWideChainTrial runs one benchmark-shaped widechain trial (12 hops, PCC,
-// 12 s) at the given shard ceiling and returns the long flow's steady-window
-// goodput in Mbps. BenchmarkWideChain calls it at shards 1 vs NumCPU to
-// measure intra-trial speedup; the returned figure must not depend on
-// shards.
+// 12 s) and returns the long flow's steady-window goodput in Mbps. shards is
+// ignored; pinned by bench/ until ROADMAP item 1's [benchmark] PR.
 func RunWideChainTrial(ts *TrialScratch, shards int, seed int64) float64 {
 	const dur = 12.0
-	_, long, _ := wideChainTrial(ts, 12, 2, "pcc", dur, seed, shards)
+	_, long, _ := wideChainTrial(ts, 12, 2, "pcc", dur, seed)
 	return long.WindowMbps(0.2*dur, dur)
 }
 
 // wideChainTrial builds and runs one wide-chain simulation: nHops forward
 // bottlenecks n<i>→n<i+1> with matching uncongested reverse links, one long
 // flow over the whole chain, perHop cross flows per hop with staggered
-// starts. Per-hop propagation delays cycle through 4.0–5.2 ms so no two
-// causally independent cross-shard events share a timestamp (the float-tie
-// caveat of the deterministic shard merge) and the shard lookahead is 4 ms.
-func wideChainTrial(ts *TrialScratch, nHops, perHop int, proto string, dur float64, seed int64, shards int) (*Runner, *Flow, []*Flow) {
+// starts. Per-hop propagation delays cycle through 4.0–5.2 ms.
+func wideChainTrial(ts *TrialScratch, nHops, perHop int, proto string, dur float64, seed int64) (*Runner, *Flow, []*Flow) {
 	const (
 		rateMbps = 100
 		revMbps  = 1000
 		accessD  = 0.002 // per-flow access delay, seconds
 	)
 	hopDelay := func(i int) float64 { return 0.004 + 0.0003*float64(i%5) }
-	spec := TopologySpec{Seed: seed, Shards: shards}
+	spec := TopologySpec{Seed: seed}
 	for i := 0; i < nHops; i++ {
 		spec.Links = append(spec.Links,
 			LinkSpec{
@@ -112,7 +101,7 @@ func wideChainTrial(ts *TrialScratch, nHops, perHop int, proto string, dur float
 				RateMbps: revMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
 			})
 	}
-	r := ts.TopologyRunner(fmt.Sprintf("%d/%d/%s/%d", nHops, perHop, proto, shards), spec)
+	r := ts.TopologyRunner(fmt.Sprintf("%d/%d/%s", nHops, perHop, proto), spec)
 
 	longFwd := []netem.HopSpec{netem.DelayHop(accessD)}
 	for i := 0; i < nHops; i++ {
@@ -133,8 +122,8 @@ func wideChainTrial(ts *TrialScratch, nHops, perHop int, proto string, dur float
 				Proto:    proto,
 				FwdRoute: []netem.HopSpec{netem.DelayHop(accessD), netem.LinkHop(fwdName(i))},
 				RevRoute: []netem.HopSpec{netem.LinkHop(revName(i)), netem.DelayHop(accessD)},
-				// Staggered, hop-unique starts: shards come up out of phase
-				// and no two flows' timers align exactly.
+				// Staggered, hop-unique starts: no two flows' timers align
+				// exactly.
 				StartAt: 0.05 + 0.013*float64(k),
 				Bucket:  1,
 			}))

@@ -9,10 +9,9 @@ import (
 // Fault injection: deterministic, timed hard faults layered on top of the
 // smooth variation VaryingSpec models. A FaultSchedule is attached to a
 // topology spec (see internal/exp) and resolved at build time into plain
-// engine events, so faults compose with trial arenas, Link.Reset and
-// sharding without touching the simulator's (at, seq) determinism: the
-// schedule's event times are fixed before the simulation starts, and every
-// fault acts on the engine that owns its target link.
+// engine events, so faults compose with trial arenas and Link.Reset without
+// touching the simulator's (at, seq) determinism: the schedule's event times
+// are fixed before the simulation starts.
 //
 // Fault semantics at the link level are implemented by Link.SetDown (drop
 // the in-flight train into the fault ledger, park the serializer, keep the

@@ -31,22 +31,12 @@ func (r *feedRig) record(p *Packet) {
 	r.got[p.Seq] = r.eng.Now()
 }
 
-// xdeliverOnEngine stands in for a cross-shard mailbox on one engine: the
-// survivor is posted delay seconds after the completion instant.
-func xdeliverOnEngine(eng *sim.Engine, fn func(any)) func(float64, *Packet) {
-	return func(d float64, p *Packet) { eng.PostArg(d, fn, p) }
-}
-
-func inboxRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, access []float64, xdeliver bool) *feedRig {
+func inboxRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, access []float64) *feedRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	topo := NewTopology(eng)
 	r := &feedRig{eng: eng, got: map[int64]float64{}, dup: func(s int64) { t.Errorf("packet %d delivered twice", s) }}
 	r.link = topo.AddLink("L", "A", "B", q, rate, delay, loss, rand.New(rand.NewSource(seed)))
-	if xdeliver {
-		li := topo.links[0]
-		r.link.XDeliver = xdeliverOnEngine(eng, func(a any) { li.dispatch(topo, a.(*Packet)) })
-	}
 	seeds := sim.NewSeeds(seed)
 	for f, d := range access {
 		fwd, _ := topo.AddFlow(f, []HopSpec{DelayHop(d), LinkHop("L")}, []HopSpec{DelayHop(0)}, seeds, r.record, nil)
@@ -60,14 +50,11 @@ func inboxRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, acce
 	return r
 }
 
-func pipeFedRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, access []float64, xdeliver bool) *feedRig {
+func pipeFedRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, access []float64) *feedRig {
 	eng := sim.NewEngine()
 	r := &feedRig{eng: eng, got: map[int64]float64{}, dup: func(s int64) { t.Errorf("reference: packet %d delivered twice", s) }}
 	l := NewLink(eng, q, rate, delay, loss, rand.New(rand.NewSource(seed)))
 	l.Sink = r.record
-	if xdeliver {
-		l.XDeliver = xdeliverOnEngine(eng, func(a any) { l.Sink(a.(*Packet)) })
-	}
 	r.link = l
 	cur := append([]float64(nil), access...)
 	pipes := make([]*sim.Pipe, len(access))
@@ -179,8 +166,8 @@ func sameRun(t *testing.T, name string, in, ref *feedRig, sIn, sRef []LinkStats)
 // access hops, reach the sink at the same instants with the same drops and
 // the same conserved ledger at every mutation, whether the hops post into the
 // link's inbox or deliver into Send through their own pipes. It crosses three
-// queue kinds, three link delays, equal and unequal access delays (one of them
-// zero in the 8-hop row), and a link whose survivors leave through XDeliver.
+// queue kinds, three link delays, and equal and unequal access delays (one of
+// them zero in the 8-hop row).
 func TestInboxMatchesPipeFedReference(t *testing.T) {
 	t.Parallel()
 	const rate = 1500 * 100 // 10 ms per 1500 B
@@ -209,39 +196,37 @@ func TestInboxMatchesPipeFedReference(t *testing.T) {
 		queueDrops := 0
 		for di, delay := range delays {
 			for _, fd := range feeds {
-				for _, xd := range []bool{false, true} {
-					seed := int64(qi*100+di*10+len(fd.access)) + 1
-					name := fmt.Sprintf("%s/delay%d/%s/xdeliver=%v", q.name, di, fd.name, xd)
-					ops := feedScript(rand.New(rand.NewSource(seed)), rate, delays, fd.access)
+				seed := int64(qi*100+di*10+len(fd.access)) + 1
+				name := fmt.Sprintf("%s/delay%d/%s", q.name, di, fd.name)
+				ops := feedScript(rand.New(rand.NewSource(seed)), rate, delays, fd.access)
 
-					in := inboxRig(t, q.mk(), rate, delay, 0.02, seed, fd.access, xd)
-					sIn := playFeed(in, ops, func(op linkOp) {
-						if in.link.ibHead < len(in.link.inbox) {
-							pendingMutations++
-						}
-					})
-					ref := pipeFedRig(t, q.mk(), rate, delay, 0.02, seed, fd.access, xd)
-					sRef := playFeed(ref, ops, nil)
-					sameRun(t, name, in, ref, sIn, sRef)
+				in := inboxRig(t, q.mk(), rate, delay, 0.02, seed, fd.access)
+				sIn := playFeed(in, ops, func(op linkOp) {
+					if in.link.ibHead < len(in.link.inbox) {
+						pendingMutations++
+					}
+				})
+				ref := pipeFedRig(t, q.mk(), rate, delay, 0.02, seed, fd.access)
+				sRef := playFeed(ref, ops, nil)
+				sameRun(t, name, in, ref, sIn, sRef)
 
-					last := sRef[len(sRef)-1]
-					if last.WireLost == 0 {
-						t.Fatalf("%s: script too tame to mean anything: %+v", name, last)
-					}
-					queueDrops += int(last.QueueDropped)
-					faultDrops += int(last.FaultDropped)
-					if in.eng.Processed() >= ref.eng.Processed() {
-						t.Fatalf("%s: inbox ran %d events, reference %d", name, in.eng.Processed(), ref.eng.Processed())
-					}
-					// Overtaking within one access hop only follows a delay shrink.
-					lastAt := make([]float64, len(fd.access))
-					for seq, op := range ops {
-						if at, ok := ref.got[int64(seq)]; ok && op.kind == opSend {
-							if f := int(op.val); at < lastAt[f] {
-								overtakes++
-							} else {
-								lastAt[f] = at
-							}
+				last := sRef[len(sRef)-1]
+				if last.WireLost == 0 {
+					t.Fatalf("%s: script too tame to mean anything: %+v", name, last)
+				}
+				queueDrops += int(last.QueueDropped)
+				faultDrops += int(last.FaultDropped)
+				if in.eng.Processed() >= ref.eng.Processed() {
+					t.Fatalf("%s: inbox ran %d events, reference %d", name, in.eng.Processed(), ref.eng.Processed())
+				}
+				// Overtaking within one access hop only follows a delay shrink.
+				lastAt := make([]float64, len(fd.access))
+				for seq, op := range ops {
+					if at, ok := ref.got[int64(seq)]; ok && op.kind == opSend {
+						if f := int(op.val); at < lastAt[f] {
+							overtakes++
+						} else {
+							lastAt[f] = at
 						}
 					}
 				}
@@ -281,8 +266,8 @@ func TestInboxMatchesPipeFedReference(t *testing.T) {
 				})
 				r.eng.Run()
 			}
-			in := inboxRig(t, NewDropTail(-1), rate, tx, 0, 1, []float64{d}, false)
-			ref := pipeFedRig(t, NewDropTail(-1), rate, tx, 0, 1, []float64{d}, false)
+			in := inboxRig(t, NewDropTail(-1), rate, tx, 0, 1, []float64{d})
+			ref := pipeFedRig(t, NewDropTail(-1), rate, tx, 0, 1, []float64{d})
 			run(in)
 			run(ref)
 			if in.got[1] != ref.got[1] || ref.got[1] != want {
@@ -317,8 +302,8 @@ func TestInboxMatchesPipeFedReference(t *testing.T) {
 			return append(s, r.link.ledger())
 		}
 		access := []float64{5 * tx, 9 * tx}
-		in := inboxRig(t, NewDropTail(-1), rate, tx, 0, 1, access, false)
-		ref := pipeFedRig(t, NewDropTail(-1), rate, tx, 0, 1, access, false)
+		in := inboxRig(t, NewDropTail(-1), rate, tx, 0, 1, access)
+		ref := pipeFedRig(t, NewDropTail(-1), rate, tx, 0, 1, access)
 		sameRun(t, "down-with-arrivals-pending", in, ref, run(in), run(ref))
 		if len(in.got) != 8 || in.link.FaultDropped() != 2 || pending[true] != 1 || pending[false] != 1 {
 			t.Fatalf("delivered %d, fault ledger %d, arrivals pending at down/up %d/%d; want 8, 2, 1/1",

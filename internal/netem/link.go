@@ -56,12 +56,11 @@ const KB = 1000
 // packet-hop. Otherwise the link arms its one own event, the wake, there; the
 // wake admits, completes and delivers in the same event, and a packet
 // completed early by another touch rides the armed wake (carry) instead of
-// the pipe. Two populations arm the wake at the completion itself: a
-// cross-shard link, whose XDeliver mailbox post must be made at the completion
-// instant, and a link that is down, so the clock still reaches the doomed
-// packet's completion (a down link needs no touch for its inbox: arrivals only
-// queue there, at their own instants, whenever they are admitted). SetRate
-// re-covers, since a faster rate moves the inbox head's delivery earlier.
+// the pipe. A link that is down arms the wake at the completion itself, so
+// the clock still reaches the doomed packet's completion (a down link needs no
+// touch for its inbox: arrivals only queue there, at their own instants,
+// whenever they are admitted). SetRate re-covers, since a faster rate moves
+// the inbox head's delivery earlier.
 //
 // Tie rule: Send processes the completions strictly before now, enqueues, and
 // leaves a completion at exactly now to the next touch — arrival first. The
@@ -89,11 +88,6 @@ const KB = 1000
 // delivery-event link let in first. Pure (at, seq) for own touches moves the
 // fig5, fig6 and fig9 digests; the yield rule keeps all 24.
 //
-// Between the rounds of a sharded run (sim.ShardGroup) an engine's clock rests
-// on the last event it executed, not on the round's limit, so a getter there
-// sees the link as of that event: arrivals due later in the round wait in the
-// inbox, where a delivery-event link would already have taken them in.
-//
 // Rate, delay and loss rate may be changed at any time through the setters
 // (the rapidly-changing network of §4.1.7); each brings the link up to the
 // clock first, so a change applies from the next transmission (rate) or the
@@ -108,15 +102,6 @@ type Link struct {
 	// wire loss). It must be the free list of the engine that owns this
 	// link so recycling never crosses goroutines.
 	Pool *PacketPool
-
-	// XDeliver, when set, replaces the propagation stage: packets that
-	// survive transmission and loss are handed to XDeliver(delay, p) instead
-	// of the local pipe. A sharded Topology installs it on links whose
-	// endpoints live on different shards, turning the propagation delay into
-	// a cross-shard mailbox post (the delay is the conservative lookahead
-	// budget, so it must stay >= the shard group's lookahead). All counters
-	// are final before the handoff.
-	XDeliver func(delay float64, p *Packet)
 
 	rate     float64 // serialization rate, bytes/s
 	delay    float64 // one-way propagation delay, seconds
@@ -421,9 +406,7 @@ func (l *Link) finish() {
 	} else {
 		l.delivered++
 		l.deliveredBytes += int64(p.Size)
-		if l.XDeliver != nil {
-			l.XDeliver(l.delay, p)
-		} else if due := at + l.delay; due == l.wakeAt && l.carry == nil {
+		if due := at + l.delay; due == l.wakeAt && l.carry == nil {
 			// The pending wake was set for this very delivery: let it carry the
 			// packet rather than arm the pipe for a second event.
 			l.carry, l.carryAt = p, due
@@ -451,15 +434,12 @@ func (l *Link) cover() {
 	switch {
 	case l.tx != nil:
 		need = l.txEnd
-		if l.XDeliver == nil && !l.down {
+		if !l.down {
 			need += l.delay
 		}
 	case len(l.inbox) > 0 && !l.down:
 		a := &l.inbox[l.ibHead]
-		need = a.at + float64(a.p.Size)/l.rate
-		if l.XDeliver == nil {
-			need += l.delay
-		}
+		need = a.at + float64(a.p.Size)/l.rate + l.delay
 	default:
 		return
 	}

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -408,8 +409,8 @@ func TestLinkTieArrivalSeesQueueBeforeCompletion(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			var samples [2][]LinkStats
 			rigs := [2]*feedRig{
-				inboxRig(t, NewDropTail(row.cap), rate, 0, 0, 1, row.access, false),
-				pipeFedRig(t, NewDropTail(row.cap), rate, 0, 0, 1, row.access, false),
+				inboxRig(t, NewDropTail(row.cap), rate, 0, 0, 1, row.access),
+				pipeFedRig(t, NewDropTail(row.cap), rate, 0, 0, 1, row.access),
 			}
 			for i, r := range rigs {
 				row.script(r)
@@ -504,12 +505,12 @@ func TestLinkEventBudget(t *testing.T) {
 		if eng.Pending() != 1 || l.TxBytes() != 1500 || l.pipe.Len() != 0 || l.wakeAt != tx+3*tx {
 			t.Fatalf("pending %d, tx %d B, pipe %d, wake at %v; want 1, 1500, 0, %v", eng.Pending(), l.TxBytes(), l.pipe.Len(), l.wakeAt, tx+3*tx)
 		}
-		if at := eng.NextEventAt(); at != tx+3*tx {
-			t.Fatalf("next event at %v, want the delivery instant %v", at, tx+3*tx)
+		if eng.RunUntil(math.Nextafter(tx+3*tx, 0)); eng.Processed() != 0 {
+			t.Fatalf("%d events ran before the delivery instant %v", eng.Processed(), tx+3*tx)
 		}
 		eng.Run()
-		if got != 1 || eng.Pending() != 0 || eng.Processed() != 1 {
-			t.Fatalf("delivered %d, pending %d, events %d; want 1, 0, 1", got, eng.Pending(), eng.Processed())
+		if got != 1 || eng.Pending() != 0 || eng.Processed() != 1 || eng.Now() != tx+3*tx {
+			t.Fatalf("delivered %d, pending %d, events %d, clock %v; want 1, 0, 1, %v", got, eng.Pending(), eng.Processed(), eng.Now(), tx+3*tx)
 		}
 	})
 

@@ -10,11 +10,7 @@ package netem
 // so components can take an optional pool without nil checks.
 type PacketPool struct {
 	free   []*Packet
-	missed int // Gets since the last RebalancePools that fell through to the heap
-	// startFree is the free-list level RebalancePools last restored; the
-	// next call ratchets it by the misses observed since, so repeated
-	// identical runs converge on a start stock that never runs dry.
-	startFree int
+	missed int // Gets that fell through to the heap
 }
 
 // Get returns a zeroed packet, recycling one if available.
@@ -41,61 +37,6 @@ func (pl *PacketPool) Put(p *Packet) {
 	}
 	*p = Packet{}
 	pl.free = append(pl.free, p)
-}
-
-// RebalancePools shifts parked packets between per-shard pools so each pool
-// recovers roughly the number of packets it was forced to heap-allocate since
-// the last call. Packets migrate between shards during a run — a packet is
-// recycled into the pool of the shard where it dies (receiver sink, drop at a
-// queue), not the pool that allocated it — so without rebalancing the donor
-// shard's pool allocates afresh every trial while the recipient's free list
-// grows without bound. Call it between runs on the coordinating goroutine;
-// the shift only moves spare zeroed packets, so it cannot affect simulation
-// results.
-func RebalancePools(pools []*PacketPool) {
-	// Target start-of-run stock: the level this pool started its last run
-	// with, raised by the shortfall it still hit. A pool that ran dry mid-run
-	// by k packets needs k more at the start, not k more than wherever its
-	// free list drifted to by the end — the latter oscillates.
-	for _, pl := range pools {
-		if pl == nil {
-			continue
-		}
-		pl.startFree += pl.missed
-		pl.missed = 0
-	}
-	for _, pl := range pools {
-		if pl == nil {
-			continue
-		}
-		for len(pl.free) < pl.startFree {
-			var donor *PacketPool
-			spare := 0
-			for _, d := range pools {
-				if d != nil && d != pl && len(d.free)-d.startFree > spare {
-					donor, spare = d, len(d.free)-d.startFree
-				}
-			}
-			if donor == nil {
-				break
-			}
-			n := min(pl.startFree-len(pl.free), spare)
-			for i := 0; i < n; i++ {
-				last := len(donor.free) - 1
-				pl.free = append(pl.free, donor.free[last])
-				donor.free[last] = nil
-				donor.free = donor.free[:last]
-			}
-		}
-	}
-	// Remember what was actually restored: an unreachable target (total
-	// population still too small) re-ratchets from reality next time.
-	for _, pl := range pools {
-		if pl == nil {
-			continue
-		}
-		pl.startFree = len(pl.free)
-	}
 }
 
 // Size returns the number of packets currently parked in the free list.

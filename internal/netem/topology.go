@@ -32,7 +32,7 @@ type Topology struct {
 	Eng *sim.Engine
 	// Pool, when set via UsePool, recycles every packet the topology drops:
 	// queue rejections, AQM drops, wire loss, and delay-hop loss. It must
-	// belong to the same engine/goroutine as the topology.
+	// belong to the same goroutine as the topology's engine.
 	Pool *PacketPool
 
 	links   []*linkInfo
@@ -42,51 +42,16 @@ type Topology struct {
 	// so construction and respec at generated-topology scale (hundreds of
 	// nodes, thousands of links) do integer indexing on the hot paths while
 	// the public API stays string-keyed.
-	nodeIdx    map[string]int
-	nodeNames  []string
-	nodeShards []int
+	nodeIdx   map[string]int
+	nodeNames []string
 	// flows is indexed by flow id. Flow ids are required to be small
 	// non-negative integers (the harness hands out 0,1,2,…) precisely so
 	// the per-packet route lookups here and in linkInfo are direct slice
 	// indexing, not map probes.
 	flows []*topoFlow
-
-	// Sharded mode (see Shard): nodes are partitioned across the engines of
-	// a sim.ShardGroup, every link and hop lives on its node's engine, and
-	// packets cross shard boundaries only through the group's conservative
-	// mailbox — always under a propagation delay >= lookahead. nil group
-	// means the classic single-engine topology; all sharded fields are then
-	// unused and every shard index resolves to 0.
-	group *sim.ShardGroup
-	// shardAssign is the node→shard plan handed to Shard, consulted once
-	// per node when the name is interned (absent names mean shard 0).
-	shardAssign map[string]int
-	pools       []*PacketPool // per-shard free lists, indexed by shard
-	lookahead   float64
 }
 
-// Shard switches the topology to sharded mode: node name → shard index per
-// nodeShard (missing names mean shard 0), one engine and one packet pool per
-// shard. It must be called before any AddLink/AddFlow — links and routes are
-// pinned to engines at registration — and replaces UsePool (the per-shard
-// pools cover every drop point). The topology's Eng/Pool become shard 0's.
-func (t *Topology) Shard(group *sim.ShardGroup, nodeShard map[string]int, pools []*PacketPool) {
-	if len(t.links) > 0 || len(t.flows) > 0 {
-		panic("netem: Shard must be called before AddLink/AddFlow")
-	}
-	if group.Len() != len(pools) {
-		panic(fmt.Sprintf("netem: %d shards but %d pools", group.Len(), len(pools)))
-	}
-	t.group = group
-	t.shardAssign = nodeShard
-	t.pools = pools
-	t.lookahead = group.Lookahead()
-	t.Eng = group.Engine(0)
-	t.Pool = pools[0]
-}
-
-// nodeID interns a node name, assigning its dense id and shard on first
-// sight.
+// nodeID interns a node name, assigning its dense id on first sight.
 func (t *Topology) nodeID(name string) int {
 	if i, ok := t.nodeIdx[name]; ok {
 		return i
@@ -94,87 +59,7 @@ func (t *Topology) nodeID(name string) int {
 	i := len(t.nodeNames)
 	t.nodeIdx[name] = i
 	t.nodeNames = append(t.nodeNames, name)
-	shard := 0
-	if t.shardAssign != nil {
-		shard = t.shardAssign[name]
-	}
-	t.nodeShards = append(t.nodeShards, shard)
 	return i
-}
-
-// NodeShard returns the shard a node lives on (0 when unsharded or unknown).
-func (t *Topology) NodeShard(node string) int {
-	if i, ok := t.nodeIdx[node]; ok {
-		return t.nodeShards[i]
-	}
-	if t.shardAssign == nil {
-		return 0
-	}
-	return t.shardAssign[node]
-}
-
-// engineFor returns the engine of a shard (the topology engine when
-// unsharded).
-func (t *Topology) engineFor(shard int) *sim.Engine {
-	if t.group == nil {
-		return t.Eng
-	}
-	return t.group.Engine(shard)
-}
-
-// poolShard returns shard's free list, or nil when unsharded — callers then
-// fall back to the dynamic t.Pool so UsePool can still be wired up after
-// routes exist.
-func (t *Topology) poolShard(shard int) *PacketPool {
-	if t.pools == nil {
-		return nil
-	}
-	return t.pools[shard]
-}
-
-// recycle returns a packet to the free list of the shard it currently
-// belongs to.
-func (t *Topology) recycle(shard int, p *Packet) {
-	if t.pools != nil {
-		t.pools[shard].Put(p)
-		return
-	}
-	t.Pool.Put(p)
-}
-
-// RouteEnds reports which shards a route starts and ends on: the from-shard
-// of its first link hop and the to-shard of its last link hop. Routes with
-// no link hops are (0, 0). The harness uses this to place each flow's sender
-// and receiver on the engines their packets are injected at and delivered
-// to.
-func (t *Topology) RouteEnds(specs []HopSpec) (entry, exit int) {
-	first, last := "", ""
-	for i := range specs {
-		if specs[i].Link == "" {
-			continue
-		}
-		if first == "" {
-			first = specs[i].Link
-		}
-		last = specs[i].Link
-	}
-	if first == "" {
-		return 0, 0
-	}
-	// Two name probes total, not one per hop — RouteEnds runs once per
-	// flow per trial, which at generated-topology scale is thousands of
-	// routes with hundreds of hops between them.
-	fi := t.linkAt(first)
-	if fi == nil {
-		panic(fmt.Sprintf("netem: RouteEnds over unknown link %q", first))
-	}
-	li := fi
-	if last != first {
-		if li = t.linkAt(last); li == nil {
-			panic(fmt.Sprintf("netem: RouteEnds over unknown link %q", last))
-		}
-	}
-	return fi.shard, li.sinkShard
 }
 
 // linkInfo is a Link plus its place in the graph and the per-flow routing
@@ -183,13 +68,6 @@ type linkInfo struct {
 	link     *Link
 	name     string
 	from, to string
-	// fromID/toID are the interned endpoint ids (see Topology.nodeID).
-	fromID, toID int
-	// shard/sinkShard are the link's endpoint shards (both 0 unsharded):
-	// the link object lives on shard's engine; dispatch runs on sinkShard's
-	// (via the group mailbox when they differ).
-	shard     int
-	sinkShard int
 	// data/ack index a flow id to the route hop that traverses this link,
 	// so the link's exit can continue the packet along its route. A nil
 	// entry means the flow does not route over this link in that direction.
@@ -234,7 +112,7 @@ func (li *linkInfo) dispatch(t *Topology, p *Packet) {
 		h.forward(p)
 		return
 	}
-	t.recycle(li.sinkShard, p)
+	t.Pool.Put(p)
 }
 
 // topoFlow is one registered flow: its two routes plus the single lossy-hop
@@ -255,29 +133,15 @@ type hop struct {
 	loss  float64 // delay hop: Bernoulli loss probability (mutable)
 	rng   *Rng
 
-	// eng/shard pin the hop to the engine it executes on (enter runs
-	// there). xdst >= 0 marks a cross-shard delay hop: delivery goes
-	// through the group mailbox to shard xdst instead of a local pipe.
-	// pool/dstPool are the home- and delivery-shard free lists; nil means
-	// fall back to the dynamic t.Pool (unsharded mode).
-	eng     *sim.Engine
-	shard   int
-	xdst    int
-	pool    *PacketPool
-	dstPool *PacketPool
-
 	next *hop          // nil ⇒ this is the last hop
 	sink func(*Packet) // terminal delivery, set on the last hop only
-	// feed is set on a delay hop whose next hop is a link on the same shard —
-	// every flow's access segment — and replaces its pipe: the hop posts
-	// straight into the link's inbox (Link.SendAt), whose admission does
-	// everything a delivery event would have done, which was only to call
-	// Send. Sorted insertion there keeps packets that overtake after a
-	// SetDelay shrink in delivery order.
+	// feed is set on a delay hop whose next hop is a link — every flow's
+	// access segment — and replaces its pipe: the hop posts straight into the
+	// link's inbox (Link.SendAt), whose admission does everything a delivery
+	// event would have done, which was only to call Send. Sorted insertion
+	// there keeps packets that overtake after a SetDelay shrink in delivery
+	// order.
 	feed *Link
-	// deliverFn is the delay hop's delivery callback, shared by the pipe and
-	// the mailbox.
-	deliverFn func(any)
 	// pipe is the propagation delay line of a delay hop without a feed (see
 	// sim.Pipe): the hop's whole in-flight train shares one self-rearming
 	// scheduler slot, so an 800 ms satellite segment holds one slot, not one
@@ -296,29 +160,19 @@ func (h *hop) enter(p *Packet) {
 		return
 	}
 	if h.loss > 0 && h.rng.Valid() && h.rng.Float64() < h.loss {
-		if h.pool != nil {
-			h.pool.Put(p)
-		} else {
-			h.t.Pool.Put(p)
-		}
+		h.t.Pool.Put(p)
 		return
 	}
 	if h.feed != nil {
 		p.hop = h.next
-		h.feed.SendAt(p, h.eng.Now()+max(h.delay, 0))
-		return
-	}
-	if h.xdst >= 0 {
-		h.t.group.Post(h.shard, h.xdst, h.delay, h.deliverFn, p)
+		h.feed.SendAt(p, h.t.Eng.Now()+max(h.delay, 0))
 		return
 	}
 	h.pipe.Post(h.delay, p)
 }
 
 // forward moves a packet that finished this hop to the next one, or delivers
-// it at the end of the route. It runs on the hop's delivery shard (xdst for
-// a cross-shard delay hop, the link's to-shard for a link hop, the home
-// shard otherwise).
+// it at the end of the route.
 func (h *hop) forward(p *Packet) {
 	if h.next != nil {
 		h.next.enter(p)
@@ -326,10 +180,6 @@ func (h *hop) forward(p *Packet) {
 	}
 	if h.sink != nil {
 		h.sink(p)
-		return
-	}
-	if h.dstPool != nil {
-		h.dstPool.Put(p)
 		return
 	}
 	h.t.Pool.Put(p)
@@ -346,9 +196,6 @@ func (r *Route) SetDelay(i int, delay float64) {
 	h := r.hops[i]
 	if h.link != nil {
 		panic(fmt.Sprintf("netem: SetDelay on link hop %d (adjust the Link instead)", i))
-	}
-	if h.xdst >= 0 && delay < h.t.lookahead {
-		panic(fmt.Sprintf("netem: SetDelay %v on cross-shard hop %d below group lookahead %v", delay, i, h.t.lookahead))
 	}
 	h.delay = delay
 }
@@ -409,24 +256,12 @@ func (t *Topology) AddLink(name, from, to string, q Queue, rateBps, delay, lossR
 	if _, dup := t.linkIdx[name]; dup {
 		panic(fmt.Sprintf("netem: duplicate link %q", name))
 	}
-	fromID, toID := t.nodeID(from), t.nodeID(to)
-	sFrom, sTo := t.nodeShards[fromID], t.nodeShards[toID]
-	li := &linkInfo{name: name, from: from, to: to, fromID: fromID, toID: toID, shard: sFrom, sinkShard: sTo}
-	li.link = NewLink(t.engineFor(sFrom), q, rateBps, delay, lossRate, rng)
+	t.nodeID(from)
+	t.nodeID(to)
+	li := &linkInfo{name: name, from: from, to: to}
+	li.link = NewLink(t.Eng, q, rateBps, delay, lossRate, rng)
 	li.link.Sink = func(p *Packet) { li.dispatch(t, p) }
-	if sFrom != sTo {
-		if delay < t.lookahead {
-			panic(fmt.Sprintf("netem: cross-shard link %q delay %v below group lookahead %v (partition zero/low-delay endpoints together)", name, delay, t.lookahead))
-		}
-		// The propagation stage becomes a mailbox post: dispatch then runs
-		// on the destination shard, where the downstream hops live.
-		xfn := func(a any) { li.dispatch(t, a.(*Packet)) }
-		li.link.XDeliver = func(d float64, p *Packet) { t.group.Post(sFrom, sTo, d, xfn, p) }
-	}
-	if pl := t.poolShard(sFrom); pl != nil {
-		li.link.Pool = pl
-		queueUsePool(q, pl)
-	} else if t.Pool != nil {
+	if t.Pool != nil {
 		li.link.Pool = t.Pool
 		queueUsePool(q, t.Pool)
 	}
@@ -475,9 +310,6 @@ func queueUsePool(q Queue, pool *PacketPool) {
 // dequeue-time AQM drops, wire loss, and delay-hop loss — through the given
 // free list. Links added later join the pool automatically.
 func (t *Topology) UsePool(pool *PacketPool) {
-	if t.pools != nil {
-		panic("netem: UsePool on a sharded topology (Shard installs per-shard pools)")
-	}
 	t.Pool = pool
 	for _, li := range t.links {
 		li.link.Pool = pool
@@ -506,50 +338,13 @@ func (t *Topology) AddFlow(id int, fwd, rev []HopSpec, seeds *sim.Seeds, dataSin
 	// never shifts) but materialized lazily on the first loss draw.
 	rng := new(Rng)
 	*rng = SeededRng(seeds.Next())
-	fsrc, fdst := t.flowEnds(fwd)
 	f := &topoFlow{
-		fwd: t.buildRoute(id, false, fwd, rng, dataSink, fsrc, fdst),
-		rev: t.buildRoute(id, true, rev, rng, ackSink, fdst, fsrc),
+		fwd: t.buildRoute(id, false, fwd, rng, dataSink),
+		rev: t.buildRoute(id, true, rev, rng, ackSink),
 		rng: rng,
 	}
-	t.checkFlowRng(id, f)
 	t.flows = growPut(t.flows, id, f)
 	return f.fwd, f.rev
-}
-
-// flowEnds resolves the shards a flow's sender and receiver live on: the
-// forward route's entry and exit shards. The reverse route runs between the
-// same two parties in the opposite direction.
-func (t *Topology) flowEnds(fwd []HopSpec) (src, dst int) {
-	if t.group == nil {
-		return 0, 0
-	}
-	return t.RouteEnds(fwd)
-}
-
-// checkFlowRng enforces the one sharding constraint routes cannot express
-// structurally: a flow's lossy delay hops all share one RNG stream, so in
-// sharded mode every delay hop of the flow must execute on one shard or the
-// stream would be drawn from two goroutines (a race, and a nondeterministic
-// draw interleaving). Checked for all delay hops — not just currently lossy
-// ones — because SetLoss can add loss later.
-func (t *Topology) checkFlowRng(id int, f *topoFlow) {
-	if t.group == nil {
-		return
-	}
-	home := -1
-	for _, r := range [2]*Route{f.fwd, f.rev} {
-		for _, h := range r.hops {
-			if h.link != nil {
-				continue
-			}
-			if home < 0 {
-				home = h.shard
-			} else if h.shard != home {
-				panic(fmt.Sprintf("netem: flow %d has delay hops on shards %d and %d; a sharded flow must keep all delay hops (its shared loss RNG) on one shard", id, home, h.shard))
-			}
-		}
-	}
 }
 
 // RespecFlow re-registers flow id for a new trial on a reset engine. For an
@@ -580,10 +375,8 @@ func (t *Topology) RespecFlow(id int, fwd, rev []HopSpec, seeds *sim.Seeds, data
 	t.dropRoute(id, true, f.rev)
 	rng := f.rng
 	rng.Reseed(seed)
-	fsrc, fdst := t.flowEnds(fwd)
-	f.fwd = t.buildRoute(id, false, fwd, rng, dataSink, fsrc, fdst)
-	f.rev = t.buildRoute(id, true, rev, rng, ackSink, fdst, fsrc)
-	t.checkFlowRng(id, f)
+	f.fwd = t.buildRoute(id, false, fwd, rng, dataSink)
+	f.rev = t.buildRoute(id, true, rev, rng, ackSink)
 	return f.fwd, f.rev
 }
 
@@ -618,9 +411,6 @@ func (t *Topology) respecRoute(id int, r *Route, specs []HopSpec, sink func(*Pac
 			}
 			continue
 		}
-		if h.xdst >= 0 && hs.Delay < t.lookahead {
-			panic(fmt.Sprintf("netem: flow %d respec sets cross-shard hop %d delay %v below group lookahead %v", id, i, hs.Delay, t.lookahead))
-		}
 		h.delay = hs.Delay
 		h.loss = hs.Loss
 	}
@@ -639,17 +429,13 @@ func (t *Topology) dropRoute(id int, ack bool, r *Route) {
 				h.link.data[id] = nil
 			}
 		} else if h.pipe != nil {
-			h.eng.DropPipe(h.pipe)
+			t.Eng.DropPipe(h.pipe)
 		}
 	}
 }
 
 // buildRoute assembles and registers one direction of a flow's path.
-// entryShard/exitShard are where packets are injected and delivered (both 0
-// unsharded); the route's hops must walk from one to the other, crossing
-// shards only over cross-shard links or delay hops of at least the group
-// lookahead.
-func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink func(*Packet), entryShard, exitShard int) *Route {
+func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink func(*Packet)) *Route {
 	if len(specs) == 0 {
 		panic(fmt.Sprintf("netem: empty route for flow %d", id))
 	}
@@ -658,10 +444,9 @@ func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink 
 		dir = "ack"
 	}
 	r := &Route{hops: make([]*hop, 0, len(specs))}
-	at := ""          // current node, once a link hop pins it
-	cur := entryShard // shard the route is executing on
+	at := "" // current node, once a link hop pins it
 	for _, hs := range specs {
-		h := &hop{t: t, xdst: -1}
+		h := &hop{t: t}
 		if hs.Link != "" {
 			if hs.Delay != 0 || hs.Loss != 0 {
 				panic(fmt.Sprintf("netem: flow %d hop over link %q also sets Delay/Loss (a link hop uses the Link's own parameters; add a separate delay hop)", id, hs.Link))
@@ -674,16 +459,6 @@ func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink 
 				panic(fmt.Sprintf("netem: flow %d %s route is disconnected: at node %q but link %q starts at %q",
 					id, dir, at, hs.Link, li.from))
 			}
-			if li.shard != cur {
-				// A shard change without a link can only ride a delay hop
-				// (the resolve pass below turns the preceding delay hop into
-				// the crossing). Jumping straight between link hops on
-				// different shards has no propagation delay to hide behind.
-				if n := len(r.hops); n == 0 || r.hops[n-1].link != nil {
-					panic(fmt.Sprintf("netem: flow %d %s route jumps from shard %d to link %q on shard %d without a delay hop",
-						id, dir, cur, hs.Link, li.shard))
-				}
-			}
 			at = li.to
 			m := &li.data
 			if ack {
@@ -693,59 +468,24 @@ func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink 
 				panic(fmt.Sprintf("netem: flow %d traverses link %q twice on its %s route", id, hs.Link, dir))
 			}
 			h.link = li
-			h.shard = li.shard
-			h.eng = t.engineFor(li.shard)
-			cur = li.sinkShard
 			*m = growPut(*m, id, h)
 		} else {
 			h.delay = hs.Delay
 			h.loss = hs.Loss
 			h.rng = rng
-			h.shard = cur
-			h.eng = t.engineFor(cur)
 		}
 		r.hops = append(r.hops, h)
 	}
-	// Resolve pass: each delay hop delivers where the next hop executes (or
-	// at the route exit); a target on another shard makes it a cross-shard
-	// hop riding the group mailbox, and a link on its own shard makes it the
-	// link's feed. Only the rest — trailing hops and delay chains — keep a
-	// local pipe.
+	// Resolve pass: a delay hop in front of a link becomes the link's feed;
+	// only the rest — trailing hops and delay chains — keep a pipe.
 	for i, h := range r.hops {
-		if h.link != nil {
-			h.pool = t.poolShard(h.shard)
-			h.dstPool = t.poolShard(h.link.sinkShard)
-			continue
-		}
-		var next *hop
-		target := exitShard
-		if i+1 < len(r.hops) {
-			next = r.hops[i+1]
-			target = next.shard
-		}
-		h.pool = t.poolShard(h.shard)
 		switch {
-		case target != h.shard:
-			if h.delay < t.lookahead {
-				panic(fmt.Sprintf("netem: flow %d %s route crosses shard %d→%d over a %vs delay hop, below group lookahead %v",
-					id, dir, h.shard, target, h.delay, t.lookahead))
-			}
-			h.xdst = target
-			h.dstPool = t.poolShard(target)
-		case next != nil && next.link != nil:
-			h.feed = next.link.link
-			continue
+		case h.link != nil:
+		case i+1 < len(r.hops) && r.hops[i+1].link != nil:
+			h.feed = r.hops[i+1].link.link
 		default:
-			h.dstPool = t.poolShard(h.shard)
+			h.pipe = t.Eng.NewPipe(func(a any) { h.forward(a.(*Packet)) })
 		}
-		h.deliverFn = func(a any) { h.forward(a.(*Packet)) }
-		if h.xdst < 0 {
-			h.pipe = h.eng.NewPipe(h.deliverFn)
-		}
-	}
-	if last := r.hops[len(r.hops)-1]; last.link != nil && last.link.sinkShard != exitShard {
-		panic(fmt.Sprintf("netem: flow %d %s route ends on shard %d but its receiver lives on shard %d",
-			id, dir, last.link.sinkShard, exitShard))
 	}
 	for i := 0; i < len(r.hops)-1; i++ {
 		r.hops[i].next = r.hops[i+1]

@@ -2,6 +2,18 @@ package sim
 
 import "testing"
 
+// mix64 is a splitmix64 finalizer: it derives a workload's shape from a
+// token, so the workload is a pure function of its seed.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // TestDrawSeqMatchesPostAndPrecedes runs one self-spawning workload twice. On
 // engine b every "stamp" is a real event posted at its instant; on engine a
 // the same stamp is only a DrawSeq number kept beside its instant, the way a

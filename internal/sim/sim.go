@@ -303,8 +303,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // timestamped work of its own instead of posting events (a netem link's
 // inbox) stamps it with (at, DrawSeq()) and asks Precedes where that work
 // falls in the engine's total order. Such work is the component's, not the
-// engine's: Pending and NextEventAt do not see it, and Reset does not reclaim
-// it.
+// engine's: Pending does not see it, and Reset does not reclaim it.
 func (e *Engine) DrawSeq() uint64 {
 	s := e.nextSeq
 	e.nextSeq++
@@ -587,7 +586,7 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// run is the dispatch loop behind Run, RunUntil and RunBefore: it executes
+// run is the dispatch loop behind Run and RunUntil: it executes
 // every event with a timestamp <= lim, one at a time, in (at, seq) order.
 // Same-instant events need no path of their own. One a callback schedules at
 // its own instant enters the near-run behind its equals: a fresh seq outranks
@@ -629,23 +628,6 @@ func (e *Engine) run(lim Time) {
 
 // Run executes events until the queue drains or Halt is called.
 func (e *Engine) Run() { e.run(math.Inf(1)) }
-
-// NextEventAt returns the timestamp of the earliest live pending event, or
-// +Inf when the engine is drained. Probing may move events between scheduler
-// bands, which is placement only and cannot change any result.
-func (e *Engine) NextEventAt() Time {
-	if ev := e.peek(math.MaxInt64); ev != nil {
-		return ev.at
-	}
-	return math.Inf(1)
-}
-
-// RunBefore executes every event with a timestamp strictly below limit and
-// leaves the clock at the last executed event. Unlike RunUntil it neither
-// runs events at exactly limit nor force-advances the clock: conservative
-// shard rounds execute half-open [now, limit) windows, and only the group
-// coordinator knows the final deadline (see ShardGroup).
-func (e *Engine) RunBefore(limit Time) { e.run(math.Nextafter(limit, math.Inf(-1))) }
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to exactly deadline. Events scheduled after the deadline remain

@@ -54,7 +54,7 @@ import (
 //     afterwards is due one lap later and waits for the next entry.)
 //  5. Bounded flush: one probe moves the cursor no further than one tick past
 //     the first occupied slot, never to the tick of a far event that happens
-//     to head the near-run, and never past the bound of a RunUntil/RunBefore.
+//     to head the near-run, and never past the bound of a RunUntil.
 //     So while anything is bucketed cur is at most one tick ahead of the
 //     clock, and the near-run holds about one tick of traffic. With every
 //     level empty the cursor carries no information: peek parks it past
@@ -280,7 +280,7 @@ func (e *Engine) advance(lim int64) {
 // event heads the near-run, and returns it — or nil when every pending event
 // has a tick >= bound, so none is due at or before the time bound was made
 // from. The cursor never moves past bound, which keeps it at the clock across
-// RunUntil/RunBefore calls that stop short of a far event. Engine.run tests
+// RunUntil calls that stop short of a far event. Engine.run tests
 // the common case — a live head already behind the cursor — before calling.
 func (e *Engine) peek(bound int64) *Event {
 	w := &e.wheel

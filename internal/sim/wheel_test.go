@@ -144,7 +144,7 @@ func TestWheelOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("refill-boundary", wheelRowRefill)
-	t.Run("RunBefore-window-edge", wheelRowRunBefore)
+	t.Run("RunBefore-window-edge", wheelRowWindowEdge)
 }
 
 // wheelRowRefill keeps the cursor walking (a 0.7 s ticker, so laps are
@@ -186,11 +186,11 @@ func wheelRowRefill(t *testing.T) {
 	}
 }
 
-// wheelRowRunBefore puts an event exactly on the window edge, one ulp below
-// and one ulp above it, for an edge in every band: RunBefore(edge) must run
-// the one below and nothing at or past the edge, leave the clock on the last
-// event it ran, and leave the wheel cursor within a tick of the edge.
-func wheelRowRunBefore(t *testing.T) {
+// wheelRowWindowEdge puts an event exactly on an edge, one ulp below and one
+// ulp above it, for an edge in every band: running up to one ulp below the
+// edge must run the one below and nothing at or past the edge, leave the
+// clock on that event, and leave the wheel cursor within a tick of the edge.
+func wheelRowWindowEdge(t *testing.T) {
 	t.Parallel()
 	edges := []float64{
 		3 * wheelGranularity / 8, // near-run
@@ -213,19 +213,20 @@ func wheelRowRunBefore(t *testing.T) {
 	want := m.expected()
 	done := 0
 	for _, edge := range edges {
-		e.RunBefore(edge)
+		below := math.Nextafter(edge, math.Inf(-1))
+		e.RunUntil(below)
 		done++ // the one event below this edge
-		if len(fired) != done || e.Now() != math.Nextafter(edge, 0) {
-			t.Fatalf("RunBefore(%g): %d events fired, clock %g; want %d and the event one ulp below",
+		if len(fired) != done || e.Now() != below {
+			t.Fatalf("edge %g: %d events fired, clock %g; want %d and the event one ulp below",
 				edge, len(fired), e.Now(), done)
 		}
 		if lead := e.wheel.cur - tickOf(edge); e.wheel.count > 0 && lead > 1 {
-			t.Fatalf("RunBefore(%g) left the cursor %d ticks past the edge", edge, lead)
+			t.Fatalf("edge %g: the cursor is %d ticks past the edge", edge, lead)
 		}
 		if got := e.Pending() - ballast; got != len(want)-done {
-			t.Fatalf("RunBefore(%g): Pending = %d, want %d", edge, got, len(want)-done)
+			t.Fatalf("edge %g: Pending = %d, want %d", edge, got, len(want)-done)
 		}
-		done += 3 // the two on the edge and the one above run in the next window
+		done += 3 // the two on the edge and the one above run with the next edge
 	}
 	e.RunUntil(1e3)
 	checkOrder(t, fired, &m)

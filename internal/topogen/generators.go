@@ -7,9 +7,7 @@ import (
 
 // The three generator families of ROADMAP item 1. Each draws its delay
 // jitter from a local RNG seeded by the spec in a fixed construction
-// order, so a spec maps to exactly one graph. Shard hints encode each
-// family's natural locality: fat-tree pods, transit domains (with their
-// stub networks), LEO segments.
+// order, so a spec maps to exactly one graph.
 
 // FatTreeSpec parameterizes a k-ary fat-tree datacenter fabric
 // (Al-Fares et al.): (k/2)² core switches, k pods of k/2 aggregation and
@@ -30,8 +28,7 @@ type FatTreeSpec struct {
 
 // FatTree generates the fabric. Node names: cores "c<i>", per-pod
 // aggregation "a<p>.<i>", edge "e<p>.<i>", hosts "h<p>.<e>.<j>". Links are
-// duplex pairs named "ft:<a>|<b>" (reverse "~"-suffixed). Hints: cores
-// share hint 0, pod p is hint p+1.
+// duplex pairs named "ft:<a>|<b>" (reverse "~"-suffixed).
 func FatTree(s FatTreeSpec) *Graph {
 	if s.K == 0 {
 		s.K = 4
@@ -54,18 +51,18 @@ func FatTree(s FatTreeSpec) *Graph {
 	half := s.K / 2
 	g := New()
 	for i := 0; i < half*half; i++ {
-		g.AddNode(fmt.Sprintf("c%d", i), 0)
+		g.AddNode(fmt.Sprintf("c%d", i))
 	}
 	for p := 0; p < s.K; p++ {
 		for i := 0; i < half; i++ {
-			g.AddNode(fmt.Sprintf("a%d.%d", p, i), p+1)
+			g.AddNode(fmt.Sprintf("a%d.%d", p, i))
 		}
 		for i := 0; i < half; i++ {
-			g.AddNode(fmt.Sprintf("e%d.%d", p, i), p+1)
+			g.AddNode(fmt.Sprintf("e%d.%d", p, i))
 		}
 		for e := 0; e < half; e++ {
 			for j := 0; j < half; j++ {
-				g.AddNode(fmt.Sprintf("h%d.%d.%d", p, e, j), p+1)
+				g.AddNode(fmt.Sprintf("h%d.%d.%d", p, e, j))
 			}
 		}
 	}
@@ -123,9 +120,7 @@ type TransitStubSpec struct {
 // stub routers "s<d>.<i>.<k>.<j>" (domain d, transit router i, stub k,
 // router j). Inter-domain backbone links are named "x<d>" (ring edge from
 // domain d, reverse "x<d>~") plus a "xc" chord when Transits >= 4 — the
-// stable names fault schedules target. Hints: transit domain d and all
-// its stubs share hint d, so the partitioner cuts only the >= 10 ms
-// inter-domain edges.
+// stable names fault schedules target.
 func TransitStub(s TransitStubSpec) *Graph {
 	if s.Transits == 0 {
 		s.Transits = 3
@@ -160,7 +155,7 @@ func TransitStub(s TransitStubSpec) *Graph {
 	tr := func(d, i int) string { return fmt.Sprintf("t%d.%d", d, i) }
 	for d := 0; d < s.Transits; d++ {
 		for i := 0; i < s.TransitRouters; i++ {
-			g.AddNode(tr(d, i), d)
+			g.AddNode(tr(d, i))
 		}
 	}
 	// Intra-domain ring (a single pair when only two routers).
@@ -198,7 +193,7 @@ func TransitStub(s TransitStubSpec) *Graph {
 			for k := 0; k < s.StubsPerRouter; k++ {
 				sr := func(j int) string { return fmt.Sprintf("s%d.%d.%d.%d", d, i, k, j) }
 				for j := 0; j < s.StubRouters; j++ {
-					g.AddNode(sr(j), d)
+					g.AddNode(sr(j))
 				}
 				access := 0.001 + 0.004*rng.Float64()
 				g.AddDuplex(fmt.Sprintf("a%d.%d.%d", d, i, k), tr(d, i), sr(0),
@@ -231,8 +226,7 @@ type LEOChainSpec struct {
 
 // LEOChain generates the chain. Node names: "gs0", "sat<i>", "gs1"; links
 // "up0", "isl<i>", "dn0" (duplex, reverse "~"-suffixed). Ground↔satellite
-// delay is 3 ms, ISL delays draw 7–13 ms. Hints: the ground stations join
-// their adjacent satellite's segment; satellites group in segments of 3.
+// delay is 3 ms, ISL delays draw 7–13 ms.
 func LEOChain(s LEOChainSpec) *Graph {
 	if s.Sats == 0 {
 		s.Sats = 8
@@ -255,12 +249,11 @@ func LEOChain(s LEOChainSpec) *Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	g := New()
-	seg := func(i int) int { return i / 3 }
-	g.AddNode("gs0", seg(0))
+	g.AddNode("gs0")
 	for i := 0; i < s.Sats; i++ {
-		g.AddNode(fmt.Sprintf("sat%d", i), seg(i))
+		g.AddNode(fmt.Sprintf("sat%d", i))
 	}
-	g.AddNode("gs1", seg(s.Sats-1))
+	g.AddNode("gs1")
 	g.AddDuplex("up0", "gs0", "sat0", s.UpRateMbps, 0.003, 0, s.BufBytes)
 	for i := 0; i+1 < s.Sats; i++ {
 		delay := 0.007 + 0.006*rng.Float64()

@@ -112,12 +112,11 @@ func ParseDelayMatrix(data []byte) (*DelayMatrix, error) {
 // MeshGraph converts the matrix into a full-mesh graph: one duplex link
 // pair per measured node pair, each direction's propagation delay half
 // that direction's RTT (borrowing the opposite direction when only one
-// was measured). Links are named "m<i>-<j>" for the i→j direction. Every
-// node gets its own shard hint — a mesh has no locality to exploit.
+// was measured). Links are named "m<i>-<j>" for the i→j direction.
 func (m *DelayMatrix) MeshGraph(rateMbps float64, bufBytes int) *Graph {
 	g := New()
-	for i, name := range m.Names {
-		g.AddNode(name, i)
+	for _, name := range m.Names {
+		g.AddNode(name)
 	}
 	for i := range m.Names {
 		for j := i + 1; j < len(m.Names); j++ {

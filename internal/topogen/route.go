@@ -14,7 +14,7 @@ import (
 // adjacency is relaxed in link add order, so equal-delay equal-length
 // alternatives resolve to the earliest-registered links. The same graph
 // therefore always yields the same hop chains, which is what keeps
-// generated experiments byte-identical across runs, workers and shards.
+// generated experiments byte-identical across runs and workers.
 //
 // A Router is not safe for concurrent use: drivers compute all routes
 // up front (before fanning trials out) and share the resulting hop

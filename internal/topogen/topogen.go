@@ -9,10 +9,7 @@
 // delay distributions from a seeded local RNG in a fixed construction
 // order, node and link orders are append orders, and the Router breaks
 // shortest-path ties by (total delay, hop count, link index), so the same
-// spec always yields byte-identical graphs and routes. Per-node shard
-// hints record each generator's locality structure (a fat-tree pod, a
-// transit domain with its stub networks, a LEO segment) for the sharded
-// conservative engine's partitioner.
+// spec always yields byte-identical graphs and routes.
 package topogen
 
 import "fmt"
@@ -35,11 +32,10 @@ type Link struct {
 }
 
 // Graph is a generated topology: interned nodes (dense integer ids in
-// add order), directed links, and per-node shard hints. Nodes and links
-// are append-only; a Graph is immutable once handed to a Router.
+// add order) and directed links. Nodes and links are append-only; a Graph
+// is immutable once handed to a Router.
 type Graph struct {
 	nodes   []string
-	hints   []int
 	nodeIdx map[string]int
 
 	links   []Link
@@ -55,19 +51,15 @@ func New() *Graph {
 	return &Graph{nodeIdx: map[string]int{}, linkIdx: map[string]int{}}
 }
 
-// AddNode interns a node with a shard hint and returns its dense id.
-// Re-adding an existing node returns its id and must agree on the hint.
-func (g *Graph) AddNode(name string, hint int) int {
+// AddNode interns a node and returns its dense id. Re-adding an existing
+// node returns its id.
+func (g *Graph) AddNode(name string) int {
 	if i, ok := g.nodeIdx[name]; ok {
-		if g.hints[i] != hint {
-			panic(fmt.Sprintf("topogen: node %q re-added with hint %d (was %d)", name, hint, g.hints[i]))
-		}
 		return i
 	}
 	i := len(g.nodes)
 	g.nodeIdx[name] = i
 	g.nodes = append(g.nodes, name)
-	g.hints = append(g.hints, hint)
 	g.out = append(g.out, nil)
 	return i
 }
@@ -114,13 +106,3 @@ func (g *Graph) Links() []Link { return g.links }
 
 // Nodes returns the node names in add order. Callers must not mutate it.
 func (g *Graph) Nodes() []string { return g.nodes }
-
-// ShardHints materializes the node→hint map the harness's partitioner
-// consumes: nodes sharing a hint value are kept on one shard.
-func (g *Graph) ShardHints() map[string]int {
-	m := make(map[string]int, len(g.nodes))
-	for i, name := range g.nodes {
-		m[name] = g.hints[i]
-	}
-	return m
-}

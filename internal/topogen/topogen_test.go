@@ -15,13 +15,6 @@ func TestFatTreeShape(t *testing.T) {
 	if got, want := g.NumLinks(), 96; got != want {
 		t.Fatalf("links = %d, want %d", got, want)
 	}
-	hints := g.ShardHints()
-	if hints["c0"] != 0 || hints["c3"] != 0 {
-		t.Fatalf("cores must share hint 0, got c0=%d c3=%d", hints["c0"], hints["c3"])
-	}
-	if hints["h2.1.0"] != 3 || hints["a2.0"] != 3 {
-		t.Fatalf("pod 2 must share hint 3, got h2.1.0=%d a2.0=%d", hints["h2.1.0"], hints["a2.0"])
-	}
 }
 
 func TestFatTreeRouting(t *testing.T) {
@@ -55,11 +48,6 @@ func TestTransitStubShape(t *testing.T) {
 				t.Fatalf("no path %s → %s", src, dst)
 			}
 		}
-	}
-	// Hints group each transit domain with its stubs.
-	hints := g.ShardHints()
-	if hints["t1.0"] != 1 || hints["s1.2.0.1"] != 1 {
-		t.Fatalf("domain 1 hints: t1.0=%d s1.2.0.1=%d, want 1", hints["t1.0"], hints["s1.2.0.1"])
 	}
 	// The flappable backbone ring links exist under their stable names.
 	for _, name := range []string{"x0", "x3", "xc"} {
@@ -113,7 +101,7 @@ func TestLEOChain(t *testing.T) {
 func TestRouterShortestAndTieBreak(t *testing.T) {
 	g := New()
 	for _, n := range []string{"a", "b", "c", "d"} {
-		g.AddNode(n, 0)
+		g.AddNode(n)
 	}
 	add := func(name, from, to string, delay float64) {
 		g.AddLink(Link{Name: name, From: from, To: to, RateMbps: 100, Delay: delay, BufBytes: 1 << 16})
@@ -169,8 +157,8 @@ func TestGraphPanics(t *testing.T) {
 		fn()
 	}
 	g := New()
-	g.AddNode("a", 0)
-	g.AddNode("b", 1)
+	g.AddNode("a")
+	g.AddNode("b")
 	g.AddLink(Link{Name: "ab", From: "a", To: "b", Delay: 0.001})
 	mustPanic("duplicate link", func() {
 		g.AddLink(Link{Name: "ab", From: "a", To: "b", Delay: 0.001})
@@ -178,11 +166,10 @@ func TestGraphPanics(t *testing.T) {
 	mustPanic("unknown endpoint", func() {
 		g.AddLink(Link{Name: "ax", From: "a", To: "x", Delay: 0.001})
 	})
-	mustPanic("hint conflict", func() { g.AddNode("a", 2) })
 	mustPanic("disconnected route", func() {
 		g2 := New()
-		g2.AddNode("p", 0)
-		g2.AddNode("q", 0)
+		g2.AddNode("p")
+		g2.AddNode("q")
 		NewRouter(g2).PathLinks("p", "q")
 	})
 }
