@@ -9,9 +9,9 @@
 //	pccsim -rate 40 -rtt 20ms -queue fqcodel -flows pcc:latency,pcc:latency -series
 //
 // Flow syntax: PROTO[:UTILITY][@START], e.g. "pcc:latency@5" starts a
-// latency-utility PCC flow at t=5s. Utilities: safe (default), latency,
-// resilient, vivace. Protocols: pcc, sabul, pcp, pacing, newreno, cubic,
-// illinois, hybla, vegas, bic, westwood.
+// latency-utility PCC flow at t=5s. Utilities (pcc only): safe (default),
+// latency, resilient, vivace. Protocols: pcc, sabul, pcp, pacing, newreno,
+// cubic, illinois, hybla, vegas, bic, westwood.
 package main
 
 import (
@@ -41,7 +41,7 @@ func main() {
 
 	// Everything the harness would panic on (or silently simulate nothing
 	// for) is refused here, before anything is built.
-	err := validatePath(*rate, rtt.Seconds(), *dur, *queue)
+	err := validatePath(*rate, rtt.Seconds(), *dur, *loss, *buf, *queue)
 	var specs []exp.FlowSpec
 	var labels []string
 	if err == nil {
@@ -100,8 +100,10 @@ func main() {
 }
 
 // validatePath rejects the path flags the harness cannot simulate: an
-// unknown queue kind, or a rate, RTT or duration that is not positive.
-func validatePath(rateMbps, rtt, dur float64, queue string) error {
+// unknown queue kind, a rate, RTT or duration that is not positive, a
+// negative buffer (a drop-tail queue would read it as unbounded), or a loss
+// probability outside [0, 1).
+func validatePath(rateMbps, rtt, dur, loss float64, buf int, queue string) error {
 	switch queue {
 	case "droptail", "codel", "fq", "fqcodel":
 	default:
@@ -114,6 +116,12 @@ func validatePath(rateMbps, rtt, dur float64, queue string) error {
 		if !(f.v > 0) {
 			return fmt.Errorf("-%s must be positive, got %v", f.name, f.v)
 		}
+	}
+	if buf < 0 {
+		return fmt.Errorf("-buf must not be negative, got %d", buf)
+	}
+	if !(loss >= 0 && loss < 1) {
+		return fmt.Errorf("-loss must be in [0, 1), got %v", loss)
 	}
 	return nil
 }
@@ -160,6 +168,9 @@ func parseFlow(spec string, rtt float64) (exp.FlowSpec, error) {
 		if _, err := tcp.New(proto); err != nil {
 			return exp.FlowSpec{}, fmt.Errorf("unknown protocol %q (pcc, sabul, pcp, pacing, %s)", proto, strings.Join(tcp.Variants(), ", "))
 		}
+	}
+	if utility != "" && proto != "pcc" {
+		return exp.FlowSpec{}, fmt.Errorf("utility %q applies to pcc only, not %q", utility, proto)
 	}
 	fs := exp.FlowSpec{Proto: proto, StartAt: start}
 	switch utility {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,9 @@ func TestParseFlow(t *testing.T) {
 		{spec: "pcc@soon", err: "bad start time"},
 		{spec: "pcc@-1", err: "bad start time"},
 		{spec: "pcc@NaN", err: "bad start time"},
+		{spec: "cubic:latency", err: `utility "latency" applies to pcc only, not "cubic"`},
+		{spec: "sabul:safe@1", err: `utility "safe" applies to pcc only`},
+		{spec: "pacing:vivace", err: `utility "vivace" applies to pcc only`},
 	}
 	for _, c := range cases {
 		fs, err := parseFlow(c.spec, rtt)
@@ -72,29 +76,37 @@ func TestParseFlows(t *testing.T) {
 
 func TestValidatePath(t *testing.T) {
 	cases := []struct {
-		rate, rtt, dur float64
-		queue          string
-		err            string
+		rate, rtt, dur, loss float64
+		buf                  int
+		queue                string
+		err                  string
 	}{
-		{100, 0.03, 60, "droptail", ""},
-		{100, 0.03, 60, "codel", ""},
-		{100, 0.03, 60, "fq", ""},
-		{100, 0.03, 60, "fqcodel", ""},
-		{100, 0.03, 60, "foo", `unknown queue kind "foo"`},
-		{100, 0.03, 60, "", "unknown queue kind"},
-		{0, 0.03, 60, "droptail", "-rate must be positive"},
-		{-5, 0.03, 60, "droptail", "-rate must be positive"},
-		{100, 0, 60, "droptail", "-rtt must be positive"},
-		{100, 0.03, 0, "droptail", "-dur must be positive"},
+		{100, 0.03, 60, 0, 375000, "droptail", ""},
+		{100, 0.03, 60, 0, 375000, "codel", ""},
+		{100, 0.03, 60, 0, 375000, "fq", ""},
+		{100, 0.03, 60, 0, 375000, "fqcodel", ""},
+		{100, 0.03, 60, 0, 375000, "foo", `unknown queue kind "foo"`},
+		{100, 0.03, 60, 0, 375000, "", "unknown queue kind"},
+		{0, 0.03, 60, 0, 375000, "droptail", "-rate must be positive"},
+		{-5, 0.03, 60, 0, 375000, "droptail", "-rate must be positive"},
+		{100, 0, 60, 0, 375000, "droptail", "-rtt must be positive"},
+		{100, 0.03, 0, 0, 375000, "droptail", "-dur must be positive"},
+		{100, 0.03, 60, 0, 0, "droptail", ""},
+		{100, 0.03, 60, 0, -1, "droptail", "-buf must not be negative"},
+		{100, 0.03, 60, 0.0074, 375000, "droptail", ""},
+		{100, 0.03, 60, 1.5, 375000, "droptail", "-loss must be in [0, 1)"},
+		{100, 0.03, 60, 1, 375000, "droptail", "-loss must be in [0, 1)"},
+		{100, 0.03, 60, -0.1, 375000, "droptail", "-loss must be in [0, 1)"},
+		{100, 0.03, 60, math.NaN(), 375000, "droptail", "-loss must be in [0, 1)"},
 	}
 	for _, c := range cases {
-		err := validatePath(c.rate, c.rtt, c.dur, c.queue)
+		err := validatePath(c.rate, c.rtt, c.dur, c.loss, c.buf, c.queue)
 		if c.err == "" {
 			if err != nil {
-				t.Errorf("validatePath(%v, %v, %v, %q): %v", c.rate, c.rtt, c.dur, c.queue, err)
+				t.Errorf("validatePath(%v, %v, %v, %v, %d, %q): %v", c.rate, c.rtt, c.dur, c.loss, c.buf, c.queue, err)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), c.err) {
-			t.Errorf("validatePath(%v, %v, %v, %q) error = %v, want one containing %q", c.rate, c.rtt, c.dur, c.queue, err, c.err)
+			t.Errorf("validatePath(%v, %v, %v, %v, %d, %q) error = %v, want one containing %q", c.rate, c.rtt, c.dur, c.loss, c.buf, c.queue, err, c.err)
 		}
 	}
 }

@@ -83,22 +83,29 @@ func (f *fixedWindow) OnLossEvent(now float64)                 {}
 func (f *fixedWindow) OnTimeout(now float64)                   {}
 func (f *fixedWindow) Cwnd() float64                           { return f.w }
 
-func buildPath(eng *sim.Engine, seed int64, rateMbps, rtt, loss float64, buf int) (*netem.Dumbbell, *sim.Seeds) {
+// buildPath builds the graph exp.NewRunner builds for a dumbbell — one
+// netem.BottleneckLink — and returns it with the func that registers flow 0
+// over it: rtt/2 of access delay out, rtt/2 back with ACK loss revLoss.
+func buildPath(eng *sim.Engine, seed int64, rateMbps, rtt, loss float64, buf int) (*netem.Topology, func(revLoss float64, dataSink, ackSink func(*netem.Packet))) {
 	seeds := sim.NewSeeds(seed)
-	d := netem.NewDumbbell(eng, netem.NewDropTail(buf), netem.Mbps(rateMbps), loss, seeds)
-	return d, seeds
+	topo := netem.NewTopology(eng)
+	topo.AddLink(netem.BottleneckLink, "senders", "receivers", netem.NewDropTail(buf), netem.Mbps(rateMbps), 0, loss, seeds.NextRand())
+	return topo, func(revLoss float64, dataSink, ackSink func(*netem.Packet)) {
+		topo.AddFlow(0, []netem.HopSpec{netem.DelayHop(rtt / 2), netem.LinkHop(netem.BottleneckLink)},
+			[]netem.HopSpec{netem.LossyDelayHop(rtt/2, revLoss)}, seeds, dataSink, ackSink)
+	}
 }
 
 func TestWindowSenderDeliversFiniteFlow(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 1, 100, 0.030, 0, 375*netem.KB)
+	d, addFlow := buildPath(eng, 1, 100, 0.030, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 20}, d.SendData)
 	ws.FlowPackets = 500
 	doneAt := -1.0
 	ws.OnDone = func(now float64) { doneAt = now }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	addFlow(0, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(60)
 	if doneAt < 0 {
@@ -111,14 +118,14 @@ func TestWindowSenderDeliversFiniteFlow(t *testing.T) {
 
 func TestWindowSenderRecoversFromLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 5, 100, 0.030, 0.05, 375*netem.KB)
+	d, addFlow := buildPath(eng, 5, 100, 0.030, 0.05, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 50}, d.SendData)
 	ws.FlowPackets = 2000
 	done := false
 	ws.OnDone = func(now float64) { done = true }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	addFlow(0, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(120)
 	if !done {
@@ -137,11 +144,11 @@ func TestWindowSenderThroughputMatchesWindow(t *testing.T) {
 	// cwnd 25 packets at 30 ms RTT ≈ 10 Mbps, well under the 100 Mbps
 	// link: goodput should match the window-limited prediction.
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 2, 100, 0.030, 0, 375*netem.KB)
+	d, addFlow := buildPath(eng, 2, 100, 0.030, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 25}, d.SendData)
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	addFlow(0, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(30)
 	got := float64(recv.UniqueBytes()) / 30
@@ -163,11 +170,11 @@ func (f *fixedRate) OnLost(seq int64, now float64)             {}
 
 func TestRateSenderPacesAtTargetRate(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 3, 100, 0.030, 0, 375*netem.KB)
+	d, addFlow := buildPath(eng, 3, 100, 0.030, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	rs := NewRateSender(eng, 0, &fixedRate{r: netem.Mbps(20)}, d.SendData)
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, rs.OnAck)
+	addFlow(0, recv.OnData, rs.OnAck)
 	eng.At(0, rs.Start)
 	eng.RunUntil(20)
 	got := netem.ToMbps(float64(recv.UniqueBytes()) / 20)
@@ -178,14 +185,14 @@ func TestRateSenderPacesAtTargetRate(t *testing.T) {
 
 func TestRateSenderCompletesUnderHeavyLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 11, 100, 0.030, 0.2, 375*netem.KB)
+	d, addFlow := buildPath(eng, 11, 100, 0.030, 0.2, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	rs := NewRateSender(eng, 0, &fixedRate{r: netem.Mbps(10)}, d.SendData)
 	rs.FlowPackets = 1000
 	done := false
 	rs.OnDone = func(now float64) { done = true }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, rs.OnAck)
+	addFlow(0, recv.OnData, rs.OnAck)
 	eng.At(0, rs.Start)
 	eng.RunUntil(120)
 	if !done {
@@ -247,7 +254,7 @@ func TestReceiverBuckets(t *testing.T) {
 // window-limited throughput both scale with the configured wire size.
 func TestWindowSenderHonorsPktSize(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 9, 100, 0.030, 0, 375*netem.KB)
+	d, addFlow := buildPath(eng, 9, 100, 0.030, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 20}, d.SendData)
@@ -255,7 +262,7 @@ func TestWindowSenderHonorsPktSize(t *testing.T) {
 	ws.FlowPackets = 500
 	doneAt := -1.0
 	ws.OnDone = func(now float64) { doneAt = now }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	addFlow(0, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(60)
 	if doneAt < 0 {
@@ -272,12 +279,12 @@ func TestWindowSenderHonorsPktSize(t *testing.T) {
 func TestRateSenderHonorsPktSize(t *testing.T) {
 	for _, size := range []int{512, 9000} {
 		eng := sim.NewEngine()
-		d, seeds := buildPath(eng, 3, 100, 0.030, 0, 375*netem.KB)
+		d, addFlow := buildPath(eng, 3, 100, 0.030, 0, 375*netem.KB)
 		recv := NewReceiver(eng, 0)
 		recv.SendAck = d.SendAck
 		rs := NewRateSender(eng, 0, &fixedRate{r: 1.25e6}, d.SendData) // 10 Mbps
 		rs.PktSize = size
-		d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, rs.OnAck)
+		addFlow(0, recv.OnData, rs.OnAck)
 		eng.At(0, rs.Start)
 		eng.RunUntil(30)
 		got := float64(recv.UniqueBytes()) / 30
@@ -310,7 +317,7 @@ func TestSenderOutstandingCounterMatchesScan(t *testing.T) {
 	t.Parallel()
 	for _, kind := range []string{"window", "rate"} {
 		eng := sim.NewEngine()
-		d, seeds := buildPath(eng, 21, 20, 0.030, 0.05, 30*netem.KB)
+		d, addFlow := buildPath(eng, 21, 20, 0.030, 0.05, 30*netem.KB)
 		recv := NewReceiver(eng, 0)
 		recv.SendAck = d.SendAck
 		var board *sack.Board
@@ -330,7 +337,7 @@ func TestSenderOutstandingCounterMatchesScan(t *testing.T) {
 			rs.OnDone = func(float64) { done = true }
 			board, ackSink, start, retransmitted = &rs.board, rs.OnAck, rs.Start, rs.Retransmitted
 		}
-		d.AddFlow(0, netem.FlowConfig{FwdDelay: 0.015, RevDelay: 0.015, RevLoss: 0.05}, seeds, recv.OnData, ackSink)
+		addFlow(0.05, recv.OnData, ackSink)
 		checks := 0
 		var probe func()
 		probe = func() {

@@ -44,10 +44,10 @@ type LinkSpec struct {
 // (FwdRoute/RevRoute); only on a dumbbell may they leave them out.
 //
 // Specs need not be hand-written: GraphSpec converts a topogen-generated
-// graph (fat-tree, transit-stub WAN, LEO chain, delay-matrix mesh) into a
-// TopologySpec carrying the generator's links, and
-// topogen.Router computes the matching deterministic FwdRoute/RevRoute hop
-// chains — the construction path of the internet-scale experiments.
+// graph (the transit-stub WAN) into a TopologySpec carrying the
+// generator's links, and topogen.Router computes the matching
+// deterministic FwdRoute/RevRoute hop chains — the construction path of the
+// internet-scale experiments.
 type TopologySpec struct {
 	// Links are created in order; each draws one RNG stream from the root
 	// seed for its wire-loss process, so adding a link never perturbs the

@@ -324,31 +324,30 @@ func TestSetDownDropsPacketRidingWake(t *testing.T) {
 func TestVaryingDoesNotResurrectDownedLink(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(3)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
 	deliveredAt := []float64{}
-	d.AddFlow(0, SymmetricRTT(0.030), seeds,
+	topo, bottleneck := oneLinkTopo(eng, seeds, NewDropTail(-1), Mbps(100), 0, 0.015, 0,
 		func(p *Packet) { deliveredAt = append(deliveredAt, eng.Now()) }, nil)
 	spec := VaryingSpec{Period: 0.05, RateMin: Mbps(50), RateMax: Mbps(100), RTTMin: 0.01, RTTMax: 0.05, LossMin: 0, LossMax: 0}
-	fwd, rev := d.Topo.FlowRoutes(0)
-	StartVarying(eng, d.Bottleneck, fwd, rev, spec, seeds.NextRand(), 1)
+	fwd, rev := topo.FlowRoutes(0)
+	StartVarying(eng, bottleneck, fwd, rev, spec, seeds.NextRand(), 1)
 	// Steady trickle of offered traffic for the whole second.
 	for i := 0; i < 100; i++ {
 		i := i
 		eng.At(float64(i)*0.01, func() {
-			d.SendData(&Packet{Flow: 0, Seq: int64(i), Size: 1500, Sent: eng.Now()})
+			topo.SendData(&Packet{Flow: 0, Seq: int64(i), Size: 1500, Sent: eng.Now()})
 		})
 	}
 	// Fault window [0.3, 0.6): several redraw periods land inside it.
-	eng.At(0.3, func() { d.Bottleneck.SetDown(true) })
+	eng.At(0.3, func() { bottleneck.SetDown(true) })
 	eng.At(0.45, func() {
-		if !d.Bottleneck.Down() {
+		if !bottleneck.Down() {
 			t.Error("varying redraw resurrected a downed link")
 		}
-		if !linkConserved(d.Bottleneck) {
+		if !linkConserved(bottleneck) {
 			t.Error("conservation broken while down under varying redraws")
 		}
 	})
-	eng.At(0.6, func() { d.Bottleneck.SetDown(false) })
+	eng.At(0.6, func() { bottleneck.SetDown(false) })
 	eng.Run()
 	for _, at := range deliveredAt {
 		if at >= 0.3 && at < 0.6 {
@@ -364,7 +363,7 @@ func TestVaryingDoesNotResurrectDownedLink(t *testing.T) {
 	if after == 0 {
 		t.Fatal("no deliveries after the link healed")
 	}
-	if !linkConserved(d.Bottleneck) {
+	if !linkConserved(bottleneck) {
 		t.Fatal("conservation broken at end of run")
 	}
 }

@@ -545,14 +545,14 @@ func TestLinkEventBudget(t *testing.T) {
 		)
 		eng := sim.NewEngine()
 		seeds := sim.NewSeeds(42)
-		d := NewDumbbell(eng, NewDropTail(8*1500), rate, 0.01, seeds)
+		var topo *Topology
 		acks := 0
-		d.AddFlow(0, FlowConfig{FwdDelay: 0.02, RevDelay: 0.02, RevLoss: 0.01}, seeds,
-			func(p *Packet) { d.SendAck(&Packet{Flow: 0, Ack: true, Size: 40, CumAck: p.Seq}) },
+		topo, bottleneck := oneLinkTopo(eng, seeds, NewDropTail(8*1500), rate, 0.01, 0.02, 0.01,
+			func(p *Packet) { topo.SendAck(&Packet{Flow: 0, Ack: true, Size: 40, CumAck: p.Seq}) },
 			func(*Packet) { acks++ })
-		feed(eng, n, 0.8*tx, d.SendData)
+		feed(eng, n, 0.8*tx, topo.SendData)
 		eng.Run()
-		if s := d.Bottleneck.Delivered(); acks == 0 || s == int64(acks) || s == n {
+		if s := bottleneck.Delivered(); acks == 0 || s == int64(acks) || s == n {
 			t.Fatalf("%d data packets, %d delivered, %d ACKs back: want queue drops and ACK losses", n, s, acks)
 		}
 		if got := eng.Processed(); got != pipeFedEvents-n {

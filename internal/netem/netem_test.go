@@ -214,16 +214,15 @@ func TestLinkRandomLossRate(t *testing.T) {
 
 func TestDumbbellRTT(t *testing.T) {
 	eng := sim.NewEngine()
-	seeds := sim.NewSeeds(1)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
+	var topo *Topology
 	var rtt float64
-	d.AddFlow(0, SymmetricRTT(0.030), seeds,
+	topo, _ = oneLinkTopo(eng, sim.NewSeeds(1), NewDropTail(-1), Mbps(100), 0, 0.015, 0,
 		func(p *Packet) {
-			d.SendAck(&Packet{Flow: 0, Ack: true, Size: 40, EchoSent: p.Sent})
+			topo.SendAck(&Packet{Flow: 0, Ack: true, Size: 40, EchoSent: p.Sent})
 		},
 		func(p *Packet) { rtt = eng.Now() - p.EchoSent })
 	eng.At(0, func() {
-		d.SendData(&Packet{Flow: 0, Seq: 0, Size: 1500, Sent: 0})
+		topo.SendData(&Packet{Flow: 0, Seq: 0, Size: 1500, Sent: 0})
 	})
 	eng.Run()
 	minRTT := 0.030 + 1500/Mbps(100)
@@ -235,11 +234,10 @@ func TestDumbbellRTT(t *testing.T) {
 func TestVaryingRedraw(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
-	d.AddFlow(0, SymmetricRTT(0.030), seeds, nil, nil)
+	topo, bottleneck := oneLinkTopo(eng, seeds, NewDropTail(-1), Mbps(100), 0, 0.015, 0, nil, nil)
 	spec := VaryingSpec{Period: 1, RateMin: Mbps(10), RateMax: Mbps(100), RTTMin: 0.01, RTTMax: 0.1, LossMin: 0, LossMax: 0.01}
-	fwd, rev := d.Topo.FlowRoutes(0)
-	trace := StartVarying(eng, d.Bottleneck, fwd, rev, spec, seeds.NextRand(), 10)
+	fwd, rev := topo.FlowRoutes(0)
+	trace := StartVarying(eng, bottleneck, fwd, rev, spec, seeds.NextRand(), 10)
 	eng.RunUntil(10)
 	if len(*trace) != 10 {
 		t.Fatalf("got %d redraws, want 10", len(*trace))

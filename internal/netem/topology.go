@@ -231,6 +231,10 @@ func DelayHop(delay float64) HopSpec { return HopSpec{Delay: delay} }
 // uncongested-but-lossy reverse path of §4.1.4).
 func LossyDelayHop(delay, loss float64) HopSpec { return HopSpec{Delay: delay, Loss: loss} }
 
+// BottleneckLink names a dumbbell's one shared link, from "senders" to
+// "receivers": the graph exp.NewRunner builds for a PathSpec.
+const BottleneckLink = "bottleneck"
+
 // NewTopology returns an empty topology on the given engine.
 func NewTopology(eng *sim.Engine) *Topology {
 	return &Topology{

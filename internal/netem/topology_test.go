@@ -31,6 +31,18 @@ func threeHopTopo(t *testing.T, eng *sim.Engine, seeds *sim.Seeds, bufBytes []in
 	return topo, &delivered
 }
 
+// oneLinkTopo builds the graph exp.NewRunner builds for a dumbbell — one
+// BottleneckLink from "senders" to "receivers" — and routes flow 0 over it:
+// out through an access delay hop of delay, back over one delay hop of
+// delay with Bernoulli loss revLoss.
+func oneLinkTopo(eng *sim.Engine, seeds *sim.Seeds, q Queue, rate, loss, delay, revLoss float64, dataSink, ackSink func(*Packet)) (*Topology, *Link) {
+	topo := NewTopology(eng)
+	l := topo.AddLink(BottleneckLink, "senders", "receivers", q, rate, 0, loss, seeds.NextRand())
+	topo.AddFlow(0, []HopSpec{DelayHop(delay), LinkHop(BottleneckLink)}, []HopSpec{LossyDelayHop(delay, revLoss)},
+		seeds, dataSink, ackSink)
+	return topo, l
+}
+
 func TestTopologyMultiHopTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
@@ -326,18 +338,13 @@ func TestTopologyRouteValidation(t *testing.T) {
 }
 
 // TestDumbbellPanicsCarryFlowID pins the diagnostic quality of the
-// unregistered-flow panics: the offending id must appear in the message
-// (the seed implementation nil-dereffed in SetFlowDelays and panicked
-// without the id in SendData/SendAck).
+// unregistered-flow panics on a dumbbell: the offending id must appear in
+// the message.
 func TestDumbbellPanicsCarryFlowID(t *testing.T) {
-	eng := sim.NewEngine()
-	seeds := sim.NewSeeds(1)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
-	d.AddFlow(0, SymmetricRTT(0.030), seeds, nil, nil)
+	topo, _ := oneLinkTopo(sim.NewEngine(), sim.NewSeeds(1), NewDropTail(-1), Mbps(100), 0, 0.015, 0, nil, nil)
 
-	mustPanic(t, []string{"SendData", "41"}, func() { d.SendData(&Packet{Flow: 41}) })
-	mustPanic(t, []string{"SendAck", "42"}, func() { d.SendAck(&Packet{Flow: 42, Ack: true}) })
-	mustPanic(t, []string{"SetFlowDelays", "43"}, func() { d.SetFlowDelays(43, 0.01, 0.01) })
+	mustPanic(t, []string{"SendData", "41"}, func() { topo.SendData(&Packet{Flow: 41}) })
+	mustPanic(t, []string{"SendAck", "42"}, func() { topo.SendAck(&Packet{Flow: 42, Ack: true}) })
 }
 
 // TestDispatchFallsBackToRouteTable hands packets to an interior link

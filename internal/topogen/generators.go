@@ -5,92 +5,6 @@ import (
 	"math/rand"
 )
 
-// The three generator families of ROADMAP item 1. Each draws its delay
-// jitter from a local RNG seeded by the spec in a fixed construction
-// order, so a spec maps to exactly one graph.
-
-// FatTreeSpec parameterizes a k-ary fat-tree datacenter fabric
-// (Al-Fares et al.): (k/2)² core switches, k pods of k/2 aggregation and
-// k/2 edge switches, k/2 hosts per edge switch — k³/4 hosts total.
-type FatTreeSpec struct {
-	// K is the pod count / switch radix; even, >= 2. 0 means 4.
-	K int
-	// HostRateMbps is the host↔edge link rate. 0 means 1000.
-	HostRateMbps float64
-	// FabricRateMbps is the switch↔switch link rate. 0 means 1000.
-	FabricRateMbps float64
-	// Delay is the per-link one-way propagation delay, seconds.
-	// 0 means 100 µs.
-	Delay float64
-	// BufBytes is the per-link queue capacity. 0 means 256 KB.
-	BufBytes int
-}
-
-// FatTree generates the fabric. Node names: cores "c<i>", per-pod
-// aggregation "a<p>.<i>", edge "e<p>.<i>", hosts "h<p>.<e>.<j>". Links are
-// duplex pairs named "ft:<a>|<b>" (reverse "~"-suffixed).
-func FatTree(s FatTreeSpec) *Graph {
-	if s.K == 0 {
-		s.K = 4
-	}
-	if s.K < 2 || s.K%2 != 0 {
-		panic(fmt.Sprintf("topogen: fat-tree K=%d must be even and >= 2", s.K))
-	}
-	if s.HostRateMbps == 0 {
-		s.HostRateMbps = 1000
-	}
-	if s.FabricRateMbps == 0 {
-		s.FabricRateMbps = 1000
-	}
-	if s.Delay == 0 {
-		s.Delay = 100e-6
-	}
-	if s.BufBytes == 0 {
-		s.BufBytes = 256 << 10
-	}
-	half := s.K / 2
-	g := New()
-	for i := 0; i < half*half; i++ {
-		g.AddNode(fmt.Sprintf("c%d", i))
-	}
-	for p := 0; p < s.K; p++ {
-		for i := 0; i < half; i++ {
-			g.AddNode(fmt.Sprintf("a%d.%d", p, i))
-		}
-		for i := 0; i < half; i++ {
-			g.AddNode(fmt.Sprintf("e%d.%d", p, i))
-		}
-		for e := 0; e < half; e++ {
-			for j := 0; j < half; j++ {
-				g.AddNode(fmt.Sprintf("h%d.%d.%d", p, e, j))
-			}
-		}
-	}
-	duplex := func(a, b string, rate float64) {
-		g.AddDuplex("ft:"+a+"|"+b, a, b, rate, s.Delay, 0, s.BufBytes)
-	}
-	for p := 0; p < s.K; p++ {
-		for e := 0; e < half; e++ {
-			edge := fmt.Sprintf("e%d.%d", p, e)
-			for j := 0; j < half; j++ {
-				duplex(fmt.Sprintf("h%d.%d.%d", p, e, j), edge, s.HostRateMbps)
-			}
-			for a := 0; a < half; a++ {
-				duplex(edge, fmt.Sprintf("a%d.%d", p, a), s.FabricRateMbps)
-			}
-		}
-		// Aggregation switch i of every pod uplinks to the i-th stripe of
-		// cores, the standard fat-tree wiring.
-		for a := 0; a < half; a++ {
-			agg := fmt.Sprintf("a%d.%d", p, a)
-			for c := a * half; c < (a+1)*half; c++ {
-				duplex(agg, fmt.Sprintf("c%d", c), s.FabricRateMbps)
-			}
-		}
-	}
-	return g
-}
-
 // TransitStubSpec parameterizes a GT-ITM-style transit-stub WAN: transit
 // domains of backbone routers joined in a ring, each transit router
 // serving stub domains of access routers. Delays are drawn from wide-area
@@ -206,60 +120,5 @@ func TransitStub(s TransitStubSpec) *Graph {
 			}
 		}
 	}
-	return g
-}
-
-// LEOChainSpec parameterizes a low-earth-orbit satellite relay chain: a
-// ground uplink, a chain of inter-satellite links, a ground downlink.
-type LEOChainSpec struct {
-	// Sats is the satellite count. 0 means 8.
-	Sats int
-	// UpRateMbps is the ground↔satellite link rate. 0 means 200.
-	UpRateMbps float64
-	// ISLRateMbps is the inter-satellite link rate. 0 means 500.
-	ISLRateMbps float64
-	// BufBytes is the per-link queue capacity. 0 means 256 KB.
-	BufBytes int
-	// Seed drives the ISL delay draws. 0 means 1.
-	Seed int64
-}
-
-// LEOChain generates the chain. Node names: "gs0", "sat<i>", "gs1"; links
-// "up0", "isl<i>", "dn0" (duplex, reverse "~"-suffixed). Ground↔satellite
-// delay is 3 ms, ISL delays draw 7–13 ms.
-func LEOChain(s LEOChainSpec) *Graph {
-	if s.Sats == 0 {
-		s.Sats = 8
-	}
-	if s.Sats < 1 {
-		panic(fmt.Sprintf("topogen: LEO chain needs >= 1 satellite, got %d", s.Sats))
-	}
-	if s.UpRateMbps == 0 {
-		s.UpRateMbps = 200
-	}
-	if s.ISLRateMbps == 0 {
-		s.ISLRateMbps = 500
-	}
-	if s.BufBytes == 0 {
-		s.BufBytes = 256 << 10
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g := New()
-	g.AddNode("gs0")
-	for i := 0; i < s.Sats; i++ {
-		g.AddNode(fmt.Sprintf("sat%d", i))
-	}
-	g.AddNode("gs1")
-	g.AddDuplex("up0", "gs0", "sat0", s.UpRateMbps, 0.003, 0, s.BufBytes)
-	for i := 0; i+1 < s.Sats; i++ {
-		delay := 0.007 + 0.006*rng.Float64()
-		g.AddDuplex(fmt.Sprintf("isl%d", i), fmt.Sprintf("sat%d", i), fmt.Sprintf("sat%d", i+1),
-			s.ISLRateMbps, delay, 0, s.BufBytes)
-	}
-	g.AddDuplex("dn0", fmt.Sprintf("sat%d", s.Sats-1), "gs1", s.UpRateMbps, 0.003, 0, s.BufBytes)
 	return g
 }

@@ -178,13 +178,3 @@ func (r *Router) PathLinks(src, dst string) []string {
 	}
 	return rev
 }
-
-// PathDelay returns the summed one-way propagation delay of the shortest
-// path from src to dst (0 when src == dst).
-func (r *Router) PathDelay(src, dst string) float64 {
-	sum := 0.0
-	for _, name := range r.PathLinks(src, dst) {
-		sum += r.g.links[r.g.linkIdx[name]].Delay
-	}
-	return sum
-}

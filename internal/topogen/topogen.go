@@ -1,11 +1,9 @@
 // Package topogen generates internet-scale network topologies for the
-// experiment harness: programmatic graph generators (fat-tree datacenter,
-// transit-stub WAN, LEO-satellite chain), a delay-matrix ingest path that
-// replays measured all-pairs RTT grids as propagation delays, and
-// deterministic shortest-path route computation — FlowSpec hop chains
-// cannot be hand-written for a 500-node graph.
+// experiment harness: a GT-ITM-style transit-stub WAN generator
+// (TransitStub) and deterministic shortest-path route computation (Router)
+// — FlowSpec hop chains cannot be hand-written for a 500-node graph.
 //
-// Everything here is deterministic by construction: generators draw their
+// Everything here is deterministic by construction: the generator draws its
 // delay distributions from a seeded local RNG in a fixed construction
 // order, node and link orders are append orders, and the Router breaks
 // shortest-path ties by (total delay, hop count, link index), so the same
@@ -85,7 +83,7 @@ func (g *Graph) AddLink(l Link) int {
 }
 
 // AddDuplex adds a symmetric pair of directed links between a and b: a→b
-// registered as name, b→a as name+"~" (the convention the generators use
+// registered as name, b→a as name+"~" (the convention TransitStub uses
 // for reverse directions).
 func (g *Graph) AddDuplex(name, a, b string, rateMbps, delay, loss float64, bufBytes int) {
 	g.AddLink(Link{Name: name, From: a, To: b, RateMbps: rateMbps, Delay: delay, Loss: loss, BufBytes: bufBytes})
