@@ -71,14 +71,7 @@ func main() {
 	fmt.Printf("path: %.0f Mbps, %v RTT, loss %.4f, buffer %d B, %s queue, %gs\n",
 		*rate, *rtt, *loss, *buf, *queue, *dur)
 	for i, f := range handles {
-		mean := f.GoodputMbps(*dur)
-		rttMs := 0.0
-		if f.RS != nil {
-			rttMs = f.RS.MeanRTT() * 1e3
-		} else if f.WS != nil {
-			rttMs = f.WS.MeanRTT() * 1e3
-		}
-		fmt.Printf("flow %d %-16s goodput %8.2f Mbps   mean RTT %7.2f ms\n", i, labels[i], mean, rttMs)
+		fmt.Printf("flow %d %-16s goodput %8.2f Mbps   mean RTT %7.2f ms\n", i, labels[i], f.GoodputMbps(*dur), f.MeanRTT()*1e3)
 	}
 
 	if *series {

@@ -19,7 +19,7 @@ func main() {
 		QueueKind: "droptail",
 		Seed:      1,
 	})
-	flow := r.AddFlow(exp.FlowSpec{Proto: "pcc", Bucket: 1, TraceRate: true})
+	flow := r.AddFlow(exp.FlowSpec{Proto: "pcc", Bucket: 1})
 
 	fmt.Println("PCC on a clean 100 Mbps, 30 ms RTT path")
 	fmt.Println("t(s)  goodput(Mbps)  controller_rate(Mbps)  state")

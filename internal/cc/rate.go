@@ -27,12 +27,6 @@ type RateSender struct {
 	sendLoopFn   func()
 	onTailFn     func()
 
-	// rate trace for rate-over-time plots: appended whenever the polled
-	// rate changes by more than 0.1%.
-	TraceRate bool
-	RateTrace []RatePoint
-	lastRate  float64
-
 	// algoPCC/algoSabul/algoPCP cache Algo's concrete type (set in
 	// initDefaults) so the per-packet hooks — Rate on every pacing tick,
 	// OnSend per transmission, OnAck per acknowledgment — dispatch directly
@@ -41,12 +35,6 @@ type RateSender struct {
 	algoPCC   *core.PCC
 	algoSabul *baseline.Sabul
 	algoPCP   *baseline.PCP
-}
-
-// RatePoint is one (time, rate bytes/s) sample of the sender's target rate.
-type RatePoint struct {
-	At   float64
-	Rate float64
 }
 
 // NewRateSender wires a rate-based algorithm to a path.
@@ -142,17 +130,13 @@ func (s *RateSender) algoOnLost(seq int64, now float64) {
 
 // Reset returns the sender to its just-constructed state around a new
 // algorithm, for a new trial on a reset engine. What flowCore.reset retains
-// and the rate-trace backing survive, so steady-state reuse allocates
-// nothing; every tunable returns to its constructor default and callers
+// survives, so steady-state reuse allocates nothing; every tunable returns to its constructor default and callers
 // re-apply per-trial knobs exactly as they would on a fresh sender.
 func (s *RateSender) Reset(algo RateAlgo) {
 	s.flowCore.reset()
 	s.initDefaults(algo)
 	s.sendTimer, s.tailTimer = sim.Timer{}, sim.Timer{}
 	s.tailDeadline = 0
-	s.TraceRate = false
-	s.RateTrace = s.RateTrace[:0]
-	s.lastRate = 0
 }
 
 // Start begins transmission.
@@ -207,14 +191,7 @@ func (s *RateSender) sendLoop() {
 		s.SendData(p)
 		s.armTail()
 	}
-	r := s.rate()
-	if s.TraceRate {
-		if s.lastRate == 0 || r < s.lastRate*0.999 || r > s.lastRate*1.001 {
-			s.RateTrace = append(s.RateTrace, RatePoint{At: now, Rate: r})
-			s.lastRate = r
-		}
-	}
-	interval := float64(s.PktSize) / r
+	interval := float64(s.PktSize) / s.rate()
 	s.Eng.Rearm(&s.sendTimer, interval, s.sendLoopFn)
 }
 

@@ -56,12 +56,14 @@ type TrialProvenance struct {
 	Seed         int64
 }
 
-// Stamp records the running trial's provenance. Drivers call it at the top
-// of each trial function; the pool copies the stamp into the
-// TrialPanicError or TrialTimeoutError produced when that trial panics or
-// hangs, so a crash deep inside a Monte-Carlo sweep reports which
-// experiment, variant and seed to replay instead of an anonymous stack
-// from a worker goroutine.
+// Stamp records the running trial's provenance. Drivers with per-trial
+// seeds call it at the top of each trial function (chainTrial does it for
+// the chain drivers); the pool copies the stamp into the TrialPanicError or
+// TrialTimeoutError produced when that trial panics or hangs, so a crash
+// deep inside a Monte-Carlo sweep reports which experiment, variant and
+// seed to replay instead of an anonymous stack from a worker goroutine. The
+// pool clears the stamp when it hands an arena to a sweep, and RunCtx names
+// the experiment of a failure no trial stamped.
 func (ts *TrialScratch) Stamp(exp, variant string, seed int64) {
 	ts.provMu.Lock()
 	ts.prov = TrialProvenance{Exp: exp, Variant: variant, Seed: seed}

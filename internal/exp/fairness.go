@@ -26,10 +26,10 @@ func RunFig8(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		Header: append([]string{"long_RTT_ms"}, protos...),
 	}
 	shortBDP := int(netem.Mbps(100) * 0.010)
-	ratios, err := RunPointsScratchCtx(ctx, len(longRTTs)*len(protos), func(i int, ts *TrialScratch) float64 {
-		r := ts.Runner(protos[i%len(protos)], PathSpec{RateMbps: 100, RTT: 0.010, BufBytes: shortBDP, Seed: seed})
-		long := r.AddFlow(FlowSpec{Proto: protos[i%len(protos)], RTT: longRTTs[i/len(protos)], StartAt: 0, Bucket: 1})
-		short := r.AddFlow(FlowSpec{Proto: protos[i%len(protos)], RTT: 0.010, StartAt: 5, Bucket: 1})
+	ratios, err := protoGrid(ctx, len(longRTTs), protos, func(ts *TrialScratch, l int, proto string, _ int) float64 {
+		r := ts.Runner(proto, PathSpec{RateMbps: 100, RTT: 0.010, BufBytes: shortBDP, Seed: seed})
+		long := r.AddFlow(FlowSpec{Proto: proto, RTT: longRTTs[l], StartAt: 0, Bucket: 1})
+		short := r.AddFlow(FlowSpec{Proto: proto, RTT: 0.010, StartAt: 5, Bucket: 1})
 		r.Run(5 + dur)
 		lt := long.WindowMbps(5, 5+dur)
 		st := short.WindowMbps(5, 5+dur)
@@ -42,11 +42,7 @@ func RunFig8(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		return nil, err
 	}
 	for li, lr := range longRTTs {
-		row := []string{f1(lr * 1e3)}
-		for pi := range protos {
-			row = append(row, f2(ratios[li*len(protos)+pi]))
-		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, appendF2([]string{f1(lr * 1e3)}, ratios[li]))
 	}
 	rep.Notes = append(rep.Notes, "1.00 = RTT-fair; paper: PCC near 1 across the sweep, New Reno far below")
 	return rep, nil

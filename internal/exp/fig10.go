@@ -58,7 +58,6 @@ func RunFig10(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ratios []string
 	ji := 0
 	for _, sizeKB := range sizesKB {
 		for _, n := range senderCounts {
@@ -79,13 +78,9 @@ func RunFig10(ctx context.Context, scale float64, seed int64) (*Report, error) {
 				fmt.Sprintf("%d", n), fmt.Sprintf("%d", sizeKB),
 				f1(results["pcc"]), f1(results["newreno"]), f2(ratio),
 			})
-			if n >= 10 && sizeKB == 256 {
-				ratios = append(ratios, f1(ratio))
-			}
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: with >=10 senders PCC sustains 60-80% of max goodput, 7-8x TCP")
-	_ = ratios
 	return rep, nil
 }
 

@@ -9,18 +9,11 @@ import (
 	"pcc/internal/sim"
 )
 
-// Fig11Series carries the rate-tracking data behind the Fig. 11 plot:
-// optimal (available bandwidth) and achieved per-second goodput.
-type Fig11Series struct {
-	Optimal  []float64 // Mbps per second
-	Achieved map[string][]float64
-}
-
 // RunFig11 reproduces Fig. 11 (§4.1.7): a rapidly changing network whose
 // bandwidth (10–100 Mbps), RTT (10–100 ms) and loss (0–1%) are all redrawn
 // every 5 s. The paper reports PCC at 83% of optimal over 500 s, 14x CUBIC
 // and 5.6x Illinois.
-func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, *Fig11Series, error) {
+func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(500, 100, scale)
 	protos := []string{"pcc", "cubic", "illinois"}
@@ -32,58 +25,47 @@ func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, *Fig11Se
 	}
 
 	type fig11Trial struct {
-		goodput  float64
-		achieved []float64
-		trace    []netem.Sample
+		goodput float64
+		trace   []netem.Sample
 	}
 	trialOut, err := RunPointsScratchCtx(ctx, len(protos), func(pi int, ts *TrialScratch) fig11Trial {
 		proto := protos[pi]
 		// Same seed → identical sequence of drawn network conditions for
 		// every protocol.
 		r := ts.Runner(proto, PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: 150 * netem.KB, Seed: seed})
-		f := r.AddFlow(FlowSpec{Proto: proto, Bucket: 1, TraceRate: proto == "pcc"})
+		f := r.AddFlow(FlowSpec{Proto: proto})
 		// Derive the variation stream from the experiment seed alone so
 		// every protocol faces the identical sequence of conditions.
 		varyRng := sim.NewSeeds(seed ^ 0x5eed).NextRand()
 		fwd, rev := r.Topo.FlowRoutes(f.ID)
 		trace := netem.StartVarying(r.Eng, r.bottleneck, fwd, rev, spec, varyRng, dur)
 		r.Run(dur)
-		return fig11Trial{goodput: f.GoodputMbps(dur), achieved: f.SeriesMbps(), trace: *trace}
+		return fig11Trial{goodput: f.GoodputMbps(dur), trace: *trace}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	series := &Fig11Series{Achieved: map[string][]float64{}}
-	results := map[string]float64{}
-	var optMean float64
-	for pi, proto := range protos {
-		results[proto] = trialOut[pi].goodput
-		series.Achieved[proto] = trialOut[pi].achieved
-		if series.Optimal == nil {
-			// Expand the piecewise-constant trace to 1 Hz.
-			trace := trialOut[pi].trace
-			opt := make([]float64, int(dur))
-			ti := 0
-			for s := range opt {
-				for ti+1 < len(trace) && trace[ti+1].At <= float64(s) {
-					ti++
-				}
-				opt[s] = netem.ToMbps(trace[ti].Rate) * (1 - trace[ti].Loss)
-			}
-			series.Optimal = opt
-			optMean = metrics.Mean(opt)
+	// The optimum: the piecewise-constant trace expanded to 1 Hz.
+	trace := trialOut[0].trace
+	opt := make([]float64, int(dur))
+	ti := 0
+	for s := range opt {
+		for ti+1 < len(trace) && trace[ti+1].At <= float64(s) {
+			ti++
 		}
+		opt[s] = netem.ToMbps(trace[ti].Rate) * (1 - trace[ti].Loss)
 	}
+	optMean := metrics.Mean(opt)
 
 	rep := &Report{
 		ID:     "fig11",
 		Title:  fmt.Sprintf("rapidly changing network over %.0f s (bw 10-100 Mbps, RTT 10-100 ms, loss 0-1%%, redrawn every 5 s)", dur),
 		Header: []string{"proto", "throughput_Mbps", "frac_of_optimal", "pcc_ratio"},
 	}
-	pccT := results["pcc"]
-	for _, proto := range protos {
-		t := results[proto]
+	pccT := trialOut[0].goodput
+	for pi, proto := range protos {
+		t := trialOut[pi].goodput
 		ratio := "-"
 		if proto != "pcc" && t > 0 {
 			ratio = f1(pccT / t)
@@ -91,5 +73,5 @@ func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, *Fig11Se
 		rep.Rows = append(rep.Rows, []string{proto, f2(t), f2(t / optMean), ratio})
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("mean available bandwidth %.1f Mbps; paper: PCC 83%% of optimal, 14x CUBIC, 5.6x Illinois", optMean))
-	return rep, series, nil
+	return rep, nil
 }

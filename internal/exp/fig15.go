@@ -26,8 +26,8 @@ func RunFig15(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		Title:  "short-flow FCT (100 KB flows, 15 Mbps, 60 ms): Poisson arrivals at varying load",
 		Header: []string{"load", "proto", "flows", "median_ms", "mean_ms", "p95_ms"},
 	}
-	allFCTs, err := RunPointsScratchCtx(ctx, len(loads)*len(protos), func(i int, ts *TrialScratch) []float64 {
-		return shortFlowFCTs(ts, protos[i%len(protos)], loads[i/len(protos)], flowKB, dur, seed)
+	allFCTs, err := protoGrid(ctx, len(loads), protos, func(ts *TrialScratch, l int, proto string, _ int) []float64 {
+		return shortFlowFCTs(ts, proto, loads[l], flowKB, dur, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -35,7 +35,7 @@ func RunFig15(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	var sorted []float64 // one sort per cell serves median and p95
 	for li, load := range loads {
 		for pi, proto := range protos {
-			fcts := allFCTs[li*len(protos)+pi]
+			fcts := allFCTs[li][pi]
 			if len(fcts) == 0 {
 				rep.Rows = append(rep.Rows, []string{f2(load), proto, "0", "-", "-", "-"})
 				continue

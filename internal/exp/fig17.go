@@ -49,7 +49,7 @@ func RunFig17(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		var res cellResult
 		for _, f := range []*Flow{f1s, f2s} {
 			res.tput += f.GoodputMbps(dur)
-			res.rtt += meanRTT(f)
+			res.rtt += f.MeanRTT()
 		}
 		res.rtt /= 2
 		return res
@@ -86,13 +86,6 @@ func flowForPower(proto string) FlowSpec {
 		spec.PCCConfig = &cfg
 	}
 	return spec
-}
-
-func meanRTT(f *Flow) float64 {
-	if f.RS != nil {
-		return f.RS.MeanRTT()
-	}
-	return f.WS.MeanRTT()
 }
 
 func safeDiv(a, b float64) float64 {

@@ -111,8 +111,6 @@ type FlowSpec struct {
 	// CapacityHint feeds SABUL's packet-pair capacity estimate, bytes/s
 	// (0 = path capacity).
 	CapacityHint float64
-	// TraceRate records the rate-based sender's target-rate trace.
-	TraceRate bool
 	// FwdRoute/RevRoute are the flow's explicit routes (hop chains over
 	// named links and delay segments). Both must be set together. On a
 	// dumbbell runner they may both be empty: the flow then crosses the
@@ -614,7 +612,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.RS.MinRate = 2 * float64(pktSize)
 		f.RS.FlowPackets = flowPkts
 		f.RS.RTTHint = rtt
-		f.RS.TraceRate = spec.TraceRate
 		f.RS.OnDone = f.onDone
 	} else {
 		f.WS.Pool = pool
@@ -721,4 +718,13 @@ func (f *Flow) SeriesMbpsInto(dst []float64) []float64 {
 // series.
 func (f *Flow) WindowMbps(from, to float64) float64 {
 	return netem.ToMbps(f.Recv.GoodputBetween(from, to))
+}
+
+// MeanRTT returns the mean RTT sample, seconds, of the flow's sender,
+// rate- or window-based.
+func (f *Flow) MeanRTT() float64 {
+	if f.RS != nil {
+		return f.RS.MeanRTT()
+	}
+	return f.WS.MeanRTT()
 }

@@ -29,11 +29,7 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 			firstDownAt, 0.7*dur),
 		Header: []string{"proto", "run_Mbps", "ref_Mbps", "flap_Mbps", "recovery_s"},
 	}
-	type lfResult struct {
-		row   []string
-		notes []string
-	}
-	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) lfResult {
+	rows, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) trialRow {
 		proto := protos[i]
 		r, long := linkFlapTrial(ts, proto, dur, TrialSeed(seed, i))
 
@@ -53,44 +49,32 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 		rec := recoveryAfter(series, bucket, lastHeal, 0.8*ref)
 		ts.f64 = series
 
-		res := lfResult{row: []string{
+		tr := trialRow{row: []string{
 			proto,
 			f1(long.WindowMbps(0.1*dur, dur)), f1(ref), f1(flapT), fmtRecovery(rec),
 		}}
 		if proto == "pcc" {
-			res.notes = r.FaultStatsNotes()
+			tr.notes = r.FaultStatsNotes()
 		}
-		return res
+		return tr
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		rep.Rows = append(rep.Rows, res.row)
-		rep.Notes = append(rep.Notes, res.notes...)
-	}
+	rep.addRows(rows)
 	rep.Notes = append(rep.Notes,
 		"ref_Mbps: goodput before the first outage; flap_Mbps: goodput across the flap window; recovery_s: time after the last heal to reach 80% of ref",
 		"fault_dropped counts in-flight packets destroyed by the outages; conservation must hold through every down/up transition")
 	return rep, nil
 }
 
-// linkFlapTrial builds and runs one flap trial: a 3-hop chain of 100 Mbps
-// bottlenecks with real reverse links, one flow over all hops (Fig. 8 style:
-// a single sender, so the rate trace isolates the control loop's reaction to
-// the outages), and a FlapSpec on the middle forward link f1.
+// linkFlapTrial runs one flap trial: a 3-hop chain with a single flow over
+// all hops (Fig. 8 style: one sender, so the rate trace isolates the control
+// loop's reaction to the outages) and a FlapSpec on the middle forward link
+// f1.
 func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64) (*Runner, *Flow) {
-	ts.Stamp("linkflap", proto, seed)
-	const (
-		nHops    = 3
-		rateMbps = 100
-		revMbps  = 1000
-		accessD  = 0.002
-	)
-	hopDelay := func(i int) float64 { return 0.004 + 0.0003*float64(i%5) }
-	spec := TopologySpec{
-		Seed: seed,
-		Faults: &netem.FaultSchedule{Flaps: []netem.FlapSpec{{
+	r, long, _ := chainTrial(ts, chainSpec{exp: "linkflap", nHops: 3, bucket: 0.1,
+		faults: &netem.FaultSchedule{Flaps: []netem.FlapSpec{{
 			Link:        fwdName(1),
 			FirstDownAt: 0.25 * dur,
 			DownDur:     0.3,
@@ -98,32 +82,7 @@ func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64) (*Ru
 			Jitter:      0.3,
 			Until:       0.7 * dur,
 		}}},
-	}
-	for i := 0; i < nHops; i++ {
-		spec.Links = append(spec.Links,
-			LinkSpec{
-				Name: fwdName(i), From: nodeName(i), To: nodeName(i + 1),
-				RateMbps: rateMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
-			},
-			LinkSpec{
-				Name: revName(i), From: nodeName(i + 1), To: nodeName(i),
-				RateMbps: revMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
-			})
-	}
-	r := ts.TopologyRunner("flap/"+proto, spec)
-
-	longFwd := []netem.HopSpec{netem.DelayHop(accessD)}
-	for i := 0; i < nHops; i++ {
-		longFwd = append(longFwd, netem.LinkHop(fwdName(i)))
-	}
-	longRev := make([]netem.HopSpec, 0, nHops+1)
-	for i := nHops - 1; i >= 0; i-- {
-		longRev = append(longRev, netem.LinkHop(revName(i)))
-	}
-	longRev = append(longRev, netem.DelayHop(accessD))
-	long := r.AddFlow(FlowSpec{Proto: proto, FwdRoute: longFwd, RevRoute: longRev, Bucket: 0.1})
-
-	r.Run(dur)
+	}, proto, dur, seed)
 	return r, long
 }
 

@@ -30,11 +30,7 @@ func RunMixMTU(ctx context.Context, scale float64, seed int64) (*Report, error) 
 		Title:  "mixed packet sizes (9000/1400/512 B flows on a two-hop 100→50 Mbps path)",
 		Header: []string{"proto", "jumbo_Mbps", "std_Mbps", "small1_Mbps", "small2_Mbps", "jain", "conserved"},
 	}
-	type mmResult struct {
-		row   []string
-		notes []string
-	}
-	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) mmResult {
+	rows, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) trialRow {
 		proto := protos[i]
 		r, flows := mixMTUTrial(ts, proto, dur, TrialSeed(seed, i))
 		tput := make([]float64, len(flows))
@@ -47,24 +43,21 @@ func RunMixMTU(ctx context.Context, scale float64, seed int64) (*Report, error) 
 				conserved = false
 			}
 		}
-		res := mmResult{row: []string{
+		tr := trialRow{row: []string{
 			proto,
 			f1(tput[0]), f1(tput[1]), f1(tput[2]), f1(tput[3]),
 			f3(metrics.JainIndex(tput)),
 			fmt.Sprintf("%v", conserved),
 		}}
 		if proto == "pcc" {
-			res.notes = byteConservationNotes(r)
+			tr.notes = byteConservationNotes(r)
 		}
-		return res
+		return tr
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		rep.Rows = append(rep.Rows, res.row)
-		rep.Notes = append(rep.Notes, res.notes...)
-	}
+	rep.addRows(rows)
 	rep.Notes = append(rep.Notes,
 		"flows: one 9000 B jumbo bulk, one 1400 B standard, two 512 B interactive, plus Poisson 512 B mice on both hops",
 		"conserved: per-link byte ledger balances at every hop (offered = delivered + wire_lost + queue_dropped + queued + serializing)")

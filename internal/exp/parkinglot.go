@@ -31,13 +31,8 @@ func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, err
 		Title:  "parking lot (100 Mbps hops in series, per-hop cross flows + Poisson mice on hop2)",
 		Header: []string{"hops", "proto", "long_Mbps", "cross_Mbps", "long/cross", "jain"},
 	}
-	type plResult struct {
-		row   []string
-		notes []string
-	}
-	results, err := RunPointsScratchCtx(ctx, len(hopCounts)*len(protos), func(i int, ts *TrialScratch) plResult {
-		nHops := hopCounts[i/len(protos)]
-		proto := protos[i%len(protos)]
+	grid, err := protoGrid(ctx, len(hopCounts), protos, func(ts *TrialScratch, h int, proto string, i int) trialRow {
+		nHops := hopCounts[h]
 		ts.Stamp("parklot", proto, TrialSeed(seed, i))
 		r, long, cross := parkingLotTrial(ts, nHops, proto, dur, TrialSeed(seed, i))
 		longT := long.WindowMbps(0.2*dur, dur)
@@ -49,7 +44,7 @@ func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, err
 		if m := metrics.Mean(crossT); m > 0 {
 			ratio = longT / m
 		}
-		res := plResult{row: []string{
+		tr := trialRow{row: []string{
 			fmt.Sprintf("%d", nHops), proto,
 			f1(longT), joinF1(crossT), f2(ratio),
 			f3(metrics.JainIndex(append([]float64{longT}, crossT...))),
@@ -57,16 +52,15 @@ func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, err
 		// Per-link accounting for the deepest PCC run, so the report shows
 		// conservation across every hop of the route.
 		if proto == "pcc" && nHops == 3 {
-			res.notes = r.LinkStatsNotes()
+			tr.notes = r.LinkStatsNotes()
 		}
-		return res
+		return tr
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		rep.Rows = append(rep.Rows, res.row)
-		rep.Notes = append(rep.Notes, res.notes...)
+	for _, rows := range grid {
+		rep.addRows(rows)
 	}
 	rep.Notes = append(rep.Notes,
 		"long flow crosses every hop; each hop also carries one dedicated cross flow, and hop2 (interior for 3 hops, final for 2) adds ~10% Poisson mice load",

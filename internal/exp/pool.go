@@ -306,7 +306,15 @@ func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Trial
 // those scratches are dropped for the GC instead.
 var scratchPool = sync.Pool{New: func() any { return new(TrialScratch) }}
 
-func acquireScratch() *TrialScratch   { return scratchPool.Get().(*TrialScratch) }
+// acquireScratch takes an arena for a sweep with its stamp cleared: a
+// recycled arena still carries the last stamp of whatever sweep ran on it,
+// which a trial that never stamps must not report as its own.
+func acquireScratch() *TrialScratch {
+	ts := scratchPool.Get().(*TrialScratch)
+	ts.Stamp("", "", 0)
+	return ts
+}
+
 func releaseScratch(ts *TrialScratch) { scratchPool.Put(ts) }
 
 // runTrials is the engine beneath every sweep: it runs fn(trial, ts) for
@@ -448,6 +456,26 @@ func RunPointsScratchCtx[T any](ctx context.Context, n int, fn func(point int, t
 	out := make([]T, n)
 	err := RunTrialsScratchCtx(ctx, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
 	return out, err
+}
+
+// protoGrid is RunPointsScratchCtx over a driver's axis × protocol sweep: it
+// runs fn(ts, a, proto, i) for every axis point a in [0, nAxis) and every
+// protocol, where i is the flat trial index a·len(protos) + the protocol's
+// position (what per-trial seeds derive from), and returns grid[a][p], the
+// result for axis point a and protos[p].
+func protoGrid[T any](ctx context.Context, nAxis int, protos []string, fn func(ts *TrialScratch, a int, proto string, i int) T) ([][]T, error) {
+	np := len(protos)
+	flat, err := RunPointsScratchCtx(ctx, nAxis*np, func(i int, ts *TrialScratch) T {
+		return fn(ts, i/np, protos[i%np], i)
+	})
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]T, nAxis)
+	for a := range grid {
+		grid[a] = flat[a*np : (a+1)*np]
+	}
+	return grid, nil
 }
 
 // RunTrialsScratch is RunTrialsScratchCtx without cancellation; a trial

@@ -47,6 +47,30 @@ func TestTrialPanicWrappedSequential(t *testing.T) {
 	if !errors.Is(tpe, boom) {
 		t.Error("errors.Is does not see through the wrapper to the panic value")
 	}
+
+	// A trial that never stamps, on an arena an earlier sweep stamped
+	// linkflap and the pool recycled, reports the experiment RunCtx was
+	// running, with no variant or seed: never the stale linkflap stamp.
+	t.Run("unstamped-on-recycled-scratch", func(t *testing.T) {
+		if err := runTrials(context.Background(), 1, 1, func(_ int, ts *TrialScratch) {
+			ts.Stamp("linkflap", "pcc", 42)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		drivers["unstamped"] = func(ctx context.Context, _ float64, _ int64) (*Report, error) {
+			return nil, RunTrialsScratchCtx(ctx, 1, func(int, *TrialScratch) { panic("boom") })
+		}
+		defer delete(drivers, "unstamped")
+		_, err := RunCtx(context.Background(), "unstamped", 0.1, 1)
+		var tpe *TrialPanicError
+		if !errors.As(err, &tpe) {
+			t.Fatalf("RunCtx error is %T (%v), want *TrialPanicError", err, err)
+		}
+		if tpe.Experiment != "unstamped" || tpe.Variant != "" || tpe.Seed != 0 {
+			t.Errorf("provenance = experiment %q, variant %q, seed %d; want unstamped, \"\", 0",
+				tpe.Experiment, tpe.Variant, tpe.Seed)
+		}
+	})
 }
 
 // TestTrialPanicWrappedParallel checks the worker-pool path: the panic

@@ -25,7 +25,7 @@ var drivers = map[string]DriverCtx{
 	"fig8":      RunFig8,
 	"fig9":      RunFig9,
 	"fig10":     RunFig10,
-	"fig11":     fig11Report,
+	"fig11":     RunFig11,
 	"fig12":     RunFig12,
 	"fig13":     RunFig13,
 	"fig14":     RunFig14,
@@ -43,12 +43,6 @@ var drivers = map[string]DriverCtx{
 	"wan":       RunWAN,
 	"mixmtu":    RunMixMTU,
 	"widechain": RunWideChain,
-}
-
-// fig11Report is RunFig11 in the driver shape: it drops the series.
-func fig11Report(ctx context.Context, scale float64, seed int64) (*Report, error) {
-	rep, _, err := RunFig11(ctx, scale, seed)
-	return rep, err
 }
 
 // RegisterCtx adds a driver under a new ID. It is intended for tests and
@@ -70,13 +64,25 @@ func Run(id string, scale float64, seed int64) (*Report, error) {
 }
 
 // RunCtx is Run with cancellation: the driver stops its sweep at the next
-// trial boundary and returns a *SweepCancelledError.
+// trial boundary and returns a *SweepCancelledError. A trial failure from a
+// driver that does not stamp its trials is attributed to id.
 func RunCtx(ctx context.Context, id string, scale float64, seed int64) (*Report, error) {
 	d, ok := drivers[id]
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return d(ctx, scale, seed)
+	rep, err := d(ctx, scale, seed)
+	switch e := err.(type) {
+	case *TrialPanicError:
+		if e.Experiment == "" {
+			e.Experiment = id
+		}
+	case *TrialTimeoutError:
+		if e.Experiment == "" {
+			e.Experiment = id
+		}
+	}
+	return rep, err
 }
 
 // IDs lists all experiment identifiers, sorted.

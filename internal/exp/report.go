@@ -62,6 +62,22 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// trialRow is what one trial of a one-row-per-trial driver contributes to
+// its report: the row, plus the notes that trial alone can write (link
+// ledgers, fault transitions).
+type trialRow struct {
+	row   []string
+	notes []string
+}
+
+// addRows appends the trials' rows and notes in trial order.
+func (r *Report) addRows(rows []trialRow) {
+	for _, tr := range rows {
+		r.Rows = append(r.Rows, tr.row)
+		r.Notes = append(r.Notes, tr.notes...)
+	}
+}
+
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

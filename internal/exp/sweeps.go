@@ -19,6 +19,14 @@ func runSingle(ts *TrialScratch, path PathSpec, proto string, dur float64, util 
 	return f.GoodputMbps(dur)
 }
 
+// appendF2 appends one %.2f cell per value to row.
+func appendF2(row []string, vals []float64) []string {
+	for _, v := range vals {
+		row = append(row, f2(v))
+	}
+	return row
+}
+
 // RunFig6 reproduces Fig. 6 (§4.1.3): an emulated satellite link — 42 Mbps,
 // 800 ms RTT, 0.74% random loss — sweeping the bottleneck buffer from
 // 1.5 KB to 1 MB. PCC should sit near capacity even with tiny buffers while
@@ -34,33 +42,20 @@ func RunFig6(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		Title:  "satellite link (42 Mbps, 800 ms RTT, 0.74% loss): throughput vs buffer size",
 		Header: append([]string{"buffer_KB"}, protos...),
 	}
-	tputs, err := RunPointsScratchCtx(ctx, len(buffers)*len(protos), func(i int, ts *TrialScratch) float64 {
-		path := PathSpec{RateMbps: 42, RTT: 0.8, Loss: 0.0074, BufBytes: buffers[i/len(protos)], Seed: seed}
-		return runSingle(ts, path, protos[i%len(protos)], dur, nil)
+	tputs, err := protoGrid(ctx, len(buffers), protos, func(ts *TrialScratch, b int, proto string, _ int) float64 {
+		path := PathSpec{RateMbps: 42, RTT: 0.8, Loss: 0.0074, BufBytes: buffers[b], Seed: seed}
+		return runSingle(ts, path, proto, dur, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var pccAt1MB, hyblaAt1MB float64
 	for bi, buf := range buffers {
-		row := []string{fmt.Sprintf("%.1f", float64(buf)/netem.KB)}
-		for pi, proto := range protos {
-			tput := tputs[bi*len(protos)+pi]
-			row = append(row, f2(tput))
-			if buf == 1000*netem.KB {
-				switch proto {
-				case "pcc":
-					pccAt1MB = tput
-				case "hybla":
-					hyblaAt1MB = tput
-				}
-			}
-		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, appendF2([]string{fmt.Sprintf("%.1f", float64(buf)/netem.KB)}, tputs[bi]))
 	}
-	if hyblaAt1MB > 0 {
+	// The sweep ends at 1 MB; protos open with pcc, hybla.
+	if at1MB := tputs[len(buffers)-1]; at1MB[1] > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("at 1 MB buffer: PCC %.1f Mbps vs Hybla %.1f Mbps (%.1fx; paper: 17x)",
-			pccAt1MB, hyblaAt1MB, pccAt1MB/hyblaAt1MB))
+			at1MB[0], at1MB[1], at1MB[0]/at1MB[1]))
 	}
 	return rep, nil
 }
@@ -79,12 +74,11 @@ func RunFig7(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		Title:  "random loss (100 Mbps, 30 ms): throughput vs loss rate",
 		Header: append(append([]string{"loss"}, protos...), "achievable"),
 	}
-	tputs, err := RunPointsScratchCtx(ctx, len(losses)*len(protos), func(i int, ts *TrialScratch) float64 {
-		loss := losses[i/len(protos)]
-		path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: loss, BufBytes: 375 * netem.KB, Seed: seed}
+	tputs, err := protoGrid(ctx, len(losses), protos, func(ts *TrialScratch, l int, proto string, _ int) float64 {
+		path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: losses[l], BufBytes: 375 * netem.KB, Seed: seed}
 		// Loss applies on forward path; paper also injects reverse loss.
-		r := ts.Runner(protos[i%len(protos)], path)
-		f := r.AddFlow(FlowSpec{Proto: protos[i%len(protos)], RevLoss: loss})
+		r := ts.Runner(proto, path)
+		f := r.AddFlow(FlowSpec{Proto: proto, RevLoss: losses[l]})
 		r.Run(dur)
 		return f.GoodputMbps(dur)
 	})
@@ -93,21 +87,11 @@ func RunFig7(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	}
 	var pccAt2, cubicAt2 float64
 	for li, loss := range losses {
-		row := []string{f3(loss)}
-		for pi, proto := range protos {
-			tput := tputs[li*len(protos)+pi]
-			row = append(row, f2(tput))
-			if loss == 0.02 {
-				switch proto {
-				case "pcc":
-					pccAt2 = tput
-				case "cubic":
-					cubicAt2 = tput
-				}
-			}
+		row := appendF2([]string{f3(loss)}, tputs[li])
+		rep.Rows = append(rep.Rows, append(row, f2(100*(1-loss))))
+		if loss == 0.02 { // protos: pcc, illinois, cubic
+			pccAt2, cubicAt2 = tputs[li][0], tputs[li][2]
 		}
-		row = append(row, f2(100*(1-loss)))
-		rep.Rows = append(rep.Rows, row)
 	}
 	if cubicAt2 > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("at 2%% loss: PCC/CUBIC = %.1fx (paper: 37x)", pccAt2/cubicAt2))
@@ -129,33 +113,25 @@ func RunFig9(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		Title:  "shallow buffers (100 Mbps, 30 ms): throughput vs buffer size",
 		Header: append([]string{"buffer_KB"}, protos...),
 	}
-	tputs, err := RunPointsScratchCtx(ctx, len(buffers)*len(protos), func(i int, ts *TrialScratch) float64 {
-		path := PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: buffers[i/len(protos)], Seed: seed}
-		return runSingle(ts, path, protos[i%len(protos)], dur, nil)
+	tputs, err := protoGrid(ctx, len(buffers), protos, func(ts *TrialScratch, b int, proto string, _ int) float64 {
+		path := PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: buffers[b], Seed: seed}
+		return runSingle(ts, path, proto, dur, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	buf90 := map[string]float64{}
 	for bi, buf := range buffers {
-		row := []string{fmt.Sprintf("%.1f", float64(buf)/netem.KB)}
-		for pi, proto := range protos {
-			tput := tputs[bi*len(protos)+pi]
-			row = append(row, f2(tput))
-			if tput >= 90 {
-				if _, ok := buf90[proto]; !ok {
-					buf90[proto] = float64(buf) / netem.KB
-				}
+		rep.Rows = append(rep.Rows, appendF2([]string{fmt.Sprintf("%.1f", float64(buf)/netem.KB)}, tputs[bi]))
+	}
+	for pi, proto := range protos {
+		note := fmt.Sprintf("%s never reaches 90%% capacity in sweep", proto)
+		for bi, buf := range buffers {
+			if tputs[bi][pi] >= 90 {
+				note = fmt.Sprintf("%s reaches 90%% capacity with %.1f KB buffer", proto, float64(buf)/netem.KB)
+				break
 			}
 		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	for _, proto := range protos {
-		if b, ok := buf90[proto]; ok {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("%s reaches 90%% capacity with %.1f KB buffer", proto, b))
-		} else {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("%s never reaches 90%% capacity in sweep", proto))
-		}
+		rep.Notes = append(rep.Notes, note)
 	}
 	return rep, nil
 }
@@ -175,22 +151,21 @@ func RunLossResilient(ctx context.Context, scale float64, seed int64) (*Report, 
 	}
 	var ratioAt10 float64
 	hlCfg := core.HeavyLossConfig(0.030)
-	tputs, err := RunPointsScratchCtx(ctx, len(losses)*2, func(i int, ts *TrialScratch) float64 {
-		loss := losses[i/2]
-		path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: loss, BufBytes: 375 * netem.KB, QueueKind: "fq", Seed: seed}
-		if i%2 == 0 {
-			r := ts.Runner("pcc", path)
-			pf := r.AddFlow(FlowSpec{Proto: "pcc", PCCConfig: &hlCfg})
+	tputs, err := protoGrid(ctx, len(losses), []string{"pcc", "cubic"}, func(ts *TrialScratch, l int, proto string, _ int) float64 {
+		path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: losses[l], BufBytes: 375 * netem.KB, QueueKind: "fq", Seed: seed}
+		if proto == "pcc" {
+			r := ts.Runner(proto, path)
+			pf := r.AddFlow(FlowSpec{Proto: proto, PCCConfig: &hlCfg})
 			r.Run(dur)
 			return pf.GoodputMbps(dur)
 		}
-		return runSingle(ts, path, "cubic", dur, nil)
+		return runSingle(ts, path, proto, dur, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for li, loss := range losses {
-		pccT, cubicT := tputs[li*2], tputs[li*2+1]
+		pccT, cubicT := tputs[li][0], tputs[li][1]
 		ach := 100 * (1 - loss)
 		rep.Rows = append(rep.Rows, []string{
 			f2(loss), f2(pccT), f2(cubicT), f2(ach), f3(pccT / ach),

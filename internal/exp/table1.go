@@ -40,10 +40,9 @@ func RunTable1(ctx context.Context, scale float64, seed int64) (*Report, error) 
 		Title:  "inter-data-center, 800 Mbps reserved paths with small-buffer rate limiter",
 		Header: append([]string{"pair", "RTT_ms"}, protos...),
 	}
-	tputs, err := RunPointsScratchCtx(ctx, len(table1Pairs)*len(protos), func(i int, ts *TrialScratch) float64 {
-		pair := table1Pairs[i/len(protos)]
-		path := PathSpec{RateMbps: 800, RTT: pair.RTT, BufBytes: 75 * netem.KB, Seed: seed + int64(i/len(protos))}
-		return runSingle(ts, path, protos[i%len(protos)], dur, nil)
+	tputs, err := protoGrid(ctx, len(table1Pairs), protos, func(ts *TrialScratch, p int, proto string, _ int) float64 {
+		path := PathSpec{RateMbps: 800, RTT: table1Pairs[p].RTT, BufBytes: 75 * netem.KB, Seed: seed + int64(p)}
+		return runSingle(ts, path, proto, dur, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -52,17 +51,10 @@ func RunTable1(ctx context.Context, scale float64, seed int64) (*Report, error) 
 	var maxRatio float64
 	for i, pair := range table1Pairs {
 		row := []string{pair.Name, f1(pair.RTT * 1e3)}
-		var pccT, illT float64
-		for pi, proto := range protos {
-			tput := tputs[i*len(protos)+pi]
+		for _, tput := range tputs[i] {
 			row = append(row, fmt.Sprintf("%.0f", tput))
-			switch proto {
-			case "pcc":
-				pccT = tput
-			case "illinois":
-				illT = tput
-			}
 		}
+		pccT, illT := tputs[i][0], tputs[i][3] // protos: pcc, sabul, cubic, illinois
 		sumPCC += pccT
 		sumIll += illT
 		if illT > 0 && pccT/illT > maxRatio {

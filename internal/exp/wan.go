@@ -45,11 +45,7 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 			sh.graph.NumNodes(), sh.graph.NumLinks(), len(sh.flows)),
 		Header: []string{"proto", "agg_Mbps", "mean_Mbps", "p10_Mbps", "jain", "conserved"},
 	}
-	type wanResult struct {
-		row   []string
-		notes []string
-	}
-	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) wanResult {
+	rows, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) trialRow {
 		proto := protos[i]
 		r, goodput := wanTrial(ts, sh, proto, dur, TrialSeed(seed, i))
 		sum := 0.0
@@ -66,14 +62,14 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 				conserved++
 			}
 		}
-		res := wanResult{row: []string{
+		tr := trialRow{row: []string{
 			proto,
 			f1(sum), f2(metrics.Mean(goodput)), f2(p10),
 			f3(metrics.JainIndex(goodput)),
 			fmt.Sprintf("%d/%d", conserved, len(stats)),
 		}}
 		if proto == "pcc" {
-			res.notes = r.FaultStatsNotes()
+			tr.notes = r.FaultStatsNotes()
 			down, up := 0, 0
 			for _, ev := range r.FaultEvents() {
 				switch ev.Kind {
@@ -83,18 +79,15 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 					up++
 				}
 			}
-			res.notes = append(res.notes,
+			tr.notes = append(tr.notes,
 				fmt.Sprintf("backbone x0 flapped: %d down / %d up transitions", down, up))
 		}
-		return res
+		return tr
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		rep.Rows = append(rep.Rows, res.row)
-		rep.Notes = append(rep.Notes, res.notes...)
-	}
+	rep.addRows(rows)
 	rep.Notes = append(rep.Notes,
 		"flows pair random stub routers over shortest paths; agg/mean/p10 are whole-run goodputs from each flow's staggered start",
 		"conserved: links whose byte ledger balances (offered = delivered + lost + dropped + queued + in-flight), audited per generated link")

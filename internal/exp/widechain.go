@@ -29,13 +29,10 @@ func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, erro
 			nHops, perHop),
 		Header: []string{"proto", "long_Mbps", "cross_mean_Mbps", "long/cross", "jain"},
 	}
-	type wcResult struct {
-		row   []string
-		notes []string
-	}
-	results, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) wcResult {
+	cs := chainSpec{exp: "widechain", nHops: nHops, perHop: perHop, bucket: 1}
+	rows, err := RunPointsScratchCtx(ctx, len(protos), func(i int, ts *TrialScratch) trialRow {
 		proto := protos[i]
-		r, long, cross := wideChainTrial(ts, nHops, perHop, proto, dur, TrialSeed(seed, i))
+		r, long, cross := chainTrial(ts, cs, proto, dur, TrialSeed(seed, i))
 		longT := long.WindowMbps(0.2*dur, dur)
 		crossT := ts.f64[:0]
 		for _, c := range cross {
@@ -45,24 +42,21 @@ func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, erro
 		if m := metrics.Mean(crossT); m > 0 {
 			ratio = longT / m
 		}
-		res := wcResult{row: []string{
+		tr := trialRow{row: []string{
 			proto,
 			f1(longT), f1(metrics.Mean(crossT)), f2(ratio),
 			f3(metrics.JainIndex(append([]float64{longT}, crossT...))),
 		}}
 		ts.f64 = crossT
 		if proto == "pcc" {
-			res.notes = r.LinkStatsNotes()
+			tr.notes = r.LinkStatsNotes()
 		}
-		return res
+		return tr
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		rep.Rows = append(rep.Rows, res.row)
-		rep.Notes = append(rep.Notes, res.notes...)
-	}
+	rep.addRows(rows)
 	rep.Notes = append(rep.Notes,
 		"long flow crosses every hop against 2 per-hop cross flows; its share shrinks with depth (it pays the sum of per-hop congestion), the parklot limitation at WAN scale",
 		"reverse links are 10x the forward rate, so ACK paths add propagation but no queueing")
@@ -74,60 +68,64 @@ func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, erro
 // ignored; pinned by bench/ until ROADMAP item 1's [benchmark] PR.
 func RunWideChainTrial(ts *TrialScratch, shards int, seed int64) float64 {
 	const dur = 12.0
-	_, long, _ := wideChainTrial(ts, 12, 2, "pcc", dur, seed)
+	_, long, _ := chainTrial(ts, chainSpec{exp: "widechain", nHops: 12, perHop: 2, bucket: 1}, "pcc", dur, seed)
 	return long.WindowMbps(0.2*dur, dur)
 }
 
-// wideChainTrial builds and runs one wide-chain simulation: nHops forward
-// bottlenecks n<i>→n<i+1> with matching uncongested reverse links, one long
-// flow over the whole chain, perHop cross flows per hop with staggered
-// starts. Per-hop propagation delays cycle through 4.0–5.2 ms.
-func wideChainTrial(ts *TrialScratch, nHops, perHop int, proto string, dur float64, seed int64) (*Runner, *Flow, []*Flow) {
+// chainSpec is the shape of one chainTrial.
+type chainSpec struct {
+	exp           string // the experiment the trial is stamped with
+	nHops, perHop int    // hops in the chain, cross flows per hop
+	bucket        float64
+	faults        *netem.FaultSchedule
+}
+
+// chainTrial stamps, builds and runs one chain trial: nHops 100 Mbps forward
+// bottlenecks f<i> n<i>→n<i+1> with matching uncongested 1 Gbps reverse
+// links b<i>, so ACKs traverse the chain too; one long flow over the whole
+// chain; perHop cross flows per hop with staggered, hop-unique starts (no
+// two flows' timers align exactly); and the spec's fault schedule. Per-hop
+// propagation delays cycle through 4.0–5.2 ms, and every flow keeps a
+// goodput series of cs.bucket seconds. It returns the runner, the long flow
+// and the cross flows in hop order.
+func chainTrial(ts *TrialScratch, cs chainSpec, proto string, dur float64, seed int64) (*Runner, *Flow, []*Flow) {
+	ts.Stamp(cs.exp, proto, seed)
 	const (
 		rateMbps = 100
 		revMbps  = 1000
 		accessD  = 0.002 // per-flow access delay, seconds
 	)
-	hopDelay := func(i int) float64 { return 0.004 + 0.0003*float64(i%5) }
-	spec := TopologySpec{Seed: seed}
-	for i := 0; i < nHops; i++ {
+	spec := TopologySpec{Seed: seed, Faults: cs.faults}
+	longFwd := []netem.HopSpec{netem.DelayHop(accessD)}
+	longRev := make([]netem.HopSpec, cs.nHops+1)
+	longRev[cs.nHops] = netem.DelayHop(accessD)
+	for i := 0; i < cs.nHops; i++ {
+		delay := 0.004 + 0.0003*float64(i%5)
 		spec.Links = append(spec.Links,
 			LinkSpec{
 				Name: fwdName(i), From: nodeName(i), To: nodeName(i + 1),
-				RateMbps: rateMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
+				RateMbps: rateMbps, Delay: delay, BufBytes: 250 * netem.KB,
 			},
 			LinkSpec{
 				Name: revName(i), From: nodeName(i + 1), To: nodeName(i),
-				RateMbps: revMbps, Delay: hopDelay(i), BufBytes: 250 * netem.KB,
+				RateMbps: revMbps, Delay: delay, BufBytes: 250 * netem.KB,
 			})
-	}
-	r := ts.TopologyRunner(fmt.Sprintf("%d/%d/%s", nHops, perHop, proto), spec)
-
-	longFwd := []netem.HopSpec{netem.DelayHop(accessD)}
-	for i := 0; i < nHops; i++ {
 		longFwd = append(longFwd, netem.LinkHop(fwdName(i)))
+		longRev[cs.nHops-1-i] = netem.LinkHop(revName(i))
 	}
-	longRev := make([]netem.HopSpec, 0, nHops+1)
-	for i := nHops - 1; i >= 0; i-- {
-		longRev = append(longRev, netem.LinkHop(revName(i)))
-	}
-	longRev = append(longRev, netem.DelayHop(accessD))
-	long := r.AddFlow(FlowSpec{Proto: proto, FwdRoute: longFwd, RevRoute: longRev, Bucket: 1})
+	r := ts.TopologyRunner(fmt.Sprintf("%s/%d/%d/%s", cs.exp, cs.nHops, cs.perHop, proto), spec)
+	long := r.AddFlow(FlowSpec{Proto: proto, FwdRoute: longFwd, RevRoute: longRev, Bucket: cs.bucket})
 
-	cross := make([]*Flow, 0, nHops*perHop)
-	for i := 0; i < nHops; i++ {
-		for j := 0; j < perHop; j++ {
-			k := i*perHop + j
-			cross = append(cross, r.AddFlow(FlowSpec{
-				Proto:    proto,
-				FwdRoute: []netem.HopSpec{netem.DelayHop(accessD), netem.LinkHop(fwdName(i))},
-				RevRoute: []netem.HopSpec{netem.LinkHop(revName(i)), netem.DelayHop(accessD)},
-				// Staggered, hop-unique starts: no two flows' timers align
-				// exactly.
-				StartAt: 0.05 + 0.013*float64(k),
-				Bucket:  1,
-			}))
-		}
+	cross := make([]*Flow, 0, cs.nHops*cs.perHop)
+	for k := 0; k < cs.nHops*cs.perHop; k++ {
+		hop := k / cs.perHop
+		cross = append(cross, r.AddFlow(FlowSpec{
+			Proto:    proto,
+			FwdRoute: []netem.HopSpec{netem.DelayHop(accessD), netem.LinkHop(fwdName(hop))},
+			RevRoute: []netem.HopSpec{netem.LinkHop(revName(hop)), netem.DelayHop(accessD)},
+			StartAt:  0.05 + 0.013*float64(k),
+			Bucket:   cs.bucket,
+		}))
 	}
 
 	r.Run(dur)

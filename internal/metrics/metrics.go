@@ -1,5 +1,5 @@
 // Package metrics implements the statistics the paper's evaluation reports:
-// Jain's fairness index (Fig. 13), percentiles and CDFs (Figs. 5, 15),
+// Jain's fairness index (Fig. 13), percentiles (Figs. 5, 15),
 // throughput standard deviation and the §4.2.2 forward-looking convergence
 // time (Fig. 16).
 package metrics
@@ -76,9 +76,6 @@ func PercentileSorted(s []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// Median is the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) for the given
 // allocations: 1 for perfect fairness, 1/n when one flow takes everything.
 func JainIndex(xs []float64) float64 {
@@ -94,33 +91,6 @@ func JainIndex(xs []float64) float64 {
 		return 1 // all-zero allocations are (vacuously) fair
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X    float64
-	Frac float64 // fraction of samples <= X
-}
-
-// CDF returns the empirical CDF of xs (sorted ascending).
-func CDF(xs []float64) []CDFPoint {
-	out, _ := CDFInto(nil, nil, xs)
-	return out
-}
-
-// CDFInto is CDF building into dst's storage, with buf as the sort scratch;
-// it returns the points plus the (possibly grown) scratch for the caller to
-// retain. With warm scratch of sufficient capacity it allocates nothing.
-func CDFInto(dst []CDFPoint, buf, xs []float64) ([]CDFPoint, []float64) {
-	dst = dst[:0]
-	if len(xs) == 0 {
-		return dst, buf
-	}
-	buf = SortInto(buf, xs)
-	for i, x := range buf {
-		dst = append(dst, CDFPoint{X: x, Frac: float64(i+1) / float64(len(buf))})
-	}
-	return dst, buf
 }
 
 // FracAtLeast returns the fraction of samples >= threshold.
