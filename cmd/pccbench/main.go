@@ -32,7 +32,7 @@ var (
 	id         = flag.String("exp", "", "experiment id (figN, table1, loss50, theory) or 'all'")
 	scale      = flag.Float64("scale", 0.2, "duration/trial scale in (0,1]; 1.0 = paper durations")
 	seed       = flag.Int64("seed", 42, "root RNG seed")
-	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: GOMAXPROCS; 1 = sequential)")
+	par        = flag.Int("par", 0, "trials run at once, process-wide (0 = auto: GOMAXPROCS; 1 = sequential)")
 	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = auto: scale-derived)")
 	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = auto: scale-derived)")
 	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = disabled)")

@@ -44,12 +44,12 @@ import (
 var (
 	addr         = flag.String("addr", ":8080", "listen address")
 	cachedir     = flag.String("cachedir", "pccserve-cache", "result cache directory ('' disables caching)")
-	workers      = flag.Int("workers", 2, "concurrent sweep units (each unit runs its own trial pool)")
+	workers      = flag.Int("workers", 2, "concurrent sweep units (all units share one pool of -par trial workers)")
 	queue        = flag.Int("queue", 64, "admitted units across all requests before 429")
 	maxunits     = flag.Int("maxunits", 256, "per-request unit budget")
 	sweeptimeout = flag.Duration("sweeptimeout", 0, "server-side deadline per sweep (0 = none)")
 	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog (0 = disabled)")
-	par          = flag.Int("par", 0, "worker goroutines per unit's trial pool (0 = auto)")
+	par          = flag.Int("par", 0, "trials run at once across all units: the process-wide trial pool (0 = GOMAXPROCS)")
 	draingrace   = flag.Duration("draingrace", 30*time.Second, "max time to wait for in-flight sweeps on shutdown")
 )
 

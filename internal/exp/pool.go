@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,19 +16,25 @@ import (
 // in this package is a self-contained deterministic simulation — it builds
 // its own sim.Engine and derives every RNG stream from the PathSpec seed —
 // so trials are embarrassingly parallel. runTrials fans a trial
-// function out across a bounded worker pool while keeping results indexed
+// function out across runner goroutines while keeping results indexed
 // by trial number, which makes the assembled report byte-identical to a
 // sequential run regardless of goroutine scheduling (asserted by
 // determinism_test.go).
 //
-// The worker count is SetWorkers (cmd/pccbench's -par flag) when set, else
-// GOMAXPROCS. Trials are the only parallelism axis: each runs on one engine.
+// The pool is one process-wide budget of Workers() runners, shared by every
+// sweep in flight: SetWorkers (the -par flag of pccbench and pccserve) when
+// set, else GOMAXPROCS. A sweep's calling goroutine always runs that sweep's
+// trials itself; helper goroutines join sweeps with unclaimed trials, oldest
+// first, only while fewer than Workers() runners are busy. A lone sweep thus
+// runs on Workers() goroutines, while pccserve's concurrent units share the
+// budget (and its warm arenas) instead of each bringing a pool of their own.
+// Trials are the only parallelism axis: each runs on one engine.
 
 // workerOverride holds the SetWorkers value; 0 means "not set".
 var workerOverride atomic.Int64
 
-// SetWorkers overrides the default worker count of every sweep.
-// n <= 0 restores the default (GOMAXPROCS).
+// SetWorkers overrides the process-wide trial budget: how many trials all
+// sweeps together run at once. n <= 0 restores the default (GOMAXPROCS).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -35,7 +42,7 @@ func SetWorkers(n int) {
 	workerOverride.Store(int64(n))
 }
 
-// Workers returns the worker count sweeps will use.
+// Workers returns the process-wide trial budget sweeps share.
 func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
@@ -295,39 +302,270 @@ func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Trial
 	}
 }
 
-// scratchPool recycles TrialScratch arenas across sweeps, process-wide.
-// A long-lived process that runs sweep after sweep (pccserve, pccbench
-// -exp all) re-acquires warm arenas whose cached runners were built by
-// earlier sweeps, so repeated requests skip the first-trial build cost.
-// Reuse is placement-policy only — arena hits verify structure and re-spec
-// every parameter (see arena.go) — and a scratch is recycled only after a
-// fully clean sweep slice: a panicked trial may leave a cached runner
-// mid-build and a timed-out trial's goroutine still owns its arena, so
-// those scratches are dropped for the GC instead.
+// scratchPool keeps TrialScratch arenas between busy periods. A long-lived
+// process that runs sweep after sweep (pccserve, pccbench -exp all)
+// re-acquires warm arenas whose cached runners were built by earlier
+// sweeps, so repeated requests skip the first-trial build cost. Reuse is
+// placement-policy only: arena hits verify structure and re-spec every
+// parameter (see arena.go). Like any sync.Pool it drops what stays unused
+// across two garbage collections, so a process that stops running sweeps
+// gives the memory back.
 var scratchPool = sync.Pool{New: func() any { return new(TrialScratch) }}
 
-// acquireScratch takes an arena for a sweep with its stamp cleared: a
-// recycled arena still carries the last stamp of whatever sweep ran on it,
-// which a trial that never stamps must not report as its own.
-func acquireScratch() *TrialScratch {
-	ts := scratchPool.Get().(*TrialScratch)
-	ts.Stamp("", "", 0)
-	return ts
+// trialPool is the process-wide trial budget every sweep draws on, and the
+// shelf of warm arenas its runners share.
+var trialPool struct {
+	mu sync.Mutex
+	// running counts the goroutines working on a sweep: every sweep's
+	// caller plus every helper. held counts the budget tokens they hold,
+	// at most limit, which is Workers() as the latest sweep found it.
+	running, held, limit atomic.Int64
+	// open holds the sweeps that may take helpers, oldest first; guarded
+	// by mu.
+	open []*sweep
+	// idle shelves, while any runner is busy, the arenas no runner holds;
+	// guarded by mu. Only token holders take arenas from it, and one shelf
+	// serves every CPU (a sync.Pool hands an arena put on one CPU to a Get
+	// on another only sometimes), so at most limit warm arenas circulate
+	// however many sweeps are in flight. When the last runner leaves, the
+	// shelf moves to scratchPool.
+	idle []*TrialScratch
 }
 
-func releaseScratch(ts *TrialScratch) { scratchPool.Put(ts) }
+// takeArenaLocked takes the most recently shelved arena, else one from
+// scratchPool. trialPool.mu must be held.
+func takeArenaLocked() *TrialScratch {
+	if k := len(trialPool.idle); k > 0 {
+		ts := trialPool.idle[k-1]
+		trialPool.idle = trialPool.idle[:k-1]
+		return ts
+	}
+	return scratchPool.Get().(*TrialScratch)
+}
+
+// leaveLocked counts a runner out; the last one out moves the shelf to
+// scratchPool. trialPool.mu must be held.
+func leaveLocked() {
+	if trialPool.running.Add(-1) > 0 {
+		return
+	}
+	for _, ts := range trialPool.idle {
+		scratchPool.Put(ts)
+	}
+	clear(trialPool.idle)
+	trialPool.idle = trialPool.idle[:0]
+}
+
+// takeToken takes one of the budget's tokens if one is free.
+func takeToken() bool {
+	for h := trialPool.held.Load(); h < trialPool.limit.Load(); h = trialPool.held.Load() {
+		if trialPool.held.CompareAndSwap(h, h+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// runner is one goroutine's hold on the pool: its arena, and whether it
+// holds a budget token. A caller that finds every token taken (a sweep
+// started while helpers fill the budget, or inside a trial) still runs its
+// own trials, on a private arena the pool never shelves, and moves to a
+// shelved arena at the first trial boundary where a token is free: helpers
+// give theirs up at their next boundary when callers overdraw the budget.
+type runner struct {
+	ts    *TrialScratch
+	token bool
+}
+
+// newRunnerLocked takes a token and a shelved arena if a token is free,
+// else a private arena. trialPool.mu must be held.
+func newRunnerLocked() runner {
+	if takeToken() {
+		return runner{ts: takeArenaLocked(), token: true}
+	}
+	return runner{ts: new(TrialScratch)}
+}
+
+// upgrade swaps a tokenless runner's private arena for a shelved one once
+// a token is free.
+func (r *runner) upgrade() {
+	if takeToken() {
+		trialPool.mu.Lock()
+		r.ts, r.token = takeArenaLocked(), true
+		trialPool.mu.Unlock()
+		r.ts.Stamp("", "", 0)
+	}
+}
+
+// releaseLocked gives back the runner's token, and shelves its arena when
+// clean is true. An arena whose runner saw a trial fail is never shelved: a
+// panicked trial may leave a cached runner mid-build, and a timed-out
+// trial's goroutine still owns its arena. trialPool.mu must be held.
+func (r *runner) releaseLocked(clean bool) {
+	if r.token {
+		if clean {
+			trialPool.idle = append(trialPool.idle, r.ts)
+		}
+		trialPool.held.Add(-1)
+	}
+	r.ts, r.token = nil, false
+}
+
+// sweep is the shared state of one runTrials call.
+type sweep struct {
+	done    <-chan struct{}
+	n       int
+	width   int // most runners the sweep takes, its caller included
+	fn      func(trial int, ts *TrialScratch)
+	timeout time.Duration
+
+	next, completed atomic.Int64
+	stop            atomic.Bool
+	helpers         sync.WaitGroup
+
+	// Runner slots, guarded by trialPool.mu: the caller holds slot 0,
+	// helpers take a freed slot before a new one, so every slot is < width.
+	runners int   // slots handed out
+	free    []int // slots handed back by helpers that left
+
+	errMu    sync.Mutex
+	firstErr error
+}
+
+// wantsHelper reports whether another runner could still claim a trial of s.
+func (s *sweep) wantsHelper() bool {
+	return s.runners-len(s.free) < s.width && !s.stop.Load() && s.next.Load() < int64(s.n)
+}
+
+// work runs trials of s on r until none is left unclaimed, the sweep
+// stops, or (for a helper, slot > 0) callers overdraw the budget. It
+// reports false after a failed trial, whose arena must not be recycled.
+func (s *sweep) work(slot int, r *runner) bool {
+	// The arena may come from another sweep: a trial that never stamps
+	// must not report that sweep's experiment as its own.
+	r.ts.Stamp("", "", 0)
+	for !s.stop.Load() {
+		if slot > 0 && trialPool.running.Load() > trialPool.limit.Load() {
+			return true
+		}
+		if !r.token {
+			r.upgrade()
+		}
+		if s.done != nil {
+			select {
+			case <-s.done:
+				// Stop claiming trials; peers notice via stop without each
+				// paying a context poll.
+				s.stop.Store(true)
+				return true
+			default:
+			}
+		}
+		i := int(s.next.Add(1)) - 1
+		if i >= s.n {
+			return true
+		}
+		if err := runTrial(s.fn, i, slot, r.ts, s.timeout); err != nil {
+			// Abort the sweep: runners stop claiming trials, so the failure
+			// surfaces without first burning through the rest of the grid.
+			s.stop.Store(true)
+			s.errMu.Lock()
+			if s.firstErr == nil {
+				s.firstErr = err
+			}
+			s.errMu.Unlock()
+			return false
+		}
+		s.completed.Add(1)
+	}
+	return true
+}
+
+// dispatchLocked starts helpers while fewer than limit runners are busy and
+// an open sweep wants one. trialPool.mu must be held.
+func dispatchLocked() {
+	for trialPool.running.Load() < trialPool.limit.Load() {
+		s := oldestOpenLocked()
+		if s == nil {
+			return
+		}
+		trialPool.running.Add(1)
+		go helper(s, s.joinLocked())
+	}
+}
+
+// oldestOpenLocked returns the oldest open sweep that wants a helper, or
+// nil. trialPool.mu must be held.
+func oldestOpenLocked() *sweep {
+	for _, s := range trialPool.open {
+		if s.wantsHelper() {
+			return s
+		}
+	}
+	return nil
+}
+
+// joinLocked hands a helper a runner slot of s. trialPool.mu must be held,
+// and s must be open, so the caller's helpers.Wait cannot have begun.
+func (s *sweep) joinLocked() int {
+	s.helpers.Add(1)
+	if k := len(s.free); k > 0 {
+		slot := s.free[k-1]
+		s.free = s.free[:k-1]
+		return slot
+	}
+	s.runners++
+	return s.runners - 1
+}
+
+// helper is a runner goroutine started by dispatchLocked. It takes its
+// token only once it runs, so a caller that registers in between (the next
+// pccserve unit, right after the last one finished) takes the token
+// instead, and the helper, finding none, leaves. Otherwise it works on s,
+// then moves on to the oldest open sweep that wants a helper while the
+// budget allows, and exits, giving its token and arena back, when none does.
+func helper(s *sweep, slot int) {
+	r := runner{token: takeToken()}
+	if r.token {
+		trialPool.mu.Lock()
+		r.ts = takeArenaLocked()
+		trialPool.mu.Unlock()
+	}
+	for {
+		clean := r.token && s.work(slot, &r)
+		trialPool.mu.Lock()
+		s.free = append(s.free, slot)
+		var next *sweep
+		if clean && trialPool.running.Load() <= trialPool.limit.Load() {
+			next = oldestOpenLocked()
+		}
+		if next == nil {
+			r.releaseLocked(clean)
+			leaveLocked()
+			trialPool.mu.Unlock()
+			s.helpers.Done()
+			return
+		}
+		nextSlot := next.joinLocked()
+		trialPool.mu.Unlock()
+		s.helpers.Done()
+		s, slot = next, nextSlot
+	}
+}
 
 // runTrials is the engine beneath every sweep: it runs fn(trial, ts) for
-// every trial in [0, n) across the given number of workers (1 = sequential,
-// in trial order, on the calling goroutine, with a single scratch serving
-// every trial). fn must be self-contained: it builds its own Runner (and
-// therefore its own engine, RNGs and packet pool) from a seed derived from
-// the trial index, and writes any result into a slot owned by that index.
-// Calls may execute on different goroutines in any order. Each worker
-// goroutine owns one TrialScratch for its whole slice of the sweep, so
-// consecutive trials on a worker reuse fully built simulation state (see
-// arena.go); the scratch reaches only one trial at a time, and results
-// remain byte-identical at any worker count because arena reuse is
+// every trial in [0, n) on at most width runners (1 = sequential, in trial
+// order, on the calling goroutine, with a single scratch serving every
+// trial). The calling goroutine always runs trials itself, so a sweep
+// started inside a trial never waits for the budget; helpers join only
+// while fewer than Workers() runners are busy across all sweeps. fn must be
+// self-contained: it builds its own Runner (and therefore its own engine,
+// RNGs and packet pool) from a seed derived from the trial index, and
+// writes any result into a slot owned by that index. Calls may execute on
+// different goroutines in any order. Each runner holds one TrialScratch at
+// a time, so consecutive trials on a runner reuse fully built simulation
+// state (see arena.go); the scratch reaches only one trial at a time, and
+// results remain byte-identical at any width because arena reuse is
 // placement-policy only.
 //
 // The context is consulted only at trial boundaries — a trial that
@@ -335,12 +573,12 @@ func releaseScratch(ts *TrialScratch) { scratchPool.Put(ts) }
 // cancellation can never tear a simulation down mid-event. It returns nil
 // when all n trials completed, a *SweepCancelledError when ctx stopped the
 // sweep first, or the typed *TrialPanicError/*TrialTimeoutError of the
-// first failing trial (which also aborts the sweep).
-func runTrials(ctx context.Context, workers, n int, fn func(trial int, ts *TrialScratch)) error {
+// first failing trial (which also aborts the sweep). No helper is working
+// on the sweep once it returns.
+func runTrials(ctx context.Context, width, n int, fn func(trial int, ts *TrialScratch)) error {
 	if n <= 0 {
 		return nil
 	}
-	done := ctx.Done()
 	cancelled := func(completed int) error {
 		err := context.Cause(ctx)
 		if err == nil {
@@ -348,88 +586,40 @@ func runTrials(ctx context.Context, workers, n int, fn func(trial int, ts *Trial
 		}
 		return &SweepCancelledError{Completed: completed, Total: n, Err: err}
 	}
+	done := ctx.Done()
 	if done != nil && ctx.Err() != nil {
 		return cancelled(0)
 	}
 	enterGCRelax()
 	defer exitGCRelax()
-	timeout := TrialTimeout()
-	if workers > n {
-		workers = n
+	s := &sweep{done: done, n: n, width: max(1, min(width, n)), fn: fn, timeout: TrialTimeout(), runners: 1}
+
+	trialPool.mu.Lock()
+	trialPool.limit.Store(int64(Workers()))
+	r := newRunnerLocked()
+	trialPool.running.Add(1)
+	if s.width > 1 {
+		trialPool.open = append(trialPool.open, s)
+		dispatchLocked()
 	}
-	if workers <= 1 {
-		ts := acquireScratch()
-		for i := 0; i < n; i++ {
-			if done != nil && ctx.Err() != nil {
-				releaseScratch(ts)
-				return cancelled(i)
-			}
-			if err := runTrial(fn, i, 0, ts, timeout); err != nil {
-				// Drop the arena: panicked trials may leave cached runners
-				// mid-build, timed-out trials still own theirs.
-				return err
-			}
-		}
-		releaseScratch(ts)
-		return nil
+	trialPool.mu.Unlock()
+
+	clean := s.work(0, &r)
+
+	trialPool.mu.Lock()
+	r.releaseLocked(clean)
+	leaveLocked()
+	if s.width > 1 {
+		trialPool.open = slices.DeleteFunc(trialPool.open, func(o *sweep) bool { return o == s })
 	}
-	var (
-		next      atomic.Int64
-		stop      atomic.Bool
-		completed atomic.Int64
-		wg        sync.WaitGroup
-		errMu     sync.Mutex
-		firstErr  error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			ts := acquireScratch()
-			clean := true
-			defer func() {
-				if clean {
-					releaseScratch(ts)
-				}
-			}()
-			for !stop.Load() {
-				if done != nil {
-					select {
-					case <-done:
-						// Stop claiming trials; peers notice via stop without
-						// each paying a context poll.
-						stop.Store(true)
-						return
-					default:
-					}
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := runTrial(fn, i, w, ts, timeout); err != nil {
-					// Abort the sweep: workers stop claiming trials, so the
-					// failure surfaces without first burning through the rest
-					// of the grid. The arena is dropped, not recycled.
-					clean = false
-					stop.Store(true)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				completed.Add(1)
-			}
-		}()
+	dispatchLocked() // the token this caller frees may serve another sweep
+	trialPool.mu.Unlock()
+	s.helpers.Wait()
+
+	if s.firstErr != nil {
+		return s.firstErr
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if c := int(completed.Load()); c < n {
+	if c := int(s.completed.Load()); c < n {
 		return cancelled(c)
 	}
 	return nil

@@ -3,7 +3,9 @@ package exp
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pcc/internal/netem"
 )
@@ -126,5 +128,118 @@ func TestPoolConcurrentUse(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestPoolSharedAcrossSweeps runs k sweeps at once under one budget of two
+// runners. Callers always run their own trials and helpers join only while
+// the budget has room, so the trials of the k sweeps never run more than
+// max(2, k) at once, and never more than 2 when k <= 2; every result still
+// equals the one-worker run. A sweep that registers while another sweep's
+// helper is mid-trial overlaps that trial, so two held one-trial sweeps
+// fill the budget until every sweep under test has started: the mark then
+// counts only what the budget admits. The nested row runs a 4-trial sweep
+// inside every trial and must complete, since a nested caller never waits
+// for the budget.
+func TestPoolSharedAcrossSweeps(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(2)
+	const n = 6
+	leafWant := pointsWith(1, 4*n, stressTrial)
+	for _, row := range []struct {
+		name   string
+		k      int
+		nested bool
+	}{
+		{"k1", 1, false},
+		{"k2", 2, false},
+		{"k4", 4, false},
+		{"k2-nested", 2, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var running, high atomic.Int64
+			leaf := func(i int) float64 {
+				c := running.Add(1)
+				defer running.Add(-1)
+				for h := high.Load(); c > h && !high.CompareAndSwap(h, c); h = high.Load() {
+				}
+				time.Sleep(time.Millisecond) // long enough for every admitted runner to overlap
+				return stressTrial(i)
+			}
+			trial := func(i int) float64 {
+				if !row.nested {
+					return leaf(i)
+				}
+				sum := 0.0
+				for _, v := range RunPointsScratch(4, func(j int, _ *TrialScratch) float64 { return leaf(4*i + j) }) {
+					sum += v
+				}
+				return sum
+			}
+			want := make([]float64, n)
+			for i := range want {
+				if !row.nested {
+					want[i] = leafWant[i]
+					continue
+				}
+				for j := 0; j < 4; j++ {
+					want[i] += leafWant[4*i+j]
+				}
+			}
+
+			release := make(chan struct{})
+			var holders, started sync.WaitGroup
+			for h := 0; h < 2; h++ {
+				holders.Add(1)
+				go func() {
+					defer holders.Done()
+					RunTrialsScratch(1, func(int, *TrialScratch) { <-release })
+				}()
+			}
+			// Wait for both holders to be counted: nothing else runs then.
+			for {
+				trialPool.mu.Lock()
+				busy := trialPool.running.Load()
+				trialPool.mu.Unlock()
+				if busy >= 2 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			got := make([][]float64, row.k)
+			var sweeps sync.WaitGroup
+			for s := 0; s < row.k; s++ {
+				sweeps.Add(1)
+				started.Add(1)
+				go func() {
+					defer sweeps.Done()
+					var once sync.Once
+					got[s] = RunPointsScratch(n, func(i int, _ *TrialScratch) float64 {
+						once.Do(started.Done)
+						return trial(i)
+					})
+				}()
+			}
+			started.Wait()
+			close(release)
+			sweeps.Wait()
+			holders.Wait()
+
+			for s, out := range got {
+				for i, v := range out {
+					if v != want[i] {
+						t.Fatalf("sweep %d trial %d: got %v, want %v (the one-worker run)", s, i, v, want[i])
+					}
+				}
+			}
+			limit := int64(max(2, row.k))
+			if row.k <= 2 {
+				limit = 2
+			}
+			if h := high.Load(); h > limit {
+				t.Errorf("%d trials ran at once across %d sweeps, want <= %d", h, row.k, limit)
+			}
+		})
 	}
 }

@@ -18,8 +18,9 @@ import (
 type Config struct {
 	// CacheDir roots the result cache. Empty disables caching.
 	CacheDir string
-	// Workers is how many sweep units run concurrently (each unit runs its
-	// own trial pool internally, so this stays small).
+	// Workers is how many sweep units run concurrently. All units share
+	// exp's one process-wide pool of exp.Workers() trial runners, so more
+	// units overlap more requests without running more trials at once.
 	Workers int
 	// Queue bounds admitted units (queued + running) across all requests;
 	// beyond it new sweeps get 429 + Retry-After.

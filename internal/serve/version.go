@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"io"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sync"
 )
@@ -20,14 +21,18 @@ var (
 // never alias: a clean VCS revision names its code exactly, and any other
 // build — unstamped ("dev": go test, go run) or from a modified tree
 // ("+dirty") — is further tied to the running executable's bytes (see
-// versionFrom). It is computed once per process.
+// versionFrom). Every version ends in "/" and the target architecture: the
+// compiler fuses multiply-adds on some architectures (arm64) and never on
+// others (amd64), so one revision's reports differ by architecture, and two
+// of them sharing a cache directory must not serve each other's bytes. It
+// is computed once per process.
 func BuildVersion() string {
 	versionOnce.Do(func() {
 		var settings []debug.BuildSetting
 		if info, ok := debug.ReadBuildInfo(); ok {
 			settings = info.Settings
 		}
-		versionStr = versionFrom(settings, openExe)
+		versionStr = versionFrom(settings, runtime.GOARCH, openExe)
 	})
 	return versionStr
 }
@@ -41,13 +46,18 @@ func openExe() (io.ReadCloser, error) {
 	return os.Open(path)
 }
 
-// versionFrom derives the code version from build settings. A clean VCS
-// revision is returned as is. Otherwise the version is "dev" (no revision)
-// or the revision suffixed "+dirty", followed by "+exe:" and the first 16 hex
-// digits of the SHA-256 of the executable readExe opens — or, when it cannot
-// be read, "+nonce:" and 16 random hex digits, so that build shares its cache
-// entries with no other process.
-func versionFrom(settings []debug.BuildSetting, readExe func() (io.ReadCloser, error)) string {
+// versionFrom derives the code version from build settings and the target
+// architecture arch. A clean VCS revision stands for its code as is.
+// Otherwise the code is "dev" (no revision) or the revision suffixed
+// "+dirty", followed by "+exe:" and the first 16 hex digits of the SHA-256
+// of the executable readExe opens — or, when it cannot be read, "+nonce:"
+// and 16 random hex digits, so that build shares its cache entries with no
+// other process. The version is the code, "/", then arch.
+func versionFrom(settings []debug.BuildSetting, arch string, readExe func() (io.ReadCloser, error)) string {
+	return codeFrom(settings, readExe) + "/" + arch
+}
+
+func codeFrom(settings []debug.BuildSetting, readExe func() (io.ReadCloser, error)) string {
 	var rev, dirty string
 	for _, s := range settings {
 		switch s.Key {

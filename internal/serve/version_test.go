@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -10,7 +11,9 @@ import (
 
 // TestVersionFrom pins the cache's code-version rule: only a clean revision
 // stands for its code on its own; an unstamped or dirty build is keyed by its
-// executable's bytes, and by a fresh nonce when those cannot be read.
+// executable's bytes, and by a fresh nonce when those cannot be read; and
+// every version names its architecture, so one revision built for two
+// architectures keys two caches.
 func TestVersionFrom(t *testing.T) {
 	t.Parallel()
 	exe := func(content string) func() (io.ReadCloser, error) {
@@ -28,20 +31,23 @@ func TestVersionFrom(t *testing.T) {
 		wantLength int
 	}{
 		{"clean-revision-unchanged",
-			versionFrom(clean, exe("one")), versionFrom(clean, exe("two")),
-			"abc123", true, len("abc123")},
+			versionFrom(clean, "amd64", exe("one")), versionFrom(clean, "amd64", exe("two")),
+			"abc123/", true, len("abc123/amd64")},
 		{"dirty-differs-by-executable",
-			versionFrom(dirty, exe("one")), versionFrom(dirty, exe("two")),
-			"abc123+dirty+exe:", false, len("abc123+dirty+exe:") + 16},
+			versionFrom(dirty, "amd64", exe("one")), versionFrom(dirty, "amd64", exe("two")),
+			"abc123+dirty+exe:", false, len("abc123+dirty+exe:/amd64") + 16},
 		{"dirty-same-executable-agrees",
-			versionFrom(dirty, exe("one")), versionFrom(dirty, exe("one")),
-			"abc123+dirty+exe:", true, len("abc123+dirty+exe:") + 16},
+			versionFrom(dirty, "amd64", exe("one")), versionFrom(dirty, "amd64", exe("one")),
+			"abc123+dirty+exe:", true, len("abc123+dirty+exe:/amd64") + 16},
 		{"no-vcs-info",
-			versionFrom(nil, exe("one")), versionFrom(nil, exe("two")),
-			"dev+exe:", false, len("dev+exe:") + 16},
+			versionFrom(nil, "amd64", exe("one")), versionFrom(nil, "amd64", exe("two")),
+			"dev+exe:", false, len("dev+exe:/amd64") + 16},
 		{"read-error-nonce",
-			versionFrom(nil, unreadable), versionFrom(nil, unreadable),
-			"dev+nonce:", false, len("dev+nonce:") + 16},
+			versionFrom(nil, "amd64", unreadable), versionFrom(nil, "amd64", unreadable),
+			"dev+nonce:", false, len("dev+nonce:/amd64") + 16},
+		{"clean-differs-by-arch",
+			versionFrom(clean, "amd64", exe("one")), versionFrom(clean, "arm64", exe("one")),
+			"abc123/", false, len("abc123/amd64")},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -57,10 +63,14 @@ func TestVersionFrom(t *testing.T) {
 	}
 
 	// Clean revisions never read the executable.
-	if v := versionFrom(clean, func() (io.ReadCloser, error) {
+	if v := versionFrom(clean, "arm64", func() (io.ReadCloser, error) {
 		t.Fatal("clean revision read the executable")
 		return nil, nil
-	}); v != "abc123" {
+	}); v != "abc123/arm64" {
 		t.Fatalf("clean revision = %q", v)
+	}
+	// The process's own version names the architecture it runs on.
+	if v := BuildVersion(); !strings.HasSuffix(v, "/"+runtime.GOARCH) {
+		t.Fatalf("BuildVersion() = %q, want suffix /%s", v, runtime.GOARCH)
 	}
 }
