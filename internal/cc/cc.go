@@ -12,7 +12,8 @@
 // Both use one Receiver, which acknowledges every data packet with a
 // cumulative ACK plus the selective sequence number that triggered it,
 // mirroring TCP SACK semantics — the only receiver feedback PCC requires
-// (§2.3 "No receiver change").
+// (§2.3 "No receiver change"). Its ledger of what arrived is sack.RecvWindow,
+// the same bitmap the real-UDP transport.Receiver keeps.
 package cc
 
 import "math"

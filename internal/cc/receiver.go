@@ -2,6 +2,7 @@ package cc
 
 import (
 	"pcc/internal/netem"
+	"pcc/internal/sack"
 	"pcc/internal/sim"
 )
 
@@ -30,8 +31,7 @@ type Receiver struct {
 	// receiver's engine (pooling never crosses goroutines).
 	Pool *netem.PacketPool
 
-	cumAck      int64 // next expected in-order sequence
-	ooo         seqSet
+	win         sack.RecvWindow
 	uniqueBytes int64
 	uniquePkts  int64
 	totalPkts   int64
@@ -58,8 +58,7 @@ func (r *Receiver) Reset() {
 	r.OnComplete = nil
 	r.Bucket = 0
 	r.buckets = r.buckets[:0]
-	r.cumAck = 0
-	r.ooo.reset()
+	r.win.Reset()
 	r.uniqueBytes, r.uniquePkts, r.totalPkts = 0, 0, 0
 	r.firstAt, r.lastAt = -1, 0
 	r.completed = false
@@ -87,25 +86,7 @@ func (r *Receiver) OnData(p *netem.Packet) {
 	}
 	r.lastAt = now
 
-	fresh := false
-	switch {
-	case p.Seq == r.cumAck:
-		fresh = true
-		r.cumAck++
-		for r.ooo.has(r.cumAck) {
-			r.ooo.clear(r.cumAck)
-			r.cumAck++
-		}
-	case p.Seq > r.cumAck:
-		// ensure before has: membership tests are only alias-free for
-		// sequences inside the current window.
-		r.ooo.ensure(p.Seq, r.cumAck)
-		if !r.ooo.has(p.Seq) {
-			r.ooo.set(p.Seq)
-			fresh = true
-		}
-	}
-	if fresh {
+	if r.win.Add(p.Seq) {
 		r.uniqueBytes += int64(p.Size)
 		r.uniquePkts++
 		if r.Bucket > 0 {
@@ -126,7 +107,7 @@ func (r *Receiver) OnData(p *netem.Packet) {
 	ack.Ack = true
 	ack.Size = AckSize
 	ack.Sent = now
-	ack.CumAck = r.cumAck
+	ack.CumAck = r.win.CumAck()
 	ack.SackSeq = seq
 	ack.EchoSent = sent
 	if r.SendAck != nil {

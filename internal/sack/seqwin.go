@@ -1,9 +1,11 @@
-// Package sack is the reliability ledger all three senders build on — the
-// simulator's cc.RateSender and cc.WindowSender and the real-UDP
-// transport.Sender — as a leaf package, so the shipped transport does not
-// link the simulator. Board is the scoreboard, seqWindow the ring under it.
+// Package sack is the reliability ledger all three senders and both
+// receivers build on — the simulator's cc.RateSender, cc.WindowSender and
+// cc.Receiver and the real-UDP transport.Sender and transport.Receiver — as a
+// leaf package, so the shipped transport does not link the simulator. Board
+// is the sender's scoreboard, seqWindow the ring under it; RecvWindow is the
+// receiver's bitmap of what arrived.
 //
-// The contract, written down once for every caller: an acknowledgment can
+// The senders' contract, written down once for every caller: an ack can
 // only touch a sequence that was sent and is not yet cumulatively
 // acknowledged, the dense range [CumAck, Next). Anything else (a duplicate,
 // a corrupt or forged ACK) finds no entry and changes nothing.
@@ -25,7 +27,7 @@ const seqWinMinSlots = 64
 // sequences contiguously and detach them from the head as the cumulative ACK
 // advances, so the tracked set is always the dense range [base, next):
 // entries live by value in one power-of-two ring indexed seq & mask (the
-// idiom of core.miRing and cc's seqSet), a lookup is a bounds check and one
+// idiom of core.miRing and RecvWindow), a lookup is a bounds check and one
 // indexed load, and the ring allocates only when the window outgrows it.
 // Entry is pointer-free, so the ring costs the GC nothing to scan and its
 // stores need no write barrier.

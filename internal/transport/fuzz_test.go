@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -129,4 +130,81 @@ func FuzzSenderOnAck(f *testing.F) {
 			}
 		}
 	})
+}
+
+// recvRecord is the size of one FuzzReceiverOnData operation: a kind byte
+// and eight bytes of sequence.
+const recvRecord = 9
+
+// FuzzReceiverOnData feeds the receiver a stream of data and FIN datagrams
+// decoded from the input, 9 bytes each: kind&1 picks FIN over data, and
+// kind&2 reads the next 8 bytes as an absolute sequence (negative, or far
+// ahead: 2⁶² and beyond) where otherwise the next 4 bytes are a signed
+// offset from the cumulative point, within reorderSlots+63 either way
+// (duplicates, stale copies, holes, the window edge). A data payload is its
+// sequence's 8 bytes, so the output stream is checkable. Whatever arrives,
+// the receiver never panics, its cumulative point never moves back, its
+// payload ring never passes reorderSlots slots, it drops exactly the
+// datagrams at or beyond the window and acknowledges every other one with
+// at most 32 ordered ranges inside the window, and what it wrote is the
+// payloads of [0, CumAck) in order. The seed corpus is
+// testdata/fuzz/FuzzReceiverOnData.
+func FuzzReceiverOnData(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var out bytes.Buffer
+		r := NewReceiver(nil, &out)
+		for ; len(b) >= recvRecord; b = b[recvRecord:] {
+			cum := r.win.CumAck()
+			seq := int64(binary.BigEndian.Uint64(b[1:]))
+			if b[0]&2 == 0 {
+				seq = cum + int64(int32(binary.BigEndian.Uint32(b[1:])))%(reorderSlots+64)
+			}
+			var a Ack
+			var ok bool
+			if b[0]&1 == 1 {
+				if a, ok = r.onFin(3, seq); ok != (seq >= 0 && cum >= seq) {
+					t.Fatalf("fin %d at cum %d: confirmed = %v", seq, cum, ok)
+				}
+				if ok && (a.EchoSeq != finAckEcho || a.CumAck != cum) {
+					t.Fatalf("fin %d at cum %d: fin-ack %+v", seq, cum, a)
+				}
+			} else {
+				a, ok = r.onData(mkHeader(seq), payloadFor(seq))
+				if beyond := seq > cum && seq-cum >= reorderSlots; ok == beyond {
+					t.Fatalf("seq %d at cum %d: acknowledged = %v", seq, cum, ok)
+				}
+				if ok {
+					checkRecvAck(t, r, a, seq)
+				}
+			}
+			if r.win.CumAck() < cum || len(r.slots) > reorderSlots {
+				t.Fatalf("after seq %d: cum %d -> %d, %d ring slots", seq, cum, r.win.CumAck(), len(r.slots))
+			}
+		}
+		want := make([]byte, 0, 8*r.win.CumAck())
+		for seq := int64(0); seq < r.win.CumAck(); seq++ {
+			want = append(want, payloadFor(seq)...)
+		}
+		if !bytes.Equal(out.Bytes(), want) || r.BytesWritten() != int64(len(want)) {
+			t.Fatalf("wrote %d bytes (%d counted), want the %d of [0, %d)", out.Len(), r.BytesWritten(), len(want), r.win.CumAck())
+		}
+	})
+}
+
+// checkRecvAck checks the ACK answering data seq: the receiver's cumulative
+// point, the echo, and at most 32 disjoint ascending ranges strictly above
+// the cumulative point and inside the window.
+func checkRecvAck(t *testing.T, r *Receiver, a Ack, seq int64) {
+	t.Helper()
+	cum := r.win.CumAck()
+	if a.CumAck != cum || a.EchoSeq != seq || len(a.Ranges) > maxAckRanges {
+		t.Fatalf("seq %d: ack cum %d echo %d with %d ranges; receiver cum %d", seq, a.CumAck, a.EchoSeq, len(a.Ranges), cum)
+	}
+	prev := cum
+	for _, rg := range a.Ranges {
+		if rg.Start <= prev || rg.End < rg.Start || rg.End-cum >= reorderSlots {
+			t.Fatalf("seq %d: ranges %v at cum %d", seq, a.Ranges, cum)
+		}
+		prev = rg.End + 1
+	}
 }

@@ -89,14 +89,16 @@ func TestLossyLoopbackTelemetry(t *testing.T) {
 	if got := recv.BytesWritten(); got != flowLen {
 		t.Errorf("receiver wrote %d bytes, want %d", got, flowLen)
 	}
-	if dataSide.dropped == 0 {
+	dataDrops, swaps := dataSide.counts()
+	ackDrops, _ := ackSide.counts()
+	if dataDrops == 0 {
 		t.Error("lossy conn dropped nothing: the harness exercised no loss")
 	}
 	if rtxB == 0 {
 		t.Error("no bytes were retransmitted despite data-path loss")
 	}
 	t.Logf("sent=%dB rtx=%dB acked=%dB drops(data=%d ack=%d) swaps=%d",
-		sentB, rtxB, ackedB, dataSide.dropped, ackSide.dropped, dataSide.swapped)
+		sentB, rtxB, ackedB, dataDrops, ackDrops, swaps)
 }
 
 // TestFinRetransmitSurvivesLoss proves the FIN hardening: the first five

@@ -54,6 +54,14 @@ func (c *lossyConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	return c.UDPConn.WriteToUDP(b, addr)
 }
 
+// counts returns the datagrams dropped and swapped so far. The sender may
+// still be writing (a FIN repeated after a lost fin-ack), so reads lock.
+func (c *lossyConn) counts() (dropped, swapped int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped, c.swapped
+}
+
 // finDropConn swallows the first n FIN datagrams, passing everything else
 // through untouched — the targeted failure the FIN retransmission timer
 // must survive.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,7 +37,7 @@ func TestReassemblyPermutationProperty(t *testing.T) {
 				r.onData(mkHeader(int64(i)), payloadFor(int64(i)))
 			}
 		}
-		if r.cumAck != int64(n) {
+		if r.win.CumAck() != int64(n) {
 			return false
 		}
 		want := make([]byte, 0, 8*n)
@@ -51,48 +52,40 @@ func TestReassemblyPermutationProperty(t *testing.T) {
 	}
 }
 
-// TestRangeTracking: the receiver's SACK range list must exactly describe
+// TestRangeTracking: the ranges of the receiver's ACK must exactly describe
 // the out-of-order set.
 func TestRangeTracking(t *testing.T) {
 	r := NewReceiver(nil, nil)
+	var a Ack
 	for _, seq := range []int64{5, 3, 7, 6, 10} {
-		r.onData(mkHeader(seq), payloadFor(seq))
+		a, _ = r.onData(mkHeader(seq), payloadFor(seq))
 	}
 	// cumAck = 0; ranges should be [3,3] [5,7] [10,10].
-	want := []AckRange{{3, 3}, {5, 7}, {10, 10}}
-	if len(r.ranges) != len(want) {
-		t.Fatalf("ranges = %v, want %v", r.ranges, want)
-	}
-	for i, rg := range want {
-		if r.ranges[i] != rg {
-			t.Fatalf("ranges = %v, want %v", r.ranges, want)
-		}
+	if want := []AckRange{{3, 3}, {5, 7}, {10, 10}}; a.CumAck != 0 || !slices.Equal(a.Ranges, want) {
+		t.Fatalf("ack cum %d ranges %v, want 0 %v", a.CumAck, a.Ranges, want)
 	}
 	// Fill the head: ranges below cumAck must be trimmed.
-	r.onData(mkHeader(0), payloadFor(0))
-	r.onData(mkHeader(1), payloadFor(1))
-	r.onData(mkHeader(2), payloadFor(2))
-	if r.cumAck != 4 {
-		t.Fatalf("cumAck = %d, want 4", r.cumAck)
+	for seq := int64(0); seq < 3; seq++ {
+		a, _ = r.onData(mkHeader(seq), payloadFor(seq))
 	}
-	if len(r.ranges) != 2 || r.ranges[0] != (AckRange{5, 7}) {
-		t.Fatalf("ranges after trim = %v", r.ranges)
+	if want := []AckRange{{5, 7}, {10, 10}}; a.CumAck != 4 || !slices.Equal(a.Ranges, want) {
+		t.Fatalf("ack after trim: cum %d ranges %v, want 4 %v", a.CumAck, a.Ranges, want)
 	}
 }
 
-// Property: range list is always sorted, non-overlapping, above cumAck.
+// Property: an ACK's ranges are always sorted, non-overlapping, above cumAck.
 func TestRangeInvariantProperty(t *testing.T) {
 	f := func(seqsRaw []uint8) bool {
 		r := NewReceiver(nil, nil)
 		for _, s := range seqsRaw {
-			r.onData(mkHeader(int64(s)), payloadFor(int64(s)))
-		}
-		prev := r.cumAck - 1
-		for _, rg := range r.ranges {
-			if rg.Start <= prev || rg.End < rg.Start {
-				return false
+			a, _ := r.onData(mkHeader(int64(s)), payloadFor(int64(s)))
+			prev := a.CumAck - 1
+			for _, rg := range a.Ranges {
+				if rg.Start <= prev || rg.End < rg.Start {
+					return false
+				}
+				prev = rg.End + 1 // adjacent ranges must have been merged
 			}
-			prev = rg.End + 1 // adjacent ranges must have been merged
 		}
 		return true
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,6 +94,7 @@ func (p *virtualPath) run(maxTime float64, stop func() bool) {
 // deliver plays the network and the receiver for one datagram.
 func (p *virtualPath) deliver(dgram []byte) {
 	var ack Ack
+	var ok bool
 	switch dgram[0] {
 	case typeData:
 		h, payload, err := decodeData(dgram)
@@ -103,22 +105,21 @@ func (p *virtualPath) deliver(dgram []byte) {
 		if p.dropData != nil && p.dropData(h.Seq) {
 			return
 		}
-		p.recv.onData(h, payload)
-		ack = Ack{FlowID: h.FlowID, CumAck: p.recv.cumAck, Ranges: p.recv.ranges, EchoSeq: h.Seq, EchoNanos: h.SentNanos}
+		ack, ok = p.recv.onData(h, payload)
 	case typeFin:
 		flowID, total, err := decodeFin(dgram)
 		if err != nil {
 			p.t.Fatalf("core emitted an undecodable fin: %v", err)
 		}
 		p.finAt = append(p.finAt, p.now)
-		if (p.dropFin != nil && p.dropFin(len(p.finAt))) || p.recv.cumAck < total {
+		if p.dropFin != nil && p.dropFin(len(p.finAt)) {
 			return
 		}
-		ack = Ack{FlowID: flowID, CumAck: p.recv.cumAck, EchoSeq: finAckEcho}
+		ack, ok = p.recv.onFin(flowID, total)
 	default:
 		p.t.Fatalf("core emitted a datagram of unknown type %#x", dgram[0])
 	}
-	if p.dropAck != nil && p.dropAck() {
+	if !ok || (p.dropAck != nil && p.dropAck()) {
 		return
 	}
 	wire := make([]byte, 1024)
@@ -429,20 +430,16 @@ func TestForgedAckCannotHangOrComplete(t *testing.T) {
 }
 
 // TestCoreWarmCycleAllocatesNothing pins the shared FIFO inside the
-// transport: a warm Poll / decodeAck / OnAck cycle with steady loss and
-// retransmission allocates nothing — the datagram buffer and the ACK-range
-// scratch are the caller's. (The old sender's rtxQ = rtxQ[1:] cost one
-// allocation per detected loss here.)
+// transport: a warm Poll / Receiver / decodeAck / OnAck cycle with steady
+// loss and retransmission allocates nothing — the datagram buffer and the
+// ACK-range scratch are the caller's. (The old sender's rtxQ = rtxQ[1:] cost
+// one allocation per detected loss here.)
 func TestCoreWarmCycleAllocatesNothing(t *testing.T) {
 	c, _ := testCore(t, 6000*MSS)
 	buf := make([]byte, dataHeaderLen+MSS)
 	ackBuf := make([]byte, 1024)
-	// The receiver here is arithmetic only (Receiver copies payloads into a
-	// map): a received bitmap, its cumulative point, and the runs above it
-	// rebuilt into a reused slice.
-	got := make([]bool, len(c.payloads))
-	var cum, high int64
-	var ranges, scratch []AckRange
+	r := NewReceiver(nil, nil)
+	var scratch []AckRange
 	now, sends := 0.0, 0
 	cycle := func() {
 		for i := 0; i < 256; i++ {
@@ -451,26 +448,12 @@ func TestCoreWarmCycleAllocatesNothing(t *testing.T) {
 			if n == 0 {
 				continue
 			}
-			h, _, _ := decodeData(buf[:n])
+			h, payload, _ := decodeData(buf[:n])
 			if sends++; sends%8 == 0 {
 				continue // lost on the wire
 			}
-			got[h.Seq], high = true, max(high, h.Seq)
-			for cum < int64(len(got)) && got[cum] {
-				cum++
-			}
-			ranges = ranges[:0]
-			for seq := cum; seq <= high; seq++ {
-				if !got[seq] {
-					continue
-				}
-				if k := len(ranges) - 1; k >= 0 && ranges[k].End == seq-1 {
-					ranges[k].End = seq
-				} else {
-					ranges = append(ranges, AckRange{seq, seq})
-				}
-			}
-			m := encodeAck(ackBuf, Ack{FlowID: h.FlowID, CumAck: cum, Ranges: ranges, EchoSeq: h.Seq, EchoNanos: h.SentNanos})
+			ack, _ := r.onData(h, payload)
+			m := encodeAck(ackBuf, ack)
 			a, err := decodeAck(ackBuf[:m], scratch)
 			if err != nil {
 				t.Fatal(err)
@@ -488,5 +471,36 @@ func TestCoreWarmCycleAllocatesNothing(t *testing.T) {
 	}
 	if c.rtx-rtxBefore < 100 || c.finished() || c.dataDone() {
 		t.Fatalf("cycle exercised %d retransmissions (done=%v); want steady loss recovery mid-flow", c.rtx-rtxBefore, c.dataDone())
+	}
+}
+
+// TestReceiverWarmAllocatesNothing pins the receiver's per-packet path: an
+// out-of-order packet, the in-order one that releases it and each encoded
+// ACK allocate nothing once the payload ring is warm. (The map receiver
+// allocated twice per out-of-order packet: the payload copy and the ACK's
+// copy of the range list.)
+func TestReceiverWarmAllocatesNothing(t *testing.T) {
+	r := NewReceiver(nil, io.Discard)
+	payload := make([]byte, MSS)
+	ackBuf := make([]byte, 1024)
+	next := int64(0)
+	// Every other sequence of a 256-packet block first (so the ACKs carry
+	// the full 32 ranges), then the rest, which releases the whole block.
+	cycle := func() {
+		for _, first := range []int64{1, 0} {
+			for seq := next + first; seq < next+256; seq += 2 {
+				a, _ := r.onData(DataHeader{FlowID: 1, Seq: seq, SentNanos: seq, PayloadLen: MSS}, payload)
+				encodeAck(ackBuf, a)
+			}
+		}
+		next += 256
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Errorf("a warm receiver allocates %.1f objects per 256 packets and ACKs, want 0", avg)
+	}
+	if r.win.CumAck() != next || r.BytesWritten() != next*MSS {
+		t.Fatalf("cum %d, %d bytes written; want %d, %d", r.win.CumAck(), r.BytesWritten(), next, next*MSS)
 	}
 }

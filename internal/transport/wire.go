@@ -1,10 +1,13 @@
 // Package transport is a user-space reliable transport over UDP driven by
 // the PCC controller from internal/core — the analogue of the paper's
 // UDT-based prototype (§3). The sender paces MSS-sized data packets at the
-// rate PCC chooses, the receiver batches selective acknowledgments, and the
-// monitor module aggregates them into per-MI metrics for the controller.
-// No kernel support, router support or receiver intelligence is needed
-// (§2.3): the receiver only echoes what it saw.
+// rate PCC chooses, the receiver answers each with a selective
+// acknowledgment, and the monitor module aggregates them into per-MI metrics
+// for the controller. Both sides keep their ledger in internal/sack, as the
+// simulator's sender and receiver do: the sender a sack.Board, the receiver
+// a sack.RecvWindow and a bounded ring of out-of-order payloads. No kernel
+// support, router support or receiver intelligence is needed (§2.3): the
+// receiver only echoes what it saw.
 //
 // Wire format (all integers big-endian):
 //
@@ -108,14 +111,13 @@ func decodeData(b []byte) (DataHeader, []byte, error) {
 	return h, b[dataHeaderLen : dataHeaderLen+h.PayloadLen], nil
 }
 
+// maxAckRanges is how many ranges one ACK carries.
+const maxAckRanges = 32
+
 // encodeAck writes an acknowledgment into buf, truncating ranges to what
 // fits, and returns the packet length.
 func encodeAck(buf []byte, a Ack) int {
-	const maxRanges = 32
-	n := len(a.Ranges)
-	if n > maxRanges {
-		n = maxRanges
-	}
+	n := min(len(a.Ranges), maxAckRanges)
 	buf[0] = typeAck
 	binary.BigEndian.PutUint32(buf[1:], a.FlowID)
 	binary.BigEndian.PutUint64(buf[5:], uint64(a.CumAck))
