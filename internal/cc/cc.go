@@ -6,8 +6,10 @@
 //   - WindowSender drives window-based algorithms (the TCP family,
 //     internal/tcp) with SACK-granularity loss recovery, RTO, and optional
 //     packet pacing.
-//   - RateSender drives rate-based algorithms (PCC, SABUL, PCP) with a
-//     pacing clock and the same SACK feedback.
+//   - RateSender drives any RateAlgo (PCC is core.PCC; SABUL and PCP are in
+//     internal/baseline) with a pacing clock and the same SACK feedback.
+//     It calls the algorithm through the interface and names none of them,
+//     so this package imports no algorithm.
 //
 // Both use one Receiver, which acknowledges every data packet with a
 // cumulative ACK plus the selective sequence number that triggered it,

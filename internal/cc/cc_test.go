@@ -3,9 +3,11 @@ package cc
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"pcc/internal/core"
 	"pcc/internal/netem"
 	"pcc/internal/sack"
 	"pcc/internal/sim"
@@ -359,4 +361,57 @@ func TestSenderOutstandingCounterMatchesScan(t *testing.T) {
 			t.Fatalf("%s sender: %d retransmissions over %d probes; the path did not exercise recovery", kind, retransmitted(), checks)
 		}
 	}
+}
+
+// BenchmarkRateSenderPCC times one packet of a PCC flow through RateSender
+// and Receiver back to back over PostArg: 5 ms each way behind a 100 Mbps
+// drop-tail bottleneck with 10 ms of buffer, modelled in the send hook so
+// the controller settles instead of doubling for ever. The sender calls
+// core.PCC through the RateAlgo interface, as it does every algorithm. Warm
+// (after 50 000 ACKs) the path allocates nothing; CI's bench-delta job
+// gates that.
+func BenchmarkRateSenderPCC(b *testing.B) {
+	const capacity, buffer = 100e6 / 8, 0.01 // bytes/s; seconds of queue
+	eng := sim.NewEngine()
+	pool := &netem.PacketPool{}
+	recv := NewReceiver(eng, 0)
+	recv.Pool = pool
+	var rs *RateSender
+	acks := 0
+	toRecv := func(arg any) { recv.OnData(arg.(*netem.Packet)) }
+	toSend := func(arg any) {
+		rs.OnAck(arg.(*netem.Packet))
+		if acks--; acks == 0 {
+			eng.Halt()
+		}
+	}
+	recv.SendAck = func(p *netem.Packet) { eng.PostArg(0.005, toSend, p) }
+	busy := 0.0 // when the bottleneck finishes its queue
+	send := func(p *netem.Packet) {
+		now := eng.Now()
+		start := max(now, busy)
+		if start-now > buffer {
+			pool.Put(p) // tail drop
+			return
+		}
+		busy = start + float64(p.Size)/capacity
+		eng.PostArg(busy-now+0.005, toRecv, p)
+	}
+	rs = NewRateSender(eng, 0, core.New(core.DefaultConfig(0.01), rand.New(rand.NewSource(1))), send)
+	rs.Pool = pool
+	rs.Start()
+	acks = 50_000
+	eng.Run()
+	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	acks = b.N
+	eng.Run()
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	// allocs/op rounds down, so an allocation every few hundred packets
+	// (one per MI, say) reads 0 there; this exact rate does not.
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "mallocs/op")
 }

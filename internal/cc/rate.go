@@ -1,19 +1,18 @@
 package cc
 
 import (
-	"pcc/internal/baseline"
-	"pcc/internal/core"
 	"pcc/internal/netem"
 	"pcc/internal/sim"
 )
 
-// RateSender drives a RateAlgo (PCC, SABUL, PCP) over a simulated path.
-// Transmission is clocked purely by the algorithm's pacing rate — there is
-// no window. Reliability is the shared sack.Board, as in WindowSender and
-// the real-UDP transport: packets are declared lost by SACK gap or by a tail
-// timer, queued for retransmission, and retransmissions consume pacing slots
-// exactly like new data (§3.1: "the Sending Module sends packets (new or
-// retransmission) at a certain sending rate").
+// RateSender drives a RateAlgo over a simulated path, calling it through the
+// interface whatever its type. Transmission is clocked purely by the
+// algorithm's pacing rate — there is no window. Reliability is the shared
+// sack.Board, as in WindowSender and the real-UDP transport: packets are
+// declared lost by SACK gap or by a tail timer, queued for retransmission,
+// and retransmissions consume pacing slots exactly like new data (§3.1: "the
+// Sending Module sends packets (new or retransmission) at a certain sending
+// rate").
 type RateSender struct {
 	flowCore
 	Algo RateAlgo
@@ -26,15 +25,6 @@ type RateSender struct {
 	tailDeadline float64
 	sendLoopFn   func()
 	onTailFn     func()
-
-	// algoPCC/algoSabul/algoPCP cache Algo's concrete type (set in
-	// initDefaults) so the per-packet hooks — Rate on every pacing tick,
-	// OnSend per transmission, OnAck per acknowledgment — dispatch directly
-	// instead of through the RateAlgo interface. At most one is non-nil; an
-	// algorithm outside the three built-ins falls back to the interface.
-	algoPCC   *core.PCC
-	algoSabul *baseline.Sabul
-	algoPCP   *baseline.PCP
 }
 
 // NewRateSender wires a rate-based algorithm to a path.
@@ -52,80 +42,7 @@ func NewRateSender(eng *sim.Engine, flow int, algo RateAlgo, sendData func(*nete
 // NewRateSender and Reset (flowCore.reset covers the common ones).
 func (s *RateSender) initDefaults(algo RateAlgo) {
 	s.Algo = algo
-	s.algoPCC, s.algoSabul, s.algoPCP = nil, nil, nil
-	switch a := algo.(type) {
-	case *core.PCC:
-		s.algoPCC = a
-	case *baseline.Sabul:
-		s.algoSabul = a
-	case *baseline.PCP:
-		s.algoPCP = a
-	}
 	s.MinRate = 2 * MSS
-}
-
-// algoRate, algoOnSend, algoOnAck and algoOnLost are the devirtualized
-// algorithm hooks: one predictable nil check and a direct (inlinable) call
-// for the built-in algorithms, interface dispatch otherwise.
-func (s *RateSender) algoRate(now float64) float64 {
-	if s.algoPCC != nil {
-		return s.algoPCC.Rate(now)
-	}
-	if s.algoSabul != nil {
-		return s.algoSabul.Rate(now)
-	}
-	if s.algoPCP != nil {
-		return s.algoPCP.Rate(now)
-	}
-	return s.Algo.Rate(now)
-}
-
-func (s *RateSender) algoOnSend(seq int64, size int, now float64) {
-	if s.algoPCC != nil {
-		s.algoPCC.OnSend(seq, size, now)
-		return
-	}
-	if s.algoSabul != nil {
-		s.algoSabul.OnSend(seq, size, now)
-		return
-	}
-	if s.algoPCP != nil {
-		s.algoPCP.OnSend(seq, size, now)
-		return
-	}
-	s.Algo.OnSend(seq, size, now)
-}
-
-func (s *RateSender) algoOnAck(seq int64, rtt float64, now float64) {
-	if s.algoPCC != nil {
-		s.algoPCC.OnAck(seq, rtt, now)
-		return
-	}
-	if s.algoSabul != nil {
-		s.algoSabul.OnAck(seq, rtt, now)
-		return
-	}
-	if s.algoPCP != nil {
-		s.algoPCP.OnAck(seq, rtt, now)
-		return
-	}
-	s.Algo.OnAck(seq, rtt, now)
-}
-
-func (s *RateSender) algoOnLost(seq int64, now float64) {
-	if s.algoPCC != nil {
-		s.algoPCC.OnLost(seq, now)
-		return
-	}
-	if s.algoSabul != nil {
-		s.algoSabul.OnLost(seq, now)
-		return
-	}
-	if s.algoPCP != nil {
-		s.algoPCP.OnLost(seq, now)
-		return
-	}
-	s.Algo.OnLost(seq, now)
 }
 
 // Reset returns the sender to its just-constructed state around a new
@@ -171,7 +88,7 @@ func (s *RateSender) Unfreeze() {
 }
 
 func (s *RateSender) rate() float64 {
-	r := s.algoRate(s.Eng.Now())
+	r := s.Algo.Rate(s.Eng.Now())
 	if r < s.MinRate {
 		r = s.MinRate
 	}
@@ -187,7 +104,7 @@ func (s *RateSender) sendLoop() {
 	now := s.Eng.Now()
 	// nil when the queue held only retransmissions already acknowledged.
 	if p := s.nextPacket(now); p != nil {
-		s.algoOnSend(p.Seq, s.PktSize, now)
+		s.Algo.OnSend(p.Seq, s.PktSize, now)
 		s.SendData(p)
 		s.armTail()
 	}
@@ -245,7 +162,7 @@ func (s *RateSender) onTail() {
 		// fresher ones may simply still be in flight.
 		if now-st.SentAt > rto {
 			s.board.MarkLost(seq)
-			s.algoOnLost(seq, now)
+			s.Algo.OnLost(seq, now)
 		}
 	}
 	if s.board.Outstanding() > 0 || s.hasData() {
@@ -278,7 +195,7 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 			s.rttSum += rtt
 			s.rttCnt++
 		}
-		s.algoOnAck(sackSeq, rtt, now)
+		s.Algo.OnAck(sackSeq, rtt, now)
 	}
 	cumAdvanced := cumAck > s.board.CumAck()
 	for s.board.HeadBelow(cumAck) {
@@ -287,7 +204,7 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 			// cumulative coverage proves delivery, so tell the algorithm
 			// (no RTT sample). Without this, ACK-path loss would inflate
 			// the monitor's measured loss rate.
-			s.algoOnAck(seq, 0, now)
+			s.Algo.OnAck(seq, 0, now)
 		}
 	}
 
@@ -299,7 +216,7 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 	}
 
 	for seq := s.board.NextGapLoss(); seq >= 0; seq = s.board.NextGapLoss() {
-		s.algoOnLost(seq, now)
+		s.Algo.OnLost(seq, now)
 	}
 
 	if s.complete() {

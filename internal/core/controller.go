@@ -28,12 +28,13 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// miRole records what experiment an MI was part of, so its utility result
-// can be routed when it arrives (results lag MIs by about one RTT).
+// miRole records what experiment an MI was part of and the rate it runs at.
+// The monitor keeps it in the MI's own record and hands it back with the
+// MI's stats, so a result that arrives about one RTT later is routed without
+// the controller remembering anything per MI.
 type miRole struct {
 	kind  roleKind
 	rate  float64
-	sign  int // +1 / −1 for decision trials
 	trial int // trial index 0..3 within the current RCT round
 	round int // RCT round counter, to discard stale trial results
 	step  int // adjusting step n
@@ -49,8 +50,10 @@ const (
 )
 
 // Controller is the §3.2 learning control algorithm as a pure state
-// machine: the Monitor asks it for the next MI's rate and feeds back each
-// MI's utility when known. It does no I/O and keeps no clock.
+// machine: the Monitor asks it for the next MI's role (its rate and what
+// experiment it is part of) and hands each role back with the MI's stats
+// when known. It does no I/O, keeps no clock and holds no per-MI state: an
+// MI whose result never comes back leaves nothing behind.
 type Controller struct {
 	cfg Config
 	rng *rand.Rand
@@ -58,12 +61,6 @@ type Controller struct {
 	state State
 	rate  float64 // base rate r, bytes/s
 	eps   float64
-
-	// roles tracks outstanding MIs by value in an id-windowed ring (MI ids
-	// are assigned in strictly increasing order, results lag ~1 RTT), so
-	// recording and delivering a role allocates nothing and resetting the
-	// controller is deterministic — no map, no free list (see roleRing).
-	roles roleRing
 
 	// Starting state bookkeeping.
 	lastStartUtility float64
@@ -96,35 +93,20 @@ type Controller struct {
 // cfg.InitialRate.
 func NewController(cfg Config, rng *rand.Rand) *Controller {
 	c := &Controller{}
-	c.init(cfg, rng)
+	c.Reset(cfg, rng)
 	return c
 }
 
 // Reset returns the controller to the state NewController(cfg, rng) would
-// build, in place, retaining the role ring's slot array. Undelivered roles
-// from the previous run are simply cleared — roles live by value, so there
-// is no free list whose order could vary (the map this replaces drained in
-// random iteration order, perturbing warm-trial allocation placement from
-// run to run). rng is the sender's stream, already rewound by the caller.
+// build, in place. rng is the sender's stream, already rewound by the caller.
 func (c *Controller) Reset(cfg Config, rng *rand.Rand) {
-	c.roles.reset()
-	c.init(cfg, rng)
-}
-
-// init is the shared (re)initialization behind NewController and Reset; it
-// assumes c.roles is empty.
-func (c *Controller) init(cfg Config, rng *rand.Rand) {
-	roles := c.roles
+	cfg = cfg.normalize()
 	*c = Controller{
 		cfg:   cfg,
 		rng:   rng,
 		state: StateStarting,
 		rate:  cfg.InitialRate,
 		eps:   cfg.EpsMin,
-		roles: roles,
-	}
-	if c.rate <= 0 {
-		c.rate = 2 * 1500 / 0.1 // 2 MSS per 100 ms if no hint given
 	}
 }
 
@@ -154,10 +136,9 @@ func (c *Controller) pairCount() int {
 	return 2
 }
 
-// NextMIRate assigns a rate to the MI with the given id and records its
-// role. Monitor calls this exactly once per MI, in order.
-func (c *Controller) NextMIRate(mi int64) float64 {
-	var role miRole
+// nextMI returns the next MI's role, its rate included. The monitor calls
+// it exactly once per MI, in order, and keeps the role with the MI.
+func (c *Controller) nextMI() miRole {
 	switch c.state {
 	case StateStarting:
 		// First MI runs at the initial rate; each subsequent MI doubles it.
@@ -165,7 +146,7 @@ func (c *Controller) NextMIRate(mi int64) float64 {
 			c.rate *= 2
 		}
 		c.haveStartRole = true
-		role = miRole{kind: roleStarting, rate: c.rate}
+		return miRole{kind: roleStarting, rate: c.rate}
 
 	case StateDecision:
 		if c.trialsLeft > 0 {
@@ -173,12 +154,10 @@ func (c *Controller) NextMIRate(mi int64) float64 {
 			sign := c.trialSigns[idx]
 			c.trialsLeft--
 			r := c.rate * (1 + float64(sign)*c.eps)
-			role = miRole{kind: roleTrial, rate: r, sign: sign, trial: idx, round: c.round}
-			c.roles.put(mi, role)
-			return r
+			return miRole{kind: roleTrial, rate: r, trial: idx, round: c.round}
 		}
 		// All trials scheduled: send at the base rate until results arrive.
-		role = miRole{kind: roleFiller, rate: c.rate}
+		return miRole{kind: roleFiller, rate: c.rate}
 
 	case StateAdjusting:
 		c.step++
@@ -187,13 +166,9 @@ func (c *Controller) NextMIRate(mi int64) float64 {
 		if c.rate < c.cfg.MinRate {
 			c.rate = c.cfg.MinRate
 		}
-		role = miRole{kind: roleAdjust, rate: c.rate, step: c.step}
-
-	default:
-		role = miRole{kind: roleFiller, rate: c.rate}
+		return miRole{kind: roleAdjust, rate: c.rate, step: c.step}
 	}
-	c.roles.put(mi, role)
-	return role.rate
+	return miRole{kind: roleFiller, rate: c.rate}
 }
 
 func (c *Controller) numTrials() int { return 2 * c.pairCount() }
@@ -222,12 +197,9 @@ func (c *Controller) enterDecision(resetEps bool) {
 	}
 }
 
-// DeliverResult feeds an MI's finalized stats back into the state machine.
-func (c *Controller) DeliverResult(mi int64, stats MIStats) {
-	role, ok := c.roles.take(mi)
-	if !ok {
-		return
-	}
+// deliver feeds an MI's finalized stats, with the role nextMI gave it, back
+// into the state machine.
+func (c *Controller) deliver(role miRole, stats MIStats) {
 	u := c.cfg.Utility.Eval(stats)
 
 	switch role.kind {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -130,25 +131,25 @@ func TestControllerStartingDoublesUntilUtilityDrop(t *testing.T) {
 	cfg := DefaultConfig(0.03)
 	cfg.Utility = constUtility{&u}
 	c := NewController(cfg, rand.New(rand.NewSource(1)))
-	r0 := c.NextMIRate(0)
-	r1 := c.NextMIRate(1)
-	if r1 != 2*r0 {
-		t.Fatalf("starting state rate %v -> %v, want doubling", r0, r1)
+	m0 := c.nextMI()
+	m1 := c.nextMI()
+	if m1.rate != 2*m0.rate {
+		t.Fatalf("starting state rate %v -> %v, want doubling", m0.rate, m1.rate)
 	}
-	c.DeliverResult(0, MIStats{})
+	c.deliver(m0, MIStats{})
 	u = 2.0
-	c.DeliverResult(1, MIStats{})
-	r2 := c.NextMIRate(2)
-	if r2 != 2*r1 {
-		t.Fatalf("rate %v after growing utility, want %v", r2, 2*r1)
+	c.deliver(m1, MIStats{})
+	m2 := c.nextMI()
+	if m2.rate != 2*m1.rate {
+		t.Fatalf("rate %v after growing utility, want %v", m2.rate, 2*m1.rate)
 	}
-	u = 1.0 // utility decreased: exit to half of r2's rate
-	c.DeliverResult(2, MIStats{})
+	u = 1.0 // utility decreased: exit to half of m2's rate
+	c.deliver(m2, MIStats{})
 	if c.State() != StateDecision {
 		t.Fatalf("state %v after utility drop, want decision", c.State())
 	}
-	if got := c.Rate(); got != r2/2 {
-		t.Fatalf("rate %v after exit, want %v", got, r2/2)
+	if got := c.Rate(); got != m2.rate/2 {
+		t.Fatalf("rate %v after exit, want %v", got, m2.rate/2)
 	}
 	if !c.TakeRealign() {
 		t.Fatal("state change must request MI realignment")
@@ -161,29 +162,22 @@ func TestControllerRCTConclusiveUp(t *testing.T) {
 	cfg.Utility = constUtility{&u}
 	c := NewController(cfg, rand.New(rand.NewSource(2)))
 	// Drive into decision state.
-	c.NextMIRate(0)
-	c.DeliverResult(0, MIStats{})
+	c.deliver(c.nextMI(), MIStats{})
 	u = 0.5
-	c.NextMIRate(1)
-	c.DeliverResult(1, MIStats{})
+	c.deliver(c.nextMI(), MIStats{})
 	if c.State() != StateDecision {
 		t.Fatalf("state = %v, want decision", c.State())
 	}
 	base := c.Rate()
 	// Four trials; assign each a utility proportional to its rate so the
 	// higher rate consistently wins.
-	type trial struct {
-		id   int64
-		rate float64
-	}
-	var trials []trial
-	for id := int64(2); id < 6; id++ {
-		r := c.NextMIRate(id)
-		trials = append(trials, trial{id, r})
+	var trials []miRole
+	for k := 0; k < 4; k++ {
+		trials = append(trials, c.nextMI())
 	}
 	for _, tr := range trials {
 		u = tr.rate // higher rate → higher utility
-		c.DeliverResult(tr.id, MIStats{})
+		c.deliver(tr, MIStats{})
 	}
 	if c.State() != StateAdjusting {
 		t.Fatalf("state = %v after conclusive trials, want adjusting", c.State())
@@ -198,21 +192,18 @@ func TestControllerInconclusiveGrowsEpsilon(t *testing.T) {
 	cfg := DefaultConfig(0.03)
 	cfg.Utility = constUtility{&u}
 	c := NewController(cfg, rand.New(rand.NewSource(3)))
-	c.NextMIRate(0)
-	c.DeliverResult(0, MIStats{})
+	c.deliver(c.nextMI(), MIStats{})
 	u = 0.5
-	c.NextMIRate(1)
-	c.DeliverResult(1, MIStats{})
+	c.deliver(c.nextMI(), MIStats{})
 	eps0 := c.Epsilon()
 	// Deliver identical utilities: ties are inconclusive.
-	var ids []int64
-	for id := int64(2); id < 6; id++ {
-		c.NextMIRate(id)
-		ids = append(ids, id)
+	var trials []miRole
+	for k := 0; k < 4; k++ {
+		trials = append(trials, c.nextMI())
 	}
 	u = 1.0
-	for _, id := range ids {
-		c.DeliverResult(id, MIStats{})
+	for _, tr := range trials {
+		c.deliver(tr, MIStats{})
 	}
 	if c.State() != StateDecision {
 		t.Fatalf("state = %v after tie, want decision", c.State())
@@ -230,21 +221,16 @@ func TestControllerEpsilonCapped(t *testing.T) {
 	cfg := DefaultConfig(0.03)
 	cfg.Utility = constUtility{&u}
 	c := NewController(cfg, rand.New(rand.NewSource(4)))
-	c.NextMIRate(0)
-	c.DeliverResult(0, MIStats{})
+	c.deliver(c.nextMI(), MIStats{})
 	u = 0.5
-	c.NextMIRate(1)
-	c.DeliverResult(1, MIStats{})
-	id := int64(2)
+	c.deliver(c.nextMI(), MIStats{})
 	for round := 0; round < 20; round++ {
-		var ids []int64
+		var trials []miRole
 		for k := 0; k < 4; k++ {
-			c.NextMIRate(id)
-			ids = append(ids, id)
-			id++
+			trials = append(trials, c.nextMI())
 		}
-		for _, i := range ids {
-			c.DeliverResult(i, MIStats{})
+		for _, tr := range trials {
+			c.deliver(tr, MIStats{})
 		}
 	}
 	if c.Epsilon() > cfg.EpsMax+1e-12 {
@@ -332,10 +318,48 @@ func TestPCCStartingDoublesInPractice(t *testing.T) {
 }
 
 func TestDefaultConfigValidation(t *testing.T) {
-	// New must repair zero-valued configs.
-	p := New(Config{}, nil)
-	if p.cfg.Utility == nil || p.cfg.EpsMin <= 0 || p.cfg.MinPktsPerMI <= 0 {
-		t.Fatalf("New did not normalize the zero config: %+v", p.cfg)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// check reports what is wrong with the normalized sender, or "".
+		check func(p *PCC) string
+	}{
+		{"zero-config", Config{}, func(p *PCC) string {
+			if p.cfg.Utility == nil || p.cfg.EpsMin <= 0 || p.cfg.MinPktsPerMI <= 0 {
+				return "New did not normalize the zero config"
+			}
+			return ""
+		}},
+		// An inconsistent EpsMax is repaired to a cap at or above the
+		// floor: an inconclusive round must never set ε below EpsMin.
+		{"epsmax-below-large-epsmin", Config{EpsMin: 0.08, EpsMax: 0.02}, func(p *PCC) string {
+			if p.cfg.EpsMax < p.cfg.EpsMin {
+				return "EpsMax repaired below EpsMin"
+			}
+			return ""
+		}},
+		{"epsmax-below-small-epsmin", Config{EpsMin: 0.01, EpsMax: 0.005}, func(p *PCC) string {
+			if p.cfg.EpsMax != 0.05 {
+				return "EpsMax not repaired to the paper's 0.05"
+			}
+			return ""
+		}},
+		// Absent a rate hint the entry rate is 2 packets per 100 ms at the
+		// flow's packet size, and the srtt seed inferred from it is 100 ms.
+		{"no-hint-sized-packets", Config{PacketSize: 500}, func(p *PCC) string {
+			if p.cfg.InitialRate != 2*500/0.1 || p.ctl.Rate() != p.cfg.InitialRate {
+				return "initial rate ignores PacketSize"
+			}
+			if math.Abs(p.SRTT()-0.1) > 1e-12 {
+				return "srtt seed is not the 100 ms default"
+			}
+			return ""
+		}},
+	} {
+		p := New(tc.cfg, nil)
+		if msg := tc.check(p); msg != "" {
+			t.Errorf("%s: %s: cfg %+v, controller rate %v", tc.name, msg, p.cfg, p.ctl.Rate())
+		}
 	}
 }
 
@@ -354,4 +378,54 @@ func TestHeavyLossAndInteractiveConfigs(t *testing.T) {
 	if i.MIRttHi >= 1.7 {
 		t.Fatalf("interactive MI bound = %v, want tighter than default", i.MIRttHi)
 	}
+}
+
+// BenchmarkPCCPacket times one Rate+OnSend+OnAck cycle on a synthetic clock
+// at the rate PCC asks for: the monitor and the controller alone, no engine
+// and no network. A 100 Mbps bottleneck acknowledges only capacity/rate of
+// what is sent above it, one 30 ms RTT later, so the controller settles
+// instead of doubling for ever. Warm, the cycle allocates nothing; CI's
+// bench-delta job gates that.
+func BenchmarkPCCPacket(b *testing.B) {
+	const rtt, capacity = 0.03, 100e6 / 8
+	p := New(DefaultConfig(rtt), rand.New(rand.NewSource(1)))
+	p.Start(0)
+	type sent struct {
+		seq int64
+		at  float64
+	}
+	ring := make([]sent, 1<<14)
+	head, tail := 0, 0
+	now, seq, credit := 0.0, int64(0), 0.0
+	cycle := func() {
+		rate := p.Rate(now)
+		now += MSS / rate
+		p.OnSend(seq, MSS, now)
+		if credit += min(1, capacity/rate); credit >= 1 {
+			credit--
+			ring[head&(len(ring)-1)] = sent{seq, now}
+			head++
+		}
+		seq++
+		for tail < head && (now-ring[tail&(len(ring)-1)].at >= rtt || head-tail == len(ring)) {
+			p.OnAck(ring[tail&(len(ring)-1)].seq, rtt, now)
+			tail++
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		cycle() // warm the MI records, their seq lists and the seq ring
+	}
+	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	// allocs/op rounds down, so an allocation every few hundred packets
+	// (one per MI, say) reads 0 there; this exact rate does not.
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "mallocs/op")
 }

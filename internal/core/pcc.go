@@ -118,7 +118,7 @@ func InteractiveConfig(rttHint float64) Config {
 // mi is one monitor interval's accounting record.
 type mi struct {
 	id         int64
-	rate       float64 // target rate
+	role       miRole // the controller's experiment, target rate included
 	start      float64
 	end        float64 // actual end (realign may shorten)
 	closed     bool
@@ -155,7 +155,6 @@ type PCC struct {
 	pendHead   int
 	miFree     []*mi // finalized MIs recycled by openMI (seqs backing kept)
 	bySeq      miRing
-	nextMI     int64
 	prevAvgRTT float64
 
 	started bool
@@ -178,7 +177,7 @@ func (cfg Config) normalize() Config {
 		cfg.EpsMin = 0.01
 	}
 	if cfg.EpsMax < cfg.EpsMin {
-		cfg.EpsMax = 0.05
+		cfg.EpsMax = max(0.05, cfg.EpsMin)
 	}
 	if cfg.MIRttLo <= 0 {
 		cfg.MIRttLo = 1.7
@@ -192,6 +191,9 @@ func (cfg Config) normalize() Config {
 	if cfg.PacketSize <= 0 {
 		cfg.PacketSize = MSS
 	}
+	if cfg.InitialRate <= 0 {
+		cfg.InitialRate = 2 * float64(cfg.PacketSize) / 0.1 // 2 packets per 100 ms absent a hint
+	}
 	if cfg.MinRate <= 0 {
 		cfg.MinRate = 2 * float64(cfg.PacketSize) // 2 packets/s absolute floor
 	}
@@ -202,12 +204,10 @@ func (cfg Config) normalize() Config {
 }
 
 // initialSRTT is the monitor's smoothed-RTT seed: the caller's RTT hint
-// inferred back from InitialRate = 2·pkt/RTT, or 100 ms absent a hint.
+// inferred back from InitialRate = 2·pkt/RTT (100 ms absent a hint, which
+// normalize turns into that InitialRate).
 func (cfg Config) initialSRTT() float64 {
-	if cfg.InitialRate > 0 {
-		return 2 * float64(cfg.PacketSize) / cfg.InitialRate
-	}
-	return 0.1
+	return 2 * float64(cfg.PacketSize) / cfg.InitialRate
 }
 
 // New builds a PCC sender. rng drives MI-length jitter and RCT ordering; it
@@ -226,11 +226,10 @@ func New(cfg Config, rng *rand.Rand) *PCC {
 // Reset returns the sender to the state New(cfg, rand.New(rand.NewSource(
 // seed))) would build, in place: the RNG is rewound to seed, the controller
 // re-enters its Starting state, and the monitor's bookkeeping clears — while
-// the recycled MI records (with their seqs backing), the seq→MI ring's slot
-// array, the controller's role map and role free list are all retained. A
-// reset sender therefore produces bit-identical behaviour to a fresh one at
-// a fraction of the setup allocations (seeding a math/rand generator alone
-// fills a 607-word register).
+// the recycled MI records (with their seqs backing) and the seq→MI ring's
+// slot array are retained. A reset sender therefore produces bit-identical
+// behaviour to a fresh one at a fraction of the setup allocations (seeding a
+// math/rand generator alone fills a 607-word register).
 func (p *PCC) Reset(cfg Config, seed int64) {
 	cfg = cfg.normalize()
 	p.cfg = cfg
@@ -245,7 +244,6 @@ func (p *PCC) Reset(cfg Config, seed int64) {
 	p.miFree = append(p.miFree, p.pending[p.pendHead:]...)
 	p.pending, p.pendHead = p.pending[:0], 0
 	p.bySeq.reset()
-	p.nextMI = 0
 	p.prevAvgRTT = 0
 	p.started = false
 	p.now = 0
@@ -282,20 +280,19 @@ func (p *PCC) miDuration(rate float64) float64 {
 }
 
 func (p *PCC) openMI(now float64) {
-	id := p.nextMI
-	p.nextMI++
-	rate := p.ctl.NextMIRate(id)
+	id := p.MICount
+	role := p.ctl.nextMI()
 	var m *mi
 	if n := len(p.miFree); n > 0 {
 		m = p.miFree[n-1]
 		p.miFree = p.miFree[:n-1]
 		seqs := m.seqs[:0]
-		*m = mi{id: id, rate: rate, start: now, seqs: seqs}
+		*m = mi{id: id, role: role, start: now, seqs: seqs}
 	} else {
-		m = &mi{id: id, rate: rate, start: now}
+		m = &mi{id: id, role: role, start: now}
 	}
 	p.cur = m
-	p.cur.end = now + p.miDuration(rate)
+	p.cur.end = now + p.miDuration(role.rate)
 	p.MICount++
 }
 
@@ -370,7 +367,7 @@ func (p *PCC) finalize(m *mi) {
 	p.TotalLostAtFinalize += lost
 	stats := MIStats{
 		Rate:       float64(m.sentBytes) / dur,
-		TargetRate: m.rate,
+		TargetRate: m.role.rate,
 		Throughput: float64(m.ackedBytes) / dur,
 		LossRate:   float64(lost) / float64(m.sent),
 		Duration:   dur,
@@ -391,7 +388,7 @@ func (p *PCC) finalize(m *mi) {
 			stats.RTTSlope = (n*m.sumTR - m.sumT*m.rttSum) / denom
 		}
 	}
-	p.ctl.DeliverResult(m.id, stats)
+	p.ctl.deliver(m.role, stats)
 }
 
 // Rate implements cc.RateAlgo; the harness polls it before each send.
@@ -400,7 +397,7 @@ func (p *PCC) Rate(now float64) float64 {
 	if p.cur == nil {
 		return p.cfg.MinRate
 	}
-	return p.cur.rate
+	return p.cur.role.rate
 }
 
 // OnSend implements cc.RateAlgo.

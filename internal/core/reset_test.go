@@ -8,28 +8,27 @@ import (
 // exerciseController drives a controller through a seeded random schedule of
 // MI assignments and (partly out-of-order, partly dropped) result
 // deliveries, recording every rate the controller hands out or settles on.
-// Dropped MIs leave their roles behind in the role store until Reset —
-// exactly the residue that must not leak into the next trial.
+// Dropped MIs never hand their roles back — the residue that must not leak
+// into the next trial.
 func exerciseController(c *Controller, u *float64) []float64 {
 	rng := rand.New(rand.NewSource(7))
 	var rates []float64
-	var pending []int64
-	mi := int64(0)
+	var pending []miRole
 	for step := 0; step < 400; step++ {
 		if rng.Intn(3) < 2 || len(pending) == 0 {
-			rates = append(rates, c.NextMIRate(mi))
-			pending = append(pending, mi)
-			mi++
+			role := c.nextMI()
+			rates = append(rates, role.rate)
+			pending = append(pending, role)
 			continue
 		}
 		k := rng.Intn(len(pending))
-		id := pending[k]
+		role := pending[k]
 		pending = append(pending[:k], pending[k+1:]...)
 		if rng.Intn(8) == 0 {
-			continue // result lost: the MI's role is never consumed
+			continue // result lost: the MI's role is never handed back
 		}
 		*u = float64(1 + rng.Intn(5))
-		c.DeliverResult(id, MIStats{})
+		c.deliver(role, MIStats{})
 		rates = append(rates, c.Rate())
 	}
 	return rates
@@ -38,10 +37,10 @@ func exerciseController(c *Controller, u *float64) []float64 {
 // TestControllerResetDeterministic is the regression test for the role-store
 // recycling bug: role bookkeeping used to recycle ids through a free list
 // refilled by map iteration, so the post-Reset id sequence — and with it the
-// replay behaviour — depended on Go's randomized map order. The store is now
-// an id-windowed ring, and this test pins the guarantee: the same seeded
-// exercise replays the identical rate sequence across repeated Resets and
-// matches a fresh controller exactly.
+// replay behaviour — depended on Go's randomized map order. Roles now live in
+// the monitor's MI records and the controller keeps none, and this test pins
+// the guarantee: the same seeded exercise replays the identical rate
+// sequence across repeated Resets and matches a fresh controller exactly.
 func TestControllerResetDeterministic(t *testing.T) {
 	u := 1.0
 	cfg := DefaultConfig(0.03)
@@ -64,41 +63,5 @@ func TestControllerResetDeterministic(t *testing.T) {
 					trial, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestRoleRingGrowAndWindow exercises the ring's window mechanics directly:
-// ids arrive strictly increasing, consumption is arbitrary-order, and the
-// live window can span more than the initial capacity (forcing grow).
-func TestRoleRingGrowAndWindow(t *testing.T) {
-	var r roleRing
-	const n = 200
-	for i := int64(0); i < n; i++ {
-		r.put(i, miRole{kind: roleFiller, rate: float64(i)})
-	}
-	// Consume evens first, then odds, always out of order vs. insertion.
-	for i := int64(0); i < n; i += 2 {
-		role, ok := r.take(i)
-		if !ok || role.rate != float64(i) {
-			t.Fatalf("take(%d) = %+v, %v", i, role, ok)
-		}
-	}
-	if _, ok := r.take(4); ok {
-		t.Fatal("double take must miss")
-	}
-	for i := int64(n - 1); i >= 1; i -= 2 {
-		role, ok := r.take(i)
-		if !ok || role.rate != float64(i) {
-			t.Fatalf("take(%d) = %+v, %v", i, role, ok)
-		}
-	}
-	if r.n != 0 {
-		t.Fatalf("%d roles still live after full drain", r.n)
-	}
-	r.reset()
-	// After reset the id space restarts at zero, as a new trial's MIs do.
-	r.put(0, miRole{kind: roleStarting, rate: 1})
-	if role, ok := r.take(0); !ok || role.kind != roleStarting {
-		t.Fatalf("take(0) after reset = %+v, %v", role, ok)
 	}
 }

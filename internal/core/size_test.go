@@ -7,11 +7,21 @@ import (
 )
 
 // captureUtility records every finalized MI's stats so tests can audit the
-// monitor's byte accounting directly.
-type captureUtility struct{ stats []MIStats }
+// monitor's byte accounting directly. It scores an MI with inner when set,
+// else by its throughput.
+type captureUtility struct {
+	stats []MIStats
+	inner Utility
+}
 
-func (c *captureUtility) Name() string           { return "capture" }
-func (c *captureUtility) Eval(m MIStats) float64 { c.stats = append(c.stats, m); return m.Throughput }
+func (c *captureUtility) Name() string { return "capture" }
+func (c *captureUtility) Eval(m MIStats) float64 {
+	c.stats = append(c.stats, m)
+	if c.inner != nil {
+		return c.inner.Eval(m)
+	}
+	return m.Throughput
+}
 
 // TestSubMSSPacketCreditedTrueSize is the tentpole regression for
 // size-accurate accounting: a flow of 700-byte packets must have every ACK
