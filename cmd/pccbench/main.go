@@ -13,9 +13,12 @@
 // scale. Seeds make every run reproducible: each experiment fans its trials
 // out across a worker pool (bounded by -par, else GOMAXPROCS) and produces
 // byte-identical tables at any worker count; each trial runs on one engine.
+// -nodes, -flows and -trialtimeout reach each experiment as its context's
+// exp.Config.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -41,17 +44,16 @@ var (
 	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 )
 
-// applyKnobs pushes the parsed parallelism and scale flags into exp's
-// process-wide overrides. Every driver fans its independent trials out over
-// exp's worker pool; results are bit-identical at any worker count.
+// applyKnobs sets -par as exp's process-wide trial budget and returns the
+// exp.Config of the other knobs, which every experiment call runs under.
+// Every driver fans its independent trials out over exp's worker pool;
+// results are bit-identical at any worker count.
 // -nodes/-flows pin the size of generated-topology experiments (wan)
 // independently of -scale — unlike -par, they change what is simulated, so
 // they change the report.
-func applyKnobs() {
+func applyKnobs() exp.Config {
 	exp.SetWorkers(*par)
-	exp.SetNodes(*nodes)
-	exp.SetFlows(*flows)
-	exp.SetTrialTimeout(*trialTO)
+	return exp.Config{Nodes: *nodes, Flows: *flows, TrialTimeout: *trialTO}
 }
 
 func main() {
@@ -95,7 +97,7 @@ func run() int {
 		}()
 	}
 
-	applyKnobs()
+	ctx := exp.WithConfig(context.Background(), applyKnobs())
 
 	if *list || *id == "" {
 		fmt.Println("experiments:")
@@ -114,7 +116,7 @@ func run() int {
 	}
 	for _, e := range ids {
 		start := time.Now()
-		rep, err := exp.Run(e, *scale, *seed)
+		rep, err := exp.RunCtx(ctx, e, *scale, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pccbench:", err)
 			return 1

@@ -38,12 +38,11 @@ func TestListGolden(t *testing.T) {
 	}
 }
 
-// TestTrialTimeoutFlag pins the -trialtimeout → exp.SetTrialTimeout plumbing
-// through the real flag instance, and that resetting the flag restores the
-// default (disabled).
+// TestTrialTimeoutFlag pins the -trialtimeout plumbing through the real
+// flag instance: applyKnobs puts it in the exp.Config every experiment call
+// runs under, and resetting the flag restores the default (disabled).
 func TestTrialTimeoutFlag(t *testing.T) {
 	defer func() {
-		exp.SetTrialTimeout(0)
 		if err := flag.Set("trialtimeout", "0"); err != nil {
 			t.Error(err)
 		}
@@ -51,24 +50,23 @@ func TestTrialTimeoutFlag(t *testing.T) {
 	if err := flag.Set("trialtimeout", "750ms"); err != nil {
 		t.Fatal(err)
 	}
-	applyKnobs()
-	if got := exp.TrialTimeout(); got != 750*time.Millisecond {
-		t.Errorf("after -trialtimeout 750ms, exp.TrialTimeout() = %v, want 750ms", got)
+	if got := applyKnobs().TrialTimeout; got != 750*time.Millisecond {
+		t.Errorf("after -trialtimeout 750ms, Config.TrialTimeout = %v, want 750ms", got)
 	}
-	exp.SetTrialTimeout(0)
-	if got := exp.TrialTimeout(); got != 0 {
-		t.Errorf("after reset, exp.TrialTimeout() = %v, want 0 (disabled)", got)
+	if err := flag.Set("trialtimeout", "0"); err != nil {
+		t.Fatal(err)
+	}
+	if got := applyKnobs().TrialTimeout; got != 0 {
+		t.Errorf("after reset, Config.TrialTimeout = %v, want 0 (disabled)", got)
 	}
 }
 
-// TestScaleFlags pins the -nodes/-flows → exp.SetNodes/SetFlows plumbing:
-// the generated-topology size knobs ride through applyKnobs exactly like
-// the -par worker flag, and resetting them restores the scale-derived
-// default (exp.Nodes()/Flows() report 0 = no override).
+// TestScaleFlags pins the -nodes/-flows/-par plumbing: -par sets exp's
+// process-wide trial budget, -nodes/-flows land in the per-call exp.Config
+// applyKnobs returns, and resetting them restores the scale-derived
+// default (0 = no pin).
 func TestScaleFlags(t *testing.T) {
 	defer func() {
-		exp.SetNodes(0)
-		exp.SetFlows(0)
 		exp.SetWorkers(0)
 		for _, name := range []string{"nodes", "flows", "par"} {
 			if err := flag.Set(name, "0"); err != nil {
@@ -81,22 +79,19 @@ func TestScaleFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	applyKnobs()
+	cfg := applyKnobs()
 	if got := exp.Workers(); got != 2 {
 		t.Errorf("after -par 2, exp.Workers() = %d, want 2", got)
 	}
-	if got := exp.Nodes(); got != 120 {
-		t.Errorf("after -nodes 120, exp.Nodes() = %d, want 120", got)
+	if cfg.Nodes != 120 || cfg.Flows != 1500 {
+		t.Errorf("after -nodes 120 -flows 1500, Config = %+v, want Nodes 120, Flows 1500", cfg)
 	}
-	if got := exp.Flows(); got != 1500 {
-		t.Errorf("after -flows 1500, exp.Flows() = %d, want 1500", got)
+	for _, name := range []string{"nodes", "flows"} {
+		if err := flag.Set(name, "0"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	exp.SetNodes(0)
-	exp.SetFlows(0)
-	if got := exp.Nodes(); got != 0 {
-		t.Errorf("after reset, exp.Nodes() = %d, want 0 (scale-derived)", got)
-	}
-	if got := exp.Flows(); got != 0 {
-		t.Errorf("after reset, exp.Flows() = %d, want 0 (scale-derived)", got)
+	if cfg := applyKnobs(); cfg.Nodes != 0 || cfg.Flows != 0 {
+		t.Errorf("after reset, Config = %+v, want Nodes 0, Flows 0 (scale-derived)", cfg)
 	}
 }

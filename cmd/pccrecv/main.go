@@ -53,5 +53,6 @@ func main() {
 	if err := r.Run(); err != nil {
 		log.Fatalf("pccrecv: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "pccrecv: received %d bytes (%d packets)\n", r.BytesWritten(), r.UniquePackets())
+	fmt.Fprintf(os.Stderr, "pccrecv: received %d bytes (%d packets, %d dropped beyond the reorder window)\n",
+		r.BytesWritten(), r.UniquePackets(), r.BeyondWindow())
 }

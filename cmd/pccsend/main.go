@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	pccsend -to host:9000 -in file.bin [-rtt 50ms] [-utility safe|resilient|latency]
+//	pccsend -to host:9000 -in file.bin [-rtt 50ms] [-utility safe|latency|resilient|vivace]
 package main
 
 import (
@@ -21,7 +21,7 @@ func main() {
 	to := flag.String("to", "", "receiver UDP address (host:port)")
 	in := flag.String("in", "", "input file ('-' or empty = stdin)")
 	rtt := flag.Duration("rtt", 50*time.Millisecond, "RTT hint for the starting rate")
-	utility := flag.String("utility", "safe", "utility function: safe, resilient, latency")
+	utility := flag.String("utility", "safe", "utility function: safe, latency, resilient, vivace")
 	flag.Parse()
 
 	if *to == "" {
@@ -47,15 +47,9 @@ func main() {
 		r = f
 	}
 
-	cfg := core.DefaultConfig(rtt.Seconds())
-	switch *utility {
-	case "safe":
-	case "resilient":
-		cfg.Utility = core.LossResilientUtility{}
-	case "latency":
-		cfg = core.InteractiveConfig(rtt.Seconds())
-	default:
-		log.Fatalf("pccsend: unknown utility %q", *utility)
+	cfg, err := core.UtilityConfig(*utility, rtt.Seconds())
+	if err != nil {
+		log.Fatalf("pccsend: %v", err)
 	}
 
 	s, err := transport.NewSender(conn, peer, cfg, r)

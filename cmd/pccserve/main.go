@@ -20,6 +20,9 @@
 //	GET  /healthz        liveness (200 even while draining)
 //	GET  /readyz         readiness (503 once draining)
 //
+// -par is the trial budget every unit shares; -trialtimeout arms a
+// watchdog on each request's context, so a wedged trial fails its unit.
+//
 // SIGTERM/SIGINT drain: in-flight sweeps finish and flush, new work gets
 // 503, then the process exits 0. Bodies are byte-identical run over run —
 // the second identical sweep is served from the cache (see /v1/stats).
@@ -48,7 +51,7 @@ var (
 	queue        = flag.Int("queue", 64, "admitted units across all requests before 429")
 	maxunits     = flag.Int("maxunits", 256, "per-request unit budget")
 	sweeptimeout = flag.Duration("sweeptimeout", 0, "server-side deadline per sweep (0 = none)")
-	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog (0 = disabled)")
+	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog on every request's sweeps: a trial exceeding it fails its unit typed (0 = disabled)")
 	par          = flag.Int("par", 0, "trials run at once across all units: the process-wide trial pool (0 = GOMAXPROCS)")
 	draingrace   = flag.Duration("draingrace", 30*time.Second, "max time to wait for in-flight sweeps on shutdown")
 )
@@ -60,7 +63,6 @@ func main() {
 func run() int {
 	flag.Parse()
 	exp.SetWorkers(*par)
-	exp.SetTrialTimeout(*trialtimeout)
 
 	srv, err := serve.NewServer(serve.Config{
 		CacheDir:     *cachedir,
@@ -68,6 +70,7 @@ func run() int {
 		Queue:        *queue,
 		MaxUnits:     *maxunits,
 		SweepTimeout: *sweeptimeout,
+		TrialTimeout: *trialtimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pccserve:", err)

@@ -166,20 +166,12 @@ func parseFlow(spec string, rtt float64) (exp.FlowSpec, error) {
 		return exp.FlowSpec{}, fmt.Errorf("utility %q applies to pcc only, not %q", utility, proto)
 	}
 	fs := exp.FlowSpec{Proto: proto, StartAt: start}
-	switch utility {
-	case "", "safe":
-	case "latency":
-		cfg := core.InteractiveConfig(rtt)
+	if utility != "" && utility != "safe" {
+		cfg, err := core.UtilityConfig(utility, rtt)
+		if err != nil {
+			return exp.FlowSpec{}, err
+		}
 		fs.PCCConfig = &cfg
-	case "resilient":
-		cfg := core.HeavyLossConfig(rtt)
-		fs.PCCConfig = &cfg
-	case "vivace":
-		cfg := core.DefaultConfig(rtt)
-		cfg.Utility = core.NewVivaceUtility()
-		fs.PCCConfig = &cfg
-	default:
-		return exp.FlowSpec{}, fmt.Errorf("unknown utility %q", utility)
 	}
 	return fs, nil
 }

@@ -28,12 +28,8 @@ func main() {
 			RateMbps: 40, RTT: 0.020, BufBytes: 2000 * netem.KB,
 			QueueKind: "fq", Seed: 7,
 		})
-		spec := exp.FlowSpec{Proto: "pcc"}
-		if mode == "latency" {
-			cfg := core.InteractiveConfig(0.020)
-			spec.PCCConfig = &cfg
-		}
-		f := r.AddFlow(spec)
+		cfg, _ := core.UtilityConfig(mode, 0.020)
+		f := r.AddFlow(exp.FlowSpec{Proto: "pcc", PCCConfig: &cfg})
 		r.Run(40)
 		fmt.Printf("  %-8s utility: %5.1f Mbps at mean RTT %6.1f ms (power %.0f)\n",
 			mode, f.GoodputMbps(40), f.RS.MeanRTT()*1e3, f.GoodputMbps(40)/f.RS.MeanRTT())
@@ -45,12 +41,8 @@ func main() {
 			RateMbps: 100, RTT: 0.030, Loss: 0.30,
 			BufBytes: 375 * netem.KB, QueueKind: "fq", Seed: 7,
 		})
-		spec := exp.FlowSpec{Proto: "pcc"}
-		if mode == "resilient" {
-			cfg := core.HeavyLossConfig(0.030)
-			spec.PCCConfig = &cfg
-		}
-		f := r.AddFlow(spec)
+		cfg, _ := core.UtilityConfig(mode, 0.030)
+		f := r.AddFlow(exp.FlowSpec{Proto: "pcc", PCCConfig: &cfg})
 		r.Run(60)
 		fmt.Printf("  %-10s utility: %5.1f Mbps (achievable %.0f)\n",
 			mode, f.GoodputMbps(60), 100*(1-0.30))

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -377,6 +379,33 @@ func TestHeavyLossAndInteractiveConfigs(t *testing.T) {
 	}
 	if i.MIRttHi >= 1.7 {
 		t.Fatalf("interactive MI bound = %v, want tighter than default", i.MIRttHi)
+	}
+}
+
+// TestUtilityConfig pins the utility-name table both CLIs share.
+func TestUtilityConfig(t *testing.T) {
+	const rtt = 0.03
+	r, err := UtilityConfig("resilient", rtt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.MinPktsPerMI != 100 || r.Utility.Name() != "loss-resilient" {
+		t.Errorf("resilient: MinPktsPerMI %d, utility %s; want 100, loss-resilient", r.MinPktsPerMI, r.Utility.Name())
+	}
+	for name, want := range map[string]Config{
+		"safe":      DefaultConfig(rtt),
+		"latency":   InteractiveConfig(rtt),
+		"resilient": HeavyLossConfig(rtt),
+	} {
+		if got, err := UtilityConfig(name, rtt); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if v, err := UtilityConfig("vivace", rtt); err != nil || v.Utility.Name() != "vivace" {
+		t.Errorf("vivace: %+v, %v; want the Vivace utility", v, err)
+	}
+	if _, err := UtilityConfig("fast", rtt); err == nil || !strings.Contains(err.Error(), `unknown utility "fast"`) {
+		t.Errorf("fast: error %v, want unknown utility", err)
 	}
 }
 

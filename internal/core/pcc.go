@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 )
 
@@ -113,6 +114,25 @@ func InteractiveConfig(rttHint float64) Config {
 	c.MIRttLo, c.MIRttHi = 1.0, 1.3
 	c.FinalizeRTTs = 1.1
 	return c
+}
+
+// UtilityConfig returns the configuration a utility name selects in pccsim
+// and pccsend: safe is DefaultConfig, latency InteractiveConfig, resilient
+// HeavyLossConfig, and vivace DefaultConfig with the Vivace utility.
+func UtilityConfig(name string, rttHint float64) (Config, error) {
+	switch name {
+	case "safe":
+		return DefaultConfig(rttHint), nil
+	case "latency":
+		return InteractiveConfig(rttHint), nil
+	case "resilient":
+		return HeavyLossConfig(rttHint), nil
+	case "vivace":
+		c := DefaultConfig(rttHint)
+		c.Utility = NewVivaceUtility()
+		return c, nil
+	}
+	return Config{}, fmt.Errorf("unknown utility %q (safe, latency, resilient, vivace)", name)
 }
 
 // mi is one monitor interval's accounting record.

@@ -28,7 +28,8 @@ import (
 // first, only while fewer than Workers() runners are busy. A lone sweep thus
 // runs on Workers() goroutines, while pccserve's concurrent units share the
 // budget (and its warm arenas) instead of each bringing a pool of their own.
-// Trials are the only parallelism axis: each runs on one engine.
+// Trials are the only parallelism axis: each runs on one engine. The budget
+// is the package's one process setting: the rest rides each call's context.
 
 // workerOverride holds the SetWorkers value; 0 means "not set".
 var workerOverride atomic.Int64
@@ -50,50 +51,31 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// nodeOverride holds the SetNodes value; 0 means "not set".
-var nodeOverride atomic.Int64
-
-// flowOverride holds the SetFlows value; 0 means "not set".
-var flowOverride atomic.Int64
-
-// SetNodes overrides the node count generated-topology experiments target
-// (cmd/pccbench's -nodes flag). n <= 0 restores the experiment's
-// scale-derived default. Generators
-// round the target to the nearest structurally valid size, so the built
-// topology may differ slightly from the request.
-func SetNodes(n int) {
-	if n < 0 {
-		n = 0
-	}
-	nodeOverride.Store(int64(n))
+// Config is the run-time setting of one experiment call, carried by its
+// context (WithConfig) so concurrent calls each run under their own. The
+// zero value means every default.
+type Config struct {
+	// Nodes and Flows pin the node and flow counts generated-topology
+	// experiments (wan) target, rounded to a valid size; 0 derives them
+	// from scale.
+	Nodes, Flows int
+	// TrialTimeout arms a per-trial watchdog that turns a hang into a
+	// *TrialTimeoutError (see runTrial); 0 disables it.
+	TrialTimeout time.Duration
 }
 
-// Nodes returns the node-count override for generated-topology experiments;
-// 0 means "no override, derive from scale".
-func Nodes() int {
-	if n := int(nodeOverride.Load()); n > 0 {
-		return n
-	}
-	return 0
+type configKey struct{}
+
+// WithConfig returns a context whose experiment calls and sweeps run under
+// c. An inner WithConfig replaces an outer one whole.
+func WithConfig(ctx context.Context, c Config) context.Context {
+	return context.WithValue(ctx, configKey{}, c)
 }
 
-// SetFlows overrides the concurrent flow count generated-topology
-// experiments target (cmd/pccbench's -flows flag). n <= 0 restores the
-// experiment's scale-derived default.
-func SetFlows(n int) {
-	if n < 0 {
-		n = 0
-	}
-	flowOverride.Store(int64(n))
-}
-
-// Flows returns the flow-count override for generated-topology experiments;
-// 0 means "no override, derive from scale".
-func Flows() int {
-	if n := int(flowOverride.Load()); n > 0 {
-		return n
-	}
-	return 0
+// configOf returns the Config ctx carries, else the zero Config.
+func configOf(ctx context.Context) Config {
+	c, _ := ctx.Value(configKey{}).(Config)
+	return c
 }
 
 // gcRelax widens the garbage collector's heap-growth target while trials
@@ -135,40 +117,16 @@ func exitGCRelax() {
 	gcRelax.mu.Unlock()
 }
 
-// trialTimeoutOverride holds the SetTrialTimeout value in nanoseconds;
-// 0 means "not set".
-var trialTimeoutOverride atomic.Int64
-
-// SetTrialTimeout overrides the per-trial watchdog deadline (cmd/pccbench's
-// -trialtimeout flag, pccserve's -trialtimeout). d <= 0 restores the
-// default (disabled). When a deadline is active,
-// every trial runs under a watchdog that converts a hang into a typed
-// *TrialTimeoutError instead of wedging the sweep forever (see runTrial).
-func SetTrialTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	trialTimeoutOverride.Store(int64(d))
-}
-
-// TrialTimeout returns the active per-trial watchdog deadline; 0 means the
-// watchdog is disabled.
-func TrialTimeout() time.Duration {
-	return time.Duration(trialTimeoutOverride.Load())
-}
-
 // TrialPanicError wraps a panic that escaped a trial function, carrying
 // enough provenance to replay the failing trial in isolation: the experiment
-// and variant the driver stamped on its TrialScratch, the per-trial seed,
-// the trial index, and which worker ran it (0 on the sequential path).
-// Value is the original panic payload; Unwrap exposes it when it is an
-// error, so errors.Is/As see through the wrapper.
+// and variant the driver stamped on its TrialScratch, the per-trial seed
+// and the trial index. Value is the original panic payload; Unwrap exposes
+// it when it is an error, so errors.Is/As see through the wrapper.
 type TrialPanicError struct {
 	Experiment string
 	Variant    string
 	Seed       int64
 	Trial      int
-	Worker     int
 	Value      any
 	// Stack is the panicking goroutine's stack, captured by debug.Stack at
 	// recover() time, so a panic quarantined far from any terminal (e.g. in
@@ -177,16 +135,16 @@ type TrialPanicError struct {
 }
 
 func (e *TrialPanicError) Error() string {
-	exp := e.Experiment
-	if exp == "" {
-		exp = "?"
+	return fmt.Sprintf("exp: trial %d panicked (experiment %s, variant %s, seed %d): %v",
+		e.Trial, orUnknown(e.Experiment), orUnknown(e.Variant), e.Seed, e.Value)
+}
+
+// orUnknown returns s, or "?" for a provenance field the trial never set.
+func orUnknown(s string) string {
+	if s == "" {
+		return "?"
 	}
-	variant := e.Variant
-	if variant == "" {
-		variant = "?"
-	}
-	return fmt.Sprintf("exp: trial %d panicked (experiment %s, variant %s, seed %d, worker %d): %v",
-		e.Trial, exp, variant, e.Seed, e.Worker, e.Value)
+	return s
 }
 
 // Unwrap returns the panic payload when it was an error, nil otherwise.
@@ -197,32 +155,23 @@ func (e *TrialPanicError) Unwrap() error {
 	return nil
 }
 
-// TrialTimeoutError reports a trial that exceeded the per-trial watchdog
-// deadline (SetTrialTimeout / pccbench -trialtimeout).
-// It carries the same provenance fields as TrialPanicError, so a hang is as
-// replayable as a crash. Go cannot kill the hung goroutine: it is abandoned
-// together with its trial arena and the sweep aborts, which fails the sweep
-// without corrupting the worker pool or any later sweep's state.
+// TrialTimeoutError reports a trial that exceeded its sweep's watchdog
+// deadline (Config.TrialTimeout, the -trialtimeout of pccbench and
+// pccserve). It carries the same provenance fields as TrialPanicError, so a
+// hang is as replayable as a crash. Go cannot kill the hung goroutine: it is
+// abandoned together with its trial arena and the sweep aborts, which fails
+// the sweep without corrupting the worker pool or any later sweep's state.
 type TrialTimeoutError struct {
 	Experiment string
 	Variant    string
 	Seed       int64
 	Trial      int
-	Worker     int
 	Timeout    time.Duration
 }
 
 func (e *TrialTimeoutError) Error() string {
-	exp := e.Experiment
-	if exp == "" {
-		exp = "?"
-	}
-	variant := e.Variant
-	if variant == "" {
-		variant = "?"
-	}
-	return fmt.Sprintf("exp: trial %d timed out after %v (experiment %s, variant %s, seed %d, worker %d)",
-		e.Trial, e.Timeout, exp, variant, e.Seed, e.Worker)
+	return fmt.Sprintf("exp: trial %d timed out after %v (experiment %s, variant %s, seed %d)",
+		e.Trial, e.Timeout, orUnknown(e.Experiment), orUnknown(e.Variant), e.Seed)
 }
 
 // SweepCancelledError reports a sweep that stopped scheduling at a trial
@@ -249,7 +198,7 @@ func (e *SweepCancelledError) Unwrap() error { return e.Err }
 // can abort a sweep with an error instead of unwinding worker goroutines.
 // An already-typed panic is returned untouched (nested pools must not
 // double-wrap).
-func guardTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) (err error) {
+func guardTrial(fn func(trial int, ts *TrialScratch), trial int, ts *TrialScratch) (err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -264,7 +213,6 @@ func guardTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Tri
 				Variant:    prov.Variant,
 				Seed:       prov.Seed,
 				Trial:      trial,
-				Worker:     worker,
 				Value:      r,
 				Stack:      debug.Stack(),
 			}
@@ -281,12 +229,12 @@ func guardTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Tri
 // fire while it is stuck; on the timeout path that goroutine is abandoned
 // still owning ts, so after any error the caller must neither reuse nor
 // recycle that arena.
-func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch, timeout time.Duration) error {
+func runTrial(fn func(trial int, ts *TrialScratch), trial int, ts *TrialScratch, timeout time.Duration) error {
 	if timeout <= 0 {
-		return guardTrial(fn, trial, worker, ts)
+		return guardTrial(fn, trial, ts)
 	}
 	done := make(chan error, 1) // buffered: a post-deadline finish must not leak the goroutine
-	go func() { done <- guardTrial(fn, trial, worker, ts) }()
+	go func() { done <- guardTrial(fn, trial, ts) }()
 	watchdog := time.NewTimer(timeout)
 	defer watchdog.Stop()
 	select {
@@ -299,7 +247,6 @@ func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Trial
 			Variant:    prov.Variant,
 			Seed:       prov.Seed,
 			Trial:      trial,
-			Worker:     worker,
 			Timeout:    timeout,
 		}
 	}
@@ -369,15 +316,16 @@ func takeToken() bool {
 	return false
 }
 
-// runner is one goroutine's hold on the pool: its arena, and whether it
-// holds a budget token. A caller that finds every token taken (a sweep
-// started while helpers fill the budget, or inside a trial) still runs its
-// own trials, on a private arena the pool never shelves, and moves to a
-// shelved arena at the first trial boundary where a token is free: helpers
-// give theirs up at their next boundary when callers overdraw the budget.
+// runner is one goroutine's hold on the pool: its arena, whether it holds
+// a budget token, and whether it is a helper rather than a sweep's caller.
+// A caller that finds every token taken (a sweep started while helpers fill
+// the budget, or inside a trial) still runs its own trials, on a private
+// arena the pool never shelves, and moves to a shelved arena at the first
+// trial boundary where a token is free: helpers give theirs up at their
+// next boundary when callers overdraw the budget.
 type runner struct {
-	ts    *TrialScratch
-	token bool
+	ts            *TrialScratch
+	token, helper bool
 }
 
 // newRunnerLocked takes a token and a shelved arena if a token is free,
@@ -426,10 +374,9 @@ type sweep struct {
 	stop            atomic.Bool
 	helpers         sync.WaitGroup
 
-	// Runner slots, guarded by trialPool.mu: the caller holds slot 0,
-	// helpers take a freed slot before a new one, so every slot is < width.
-	runners int   // slots handed out
-	free    []int // slots handed back by helpers that left
+	// active counts the runners working on the sweep, its caller included;
+	// guarded by trialPool.mu.
+	active int
 
 	errMu    sync.Mutex
 	firstErr error
@@ -437,18 +384,18 @@ type sweep struct {
 
 // wantsHelper reports whether another runner could still claim a trial of s.
 func (s *sweep) wantsHelper() bool {
-	return s.runners-len(s.free) < s.width && !s.stop.Load() && s.next.Load() < int64(s.n)
+	return s.active < s.width && !s.stop.Load() && s.next.Load() < int64(s.n)
 }
 
 // work runs trials of s on r until none is left unclaimed, the sweep
-// stops, or (for a helper, slot > 0) callers overdraw the budget. It
-// reports false after a failed trial, whose arena must not be recycled.
-func (s *sweep) work(slot int, r *runner) bool {
+// stops, or (for a helper) callers overdraw the budget. It reports false
+// after a failed trial, whose arena must not be recycled.
+func (s *sweep) work(r *runner) bool {
 	// The arena may come from another sweep: a trial that never stamps
 	// must not report that sweep's experiment as its own.
 	r.ts.Stamp("", "", 0)
 	for !s.stop.Load() {
-		if slot > 0 && trialPool.running.Load() > trialPool.limit.Load() {
+		if r.helper && trialPool.running.Load() > trialPool.limit.Load() {
 			return true
 		}
 		if !r.token {
@@ -468,7 +415,7 @@ func (s *sweep) work(slot int, r *runner) bool {
 		if i >= s.n {
 			return true
 		}
-		if err := runTrial(s.fn, i, slot, r.ts, s.timeout); err != nil {
+		if err := runTrial(s.fn, i, r.ts, s.timeout); err != nil {
 			// Abort the sweep: runners stop claiming trials, so the failure
 			// surfaces without first burning through the rest of the grid.
 			s.stop.Store(true)
@@ -493,7 +440,8 @@ func dispatchLocked() {
 			return
 		}
 		trialPool.running.Add(1)
-		go helper(s, s.joinLocked())
+		s.joinLocked()
+		go helper(s)
 	}
 }
 
@@ -508,17 +456,11 @@ func oldestOpenLocked() *sweep {
 	return nil
 }
 
-// joinLocked hands a helper a runner slot of s. trialPool.mu must be held,
-// and s must be open, so the caller's helpers.Wait cannot have begun.
-func (s *sweep) joinLocked() int {
+// joinLocked counts a helper in on s. trialPool.mu must be held, and s
+// must be open, so the caller's helpers.Wait cannot have begun.
+func (s *sweep) joinLocked() {
 	s.helpers.Add(1)
-	if k := len(s.free); k > 0 {
-		slot := s.free[k-1]
-		s.free = s.free[:k-1]
-		return slot
-	}
-	s.runners++
-	return s.runners - 1
+	s.active++
 }
 
 // helper is a runner goroutine started by dispatchLocked. It takes its
@@ -527,17 +469,17 @@ func (s *sweep) joinLocked() int {
 // instead, and the helper, finding none, leaves. Otherwise it works on s,
 // then moves on to the oldest open sweep that wants a helper while the
 // budget allows, and exits, giving its token and arena back, when none does.
-func helper(s *sweep, slot int) {
-	r := runner{token: takeToken()}
+func helper(s *sweep) {
+	r := runner{token: takeToken(), helper: true}
 	if r.token {
 		trialPool.mu.Lock()
 		r.ts = takeArenaLocked()
 		trialPool.mu.Unlock()
 	}
 	for {
-		clean := r.token && s.work(slot, &r)
+		clean := r.token && s.work(&r)
 		trialPool.mu.Lock()
-		s.free = append(s.free, slot)
+		s.active--
 		var next *sweep
 		if clean && trialPool.running.Load() <= trialPool.limit.Load() {
 			next = oldestOpenLocked()
@@ -549,10 +491,10 @@ func helper(s *sweep, slot int) {
 			s.helpers.Done()
 			return
 		}
-		nextSlot := next.joinLocked()
+		next.joinLocked()
 		trialPool.mu.Unlock()
 		s.helpers.Done()
-		s, slot = next, nextSlot
+		s = next
 	}
 }
 
@@ -595,7 +537,7 @@ func runTrials(ctx context.Context, width, n int, fn func(trial int, ts *TrialSc
 	}
 	enterGCRelax()
 	defer exitGCRelax()
-	s := &sweep{done: done, n: n, width: max(1, min(width, n)), fn: fn, timeout: TrialTimeout(), runners: 1}
+	s := &sweep{done: done, n: n, width: max(1, min(width, n)), fn: fn, timeout: configOf(ctx).TrialTimeout, active: 1}
 
 	trialPool.mu.Lock()
 	trialPool.limit.Store(int64(Workers()))
@@ -607,7 +549,7 @@ func runTrials(ctx context.Context, width, n int, fn func(trial int, ts *TrialSc
 	}
 	trialPool.mu.Unlock()
 
-	clean := s.work(0, &r)
+	clean := s.work(&r)
 
 	trialPool.mu.Lock()
 	r.releaseLocked(clean)

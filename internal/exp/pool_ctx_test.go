@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -139,18 +141,16 @@ func TestRunTrialsCtxNoGoroutineLeak(t *testing.T) {
 // aborts, and the worker pool itself survives (a later sweep on the same
 // process completes normally).
 func TestTrialWatchdogTimeout(t *testing.T) {
-	defer SetTrialTimeout(0)
+	ctx := WithConfig(context.Background(), Config{TrialTimeout: 50 * time.Millisecond})
 	for _, workers := range []int{1, 4} {
 		release := make(chan struct{})
-		SetTrialTimeout(50 * time.Millisecond)
-		err := runTrials(context.Background(), workers, 8,
+		err := runTrials(ctx, workers, 8,
 			func(i int, ts *TrialScratch) {
 				ts.Stamp("hangexp", "pcc", TrialSeed(99, i))
 				if i == 2 {
 					<-release // a hang the trial will never escape on its own
 				}
 			})
-		SetTrialTimeout(0)
 		var tt *TrialTimeoutError
 		if err == nil || !errors.As(err, &tt) {
 			close(release)
@@ -178,18 +178,105 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// TestTrialTimeoutKnobResolution pins the watchdog knob's resolution order:
-// SetTrialTimeout wins, then disabled.
+// TestTrialTimeoutKnobResolution pins how a context resolves the watchdog
+// deadline: none without a Config, the innermost WithConfig wins over an
+// outer one, a zero inner Config disables it, and a context derived from a
+// configured one keeps its parent's setting.
 func TestTrialTimeoutKnobResolution(t *testing.T) {
-	defer SetTrialTimeout(0)
-	SetTrialTimeout(3 * time.Second)
-	if got := TrialTimeout(); got != 3*time.Second {
-		t.Errorf("after SetTrialTimeout(3s), TrialTimeout() = %v", got)
+	bg := context.Background()
+	outer := WithConfig(bg, Config{TrialTimeout: 3 * time.Second})
+	derived, cancel := context.WithCancel(outer)
+	defer cancel()
+	for _, row := range []struct {
+		name string
+		ctx  context.Context
+		want time.Duration
+	}{
+		{"unset", bg, 0},
+		{"outer", outer, 3 * time.Second},
+		{"inner-wins", WithConfig(outer, Config{TrialTimeout: time.Second}), time.Second},
+		{"zero-disables", WithConfig(outer, Config{}), 0},
+		{"derived-keeps", derived, 3 * time.Second},
+	} {
+		if got := configOf(row.ctx).TrialTimeout; got != row.want {
+			t.Errorf("%s: TrialTimeout = %v, want %v", row.name, got, row.want)
+		}
 	}
-	SetTrialTimeout(0)
-	if got := TrialTimeout(); got != 0 {
-		t.Errorf("after SetTrialTimeout(0), TrialTimeout() = %v, want 0 (disabled)", got)
-	}
+}
+
+// TestConfigPerCall runs calls under different Configs at once; each must
+// see only its own. The watchdog row holds a sweep whose 30 ms watchdog
+// fires on a hung trial while a second, unconfigured sweep's 100 ms trial
+// completes: a process-wide deadline would have killed the second. The wan
+// row runs a pinned and a default wan call at once, and each report's
+// title must show its own node and flow counts.
+func TestConfigPerCall(t *testing.T) {
+	t.Run("watchdog", func(t *testing.T) {
+		release := make(chan struct{})
+		defer close(release) // unwedge the abandoned trial goroutine
+		hung := make(chan struct{})
+		timed := make(chan error, 1)
+		go func() {
+			ctx := WithConfig(context.Background(), Config{TrialTimeout: 30 * time.Millisecond})
+			timed <- RunTrialsScratchCtx(ctx, 1, func(int, *TrialScratch) {
+				close(hung)
+				<-release
+			})
+		}()
+		<-hung // the watchdogged sweep is in flight before the other starts
+		err := RunTrialsScratchCtx(context.Background(), 1, func(int, *TrialScratch) {
+			time.Sleep(100 * time.Millisecond)
+		})
+		if err != nil {
+			t.Errorf("unconfigured sweep: %v, want nil (no watchdog of its own)", err)
+		}
+		var tt *TrialTimeoutError
+		if err := <-timed; !errors.As(err, &tt) || tt.Timeout != 30*time.Millisecond {
+			t.Errorf("watchdogged sweep: %v, want *TrialTimeoutError after 30ms", err)
+		}
+	})
+	t.Run("wan", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("two concurrent wan runs")
+		}
+		const scale, seed = 0.01, 42
+		dur := scaledDur(25, 5, scale)
+		// Both contexts exist before either call starts, so a setting kept
+		// anywhere but in the context would reach the default call too.
+		calls := []struct {
+			ctx          context.Context
+			nodes, flows int // the targets RunWAN should derive
+		}{
+			{context.Background(), 5, 50}, // scale-derived; 5 nodes round up to 48
+			{WithConfig(context.Background(), Config{Nodes: 120, Flows: 40}), 120, 40},
+		}
+		reps := make([]*Report, len(calls))
+		errs := make([]error, len(calls))
+		var wg sync.WaitGroup
+		for i, c := range calls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i], errs[i] = RunCtx(c.ctx, "wan", scale, seed)
+			}()
+		}
+		wg.Wait()
+		titles := map[string]bool{}
+		for i, c := range calls {
+			if errs[i] != nil {
+				t.Fatalf("call %d: %v", i, errs[i])
+			}
+			sh := NewWANShape(c.nodes, c.flows, 1, dur, seed)
+			want := fmt.Sprintf("(%d nodes, %d links, %d flows,", sh.NumNodes(), sh.graph.NumLinks(), len(sh.flows))
+			if !strings.Contains(reps[i].Title, want) {
+				t.Errorf("call %d: title %q, want it to contain %q", i, reps[i].Title, want)
+			}
+			titles[reps[i].Title] = true
+		}
+		if len(titles) != len(calls) {
+			t.Errorf("titles %v: the two calls' shapes should differ", titles)
+		}
+	})
 }
 
 // TestTrialPanicCapturesStack: the panic wrapper must carry the panicking

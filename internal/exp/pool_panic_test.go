@@ -38,8 +38,8 @@ func TestTrialPanicWrappedSequential(t *testing.T) {
 	if ran != 3 {
 		t.Errorf("ran %d trials before the panic, want 3", ran)
 	}
-	if tpe.Experiment != "linkflap" || tpe.Variant != "pcc" || tpe.Trial != 2 || tpe.Worker != 0 {
-		t.Errorf("provenance = %+v, want experiment linkflap, variant pcc, trial 2, worker 0", tpe)
+	if tpe.Experiment != "linkflap" || tpe.Variant != "pcc" || tpe.Trial != 2 {
+		t.Errorf("provenance = %+v, want experiment linkflap, variant pcc, trial 2", tpe)
 	}
 	if tpe.Seed != TrialSeed(42, 2) {
 		t.Errorf("Seed = %d, want the failing trial's seed %d", tpe.Seed, TrialSeed(42, 2))
@@ -91,9 +91,6 @@ func TestTrialPanicWrappedParallel(t *testing.T) {
 	}
 	if tpe.Seed != TrialSeed(7, tpe.Trial) {
 		t.Errorf("Seed = %d does not match trial %d", tpe.Seed, tpe.Trial)
-	}
-	if tpe.Worker < 0 || tpe.Worker >= 4 {
-		t.Errorf("Worker = %d, want [0,4)", tpe.Worker)
 	}
 	if _, isTPE := tpe.Value.(*TrialPanicError); isTPE {
 		t.Error("panic value was double-wrapped")

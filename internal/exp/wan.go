@@ -21,16 +21,16 @@ import (
 // under them? Per-link byte conservation is audited over every generated
 // link, and reports stay byte-identical at any worker count
 // (determinism_test.go asserts this). The node and flow targets scale with
-// -scale and can be pinned with -nodes/-flows.
+// -scale and can be pinned per call by ctx's Config (pccbench's
+// -nodes/-flows).
 func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(25, 5, scale)
-	nodeTarget := Nodes()
-	if nodeTarget == 0 {
+	nodeTarget, flowTarget := configOf(ctx).Nodes, configOf(ctx).Flows
+	if nodeTarget <= 0 {
 		nodeTarget = int(500*scale + 0.5)
 	}
-	flowTarget := Flows()
-	if flowTarget == 0 {
+	if flowTarget <= 0 {
 		flowTarget = int(5000*scale + 0.5)
 		if flowTarget < 40 {
 			flowTarget = 40

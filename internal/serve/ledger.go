@@ -40,12 +40,27 @@ func NewLedger(n int) *Ledger {
 	return &Ledger{ring: make([]ErrorRecord, 0, n)}
 }
 
-// Record classifies err against the exp error taxonomy and appends a record.
-// The unit key supplies provenance for errors that don't carry their own.
+// errKind classifies a quarantined failure against the exp error taxonomy,
+// for both the ledger and the in-band error line.
+func errKind(err error) string {
+	var tpe *exp.TrialPanicError
+	var tte *exp.TrialTimeoutError
+	switch {
+	case errors.As(err, &tpe):
+		return "panic"
+	case errors.As(err, &tte):
+		return "timeout"
+	default:
+		return "error"
+	}
+}
+
+// Record appends a record of err, classified by errKind. The unit key
+// supplies provenance for errors that don't carry their own.
 func (l *Ledger) Record(k Key, err error) {
 	rec := ErrorRecord{
 		Time:       time.Now(),
-		Kind:       "error",
+		Kind:       errKind(err),
 		Experiment: k.Experiment,
 		Variant:    k.Variant,
 		Seed:       k.Seed,
@@ -56,11 +71,9 @@ func (l *Ledger) Record(k Key, err error) {
 	var tte *exp.TrialTimeoutError
 	switch {
 	case errors.As(err, &tpe):
-		rec.Kind = "panic"
 		rec.Variant = tpe.Variant
 		rec.Stack = string(tpe.Stack)
 	case errors.As(err, &tte):
-		rec.Kind = "timeout"
 		rec.Variant = tte.Variant
 	}
 	l.mu.Lock()

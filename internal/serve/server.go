@@ -30,6 +30,9 @@ type Config struct {
 	// SweepTimeout is the server-side deadline per sweep request. Zero
 	// means no server-imposed deadline.
 	SweepTimeout time.Duration
+	// TrialTimeout is the per-trial watchdog every request's sweeps run
+	// under (exp.Config.TrialTimeout). Zero disables it.
+	TrialTimeout time.Duration
 	// LedgerSize bounds the error ledger ring.
 	LedgerSize int
 	// CodeVersion overrides the cache key's code-version component
@@ -224,7 +227,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sweeps.Add(1)
 
-	ctx := r.Context()
+	ctx := exp.WithConfig(r.Context(), exp.Config{TrialTimeout: s.cfg.TrialTimeout})
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -339,20 +342,6 @@ func isCancellation(err error) bool {
 	var sc *exp.SweepCancelledError
 	return errors.As(err, &sc) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// errKind names a quarantined failure for the in-band error line.
-func errKind(err error) string {
-	var tpe *exp.TrialPanicError
-	var tte *exp.TrialTimeoutError
-	switch {
-	case errors.As(err, &tpe):
-		return "panic"
-	case errors.As(err, &tte):
-		return "timeout"
-	default:
-		return "error"
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

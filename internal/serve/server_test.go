@@ -487,15 +487,12 @@ func TestPanicQuarantine(t *testing.T) {
 }
 
 // TestWatchdogTimeoutQuarantine: a wedged trial is converted by the watchdog
-// into an in-band timeout error; the daemon and its worker pool survive.
+// that Config.TrialTimeout arms on each request's context into an in-band
+// timeout error; the daemon and its worker pool survive.
 func TestWatchdogTimeoutQuarantine(t *testing.T) {
-	exp.SetTrialTimeout(100 * time.Millisecond)
-	t.Cleanup(func() {
-		exp.SetTrialTimeout(0)
-		close(srvHangRelease) // unwedge the abandoned trial goroutine
-	})
+	t.Cleanup(func() { close(srvHangRelease) }) // unwedge the abandoned trial goroutine
 
-	srv, ts := newTestServer(t, Config{Workers: 1})
+	srv, ts := newTestServer(t, Config{Workers: 1, TrialTimeout: 100 * time.Millisecond})
 	resp, err := postSweep(t, ts.URL, `{"experiments":["srvhang","srvtest"],"scales":[1],"seeds":[8]}`)
 	if err != nil {
 		t.Fatal(err)

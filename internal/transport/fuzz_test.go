@@ -153,6 +153,7 @@ func FuzzReceiverOnData(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var out bytes.Buffer
 		r := NewReceiver(nil, &out)
+		var dropped int64
 		for ; len(b) >= recvRecord; b = b[recvRecord:] {
 			cum := r.win.CumAck()
 			seq := int64(binary.BigEndian.Uint64(b[1:]))
@@ -172,6 +173,12 @@ func FuzzReceiverOnData(f *testing.F) {
 				a, ok = r.onData(mkHeader(seq), payloadFor(seq))
 				if beyond := seq > cum && seq-cum >= reorderSlots; ok == beyond {
 					t.Fatalf("seq %d at cum %d: acknowledged = %v", seq, cum, ok)
+				}
+				if !ok {
+					dropped++
+				}
+				if r.BeyondWindow() != dropped {
+					t.Fatalf("seq %d at cum %d: BeyondWindow() = %d, want %d", seq, cum, r.BeyondWindow(), dropped)
 				}
 				if ok {
 					checkRecvAck(t, r, a, seq)

@@ -35,6 +35,7 @@ type Receiver struct {
 	ranges   []AckRange // the last ACK's ranges, reused
 	total    int64      // flow length in packets, from fin; -1 unknown
 	uniq     int64
+	beyond   int64 // datagrams dropped reorderSlots or more ahead
 	bytesOut int64
 
 	done      chan struct{}
@@ -56,6 +57,14 @@ func (r *Receiver) UniquePackets() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.uniq
+}
+
+// BeyondWindow returns the count of data datagrams dropped unacknowledged
+// because they landed reorderSlots or more ahead of the cumulative point.
+func (r *Receiver) BeyondWindow() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.beyond
 }
 
 // BytesWritten returns the number of in-order payload bytes delivered.
@@ -118,15 +127,16 @@ func (r *Receiver) complete() bool {
 
 // onData ingests one data packet and returns the ACK that answers it: in-order
 // payloads stream to the writer, out-of-order ones wait in their ring slot.
-// It returns ok = false, and nothing is recorded, for a datagram reorderSlots
-// or more ahead of the cumulative point. The ACK's Ranges are the lowest
-// runs above the cumulative point, at most what the wire carries, in a slice
-// the receiver reuses: valid until the next call.
+// It returns ok = false, and records only the drop (BeyondWindow), for a
+// datagram reorderSlots or more ahead of the cumulative point. The ACK's
+// Ranges are the lowest runs above the cumulative point, at most what the
+// wire carries, in a slice the receiver reuses: valid until the next call.
 func (r *Receiver) onData(h DataHeader, payload []byte) (a Ack, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cum := r.win.CumAck()
 	if h.Seq > cum && h.Seq-cum >= reorderSlots {
+		r.beyond++
 		return Ack{}, false
 	}
 	if r.win.Add(h.Seq) {

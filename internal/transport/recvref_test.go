@@ -191,6 +191,9 @@ func TestReceiverEveryOtherSeqBounded(t *testing.T) {
 	if acked != reorderSlots/2 || r.UniquePackets() != reorderSlots/2 || r.win.CumAck() != 0 {
 		t.Fatalf("acked %d, unique %d, cum %d; want %d, %d, 0", acked, r.UniquePackets(), r.win.CumAck(), reorderSlots/2, reorderSlots/2)
 	}
+	if got, want := r.BeyondWindow(), int64(packets-reorderSlots/2); got != want {
+		t.Fatalf("BeyondWindow() = %d, want %d: every unacknowledged datagram is counted", got, want)
+	}
 	t.Logf("%d packets in %v (%.0f ns/packet), heap %+.1f MB, %d payload bytes retained",
 		packets, elapsed, float64(elapsed.Nanoseconds())/packets,
 		(float64(after.HeapAlloc)-float64(before.HeapAlloc))/(1<<20), retained)
