@@ -622,15 +622,8 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	// Register the flow's routes with the network; one RNG stream is drawn
 	// from r.Seeds, new flow id or recycled one.
 	r.Topo.RespecFlow(id, fwd, rev, r.Seeds, f.dataSink, f.ackSink)
-	// At's schedule call and (at, seq) draw without the *Timer nobody keeps.
-	// Post adds its delay back onto the clock, so it is used only when that
-	// round trip is exact: always at trial set-up (clock at zero) and for
-	// flows starting now.
-	if now := r.Eng.Now(); spec.StartAt >= now && now+(spec.StartAt-now) == spec.StartAt {
-		r.Eng.Post(spec.StartAt-now, f.startFn)
-	} else {
-		r.Eng.At(spec.StartAt, f.startFn)
-	}
+	// The flow starts at its absolute instant; no *Timer is kept.
+	r.Eng.PostAt(spec.StartAt, f.startFn)
 	return f
 }
 

@@ -18,6 +18,7 @@ type feedRig struct {
 	eng       *sim.Engine
 	link      *Link
 	send      func(f int, p *Packet) // offer p to access hop f now
+	direct    func(p *Packet)        // offer p to the link itself now
 	setAccess func(f int, d float64) // change access hop f's delay
 	got       map[int64]float64      // delivery instant by packet Seq
 	dup       func(seq int64)        // reports a second delivery
@@ -45,7 +46,12 @@ func inboxRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, acce
 		}
 		r.routes = append(r.routes, fwd)
 	}
+	// Packets offered to the link itself ride a one-hop route: the hop a
+	// packet carries is the link exit's only way on to the sink.
+	direct := len(access)
+	topo.AddFlow(direct, []HopSpec{LinkHop("L")}, []HopSpec{DelayHop(0)}, seeds, r.record, nil)
 	r.send = func(f int, p *Packet) { p.Flow = f; topo.SendData(p) }
+	r.direct = func(p *Packet) { p.Flow = direct; topo.SendData(p) }
 	r.setAccess = func(f int, d float64) { r.routes[f].SetDelay(0, d) }
 	return r
 }
@@ -62,6 +68,7 @@ func pipeFedRig(t *testing.T, q Queue, rate, delay, loss float64, seed int64, ac
 		pipes[f] = eng.NewPipe(func(a any) { l.Send(a.(*Packet)) })
 	}
 	r.send = func(f int, p *Packet) { p.Flow = f; pipes[f].Post(cur[f], p) }
+	r.direct = l.Send
 	r.setAccess = func(f int, d float64) { cur[f] = d }
 	return r
 }

@@ -167,11 +167,6 @@ type Link struct {
 	// with a single self-rearming scheduler slot keeps the engine's scheduler
 	// at O(links), not O(in-flight packets) (see sim.Pipe).
 	pipe *sim.Pipe
-	// dt caches Queue's concrete type when it is a plain DropTail — the
-	// overwhelmingly common case — so the two per-packet queue operations
-	// dispatch directly and inline instead of going through the Queue
-	// interface.
-	dt *DropTail
 }
 
 // NewLink builds a link with the given queue and parameters. The rng drives
@@ -179,7 +174,6 @@ type Link struct {
 // loss rate.
 func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, rng *rand.Rand) *Link {
 	l := &Link{Eng: eng, Queue: q, rate: rateBps, delay: delay, lossRate: lossRate, rng: WrapRng(rng), wakeAt: math.Inf(1)}
-	l.dt, _ = q.(*DropTail)
 	l.wakeFn = l.onWake
 	// Sink is typically assigned after construction; the delivery paths
 	// read it at delivery time.
@@ -214,7 +208,6 @@ func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, rng *ra
 // (capacity may change).
 func (l *Link) Reset(rateBps, delay, lossRate float64, seed int64) {
 	l.rate, l.delay, l.lossRate = rateBps, delay, lossRate
-	l.dt, _ = l.Queue.(*DropTail)
 	l.rng.Reseed(seed)
 	l.Pool.Put(l.tx)
 	l.Pool.Put(l.carry)
@@ -239,32 +232,10 @@ type arrival struct {
 }
 
 // Send offers a packet to the link now. Packets rejected by the queue are
-// dropped silently (the queue counts them). It spells out arrive's transition
-// instead of calling it: Send is every link's per-packet entry, and a shared
-// helper read 4-5 ns a packet slower on the LinkForward benchmark (62 ns).
+// dropped silently (the queue counts them).
 func (l *Link) Send(p *Packet) {
 	moved := len(l.inbox) > 0 && l.admit(false)
-	now := l.Eng.Now()
-	// Strictly before now: the arrival sees the queue before a completion at
-	// this very instant pops it (the tie rule).
-	for l.tx != nil && l.txEnd < now {
-		l.finish()
-		moved = true
-	}
-	l.offeredBytes += int64(p.Size)
-	var ok bool
-	if l.dt != nil {
-		ok = l.dt.Enqueue(p, now)
-	} else {
-		ok = l.Queue.Enqueue(p, now)
-	}
-	if !ok {
-		l.Pool.Put(p)
-	} else if l.tx == nil && !l.down {
-		l.transmit(now)
-		moved = true
-	}
-	if moved {
+	if l.arrive(p, l.Eng.Now()) || moved {
 		l.cover()
 	}
 }
@@ -350,34 +321,29 @@ func (l *Link) admit(own bool) bool {
 	return true
 }
 
-// arrive is Send's state transition at an admitted arrival's own instant.
-func (l *Link) arrive(p *Packet, at float64) {
+// arrive is Send's state transition at an arrival's own instant: the
+// completions strictly before at (an arrival sees the queue before a
+// completion at this very instant pops it: the tie rule), the enqueue, and a
+// start if the serializer idles. It reports whether the serializer moved.
+func (l *Link) arrive(p *Packet, at float64) (moved bool) {
 	for l.tx != nil && l.txEnd < at {
 		l.finish()
+		moved = true
 	}
 	l.offeredBytes += int64(p.Size)
-	var ok bool
-	if l.dt != nil {
-		ok = l.dt.Enqueue(p, at)
-	} else {
-		ok = l.Queue.Enqueue(p, at)
-	}
-	if !ok {
+	if !l.Queue.Enqueue(p, at) {
 		l.Pool.Put(p)
 	} else if l.tx == nil && !l.down {
 		l.transmit(at)
+		moved = true
 	}
+	return moved
 }
 
 // transmit puts the queue's next packet on the wire at time at, or idles the
 // serializer when the queue is empty.
 func (l *Link) transmit(at float64) {
-	var p *Packet
-	if l.dt != nil {
-		p = l.dt.pop()
-	} else {
-		p = l.Queue.Dequeue(at)
-	}
+	p := l.Queue.Dequeue(at)
 	l.tx = p
 	if p != nil {
 		l.txEnd = at + float64(p.Size)/l.rate

@@ -364,7 +364,7 @@ func TestLinkTieArrivalSeesQueueBeforeCompletion(t *testing.T) {
 			}
 			r.eng.At(prop, func() {
 				for i := int64(0); i <= k; i++ {
-					r.link.Send(&Packet{Seq: 100 + i, Size: 1500})
+					r.direct(&Packet{Seq: 100 + i, Size: 1500})
 				}
 			})
 		},
@@ -382,7 +382,7 @@ func TestLinkTieArrivalSeesQueueBeforeCompletion(t *testing.T) {
 		script: func(r *feedRig) {
 			r.eng.At(0, func() { r.send(0, &Packet{Seq: 1, Size: 1500}) })
 			r.eng.At(5*tx, func() { r.send(1, &Packet{Seq: 2, Size: 1500}) })
-			r.eng.At(8.5*tx, func() { r.link.Send(&Packet{Seq: 3, Size: 1500}) })
+			r.eng.At(8.5*tx, func() { r.direct(&Packet{Seq: 3, Size: 1500}) })
 		},
 		want: map[int64]float64{1: 9, 3: 10},
 	}, {
@@ -392,7 +392,7 @@ func TestLinkTieArrivalSeesQueueBeforeCompletion(t *testing.T) {
 		script: func(r *feedRig) {
 			r.eng.At(0, func() {
 				r.send(0, &Packet{Seq: 1, Size: 1500})
-				r.eng.At(2*tx, func() { r.link.Send(&Packet{Seq: 2, Size: 1500}) })
+				r.eng.At(2*tx, func() { r.direct(&Packet{Seq: 2, Size: 1500}) })
 			})
 		},
 		want: map[int64]float64{1: 3, 2: 4},
@@ -401,7 +401,7 @@ func TestLinkTieArrivalSeesQueueBeforeCompletion(t *testing.T) {
 		// before the entry was posted, so it goes first.
 		name: "direct-send-before-inbox-entry", access: []float64{2 * tx}, cap: -1,
 		script: func(r *feedRig) {
-			r.eng.At(2*tx, func() { r.link.Send(&Packet{Seq: 2, Size: 1500}) })
+			r.eng.At(2*tx, func() { r.direct(&Packet{Seq: 2, Size: 1500}) })
 			r.eng.At(0, func() { r.send(0, &Packet{Seq: 1, Size: 1500}) })
 		},
 		want: map[int64]float64{2: 3, 1: 4},

@@ -48,7 +48,7 @@ type Packet struct {
 	// EchoSent is the Sent timestamp of the acknowledged data packet.
 	EchoSent float64
 	// hop is the route hop the packet is crossing, set when a Topology route
-	// offers it to a link so the link's exit can continue the route without a
-	// per-flow table lookup. PacketPool.Put's zeroing clears it.
+	// offers it to a link: the link's exit continues the route from it, the
+	// only routing path there is. PacketPool.Put's zeroing clears it.
 	hop *hop
 }

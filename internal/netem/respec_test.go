@@ -78,7 +78,7 @@ func TestRespecReproducesFreshTopology(t *testing.T) {
 
 // TestRespecFlowRebuildsOnShapeChange verifies the teardown path: changing
 // a flow's route shape under RespecFlow re-routes packets correctly and
-// leaves no stale routing-table entries behind.
+// leaves no stale route hop behind.
 func TestRespecFlowRebuildsOnShapeChange(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
@@ -111,13 +111,15 @@ func TestRespecFlowRebuildsOnShapeChange(t *testing.T) {
 	if fwd, _ := topo.FlowRoutes(0); len(fwd.hops) != 1 {
 		t.Fatalf("re-specced route has %d hops, want 1", len(fwd.hops))
 	}
-	// The dropped second hop's pipe must have left the engine's pipe list:
-	// inject straight onto link b and confirm its exit discards (flow 0 no
-	// longer routes over it), rather than forwarding or panicking.
+	// The dropped second hop must be gone from link b: inject onto b through
+	// a one-hop probe route and confirm b's exit ends that route (the probe
+	// has no sink, so the packet is recycled) rather than forwarding the
+	// packet along flow 0's old route or panicking.
+	topo.AddFlow(1, []HopSpec{LinkHop("b")}, []HopSpec{DelayHop(0)}, seeds, nil, nil)
 	before := pool.Size()
-	topo.LinkByName("b").Send(&Packet{Flow: 0, Size: 1500})
+	topo.SendData(&Packet{Flow: 1, Size: 1500})
 	eng.Run()
-	if pool.Size() != before+1 {
+	if pool.Size() != before+1 || got != 1 {
 		t.Fatalf("stale route entry still consumes packets from link b")
 	}
 }

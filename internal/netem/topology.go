@@ -46,8 +46,8 @@ type Topology struct {
 	nodeNames []string
 	// flows is indexed by flow id. Flow ids are required to be small
 	// non-negative integers (the harness hands out 0,1,2,…) precisely so
-	// the per-packet route lookups here and in linkInfo are direct slice
-	// indexing, not map probes.
+	// SendData/SendAck's per-packet route lookup is direct slice indexing,
+	// not a map probe.
 	flows []*topoFlow
 }
 
@@ -62,30 +62,15 @@ func (t *Topology) nodeID(name string) int {
 	return i
 }
 
-// linkInfo is a Link plus its place in the graph and the per-flow routing
-// tables consulted when a packet exits the link.
+// linkInfo is a Link plus its place in the graph.
 type linkInfo struct {
 	link     *Link
 	name     string
 	from, to string
-	// data/ack index a flow id to the route hop that traverses this link,
-	// so the link's exit can continue the packet along its route. A nil
-	// entry means the flow does not route over this link in that direction.
-	data []*hop
-	ack  []*hop
-}
-
-// hopAt returns s[id], tolerating ids beyond the table.
-func hopAt(s []*hop, id int) *hop {
-	if id < len(s) {
-		return s[id]
-	}
-	return nil
 }
 
 // growPut grows a flow-indexed table to cover id and stores v there. Shared
-// by the per-link route tables, the topology flow table, and FQ's per-flow
-// queue table.
+// by the topology flow table and FQ's per-flow queue table.
 func growPut[T any](s []T, id int, v T) []T {
 	for len(s) <= id {
 		var zero T
@@ -96,19 +81,11 @@ func growPut[T any](s []T, id int, v T) []T {
 }
 
 // dispatch is the link's Sink: it forwards the exiting packet along its
-// route. The hop rides in the packet (hop.enter put it there); the per-flow
-// tables serve packets handed to the link directly. Packets of unrouted
-// flows are recycled.
+// route. The hop rides in the packet (hop.enter put it there) and is the only
+// routing path: a packet no hop of this link stamped was not offered by a
+// route, and is recycled.
 func (li *linkInfo) dispatch(t *Topology, p *Packet) {
 	if h := p.hop; h != nil && h.link == li {
-		h.forward(p)
-		return
-	}
-	m := li.data
-	if p.Ack {
-		m = li.ack
-	}
-	if h := hopAt(m, p.Flow); h != nil {
 		h.forward(p)
 		return
 	}
@@ -333,7 +310,7 @@ func (t *Topology) UsePool(pool *PacketPool) {
 // may traverse a given link at most once per direction.
 func (t *Topology) AddFlow(id int, fwd, rev []HopSpec, seeds *sim.Seeds, dataSink, ackSink func(*Packet)) (fwdRoute, revRoute *Route) {
 	if id < 0 {
-		panic(fmt.Sprintf("netem: flow id %d must be non-negative (ids index the route tables)", id))
+		panic(fmt.Sprintf("netem: flow id %d must be non-negative (ids index the flow table)", id))
 	}
 	if id < len(t.flows) && t.flows[id] != nil {
 		panic(fmt.Sprintf("netem: duplicate flow %d", id))
@@ -355,11 +332,10 @@ func (t *Topology) AddFlow(id int, fwd, rev []HopSpec, seeds *sim.Seeds, dataSin
 // unknown id it is exactly AddFlow. For a known id it re-specs the existing
 // routes in place when their shapes (hop count, link names, hop kinds) match
 // the specs — updating delay/loss parameters, rewinding the flow's RNG
-// stream, and re-pointing the delivery sinks, with every hop, pipe and
-// routing-table entry reused — and otherwise tears the old routes down and
-// rebuilds them. Either way exactly one seed is drawn from the chain, at the
-// same position AddFlow draws it, so the loss process is bit-identical to a
-// fresh build.
+// stream, and re-pointing the delivery sinks, with every hop and pipe reused
+// — and otherwise tears the old routes down and rebuilds them. Either way
+// exactly one seed is drawn from the chain, at the same position AddFlow
+// draws it, so the loss process is bit-identical to a fresh build.
 //
 // RespecFlow must only be called between simulations (after Engine.Reset):
 // re-speccing routes with packets in flight would mis-deliver them.
@@ -375,8 +351,8 @@ func (t *Topology) RespecFlow(id int, fwd, rev []HopSpec, seeds *sim.Seeds, data
 		t.respecRoute(id, f.rev, rev, ackSink)
 		return f.fwd, f.rev
 	}
-	t.dropRoute(id, false, f.fwd)
-	t.dropRoute(id, true, f.rev)
+	t.dropRoute(f.fwd)
+	t.dropRoute(f.rev)
 	rng := f.rng
 	rng.Reseed(seed)
 	f.fwd = t.buildRoute(id, false, fwd, rng, dataSink)
@@ -421,18 +397,12 @@ func (t *Topology) respecRoute(id int, r *Route, specs []HopSpec, sink func(*Pac
 	r.hops[len(r.hops)-1].sink = sink
 }
 
-// dropRoute unregisters one direction of a flow's path: link routing-table
-// entries clear and delay-hop pipes leave the engine's pipe list.
-func (t *Topology) dropRoute(id int, ack bool, r *Route) {
+// dropRoute unregisters one direction of a flow's path: delay-hop pipes
+// leave the engine's pipe list.
+func (t *Topology) dropRoute(r *Route) {
 	for _, h := range r.hops {
 		h.sink = nil
-		if h.link != nil {
-			if ack {
-				h.link.ack[id] = nil
-			} else {
-				h.link.data[id] = nil
-			}
-		} else if h.pipe != nil {
+		if h.pipe != nil {
 			t.Eng.DropPipe(h.pipe)
 		}
 	}
@@ -464,15 +434,12 @@ func (t *Topology) buildRoute(id int, ack bool, specs []HopSpec, rng *Rng, sink 
 					id, dir, at, hs.Link, li.from))
 			}
 			at = li.to
-			m := &li.data
-			if ack {
-				m = &li.ack
-			}
-			if hopAt(*m, id) != nil {
-				panic(fmt.Sprintf("netem: flow %d traverses link %q twice on its %s route", id, hs.Link, dir))
+			for _, prev := range r.hops {
+				if prev.link == li {
+					panic(fmt.Sprintf("netem: flow %d traverses link %q twice on its %s route", id, hs.Link, dir))
+				}
 			}
 			h.link = li
-			*m = growPut(*m, id, h)
 		} else {
 			h.delay = hs.Delay
 			h.loss = hs.Loss

@@ -324,6 +324,10 @@ func TestTopologyRouteValidation(t *testing.T) {
 		// A loop A→B→A→B revisits l1 in the same direction.
 		topo.AddFlow(9, []HopSpec{LinkHop("l1"), LinkHop("back"), LinkHop("l1")}, []HopSpec{DelayHop(0)}, seeds, nil, nil)
 	})
+	mustPanic(t, []string{"twice", "back", "11", "ack"}, func() {
+		// The reverse route B→A→B→A revisits back.
+		topo.AddFlow(11, []HopSpec{DelayHop(0)}, []HopSpec{LinkHop("back"), LinkHop("l1"), LinkHop("back")}, seeds, nil, nil)
+	})
 	mustPanic(t, []string{"empty route", "10"}, func() {
 		topo.AddFlow(10, nil, nil, seeds, nil, nil)
 	})
@@ -347,22 +351,36 @@ func TestDumbbellPanicsCarryFlowID(t *testing.T) {
 	mustPanic(t, []string{"SendAck", "42"}, func() { topo.SendAck(&Packet{Flow: 42, Ack: true}) })
 }
 
-// TestDispatchFallsBackToRouteTable hands packets to an interior link
-// directly — no hop.enter stamped them, or a stale stamp names another link —
-// and checks the link's exit still continues the flow's route from its table.
+// TestDispatchFallsBackToRouteTable pins what a link's exit does with a
+// packet no hop of that link stamped — handed to the link directly with no
+// stamp, or with a stale stamp naming another link: the hop a packet carries
+// is the only routing path, so such a packet is recycled into the pool
+// exactly once and never forwarded along the flow's route.
 func TestDispatchFallsBackToRouteTable(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
 	topo, delivered := threeHopTopo(t, eng, seeds, []int{-1, -1, -1}, []float64{0, 0, 0})
 	fwd, _ := topo.FlowRoutes(0)
 	l2 := topo.LinkByName("l2")
-	l2.Send(&Packet{Flow: 0, Size: 1500})
-	l2.Send(&Packet{Flow: 0, Size: 1500, hop: fwd.hops[1]}) // stamped for l1
+	unstamped := &Packet{Flow: 0, Size: 1500}
+	stale := &Packet{Flow: 0, Size: 1500, hop: fwd.hops[1]} // stamped for l1
+	l2.Send(unstamped)
+	l2.Send(stale)
 	eng.Run()
-	if *delivered != 2 {
-		t.Fatalf("delivered %d of 2 hand-injected packets", *delivered)
+	if *delivered != 0 {
+		t.Fatalf("delivered %d of 2 unrouted packets, want 0", *delivered)
 	}
-	if got := topo.LinkByName("l3").Delivered(); got != 2 {
-		t.Fatalf("l3 forwarded %d, want 2", got)
+	if got := topo.LinkByName("l3").OfferedBytes(); got != 0 {
+		t.Fatalf("l3 was offered %d bytes, want 0: an unrouted packet was forwarded", got)
+	}
+	if got := l2.Delivered(); got != 2 {
+		t.Fatalf("l2 delivered %d to its exit, want 2", got)
+	}
+	if got := topo.Pool.Size(); got != 2 {
+		t.Fatalf("pool holds %d packets, want the 2 unrouted ones", got)
+	}
+	a, b := topo.Pool.Get(), topo.Pool.Get()
+	if (a != unstamped || b != stale) && (a != stale || b != unstamped) {
+		t.Fatalf("pool recycled %p and %p, want each of %p and %p once", a, b, unstamped, stale)
 	}
 }

@@ -1,32 +1,34 @@
 package sim
 
-// CachedSource is a math/rand-compatible random source (the Mitchell-Reeds
-// additive lagged-Fibonacci generator, bit-identical to rand.NewSource) that
-// memoizes its post-seed register state. Re-seeding is the dominant setup
-// cost of a simulation trial — filling the 607-word register walks a
-// ~1900-step Lehmer chain — and arena-cached experiment runners re-seed the
-// same generators with a small set of recurring seeds (one per trial of a
-// sweep, identical across the grid's shapes). A CachedSource pays the chain
-// once per distinct seed and restores a snapshot on every later Seed call
-// with that seed, turning the per-trial RNG rewind into a memcpy.
+import (
+	"math/rand"
+	"reflect"
+)
+
+// CachedSource is math/rand's own generator (rand.NewSource) under a seed
+// memo. Re-seeding is the dominant setup cost of a simulation trial — filling
+// the generator's 607-word register walks a ~1900-step Lehmer chain — and
+// arena-cached experiment runners re-seed the same generators with a small
+// set of recurring seeds (one per trial of a sweep, identical across the
+// grid's shapes). A CachedSource pays the chain once per distinct seed and
+// restores a snapshot on every later Seed call with that seed: a memcpy.
 //
-// The stream is exactly rand.NewSource's for every seed: Seed, Int63 and
-// Uint64 reproduce math/rand's rngSource step for step (the seeding chain
-// XORs the lfCooked warm-up table just as the original does), so swapping a
-// CachedSource underneath a rand.Rand changes no recorded report byte.
-// Snapshots cost 607 words (~5 KB) each. A source keeps the snapSlots most
-// recently learned seeds: experiment arenas see one seed per trial index of
-// a sweep — a handful, all retained — while a long-lived server fed
-// never-seen seeds overwrites the oldest snapshot in place instead of
-// growing without limit.
+// Every draw and every new seed goes to the embedded generator, so the stream
+// is rand.NewSource's by construction and no report byte depends on the memo.
+// A snapshot is a value copy of the generator's state, complete because that
+// state is a flat struct (TestCachedSourceStateIsFlat), ~5 KB each. A source
+// keeps the snapSlots most recently learned seeds: an experiment arena sees
+// one seed per trial index of a sweep — a handful, all retained — while a
+// long-lived server fed never-seen seeds overwrites the oldest snapshot.
 type CachedSource struct {
-	tap  int
-	feed int
-	vec  [lfLen]int64
-	// snapSeed[i] is the seed whose post-seed register snap[i] holds; once
-	// both are full, oldest is the slot the next new seed overwrites.
+	rand.Source64
+	// state is the generator's state, addressable: restoring a snapshot is
+	// state.Set, taking one is Set the other way.
+	state reflect.Value
+	// snapSeed[i] is the seed whose post-seed state snap[i] holds; once both
+	// are full, oldest is the slot the next new seed overwrites.
 	snapSeed []int64
-	snap     []*[lfLen]int64
+	snap     []reflect.Value
 	oldest   int
 }
 
@@ -35,97 +37,40 @@ type CachedSource struct {
 // a scan of two cache lines.
 const snapSlots = 16
 
-const (
-	lfLen      = 607
-	lfTap      = 273
-	lfMask     = 1<<63 - 1
-	lfInt32Max = 1<<31 - 1
-)
-
 // NewCachedSource returns a seeded CachedSource. The result is valid for
 // rand.New: it implements both rand.Source and rand.Source64.
 func NewCachedSource(seed int64) *CachedSource {
-	s := &CachedSource{}
-	s.Seed(seed)
+	src := rand.NewSource(seed).(rand.Source64)
+	s := &CachedSource{Source64: src, state: reflect.ValueOf(src).Elem()}
+	s.learn(seed)
 	return s
 }
 
-// lehmer is math/rand's seeding step: x[n+1] = 48271·x[n] mod (2³¹−1),
-// computed with the Schrage decomposition to stay in 32 bits.
-func lehmer(x int32) int32 {
-	const (
-		a = 48271
-		q = 44488
-		r = 3399
-	)
-	hi := x / q
-	lo := x % q
-	x = a*lo - r*hi
-	if x < 0 {
-		x += lfInt32Max
-	}
-	return x
-}
-
-// Seed initializes the register to the deterministic state math/rand's
-// rngSource.Seed produces, restoring a snapshot when this source has been
-// seeded with the same value before.
+// Seed puts the generator in the state rand.NewSource(seed) starts from,
+// restoring a snapshot when this source has been seeded with the same value
+// before.
 func (s *CachedSource) Seed(seed int64) {
-	s.tap = 0
-	s.feed = lfLen - lfTap
 	for i, have := range s.snapSeed {
 		if have == seed {
-			s.vec = *s.snap[i]
+			s.state.Set(s.snap[i])
 			return
 		}
 	}
-	x := seed % lfInt32Max
-	if x < 0 {
-		x += lfInt32Max
-	}
-	if x == 0 {
-		x = 89482311
-	}
-	w := int32(x)
-	for i := -20; i < lfLen; i++ {
-		w = lehmer(w)
-		if i >= 0 {
-			u := int64(w) << 40
-			w = lehmer(w)
-			u ^= int64(w) << 20
-			w = lehmer(w)
-			u ^= int64(w)
-			u ^= lfCooked[i]
-			s.vec[i] = u
-		}
-	}
+	s.Source64.Seed(seed)
+	s.learn(seed)
+}
+
+// learn snapshots the freshly seeded state under seed, in a new slot while
+// there is room and over the oldest one after that.
+func (s *CachedSource) learn(seed int64) {
 	if len(s.snap) < snapSlots {
-		v := s.vec
+		v := reflect.New(s.state.Type()).Elem()
+		v.Set(s.state)
 		s.snapSeed = append(s.snapSeed, seed)
-		s.snap = append(s.snap, &v)
+		s.snap = append(s.snap, v)
 		return
 	}
 	s.snapSeed[s.oldest] = seed
-	*s.snap[s.oldest] = s.vec
+	s.snap[s.oldest].Set(s.state)
 	s.oldest = (s.oldest + 1) % snapSlots
-}
-
-// Uint64 returns the next raw register sum, exactly as math/rand does.
-func (s *CachedSource) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += lfLen
-	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += lfLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return uint64(x)
-}
-
-// Int63 returns a non-negative 63-bit integer, exactly as math/rand does.
-func (s *CachedSource) Int63() int64 {
-	return int64(s.Uint64() & lfMask)
 }

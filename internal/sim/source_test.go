@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 // stream exactly, across the full derived-value API the repository uses.
 func TestCachedSourceMatchesMathRand(t *testing.T) {
 	t.Parallel()
-	for _, seed := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 40), 89482311, lfInt32Max} {
+	for _, seed := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 40), 89482311, 1<<31 - 1} {
 		ref := rand.New(rand.NewSource(seed))
 		got := rand.New(NewCachedSource(seed))
 		for i := 0; i < 2000; i++ {
@@ -111,5 +112,35 @@ func TestCachedSourceSnapshotsBounded(t *testing.T) {
 		if !found {
 			t.Fatalf("recurring seed %d was evicted", seed)
 		}
+	}
+}
+
+// TestCachedSourceStateIsFlat pins what the memo's value-copy snapshot rests
+// on: math/rand's generator state holds no pointer, slice, map, string,
+// channel, function or interface, so copying the struct copies all of it. A
+// Go release that adds such a field to the generator fails here, before a
+// snapshot could alias state two seeds share.
+func TestCachedSourceStateIsFlat(t *testing.T) {
+	t.Parallel()
+	typ := NewCachedSource(1).state.Type()
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		default:
+			t.Fatalf("math/rand's generator state holds %s of kind %s: a value copy no longer snapshots it", path, typ.Kind())
+		}
+	}
+	walk(typ.String(), typ)
+	if typ.Kind() != reflect.Struct {
+		t.Fatalf("math/rand's generator state is a %s, not a struct", typ.Kind())
 	}
 }
