@@ -45,9 +45,27 @@ func main() {
 	}
 
 	start := time.Now()
-	go sender.Run()
-	<-sender.Done()
-	<-recv.Done()
+	runErr := make(chan error, 1)
+	go func() { runErr <- sender.Run() }()
+	// Run returns nil only once the FIN is confirmed, so any error means the
+	// transfer failed (say, a *transport.RetryExceededError) and Done or
+	// the receiver's FIN may never come.
+	fail := func(err error) {
+		if err != nil {
+			log.Fatalf("filetransfer: %v", err)
+		}
+	}
+	select {
+	case err := <-runErr:
+		fail(err)
+	case <-sender.Done():
+	}
+	select {
+	case err := <-runErr:
+		fail(err)
+		<-recv.Done()
+	case <-recv.Done():
+	}
 	elapsed := time.Since(start)
 
 	sent, rtx := sender.Stats()

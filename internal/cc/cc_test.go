@@ -313,8 +313,8 @@ func scanOutstanding(b *sack.Board) int {
 // TestSenderOutstandingCounterMatchesScan runs both senders through real
 // SACK, loss, retransmission, cumulative-coverage (lost ACKs) and timeout
 // sequences on a lossy path and checks, between events throughout the run,
-// that the scoreboard's un-SACKed counter — what flow completion, the tail
-// timer and Unfreeze now read — equals a full scan.
+// that the scoreboard's un-SACKed counter — what flow completion and the
+// tail timer read — equals a full scan.
 func TestSenderOutstandingCounterMatchesScan(t *testing.T) {
 	t.Parallel()
 	for _, kind := range []string{"window", "rate"} {

@@ -47,9 +47,6 @@ type flowCore struct {
 	rttCnt   int64
 	done     bool
 	started  bool
-	// frozen parks the sender during an injected node crash: its timers
-	// stop and arriving ACKs are consumed without effect.
-	frozen bool
 }
 
 func newFlowCore(eng *sim.Engine, flow int, sendData func(*netem.Packet)) flowCore {

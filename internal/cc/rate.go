@@ -16,9 +16,6 @@ import (
 type RateSender struct {
 	flowCore
 	Algo RateAlgo
-	// MinRate floors the pacing rate so a flow can never stall itself
-	// (default 2 packets/second).
-	MinRate float64
 
 	sendTimer    sim.Timer
 	tailTimer    sim.Timer
@@ -34,15 +31,8 @@ func NewRateSender(eng *sim.Engine, flow int, algo RateAlgo, sendData func(*nete
 	// packet, and a method value allocates a closure per use.
 	s.sendLoopFn = s.sendLoop
 	s.onTailFn = s.onTail
-	s.initDefaults(algo)
-	return s
-}
-
-// initDefaults applies the rate sender's own constructor defaults, shared by
-// NewRateSender and Reset (flowCore.reset covers the common ones).
-func (s *RateSender) initDefaults(algo RateAlgo) {
 	s.Algo = algo
-	s.MinRate = 2 * MSS
+	return s
 }
 
 // Reset returns the sender to its just-constructed state around a new
@@ -51,7 +41,7 @@ func (s *RateSender) initDefaults(algo RateAlgo) {
 // re-apply per-trial knobs exactly as they would on a fresh sender.
 func (s *RateSender) Reset(algo RateAlgo) {
 	s.flowCore.reset()
-	s.initDefaults(algo)
+	s.Algo = algo
 	s.sendTimer, s.tailTimer = sim.Timer{}, sim.Timer{}
 	s.tailDeadline = 0
 }
@@ -66,31 +56,12 @@ func (s *RateSender) Start() {
 	s.sendLoop()
 }
 
-// Freeze parks the sender for an injected node crash: both timers stop and
-// every hook becomes a no-op until Unfreeze. In-window state (sent, sacked,
-// lost, the algorithm's monitor intervals) is retained untouched.
-func (s *RateSender) Freeze() {
-	s.frozen = true
-	s.sendTimer.Stop()
-	s.tailTimer.Stop()
-}
-
-// Unfreeze resumes a frozen sender where it stopped; the tail timer re-arms
-// through the send path as usual.
-func (s *RateSender) Unfreeze() {
-	s.frozen = false
-	if s.started && !s.done {
-		s.sendLoop()
-		if s.board.Outstanding() > 0 {
-			s.armTail()
-		}
-	}
-}
-
+// rate is the algorithm's pacing rate, floored at 2 packets/second so a flow
+// can never stall itself.
 func (s *RateSender) rate() float64 {
 	r := s.Algo.Rate(s.Eng.Now())
-	if r < s.MinRate {
-		r = s.MinRate
+	if floor := 2 * float64(s.PktSize); r < floor {
+		r = floor
 	}
 	return r
 }
@@ -98,7 +69,7 @@ func (s *RateSender) rate() float64 {
 // sendLoop transmits one packet and schedules the next transmission at the
 // current pacing rate.
 func (s *RateSender) sendLoop() {
-	if s.done || s.frozen || !s.hasData() {
+	if s.done || !s.hasData() {
 		return
 	}
 	now := s.Eng.Now()
@@ -146,7 +117,7 @@ func (s *RateSender) armTail() {
 }
 
 func (s *RateSender) onTail() {
-	if s.done || s.frozen {
+	if s.done {
 		return
 	}
 	now := s.Eng.Now()
@@ -181,9 +152,7 @@ func (s *RateSender) onTail() {
 func (s *RateSender) OnAck(p *netem.Packet) {
 	sackSeq, cumAck, echoSent := p.SackSeq, p.CumAck, p.EchoSent
 	s.Pool.Put(p)
-	if s.done || s.frozen {
-		// Frozen (crashed node): the ACK is consumed but the host is not
-		// there to process it.
+	if s.done {
 		return
 	}
 	now := s.Eng.Now()

@@ -16,11 +16,6 @@ type Receiver struct {
 	// to the flow's reverse Topology route).
 	SendAck func(*netem.Packet)
 
-	// FlowPackets, when > 0, is the flow length in packets; OnComplete
-	// fires when all of [0, FlowPackets) have been received at least once.
-	FlowPackets int64
-	OnComplete  func(now float64)
-
 	// Bucket, when > 0, aggregates goodput into time buckets of this width
 	// (seconds) for rate-over-time plots.
 	Bucket  float64
@@ -37,10 +32,6 @@ type Receiver struct {
 	totalPkts   int64
 	firstAt     float64
 	lastAt      float64
-	completed   bool
-	// frozen parks the receiver during an injected node crash: arriving data
-	// is recycled unprocessed and no ACK is emitted.
-	frozen bool
 }
 
 // NewReceiver builds a receiver for the given flow.
@@ -51,34 +42,18 @@ func NewReceiver(eng *sim.Engine, flow int) *Receiver {
 // Reset returns the receiver to its just-constructed state for a new trial
 // on a reset engine, retaining grown storage (the out-of-order bitmap and
 // the bucket series backing) and the Eng/Flow/SendAck/Pool wiring. Callers
-// re-apply the per-trial knobs (Bucket, FlowPackets, OnComplete) afterwards,
-// exactly as they would configure a fresh receiver.
+// re-apply the per-trial knob (Bucket) afterwards, exactly as they would
+// configure a fresh receiver.
 func (r *Receiver) Reset() {
-	r.FlowPackets = 0
-	r.OnComplete = nil
 	r.Bucket = 0
 	r.buckets = r.buckets[:0]
 	r.win.Reset()
 	r.uniqueBytes, r.uniquePkts, r.totalPkts = 0, 0, 0
 	r.firstAt, r.lastAt = -1, 0
-	r.completed = false
-	r.frozen = false
 }
-
-// Freeze parks the receiver for an injected node crash: data arriving while
-// frozen is destroyed (the host is down) and never acknowledged. Counters and
-// reassembly state are retained for Unfreeze.
-func (r *Receiver) Freeze() { r.frozen = true }
-
-// Unfreeze resumes a frozen receiver; reception continues where it stopped.
-func (r *Receiver) Unfreeze() { r.frozen = false }
 
 // OnData processes an arriving data packet and emits an ACK.
 func (r *Receiver) OnData(p *netem.Packet) {
-	if r.frozen {
-		r.Pool.Put(p)
-		return
-	}
 	now := r.Eng.Now()
 	r.totalPkts++
 	if r.firstAt < 0 {
@@ -114,13 +89,6 @@ func (r *Receiver) OnData(p *netem.Packet) {
 		r.SendAck(ack)
 	} else {
 		r.Pool.Put(ack)
-	}
-
-	if !r.completed && r.FlowPackets > 0 && r.uniquePkts >= r.FlowPackets {
-		r.completed = true
-		if r.OnComplete != nil {
-			r.OnComplete(now)
-		}
 	}
 }
 

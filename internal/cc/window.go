@@ -43,9 +43,6 @@ func NewWindowSender(eng *sim.Engine, flow int, algo WindowAlgo, sendData func(*
 	// value or capturing closure would allocate per use.
 	s.onRTOFn = s.onRTO
 	s.paceFn = func() {
-		if s.frozen {
-			return
-		}
 		if float64(s.pipe) < s.cwnd() && s.hasData() && !s.done {
 			s.sendOne()
 		}
@@ -86,28 +83,6 @@ func (s *WindowSender) Start() {
 	s.trySend()
 }
 
-// Freeze parks the sender for an injected node crash: both timers stop and
-// every hook becomes a no-op until Unfreeze. Window state (pipe, SACK marks,
-// recovery point) is retained untouched.
-func (s *WindowSender) Freeze() {
-	s.frozen = true
-	s.rtoTimer.Stop()
-	s.paceTimer.Stop()
-}
-
-// Unfreeze resumes a frozen sender where it stopped, re-arming the RTO for
-// whatever is still outstanding (those packets died with the crashed links
-// and only the timeout can rescue them).
-func (s *WindowSender) Unfreeze() {
-	s.frozen = false
-	if s.started && !s.done {
-		s.trySend()
-		if s.pipe > 0 || s.board.HasRtx() {
-			s.armRTO()
-		}
-	}
-}
-
 func (s *WindowSender) cwnd() float64 {
 	w := s.Algo.Cwnd()
 	if w < 1 {
@@ -121,7 +96,7 @@ func (s *WindowSender) cwnd() float64 {
 
 // trySend transmits as allowed by cwnd (immediately, or via the pacer).
 func (s *WindowSender) trySend() {
-	if s.done || s.frozen {
+	if s.done {
 		return
 	}
 	if s.Paced {
@@ -139,7 +114,7 @@ func (s *WindowSender) trySend() {
 
 // schedulePace arms the pacing timer if it is idle and there is work.
 func (s *WindowSender) schedulePace() {
-	if s.paceTimer.Active() || s.done || s.frozen {
+	if s.paceTimer.Active() || s.done {
 		return
 	}
 	w := s.cwnd()
@@ -191,9 +166,7 @@ func (s *WindowSender) resetRTO() {
 func (s *WindowSender) OnAck(p *netem.Packet) {
 	sackSeq, cumAck, echoSent := p.SackSeq, p.CumAck, p.EchoSent
 	s.Pool.Put(p)
-	if s.done || s.frozen {
-		// Frozen (crashed node): the ACK is consumed but the host is not
-		// there to process it.
+	if s.done {
 		return
 	}
 	now := s.Eng.Now()
@@ -275,7 +248,7 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 // onRTO handles a retransmission timeout: every un-SACKed outstanding packet
 // is presumed lost and the algorithm collapses its window.
 func (s *WindowSender) onRTO() {
-	if s.done || s.frozen {
+	if s.done {
 		return
 	}
 	if now := s.Eng.Now(); now < s.rtoDeadline {

@@ -71,15 +71,17 @@ func TestChaosDeterminismRacePair(t *testing.T) {
 	}
 }
 
-// chaosCrashTrial runs one node-crash trial: a 2-hop chain n0→n1→n2 whose
-// source host n0 crashes at t=2 and restarts at t=3 during a 5-second
-// transfer. Returns the runner and the flow.
+// chaosCrashTrial runs one outage trial: a 2-hop chain n0→n1→n2 whose
+// source host n0 is cut off at t=2 — a partition of its incident links f0
+// and b0 — and healed at t=3 during a 5-second transfer. Returns the runner
+// and the flow.
 func chaosCrashTrial(ts *TrialScratch, seed int64) (*Runner, *Flow) {
+	cut := []string{fwdName(0), revName(0)}
 	spec := TopologySpec{
 		Seed: seed,
 		Faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
-			{At: 2, Kind: netem.FaultNodeCrash, Node: "n0"},
-			{At: 3, Kind: netem.FaultNodeRestart, Node: "n0"},
+			{At: 2, Kind: netem.FaultPartition, Links: cut},
+			{At: 3, Kind: netem.FaultHeal, Links: cut},
 		}},
 	}
 	for i := 0; i < 2; i++ {
@@ -104,11 +106,11 @@ func chaosCrashTrial(ts *TrialScratch, seed int64) (*Runner, *Flow) {
 	return r, f
 }
 
-// TestNodeCrashFreezesAndResumes drives the node-fault path end to end: a
-// crash must take the host's incident links down (destroying the in-flight
-// train into the fault ledger), silence the flow for the outage, and a
-// restart must bring the transfer back — with byte conservation holding on
-// every link through all of it.
+// TestNodeCrashFreezesAndResumes drives a host outage end to end as a
+// partition of the source host's incident links: the cut must take them
+// down (destroying the in-flight train into the fault ledger) and silence
+// the flow for the outage, and the heal must bring the transfer back — with
+// byte conservation holding on every link through all of it.
 func TestNodeCrashFreezesAndResumes(t *testing.T) {
 	t.Parallel()
 	ts := new(TrialScratch)
@@ -125,32 +127,33 @@ func TestNodeCrashFreezesAndResumes(t *testing.T) {
 	if pre := window(0.5, 2.0); pre <= 0 {
 		t.Fatalf("no goodput before the crash (%.2f)", pre)
 	}
-	// The crash kills the source at t=2; anything still in flight arrives
+	// The cut isolates the source at t=2; anything already past f0 arrives
 	// within one path delay (~10 ms + queues), so [2.2, 3.0) must be silent.
 	if mid := window(2.2, 3.0); mid != 0 {
-		t.Errorf("goodput %.2f Mbps while the source host is down", mid)
+		t.Errorf("goodput %.2f Mbps while the source host is cut off", mid)
 	}
 	if post := window(3.2, 5.0); post <= 0 {
-		t.Errorf("transfer did not resume after the restart (%.2f)", post)
+		t.Errorf("transfer did not resume after the heal (%.2f)", post)
 	}
 	dropped := int64(0)
 	for _, s := range r.Topo.Stats() {
 		if !s.Conserved() {
-			t.Errorf("link %s conservation broken across the crash: %+v", s.Name, s)
+			t.Errorf("link %s conservation broken across the outage: %+v", s.Name, s)
 		}
 		dropped += s.FaultDropped
 	}
 	if dropped == 0 {
-		t.Error("crash destroyed no in-flight packets; the fault likely did not fire")
+		t.Error("the cut destroyed no in-flight packets; the fault likely did not fire")
 	}
 	if len(r.FaultEvents()) != 2 {
-		t.Errorf("FaultEvents() = %v, want the crash/restart pair", r.FaultEvents())
+		t.Errorf("FaultEvents() = %v, want the partition/heal pair", r.FaultEvents())
 	}
 }
 
 // TestChaosArenaMatchesFresh pins fault injection on the trial-arena respec
-// path: re-running a faulted trial on a warm arena (same topology signature,
-// same fault targets) must be bit-identical to a fresh build, including the
+// path: re-running a faulted trial — the partition/heal outage and a
+// jittered flap — on a warm arena (same topology signature, same fault
+// targets) must be bit-identical to a fresh build, including the
 // flap-jitter RNG draw that rides the seed derivation chain.
 func TestChaosArenaMatchesFresh(t *testing.T) {
 	t.Parallel()
@@ -166,7 +169,7 @@ func TestChaosArenaMatchesFresh(t *testing.T) {
 	warm := new(TrialScratch)
 	for i := 0; i < 4; i++ {
 		if fresh, got := trial(new(TrialScratch), i), trial(warm, i); got != fresh {
-			t.Fatalf("crash trial %d: warm arena %v != fresh %v", i, got, fresh)
+			t.Fatalf("outage trial %d: warm arena %v != fresh %v", i, got, fresh)
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -219,9 +222,10 @@ func TestChaosArenaRespecDifferentTargets(t *testing.T) {
 	}
 }
 
-// TestChaosArenaSteadyStateAllocs holds faulted trials to the same warm-trial
-// allocation budget as unfaulted ones: the materialized event list, the act
-// table and the per-act engine posts all reuse arena storage.
+// TestChaosArenaSteadyStateAllocs holds a faulted trial (the partition/heal
+// outage) to the same warm-trial allocation budget as unfaulted ones: the
+// materialized event list, the act table and the per-act engine posts all
+// reuse arena storage.
 func TestChaosArenaSteadyStateAllocs(t *testing.T) {
 	ts := new(TrialScratch)
 	trial := func() {
@@ -239,11 +243,12 @@ func TestChaosArenaSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDegradeSparesPacketOnTheWire pins when a FaultDegrade rate step takes
-// effect: a step landing mid-serialization changes neither that packet's
-// completion nor its delivery, and stretches every later one — "from the next
-// transmission", which the link's setters must keep exact now that
-// completions are processed lazily.
+// TestDegradeSparesPacketOnTheWire pins when a Link.SetRate step (what
+// fig11's VaryingSpec redraws call) takes effect: a step landing
+// mid-serialization changes neither that packet's completion nor its
+// delivery, and stretches every later one — "from the next transmission",
+// which the link's setters must keep exact now that completions are
+// processed lazily.
 func TestDegradeSparesPacketOnTheWire(t *testing.T) {
 	t.Parallel()
 	// 12 Mbps serializes 1500 B in 1 ms; the step to 6 Mbps lands half-way
@@ -251,10 +256,8 @@ func TestDegradeSparesPacketOnTheWire(t *testing.T) {
 	r := NewTopologyRunner(TopologySpec{
 		Seed:  1,
 		Links: []LinkSpec{{Name: "l", From: "a", To: "b", RateMbps: 12, Delay: 0.010, BufBytes: 100 * netem.KB}},
-		Faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
-			{At: 0.0015, Kind: netem.FaultDegrade, Link: "l", RateBps: netem.Mbps(6), Delay: -1, Loss: -1},
-		}},
 	})
+	r.Eng.At(0.0015, func() { r.Topo.LinkByName("l").SetRate(netem.Mbps(6)) })
 	var arrivals []float64
 	r.Topo.AddFlow(0, []netem.HopSpec{netem.LinkHop("l")}, []netem.HopSpec{netem.DelayHop(0)}, r.Seeds,
 		func(*netem.Packet) { arrivals = append(arrivals, r.Eng.Now()) }, nil)
@@ -274,6 +277,6 @@ func TestDegradeSparesPacketOnTheWire(t *testing.T) {
 		}
 	}
 	if got := r.Topo.LinkByName("l").Rate(); got != netem.Mbps(6) {
-		t.Fatalf("link rate %v after the degrade, want %v", got, netem.Mbps(6))
+		t.Fatalf("link rate %v after the step, want %v", got, netem.Mbps(6))
 	}
 }

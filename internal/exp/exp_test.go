@@ -20,8 +20,8 @@ func TestShapeLossResilience(t *testing.T) {
 	// while CUBIC collapses.
 	path := PathSpec{RateMbps: 100, RTT: 0.030, Loss: 0.01, BufBytes: 375 * netem.KB, Seed: 42}
 	ts := new(TrialScratch)
-	pcc := runSingle(ts, path, "pcc", 40, nil)
-	cubic := runSingle(ts, path, "cubic", 40, nil)
+	pcc := runSingle(ts, path, "pcc", 40)
+	cubic := runSingle(ts, path, "cubic", 40)
 	if pcc < 70 {
 		t.Errorf("PCC at 1%% loss = %.1f Mbps, want > 70", pcc)
 	}
@@ -39,8 +39,8 @@ func TestShapeSatellite(t *testing.T) {
 	// satellite link.
 	path := PathSpec{RateMbps: 42, RTT: 0.8, Loss: 0.0074, BufBytes: 1000 * netem.KB, Seed: 42}
 	ts := new(TrialScratch)
-	pcc := runSingle(ts, path, "pcc", 80, nil)
-	hybla := runSingle(ts, path, "hybla", 80, nil)
+	pcc := runSingle(ts, path, "pcc", 80)
+	hybla := runSingle(ts, path, "hybla", 80)
 	if pcc < 20 {
 		t.Errorf("PCC on satellite = %.1f Mbps, want > 20", pcc)
 	}
@@ -55,8 +55,8 @@ func TestShapeShallowBuffer(t *testing.T) {
 	// CUBIC cannot.
 	path := PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: 9000, Seed: 42}
 	ts := new(TrialScratch)
-	pcc := runSingle(ts, path, "pcc", 30, nil)
-	cubic := runSingle(ts, path, "cubic", 30, nil)
+	pcc := runSingle(ts, path, "pcc", 30)
+	cubic := runSingle(ts, path, "cubic", 30)
 	if pcc < 85 {
 		t.Errorf("PCC with 6-MSS buffer = %.1f Mbps, want > 85", pcc)
 	}
@@ -71,8 +71,8 @@ func TestShapeSmallBufferRateLimiter(t *testing.T) {
 	// limiter, PCC far exceeds Illinois.
 	path := PathSpec{RateMbps: 800, RTT: 0.036, BufBytes: 75 * netem.KB, Seed: 42}
 	ts := new(TrialScratch)
-	pcc := runSingle(ts, path, "pcc", 15, nil)
-	ill := runSingle(ts, path, "illinois", 15, nil)
+	pcc := runSingle(ts, path, "pcc", 15)
+	ill := runSingle(ts, path, "illinois", 15)
 	if pcc < 500 {
 		t.Errorf("PCC inter-DC = %.0f Mbps, want > 500", pcc)
 	}

@@ -26,10 +26,10 @@ func RunFig5(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	perPath, err := RunPointsScratchCtx(ctx, len(paths), func(i int, ts *TrialScratch) []float64 {
 		p := paths[i]
 		path := PathSpec{RateMbps: p.RateMbps, RTT: p.RTT, Loss: p.Loss, BufBytes: p.BufBytes, Seed: seed + int64(i)*7}
-		pccT := runSingle(ts, path, "pcc", dur, nil)
+		pccT := runSingle(ts, path, "pcc", dur)
 		out := make([]float64, len(rivals))
 		for k, rival := range rivals {
-			rT := runSingle(ts, path, rival, dur, nil)
+			rT := runSingle(ts, path, rival, dur)
 			if rT <= 0 {
 				rT = 0.01
 			}

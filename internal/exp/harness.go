@@ -56,7 +56,7 @@ type TopologySpec struct {
 	// Seed roots all randomness for the run.
 	Seed int64
 	// Faults, when non-nil and non-empty, injects timed hard faults (link
-	// down/up flaps, step degrades, partitions, node crashes) into the trial:
+	// down/up flaps, partitions) into the trial:
 	// the schedule is materialized at build time — flap jitter drawn from one
 	// runner RNG stream — and scheduled as plain engine events, so faults
 	// compose with arenas without perturbing determinism.
@@ -106,11 +106,6 @@ type FlowSpec struct {
 	Bucket float64
 	// PCCConfig overrides the default PCC configuration (pcc only).
 	PCCConfig *core.Config
-	// Utility overrides the PCC utility function (pcc only).
-	Utility core.Utility
-	// CapacityHint feeds SABUL's packet-pair capacity estimate, bytes/s
-	// (0 = path capacity).
-	CapacityHint float64
 	// FwdRoute/RevRoute are the flow's explicit routes (hop chains over
 	// named links and delay segments). Both must be set together. On a
 	// dumbbell runner they may both be empty: the flow then crosses the
@@ -138,12 +133,6 @@ type Flow struct {
 	ackSink  func(*netem.Packet)
 	startFn  func()
 	onDone   func(now float64)
-
-	// srcNode/dstNode are the nodes the flow's sender and receiver live at
-	// (the forward route's first link tail and last link head), recorded so
-	// node-crash faults can freeze exactly the endpoints hosted at the
-	// crashed node. Empty without a fault schedule and on link-less routes.
-	srcNode, dstNode string
 }
 
 // Runner assembles and runs one simulation over a link graph — the one-link
@@ -194,14 +183,13 @@ type Runner struct {
 	// Fault-injection state (runners with TopologySpec.Faults).
 	// faultSpec is the schedule as specced; faultEvs its materialized,
 	// time-sorted event list (flap jitter applied); faultActs the resolved
-	// actions scheduled on the engine; faultLinks the flat link table the
-	// acts index by range (so act resolution never allocates per act after
-	// the first trial); faultFn the shared dispatch trampoline.
-	faultSpec  *netem.FaultSchedule
-	faultEvs   []netem.FaultEvent
-	faultActs  []faultAct
-	faultLinks []*netem.Link
-	faultFn    func(any)
+	// per-link actions scheduled on the engine (reused, so act resolution
+	// never allocates after the first trial); faultFn the shared dispatch
+	// trampoline.
+	faultSpec *netem.FaultSchedule
+	faultEvs  []netem.FaultEvent
+	faultActs []faultAct
+	faultFn   func(any)
 }
 
 // makeQueue builds the AQM a Path/LinkSpec asks for.
@@ -229,14 +217,7 @@ func resetQueue(q netem.Queue, bufBytes int, pool *netem.PacketPool) {
 	case *netem.CoDel:
 		q.Reset(bufBytes)
 	case *netem.FQ:
-		// An fqcodel's child constructor captured the build-time capacity;
-		// refresh it only when the capacity actually changed, so
-		// same-capacity warm trials stay closure-allocation-free.
-		refresh := q.NewChild != nil && q.PerFlowBytes != bufBytes
 		q.Reset(bufBytes)
-		if refresh {
-			q.NewChild = func() netem.Queue { return netem.NewCoDel(bufBytes) }
-		}
 	}
 }
 
@@ -466,25 +447,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	if pktSize <= 0 {
 		pktSize = cc.MSS
 	}
-	// Resolve the endpoint nodes for node-crash freezing: the tail of the
-	// first link and the head of the last link on the forward route.
-	srcNode, dstNode := "", ""
-	if !r.faultSpec.Empty() {
-		first, last := "", ""
-		for _, hs := range fwd {
-			if hs.Link == "" {
-				continue
-			}
-			if first == "" {
-				first = hs.Link
-			}
-			last = hs.Link
-		}
-		if first != "" {
-			srcNode, _ = r.Topo.LinkEnds(first)
-			_, dstNode = r.Topo.LinkEnds(last)
-		}
-	}
 	pool := r.Topo.Pool
 
 	// Acquire the flow handle: recycled from a previous trial on this
@@ -512,22 +474,17 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		r.flowPool = append(r.flowPool, f)
 	}
 	r.Flows = append(r.Flows, f)
-	f.srcNode, f.dstNode = srcNode, dstNode
 	f.Recv.Bucket = spec.Bucket
 	var flowPkts int64
 	if spec.FlowKB > 0 {
 		flowPkts = int64((spec.FlowKB*1000 + pktSize - 1) / pktSize)
 	}
-	f.Recv.FlowPackets = flowPkts
 
 	switch spec.Proto {
 	case "pcc":
 		pcfg := core.SizedConfig(rtt, pktSize)
 		if spec.PCCConfig != nil {
 			pcfg = *spec.PCCConfig
-		}
-		if spec.Utility != nil {
-			pcfg.Utility = spec.Utility
 		}
 		if pcfg.PacketSize == 0 {
 			// A caller-supplied config that does not pin a size inherits the
@@ -557,19 +514,15 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			r.setRateSender(f, f.PCC)
 		}
 	case "sabul":
-		hint := spec.CapacityHint
-		if hint <= 0 {
-			hint = capacity
-		}
-		if hint <= 0 {
-			panic("exp: sabul on a link-less route needs CapacityHint")
+		if capacity <= 0 {
+			panic("exp: sabul needs a route with a link: its capacity hint is the route capacity")
 		}
 		f.PCC = nil
 		sabul, ok := recycledRateAlgo(f).(*baseline.Sabul)
 		if !ok {
 			sabul = new(baseline.Sabul)
 		}
-		sabul.Reset(hint) // NewSabul(hint)'s state, in place
+		sabul.Reset(capacity) // NewSabul(capacity)'s state, in place
 		r.setRateSender(f, sabul)
 	case "pcp":
 		f.PCC = nil
@@ -606,10 +559,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	if f.RS != nil {
 		f.RS.Pool = pool
 		f.RS.PktSize = pktSize
-		// Keep the sender-side floor at 2 packets/s in the flow's own
-		// size, matching the algorithms' scaled MinRate (for the default
-		// 1500 B this is exactly the constructor's 2*MSS).
-		f.RS.MinRate = 2 * float64(pktSize)
 		f.RS.FlowPackets = flowPkts
 		f.RS.RTTHint = rtt
 		f.RS.OnDone = f.onDone

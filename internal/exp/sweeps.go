@@ -12,9 +12,9 @@ import (
 // seconds and returns its goodput in Mbps. The runner comes from the
 // worker's trial arena, keyed by protocol, so a sweep's repeated
 // single-flow trials reuse one warm simulation per protocol.
-func runSingle(ts *TrialScratch, path PathSpec, proto string, dur float64, util core.Utility) float64 {
+func runSingle(ts *TrialScratch, path PathSpec, proto string, dur float64) float64 {
 	r := ts.Runner(proto, path)
-	f := r.AddFlow(FlowSpec{Proto: proto, Utility: util})
+	f := r.AddFlow(FlowSpec{Proto: proto})
 	r.Run(dur)
 	return f.GoodputMbps(dur)
 }
@@ -44,7 +44,7 @@ func RunFig6(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	}
 	tputs, err := protoGrid(ctx, len(buffers), protos, func(ts *TrialScratch, b int, proto string, _ int) float64 {
 		path := PathSpec{RateMbps: 42, RTT: 0.8, Loss: 0.0074, BufBytes: buffers[b], Seed: seed}
-		return runSingle(ts, path, proto, dur, nil)
+		return runSingle(ts, path, proto, dur)
 	})
 	if err != nil {
 		return nil, err
@@ -115,7 +115,7 @@ func RunFig9(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	}
 	tputs, err := protoGrid(ctx, len(buffers), protos, func(ts *TrialScratch, b int, proto string, _ int) float64 {
 		path := PathSpec{RateMbps: 100, RTT: 0.030, BufBytes: buffers[b], Seed: seed}
-		return runSingle(ts, path, proto, dur, nil)
+		return runSingle(ts, path, proto, dur)
 	})
 	if err != nil {
 		return nil, err
@@ -159,7 +159,7 @@ func RunLossResilient(ctx context.Context, scale float64, seed int64) (*Report, 
 			r.Run(dur)
 			return pf.GoodputMbps(dur)
 		}
-		return runSingle(ts, path, proto, dur, nil)
+		return runSingle(ts, path, proto, dur)
 	})
 	if err != nil {
 		return nil, err

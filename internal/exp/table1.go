@@ -42,7 +42,7 @@ func RunTable1(ctx context.Context, scale float64, seed int64) (*Report, error) 
 	}
 	tputs, err := protoGrid(ctx, len(table1Pairs), protos, func(ts *TrialScratch, p int, proto string, _ int) float64 {
 		path := PathSpec{RateMbps: 800, RTT: table1Pairs[p].RTT, BufBytes: 75 * netem.KB, Seed: seed + int64(p)}
-		return runSingle(ts, path, proto, dur, nil)
+		return runSingle(ts, path, proto, dur)
 	})
 	if err != nil {
 		return nil, err

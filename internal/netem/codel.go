@@ -6,15 +6,11 @@ import "math"
 // 2012), the algorithm behind the Linux codel qdisc referenced in §4.4.1.
 //
 // CoDel measures each packet's sojourn time at dequeue. When sojourn stays
-// above Target for at least Interval, CoDel enters a dropping state and
-// drops packets at increasing frequency (the control law spaces drops by
-// Interval/sqrt(count)) until sojourn falls below Target.
+// above codelTarget for at least codelInterval, CoDel enters a dropping state
+// and drops packets at increasing frequency (the control law spaces drops by
+// codelInterval/sqrt(count)) until sojourn falls below codelTarget.
 type CoDel struct {
 	q fifo
-	// Target is the acceptable standing queue delay (default 5 ms).
-	Target float64
-	// Interval is the sliding-window width (default 100 ms).
-	Interval float64
 	// CapBytes bounds the physical queue (CoDel still needs a hard limit);
 	// negative means unlimited.
 	CapBytes int
@@ -30,18 +26,24 @@ type CoDel struct {
 	dropCount  int     // drops since entering dropping state
 }
 
+// The standard CoDel parameters: the acceptable standing queue delay and
+// the sliding-window width, seconds.
+const (
+	codelTarget   = 0.005
+	codelInterval = 0.100
+)
+
 // NewCoDel returns a CoDel queue with the standard 5 ms / 100 ms parameters
 // and the given physical byte capacity (negative = unlimited).
 func NewCoDel(capBytes int) *CoDel {
-	return &CoDel{Target: 0.005, Interval: 0.100, CapBytes: capBytes}
+	return &CoDel{CapBytes: capBytes}
 }
 
 // Reset re-specs the queue in place for a new simulation: queued packets
 // drain into the pool, the control law returns to its initial state, and
-// the standard parameters are restored with a new physical capacity.
+// the physical capacity is replaced.
 func (c *CoDel) Reset(capBytes int) {
 	c.q.drain(c.Pool)
-	c.Target, c.Interval = 0.005, 0.100
 	c.CapBytes = capBytes
 	c.drops, c.dropBytes = 0, 0
 	c.dropping = false
@@ -64,14 +66,14 @@ func (c *CoDel) Enqueue(p *Packet, now float64) bool {
 // shouldDrop applies the sojourn-time test to packet p at time now.
 func (c *CoDel) shouldDrop(p *Packet, now float64) bool {
 	sojourn := now - p.Enq
-	if sojourn < c.Target || c.q.bytes < 2*1500 {
+	if sojourn < codelTarget || c.q.bytes < 2*1500 {
 		// Below target (or queue nearly empty): leave the
 		// dropping-eligibility window.
 		c.firstAbove = 0
 		return false
 	}
 	if c.firstAbove == 0 {
-		c.firstAbove = now + c.Interval
+		c.firstAbove = now + codelInterval
 		return false
 	}
 	return now >= c.firstAbove
@@ -104,7 +106,7 @@ func (c *CoDel) Dequeue(now float64) *Packet {
 				c.dropping = false
 				return p
 			}
-			c.dropNext += c.Interval / math.Sqrt(float64(c.dropCount))
+			c.dropNext += codelInterval / math.Sqrt(float64(c.dropCount))
 		}
 		return p
 	}
@@ -117,12 +119,14 @@ func (c *CoDel) Dequeue(now float64) *Packet {
 		c.dropping = true
 		// Resume from the previous drop frequency if we re-enter quickly
 		// (the "count decay" refinement from the reference pseudocode).
-		if c.dropCount > 2 && now-c.dropNext < 8*c.Interval {
+		// 8*codelInterval folds to the float64 the run-time product gave:
+		// scaling by a power of two is exact.
+		if c.dropCount > 2 && now-c.dropNext < 8*codelInterval {
 			c.dropCount -= 2
 		} else {
 			c.dropCount = 1
 		}
-		c.dropNext = now + c.Interval/math.Sqrt(float64(c.dropCount))
+		c.dropNext = now + codelInterval/math.Sqrt(float64(c.dropCount))
 		return p2
 	}
 	return p

@@ -13,12 +13,9 @@ import (
 // touching the simulator's (at, seq) determinism: the schedule's event times
 // are fixed before the simulation starts.
 //
-// Fault semantics at the link level are implemented by Link.SetDown (drop
+// Fault semantics at the link level are implemented by Link.SetDown: drop
 // the in-flight train into the fault ledger, park the serializer, keep the
-// queue) and by Link.SetRate/SetDelay/SetLossRate for Degrade. Node faults
-// additionally freeze the endpoints' sender/receiver state (see
-// internal/cc Freeze/Unfreeze); that wiring lives in the harness, which
-// knows which flows terminate at which nodes.
+// queue.
 
 // FaultKind enumerates the fault event types.
 type FaultKind uint8
@@ -30,24 +27,11 @@ const (
 	FaultLinkDown FaultKind = iota
 	// FaultLinkUp brings the named Link back up.
 	FaultLinkUp
-	// FaultDegrade steps the named Link's capacity / propagation delay /
-	// loss rate to new values — a hard step, distinct from VaryingSpec's
-	// smooth periodic redraw. Fields that are negative (or RateBps <= 0)
-	// keep the link's current value, so a pure loss spike need not restate
-	// rate and delay.
-	FaultDegrade
 	// FaultPartition takes every link in Links down at once — a routing
 	// partition cutting a named link set.
 	FaultPartition
 	// FaultHeal brings every link in Links back up.
 	FaultHeal
-	// FaultNodeCrash takes every link incident to Node down and freezes the
-	// senders/receivers living at the node (no sends, no ACKs, timers
-	// parked).
-	FaultNodeCrash
-	// FaultNodeRestart brings the node's incident links back up and unfreezes
-	// its endpoints; frozen transfers resume where they stopped.
-	FaultNodeRestart
 )
 
 // String names the kind for reports and errors.
@@ -57,40 +41,25 @@ func (k FaultKind) String() string {
 		return "link-down"
 	case FaultLinkUp:
 		return "link-up"
-	case FaultDegrade:
-		return "degrade"
 	case FaultPartition:
 		return "partition"
 	case FaultHeal:
 		return "heal"
-	case FaultNodeCrash:
-		return "node-crash"
-	case FaultNodeRestart:
-		return "node-restart"
 	}
 	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
 
-// FaultEvent is one timed fault. Which operand fields are read depends on
-// Kind: Link for the link kinds and Degrade, Links for Partition/Heal, Node
-// for the node kinds, and RateBps/Delay/Loss for Degrade only.
+// FaultEvent is one timed fault. Which operand field is read depends on
+// Kind: Link for LinkDown/LinkUp, Links for Partition/Heal.
 type FaultEvent struct {
 	// At is the absolute simulation time the fault fires.
 	At float64
 	// Kind selects the fault type.
 	Kind FaultKind
-	// Link names the target of LinkDown/LinkUp/Degrade.
+	// Link names the target of LinkDown/LinkUp.
 	Link string
 	// Links names the target set of Partition/Heal.
 	Links []string
-	// Node names the target of NodeCrash/NodeRestart.
-	Node string
-	// RateBps/Delay/Loss are Degrade's new parameters. RateBps <= 0 keeps
-	// the current rate; Delay < 0 and Loss < 0 keep the current delay and
-	// loss (zero is a legal value for both).
-	RateBps float64
-	Delay   float64
-	Loss    float64
 }
 
 // FlapSpec is a compact description of a link flap pattern: starting at

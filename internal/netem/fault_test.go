@@ -106,7 +106,7 @@ func TestMaterializeJitterDeterministic(t *testing.T) {
 // expansions sort into one timeline, appended to the caller's slice.
 func TestMaterializeMergesEventsAndFlaps(t *testing.T) {
 	s := &FaultSchedule{
-		Events: []FaultEvent{{At: 2.5, Kind: FaultDegrade, Link: "y", RateBps: 100, Delay: -1, Loss: -1}},
+		Events: []FaultEvent{{At: 2.5, Kind: FaultPartition, Links: []string{"y"}}},
 		Flaps:  []FlapSpec{{Link: "x", FirstDownAt: 1, DownDur: 1, UpDur: 1, Count: 2}},
 	}
 	evs := s.Materialize(make([]FaultEvent, 0, 8), nil)
@@ -119,8 +119,8 @@ func TestMaterializeMergesEventsAndFlaps(t *testing.T) {
 			t.Fatalf("event %d at %v, want %v (merged timeline %+v)", i, evs[i].At, at, evs)
 		}
 	}
-	if evs[2].Kind != FaultDegrade {
-		t.Fatalf("degrade lost its slot in the merged timeline: %+v", evs)
+	if evs[2].Kind != FaultPartition {
+		t.Fatalf("partition lost its slot in the merged timeline: %+v", evs)
 	}
 	if !(&FaultSchedule{}).Empty() || (s.Empty()) {
 		t.Fatal("Empty() misreports")

@@ -11,17 +11,13 @@ package netem
 // FQ is the isolation substrate assumed by §2.4/§4.4 for heterogeneous
 // utility functions.
 type FQ struct {
-	// NewChild constructs the per-flow child queue; defaults to a drop-tail
-	// queue of PerFlowBytes.
-	NewChild func() Queue
-	// Quantum is the DRR quantum in bytes (default 1500: one MSS per round).
-	Quantum int
-	// PerFlowBytes caps each default child queue (ignored when NewChild is
-	// set). Negative = unlimited.
+	// PerFlowBytes caps each child queue. Negative = unlimited.
 	PerFlowBytes int
 	// Pool is propagated to child queues (created lazily per flow) so their
 	// dequeue-time AQM drops recycle packets.
 	Pool *PacketPool
+	// codel selects CoDel children (fq_codel) over drop-tail ones.
+	codel bool
 
 	// flows is indexed by flow id (small non-negative integers; see
 	// Topology.flows), with nil holes for ids never seen.
@@ -39,17 +35,19 @@ type fqFlow struct {
 	active  bool
 }
 
-// NewFQ returns a fair queue whose per-flow child queues hold at most
-// perFlowBytes bytes each (negative = unlimited).
+// fqQuantum is the DRR quantum in bytes: one MSS per round.
+const fqQuantum = 1500
+
+// NewFQ returns a fair queue whose per-flow drop-tail child queues hold at
+// most perFlowBytes bytes each (negative = unlimited).
 func NewFQ(perFlowBytes int) *FQ {
-	return &FQ{Quantum: 1500, PerFlowBytes: perFlowBytes}
+	return &FQ{PerFlowBytes: perFlowBytes}
 }
 
-// NewFQCoDel returns fair queueing with a CoDel child per flow (fq_codel).
+// NewFQCoDel returns fair queueing with a CoDel child per flow (fq_codel),
+// each holding at most perFlowBytes bytes.
 func NewFQCoDel(perFlowBytes int) *FQ {
-	fq := NewFQ(perFlowBytes)
-	fq.NewChild = func() Queue { return NewCoDel(perFlowBytes) }
-	return fq
+	return &FQ{PerFlowBytes: perFlowBytes, codel: true}
 }
 
 func (f *FQ) flow(id int) *fqFlow {
@@ -60,8 +58,8 @@ func (f *FQ) flow(id int) *fqFlow {
 		return f.flows[id]
 	}
 	var child Queue
-	if f.NewChild != nil {
-		child = f.NewChild()
+	if f.codel {
+		child = NewCoDel(f.PerFlowBytes)
 	} else {
 		child = NewDropTail(f.PerFlowBytes)
 	}
@@ -73,15 +71,11 @@ func (f *FQ) flow(id int) *fqFlow {
 
 // Reset re-specs the fair queue in place for a new simulation: every child
 // queue drains into the pool and is re-specced with the new per-flow
-// capacity (drop-tail and CoDel children are handled directly; children of
-// other types are discarded and rebuilt lazily), the DRR scheduler state
-// clears, and the quantum returns to its default. Callers using a custom
-// NewChild must refresh that closure themselves if it captured the old
-// capacity.
+// capacity, children created later are sized from it too, and the DRR
+// scheduler state clears.
 func (f *FQ) Reset(perFlowBytes int) {
-	f.Quantum = 1500
 	f.PerFlowBytes = perFlowBytes
-	for i, fl := range f.flows {
+	for _, fl := range f.flows {
 		if fl == nil {
 			continue
 		}
@@ -90,16 +84,6 @@ func (f *FQ) Reset(perFlowBytes int) {
 			q.Reset(perFlowBytes, f.Pool)
 		case *CoDel:
 			q.Reset(perFlowBytes)
-		default:
-			for {
-				p := fl.q.Dequeue(0)
-				if p == nil {
-					break
-				}
-				f.Pool.Put(p)
-			}
-			f.flows[i] = nil
-			continue
 		}
 		fl.active = false
 		fl.deficit = 0
@@ -144,7 +128,7 @@ func (f *FQ) Dequeue(now float64) *Packet {
 			continue
 		}
 		if fl.deficit < head.Size {
-			fl.deficit += f.Quantum
+			fl.deficit += fqQuantum
 			f.next++
 			continue
 		}
@@ -172,16 +156,10 @@ func (f *FQ) Dequeue(now float64) *Packet {
 // queues are our own implementations, so we can type-switch to peek without
 // extending the Queue interface.
 func (f *FQ) peekChild(fl *fqFlow) *Packet {
-	switch q := fl.q.(type) {
-	case *DropTail:
-		return q.peek()
-	case *CoDel:
+	if q, ok := fl.q.(*CoDel); ok {
 		return q.q.peek()
-	default:
-		// Unknown child type: fall back to a conservative fixed-size
-		// assumption so DRR still makes progress.
-		return &Packet{Size: f.Quantum}
 	}
+	return fl.q.(*DropTail).peek()
 }
 
 func (f *FQ) deactivate(i int) {

@@ -115,8 +115,8 @@ func TestCoDelSojournThroughPipe(t *testing.T) {
 			maxSojourn = sojournPlusTx
 		}
 	}
-	if maxSojourn <= q.Target {
-		t.Fatalf("max sojourn %v never exceeded CoDel target %v despite 2x overload", maxSojourn, q.Target)
+	if maxSojourn <= codelTarget {
+		t.Fatalf("max sojourn %v never exceeded CoDel target %v despite 2x overload", maxSojourn, codelTarget)
 	}
 }
 

@@ -87,19 +87,17 @@ func (f *fifo) grow() {
 	f.head = 0
 }
 
-// DropTail is a FIFO queue with a byte capacity limit (and an optional packet
-// limit). It models the shallow- and deep-buffered routers of §4.1.3–§4.1.6
-// and, with a huge capacity, the "bufferbloat" configuration of §4.4.1.
+// DropTail is a FIFO queue with a byte capacity limit. It models the
+// shallow- and deep-buffered routers of §4.1.3–§4.1.6 and, with a huge
+// capacity, the "bufferbloat" configuration of §4.4.1.
 type DropTail struct {
 	fifo
 	// CapBytes is the capacity in bytes. Zero means "one packet" is still
 	// admitted when empty (a link needs at least one packet in flight to
 	// make progress); negative means unlimited.
-	CapBytes int
-	// CapPackets optionally limits the number of packets; <=0 disables it.
-	CapPackets int
-	drops      int64
-	dropBytes  int64
+	CapBytes  int
+	drops     int64
+	dropBytes int64
 }
 
 // NewDropTail returns a drop-tail queue holding at most capBytes bytes.
@@ -114,25 +112,17 @@ func NewDropTail(capBytes int) *DropTail {
 func (q *DropTail) Reset(capBytes int, pool *PacketPool) {
 	q.drain(pool)
 	q.CapBytes = capBytes
-	q.CapPackets = 0
 	q.drops, q.dropBytes = 0, 0
 }
 
 // Enqueue implements Queue. A packet is accepted if the queue is empty (so a
 // single-packet buffer is representable with a tiny CapBytes) or if it fits
-// within the byte and packet caps.
+// within the byte cap.
 func (q *DropTail) Enqueue(p *Packet, now float64) bool {
-	if q.count > 0 {
-		if q.CapBytes >= 0 && q.bytes+p.Size > q.CapBytes {
-			q.drops++
-			q.dropBytes += int64(p.Size)
-			return false
-		}
-		if q.CapPackets > 0 && q.count+1 > q.CapPackets {
-			q.drops++
-			q.dropBytes += int64(p.Size)
-			return false
-		}
+	if q.count > 0 && q.CapBytes >= 0 && q.bytes+p.Size > q.CapBytes {
+		q.drops++
+		q.dropBytes += int64(p.Size)
+		return false
 	}
 	p.Enq = now
 	q.push(p)

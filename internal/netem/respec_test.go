@@ -172,6 +172,12 @@ func TestQueueResets(t *testing.T) {
 			t.Fatalf("FQ child not re-specced: %+v", fl.q)
 		}
 	}
+	// A flow first seen after the reset gets a child sized by the new cap,
+	// not the one NewFQCoDel was built with.
+	fq.Enqueue(&Packet{Flow: 2, Size: 1500}, 0)
+	if cd, ok := fq.flows[2].q.(*CoDel); !ok || cd.CapBytes != 60000 {
+		t.Fatalf("FQ child created after Reset: %+v, want a CoDel with CapBytes 60000", fq.flows[2].q)
+	}
 }
 
 // TestLinkResetReplaysLossStream pins that Link.Reset's reseed reproduces a

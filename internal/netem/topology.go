@@ -501,17 +501,6 @@ func (t *Topology) SendAck(p *Packet) {
 	f.rev.hops[0].enter(p)
 }
 
-// LinkEnds returns the endpoint node names of the named link. It panics on
-// an unknown name: callers resolving fault targets or flow endpoints cannot
-// proceed with a silent miss.
-func (t *Topology) LinkEnds(name string) (from, to string) {
-	li := t.linkAt(name)
-	if li == nil {
-		panic(fmt.Sprintf("netem: LinkEnds of unknown link %q", name))
-	}
-	return li.from, li.to
-}
-
 // LinkStats is one link's cumulative accounting, in packets and in wire
 // bytes. At any point, bytes offered to the link equal DeliveredBytes +
 // WireLostBytes + QueueDroppedBytes + FaultDroppedBytes + QueuedBytes +

@@ -33,12 +33,13 @@ type Config struct {
 	// TrialTimeout is the per-trial watchdog every request's sweeps run
 	// under (exp.Config.TrialTimeout). Zero disables it.
 	TrialTimeout time.Duration
-	// LedgerSize bounds the error ledger ring.
-	LedgerSize int
 	// CodeVersion overrides the cache key's code-version component
 	// (tests pin it; production uses the VCS stamp).
 	CodeVersion string
 }
+
+// ledgerSize is how many quarantined failures /v1/errors keeps.
+const ledgerSize = 64
 
 // Server wires the cache, scheduler, and ledger behind an http.Handler.
 type Server struct {
@@ -65,16 +66,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxUnits <= 0 {
 		cfg.MaxUnits = 256
 	}
-	if cfg.LedgerSize <= 0 {
-		cfg.LedgerSize = 64
-	}
 	if cfg.CodeVersion == "" {
 		cfg.CodeVersion = BuildVersion()
 	}
 	s := &Server{
 		cfg:    cfg,
 		sched:  NewScheduler(cfg.Workers, cfg.Queue),
-		ledger: NewLedger(cfg.LedgerSize),
+		ledger: NewLedger(ledgerSize),
 		mux:    http.NewServeMux(),
 		known:  make(map[string]bool),
 	}

@@ -114,44 +114,3 @@ func (g *Game) Dynamics(x0 []float64, eps float64, steps int) []float64 {
 	}
 	return x
 }
-
-// Trajectory is like Dynamics but records Σx and the min/max sender rate at
-// each step, for convergence plots and assertions.
-type TrajPoint struct {
-	Step     int
-	Sum      float64
-	Min, Max float64
-}
-
-// DynamicsTrace runs the dynamics and returns the per-step trajectory.
-func (g *Game) DynamicsTrace(x0 []float64, eps float64, steps int) []TrajPoint {
-	x := append([]float64(nil), x0...)
-	next := make([]float64, len(x))
-	out := make([]TrajPoint, 0, steps)
-	for s := 0; s < steps; s++ {
-		var sum float64
-		for _, v := range x {
-			sum += v
-		}
-		for j := range x {
-			rest := sum - x[j]
-			if g.prefersUp(x[j], rest, eps) {
-				next[j] = x[j] * (1 + eps)
-			} else {
-				next[j] = x[j] * (1 - eps)
-			}
-		}
-		mn, mx := x[0], x[0]
-		for _, v := range x {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		out = append(out, TrajPoint{Step: s, Sum: sum, Min: mn, Max: mx})
-		copy(x, next)
-	}
-	return out
-}

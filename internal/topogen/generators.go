@@ -24,11 +24,12 @@ type TransitStubSpec struct {
 	TransitRateMbps float64
 	// StubRateMbps is the stub access/internal link rate. 0 means 200.
 	StubRateMbps float64
-	// BufBytes is the per-link queue capacity. 0 means 512 KB.
-	BufBytes int
 	// Seed drives the delay draws. 0 means 1.
 	Seed int64
 }
+
+// linkBufBytes is the queue capacity of every link TransitStub generates.
+const linkBufBytes = 512 << 10
 
 // TransitStub generates the WAN. Node names: transit routers "t<d>.<i>",
 // stub routers "s<d>.<i>.<k>.<j>" (domain d, transit router i, stub k,
@@ -57,9 +58,6 @@ func TransitStub(s TransitStubSpec) *Graph {
 	if s.StubRateMbps == 0 {
 		s.StubRateMbps = 200
 	}
-	if s.BufBytes == 0 {
-		s.BufBytes = 512 << 10
-	}
 	seed := s.Seed
 	if seed == 0 {
 		seed = 1
@@ -81,7 +79,7 @@ func TransitStub(s TransitStubSpec) *Graph {
 			}
 			delay := 0.002 + 0.006*rng.Float64()
 			g.AddDuplex(fmt.Sprintf("t%d:%d-%d", d, i, j), tr(d, i), tr(d, j),
-				s.TransitRateMbps, delay, 0, s.BufBytes)
+				s.TransitRateMbps, delay, 0, linkBufBytes)
 		}
 	}
 	// Inter-domain ring over each domain's router 0, plus a chord for path
@@ -93,12 +91,12 @@ func TransitStub(s TransitStubSpec) *Graph {
 		}
 		delay := 0.010 + 0.030*rng.Float64()
 		g.AddDuplex(fmt.Sprintf("x%d", d), tr(d, 0), tr(e, 0),
-			s.TransitRateMbps, delay, 0, s.BufBytes)
+			s.TransitRateMbps, delay, 0, linkBufBytes)
 	}
 	if s.Transits >= 4 && s.TransitRouters >= 2 {
 		delay := 0.010 + 0.030*rng.Float64()
 		g.AddDuplex("xc", tr(0, 1), tr(s.Transits/2, 1),
-			s.TransitRateMbps, delay, 0, s.BufBytes)
+			s.TransitRateMbps, delay, 0, linkBufBytes)
 	}
 	// Stub domains: router 0 of each stub attaches to its transit router,
 	// the rest chain behind it.
@@ -111,11 +109,11 @@ func TransitStub(s TransitStubSpec) *Graph {
 				}
 				access := 0.001 + 0.004*rng.Float64()
 				g.AddDuplex(fmt.Sprintf("a%d.%d.%d", d, i, k), tr(d, i), sr(0),
-					s.StubRateMbps, access, 0, s.BufBytes)
+					s.StubRateMbps, access, 0, linkBufBytes)
 				for j := 1; j < s.StubRouters; j++ {
 					delay := 0.0005 + 0.0015*rng.Float64()
 					g.AddDuplex(fmt.Sprintf("s%d.%d.%d:%d", d, i, k, j), sr(j-1), sr(j),
-						s.StubRateMbps, delay, 0, s.BufBytes)
+						s.StubRateMbps, delay, 0, linkBufBytes)
 				}
 			}
 		}

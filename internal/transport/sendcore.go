@@ -49,14 +49,10 @@ type sendCore struct {
 	err      error   // the retry budget that failed the flow, once set
 }
 
-// newSendCore chunks the contents of r into packets around a PCC controller.
+// newSendCore chunks the contents of r into packets around a PCC controller
+// built from wireConfig(cfg).
 func newSendCore(cfg core.Config, r io.Reader) (*sendCore, error) {
-	if cfg.PacketSize == 0 {
-		// The monitor's MI floor should track the wire's payload budget
-		// (1400 B), not the 1500-byte simulator default.
-		cfg.PacketSize = MSS
-	}
-	c := &sendCore{flowID: 1, pcc: core.New(cfg, nil)}
+	c := &sendCore{flowID: 1, pcc: core.New(wireConfig(cfg), nil)}
 	c.pcc.Start(0) // the driver's epoch
 	buf := make([]byte, MSS)
 	for {
@@ -71,6 +67,22 @@ func newSendCore(cfg core.Config, r io.Reader) (*sendCore, error) {
 			return nil, err
 		}
 	}
+}
+
+// wireConfig fills an unset PacketSize with the wire's payload budget (MSS,
+// 1400 B), so the monitor's MI floor tracks it rather than the 1500-byte
+// simulator default, and rescales InitialRate and MinRate by MSS/core.MSS:
+// core.DefaultConfig derives both for 1500-byte packets, and core.New
+// back-solves its RTT seed from InitialRate and PacketSize, so the size
+// alone would read the hint 1400/1500 too short. A caller who wants an
+// exact InitialRate pins PacketSize, which leaves the config untouched.
+func wireConfig(cfg core.Config) core.Config {
+	if cfg.PacketSize == 0 {
+		cfg.PacketSize = MSS
+		cfg.InitialRate = cfg.InitialRate * MSS / core.MSS
+		cfg.MinRate = cfg.MinRate * MSS / core.MSS
+	}
+	return cfg
 }
 
 // dataDone reports whether every packet has been acknowledged (trivially so

@@ -504,3 +504,31 @@ func TestReceiverWarmAllocatesNothing(t *testing.T) {
 		t.Fatalf("cum %d, %d bytes written; want %d, %d", r.win.CumAck(), r.BytesWritten(), next, next*MSS)
 	}
 }
+
+// TestSendCoreScalesRateSeedsToWireSize pins the rate seeds of a core built
+// from core.DefaultConfig, which derives them for 1500-byte packets: filling
+// in the wire's 1400-byte size rescales them, so the RTT hint core.New
+// back-solves from InitialRate survives exactly, and the rate floor stays
+// two packets per second of the wire's size.
+func TestSendCoreScalesRateSeedsToWireSize(t *testing.T) {
+	const rtt = 0.05
+	c, err := newSendCore(core.DefaultConfig(rtt), bytes.NewReader(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.pcc.SRTT(); math.Abs(got-rtt) > 1e-12 {
+		t.Errorf("SRTT seed %v, want %v", got, rtt)
+	}
+	// Start put the controller in its Starting state, at InitialRate.
+	if got, want := c.pcc.Controller().Rate(), 2*float64(MSS)/rtt; got != want {
+		t.Errorf("initial rate %v, want %v", got, want)
+	}
+	if got, want := wireConfig(core.DefaultConfig(rtt)).MinRate, 2*float64(MSS); got != want {
+		t.Errorf("rate floor %v, want %v", got, want)
+	}
+	pinned := core.DefaultConfig(rtt)
+	pinned.PacketSize = 1000
+	if got := wireConfig(pinned); got != pinned {
+		t.Errorf("a pinned PacketSize must leave the config untouched: %+v", got)
+	}
+}
