@@ -14,7 +14,8 @@
 // out across a worker pool (bounded by -par, else GOMAXPROCS) and produces
 // byte-identical tables at any worker count; each trial runs on one engine.
 // -nodes, -flows and -trialtimeout reach each experiment as its context's
-// exp.Config.
+// exp.Config. Under -trialtimeout, a trial whose simulation runs past the
+// deadline is stopped by its own engine and fails the run typed.
 package main
 
 import (
@@ -38,7 +39,7 @@ var (
 	par        = flag.Int("par", 0, "trials run at once, process-wide (0 = auto: GOMAXPROCS; 1 = sequential)")
 	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = auto: scale-derived)")
 	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = auto: scale-derived)")
-	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = disabled)")
+	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial whose simulation runs past this is stopped and fails typed instead of hanging the run (0 = disabled)")
 	list       = flag.Bool("list", false, "list experiment ids and exit")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")

@@ -21,7 +21,9 @@
 //	GET  /readyz         readiness (503 once draining)
 //
 // -par is the trial budget every unit shares; -trialtimeout arms a
-// watchdog on each request's context, so a wedged trial fails its unit.
+// watchdog on each request's context: a trial whose simulation runs past
+// the deadline is stopped and fails its unit. A client disconnect or a
+// sweep deadline stops the request's running trials the same way.
 //
 // SIGTERM/SIGINT drain: in-flight sweeps finish and flush, new work gets
 // 503, then the process exits 0. Bodies are byte-identical run over run —
@@ -51,7 +53,7 @@ var (
 	queue        = flag.Int("queue", 64, "admitted units across all requests before 429")
 	maxunits     = flag.Int("maxunits", 256, "per-request unit budget")
 	sweeptimeout = flag.Duration("sweeptimeout", 0, "server-side deadline per sweep (0 = none)")
-	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog on every request's sweeps: a trial exceeding it fails its unit typed (0 = disabled)")
+	trialtimeout = flag.Duration("trialtimeout", 0, "per-trial watchdog on every request's sweeps: a trial whose simulation runs past it is stopped and fails its unit typed (0 = disabled)")
 	par          = flag.Int("par", 0, "trials run at once across all units: the process-wide trial pool (0 = GOMAXPROCS)")
 	draingrace   = flag.Duration("draingrace", 30*time.Second, "max time to wait for in-flight sweeps on shutdown")
 )

@@ -153,7 +153,7 @@ func (c *Controller) nextMI() miRole {
 			idx := c.numTrials() - c.trialsLeft // trial index within the round
 			sign := c.trialSigns[idx]
 			c.trialsLeft--
-			r := c.rate * (1 + float64(sign)*c.eps)
+			r := c.rate * (1 + float64(float64(sign)*c.eps))
 			return miRole{kind: roleTrial, rate: r, trial: idx, round: c.round}
 		}
 		// All trials scheduled: send at the base rate until results arrive.
@@ -162,7 +162,7 @@ func (c *Controller) nextMI() miRole {
 	case StateAdjusting:
 		c.step++
 		c.prevAdjRate = c.rate
-		c.rate *= 1 + float64(c.step)*c.cfg.EpsMin*float64(c.dir)
+		c.rate *= 1 + float64(float64(c.step)*c.cfg.EpsMin*float64(c.dir))
 		if c.rate < c.cfg.MinRate {
 			c.rate = c.cfg.MinRate
 		}
@@ -243,7 +243,7 @@ func (c *Controller) deliver(role miRole, stats MIStats) {
 			// Utility fell: revert to the previous rate and re-enter
 			// decision making (§3.2 Rate Adjusting State).
 			c.reversions++
-			c.rate = role.rate / (1 + float64(role.step)*c.cfg.EpsMin*float64(c.dir))
+			c.rate = role.rate / (1 + float64(float64(role.step)*c.cfg.EpsMin*float64(c.dir)))
 			if c.rate < c.cfg.MinRate {
 				c.rate = c.cfg.MinRate
 			}
@@ -296,7 +296,7 @@ func (c *Controller) concludeRound() {
 		return
 	}
 	// Conclusive: move to r(1±ε) and enter Rate Adjusting.
-	c.rate *= 1 + float64(c.dir)*c.eps
+	c.rate *= 1 + float64(float64(c.dir)*c.eps)
 	if c.rate < c.cfg.MinRate {
 		c.rate = c.cfg.MinRate
 	}

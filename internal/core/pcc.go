@@ -292,7 +292,7 @@ func (p *PCC) Start(now float64) {
 func (p *PCC) miDuration(rate float64) float64 {
 	tPkts := float64(p.cfg.MinPktsPerMI) * float64(p.cfg.PacketSize) / rate
 	lo, hi := p.cfg.MIRttLo, p.cfg.MIRttHi
-	tRtt := (lo + (hi-lo)*p.rng.Float64()) * p.srtt
+	tRtt := (lo + float64((hi-lo)*p.rng.Float64())) * p.srtt
 	if tPkts > tRtt {
 		return tPkts
 	}
@@ -323,7 +323,7 @@ func (p *PCC) closeMI(now float64) {
 	if now < m.end {
 		m.end = now // realigned early
 	}
-	m.deadline = m.end + p.cfg.FinalizeRTTs*p.srtt
+	m.deadline = m.end + float64(p.cfg.FinalizeRTTs*p.srtt)
 	// Insert in deadline order within the live region. MIs close in time
 	// order but deadlines are end + FinalizeRTTs·srtt with a moving srtt,
 	// so when srtt shrinks faster than MIs lengthen, a later MI's deadline
@@ -403,9 +403,9 @@ func (p *PCC) finalize(m *mi) {
 	if m.rttCnt >= 2 {
 		// Least-squares slope of RTT against ACK time within the MI.
 		n := float64(m.rttCnt)
-		denom := n*m.sumT2 - m.sumT*m.sumT
+		denom := float64(n*m.sumT2) - float64(m.sumT*m.sumT)
 		if denom > 1e-12 {
-			stats.RTTSlope = (n*m.sumTR - m.sumT*m.rttSum) / denom
+			stats.RTTSlope = (float64(n*m.sumTR) - float64(m.sumT*m.rttSum)) / denom
 		}
 	}
 	p.ctl.deliver(m.role, stats)
@@ -437,7 +437,7 @@ func (p *PCC) OnAck(seq int64, rtt float64, now float64) {
 		if p.srtt == 0 {
 			p.srtt = rtt
 		} else {
-			p.srtt = 0.875*p.srtt + 0.125*rtt
+			p.srtt = float64(0.875*p.srtt) + float64(0.125*rtt)
 		}
 		if p.minRTT == 0 || rtt < p.minRTT {
 			p.minRTT = rtt
@@ -453,8 +453,8 @@ func (p *PCC) OnAck(seq int64, rtt float64, now float64) {
 	if rtt > 0 {
 		tr := now - m.start
 		m.sumT += tr
-		m.sumT2 += tr * tr
-		m.sumTR += tr * rtt
+		m.sumT2 += float64(tr * tr)
+		m.sumTR += float64(tr * rtt)
 		m.rttSum += rtt
 		m.rttCnt++
 	}

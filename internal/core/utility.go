@@ -12,6 +12,14 @@
 // simulator nor on sockets. internal/cc adapts it to the simulated network
 // and internal/transport runs the very same controller over real UDP, which
 // is the deployability story of §2.3.
+//
+// A product that feeds an addition or subtraction is wrapped in an explicit
+// float64(...) conversion wherever an arm64 build fused the two. The Go spec
+// lets a compiler fuse x*y+z into one multiply-add (arm64 does; amd64 never
+// does), which skips the product's rounding and so moves MI accounting and
+// utility values between architectures; an explicit conversion forces that
+// rounding, and compiles to nothing on amd64. CI's arm64 build counts the
+// fused ops left in the module.
 package core
 
 import "math"
@@ -82,7 +90,7 @@ func effectiveLoss(m MIStats) float64 {
 	if m.Sent <= 0 {
 		return m.LossRate
 	}
-	lost := m.LossRate * float64(m.Sent)
+	lost := float64(m.LossRate * float64(m.Sent))
 	adj := (lost - 1) / float64(m.Sent)
 	if adj < 0 {
 		return 0
@@ -123,7 +131,7 @@ func (u *SafeUtility) Eval(m MIStats) float64 {
 	if u.NoForgiveness {
 		l = m.LossRate
 	}
-	return t*sigmoid(l-u.LossCap, u.Alpha) - x*l
+	return float64(t*sigmoid(l-u.LossCap, u.Alpha)) - float64(x*l)
 }
 
 // LossResilientUtility is the §4.4.2 utility u = Throughput·(1−L): with
@@ -208,5 +216,5 @@ func (u *LatencyUtility) Eval(m MIStats) float64 {
 	if slopeFactor > 2 {
 		slopeFactor = 2
 	}
-	return (t*sigmoid(l-u.LossCap, u.Alpha)*math.Pow(anchor/rtt, k)*slopeFactor - x*l) / rtt
+	return (float64(t*sigmoid(l-u.LossCap, u.Alpha)*math.Pow(anchor/rtt, k)*slopeFactor) - float64(x*l)) / rtt
 }

@@ -38,5 +38,5 @@ func (u *VivaceUtility) Eval(m MIStats) float64 {
 		return 0
 	}
 	l := effectiveLoss(m)
-	return math.Pow(x, u.Exponent) - u.LatencyCoeff*x*m.RTTSlope - u.LossCoeff*x*l
+	return math.Pow(x, u.Exponent) - float64(u.LatencyCoeff*x*m.RTTSlope) - float64(u.LossCoeff*x*l)
 }

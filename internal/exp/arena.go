@@ -2,7 +2,7 @@ package exp
 
 import (
 	"strings"
-	"sync"
+	"time"
 )
 
 // TrialScratch is a per-worker trial arena: a cache of fully built Runners
@@ -42,12 +42,36 @@ type TrialScratch struct {
 	// (SeriesMbpsInto, metrics.SortInto) between runner builds.
 	f64 []float64
 
-	// prov is the trial provenance the running trial stamped via Stamp. It
-	// is mutex-guarded because the pool's watchdog reads it from another
-	// goroutine while the trial runs (see runTrial in pool.go).
-	provMu sync.Mutex
-	prov   TrialProvenance
+	// prov is the trial provenance the running trial stamped via Stamp. The
+	// trial runs on the pool's goroutine, so the pool reads it there.
+	prov TrialProvenance
+
+	// watch is the running trial's stop condition and deadline its
+	// wall-clock end when a watchdog is armed; the pool arms both per trial.
+	// halt records why stopped first reported true, until the next arm.
+	// stopFn is the method value ts.stopped, bound once: the predicate every
+	// engine the arena hands out polls.
+	watch    trialWatch
+	deadline time.Time
+	halt     haltCause
+	stopFn   func() bool
 }
+
+// trialWatch is what stops a sweep's trials: its context's done channel (nil
+// when it cannot be cancelled) and the per-trial watchdog timeout (0 = none).
+type trialWatch struct {
+	done    <-chan struct{}
+	timeout time.Duration
+}
+
+// haltCause is why a trial's engines stopped.
+type haltCause uint8
+
+const (
+	haltNone haltCause = iota
+	haltCancelled
+	haltTimeout
+)
 
 // TrialProvenance identifies one trial for replay: the experiment and
 // variant the driver stamped plus the per-trial seed.
@@ -59,23 +83,42 @@ type TrialProvenance struct {
 // Stamp records the running trial's provenance. Drivers with per-trial
 // seeds call it at the top of each trial function (chainTrial does it for
 // the chain drivers); the pool copies the stamp into the TrialPanicError or
-// TrialTimeoutError produced when that trial panics or hangs, so a crash
-// deep inside a Monte-Carlo sweep reports which experiment, variant and
-// seed to replay instead of an anonymous stack from a worker goroutine. The
-// pool clears the stamp when it hands an arena to a sweep, and RunCtx names
-// the experiment of a failure no trial stamped.
+// TrialTimeoutError produced when that trial panics or is stopped by its
+// watchdog, so a crash deep inside a Monte-Carlo sweep reports which
+// experiment, variant and seed to replay instead of an anonymous stack from
+// a worker goroutine. The pool clears the stamp before every trial, and
+// RunCtx names the experiment of a failure no trial stamped.
 func (ts *TrialScratch) Stamp(exp, variant string, seed int64) {
-	ts.provMu.Lock()
 	ts.prov = TrialProvenance{Exp: exp, Variant: variant, Seed: seed}
-	ts.provMu.Unlock()
 }
 
-// Provenance returns the most recently stamped trial provenance.
-func (ts *TrialScratch) Provenance() TrialProvenance {
-	ts.provMu.Lock()
-	p := ts.prov
-	ts.provMu.Unlock()
-	return p
+// arm readies the arena for the next trial under w: provenance cleared, the
+// deadline set when a watchdog is armed, no halt recorded.
+func (ts *TrialScratch) arm(w trialWatch) {
+	ts.prov = TrialProvenance{}
+	ts.watch, ts.halt = w, haltNone
+	if w.timeout > 0 {
+		ts.deadline = time.Now().Add(w.timeout)
+	}
+}
+
+// stopped is the stop predicate of every engine the arena hands out (see
+// sim.Engine.SetStop), and the pool's own trial-boundary check: it reports
+// whether the sweep was cancelled or the trial's watchdog deadline passed,
+// and records which came first. The clock is read only here, once per
+// 1024 engine events, so a watchdog needs neither a timer nor a goroutine.
+func (ts *TrialScratch) stopped() bool {
+	if ts.halt == haltNone {
+		select {
+		case <-ts.watch.done:
+			ts.halt = haltCancelled
+		default:
+			if ts.watch.timeout > 0 && time.Now().After(ts.deadline) {
+				ts.halt = haltTimeout
+			}
+		}
+	}
+	return ts.halt != haltNone
 }
 
 // runnerKey is the arena's cache key: the caller's variant key qualified by
@@ -118,14 +161,17 @@ func (ts *TrialScratch) TopologyRunner(key string, spec TopologySpec) *Runner {
 func (ts *TrialScratch) runner(topology bool, queue, key string, spec TopologySpec) *Runner {
 	if r := ts.runners[runnerKey{topology, queue, key}]; r != nil && r.matches(spec) {
 		r.respec(spec)
+		r.Eng.SetStop(ts.stopFn)
 		return r
 	}
 	if ts.runners == nil {
 		ts.runners = make(map[runnerKey]*Runner)
+		ts.stopFn = ts.stopped
 	} else if len(ts.runners) >= maxArenaRunners {
 		clear(ts.runners)
 	}
 	r := NewTopologyRunner(spec)
+	r.Eng.SetStop(ts.stopFn)
 	ts.runners[runnerKey{topology, queue, strings.Clone(key)}] = r
 	return r
 }

@@ -19,7 +19,7 @@ import (
 // its per-hop competitors: RTT-biased loss-based TCP squeezes the long flow
 // hard (it faces drops at every hop and has the longest RTT), while PCC's
 // utility equilibrium keeps it a workable share. Context-aware: a cancelled
-// ctx stops the sweep at the next (hops, proto) trial boundary.
+// ctx stops the sweep, its running (hops, proto) trials included.
 func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(120, 30, scale)

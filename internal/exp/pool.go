@@ -30,6 +30,15 @@ import (
 // budget (and its warm arenas) instead of each bringing a pool of their own.
 // Trials are the only parallelism axis: each runs on one engine. The budget
 // is the package's one process setting: the rest rides each call's context.
+//
+// A trial stops itself. The pool arms the trial's arena with the sweep's
+// stop condition — its context's cancellation, plus a wall-clock deadline
+// when Config.TrialTimeout is set — and every engine the arena hands out
+// polls it between events (sim.Engine.SetStop). A stopped trial returns on
+// its own goroutine within 1024 engine events; the pool discards its result,
+// and the arena goes back on the shelf like any other, its engines sitting
+// between events for the next respec to reset. No trial runs on a second
+// goroutine.
 
 // workerOverride holds the SetWorkers value; 0 means "not set".
 var workerOverride atomic.Int64
@@ -59,8 +68,11 @@ type Config struct {
 	// experiments (wan) target, rounded to a valid size; 0 derives them
 	// from scale.
 	Nodes, Flows int
-	// TrialTimeout arms a per-trial watchdog that turns a hang into a
-	// *TrialTimeoutError (see runTrial); 0 disables it.
+	// TrialTimeout arms a per-trial watchdog: a trial whose simulation runs
+	// past this much wall-clock time is stopped and reported as a
+	// *TrialTimeoutError. Only the engines poll the deadline, so a trial
+	// blocked outside them (on a channel, in a loop of its own) runs to its
+	// end. 0 disables it.
 	TrialTimeout time.Duration
 }
 
@@ -155,12 +167,13 @@ func (e *TrialPanicError) Unwrap() error {
 	return nil
 }
 
-// TrialTimeoutError reports a trial that exceeded its sweep's watchdog
-// deadline (Config.TrialTimeout, the -trialtimeout of pccbench and
-// pccserve). It carries the same provenance fields as TrialPanicError, so a
-// hang is as replayable as a crash. Go cannot kill the hung goroutine: it is
-// abandoned together with its trial arena and the sweep aborts, which fails
-// the sweep without corrupting the worker pool or any later sweep's state.
+// TrialTimeoutError reports a trial whose simulation ran past its sweep's
+// watchdog deadline (Config.TrialTimeout, the -trialtimeout of pccbench and
+// pccserve). The trial's engine polled the deadline and stopped, so the trial
+// returned on its own goroutine and the sweep aborts with its budget intact.
+// It carries the same provenance fields as TrialPanicError, so a hang is as
+// replayable as a crash. A trial blocked outside its engines is never
+// polled: it runs to its end and is not turned into this error.
 type TrialTimeoutError struct {
 	Experiment string
 	Variant    string
@@ -174,12 +187,12 @@ func (e *TrialTimeoutError) Error() string {
 		e.Trial, e.Timeout, orUnknown(e.Experiment), orUnknown(e.Variant), e.Seed)
 }
 
-// SweepCancelledError reports a sweep that stopped scheduling at a trial
-// boundary because its context was cancelled (client disconnect, server
-// deadline, SIGTERM drain). In-flight trials finish before the sweep
-// returns, so the Completed slots of the caller's result slice hold valid
-// partial results; the remaining slots were never started. Err is the
-// context's cause and is exposed through Unwrap, so
+// SweepCancelledError reports a sweep stopped by its context (client
+// disconnect, server deadline, SIGTERM drain). Trials in flight stop within
+// 1024 engine events and their results are discarded — RunPointsScratchCtx
+// leaves their slots zero — while no further trial starts. Completed counts
+// the trials that ran to their end; a trial blocked outside its engines is
+// one of them. Err is the context's cause and is exposed through Unwrap, so
 // errors.Is(err, context.Canceled) works.
 type SweepCancelledError struct {
 	Completed int
@@ -207,11 +220,10 @@ func guardTrial(fn func(trial int, ts *TrialScratch), trial int, ts *TrialScratc
 		case *TrialTimeoutError:
 			err = r
 		default:
-			prov := ts.Provenance()
 			err = &TrialPanicError{
-				Experiment: prov.Exp,
-				Variant:    prov.Variant,
-				Seed:       prov.Seed,
+				Experiment: ts.prov.Exp,
+				Variant:    ts.prov.Variant,
+				Seed:       ts.prov.Seed,
 				Trial:      trial,
 				Value:      r,
 				Stack:      debug.Stack(),
@@ -220,36 +232,6 @@ func guardTrial(fn func(trial int, ts *TrialScratch), trial int, ts *TrialScratc
 	}()
 	fn(trial, ts)
 	return nil
-}
-
-// runTrial executes one guarded trial and returns its failure as a typed
-// error: *TrialPanicError if the trial panicked, *TrialTimeoutError if the
-// watchdog deadline (timeout > 0) elapsed first, nil on success. When the
-// watchdog is armed the trial runs on its own goroutine so the deadline can
-// fire while it is stuck; on the timeout path that goroutine is abandoned
-// still owning ts, so after any error the caller must neither reuse nor
-// recycle that arena.
-func runTrial(fn func(trial int, ts *TrialScratch), trial int, ts *TrialScratch, timeout time.Duration) error {
-	if timeout <= 0 {
-		return guardTrial(fn, trial, ts)
-	}
-	done := make(chan error, 1) // buffered: a post-deadline finish must not leak the goroutine
-	go func() { done <- guardTrial(fn, trial, ts) }()
-	watchdog := time.NewTimer(timeout)
-	defer watchdog.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-watchdog.C:
-		prov := ts.Provenance()
-		return &TrialTimeoutError{
-			Experiment: prov.Exp,
-			Variant:    prov.Variant,
-			Seed:       prov.Seed,
-			Trial:      trial,
-			Timeout:    timeout,
-		}
-	}
 }
 
 // scratchPool keeps TrialScratch arenas between busy periods. A long-lived
@@ -344,14 +326,12 @@ func (r *runner) upgrade() {
 		trialPool.mu.Lock()
 		r.ts, r.token = takeArenaLocked(), true
 		trialPool.mu.Unlock()
-		r.ts.Stamp("", "", 0)
 	}
 }
 
 // releaseLocked gives back the runner's token, and shelves its arena when
-// clean is true. An arena whose runner saw a trial fail is never shelved: a
-// panicked trial may leave a cached runner mid-build, and a timed-out
-// trial's goroutine still owns its arena. trialPool.mu must be held.
+// clean is true. An arena whose runner saw a trial panic is never shelved: it
+// may hold a cached runner mid-build. trialPool.mu must be held.
 func (r *runner) releaseLocked(clean bool) {
 	if r.token {
 		if clean {
@@ -364,11 +344,10 @@ func (r *runner) releaseLocked(clean bool) {
 
 // sweep is the shared state of one runTrials call.
 type sweep struct {
-	done    <-chan struct{}
-	n       int
-	width   int // most runners the sweep takes, its caller included
-	fn      func(trial int, ts *TrialScratch)
-	timeout time.Duration
+	watch trialWatch
+	n     int
+	width int // most runners the sweep takes, its caller included
+	fn    func(trial int, ts *TrialScratch)
 
 	next, completed atomic.Int64
 	stop            atomic.Bool
@@ -389,11 +368,8 @@ func (s *sweep) wantsHelper() bool {
 
 // work runs trials of s on r until none is left unclaimed, the sweep
 // stops, or (for a helper) callers overdraw the budget. It reports false
-// after a failed trial, whose arena must not be recycled.
+// after a panicked trial, whose arena must not be recycled.
 func (s *sweep) work(r *runner) bool {
-	// The arena may come from another sweep: a trial that never stamps
-	// must not report that sweep's experiment as its own.
-	r.ts.Stamp("", "", 0)
 	for !s.stop.Load() {
 		if r.helper && trialPool.running.Load() > trialPool.limit.Load() {
 			return true
@@ -401,21 +377,38 @@ func (s *sweep) work(r *runner) bool {
 		if !r.token {
 			r.upgrade()
 		}
-		if s.done != nil {
-			select {
-			case <-s.done:
-				// Stop claiming trials; peers notice via stop without each
-				// paying a context poll.
-				s.stop.Store(true)
-				return true
-			default:
-			}
+		// The trial-boundary check is the engines' own predicate. A deadline
+		// passed already is the next trial's to report: its engines stop at
+		// their first poll.
+		r.ts.arm(s.watch)
+		if r.ts.stopped() && r.ts.halt == haltCancelled {
+			// Stop claiming trials; peers notice via stop without each
+			// paying a context poll.
+			s.stop.Store(true)
+			return true
 		}
 		i := int(s.next.Add(1)) - 1
 		if i >= s.n {
 			return true
 		}
-		if err := runTrial(s.fn, i, r.ts, s.timeout); err != nil {
+		err := guardTrial(s.fn, i, r.ts)
+		clean := err == nil
+		// A stopped trial wins over a panic its driver raised on the partial
+		// state the stop left behind.
+		switch r.ts.halt {
+		case haltCancelled:
+			s.stop.Store(true)
+			return clean
+		case haltTimeout:
+			err = &TrialTimeoutError{
+				Experiment: r.ts.prov.Exp,
+				Variant:    r.ts.prov.Variant,
+				Seed:       r.ts.prov.Seed,
+				Trial:      i,
+				Timeout:    s.watch.timeout,
+			}
+		}
+		if err != nil {
 			// Abort the sweep: runners stop claiming trials, so the failure
 			// surfaces without first burning through the rest of the grid.
 			s.stop.Store(true)
@@ -424,7 +417,7 @@ func (s *sweep) work(r *runner) bool {
 				s.firstErr = err
 			}
 			s.errMu.Unlock()
-			return false
+			return clean
 		}
 		s.completed.Add(1)
 	}
@@ -513,13 +506,13 @@ func helper(s *sweep) {
 // results remain byte-identical at any width because arena reuse is
 // placement-policy only.
 //
-// The context is consulted only at trial boundaries — a trial that
-// has started always runs to completion (or to its watchdog deadline) — so
-// cancellation can never tear a simulation down mid-event. It returns nil
-// when all n trials completed, a *SweepCancelledError when ctx stopped the
-// sweep first, or the typed *TrialPanicError/*TrialTimeoutError of the
-// first failing trial (which also aborts the sweep). No helper is working
-// on the sweep once it returns.
+// The context and the watchdog deadline are read at trial boundaries and,
+// inside a trial, by its engines between events (see TrialScratch.stopped),
+// so a stop never tears a simulation down mid-event. It returns nil when all
+// n trials completed, a *SweepCancelledError when ctx stopped the sweep
+// first, or the typed *TrialPanicError/*TrialTimeoutError of the first
+// failing trial (which also aborts the sweep). No helper is working on the
+// sweep once it returns, and no trial of it is still running.
 func runTrials(ctx context.Context, width, n int, fn func(trial int, ts *TrialScratch)) error {
 	if n <= 0 {
 		return nil
@@ -531,13 +524,13 @@ func runTrials(ctx context.Context, width, n int, fn func(trial int, ts *TrialSc
 		}
 		return &SweepCancelledError{Completed: completed, Total: n, Err: err}
 	}
-	done := ctx.Done()
-	if done != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return cancelled(0)
 	}
 	enterGCRelax()
 	defer exitGCRelax()
-	s := &sweep{done: done, n: n, width: max(1, min(width, n)), fn: fn, timeout: configOf(ctx).TrialTimeout, active: 1}
+	s := &sweep{watch: trialWatch{ctx.Done(), configOf(ctx).TrialTimeout}, n: n,
+		width: max(1, min(width, n)), fn: fn, active: 1}
 
 	trialPool.mu.Lock()
 	trialPool.limit.Store(int64(Workers()))
@@ -571,8 +564,8 @@ func runTrials(ctx context.Context, width, n int, fn func(trial int, ts *TrialSc
 }
 
 // RunTrialsScratchCtx runs fn over [0, n) on the default number of workers
-// (see runTrials). The sweep stops scheduling at the next trial boundary
-// once ctx is cancelled (in-flight trials finish) and returns a
+// (see runTrials). Once ctx is cancelled the sweep starts no further trial,
+// its running trials' engines stop within 1024 engine events, and it returns a
 // *SweepCancelledError recording how many trials completed; trial panics and
 // watchdog timeouts are returned as typed errors.
 func RunTrialsScratchCtx(ctx context.Context, n int, fn func(trial int, ts *TrialScratch)) error {
@@ -585,11 +578,15 @@ func RunTrialsScratchCtx(ctx context.Context, n int, fn func(trial int, ts *Tria
 // flattened into n points, computed concurrently, and reassembled into rows
 // sequentially so row order and floating-point aggregation order never
 // change. On a non-nil error the returned slice still holds every completed
-// point (the partial results a serving layer can stream); unstarted slots
-// are zero values.
+// point (the partial results a serving layer can stream); the slots of
+// unstarted and stopped trials are zero values.
 func RunPointsScratchCtx[T any](ctx context.Context, n int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
 	out := make([]T, n)
-	err := RunTrialsScratchCtx(ctx, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
+	err := RunTrialsScratchCtx(ctx, n, func(i int, ts *TrialScratch) {
+		if v := fn(i, ts); ts.halt == haltNone {
+			out[i] = v
+		}
+	})
 	return out, err
 }
 
@@ -615,8 +612,9 @@ func protoGrid[T any](ctx context.Context, nAxis int, protos []string, fn func(t
 
 // RunTrialsScratch is RunTrialsScratchCtx without cancellation; a trial
 // panic is wrapped in a *TrialPanicError and re-raised on the caller's
-// goroutine, matching sequential behaviour, and a watchdog timeout is
-// re-raised as a *TrialTimeoutError the same way.
+// goroutine, matching sequential behaviour. Background carries no Config,
+// so no watchdog runs here; a *TrialTimeoutError re-raised by a sweep nested
+// inside the trial is passed through the same way.
 func RunTrialsScratch(n int, fn func(trial int, ts *TrialScratch)) {
 	if err := RunTrialsScratchCtx(context.Background(), n, fn); err != nil {
 		// Background never cancels, so err is a typed trial failure.

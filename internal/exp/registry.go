@@ -9,9 +9,10 @@ import (
 )
 
 // DriverCtx runs one experiment at the given scale and seed. The driver
-// threads ctx into its sweep so a cancelled context stops it at the next
-// trial boundary, returning a *SweepCancelledError (or the typed error of a
-// failing trial) instead of panicking.
+// threads ctx into its sweep so a cancelled context stops it, running trials
+// included (their engines poll it between events), returning a
+// *SweepCancelledError (or the typed error of a failing trial) instead of
+// panicking.
 type DriverCtx func(ctx context.Context, scale float64, seed int64) (*Report, error)
 
 // drivers maps experiment IDs to their drivers. Registration happens at
@@ -63,9 +64,10 @@ func Run(id string, scale float64, seed int64) (*Report, error) {
 	return RunCtx(context.Background(), id, scale, seed)
 }
 
-// RunCtx is Run with cancellation: the driver stops its sweep at the next
-// trial boundary and returns a *SweepCancelledError. A trial failure from a
-// driver that does not stamp its trials is attributed to id.
+// RunCtx is Run with cancellation: once ctx is cancelled the driver's sweep
+// starts no further trial, its running trials stop within 1024 engine
+// events, and it returns a *SweepCancelledError. A trial failure from
+// a driver that does not stamp its trials is attributed to id.
 func RunCtx(ctx context.Context, id string, scale float64, seed int64) (*Report, error) {
 	d, ok := drivers[id]
 	if !ok {

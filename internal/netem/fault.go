@@ -70,7 +70,8 @@ type FaultEvent struct {
 // for a given seed. The pattern stops after Count cycles, or at Until
 // (whichever limit is set; with both set, whichever comes first). A spec
 // with neither limit flaps exactly once. Every cycle emits a down and a
-// matching up, so the link always ends the schedule healed.
+// matching up, so the link always ends the schedule healed. Phase durations
+// may not be negative (see Materialize).
 type FlapSpec struct {
 	Link        string
 	FirstDownAt float64
@@ -97,7 +98,10 @@ func (s *FaultSchedule) Empty() bool {
 // it, sorted by time (stable, so same-instant events keep their schedule
 // order). Flap patterns are expanded with phase-duration jitter drawn from
 // rng — exactly one stream, consumed in spec order, so materialization is
-// deterministic for a given seed. A nil rng disables jitter.
+// deterministic for a given seed. A nil rng disables jitter. A flap with a
+// negative phase, or with no Count and DownDur+UpDur <= 0, panics naming its
+// link: the first would put an up before its down, and the second would
+// never reach Until, growing dst until memory runs out.
 func (s *FaultSchedule) Materialize(dst []FaultEvent, rng *rand.Rand) []FaultEvent {
 	if s == nil {
 		return dst
@@ -117,6 +121,10 @@ func (s *FaultSchedule) Materialize(dst []FaultEvent, rng *rand.Rand) []FaultEve
 		count := f.Count
 		if count <= 0 && f.Until <= 0 {
 			count = 1
+		}
+		if f.DownDur < 0 || f.UpDur < 0 || count <= 0 && f.DownDur+f.UpDur <= 0 {
+			panic(fmt.Sprintf("netem: flap on link %q has a negative phase or a cycle that never advances time (DownDur %v, UpDur %v, Count %d)",
+				f.Link, f.DownDur, f.UpDur, f.Count))
 		}
 		t := f.FirstDownAt
 		for k := 0; (count <= 0 || k < count) && (f.Until <= 0 || t < f.Until); k++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"pcc/internal/sim"
@@ -407,4 +408,67 @@ func TestLinkResetWhileDown(t *testing.T) {
 	if !linkConserved(link) {
 		t.Fatal("conservation broken after reset")
 	}
+}
+
+// FuzzFaultSchedule expands one flap of link "x" beside an explicit
+// partition of link "y": Materialize must return or panic with the flap's
+// malformed-spec message, and a returned list is sorted by At, keeps the
+// explicit event, and pairs every down of "x" with a later up. Times and
+// durations are eighths of a second within ±16 s and jitter stays below 1, so
+// every well-formed expansion is finite. Seed corpus entries live in
+// testdata/fuzz/FuzzFaultSchedule; seed_zero_cycle is a flap bounded only by
+// Until whose cycle is 0 s long.
+func FuzzFaultSchedule(f *testing.F) {
+	f.Add(int8(8), int8(4), int8(12), uint8(0), uint8(0), int8(40), int8(16), int64(1))
+	f.Add(int8(0), int8(8), int8(8), uint8(77), uint8(20), int8(0), int8(-3), int64(7))
+	f.Add(int8(8), int8(-1), int8(2), uint8(0), uint8(0), int8(16), int8(0), int64(0))
+	f.Fuzz(func(t *testing.T, first, down, up int8, jitter, count uint8, until, part int8, seed int64) {
+		flap := FlapSpec{Link: "x", FirstDownAt: float64(first) / 8, DownDur: float64(down) / 8,
+			UpDur: float64(up) / 8, Jitter: float64(jitter) / 256, Count: int(count), Until: float64(until) / 8}
+		s := &FaultSchedule{
+			Events: []FaultEvent{{At: float64(part) / 8, Kind: FaultPartition, Links: []string{"y"}}},
+			Flaps:  []FlapSpec{flap},
+		}
+		malformed := flap.DownDur < 0 || flap.UpDur < 0 ||
+			flap.Count <= 0 && flap.Until > 0 && flap.DownDur+flap.UpDur <= 0
+		var evs []FaultEvent
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					return
+				}
+				msg, _ := r.(string)
+				if !malformed || !strings.Contains(msg, `netem: flap on link "x"`) {
+					t.Fatalf("Materialize(%+v) panicked: %v", flap, r)
+				}
+			}()
+			evs = s.Materialize(nil, rand.New(rand.NewSource(seed)))
+			if malformed {
+				t.Fatalf("Materialize(%+v) returned %d events, want a panic", flap, len(evs))
+			}
+		}()
+		if malformed {
+			return
+		}
+		if !sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].At < evs[j].At }) {
+			t.Fatalf("events not sorted by At: %+v", evs)
+		}
+		parts, open := 0, 0
+		for _, ev := range evs {
+			switch ev.Kind {
+			case FaultPartition:
+				parts++
+			case FaultLinkDown:
+				open++
+			case FaultLinkUp:
+				if open--; open < 0 {
+					t.Fatalf("an up of x comes before its down: %+v", evs)
+				}
+			}
+		}
+		if parts != 1 || open != 0 {
+			t.Fatalf("%d partitions, %d downs of x without an up: %+v", parts, open, evs)
+		}
+	})
 }

@@ -39,7 +39,7 @@ func init() {
 	exp.RegisterCtx("srvhang", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
 		err := exp.RunTrialsScratchCtx(ctx, 1, func(i int, ts *exp.TrialScratch) {
 			ts.Stamp("srvhang", "wedge", seed)
-			<-srvHangRelease
+			srvSpinTrial(ts)
 		})
 		if err != nil {
 			return nil, err
@@ -85,7 +85,16 @@ func init() {
 // unambiguous symbol to look for.
 func srvPanicTrial() { panic("injected serve-test panic") }
 
-var srvHangRelease = make(chan struct{})
+// srvSpinTrial livelocks a simulation: one event re-posts itself at zero
+// delay, so simulated time never reaches the run's end and only the engine's
+// stop poll ends the trial.
+func srvSpinTrial(ts *exp.TrialScratch) {
+	r := ts.Runner("srvhang", exp.PathSpec{RateMbps: 10, RTT: 0.01, BufBytes: 64 * 1024})
+	var spin func()
+	spin = func() { r.Eng.Post(0, spin) }
+	r.Eng.Post(0, spin)
+	r.Run(1)
+}
 
 var (
 	gateMu sync.Mutex
@@ -486,12 +495,11 @@ func TestPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestWatchdogTimeoutQuarantine: a wedged trial is converted by the watchdog
-// that Config.TrialTimeout arms on each request's context into an in-band
-// timeout error; the daemon and its worker pool survive.
+// TestWatchdogTimeoutQuarantine: a livelocked trial is stopped by the
+// watchdog that Config.TrialTimeout arms on each request's context and
+// reported as an in-band timeout error; the daemon and its worker pool
+// survive.
 func TestWatchdogTimeoutQuarantine(t *testing.T) {
-	t.Cleanup(func() { close(srvHangRelease) }) // unwedge the abandoned trial goroutine
-
 	srv, ts := newTestServer(t, Config{Workers: 1, TrialTimeout: 100 * time.Millisecond})
 	resp, err := postSweep(t, ts.URL, `{"experiments":["srvhang","srvtest"],"scales":[1],"seeds":[8]}`)
 	if err != nil {

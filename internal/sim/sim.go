@@ -260,6 +260,8 @@ type Engine struct {
 	free   []*Event
 	nRun   uint64
 	halted bool
+	// stop, when set, is polled every stopPoll events (see SetStop).
+	stop func() bool
 
 	// cur is the sequence number of the executing event, the other half of
 	// Precedes' position: math.MaxUint64 outside a callback, so everything at
@@ -468,6 +470,21 @@ func (e *Engine) PostArg(delay float64, fn func(any), arg any) {
 // Halt stops the run loop after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
 
+// stopPoll is how many events run between two polls of the stop predicate:
+// a power of two, so the test is one AND on the event counter.
+const stopPoll = 1024
+
+// SetStop installs the predicate the run loop polls every stopPoll executed
+// events, between two events; nil (the default) polls nothing. When it
+// reports true, Run or RunUntil returns as if its deadline had come. Nothing
+// of this is sticky in the engine: a predicate that keeps reporting true
+// makes every later run return at its first poll, which comes before any
+// event runs. A stopped engine stands between events like one whose RunUntil
+// returned, so Reset reclaims it the same way; Reset keeps the predicate.
+// This is how a caller bounds a simulation from outside it — a cancelled
+// context, a wall-clock deadline — without a second goroutine.
+func (e *Engine) SetStop(stop func() bool) { e.stop = stop }
+
 // Reset returns the engine to its initial state — clock at zero, no queued
 // events, sequence counter restarted — while retaining every piece of
 // allocated storage: the near-run's and overflow heap's backing arrays, the
@@ -597,6 +614,13 @@ func (e *Engine) run(lim Time) {
 	e.halted = false
 	bound := tickOf(lim) + 1
 	for !e.halted {
+		// Nested, not one &&-chain: the compiler then leaves the common case
+		// at one AND and one branch instead of materializing a bool.
+		if e.nRun&(stopPoll-1) == 0 && e.stop != nil {
+			if e.stop() {
+				break
+			}
+		}
 		// The common case needs no probe: a live head already behind the
 		// cursor (wheel.go, invariant 3). Spelled out here because a call per
 		// event is measurable on a near-empty engine.
@@ -626,7 +650,8 @@ func (e *Engine) run(lim Time) {
 	}
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains, Halt is called or the stop
+// predicate reports true.
 func (e *Engine) Run() { e.run(math.Inf(1)) }
 
 // RunUntil executes events with timestamps <= deadline and then advances the

@@ -125,6 +125,50 @@ func TestHalt(t *testing.T) {
 }
 
 // Property: any set of scheduled times is executed in sorted order.
+// TestStopPredicate pins the engine's stop poll: the predicate is called
+// once every stopPoll executed events, the run returns at the first poll that
+// reports true, a later run returns at its first poll before any event runs,
+// Reset keeps the predicate, and an engine without one runs to its deadline.
+func TestStopPredicate(t *testing.T) {
+	e := NewEngine()
+	var spin func()
+	spin = func() { e.Post(0, spin) } // simulated time never advances
+	e.Post(0, spin)
+	polls := 0
+	e.SetStop(func() bool { polls++; return polls == 3 })
+	e.RunUntil(1)
+	if polls != 3 || e.Processed() != 2*stopPoll {
+		t.Fatalf("stopped after %d polls and %d events, want 3 and %d", polls, e.Processed(), 2*stopPoll)
+	}
+	e.SetStop(func() bool { polls++; return true })
+	e.RunUntil(2)
+	if polls != 4 || e.Processed() != 2*stopPoll {
+		t.Fatalf("a stopped engine's next run made %d polls and ran %d events, want 4 and %d", polls, e.Processed(), 2*stopPoll)
+	}
+
+	e.Reset(nil)
+	e.Post(0, spin)
+	e.RunUntil(1)
+	if polls != 5 || e.Processed() != 0 {
+		t.Fatalf("after Reset: %d polls, %d events, want the kept predicate to stop the run at once", polls, e.Processed())
+	}
+
+	e.SetStop(nil)
+	e.Reset(nil)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 3*stopPoll {
+			e.Post(0.001, tick)
+		}
+	}
+	e.Post(0, tick)
+	e.Run()
+	if n != 3*stopPoll {
+		t.Fatalf("an engine without a predicate ran %d events, want %d", n, 3*stopPoll)
+	}
+}
+
 func TestEngineOrderProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		e := NewEngine()
