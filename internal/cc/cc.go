@@ -69,8 +69,8 @@ func (r *RTTEstimator) Sample(rtt float64) {
 		if diff < 0 {
 			diff = -diff
 		}
-		r.RTTVar = (1-beta)*r.RTTVar + beta*diff
-		r.SRTT = (1-alpha)*r.SRTT + alpha*rtt
+		r.RTTVar = float64((1-beta)*r.RTTVar) + float64(beta*diff)
+		r.SRTT = float64((1-alpha)*r.SRTT) + float64(alpha*rtt)
 	}
 	r.n++
 }
@@ -83,7 +83,7 @@ func (r *RTTEstimator) RTO() float64 {
 	if r.n == 0 {
 		return 1.0
 	}
-	rto := r.SRTT + 4*r.RTTVar
+	rto := r.SRTT + float64(4*r.RTTVar)
 	if rto < MinRTO {
 		rto = MinRTO
 	}

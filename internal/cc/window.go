@@ -148,13 +148,13 @@ func (s *WindowSender) armRTO() {
 	if s.rtoTimer.Active() {
 		return
 	}
-	s.rtoDeadline = s.Eng.Now() + s.Est.RTO()*s.rtoBackoff
+	s.rtoDeadline = s.Eng.Now() + float64(s.Est.RTO()*s.rtoBackoff)
 	s.Eng.Rearm(&s.rtoTimer, s.Est.RTO()*s.rtoBackoff, s.onRTOFn)
 }
 
 func (s *WindowSender) resetRTO() {
 	if s.pipe > 0 || s.board.HasRtx() {
-		s.rtoDeadline = s.Eng.Now() + s.Est.RTO()*s.rtoBackoff
+		s.rtoDeadline = s.Eng.Now() + float64(s.Est.RTO()*s.rtoBackoff)
 	} else {
 		s.rtoTimer.Stop()
 	}

@@ -30,7 +30,7 @@ func StdDev(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -67,13 +67,13 @@ func PercentileSorted(s []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	frac := rank - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) for the given
@@ -85,7 +85,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 1 // all-zero allocations are (vacuously) fair
@@ -113,6 +113,12 @@ func FracAtLeast(xs []float64, threshold float64) float64 {
 // (paper: 5 s), it returns the smallest t such that every second in
 // [t, t+window] is within ±tol (paper: 0.25) of ideal. It returns -1 when
 // the flow never converges within the series.
+//
+// The answer is final as soon as a prefix shows it: if ConvergenceTime
+// returns c ≥ 0 on perSecond[:L], it returns c on perSecond and on every
+// longer series that starts with perSecond[:L]. Every smaller t was already
+// refuted inside the prefix, so a caller watching a series grow may stop
+// reading at the first prefix that converges (fig16 does).
 func ConvergenceTime(perSecond []float64, ideal float64, window int, tol float64) float64 {
 	if ideal <= 0 {
 		return -1

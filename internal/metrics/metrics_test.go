@@ -80,6 +80,51 @@ func TestConvergenceTime(t *testing.T) {
 	if c := ConvergenceTime([]float64{1, 1, 1}, 50, 5, 0.25); c != -1 {
 		t.Fatalf("non-convergent series gave %v", c)
 	}
+	for _, tc := range []struct {
+		name   string
+		series []float64
+		want   float64
+	}{
+		// A second in which the flow received nothing reads 0, which no
+		// window may contain: convergence waits until the window clears it.
+		{"silent second", []float64{50, 50, 50, 0, 50, 50, 50, 50, 50, 50}, 4},
+		// A silent last second leaves the window one short.
+		{"silent last second", []float64{50, 50, 50, 50, 50, 0}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if c := ConvergenceTime(tc.series, 50, 5, 0.25); c != tc.want {
+				t.Fatalf("convergence = %v, want %v", c, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzConvergenceTimePrefix checks the property fig16's early stop rests
+// on: a convergence time found on a prefix of a series is the series'
+// convergence time, and the series' convergence time is found on every
+// prefix that holds its whole window.
+func FuzzConvergenceTimePrefix(f *testing.F) {
+	f.Add([]byte{10, 20, 90, 50, 45, 55, 50, 48, 52, 50, 50}, uint8(5), uint8(9))
+	f.Add([]byte{50, 50, 50, 0, 50, 50, 50, 50, 50, 50}, uint8(5), uint8(10))
+	f.Add([]byte{50, 60, 40, 50, 0, 50, 50, 50}, uint8(2), uint8(4))
+	f.Fuzz(func(t *testing.T, raw []byte, window, cut uint8) {
+		// Bytes are Mbps around a 50 Mbps share, so both in- and
+		// out-of-band seconds are common.
+		s := make([]float64, len(raw))
+		for i, b := range raw {
+			s[i] = float64(b)
+		}
+		w := int(window % 8)
+		l := int(cut) % (len(s) + 1)
+		full := ConvergenceTime(s, 50, w, 0.25)
+		pre := ConvergenceTime(s[:l], 50, w, 0.25)
+		if pre >= 0 && pre != full {
+			t.Fatalf("prefix of %d gives %v, whole series %v", l, pre, full)
+		}
+		if full >= 0 && int(full)+w < l && pre != full {
+			t.Fatalf("prefix of %d holds the window of %v but gives %v", l, full, pre)
+		}
+	})
 }
 
 func TestWindowedJain(t *testing.T) {
