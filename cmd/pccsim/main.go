@@ -1,6 +1,7 @@
 // Command pccsim runs an ad-hoc dumbbell simulation: pick a path, a set of
-// flows, and get per-flow goodput plus an optional rate time series. It is
-// the free-form companion to pccbench's fixed paper experiments.
+// flows, and get per-flow goodput plus, with -series, each flow's goodput
+// second by second. It is the free-form companion to pccbench's fixed paper
+// experiments.
 //
 // Usage examples:
 //

@@ -124,5 +124,7 @@ func (r *Receiver) GoodputBetween(from, to float64) float64 {
 	for i := lo; i < hi && i < len(r.buckets); i++ {
 		sum += r.buckets[i]
 	}
-	return sum / (to - from)
+	// Explicit conversions: callers pass products, which must not fuse
+	// into the difference.
+	return sum / (float64(to) - float64(from))
 }

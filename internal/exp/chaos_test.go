@@ -80,8 +80,8 @@ func chaosCrashTrial(ts *TrialScratch, seed int64) (*Runner, *Flow) {
 	spec := TopologySpec{
 		Seed: seed,
 		Faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
-			{At: 2, Kind: netem.FaultPartition, Links: cut},
-			{At: 3, Kind: netem.FaultHeal, Links: cut},
+			{At: 2, Down: true, Links: cut},
+			{At: 3, Links: cut},
 		}},
 	}
 	for i := 0; i < 2; i++ {
@@ -145,8 +145,8 @@ func TestNodeCrashFreezesAndResumes(t *testing.T) {
 	if dropped == 0 {
 		t.Error("the cut destroyed no in-flight packets; the fault likely did not fire")
 	}
-	if len(r.FaultEvents()) != 2 {
-		t.Errorf("FaultEvents() = %v, want the partition/heal pair", r.FaultEvents())
+	if log := r.FaultLog(); log != (netem.FaultLog{Downs: 1, Ups: 1, LastUp: 3}) {
+		t.Errorf("FaultLog() = %+v, want the partition/heal pair", log)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestChaosArenaRespecDifferentTargets(t *testing.T) {
 		spec := TopologySpec{
 			Seed: TrialSeed(55, i),
 			Faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
-				{At: 1, Kind: netem.FaultLinkDown, Link: target},
-				{At: 1.5, Kind: netem.FaultLinkUp, Link: target},
+				{At: 1, Down: true, Links: []string{target}},
+				{At: 1.5, Links: []string{target}},
 			}},
 		}
 		for k := 0; k < 2; k++ {

@@ -75,7 +75,7 @@ func RunFig12(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		// the first 20% of each phase as transient.
 		var rows [][]string
 		for k := 1; k <= 4; k++ {
-			from := float64(k-1)*stagger + 0.2*stagger
+			from := float64(float64(k-1)*stagger) + float64(0.2*stagger)
 			to := float64(k) * stagger
 			var means, stds []float64
 			for i := 0; i < k; i++ {
@@ -127,7 +127,7 @@ func RunFig13(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		}
 		r.Run(dur)
 		// Skip the first 30 s (or 20%) as convergence transient.
-		warm := 0.2 * dur
+		warm := float64(0.2 * dur)
 		series := make([][]float64, nf)
 		for i, f := range flows {
 			series[i] = sliceSeries(f.SeriesMbps(), warm, dur, 1)

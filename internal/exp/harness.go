@@ -56,10 +56,10 @@ type TopologySpec struct {
 	// Seed roots all randomness for the run.
 	Seed int64
 	// Faults, when non-nil and non-empty, injects timed hard faults (link
-	// down/up flaps, partitions) into the trial:
-	// the schedule is materialized at build time — flap jitter drawn from one
-	// runner RNG stream — and scheduled as plain engine events, so faults
-	// compose with arenas without perturbing determinism.
+	// down/up flaps, partitions) into the trial as plain engine events — a
+	// flap re-arming itself phase by phase, its jitter drawn from one runner
+	// RNG stream — so faults compose with arenas without perturbing
+	// determinism.
 	Faults *netem.FaultSchedule
 }
 
@@ -180,16 +180,9 @@ type Runner struct {
 	rands   []*rand.Rand
 	randIdx int
 
-	// Fault-injection state (runners with TopologySpec.Faults).
-	// faultSpec is the schedule as specced; faultEvs its materialized,
-	// time-sorted event list (flap jitter applied); faultActs the resolved
-	// per-link actions scheduled on the engine (reused, so act resolution
-	// never allocates after the first trial); faultFn the shared dispatch
-	// trampoline.
-	faultSpec *netem.FaultSchedule
-	faultEvs  []netem.FaultEvent
-	faultActs []faultAct
-	faultFn   func(any)
+	// faults runs the trial's TopologySpec.Faults as engine events; its
+	// per-event state is reused across trials.
+	faults netem.FaultInjector
 }
 
 // makeQueue builds the AQM a Path/LinkSpec asks for.
@@ -310,8 +303,8 @@ func (r *Runner) matches(ts TopologySpec) bool {
 // respec rewinds the runner for a new trial of a spec it matches: engine
 // reset (in-flight packets recycled), seed chain rewound to the new root,
 // every link and queue re-parameterized in place with one seed drawn per
-// link in AddLink order, and the fault plan installed. Previously added
-// flows stay parked in flowPool for AddFlow to reuse.
+// link in AddLink order, and the fault plan posted on the engine.
+// Previously added flows stay parked in flowPool for AddFlow to reuse.
 func (r *Runner) respec(ts TopologySpec) {
 	r.Eng.Reset(r.reclaim)
 	r.Seeds.Reset(ts.Seed)
@@ -326,8 +319,21 @@ func (r *Runner) respec(ts TopologySpec) {
 	r.Path = PathSpec{Seed: ts.Seed}
 	r.Flows = r.Flows[:0]
 	r.randIdx = 0
-	r.installFaults(ts.Faults)
+	// Exactly one runner RNG stream — flap jitter — and only when the spec
+	// carries a schedule, so unfaulted experiments' seed chains are
+	// untouched.
+	var jrng *rand.Rand
+	if !ts.Faults.Empty() {
+		jrng = r.NextRand()
+	}
+	r.faults.Install(r.Topo, ts.Faults, jrng)
 }
+
+// FaultLog returns the fault acts the current trial has executed so far, so
+// drivers can compute fault-relative metrics like recovery time after the
+// last heal from what actually ran. Zero when the runner has no fault
+// schedule.
+func (r *Runner) FaultLog() netem.FaultLog { return r.faults.Log() }
 
 // NextRand returns a generator seeded from the runner's derivation chain —
 // the exact stream r.Seeds.NextRand() yields — while recycling generator
@@ -553,7 +559,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		// small-BDP paths still allow bursts. An unconstrained (link-less)
 		// route keeps the sender's default window bound.
 		bdpPkts := capacity * rtt / float64(pktSize)
-		f.WS.MaxCwnd = 8*bdpPkts + 1000
+		f.WS.MaxCwnd = float64(8*bdpPkts) + 1000
 	}
 
 	if f.RS != nil {

@@ -35,14 +35,9 @@ func RunLinkFlap(ctx context.Context, scale float64, seed int64) (*Report, error
 
 		const bucket = 0.1
 		ref := long.WindowMbps(0.1*dur, firstDownAt)
-		// The materialized schedule carries the jittered per-trial times; the
+		// The fault log holds the jittered per-trial times as they ran; the
 		// last link-up is when the path is whole again for good.
-		lastHeal := firstDownAt
-		for _, ev := range r.FaultEvents() {
-			if ev.Kind == netem.FaultLinkUp && ev.At > lastHeal {
-				lastHeal = ev.At
-			}
-		}
+		lastHeal := max(firstDownAt, r.FaultLog().LastUp)
 		flapT := long.WindowMbps(firstDownAt, lastHeal)
 		series := ts.f64[:0]
 		series = long.SeriesMbpsInto(series)
@@ -92,7 +87,7 @@ func linkFlapTrial(ts *TrialScratch, proto string, dur float64, seed int64) (*Ru
 // never gets there.
 func recoveryAfter(series []float64, bucket, healAt, target float64) float64 {
 	for i := int(healAt / bucket); i < len(series); i++ {
-		end := float64(i+1) * bucket
+		end := float64(float64(i+1) * bucket)
 		if end <= healAt {
 			continue
 		}

@@ -91,7 +91,7 @@ func parkingLotTrial(ts *TrialScratch, nHops int, proto string, dur float64, see
 	for i := 0; i < nHops; i++ {
 		longFwd = append(longFwd, netem.LinkHop(hopName(i)))
 	}
-	longRev := []netem.HopSpec{netem.DelayHop(accessD + float64(nHops)*linkDel)}
+	longRev := []netem.HopSpec{netem.DelayHop(accessD + float64(float64(nHops)*linkDel))}
 	long := r.AddFlow(FlowSpec{Proto: proto, FwdRoute: longFwd, RevRoute: longRev, Bucket: 1})
 
 	cross := make([]*Flow, nHops)

@@ -37,8 +37,8 @@ func RunPartition(ctx context.Context, scale float64, seed int64) (*Report, erro
 		cut := []string{fwdName(1), revName(1)}
 		r, _, cross := chainTrial(ts, chainSpec{exp: "partition", nHops: 4, perHop: 1, bucket: 0.1,
 			faults: &netem.FaultSchedule{Events: []netem.FaultEvent{
-				{At: cutAt, Kind: netem.FaultPartition, Links: cut},
-				{At: healAt, Kind: netem.FaultHeal, Links: cut},
+				{At: cutAt, Down: true, Links: cut},
+				{At: healAt, Links: cut},
 			}},
 		}, proto, dur, TrialSeed(seed, i))
 		victim := cross[1] // the cross flow whose hop gets cut

@@ -325,6 +325,60 @@ func TestCancelStopsLivelockedTrial(t *testing.T) {
 	}
 }
 
+// TestFlapSetupBounded installs a flap whose 1 µs cycle runs to Until 10⁶ s —
+// 2·10¹² acts if the run went to its end. Set-up must cost the same as for
+// Until 1 s, cold and warm, since a flap is one self-re-arming event, not a
+// list unfolded in set-up. A sweep whose context is cancelled right after
+// set-up must then return *SweepCancelledError at the engine's first stop
+// poll, before any event of the flap runs.
+func TestFlapSetupBounded(t *testing.T) {
+	spec := func(until float64) TopologySpec {
+		return TopologySpec{
+			Seed: 1,
+			Links: []LinkSpec{{Name: fwdName(0), From: nodeName(0), To: nodeName(1),
+				RateMbps: 10, Delay: 0.001, BufBytes: 64 * netem.KB}},
+			Faults: &netem.FaultSchedule{Flaps: []netem.FlapSpec{{
+				Link: fwdName(0), DownDur: 0.5e-6, UpDur: 0.5e-6, Jitter: 0.3, Until: until,
+			}}},
+		}
+	}
+	short, long := spec(1), spec(1e6)
+	cold := func(s TopologySpec) float64 {
+		return testing.AllocsPerRun(5, func() { new(TrialScratch).TopologyRunner("flap", s) })
+	}
+	warmTS := new(TrialScratch)
+	warm := func(s TopologySpec) float64 {
+		return testing.AllocsPerRun(5, func() { warmTS.TopologyRunner("flap", s) })
+	}
+	if a, b := cold(short), cold(long); a != b {
+		t.Errorf("cold set-up allocates %v for Until 1 s but %v for Until 10⁶ s", a, b)
+	}
+	if a, b := warm(short), warm(long); a != b || b != 0 {
+		t.Errorf("warm set-up allocates %v for Until 1 s and %v for Until 10⁶ s, want 0 for both", a, b)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran uint64
+	start := time.Now()
+	err := RunTrialsScratchCtx(ctx, 1, func(_ int, ts *TrialScratch) {
+		r := ts.TopologyRunner("flap", long)
+		cancel()
+		r.Run(1e6)
+		ran = r.Eng.Processed()
+	})
+	var sc *SweepCancelledError
+	if !errors.As(err, &sc) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want *SweepCancelledError wrapping context.Canceled", err)
+	}
+	if ran != 0 {
+		t.Errorf("the cancelled trial ran %d events, want 0: the first stop poll comes before any event", ran)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancelled flap sweep returned after %v", elapsed)
+	}
+}
+
 // TestTrialTimeoutKnobResolution pins how a context resolves the watchdog
 // deadline: none without a Config, the innermost WithConfig wins over an
 // outer one, a zero inner Config disables it, and a context derived from a

@@ -28,10 +28,10 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	dur := scaledDur(25, 5, scale)
 	nodeTarget, flowTarget := configOf(ctx).Nodes, configOf(ctx).Flows
 	if nodeTarget <= 0 {
-		nodeTarget = int(500*scale + 0.5)
+		nodeTarget = int(float64(500*scale) + 0.5)
 	}
 	if flowTarget <= 0 {
-		flowTarget = int(5000*scale + 0.5)
+		flowTarget = int(float64(5000*scale) + 0.5)
 		if flowTarget < 40 {
 			flowTarget = 40
 		}
@@ -70,17 +70,9 @@ func RunWAN(ctx context.Context, scale float64, seed int64) (*Report, error) {
 		}}
 		if proto == "pcc" {
 			tr.notes = r.FaultStatsNotes()
-			down, up := 0, 0
-			for _, ev := range r.FaultEvents() {
-				switch ev.Kind {
-				case netem.FaultLinkDown:
-					down++
-				case netem.FaultLinkUp:
-					up++
-				}
-			}
+			log := r.FaultLog()
 			tr.notes = append(tr.notes,
-				fmt.Sprintf("backbone x0 flapped: %d down / %d up transitions", down, up))
+				fmt.Sprintf("backbone x0 flapped: %d down / %d up transitions", log.Downs, log.Ups))
 		}
 		return tr
 	})
@@ -153,7 +145,7 @@ func NewWANShape(nodeTarget, flowTarget, shards int, dur float64, seed int64) *W
 			dst = stubs[rng.Intn(len(stubs))]
 		}
 		// Last-mile delay outside the shared graph (fwd head, rev tail).
-		access := 0.0005 + 0.002*rng.Float64()
+		access := 0.0005 + float64(0.002*rng.Float64())
 		fwdLinks := router.PathLinks(src, dst)
 		revLinks := router.PathLinks(dst, src)
 		fwd := make([]netem.HopSpec, 0, len(fwdLinks)+1)

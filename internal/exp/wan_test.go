@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"pcc/internal/netem"
 )
 
 // TestWANDeterminism extends the byte-identical-report guarantee to the
@@ -62,12 +60,7 @@ func TestWANConservation(t *testing.T) {
 			t.Errorf("link %s conservation broken: %+v", s.Name, s)
 		}
 	}
-	downs, dropped := 0, int64(0)
-	for _, ev := range r.FaultEvents() {
-		if ev.Kind == netem.FaultLinkDown {
-			downs++
-		}
-	}
+	downs, dropped := r.FaultLog().Downs, int64(0)
 	for _, s := range r.Topo.Stats() {
 		dropped += s.FaultDropped
 	}

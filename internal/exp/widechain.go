@@ -19,7 +19,7 @@ import (
 func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(40, 10, scale)
-	nHops := 4 + int(8*scale+0.5)
+	nHops := 4 + int(float64(8*scale)+0.5)
 	const perHop = 2
 	protos := []string{"pcc", "cubic"}
 
@@ -100,7 +100,7 @@ func chainTrial(ts *TrialScratch, cs chainSpec, proto string, dur float64, seed 
 	longRev := make([]netem.HopSpec, cs.nHops+1)
 	longRev[cs.nHops] = netem.DelayHop(accessD)
 	for i := 0; i < cs.nHops; i++ {
-		delay := 0.004 + 0.0003*float64(i%5)
+		delay := 0.004 + float64(0.0003*float64(i%5))
 		spec.Links = append(spec.Links,
 			LinkSpec{
 				Name: fwdName(i), From: nodeName(i), To: nodeName(i + 1),
@@ -123,7 +123,7 @@ func chainTrial(ts *TrialScratch, cs chainSpec, proto string, dur float64, seed 
 			Proto:    proto,
 			FwdRoute: []netem.HopSpec{netem.DelayHop(accessD), netem.LinkHop(fwdName(hop))},
 			RevRoute: []netem.HopSpec{netem.LinkHop(revName(hop)), netem.DelayHop(accessD)},
-			StartAt:  0.05 + 0.013*float64(k),
+			StartAt:  0.05 + float64(0.013*float64(k)),
 			Bucket:   cs.bucket,
 		}))
 	}

@@ -3,87 +3,64 @@ package netem
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+
+	"pcc/internal/sim"
 )
 
 // Fault injection: deterministic, timed hard faults layered on top of the
 // smooth variation VaryingSpec models. A FaultSchedule is attached to a
-// topology spec (see internal/exp) and resolved at build time into plain
-// engine events, so faults compose with trial arenas and Link.Reset without
-// touching the simulator's (at, seq) determinism: the schedule's event times
-// are fixed before the simulation starts.
+// topology spec (see internal/exp) and a FaultInjector runs it as plain
+// engine events. An explicit event is one engine event. A flap is one
+// self-re-arming event, the way StartVarying re-draws the path: each phase
+// switches the link, draws the next phase's jitter and posts that phase at
+// its absolute time. Nothing is unfolded ahead of the run, so installing a
+// schedule costs the same whatever its Until, and every act after the first
+// runs under the engine's stop poll.
+//
+// Determinism: Install posts the explicit events in schedule order, then
+// each flap's first down, so same-instant acts keep their schedule order,
+// explicit events first. Jitter comes from one seeded stream shared by the
+// schedule's flaps and drawn as each phase runs; with one flap that is its
+// phase order.
 //
 // Fault semantics at the link level are implemented by Link.SetDown: drop
 // the in-flight train into the fault ledger, park the serializer, keep the
 // queue.
 
-// FaultKind enumerates the fault event types.
-type FaultKind uint8
-
-const (
-	// FaultLinkDown takes the named Link down: in-flight packets are
-	// destroyed (fault ledger), queued packets stay buffered, nothing
-	// serializes until the link comes back up.
-	FaultLinkDown FaultKind = iota
-	// FaultLinkUp brings the named Link back up.
-	FaultLinkUp
-	// FaultPartition takes every link in Links down at once — a routing
-	// partition cutting a named link set.
-	FaultPartition
-	// FaultHeal brings every link in Links back up.
-	FaultHeal
-)
-
-// String names the kind for reports and errors.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultLinkDown:
-		return "link-down"
-	case FaultLinkUp:
-		return "link-up"
-	case FaultPartition:
-		return "partition"
-	case FaultHeal:
-		return "heal"
-	}
-	return fmt.Sprintf("FaultKind(%d)", uint8(k))
-}
-
-// FaultEvent is one timed fault. Which operand field is read depends on
-// Kind: Link for LinkDown/LinkUp, Links for Partition/Heal.
+// FaultEvent is one timed act on a set of links: at At every link in Links
+// goes down (Down) or comes back up. A partition cuts several links at once;
+// a one-link event takes a single link down or up.
 type FaultEvent struct {
-	// At is the absolute simulation time the fault fires.
+	// At is the absolute simulation time the act fires.
 	At float64
-	// Kind selects the fault type.
-	Kind FaultKind
-	// Link names the target of LinkDown/LinkUp.
-	Link string
-	// Links names the target set of Partition/Heal.
+	// Down takes the links down; false brings them back up.
+	Down bool
+	// Links names the target links.
 	Links []string
 }
 
 // FlapSpec is a compact description of a link flap pattern: starting at
-// FirstDownAt, the link repeats down-for-DownDur / up-for-UpDur cycles.
-// Jitter, when non-zero, perturbs each phase duration uniformly by up to
-// ±Jitter (a fraction, e.g. 0.3 for ±30%) using the seeded RNG handed to
-// Materialize, so flap timing varies across trials but is bit-reproducible
-// for a given seed. The pattern stops after Count cycles, or at Until
-// (whichever limit is set; with both set, whichever comes first). A spec
-// with neither limit flaps exactly once. Every cycle emits a down and a
-// matching up, so the link always ends the schedule healed. Phase durations
-// may not be negative (see Materialize).
+// FirstDownAt, the link repeats down-for-DownDur / up-for-UpDur cycles, and a
+// cycle starts only before Until (a spec whose FirstDownAt is not before
+// Until never flaps). Jitter, when non-zero, perturbs each phase duration
+// uniformly by up to ±Jitter (a fraction, e.g. 0.3 for ±30%) using the
+// seeded stream handed to Install, so flap timing varies across trials but is
+// bit-reproducible for a given seed. Every down is followed by its up, even
+// past Until, so the link always ends the schedule healed. Both phases must
+// be non-negative and the cycle longer than zero: Install panics naming the
+// link otherwise, since the first would put an up before its down and the
+// second would re-arm forever at one instant.
 type FlapSpec struct {
 	Link        string
 	FirstDownAt float64
 	DownDur     float64
 	UpDur       float64
 	Jitter      float64
-	Count       int
 	Until       float64
 }
 
 // FaultSchedule is the full fault plan for one trial: explicit events plus
-// flap patterns expanded at materialization time.
+// flap patterns.
 type FaultSchedule struct {
 	Events []FaultEvent
 	Flaps  []FlapSpec
@@ -94,46 +71,138 @@ func (s *FaultSchedule) Empty() bool {
 	return s == nil || (len(s.Events) == 0 && len(s.Flaps) == 0)
 }
 
-// Materialize appends the schedule's concrete event list to dst and returns
-// it, sorted by time (stable, so same-instant events keep their schedule
-// order). Flap patterns are expanded with phase-duration jitter drawn from
-// rng — exactly one stream, consumed in spec order, so materialization is
-// deterministic for a given seed. A nil rng disables jitter. A flap with a
-// negative phase, or with no Count and DownDur+UpDur <= 0, panics naming its
-// link: the first would put an up before its down, and the second would
-// never reach Until, growing dst until memory runs out.
-func (s *FaultSchedule) Materialize(dst []FaultEvent, rng *rand.Rand) []FaultEvent {
-	if s == nil {
-		return dst
+// FaultLog counts the fault acts a trial has executed. An act is one
+// explicit event or one flap phase, whatever its link count.
+type FaultLog struct {
+	Downs, Ups int
+	// LastUp is the time of the last executed up; 0 if none ran.
+	LastUp float64
+}
+
+// FaultInjector runs fault schedules on a topology's engine, one trial after
+// another. It keeps each installed event's state across Installs, so a warm
+// trial of the same shape allocates nothing. The zero value is ready; it
+// must not be copied after first use.
+type FaultInjector struct {
+	eng *sim.Engine
+	// rng is the flaps' jitter stream, shared by all of them.
+	rng    *rand.Rand
+	faults []*fault
+	log    FaultLog
+}
+
+// fault is one installed FaultEvent or FlapSpec: the links it switches, the
+// act due next and, for a flap, the cycle that re-arms it.
+type fault struct {
+	in    *FaultInjector
+	links []*Link
+	// at and down are the time and direction of the act due next.
+	at   float64
+	down bool
+	// flap is nil for an explicit event.
+	flap *FlapSpec
+	// fire is run, bound once.
+	fire func()
+}
+
+// Install resets the log and posts s on topo's engine, which must stand at
+// time zero (fresh or just reset). Link names resolve through topo, and an
+// unknown one panics. Times are absolute, so one before zero panics in the
+// engine. rng is the flaps' jitter stream; nil disables jitter.
+func (in *FaultInjector) Install(topo *Topology, s *FaultSchedule, rng *rand.Rand) {
+	in.eng, in.rng, in.log = topo.Eng, rng, FaultLog{}
+	if s.Empty() {
+		return
 	}
-	dst = append(dst, s.Events...)
-	for _, f := range s.Flaps {
-		jit := func(d float64) float64 {
-			if f.Jitter <= 0 || rng == nil {
-				return d
-			}
-			d *= 1 + f.Jitter*(2*rng.Float64()-1)
-			if d < 0 {
-				return 0
-			}
-			return d
+	n := 0
+	for i := range s.Events {
+		ev := &s.Events[i]
+		f := in.slot(n)
+		n++
+		for _, name := range ev.Links {
+			f.links = append(f.links, linkNamed(topo, name))
 		}
-		count := f.Count
-		if count <= 0 && f.Until <= 0 {
-			count = 1
-		}
-		if f.DownDur < 0 || f.UpDur < 0 || count <= 0 && f.DownDur+f.UpDur <= 0 {
-			panic(fmt.Sprintf("netem: flap on link %q has a negative phase or a cycle that never advances time (DownDur %v, UpDur %v, Count %d)",
-				f.Link, f.DownDur, f.UpDur, f.Count))
-		}
-		t := f.FirstDownAt
-		for k := 0; (count <= 0 || k < count) && (f.Until <= 0 || t < f.Until); k++ {
-			dst = append(dst, FaultEvent{At: t, Kind: FaultLinkDown, Link: f.Link})
-			t += jit(f.DownDur)
-			dst = append(dst, FaultEvent{At: t, Kind: FaultLinkUp, Link: f.Link})
-			t += jit(f.UpDur)
-		}
+		f.at, f.down = ev.At, ev.Down
+		in.eng.PostAt(f.at, f.fire)
 	}
-	sort.SliceStable(dst, func(i, j int) bool { return dst[i].At < dst[j].At })
-	return dst
+	for i := range s.Flaps {
+		fl := &s.Flaps[i]
+		if fl.DownDur < 0 || fl.UpDur < 0 || fl.DownDur+fl.UpDur <= 0 {
+			panic(fmt.Sprintf("netem: flap on link %q has a negative phase or a cycle that never advances time (DownDur %v, UpDur %v)",
+				fl.Link, fl.DownDur, fl.UpDur))
+		}
+		if !(fl.FirstDownAt < fl.Until) {
+			continue
+		}
+		f := in.slot(n)
+		n++
+		f.links = append(f.links, linkNamed(topo, fl.Link))
+		f.at, f.down = fl.FirstDownAt, true
+		f.flap = fl
+		in.eng.PostAt(f.at, f.fire)
+	}
+}
+
+// Log returns the acts executed since the last Install.
+func (in *FaultInjector) Log() FaultLog { return in.log }
+
+// slot returns the i-th fault record, cleared, growing the set on first use.
+func (in *FaultInjector) slot(i int) *fault {
+	if i == len(in.faults) {
+		f := &fault{in: in}
+		f.fire = f.run
+		in.faults = append(in.faults, f)
+	}
+	f := in.faults[i]
+	f.links = f.links[:0]
+	f.flap = nil
+	return f
+}
+
+// linkNamed resolves a fault target.
+func linkNamed(topo *Topology, name string) *Link {
+	l := topo.LinkByName(name)
+	if l == nil {
+		panic(fmt.Sprintf("netem: fault schedule references unknown link %q", name))
+	}
+	return l
+}
+
+// run executes the act due now and, for a flap, posts its next phase: the up
+// after every down, and the next down while it falls before Until.
+func (f *fault) run() {
+	for _, l := range f.links {
+		l.SetDown(f.down)
+	}
+	if log := &f.in.log; f.down {
+		log.Downs++
+	} else {
+		log.Ups++
+		log.LastUp = f.at
+	}
+	fl := f.flap
+	if fl == nil {
+		return
+	}
+	if f.down {
+		f.at += f.jitter(fl.DownDur)
+	} else if f.at += f.jitter(fl.UpDur); !(f.at < fl.Until) {
+		return
+	}
+	f.down = !f.down
+	f.in.eng.PostAt(f.at, f.fire)
+}
+
+// jitter perturbs a flap phase duration by up to ±Jitter, never below zero.
+func (f *fault) jitter(d float64) float64 {
+	if f.flap.Jitter <= 0 || f.in.rng == nil {
+		return d
+	}
+	// float64(u): rand's own scaling must not fuse into 2u-1.
+	u := float64(f.in.rng.Float64())
+	d *= 1 + float64(f.flap.Jitter*(2*u-1))
+	if d < 0 {
+		return 0
+	}
+	return d
 }

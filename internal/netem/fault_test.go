@@ -18,69 +18,182 @@ func linkConserved(l *Link) bool {
 		l.Queue.DroppedBytes()+l.FaultDroppedBytes()+int64(l.Queue.Bytes())+l.TxBytes()
 }
 
-// TestMaterializeFlapExpansion pins FlapSpec expansion without jitter: exact
-// down/up cadence, termination at Until, and the down/up pairing that
-// guarantees the link ends the schedule healed.
+// refAct is one act of the reference expansion: links switched down or up
+// at one instant.
+type refAct struct {
+	at    float64
+	down  bool
+	links []string
+}
+
+// materializeRef is the up-front expansion flaps had before they re-armed
+// themselves, kept as the reference the injector is checked against: the
+// explicit events, then every flap cycle unfolded in spec order with jitter
+// drawn from rng as it goes, stable-sorted by time. With one jittered flap it
+// draws in the injector's order.
+func materializeRef(s *FaultSchedule, rng *rand.Rand) []refAct {
+	var acts []refAct
+	for _, ev := range s.Events {
+		acts = append(acts, refAct{ev.At, ev.Down, ev.Links})
+	}
+	for _, f := range s.Flaps {
+		jit := func(d float64) float64 {
+			if f.Jitter <= 0 || rng == nil {
+				return d
+			}
+			u := float64(rng.Float64())
+			d *= 1 + float64(f.Jitter*(2*u-1))
+			if d < 0 {
+				return 0
+			}
+			return d
+		}
+		link := []string{f.Link}
+		for t := f.FirstDownAt; t < f.Until; {
+			acts = append(acts, refAct{t, true, link})
+			t += jit(f.DownDur)
+			acts = append(acts, refAct{t, false, link})
+			t += jit(f.UpDur)
+		}
+	}
+	sort.SliceStable(acts, func(i, j int) bool { return acts[i].at < acts[j].at })
+	return acts
+}
+
+// runAgainstRef installs s on a fresh engine over links "x" and "y", with
+// jitter drawn from a stream seeded with seed, runs it to the end, and checks
+// every executed act against materializeRef's expansion from the same seed,
+// bit for bit: at each distinct reference time T, the log and both links'
+// states must be the reference's just below T (nothing of T ran early) and
+// at T (all of it ran, none late), and nothing may run after the last.
+// Returns the reference.
+func runAgainstRef(t *testing.T, s *FaultSchedule, seed int64) []refAct {
+	t.Helper()
+	eng := sim.NewEngine()
+	topo := NewTopology(eng)
+	for _, name := range []string{"x", "y"} {
+		topo.AddLink(name, name+"0", name+"1", NewDropTail(-1), 1e6, 0.001, 0, nil)
+	}
+	var in FaultInjector
+	in.Install(topo, s, rand.New(rand.NewSource(seed)))
+	// Expanded only once Install has accepted the flaps: a cycle that never
+	// advances time would unfold forever.
+	want := materializeRef(s, rand.New(rand.NewSource(seed)))
+	var log FaultLog
+	down := map[string]bool{}
+	check := func(when string, at float64) {
+		t.Helper()
+		if got := in.Log(); got != log {
+			t.Fatalf("%s %v: log %+v, reference %+v", when, at, got, log)
+		}
+		for _, name := range []string{"x", "y"} {
+			if got := topo.LinkByName(name).Down(); got != down[name] {
+				t.Fatalf("%s %v: link %s down %v, reference %v", when, at, name, got, down[name])
+			}
+		}
+	}
+	for i := 0; i < len(want); {
+		at := want[i].at
+		eng.RunUntil(math.Nextafter(at, math.Inf(-1)))
+		check("just before", at)
+		for ; i < len(want) && want[i].at == at; i++ {
+			a := want[i]
+			if a.down {
+				log.Downs++
+			} else {
+				log.Ups++
+				log.LastUp = at
+			}
+			for _, name := range a.links {
+				down[name] = a.down
+			}
+		}
+		eng.RunUntil(at)
+		check("at", at)
+	}
+	eng.Run()
+	check("after the last act, at", eng.Now())
+	return want
+}
+
+// TestMaterializeFlapExpansion pins a flap without jitter: exact down/up
+// cadence, termination at Until, and the down/up pairing that guarantees the
+// link ends the schedule healed.
 func TestMaterializeFlapExpansion(t *testing.T) {
 	s := &FaultSchedule{Flaps: []FlapSpec{{Link: "x", FirstDownAt: 1, DownDur: 0.5, UpDur: 1.5, Until: 5}}}
-	evs := s.Materialize(nil, nil)
+	acts := runAgainstRef(t, s, 1)
 	// Cycles start at t=1, 3, 5 — but 5 is not < Until, so two cycles.
-	want := []FaultEvent{
-		{At: 1, Kind: FaultLinkDown, Link: "x"},
-		{At: 1.5, Kind: FaultLinkUp, Link: "x"},
-		{At: 3, Kind: FaultLinkDown, Link: "x"},
-		{At: 3.5, Kind: FaultLinkUp, Link: "x"},
-	}
-	if len(evs) != len(want) {
-		t.Fatalf("materialized %d events, want %d: %+v", len(evs), len(want), evs)
+	want := []refAct{{1, true, nil}, {1.5, false, nil}, {3, true, nil}, {3.5, false, nil}}
+	if len(acts) != len(want) {
+		t.Fatalf("ran %d acts, want %d: %+v", len(acts), len(want), acts)
 	}
 	downs := 0
-	for i, ev := range want {
-		if evs[i].At != ev.At || evs[i].Kind != ev.Kind || evs[i].Link != ev.Link {
-			t.Fatalf("event %d = %+v, want %+v", i, evs[i], ev)
+	for i, a := range want {
+		if acts[i].at != a.at || acts[i].down != a.down || acts[i].links[0] != "x" {
+			t.Fatalf("act %d = %+v, want %+v on x", i, acts[i], a)
 		}
-		if evs[i].Kind == FaultLinkDown {
+		if a.down {
 			downs++
 		} else {
 			downs--
 		}
 	}
 	if downs != 0 {
-		t.Fatal("unbalanced down/up events: link would end the schedule down")
+		t.Fatal("unbalanced down/up acts: link would end the schedule down")
 	}
 }
 
-// TestMaterializeCountLimit pins the Count limit and the one-shot default.
+// TestMaterializeCountLimit pins Until's bound: a cycle starts only strictly
+// before Until, its up still fires when that lands at or after Until, and a
+// flap whose first down is not before Until never runs.
 func TestMaterializeCountLimit(t *testing.T) {
-	s := &FaultSchedule{Flaps: []FlapSpec{{Link: "x", FirstDownAt: 0, DownDur: 1, UpDur: 1, Count: 3}}}
-	if got := len(s.Materialize(nil, nil)); got != 6 {
-		t.Fatalf("Count=3 produced %d events, want 6", got)
-	}
-	s = &FaultSchedule{Flaps: []FlapSpec{{Link: "x", FirstDownAt: 2, DownDur: 1, UpDur: 1}}}
-	if got := len(s.Materialize(nil, nil)); got != 2 {
-		t.Fatalf("limitless spec produced %d events, want exactly one cycle (2)", got)
+	for _, row := range []struct {
+		until  float64
+		downs  int
+		lastUp float64
+	}{
+		{5, 3, 5},   // downs at 0, 2, 4; the last up lands on Until
+		{4, 2, 3},   // a down at 4 would not be before Until
+		{4.5, 3, 5}, // the last up lands past Until
+		{0, 0, 0},   // FirstDownAt 0 is not before Until 0
+	} {
+		s := &FaultSchedule{Flaps: []FlapSpec{{Link: "x", FirstDownAt: 0, DownDur: 1, UpDur: 1, Until: row.until}}}
+		acts := runAgainstRef(t, s, 1)
+		log := FaultLog{Downs: row.downs, Ups: row.downs, LastUp: row.lastUp}
+		if len(acts) != 2*row.downs {
+			t.Fatalf("Until %v: %d acts, want %d", row.until, len(acts), 2*row.downs)
+		}
+		var in FaultInjector
+		eng := sim.NewEngine()
+		topo := NewTopology(eng)
+		topo.AddLink("x", "a", "b", NewDropTail(-1), 1e6, 0, 0, nil)
+		in.Install(topo, s, nil)
+		eng.Run()
+		if in.Log() != log {
+			t.Fatalf("Until %v: log %+v, want %+v", row.until, in.Log(), log)
+		}
 	}
 }
 
-// TestMaterializeJitterDeterministic draws two expansions from identically
-// seeded RNGs (must match bit-for-bit), one from a different seed (must
+// TestMaterializeJitterDeterministic runs two jittered flaps from identically
+// seeded streams (must match bit-for-bit), one from a different seed (must
 // differ), and checks every jittered phase stays within the ±Jitter band.
 func TestMaterializeJitterDeterministic(t *testing.T) {
-	s := &FaultSchedule{Flaps: []FlapSpec{{Link: "x", FirstDownAt: 1, DownDur: 0.4, UpDur: 0.6, Jitter: 0.3, Count: 20}}}
-	a := s.Materialize(nil, rand.New(rand.NewSource(7)))
-	b := s.Materialize(nil, rand.New(rand.NewSource(7)))
+	s := &FaultSchedule{Flaps: []FlapSpec{{Link: "x", FirstDownAt: 1, DownDur: 0.4, UpDur: 0.6, Jitter: 0.3, Until: 20}}}
+	a := runAgainstRef(t, s, 7)
+	b := runAgainstRef(t, s, 7)
 	if len(a) != len(b) {
 		t.Fatalf("same seed, different lengths: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].At != b[i].At || a[i].Kind != b[i].Kind || a[i].Link != b[i].Link {
+		if a[i].at != b[i].at || a[i].down != b[i].down {
 			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := s.Materialize(nil, rand.New(rand.NewSource(8)))
+	c := runAgainstRef(t, s, 8)
 	same := true
 	for i := range a {
-		if a[i].At != c[i].At {
+		if i >= len(c) || a[i].at != c[i].at {
 			same = false
 			break
 		}
@@ -88,13 +201,10 @@ func TestMaterializeJitterDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical jittered schedules")
 	}
-	if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i].At < a[j].At }) {
-		t.Fatalf("materialized events not time-sorted: %+v", a)
-	}
 	for i := 0; i+1 < len(a); i++ {
-		gap := a[i+1].At - a[i].At
-		base := 0.4 // down phase precedes an up event
-		if a[i].Kind == FaultLinkUp {
+		gap := a[i+1].at - a[i].at
+		base := 0.4 // down phase precedes an up act
+		if !a[i].down {
 			base = 0.6
 		}
 		if gap < base*0.7-1e-12 || gap > base*1.3+1e-12 {
@@ -103,25 +213,30 @@ func TestMaterializeJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaterializeMergesEventsAndFlaps checks explicit events and flap
-// expansions sort into one timeline, appended to the caller's slice.
+// TestMaterializeMergesEventsAndFlaps checks explicit events and a flap's
+// re-armed phases run as one timeline, an explicit event ahead of a flap act
+// at the same instant.
 func TestMaterializeMergesEventsAndFlaps(t *testing.T) {
 	s := &FaultSchedule{
-		Events: []FaultEvent{{At: 2.5, Kind: FaultPartition, Links: []string{"y"}}},
-		Flaps:  []FlapSpec{{Link: "x", FirstDownAt: 1, DownDur: 1, UpDur: 1, Count: 2}},
+		Events: []FaultEvent{
+			{At: 2.5, Down: true, Links: []string{"y"}},
+			{At: 3, Links: []string{"x"}},
+			{At: 3.25, Links: []string{"y"}},
+		},
+		Flaps: []FlapSpec{{Link: "x", FirstDownAt: 1, DownDur: 1, UpDur: 1, Until: 4}},
 	}
-	evs := s.Materialize(make([]FaultEvent, 0, 8), nil)
-	wantAt := []float64{1, 2, 2.5, 3, 4}
-	if len(evs) != len(wantAt) {
-		t.Fatalf("got %d events, want %d", len(evs), len(wantAt))
+	acts := runAgainstRef(t, s, 1)
+	wantAt := []float64{1, 2, 2.5, 3, 3, 3.25, 4}
+	if len(acts) != len(wantAt) {
+		t.Fatalf("got %d acts, want %d", len(acts), len(wantAt))
 	}
 	for i, at := range wantAt {
-		if evs[i].At != at {
-			t.Fatalf("event %d at %v, want %v (merged timeline %+v)", i, evs[i].At, at, evs)
+		if acts[i].at != at {
+			t.Fatalf("act %d at %v, want %v (merged timeline %+v)", i, acts[i].at, at, acts)
 		}
 	}
-	if evs[2].Kind != FaultPartition {
-		t.Fatalf("partition lost its slot in the merged timeline: %+v", evs)
+	if !acts[2].down || acts[2].links[0] != "y" || acts[3].down || !acts[4].down {
+		t.Fatalf("explicit events lost their slots in the merged timeline: %+v", acts)
 	}
 	if !(&FaultSchedule{}).Empty() || (s.Empty()) {
 		t.Fatal("Empty() misreports")
@@ -410,28 +525,28 @@ func TestLinkResetWhileDown(t *testing.T) {
 	}
 }
 
-// FuzzFaultSchedule expands one flap of link "x" beside an explicit
-// partition of link "y": Materialize must return or panic with the flap's
-// malformed-spec message, and a returned list is sorted by At, keeps the
-// explicit event, and pairs every down of "x" with a later up. Times and
-// durations are eighths of a second within ±16 s and jitter stays below 1, so
-// every well-formed expansion is finite. Seed corpus entries live in
-// testdata/fuzz/FuzzFaultSchedule; seed_zero_cycle is a flap bounded only by
-// Until whose cycle is 0 s long.
+// FuzzFaultSchedule installs one flap of link "x" beside an explicit
+// partition of link "y": Install must panic with the flap's malformed-spec
+// message exactly when a phase is negative or the cycle is 0 s long, and
+// otherwise every executed act must match materializeRef bit for bit, with
+// "x" healed at the end. Times and durations are eighths of a second within
+// ±16 s (times from 0) and jitter stays below 1, so every well-formed flap
+// ends. Seed corpus entries live in testdata/fuzz/FuzzFaultSchedule;
+// seed_zero_cycle is a flap with a 0 s cycle that would otherwise re-arm at
+// one instant forever.
 func FuzzFaultSchedule(f *testing.F) {
-	f.Add(int8(8), int8(4), int8(12), uint8(0), uint8(0), int8(40), int8(16), int64(1))
-	f.Add(int8(0), int8(8), int8(8), uint8(77), uint8(20), int8(0), int8(-3), int64(7))
-	f.Add(int8(8), int8(-1), int8(2), uint8(0), uint8(0), int8(16), int8(0), int64(0))
-	f.Fuzz(func(t *testing.T, first, down, up int8, jitter, count uint8, until, part int8, seed int64) {
+	f.Add(uint8(8), int8(4), int8(12), uint8(0), int8(40), uint8(16), int64(1))
+	f.Add(uint8(0), int8(8), int8(8), uint8(77), int8(127), uint8(3), int64(7))
+	f.Add(uint8(8), int8(-1), int8(2), uint8(0), int8(16), uint8(0), int64(0))
+	f.Fuzz(func(t *testing.T, first uint8, down, up int8, jitter uint8, until int8, part uint8, seed int64) {
 		flap := FlapSpec{Link: "x", FirstDownAt: float64(first) / 8, DownDur: float64(down) / 8,
-			UpDur: float64(up) / 8, Jitter: float64(jitter) / 256, Count: int(count), Until: float64(until) / 8}
+			UpDur: float64(up) / 8, Jitter: float64(jitter) / 256, Until: float64(until) / 8}
 		s := &FaultSchedule{
-			Events: []FaultEvent{{At: float64(part) / 8, Kind: FaultPartition, Links: []string{"y"}}},
+			Events: []FaultEvent{{At: float64(part) / 8, Down: true, Links: []string{"y"}}},
 			Flaps:  []FlapSpec{flap},
 		}
-		malformed := flap.DownDur < 0 || flap.UpDur < 0 ||
-			flap.Count <= 0 && flap.Until > 0 && flap.DownDur+flap.UpDur <= 0
-		var evs []FaultEvent
+		malformed := flap.DownDur < 0 || flap.UpDur < 0 || flap.DownDur+flap.UpDur <= 0
+		var acts []refAct
 		func() {
 			defer func() {
 				r := recover()
@@ -440,35 +555,32 @@ func FuzzFaultSchedule(f *testing.F) {
 				}
 				msg, _ := r.(string)
 				if !malformed || !strings.Contains(msg, `netem: flap on link "x"`) {
-					t.Fatalf("Materialize(%+v) panicked: %v", flap, r)
+					t.Fatalf("Install(%+v) panicked: %v", flap, r)
 				}
 			}()
-			evs = s.Materialize(nil, rand.New(rand.NewSource(seed)))
+			acts = runAgainstRef(t, s, seed)
 			if malformed {
-				t.Fatalf("Materialize(%+v) returned %d events, want a panic", flap, len(evs))
+				t.Fatalf("Install(%+v) ran %d acts, want a panic", flap, len(acts))
 			}
 		}()
 		if malformed {
 			return
 		}
-		if !sort.SliceIsSorted(evs, func(i, j int) bool { return evs[i].At < evs[j].At }) {
-			t.Fatalf("events not sorted by At: %+v", evs)
-		}
 		parts, open := 0, 0
-		for _, ev := range evs {
-			switch ev.Kind {
-			case FaultPartition:
+		for _, a := range acts {
+			switch {
+			case a.links[0] == "y":
 				parts++
-			case FaultLinkDown:
+			case a.down:
 				open++
-			case FaultLinkUp:
+			default:
 				if open--; open < 0 {
-					t.Fatalf("an up of x comes before its down: %+v", evs)
+					t.Fatalf("an up of x comes before its down: %+v", acts)
 				}
 			}
 		}
 		if parts != 1 || open != 0 {
-			t.Fatalf("%d partitions, %d downs of x without an up: %+v", parts, open, evs)
+			t.Fatalf("%d partitions, %d downs of x without an up: %+v", parts, open, acts)
 		}
 	})
 }

@@ -40,9 +40,9 @@ func StartVarying(eng *sim.Engine, bottleneck *Link, fwd, rev *Route, spec Varyi
 		if now >= stop {
 			return
 		}
-		rate := spec.RateMin + rng.Float64()*(spec.RateMax-spec.RateMin)
-		rtt := spec.RTTMin + rng.Float64()*(spec.RTTMax-spec.RTTMin)
-		loss := spec.LossMin + rng.Float64()*(spec.LossMax-spec.LossMin)
+		rate := spec.RateMin + float64(rng.Float64()*(spec.RateMax-spec.RateMin))
+		rtt := spec.RTTMin + float64(rng.Float64()*(spec.RTTMax-spec.RTTMin))
+		loss := spec.LossMin + float64(rng.Float64()*(spec.LossMax-spec.LossMin))
 		bottleneck.SetRate(rate)
 		bottleneck.SetLossRate(loss)
 		fwd.SetDelay(0, rtt/2)

@@ -62,7 +62,7 @@ func (a *CubicAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 	}
 
 	t := now - a.epochStart + est.MinRTT
-	target := a.origin + a.C*(t-a.k)*(t-a.k)*(t-a.k)
+	target := a.origin + float64(a.C*(t-a.k)*(t-a.k)*(t-a.k))
 
 	// Cubic growth toward target over one RTT.
 	if target > a.cwnd {

@@ -65,7 +65,7 @@ func (a *IllinoisAlgo) alphaBeta() (alpha, beta float64) {
 	default:
 		// k3 + k4*da linear between (d2, BetaMin) and (d3, BetaMax).
 		k4 := (a.BetaMax - a.BetaMin) / (d3 - d2)
-		beta = a.BetaMin + k4*(da-d2)
+		beta = a.BetaMin + float64(k4*(da-d2))
 	}
 	return alpha, beta
 }

@@ -42,7 +42,7 @@ func (a *WestwoodAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 		if a.bwe == 0 {
 			a.bwe = sample
 		} else {
-			a.bwe = 0.9*a.bwe + 0.1*sample
+			a.bwe = float64(0.9*a.bwe) + float64(0.1*sample)
 		}
 		a.epochStart = now
 		a.epochAcked = 0

@@ -48,7 +48,7 @@ func (g *Game) Loss(sum float64) float64 {
 func (g *Game) Utility(xi, rest float64) float64 {
 	l := g.Loss(xi + rest)
 	t := xi * (1 - l)
-	return t*sigmoid(l-g.LossCap, g.Alpha) - xi*l
+	return float64(t*sigmoid(l-g.LossCap, g.Alpha)) - float64(xi*l)
 }
 
 func sigmoid(y, alpha float64) float64 {

@@ -77,7 +77,7 @@ func TransitStub(s TransitStubSpec) *Graph {
 			if j == i || (s.TransitRouters == 2 && i == 1) {
 				continue
 			}
-			delay := 0.002 + 0.006*rng.Float64()
+			delay := 0.002 + float64(0.006*rng.Float64())
 			g.AddDuplex(fmt.Sprintf("t%d:%d-%d", d, i, j), tr(d, i), tr(d, j),
 				s.TransitRateMbps, delay, 0, linkBufBytes)
 		}
@@ -89,12 +89,12 @@ func TransitStub(s TransitStubSpec) *Graph {
 		if e == d || (s.Transits == 2 && d == 1) {
 			continue
 		}
-		delay := 0.010 + 0.030*rng.Float64()
+		delay := 0.010 + float64(0.030*rng.Float64())
 		g.AddDuplex(fmt.Sprintf("x%d", d), tr(d, 0), tr(e, 0),
 			s.TransitRateMbps, delay, 0, linkBufBytes)
 	}
 	if s.Transits >= 4 && s.TransitRouters >= 2 {
-		delay := 0.010 + 0.030*rng.Float64()
+		delay := 0.010 + float64(0.030*rng.Float64())
 		g.AddDuplex("xc", tr(0, 1), tr(s.Transits/2, 1),
 			s.TransitRateMbps, delay, 0, linkBufBytes)
 	}
@@ -107,11 +107,11 @@ func TransitStub(s TransitStubSpec) *Graph {
 				for j := 0; j < s.StubRouters; j++ {
 					g.AddNode(sr(j))
 				}
-				access := 0.001 + 0.004*rng.Float64()
+				access := 0.001 + float64(0.004*rng.Float64())
 				g.AddDuplex(fmt.Sprintf("a%d.%d.%d", d, i, k), tr(d, i), sr(0),
 					s.StubRateMbps, access, 0, linkBufBytes)
 				for j := 1; j < s.StubRouters; j++ {
-					delay := 0.0005 + 0.0015*rng.Float64()
+					delay := 0.0005 + float64(0.0015*rng.Float64())
 					g.AddDuplex(fmt.Sprintf("s%d.%d.%d:%d", d, i, k, j), sr(j-1), sr(j),
 						s.StubRateMbps, delay, 0, linkBufBytes)
 				}

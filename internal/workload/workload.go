@@ -41,7 +41,7 @@ func ParetoFlowKB(rng *rand.Rand, alpha float64, minKB, maxKB int) int {
 	lo, hi := float64(minKB), float64(maxKB)
 	u := rng.Float64()
 	// Inverse CDF of the Pareto truncated to [lo, hi].
-	x := lo / math.Pow(1-u*(1-math.Pow(lo/hi, alpha)), 1/alpha)
+	x := lo / math.Pow(1-float64(u*(1-math.Pow(lo/hi, alpha))), 1/alpha)
 	if x > hi {
 		x = hi
 	}
@@ -63,7 +63,7 @@ type PathSample struct {
 func SampleInternetPaths(n int, seed int64) []PathSample {
 	rng := sim.NewSeeds(seed).NextRand()
 	logU := func(lo, hi float64) float64 {
-		return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+		return math.Exp(math.Log(lo) + float64(rng.Float64()*(math.Log(hi)-math.Log(lo))))
 	}
 	paths := make([]PathSample, n)
 	for i := range paths {
