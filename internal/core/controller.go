@@ -259,6 +259,15 @@ func (c *Controller) deliver(role miRole, stats MIStats) {
 	}
 }
 
+// abandon takes back an MI that finalized with no evidence. A trial of the
+// running round can never be delivered, so the round starts over at the same
+// base rate and ε; anything else is simply dropped.
+func (c *Controller) abandon(role miRole) {
+	if role.kind == roleTrial && c.state == StateDecision && role.round == c.round {
+		c.enterDecision(false)
+	}
+}
+
 // concludeRound applies the §3.2 decision rule once all trial utilities of
 // the current round are known.
 func (c *Controller) concludeRound() {

@@ -187,6 +187,55 @@ func TestControllerRCTConclusiveUp(t *testing.T) {
 	if c.Rate() <= base {
 		t.Fatalf("rate %v after conclusive up, want > %v", c.Rate(), base)
 	}
+	t.Run("degenerate-trial", pccRowDegenerateTrial)
+}
+
+// pccRowDegenerateTrial idles a sender mid-round, so a trial MI of the
+// running round closes having sent nothing and finalizes with no evidence.
+// The round must start over rather than wait for that result: rounds keep
+// concluding after the gap.
+func pccRowDegenerateTrial(t *testing.T) {
+	const capacity, rtt = 20e6 / 8, 0.03
+	p := New(DefaultConfig(rtt), rand.New(rand.NewSource(4)))
+	p.Start(0)
+	type ack struct {
+		at  float64
+		seq int64
+	}
+	var acks []ack // one RTT for every packet keeps them in order
+	deliver := func(now float64) {
+		for ; len(acks) > 0 && acks[0].at <= now; acks = acks[1:] {
+			p.OnAck(acks[0].seq, rtt, acks[0].at)
+		}
+	}
+	now, seq, credit := 0.0, int64(0), 0.0
+	stalled := int64(-1) // decisions when the gap opened
+	for now < 8 {
+		deliver(now)
+		if stalled < 0 && p.ctl.State() == StateDecision &&
+			p.ctl.trialsLeft > 0 && p.ctl.trialsLeft < p.ctl.numTrials() {
+			stalled = p.ctl.Decisions()
+			for end := now + 0.5; now < end; now += 0.005 {
+				deliver(now)
+				p.Rate(now)
+			}
+			continue
+		}
+		r := p.Rate(now)
+		p.OnSend(seq, MSS, now)
+		if credit += min(1, capacity/r); credit >= 1 { // the bottleneck drops the excess
+			credit--
+			acks = append(acks, ack{now + rtt, seq})
+		}
+		seq++
+		now += MSS / r
+	}
+	if stalled < 0 {
+		t.Fatal("test bug: the sender never idled mid-round")
+	}
+	if got := p.ctl.Decisions(); got <= stalled {
+		t.Fatalf("%d rounds concluded after the gap (%d before it): the round stalled on its empty trial", got-stalled, stalled)
+	}
 }
 
 func TestControllerInconclusiveGrowsEpsilon(t *testing.T) {

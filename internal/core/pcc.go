@@ -378,7 +378,11 @@ func (p *PCC) finalize(m *mi) {
 	}
 	dur := m.end - m.start
 	if dur <= 0 || m.sent == 0 {
-		return // degenerate MI (realigned immediately); no evidence
+		// Degenerate MI (realigned immediately, or idle): no evidence. A
+		// trial of the running round restarts the round, which would
+		// otherwise wait for this result forever.
+		p.ctl.abandon(m.role)
+		return
 	}
 	lost := m.sent - m.acked
 	if lost < 0 {

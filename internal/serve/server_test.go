@@ -292,20 +292,23 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 	resp.Body.Close()
 
 	// The scheduler must observe the cancellation: all reserved slots come
-	// back and no unit keeps running.
+	// back, no unit keeps running, and the sweep is counted cancelled. The
+	// sweep's finish counts it only after its last reservation is released,
+	// so both are awaited under one deadline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := srv.sched.Stats()
-		if st.Reserved == 0 {
+		n := srv.sweepsCancelled.Load()
+		if st.Reserved == 0 && n == 1 {
 			break
 		}
+		if n > 1 {
+			t.Fatalf("sweepsCancelled = %d, want 1", n)
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("reservations never drained: %+v", st)
+			t.Fatalf("after 5 s: reservations %+v, sweepsCancelled = %d; want none reserved and 1 cancelled", st, n)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if n := srv.sweepsCancelled.Load(); n != 1 {
-		t.Errorf("sweepsCancelled = %d, want 1", n)
 	}
 
 	// Counted goroutine check: once the server's conn handler and workers go

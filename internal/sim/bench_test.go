@@ -25,8 +25,9 @@ func BenchmarkEventChurn(b *testing.B) {
 }
 
 // BenchmarkEventChurnDeep measures pop cost over many pending far timers
-// (they sit in the overflow heap, off the pop path) — the first worst case of
-// a sorted near-run, had they been let into it.
+// (all but the first nearMin wait in level 2, off the pop path, filed back
+// into their slots as the cursor laps them) — the first worst case of a
+// sorted near-run, had they all been let into it.
 func BenchmarkEventChurnDeep(b *testing.B) {
 	e := NewEngine()
 	const pending = 4096
@@ -120,7 +121,9 @@ func BenchmarkWANTimers(b *testing.B) {
 }
 
 // BenchmarkTickCrowd is the second worst case of a sorted near-run: 4096
-// events inside one 8 µs tick, scheduled in random order.
+// events inside one 8 µs tick, scheduled in random order. Insertion from the
+// back makes it O(k²) in the crowd size; no experiment or workload makes such
+// a crowd, so nothing bounds it (see wheel.go).
 func BenchmarkTickCrowd(b *testing.B) {
 	const crowd = 4096
 	rng := rand.New(rand.NewSource(1))
@@ -136,7 +139,7 @@ func BenchmarkTickCrowd(b *testing.B) {
 		}
 		e.Run()
 	}
-	round(crowd) // size the near-run, spill and slot once
+	round(crowd) // size the near-run and slot once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := b.N; n > 0; n -= crowd {

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// These tests pin the dispatcher: however events reach it — straight off the
-// overflow heap, promoted from a wheel slot, through a pipe's self-rearming
+// These tests pin the dispatcher: however events reach it — placed straight
+// into the near-run, flushed from a wheel slot, through a pipe's self-rearming
 // delivery slot, or via the pipe's shrinking-delay engine fallback — the
 // observable firing order is the engine-wide (at, seq) total order, and
 // Pending always equals the number of events that will actually fire.
@@ -40,7 +40,7 @@ func (m *burstModel) expected() []int {
 }
 
 // TestBurstDispatchTotalOrder drives a seeded random workload through every
-// scheduling structure at once — heap events, wheel-banded events, stoppable
+// scheduling structure at once — near-run events, wheel-banded events, stoppable
 // timers, two pipe trains (with naturally occurring shrinking-delay
 // fallbacks), same-instant ties, nested same-tick scheduling from inside
 // callbacks, and mid-run timer stops — and asserts the firing order equals
@@ -74,7 +74,7 @@ func TestBurstDispatchTotalOrder(t *testing.T) {
 				}
 				if len(timers) > 0 && rng.Intn(8) == 0 {
 					// Mid-run stop of a strictly-future timer: its event is
-					// already placed (heap, wheel or near-run) and must be
+					// already placed (wheel or near-run) and must be
 					// skipped by the dead-check at execution.
 					k := rng.Intn(len(timers))
 					lt := timers[k]
@@ -89,7 +89,7 @@ func TestBurstDispatchTotalOrder(t *testing.T) {
 
 			// Dense sub-millisecond instants open the timing wheel and force
 			// heavy same-instant collisions across structures; the sparse far
-			// band keeps the heap in play past the wheel horizon.
+			// band (1 to 2.75 s) keeps level 2 in play.
 			instant := func() float64 {
 				if rng.Intn(10) == 0 {
 					return 1.0 + float64(rng.Intn(8))*0.25
@@ -357,7 +357,7 @@ func burstRowSameInstant(t *testing.T) {
 // arbitrary seeded sequence of schedules, cancels, pipe posts and Resets,
 // Engine.Pending equals the number of events that actually fire. This
 // covers the subtle counting paths — the armed pipe head (counted once,
-// not twice), dead wheel entries and dead heap events.
+// not twice), dead wheel entries and dead near-run events.
 func TestPendingMatchesReality(t *testing.T) {
 	for _, seed := range []int64{3, 99, 2026} {
 		seed := seed
@@ -394,7 +394,7 @@ func TestPendingMatchesReality(t *testing.T) {
 					}
 				}
 				// Cancel a random subset before running: dead events linger
-				// in the heap and wheel and must be excluded from Pending.
+				// in the near-run and wheel and must be excluded from Pending.
 				for _, tm := range timers {
 					if rng.Intn(3) == 0 && tm.Stop() {
 						expect--

@@ -75,7 +75,7 @@ func TestPipeFlushRepostBeforeSlotTime(t *testing.T) {
 
 // TestPipeFlushRepostAfterSlotTime re-arms a flushed pipe only after the
 // clock has passed the dead slot's timestamp, which proves the dead slot
-// already popped (dead events at the heap top are released before any
+// already popped (dead events at the near-run's head are released before any
 // later-time event runs) and the pipe may re-use it directly.
 func TestPipeFlushRepostAfterSlotTime(t *testing.T) {
 	e := NewEngine()

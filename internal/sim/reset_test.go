@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// runScript schedules a fixed workload on e (heap, wheel, pipe and timer
+// runScript schedules a fixed workload on e (near-run, wheel, pipe and timer
 // traffic) and returns the observed firing order. It is deliberately shaped
 // so events land in every scheduling structure: a dense near-future band
-// (wheel), same-instant ties (heap), a pipe train, and a cancelled timer.
+// (wheel), same-instant ties (near-run), a pipe train, and a cancelled timer.
 func runScript(e *Engine) []int {
 	var order []int
 	rec := func(id int) func() { return func() { order = append(order, id) } }
@@ -55,7 +55,7 @@ func TestEngineResetReproducesFreshRun(t *testing.T) {
 }
 
 // TestEngineResetReclaimsArgs verifies Reset hands every live arg-carrying
-// event and pipe entry to the reclaim callback exactly once — heap events,
+// event and pipe entry to the reclaim callback exactly once — near-run events,
 // wheel-bucketed events, and pipe entries — and nothing else: not cancelled
 // timers, and not the pipe's armed delivery slot, whose arg is the pipe.
 func TestEngineResetReclaimsArgs(t *testing.T) {
@@ -64,7 +64,7 @@ func TestEngineResetReclaimsArgs(t *testing.T) {
 	fn := func(any) {}
 	p := e.NewPipe(fn)
 	want := map[int]bool{}
-	// Heap band (near-empty engine keeps these in the heap).
+	// Near-run band (a near-empty engine places these there directly).
 	e.PostArg(0.5, fn, 1)
 	e.PostArg(1.0, fn, 2)
 	want[1], want[2] = true, true

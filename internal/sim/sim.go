@@ -80,8 +80,8 @@ func (t *Timer) Active() bool {
 }
 
 // entry is an event with its ordering key inline, so comparisons stay
-// within the near-run's (or the overflow heap's) own backing array instead of
-// chasing an *Event cache line per compare.
+// within the near-run's own backing array instead of chasing an *Event cache
+// line per compare.
 type entry struct {
 	at  Time
 	seq uint64
@@ -95,24 +95,20 @@ func evLess(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
-// nearShiftMax bounds the work of one nearInsert: an event that belongs more
-// than this many places from the back of the near-run goes to spill instead,
-// and spill is sorted and merged in one pass before the next pop. A crowd of
-// k events inside one tick therefore costs O(k log k), not O(k²), whether it
-// arrives by direct placement or as one flushed slot.
-const nearShiftMax = 64
-
 // nearInsert puts ev into the near-run by insertion from the back. Nearly
 // every arrival — the contents of the next slot, a timer re-armed a few
-// microseconds out — belongs at or near the back.
+// microseconds out — belongs at or near the back. A crowd of k arrivals in
+// random order inside one tick costs O(k²) moves; no workload makes one (see
+// wheel.go).
 func (e *Engine) nearInsert(ev *Event) {
 	it := entry{at: ev.at, seq: ev.seq, ev: ev}
-	if k := len(e.near) - nearShiftMax; k > e.head && evLess(&it, &e.near[k-1]) {
-		e.spill = append(e.spill, it)
-		return
-	}
 	if len(e.near) == cap(e.near) {
-		e.nearRoom(1)
+		// Reclaim the consumed prefix before growing.
+		if e.head > 0 {
+			e.near = e.near[:copy(e.near, e.near[e.head:])]
+			e.head = 0
+		}
+		e.near = slices.Grow(e.near, 1)
 	}
 	n := e.near[:len(e.near)+1]
 	i := len(n) - 1
@@ -121,16 +117,6 @@ func (e *Engine) nearInsert(ev *Event) {
 	}
 	n[i] = it
 	e.near = n
-}
-
-// nearRoom makes room for extra more entries, reclaiming the consumed prefix
-// before growing.
-func (e *Engine) nearRoom(extra int) {
-	if e.head > 0 {
-		e.near = e.near[:copy(e.near, e.near[e.head:])]
-		e.head = 0
-	}
-	e.near = slices.Grow(e.near, extra)
 }
 
 // nearPop removes and returns the head of the near-run. Consumed entries
@@ -146,96 +132,6 @@ func (e *Engine) nearPop() *Event {
 	return ev
 }
 
-// mergeSpill sorts spill and merges it into the near-run from the back.
-func (e *Engine) mergeSpill() {
-	sp := e.spill
-	slices.SortFunc(sp, func(a, b entry) int {
-		if evLess(&a, &b) {
-			return -1
-		}
-		return 1 // (at, seq) keys are unique
-	})
-	if len(e.near)+len(sp) > cap(e.near) {
-		e.nearRoom(len(sp))
-	}
-	i, j := len(e.near)-1, len(sp)-1
-	n := e.near[:len(e.near)+len(sp)]
-	for o := len(n) - 1; j >= 0; o-- {
-		if i >= e.head && evLess(&sp[j], &n[i]) {
-			n[o] = n[i]
-			i--
-		} else {
-			n[o] = sp[j]
-			j--
-		}
-	}
-	e.near = n
-	e.spill = sp[:0]
-}
-
-// eventHeap is a 4-ary min-heap ordered by (at, seq), holding the overflow
-// band: events beyond the wheel's horizon (see wheel.go). It is implemented
-// directly rather than via container/heap to keep Less/Swap dynamic dispatch
-// out of it.
-type eventHeap []entry
-
-func (h eventHeap) siftUp(i int) {
-	it := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !evLess(&it, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = it
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	it := h[i]
-	for {
-		c := i*4 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if evLess(&h[j], &h[m]) {
-				m = j
-			}
-		}
-		if !evLess(&h[m], &it) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = it
-}
-
-func (h *eventHeap) push(ev *Event) {
-	*h = append(*h, entry{at: ev.at, seq: ev.seq, ev: ev})
-	h.siftUp(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() *Event {
-	old := *h
-	top := old[0].ev
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine. Engine is not safe for concurrent use: a simulation is a
 // single-threaded computation by design.
@@ -243,13 +139,10 @@ type Engine struct {
 	now     Time
 	nextSeq uint64
 	// near is the sorted run that decides firing order, consumed from
-	// near[head]; spill is its unsorted annex; over is the beyond-horizon
-	// overflow heap; wheel buckets everything in between. See wheel.go for
-	// the bands and their invariants.
+	// near[head]; wheel buckets everything later. See wheel.go for the bands
+	// and their invariants.
 	near  []entry
 	head  int
-	spill []entry
-	over  eventHeap
 	wheel wheel
 	stats Stats
 	// pipes lists every FIFO delay line (see pipe.go); entries there are
@@ -287,9 +180,10 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 // in, how long the near-run really is — and is plain field increments: no
 // allocation, no flag, and nothing here ever reaches a report.
 type Stats struct {
-	// Placed counts placements by band (BandNear … BandOverflow).
+	// Placed counts placements by band (BandNear … BandL2).
 	Placed [numBands]uint64
-	// Cascades counts events moved down from a coarser band.
+	// Cascades counts events a level-1 or level-2 slot handed on: moved down
+	// a level, or filed back into level 2 to wait for a later lap.
 	Cascades uint64
 	// Advances counts the probes that had to move the wheel cursor; NearSum
 	// and NearMax are the near-run's length right after each — when it is
@@ -385,13 +279,11 @@ func (e *Engine) place(ev *Event) {
 		}
 		// With no level holding anything the cursor carries no information
 		// and may be stale in either direction: a quiet stretch leaves it
-		// behind the clock, peek parks it past every tick or jumps it to the
-		// overflow band. Either way inserts would land in the wrong band and
-		// the wheel would silently degrade to one sorted run. The cursor
-		// invariants are vacuous here, so snapping it to the clock is always
-		// safe; the overflow band may have come within the horizon.
+		// behind the clock, peek parks it past every tick. Either way inserts
+		// would land in the wrong band and the wheel would silently degrade
+		// to one sorted run. The cursor invariants are vacuous here, so
+		// snapping it to the clock is always safe.
 		e.wheel.cur = tickOf(e.now)
-		e.refill()
 	}
 	e.stats.Placed[e.bucket(ev)]++
 }
@@ -487,8 +379,7 @@ func (e *Engine) SetStop(stop func() bool) { e.stop = stop }
 
 // Reset returns the engine to its initial state — clock at zero, no queued
 // events, sequence counter restarted — while retaining every piece of
-// allocated storage: the near-run's and overflow heap's backing arrays, the
-// wheel's slot arrays, each registered Pipe's ring, and the event free list.
+// allocated storage: the near-run's backing array, the wheel's slot arrays, each registered Pipe's ring, and the event free list.
 // A reset engine therefore schedules its next simulation without the warm-up
 // allocations a fresh NewEngine pays, and (because nextSeq restarts at zero)
 // produces exactly the event sequence a fresh engine would.
@@ -509,12 +400,10 @@ func (e *Engine) Reset(reclaim func(arg any)) {
 		}
 		e.release(ev)
 	}
-	for _, run := range [][]entry{e.near[e.head:], e.spill, e.over} {
-		for i := range run {
-			drop(run[i].ev)
-		}
+	for _, it := range e.near[e.head:] {
+		drop(it.ev)
 	}
-	e.near, e.head, e.spill, e.over = e.near[:0], 0, e.spill[:0], e.over[:0]
+	e.near, e.head = e.near[:0], 0
 	w := &e.wheel
 	for l := range w.levels {
 		for wi, word := range w.levels[l].occupied {
@@ -535,8 +424,8 @@ func (e *Engine) Reset(reclaim func(arg any)) {
 			}
 		}
 		p.head, p.count, p.armed = 0, 0, false
-		// A slot marked stale by Flush is fully released here (every near-run,
-		// wheel and overflow entry goes through release), so it is safe to
+		// A slot marked stale by Flush is fully released here (every near-run
+		// and wheel entry goes through release), so it is safe to
 		// reuse immediately, and any dynamic fallback event is recycled the
 		// same way.
 		p.stale, p.dyn = false, nil
@@ -571,18 +460,16 @@ func (e *Engine) DropPipe(p *Pipe) {
 }
 
 // Pending returns the number of live queued events, wherever they reside:
-// the near-run, the timing wheel, the overflow heap, or a Pipe (pipe entries
+// the near-run, the timing wheel, or a Pipe (pipe entries
 // cannot be cancelled, so all of them count as live). Work a component keeps
 // outside the engine — a netem link's wire head and its inbox of
 // DrawSeq-stamped arrivals — is not counted; such a component keeps an event
 // of its own pending while it holds any.
 func (e *Engine) Pending() int {
 	n := 0
-	for _, run := range [][]entry{e.near[e.head:], e.spill, e.over} {
-		for i := range run {
-			if !run[i].ev.dead {
-				n++
-			}
+	for _, it := range e.near[e.head:] {
+		if !it.ev.dead {
+			n++
 		}
 	}
 	for l := range e.wheel.levels {
@@ -625,7 +512,7 @@ func (e *Engine) run(lim Time) {
 		// cursor (wheel.go, invariant 3). Spelled out here because a call per
 		// event is measurable on a near-empty engine.
 		var ev *Event
-		if it := e.near[e.head:]; len(it) > 0 && len(e.spill) == 0 && !it[0].ev.dead && e.wheel.cur > tickOf(it[0].at) {
+		if it := e.near[e.head:]; len(it) > 0 && !it[0].ev.dead && e.wheel.cur > tickOf(it[0].at) {
 			ev = it[0].ev
 		} else if ev = e.peek(bound); ev == nil {
 			break

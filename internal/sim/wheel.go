@@ -15,13 +15,14 @@ import (
 //	near      a run sorted by (at, seq) and consumed from the front: every
 //	          event whose tick is behind the cursor. This, and only this,
 //	          decides firing order. Pop is an index bump; an arrival enters
-//	          by a short insertion from the back.
+//	          by insertion from the back.
 //	level 0-2 three rings of 256 slots, 1 / 256 / 65 536 ticks wide, reaching
 //	          2 ms / 524 ms / 134 s ahead. O(1) to enter, unordered inside a
 //	          slot. Level-0 slots are flushed into the near-run as the cursor
 //	          passes; upper slots cascade down a level as it enters them.
-//	overflow  a 4-ary heap for the rare event beyond 134 s, refilled into the
-//	          wheel as the horizon reaches it and never read when popping.
+//	          Level 2's ring laps: an event past its 134 s reach waits in its
+//	          slot and is filed back there each time the cursor enters the
+//	          slot, until the lap it is due in comes round.
 //
 // Placement is a cost policy and nothing else: whichever band an event
 // starts in, it reaches the near-run before it can be the earliest pending
@@ -30,45 +31,55 @@ import (
 //
 // Measured on the 120-node / 200-flow WAN trial (Engine.Stats, 4.75 M events
 // since access hops post into the links they feed): 96.2 % of placements land
-// in level 0, 2.1 % in level 1, 1.7 % in the near-run, 0.02 % in level 2 and
-// none in the overflow heap; the cursor moves once per 8.1 events and the
+// in level 0, 2.1 % in level 1, 1.7 % in the near-run and 0.02 % in level 2,
+// none of those past its reach; the cursor moves once per 8.1 events and the
 // near-run is 9.5 entries long right after it has (its longest), 28 at most.
 // TestStatsWANTimers holds a synthetic copy of that traffic to those numbers.
+// Far events and crowds get no structure of their own, because no workload
+// has enough of them to pay for one. A far event is filed back once per 134 s
+// the cursor walks and costs nothing over laps it jumps; no experiment or
+// benchmark workload places one. A crowd of k arrivals in random order inside
+// one tick costs O(k²) insertion moves (BenchmarkTickCrowd); only wan at
+// -scale 1 ever inserted an arrival more than 64 places from the back, 5 429
+// times in the run.
 //
 // Invariants:
 //
-//  1. Every event in a level or in the overflow heap has tickOf(at) >= cur:
-//     an event enters a level only with tick >= cur, and cur passes a tick
-//     only by flushing that tick's level-0 slot into the near-run.
-//  2. near[head:] is sorted by (at, seq). spill is the unsorted remainder of
-//     a crowd — arrivals that belonged more than nearShiftMax places from
-//     the back — and is sorted and merged before the next pop.
-//  3. The near-run's head may fire once cur > tickOf(head.at) and spill is
-//     empty. tickOf is monotone (a correctly rounded multiply by a positive
-//     constant, then truncation), so by (1) everything outside the near-run
-//     then has a strictly later timestamp. No extra tick of float slack is
-//     needed; integer time would not shorten this.
+//  1. Every event in a level has tickOf(at) >= cur: an event enters a level
+//     only with tick >= cur, and cur passes a tick only by flushing that
+//     tick's level-0 slot into the near-run.
+//  2. near[head:] is sorted by (at, seq).
+//  3. The near-run's head may fire once cur > tickOf(head.at). tickOf is
+//     monotone (a correctly rounded multiply by a positive constant, then
+//     truncation), so by (1) everything outside the near-run then has a
+//     strictly later timestamp. No extra tick of float slack is needed;
+//     integer time would not shorten this.
 //  4. The level-k slot covering cur's own level-(k-1) block holds nothing due
-//     in that block: it is cascaded down at the moment cur enters the block,
-//     so a ring index never means two laps at once. (What bucket files there
-//     afterwards is due one lap later and waits for the next entry.)
+//     in that block: it is cascaded down at the moment cur enters the block.
+//     (What bucket files there afterwards is due a lap or more later and
+//     waits for a later entry.) A level-1 slot holds one lap at most; a
+//     level-2 slot may hold many, and entering it moves down what is due in
+//     the lap being entered and files the rest back into the same slot,
+//     behind the read position of the slot being taken, so one pass sees
+//     each event once.
 //  5. Bounded flush: one probe moves the cursor no further than one tick past
 //     the first occupied slot, never to the tick of a far event that happens
 //     to head the near-run, and never past the bound of a RunUntil.
 //     So while anything is bucketed cur is at most one tick ahead of the
-//     clock, and the near-run holds about one tick of traffic. With every
-//     level empty the cursor carries no information: peek parks it past
-//     every tick, and place snaps it back to the clock before the next
-//     insert.
+//     clock, and the near-run holds about one tick of traffic. With levels 0
+//     and 1 empty the cursor jumps to the lap of level 2's earliest event,
+//     which takes a scan of level 2 made only when a probe would otherwise
+//     walk into an empty lap, never per event. With every level empty the
+//     cursor carries no information: peek parks it past every tick, and
+//     place snaps it back to the clock before the next insert.
 //  6. A cancelled event is released where the scheduler meets it — flushing,
-//     cascading, refilling, or at the near-run's head — and never travels
-//     further. In particular a Pipe delivery slot killed by Pipe.Flush stays
-//     lodged where it was (a slot, the near-run, spill) only until
-//     the scheduler passes its timestamp: no later event fires before the
-//     cursor has passed the dead arming's tick (3), flushed its slot (1) and
-//     popped it off the near-run (2). Once the clock is strictly past that
-//     timestamp the slot is free, which is what Pipe.arm's stale check
-//     relies on.
+//     cascading, or at the near-run's head — and never travels further. In
+//     particular a Pipe delivery slot killed by Pipe.Flush stays lodged where
+//     it was (a slot or the near-run) only until the scheduler passes its
+//     timestamp: no later event fires before the cursor has passed the dead
+//     arming's tick (3), flushed its slot (1) and popped it off the near-run
+//     (2). Once the clock is strictly past that timestamp the slot is free,
+//     which is what Pipe.arm's stale check relies on.
 const (
 	wheelBits      = 8
 	wheelSlotCount = 1 << wheelBits // slots per level
@@ -80,11 +91,10 @@ const (
 	// (less insertion work) but flushes more, emptier slots.
 	wheelGranularity = 8e-6
 	wheelInvGran     = 1 / wheelGranularity
-	// wheelSpan0/1 are the level-0 and level-1 horizons in ticks;
-	// wheelHorizon is where the overflow band begins.
-	wheelSpan0   = 1 << wheelBits
-	wheelSpan1   = 1 << (2 * wheelBits)
-	wheelHorizon = 1 << (wheelLevels * wheelBits)
+	// wheelSpan0/1 are the level-0 and level-1 horizons in ticks; a
+	// level-1 lap is one level-2 slot.
+	wheelSpan0 = 1 << wheelBits
+	wheelSpan1 = 1 << (2 * wheelBits)
 )
 
 // tickOf is monotone in at, which invariant 3 rests on; timestamps too large
@@ -179,7 +189,6 @@ const (
 	BandL0
 	BandL1
 	BandL2
-	BandOverflow
 	numBands
 )
 
@@ -198,17 +207,14 @@ func (e *Engine) bucket(ev *Event) int {
 	case d < wheelSpan1:
 		w.put(1, int((t>>wheelBits)&wheelMask), ev)
 		return BandL1
-	case d < wheelHorizon:
-		w.put(2, int((t>>(2*wheelBits))&wheelMask), ev)
-		return BandL2
 	}
-	e.over.push(ev)
-	return BandOverflow
+	w.put(2, int((t>>(2*wheelBits))&wheelMask), ev)
+	return BandL2
 }
 
-// rebucket moves events that left a coarser band (a cascaded slot, the
-// overflow heap) to where they belong now. Cancelled events are released
-// here instead of travelling further.
+// rebucket moves an event that left a cascaded slot to where it belongs now:
+// a lower band, or back into its level-2 slot when its lap is still to come.
+// Cancelled events are released here instead of travelling further.
 func (e *Engine) rebucket(ev *Event) {
 	if ev.dead {
 		e.release(ev)
@@ -220,27 +226,19 @@ func (e *Engine) rebucket(ev *Event) {
 
 // cascade runs when cur enters a new level-0 block: the level-1 slot covering
 // the block moves down, preceded — when the block also opens a level-1 lap —
-// by the level-2 slot covering that lap and by whatever part of the overflow
-// band the horizon now reaches (invariant 4).
+// by the level-2 slot covering that lap (invariant 4). An event of that slot
+// due in a later lap is filed back into it: take left the slot empty over the
+// same backing array, so each re-filed event is written at or behind the
+// index being read.
 func (e *Engine) cascade() {
 	w := &e.wheel
 	if w.cur&(wheelSpan1-1) == 0 {
-		e.refill()
 		for _, ev := range w.take(2, int((w.cur>>(2*wheelBits))&wheelMask)) {
 			e.rebucket(ev)
 		}
 	}
 	for _, ev := range w.take(1, int((w.cur>>wheelBits)&wheelMask)) {
 		e.rebucket(ev)
-	}
-}
-
-// refill moves every overflow event the horizon has reached into the wheel.
-// It runs at each level-1 lap boundary and after each cursor jump, which is
-// 65 536 ticks or more before any such event is due.
-func (e *Engine) refill() {
-	for len(e.over) > 0 && tickOf(e.over[0].at)-e.wheel.cur < wheelHorizon {
-		e.rebucket(e.over.pop())
 	}
 }
 
@@ -265,8 +263,11 @@ func (e *Engine) advance(lim int64) {
 		} else {
 			if w.levels[0].n == 0 && w.levels[1].n == 0 {
 				// Only level 2 holds anything, and none of it before the next
-				// level-1 lap: skip the empty blocks in one step.
-				stop = min(lim, w.cur|(wheelSpan1-1)+1)
+				// level-1 lap: skip the empty blocks in one step, and the empty
+				// laps too when the step would cross into one.
+				if stop = min(lim, w.cur|(wheelSpan1-1)+1); stop < lim {
+					stop = min(lim, w.earliestLap())
+				}
 			}
 			w.cur = stop
 		}
@@ -274,6 +275,20 @@ func (e *Engine) advance(lim int64) {
 			e.cascade()
 		}
 	}
+}
+
+// earliestLap returns the first tick of the level-1 lap holding level 2's
+// earliest event. It scans all of level 2, so advance calls it only to cross
+// an empty lap.
+func (w *wheel) earliestLap() int64 {
+	l := &w.levels[2]
+	t := int64(math.MaxInt64)
+	for s := l.nextOccupied(0); s >= 0; s = l.nextOccupied(s + 1) {
+		for _, ev := range l.slots[s] {
+			t = min(t, tickOf(ev.at))
+		}
+	}
+	return t &^ (wheelSpan1 - 1)
 }
 
 // peek advances the scheduler just far enough that the earliest live pending
@@ -285,9 +300,6 @@ func (e *Engine) advance(lim int64) {
 func (e *Engine) peek(bound int64) *Event {
 	w := &e.wheel
 	for {
-		if len(e.spill) > 0 {
-			e.mergeSpill()
-		}
 		for e.head < len(e.near) && e.near[e.head].ev.dead {
 			e.release(e.nearPop())
 		}
@@ -301,31 +313,17 @@ func (e *Engine) peek(bound int64) *Event {
 			lim = min(lim, bound)
 		}
 		if w.count == 0 {
-			if len(e.over) == 0 {
-				// Nothing outside the near-run: park the cursor past every
-				// tick so run's inline test passes without a second condition
-				// (place resets it before anything is bucketed again).
-				w.cur = math.MaxInt64
-				return head
-			}
-			if head != nil && evLess(&e.near[e.head], &e.over[0]) {
-				return head
-			}
-			// The overflow top is the earliest pending event. With every
-			// level empty the cursor may jump straight to it.
-			ot := tickOf(e.over[0].at)
-			if ot >= bound {
-				return nil
-			}
-			w.cur = ot
-			e.refill()
-			continue
+			// Nothing outside the near-run: park the cursor past every tick
+			// so run's inline test passes without a second condition (place
+			// resets it before anything is bucketed again).
+			w.cur = math.MaxInt64
+			return head
 		}
 		if w.cur >= bound {
 			return nil
 		}
 		e.advance(lim)
-		live := uint64(len(e.near) - e.head + len(e.spill))
+		live := uint64(len(e.near) - e.head)
 		e.stats.Advances++
 		e.stats.NearSum += live
 		e.stats.NearMax = max(e.stats.NearMax, live)

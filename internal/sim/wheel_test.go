@@ -1,16 +1,37 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// wheelHorizon is level 2's reach in ticks, one lap of its ring: an event
+// further out than this from the cursor waits in its slot for a later lap.
+const wheelHorizon = 1 << (wheelLevels * wheelBits)
+
+// pastReach counts the level-2 events that wait for a later lap.
+func pastReach(e *Engine) int {
+	n := 0
+	for _, s := range e.wheel.levels[2].slots {
+		for _, ev := range s {
+			if tickOf(ev.at)-e.wheel.cur >= wheelHorizon {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // loadEngine parks enough far-future ballast that place() engages the
 // timing wheel (the nearMin bypass is a cost policy for near-empty
-// engines; these tests want the wheel exercised).
+// engines; these tests want the wheel exercised). Half of it heads the
+// near-run, half waits in level 2 past its reach.
 func loadEngine(e *Engine) {
 	for i := 0; i < 2*nearMin; i++ {
 		e.At(1e6+float64(i), func() {})
@@ -18,8 +39,8 @@ func loadEngine(e *Engine) {
 }
 
 // TestWheelOrderAcrossBands schedules events in every scheduling band — the
-// near-run (same tick), levels 0 to 2, and the overflow heap beyond the
-// horizon — and asserts global (at, seq) execution order.
+// near-run (same tick) and levels 0 to 2, within level 2's reach and laps
+// beyond it — and asserts global (at, seq) execution order.
 func TestWheelOrderAcrossBands(t *testing.T) {
 	e := NewEngine()
 	loadEngine(e)
@@ -41,6 +62,85 @@ func TestWheelOrderAcrossBands(t *testing.T) {
 	}
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("events out of order: %v", got)
+	}
+	for _, busy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("far/busy=%v", busy), func(t *testing.T) { wheelRowFar(t, busy) })
+	}
+	t.Run("refiled-once", wheelRowRefiledOnce)
+}
+
+// wheelRowFar posts events at 1e9 s, 3e12 s and +Inf, alone or beside a busy
+// 1 ms chain. Run must fire them in (at, seq) order, and reach them by
+// jumping the cursor to their laps: walking there would take over 10¹² laps.
+func wheelRowFar(t *testing.T, busy bool) {
+	e := NewEngine()
+	loadEngine(e)
+	var m burstModel
+	var fired []int
+	post := func(at float64, then func()) {
+		id := m.add(at)
+		e.At(at, func() {
+			fired = append(fired, id)
+			if then != nil {
+				then()
+			}
+		})
+	}
+	for _, at := range []float64{3e12, 1e9, math.Inf(1), 1e9, math.Inf(1), 3e12} {
+		post(at, nil)
+	}
+	if busy {
+		left := 2000
+		var chain func()
+		chain = func() {
+			if left--; left > 0 {
+				post(e.Now()+1e-3, chain)
+			}
+		}
+		post(1e-3, chain)
+	}
+	if pastReach(e) == 0 {
+		t.Fatal("test bug: nothing waits past level 2's reach")
+	}
+	start := time.Now()
+	e.Run()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("Run took %v to reach the far events, want < 100 ms", took)
+	}
+	checkOrder(t, fired, &m)
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after Run, want 0", e.Pending())
+	}
+}
+
+// wheelRowRefiledOnce keeps the cursor walking every lap (a 0.3 s ticker in
+// level 1) past an event 1000 s out, which waits in its level-2 slot and is
+// filed back there each 134 s the cursor laps it: it must stay put until its
+// own lap and fire exactly once, at its time.
+func wheelRowRefiledOnce(t *testing.T) {
+	e := NewEngine()
+	loadEngine(e)
+	const far = 1000.3
+	reach := far - wheelHorizon*wheelGranularity // the far event is past reach before this
+	fires, waited := 0, 0
+	var at float64
+	tm := e.At(far, func() { fires++; at = e.Now() })
+	var tick func()
+	tick = func() {
+		if e.Now() < reach && tm.Active() && slices.Contains(e.wheel.levels[2].slots[tickOf(far)>>(2*wheelBits)&wheelMask], tm.ev) {
+			waited++
+		}
+		if e.Now() < far+1 {
+			e.After(0.3, tick)
+		}
+	}
+	e.After(0.3, tick)
+	e.RunUntil(far + 2)
+	if fires != 1 || at != far {
+		t.Fatalf("the far event fired %d times (last at %v), want once at %v", fires, at, far)
+	}
+	if ticks := int(reach / 0.3); waited < ticks {
+		t.Fatalf("the far event was in its level-2 slot on %d of the %d ticks before its lap, want all", waited, ticks)
 	}
 }
 
@@ -150,8 +250,8 @@ func TestWheelOrderProperty(t *testing.T) {
 // wheelRowRefill keeps the cursor walking (a 0.7 s ticker, so laps are
 // crossed rather than jumped) under events scattered to three horizons out,
 // some scheduled up front and some from callbacks: every one of them starts
-// in the overflow heap or level 2 and must be refilled and cascaded down in
-// time to fire in (at, seq) order.
+// in level 2, many past its reach, and must wait there for its lap and be
+// cascaded down in time to fire in (at, seq) order.
 func wheelRowRefill(t *testing.T) {
 	t.Parallel()
 	const horizon = wheelHorizon * wheelGranularity
@@ -176,13 +276,13 @@ func wheelRowRefill(t *testing.T) {
 	for at := 0.7; at < 5*horizon; at += 0.7 {
 		add(at, 0)
 	}
-	if e.Stats().Placed[BandOverflow] == 0 {
-		t.Fatal("test bug: nothing was placed beyond the horizon")
+	if pastReach(e) == 0 {
+		t.Fatal("test bug: nothing was placed beyond level 2's reach")
 	}
 	e.Run()
 	checkOrder(t, fired, &m)
 	if e.Stats().Cascades == 0 {
-		t.Fatal("nothing was cascaded or refilled")
+		t.Fatal("nothing was cascaded or filed back")
 	}
 }
 
@@ -197,7 +297,7 @@ func wheelRowWindowEdge(t *testing.T) {
 		0.001,                    // level 0
 		0.25,                     // level 1
 		60,                       // level 2
-		500,                      // overflow
+		500,                      // past level 2's reach
 	}
 	e := NewEngine()
 	loadEngine(e)
@@ -262,7 +362,9 @@ func TestWheelRunUntilBoundary(t *testing.T) {
 // scheduling for the rest of the run).
 func TestWheelReactivatesAfterIdle(t *testing.T) {
 	e := NewEngine()
-	loadEngine(e) // far ballast keeps the near-run above nearMin
+	for i := 0; i < nearMin; i++ {
+		e.At(1e6+float64(i), func() {}) // far ballast fills the near-run to nearMin
+	}
 	e.After(0.01, func() {})
 	e.RunUntil(10) // drain the wheel, coast ~10x past the horizon
 	if e.wheel.count != 0 {
@@ -281,8 +383,8 @@ func TestWheelReactivatesAfterIdle(t *testing.T) {
 	}
 }
 
-// TestWheelPending counts live events across heap, wheel, and stopped
-// timers.
+// TestWheelPending counts live events across the near-run, the wheel, and
+// stopped timers.
 func TestWheelPending(t *testing.T) {
 	e := NewEngine()
 	loadEngine(e)
@@ -316,7 +418,7 @@ func TestWheelCursorStaysAtClock(t *testing.T) {
 		if e.wheel.count > 0 {
 			maxLead = max(maxLead, e.wheel.cur-tickOf(e.Now()))
 		}
-		maxNear = max(maxNear, len(e.near)-e.head+len(e.spill))
+		maxNear = max(maxNear, len(e.near)-e.head)
 	}
 	for i := 1; i <= 1000; i++ {
 		e.At(float64(i)*100e-6, check)
@@ -335,15 +437,19 @@ func TestWheelCursorStaysAtClock(t *testing.T) {
 
 // TestStatsWANTimers drives the measured traffic shape (see wanTimers) and
 // checks wheel.go's header as numbers: the near-run stays short, nothing
-// overflows, the cursor stays at the clock, and a Reset engine re-running the
-// schedule allocates nothing (every slot it touches kept its capacity).
+// waits past level 2's reach, the cursor stays at the clock, and a Reset
+// engine re-running the schedule allocates nothing (every slot it touches
+// kept its capacity).
 func TestStatsWANTimers(t *testing.T) {
 	e := NewEngine()
-	left := 0
+	left, far := 0, 0
 	var maxLead int64
 	fired := func() {
 		if e.wheel.count > 0 {
 			maxLead = max(maxLead, e.wheel.cur-tickOf(e.Now()))
+		}
+		if e.Processed()%1024 == 0 {
+			far = max(far, pastReach(e))
 		}
 		if left--; left <= 0 {
 			e.Halt()
@@ -359,8 +465,8 @@ func TestStatsWANTimers(t *testing.T) {
 	if mean := float64(st.NearSum) / float64(st.Advances); mean > 11 {
 		t.Errorf("mean near-run after an advance = %.1f entries, want <= 11 (%+v)", mean, st)
 	}
-	if st.Placed[BandOverflow] != 0 {
-		t.Errorf("%d placements overflowed the wheel, want 0", st.Placed[BandOverflow])
+	if far != 0 {
+		t.Errorf("%d events waited past level 2's reach, want 0", far)
 	}
 	if maxLead > 1 {
 		t.Errorf("cursor ran %d ticks ahead of the clock, want at most 1", maxLead)
