@@ -25,6 +25,7 @@ import (
 
 	"pcc/internal/core"
 	"pcc/internal/exp"
+	"pcc/internal/netem"
 	"pcc/internal/tcp"
 )
 
@@ -77,11 +78,14 @@ func main() {
 
 	if *series {
 		fmt.Println("\nt(s)  " + strings.Join(labels, "  "))
+		series := make([][]float64, len(handles))
+		for i, f := range handles {
+			series[i] = f.SeriesMbps()
+		}
 		n := int(*dur)
 		for s := 0; s < n; s++ {
 			row := fmt.Sprintf("%4d", s)
-			for _, f := range handles {
-				sr := f.SeriesMbps()
+			for _, sr := range series {
 				v := 0.0
 				if s < len(sr) {
 					v = sr[s]
@@ -93,15 +97,17 @@ func main() {
 	}
 }
 
-// validatePath rejects the path flags the harness cannot simulate: an
-// unknown queue kind, a rate, RTT or duration that is not positive, a
-// negative buffer (a drop-tail queue would read it as unbounded), or a loss
+// validatePath rejects the path flags the harness cannot simulate: a queue
+// kind netem.NewQueue does not know (or an empty one, which it would read as
+// drop-tail), a rate, RTT or duration that is not positive, a negative
+// buffer (a drop-tail queue would read it as unbounded), or a loss
 // probability outside [0, 1).
 func validatePath(rateMbps, rtt, dur, loss float64, buf int, queue string) error {
-	switch queue {
-	case "droptail", "codel", "fq", "fqcodel":
-	default:
-		return fmt.Errorf("unknown queue kind %q (droptail, codel, fq, fqcodel)", queue)
+	if queue == "" {
+		return fmt.Errorf("unknown queue kind %q: -queue must name one", queue)
+	}
+	if _, err := netem.NewQueue(queue, buf); err != nil {
+		return err
 	}
 	for _, f := range []struct {
 		name string

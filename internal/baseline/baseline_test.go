@@ -57,7 +57,7 @@ func TestPCPJumpsOnCleanProbe(t *testing.T) {
 		t.Fatalf("probe rate %v not above base %v", got, r0)
 	}
 	// Deliver a clean train: constant RTT → success → jump.
-	for i := int64(0); i < int64(p.TrainLen); i++ {
+	for i := int64(0); i < pcpTrainLen; i++ {
 		p.OnSend(i, 1500, 0.01)
 		p.OnAck(i, 0.030, 0.02)
 	}
@@ -73,7 +73,7 @@ func TestPCPBacksOffOnQueueingEvidence(t *testing.T) {
 	p.Rate(0.01)
 	r0 := p.baseRate
 	// RTT grows sharply across the train: candidate unavailable.
-	for i := int64(0); i < int64(p.TrainLen); i++ {
+	for i := int64(0); i < pcpTrainLen; i++ {
 		p.OnSend(i, 1500, 0.01)
 		p.OnAck(i, 0.030+float64(i)*0.005, 0.02)
 	}

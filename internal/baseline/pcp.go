@@ -14,13 +14,6 @@ package baseline
 // paper observes: latency jitter from queueing (including the flow's own)
 // corrupts the estimate and PCP systematically under-uses clean links.
 type PCP struct {
-	// ProbeInterval separates probe trains (default 0.2 s).
-	ProbeInterval float64
-	// TrainLen is the number of packets inspected per probe (default 8).
-	TrainLen int
-	// Aggressiveness is the candidate multiplier (default 1.5).
-	Aggressiveness float64
-
 	rate      float64
 	probing   bool
 	probeRate float64
@@ -36,24 +29,28 @@ type PCP struct {
 	started   bool
 }
 
+// PCP's probing parameters.
+const (
+	pcpProbeInterval  float64 = 0.2 // seconds between probe trains
+	pcpTrainLen               = 8   // packets inspected per probe
+	pcpAggressiveness float64 = 1.5 // candidate-rate multiplier
+)
+
 // NewPCP builds a PCP sender starting at initRate bytes/s.
 func NewPCP(initRate float64) *PCP {
 	if initRate <= 0 {
 		initRate = 1e6 / 8 // PCP's 1 Mbps initial rate from the paper's footnote
 	}
-	return &PCP{ProbeInterval: 0.2, TrainLen: 8, Aggressiveness: 1.5, rate: initRate, minRTT: 1e9}
+	return &PCP{rate: initRate, minRTT: 1e9}
 }
 
 // Reset restores the state NewPCP(initRate) builds, in place.
 func (p *PCP) Reset(initRate float64) { *p = *NewPCP(initRate) }
 
-// Name implements cc.RateAlgo.
-func (p *PCP) Name() string { return "pcp" }
-
 // Start implements cc.RateAlgo.
 func (p *PCP) Start(now float64) {
 	p.started = true
-	p.nextProbe = now + p.ProbeInterval
+	p.nextProbe = now + pcpProbeInterval
 }
 
 // Rate implements cc.RateAlgo.
@@ -61,7 +58,7 @@ func (p *PCP) Rate(now float64) float64 {
 	if !p.probing && now >= p.nextProbe {
 		p.probing = true
 		p.baseRate = p.rate
-		p.probeRate = p.rate * p.Aggressiveness
+		p.probeRate = p.rate * pcpAggressiveness
 		p.trainSent = 0
 		p.trainAcks = 0
 		p.firstRTT = 0
@@ -97,12 +94,12 @@ func (p *PCP) OnAck(seq int64, rtt float64, now float64) {
 	}
 	p.lastRTT = rtt
 	p.trainAcks++
-	if p.trainAcks < p.TrainLen {
+	if p.trainAcks < pcpTrainLen {
 		return
 	}
 	// Probe verdict: if the queue grew by less than a quarter of the
 	// train's own duration, the candidate bandwidth is deemed available.
-	trainDur := float64(p.TrainLen) * 1500 / p.probeRate
+	trainDur := float64(pcpTrainLen) * 1500 / p.probeRate
 	growth := p.lastRTT - p.firstRTT
 	if growth < 0.25*trainDur {
 		p.rate = p.probeRate
@@ -117,7 +114,7 @@ func (p *PCP) OnAck(seq int64, rtt float64, now float64) {
 		}
 	}
 	p.probing = false
-	p.nextProbe = now + p.ProbeInterval
+	p.nextProbe = now + pcpProbeInterval
 }
 
 // OnLost implements cc.RateAlgo: PCP treats loss as strong congestion
@@ -125,7 +122,7 @@ func (p *PCP) OnAck(seq int64, rtt float64, now float64) {
 func (p *PCP) OnLost(seq int64, now float64) {
 	if p.probing {
 		p.probing = false
-		p.nextProbe = now + p.ProbeInterval
+		p.nextProbe = now + pcpProbeInterval
 	}
 	if seq > p.lastDec {
 		p.rate /= 2

@@ -22,11 +22,6 @@ type Sabul struct {
 	// CapacityHint is the link-capacity estimate (bytes/s) the packet-pair
 	// estimator would converge to.
 	CapacityHint float64
-	// SYN is the rate-control interval (UDT: 10 ms).
-	SYN float64
-	// Beta is UDT's increase scaling constant (1.5e-6 packets per bit of
-	// spare capacity, quantized by decimal order of magnitude).
-	Beta float64
 
 	rate       float64 // bytes/s
 	lastSyn    float64
@@ -36,17 +31,22 @@ type Sabul struct {
 	started    bool
 }
 
+const (
+	// sabulSYN is UDT's rate-control interval, seconds.
+	sabulSYN float64 = 0.01
+	// sabulBeta is UDT's increase scaling constant: 1.5e-6 packets per bit
+	// of spare capacity, quantized by decimal order of magnitude.
+	sabulBeta float64 = 1.5e-6
+)
+
 // NewSabul builds a SABUL/UDT sender with the given capacity estimate.
 func NewSabul(capacityHint float64) *Sabul {
-	return &Sabul{CapacityHint: capacityHint, SYN: 0.01, Beta: 1.5e-6, rate: 16 * 1500}
+	return &Sabul{CapacityHint: capacityHint, rate: 16 * 1500}
 }
 
 // Reset restores the state NewSabul(capacityHint) builds, in place (the
 // constructor call inlines and its literal stays on the stack).
 func (s *Sabul) Reset(capacityHint float64) { *s = *NewSabul(capacityHint) }
-
-// Name implements cc.RateAlgo.
-func (s *Sabul) Name() string { return "sabul" }
 
 // Start implements cc.RateAlgo.
 func (s *Sabul) Start(now float64) {
@@ -56,8 +56,8 @@ func (s *Sabul) Start(now float64) {
 
 // advance runs the per-SYN rate update.
 func (s *Sabul) advance(now float64) {
-	for now-s.lastSyn >= s.SYN {
-		s.lastSyn += s.SYN
+	for now-s.lastSyn >= sabulSYN {
+		s.lastSyn += sabulSYN
 		if s.lossInSyn {
 			s.lossInSyn = false
 			continue
@@ -69,12 +69,12 @@ func (s *Sabul) advance(now float64) {
 		if spare <= 0 {
 			incPkts = 1.0 / 1500
 		} else {
-			incPkts = math.Pow(10, math.Ceil(math.Log10(spare))) * s.Beta / 1500
+			incPkts = math.Pow(10, math.Ceil(math.Log10(spare))) * sabulBeta / 1500
 			if incPkts < 1.0/1500 {
 				incPkts = 1.0 / 1500
 			}
 		}
-		s.rate += incPkts * 1500 / s.SYN
+		s.rate += incPkts * 1500 / sabulSYN
 	}
 }
 

@@ -114,7 +114,6 @@ type WindowAlgo interface {
 
 // RateAlgo is a rate-based congestion control algorithm (PCC, SABUL, PCP).
 type RateAlgo interface {
-	Name() string
 	// Start is called once when the flow begins.
 	Start(now float64)
 	// Rate returns the current target pacing rate in bytes/s. The harness

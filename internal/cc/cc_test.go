@@ -163,7 +163,6 @@ func TestWindowSenderThroughputMatchesWindow(t *testing.T) {
 // fixedRate is a test RateAlgo pacing at a constant rate.
 type fixedRate struct{ r float64 }
 
-func (f *fixedRate) Name() string                              { return "fixedrate" }
 func (f *fixedRate) Start(now float64)                         {}
 func (f *fixedRate) Rate(now float64) float64                  { return f.r }
 func (f *fixedRate) OnSend(seq int64, size int, now float64)   {}

@@ -163,8 +163,8 @@ func (c *Controller) nextMI() miRole {
 		c.step++
 		c.prevAdjRate = c.rate
 		c.rate *= 1 + float64(float64(c.step)*c.cfg.EpsMin*float64(c.dir))
-		if c.rate < c.cfg.MinRate {
-			c.rate = c.cfg.MinRate
+		if c.rate < c.cfg.minRate() {
+			c.rate = c.cfg.minRate()
 		}
 		return miRole{kind: roleAdjust, rate: c.rate, step: c.step}
 	}
@@ -211,8 +211,8 @@ func (c *Controller) deliver(role miRole, stats MIStats) {
 			// Utility decreased: return to the previous (half) rate and
 			// start making decisions (§3.2 Starting State).
 			c.rate = role.rate / 2
-			if c.rate < c.cfg.MinRate {
-				c.rate = c.cfg.MinRate
+			if c.rate < c.cfg.minRate() {
+				c.rate = c.cfg.minRate()
 			}
 			c.enterDecision(true)
 			c.rateChanged = true
@@ -244,8 +244,8 @@ func (c *Controller) deliver(role miRole, stats MIStats) {
 			// decision making (§3.2 Rate Adjusting State).
 			c.reversions++
 			c.rate = role.rate / (1 + float64(float64(role.step)*c.cfg.EpsMin*float64(c.dir)))
-			if c.rate < c.cfg.MinRate {
-				c.rate = c.cfg.MinRate
+			if c.rate < c.cfg.minRate() {
+				c.rate = c.cfg.minRate()
 			}
 			c.enterDecision(true)
 			c.rateChanged = true
@@ -306,8 +306,8 @@ func (c *Controller) concludeRound() {
 	}
 	// Conclusive: move to r(1±ε) and enter Rate Adjusting.
 	c.rate *= 1 + float64(float64(c.dir)*c.eps)
-	if c.rate < c.cfg.MinRate {
-		c.rate = c.cfg.MinRate
+	if c.rate < c.cfg.minRate() {
+		c.rate = c.cfg.minRate()
 	}
 	c.state = StateAdjusting
 	c.step = 0

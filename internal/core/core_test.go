@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -25,14 +26,14 @@ func mkMI(rateMbps, tputMbps, loss float64, sent int64) MIStats {
 }
 
 func TestSafeUtilityMonotoneInThroughput(t *testing.T) {
-	u := NewSafeUtility()
+	u := &SafeUtility{}
 	if u.Eval(mkMI(10, 10, 0, 1000)) <= u.Eval(mkMI(5, 5, 0, 1000)) {
 		t.Fatal("utility must grow with loss-free throughput")
 	}
 }
 
 func TestSafeUtilityLossKnee(t *testing.T) {
-	u := NewSafeUtility()
+	u := &SafeUtility{}
 	below := u.Eval(mkMI(100, 98, 0.02, 10000))
 	above := u.Eval(mkMI(100, 90, 0.10, 10000))
 	if below <= 0 {
@@ -44,7 +45,7 @@ func TestSafeUtilityLossKnee(t *testing.T) {
 }
 
 func TestSafeUtilityForgivesSingleLoss(t *testing.T) {
-	u := NewSafeUtility()
+	u := &SafeUtility{}
 	// One loss in a 10-packet MI reads as 10% but must not trip the cliff.
 	s := mkMI(1, 0.9, 0.1, 10)
 	if u.Eval(s) <= 0 {
@@ -59,7 +60,7 @@ func TestSafeUtilityForgivesSingleLoss(t *testing.T) {
 
 // Property: safe utility never rewards pure loss increase.
 func TestSafeUtilityLossMonotoneProperty(t *testing.T) {
-	u := NewSafeUtility()
+	u := &SafeUtility{}
 	f := func(l1, l2 uint8) bool {
 		a := float64(l1%50) / 100
 		b := float64(l2%50) / 100
@@ -85,7 +86,7 @@ func TestLossResilientUtility(t *testing.T) {
 }
 
 func TestLatencyUtilityPenalizesRTT(t *testing.T) {
-	u := NewLatencyUtility()
+	u := &LatencyUtility{}
 	low := mkMI(40, 40, 0, 1000)
 	high := mkMI(40, 40, 0, 1000)
 	high.AvgRTT = 0.2
@@ -125,7 +126,6 @@ func newTestController(noRCT bool) *Controller {
 // uses cfg.Utility.Eval, so tests inject a constant-utility function.
 type constUtility struct{ u *float64 }
 
-func (c constUtility) Name() string           { return "const" }
 func (c constUtility) Eval(m MIStats) float64 { return *c.u }
 
 func TestControllerStartingDoublesUntilUtilityDrop(t *testing.T) {
@@ -406,6 +406,19 @@ func TestDefaultConfigValidation(t *testing.T) {
 			}
 			return ""
 		}},
+		// The rate floor is 2 packets per second of the size the sender
+		// ends up with, even when PacketSize is set after DefaultConfig
+		// (an unstarted sender reports its floor).
+		{"packetsize-after-default", func() Config {
+			c := DefaultConfig(0.05)
+			c.PacketSize = 512
+			return c
+		}(), func(p *PCC) string {
+			if r := p.Rate(0); r != 2*512 {
+				return fmt.Sprintf("rate floor %v, want 1024", r)
+			}
+			return ""
+		}},
 	} {
 		p := New(tc.cfg, nil)
 		if msg := tc.check(p); msg != "" {
@@ -419,12 +432,12 @@ func TestHeavyLossAndInteractiveConfigs(t *testing.T) {
 	if h.MinPktsPerMI < 100 {
 		t.Fatalf("heavy-loss MI floor = %d", h.MinPktsPerMI)
 	}
-	if h.Utility.Name() != "loss-resilient" {
-		t.Fatalf("heavy-loss utility = %s", h.Utility.Name())
+	if _, ok := h.Utility.(LossResilientUtility); !ok {
+		t.Fatalf("heavy-loss utility = %T", h.Utility)
 	}
 	i := InteractiveConfig(0.03)
-	if i.Utility.Name() != "latency" {
-		t.Fatalf("interactive utility = %s", i.Utility.Name())
+	if _, ok := i.Utility.(*LatencyUtility); !ok {
+		t.Fatalf("interactive utility = %T", i.Utility)
 	}
 	if i.MIRttHi >= 1.7 {
 		t.Fatalf("interactive MI bound = %v, want tighter than default", i.MIRttHi)
@@ -438,8 +451,8 @@ func TestUtilityConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MinPktsPerMI != 100 || r.Utility.Name() != "loss-resilient" {
-		t.Errorf("resilient: MinPktsPerMI %d, utility %s; want 100, loss-resilient", r.MinPktsPerMI, r.Utility.Name())
+	if _, ok := r.Utility.(LossResilientUtility); r.MinPktsPerMI != 100 || !ok {
+		t.Errorf("resilient: MinPktsPerMI %d, utility %T; want 100, LossResilientUtility", r.MinPktsPerMI, r.Utility)
 	}
 	for name, want := range map[string]Config{
 		"safe":      DefaultConfig(rtt),
@@ -450,12 +463,17 @@ func TestUtilityConfig(t *testing.T) {
 			t.Errorf("%s: %+v, %v; want %+v", name, got, err, want)
 		}
 	}
-	if v, err := UtilityConfig("vivace", rtt); err != nil || v.Utility.Name() != "vivace" {
+	if v, err := UtilityConfig("vivace", rtt); err != nil || !isVivace(v.Utility) {
 		t.Errorf("vivace: %+v, %v; want the Vivace utility", v, err)
 	}
 	if _, err := UtilityConfig("fast", rtt); err == nil || !strings.Contains(err.Error(), `unknown utility "fast"`) {
 		t.Errorf("fast: error %v, want unknown utility", err)
 	}
+}
+
+func isVivace(u Utility) bool {
+	_, ok := u.(*VivaceUtility)
+	return ok
 }
 
 // BenchmarkPCCPacket times one Rate+OnSend+OnAck cycle on a synthetic clock

@@ -30,8 +30,6 @@ type Config struct {
 	// InitialRate is the Starting-state entry rate, bytes/s (paper:
 	// 2·MSS/RTT; callers seed it from their RTT hint).
 	InitialRate float64
-	// MinRate floors the controlled rate, bytes/s.
-	MinRate float64
 	// NoRCT disables randomized controlled trials (single comparison per
 	// decision), reproducing the "PCC without RCT" line of Fig. 16.
 	NoRCT bool
@@ -40,7 +38,8 @@ type Config struct {
 	FinalizeRTTs float64
 	// PacketSize is the data packet size in bytes the sender will use
 	// (default MSS). The monitor uses it for the MinPktsPerMI duration
-	// floor and to infer the caller's RTT hint back from InitialRate; the
+	// floor and to infer the caller's RTT hint back from InitialRate, and
+	// the controlled rate never falls below 2·PacketSize bytes/s; the
 	// per-packet byte accounting itself always uses the true size reported
 	// at OnSend.
 	PacketSize int
@@ -52,7 +51,7 @@ type Config struct {
 // serve every flow of every concurrently running trial — saving one
 // allocation per flow per trial on the sweeps' setup path. Callers wanting
 // different knobs build their own (&SafeUtility{...}).
-var defaultSafeUtility = NewSafeUtility()
+var defaultSafeUtility = &SafeUtility{}
 
 // DefaultConfig returns the paper's default parameters with the safe
 // utility and an initial rate derived from rttHint (2·MSS/RTT).
@@ -68,7 +67,6 @@ func DefaultConfig(rttHint float64) Config {
 		MIRttHi:      2.2,
 		MinPktsPerMI: 10,
 		InitialRate:  2 * MSS / rttHint,
-		MinRate:      2 * MSS, // 2 packets/s absolute floor
 		FinalizeRTTs: 1.5,
 	}
 }
@@ -77,6 +75,7 @@ func DefaultConfig(rttHint float64) Config {
 // applied: the MinPktsPerMI duration floor, the initial rate and the rate
 // floor all scale to the flow's packet size (2 packets per RTT / per
 // second, as DefaultConfig's MSS-based values do for 1500-byte flows).
+// Only the initial rate is written here; the other two follow PacketSize.
 func SizedConfig(rttHint float64, packetSize int) Config {
 	c := DefaultConfig(rttHint)
 	if packetSize <= 0 || packetSize == MSS {
@@ -87,7 +86,6 @@ func SizedConfig(rttHint float64, packetSize int) Config {
 	}
 	c.PacketSize = packetSize
 	c.InitialRate = 2 * float64(packetSize) / rttHint
-	c.MinRate = 2 * float64(packetSize)
 	return c
 }
 
@@ -110,7 +108,7 @@ func HeavyLossConfig(rttHint float64) Config {
 // to queue build-up before the queue's own RTT inflation slows it down.
 func InteractiveConfig(rttHint float64) Config {
 	c := DefaultConfig(rttHint)
-	c.Utility = NewLatencyUtility()
+	c.Utility = &LatencyUtility{}
 	c.MIRttLo, c.MIRttHi = 1.0, 1.3
 	c.FinalizeRTTs = 1.1
 	return c
@@ -129,7 +127,7 @@ func UtilityConfig(name string, rttHint float64) (Config, error) {
 		return HeavyLossConfig(rttHint), nil
 	case "vivace":
 		c := DefaultConfig(rttHint)
-		c.Utility = NewVivaceUtility()
+		c.Utility = &VivaceUtility{}
 		return c, nil
 	}
 	return Config{}, fmt.Errorf("unknown utility %q (safe, latency, resilient, vivace)", name)
@@ -214,14 +212,15 @@ func (cfg Config) normalize() Config {
 	if cfg.InitialRate <= 0 {
 		cfg.InitialRate = 2 * float64(cfg.PacketSize) / 0.1 // 2 packets per 100 ms absent a hint
 	}
-	if cfg.MinRate <= 0 {
-		cfg.MinRate = 2 * float64(cfg.PacketSize) // 2 packets/s absolute floor
-	}
 	if cfg.FinalizeRTTs <= 0 {
 		cfg.FinalizeRTTs = 1.5
 	}
 	return cfg
 }
+
+// minRate is the floor of the controlled rate, bytes/s: 2 packets per
+// second of a normalized config's PacketSize.
+func (cfg Config) minRate() float64 { return 2 * float64(cfg.PacketSize) }
 
 // initialSRTT is the monitor's smoothed-RTT seed: the caller's RTT hint
 // inferred back from InitialRate = 2·pkt/RTT (100 ms absent a hint, which
@@ -276,9 +275,6 @@ func (p *PCC) Controller() *Controller { return p.ctl }
 
 // SRTT returns the smoothed RTT the monitor tracks.
 func (p *PCC) SRTT() float64 { return p.srtt }
-
-// Name implements cc.RateAlgo.
-func (p *PCC) Name() string { return "pcc" }
 
 // Start implements cc.RateAlgo.
 func (p *PCC) Start(now float64) {
@@ -419,7 +415,7 @@ func (p *PCC) finalize(m *mi) {
 func (p *PCC) Rate(now float64) float64 {
 	p.advance(now)
 	if p.cur == nil {
-		return p.cfg.MinRate
+		return p.cfg.minRate()
 	}
 	return p.cur.role.rate
 }

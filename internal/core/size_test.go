@@ -14,7 +14,6 @@ type captureUtility struct {
 	inner Utility
 }
 
-func (c *captureUtility) Name() string { return "capture" }
 func (c *captureUtility) Eval(m MIStats) float64 {
 	c.stats = append(c.stats, m)
 	if c.inner != nil {
@@ -152,17 +151,17 @@ func TestSizedConfigScalesToPacketSize(t *testing.T) {
 	if want := 2 * 512 / 0.05; cfg.InitialRate != want {
 		t.Fatalf("InitialRate = %v, want %v", cfg.InitialRate, want)
 	}
-	if cfg.MinRate != 2*512 {
-		t.Fatalf("MinRate = %v, want %v", cfg.MinRate, 2*512.0)
-	}
 	p := New(cfg, rand.New(rand.NewSource(1)))
+	if floor := p.Rate(0); floor != 2*512 {
+		t.Fatalf("rate floor = %v, want %v", floor, 2*512.0)
+	}
 	if math.Abs(p.SRTT()-0.05) > 1e-12 {
 		t.Fatalf("srtt inferred as %v, want the 0.05 hint", p.SRTT())
 	}
 	// The default size must behave exactly as DefaultConfig (byte-identical
 	// reports depend on it).
 	d, ref := SizedConfig(0.05, MSS), DefaultConfig(0.05)
-	if d.PacketSize != ref.PacketSize || d.InitialRate != ref.InitialRate || d.MinRate != ref.MinRate {
+	if d.PacketSize != ref.PacketSize || d.InitialRate != ref.InitialRate {
 		t.Fatalf("SizedConfig(rtt, MSS) diverged from DefaultConfig: %+v vs %+v", d, ref)
 	}
 }

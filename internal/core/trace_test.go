@@ -138,7 +138,7 @@ func traceSchedules() []traceSchedule {
 			c := InteractiveConfig(0.02)
 			c.NoRCT = true
 			return c
-		}(), inner: NewLatencyUtility(), capacity: 5 * mbps, dur: 6, ackLoss: 0.05, jitter: 0.005, rtt: flat(0.02)},
+		}(), inner: &LatencyUtility{}, capacity: 5 * mbps, dur: 6, ackLoss: 0.05, jitter: 0.005, rtt: flat(0.02)},
 	}
 }
 

@@ -61,7 +61,6 @@ type MIStats struct {
 // be pure functions of the stats so the controller's comparisons are
 // meaningful.
 type Utility interface {
-	Name() string
 	Eval(m MIStats) float64
 }
 
@@ -98,29 +97,26 @@ func effectiveLoss(m MIStats) float64 {
 	return adj
 }
 
+// The §2.2 sigmoid's parameters, shared by the safe and latency utilities:
+// sigmoidAlpha is the steepness (Theorem 1 requires α ≥ max{2.2(n−1), 100})
+// and lossCap the knee, the loss rate the sigmoid caps.
+const (
+	sigmoidAlpha float64 = 100
+	lossCap      float64 = 0.05
+)
+
 // SafeUtility is the §2.2 "safe" general-purpose utility:
 //
 //	u(x) = T·Sigmoid(L−0.05) − x·L
 //
-// with T the throughput, L the loss rate and x the sending rate. The
-// sigmoid caps the worst-case loss rate near 5% and Theorem 1 proves
+// with T the throughput, L the loss rate and x the sending rate, α = 100.
+// The sigmoid caps the worst-case loss rate near 5% and Theorem 1 proves
 // competing senders using it converge to a fair equilibrium.
 type SafeUtility struct {
-	// Alpha is the sigmoid steepness; Theorem 1 requires
-	// α ≥ max{2.2(n−1), 100}. Default 100.
-	Alpha float64
-	// LossCap is the knee position (default 0.05).
-	LossCap float64
 	// NoForgiveness disables the single-loss de-noising (ablation only;
 	// see effectiveLoss).
 	NoForgiveness bool
 }
-
-// NewSafeUtility returns the default safe utility (α=100, cap 5%).
-func NewSafeUtility() *SafeUtility { return &SafeUtility{Alpha: 100, LossCap: 0.05} }
-
-// Name implements Utility.
-func (u *SafeUtility) Name() string { return "safe" }
 
 // Eval implements Utility. Rates are scored in Mbps so the two terms share
 // the paper's scale.
@@ -131,7 +127,7 @@ func (u *SafeUtility) Eval(m MIStats) float64 {
 	if u.NoForgiveness {
 		l = m.LossRate
 	}
-	return float64(t*sigmoid(l-u.LossCap, u.Alpha)) - float64(x*l)
+	return float64(t*sigmoid(l-lossCap, sigmoidAlpha)) - float64(x*l)
 }
 
 // LossResilientUtility is the §4.4.2 utility u = Throughput·(1−L): with
@@ -139,9 +135,6 @@ func (u *SafeUtility) Eval(m MIStats) float64 {
 // random loss (theoretically up to ~100%) and still keep sending at its
 // fair share.
 type LossResilientUtility struct{}
-
-// Name implements Utility.
-func (LossResilientUtility) Name() string { return "loss-resilient" }
 
 // Eval implements Utility.
 func (LossResilientUtility) Eval(m MIStats) float64 {
@@ -166,27 +159,13 @@ func (LossResilientUtility) Eval(m MIStats) float64 {
 //   - the within-MI RTT-slope penalty e^(−g·dRTT/dt) stays informative as
 //     the standing queue deepens, where the ratio terms flatten out — the
 //     same insight that later drove PCC Vivace's gradient utility.
-type LatencyUtility struct {
-	Alpha   float64
-	LossCap float64
-	// Sensitivity is the exponent on the RTT-ratio term.
-	Sensitivity float64
-	// SlopeGain weights the within-MI RTT-slope penalty. The slope is the
-	// only latency signal whose trial-to-trial difference does not vanish
-	// as the standing queue deepens, so it is what actually pins the
-	// learner just below its fair share (the same insight later drove PCC
-	// Vivace's gradient-based utility).
-	SlopeGain float64
-}
+//
+// It runs with the calibrated k = 1 (so the ratio term is RTTmin/RTT_n
+// itself) and g = latencySlopeGain, and the safe utility's sigmoid.
+type LatencyUtility struct{}
 
-// NewLatencyUtility returns the latency utility with the calibrated
-// defaults (k=1, g=30; see the type comment and DESIGN.md §4).
-func NewLatencyUtility() *LatencyUtility {
-	return &LatencyUtility{Alpha: 100, LossCap: 0.05, Sensitivity: 1, SlopeGain: 30}
-}
-
-// Name implements Utility.
-func (u *LatencyUtility) Name() string { return "latency" }
+// latencySlopeGain is g, the weight of the within-MI RTT-slope penalty.
+const latencySlopeGain float64 = 30
 
 // Eval implements Utility.
 func (u *LatencyUtility) Eval(m MIStats) float64 {
@@ -204,17 +183,13 @@ func (u *LatencyUtility) Eval(m MIStats) float64 {
 	t := m.Throughput * 8 / 1e6
 	x := m.Rate * 8 / 1e6
 	l := effectiveLoss(m)
-	k := u.Sensitivity
-	if k <= 0 {
-		k = 1
-	}
 	// The slope penalty is exponential so two trial MIs remain
 	// distinguishable no matter how steep the build-up is (a linear
 	// penalty clamped at a floor saturates, letting runaway up-moves look
 	// identical to mild ones).
-	slopeFactor := math.Exp(-u.SlopeGain * m.RTTSlope)
+	slopeFactor := math.Exp(-latencySlopeGain * m.RTTSlope)
 	if slopeFactor > 2 {
 		slopeFactor = 2
 	}
-	return (float64(t*sigmoid(l-u.LossCap, u.Alpha)*math.Pow(anchor/rtt, k)*slopeFactor) - float64(x*l)) / rtt
+	return (float64(t*sigmoid(l-lossCap, sigmoidAlpha)*(anchor/rtt)*slopeFactor) - float64(x*l)) / rtt
 }

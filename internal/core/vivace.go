@@ -13,23 +13,16 @@ import "math"
 // throughput term plus linear penalties make the multi-sender game strictly
 // socially concave, giving convergence without the sigmoid cut-off, and the
 // RTT-gradient term reacts to queue build-up long before loss occurs.
-type VivaceUtility struct {
-	// Exponent is t (default 0.9).
-	Exponent float64
-	// LatencyCoeff is b (default 50; Vivace's published 900 assumes a
-	// different rate normalization and pins the rate to zero here).
-	LatencyCoeff float64
-	// LossCoeff is c (default 11.35).
-	LossCoeff float64
-}
+type VivaceUtility struct{}
 
-// NewVivaceUtility returns the default coefficients (see field docs).
-func NewVivaceUtility() *VivaceUtility {
-	return &VivaceUtility{Exponent: 0.9, LatencyCoeff: 50, LossCoeff: 11.35}
-}
-
-// Name implements Utility.
-func (u *VivaceUtility) Name() string { return "vivace" }
+// Vivace's coefficients: the throughput exponent t, the latency coefficient
+// b (Vivace's published 900 assumes a different rate normalization and pins
+// the rate to zero here) and the loss coefficient c.
+const (
+	vivaceExponent     float64 = 0.9
+	vivaceLatencyCoeff float64 = 50
+	vivaceLossCoeff    float64 = 11.35
+)
 
 // Eval implements Utility.
 func (u *VivaceUtility) Eval(m MIStats) float64 {
@@ -38,5 +31,5 @@ func (u *VivaceUtility) Eval(m MIStats) float64 {
 		return 0
 	}
 	l := effectiveLoss(m)
-	return math.Pow(x, u.Exponent) - float64(u.LatencyCoeff*x*m.RTTSlope) - float64(u.LossCoeff*x*l)
+	return math.Pow(x, vivaceExponent) - float64(vivaceLatencyCoeff*x*m.RTTSlope) - float64(vivaceLossCoeff*x*l)
 }

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestVivaceMonotoneBelowCapacity(t *testing.T) {
-	u := NewVivaceUtility()
+	u := &VivaceUtility{}
 	lo := mkMI(10, 10, 0, 1000)
 	hi := mkMI(20, 20, 0, 1000)
 	if u.Eval(hi) <= u.Eval(lo) {
@@ -12,7 +12,7 @@ func TestVivaceMonotoneBelowCapacity(t *testing.T) {
 }
 
 func TestVivacePenalizesRTTGradient(t *testing.T) {
-	u := NewVivaceUtility()
+	u := &VivaceUtility{}
 	flat := mkMI(50, 50, 0, 1000)
 	rising := mkMI(50, 50, 0, 1000)
 	rising.RTTSlope = 0.02
@@ -29,7 +29,7 @@ func TestVivacePenalizesRTTGradient(t *testing.T) {
 }
 
 func TestVivacePenalizesLoss(t *testing.T) {
-	u := NewVivaceUtility()
+	u := &VivaceUtility{}
 	clean := mkMI(50, 50, 0, 100000)
 	lossy := mkMI(50, 47.5, 0.05, 100000)
 	if u.Eval(lossy) >= u.Eval(clean) {
@@ -38,7 +38,7 @@ func TestVivacePenalizesLoss(t *testing.T) {
 }
 
 func TestVivaceConcaveThroughput(t *testing.T) {
-	u := NewVivaceUtility()
+	u := &VivaceUtility{}
 	// Marginal utility of rate must shrink: u(20)-u(10) > u(110)-u(100).
 	d1 := u.Eval(mkMI(20, 20, 0, 1000)) - u.Eval(mkMI(10, 10, 0, 1000))
 	d2 := u.Eval(mkMI(110, 110, 0, 1000)) - u.Eval(mkMI(100, 100, 0, 1000))

@@ -27,7 +27,7 @@ func RunAblation(ctx context.Context, scale float64, seed int64) (*Report, error
 	base := func() core.Config { return core.DefaultConfig(0.030) }
 	noForgive := func() core.Config {
 		c := base()
-		c.Utility = &core.SafeUtility{Alpha: 100, LossCap: 0.05, NoForgiveness: true}
+		c.Utility = &core.SafeUtility{NoForgiveness: true}
 		return c
 	}
 	noRCT := func() core.Config {
@@ -42,7 +42,7 @@ func RunAblation(ctx context.Context, scale float64, seed int64) (*Report, error
 	}
 	vivace := func() core.Config {
 		c := base()
-		c.Utility = core.NewVivaceUtility()
+		c.Utility = &core.VivaceUtility{}
 		return c
 	}
 

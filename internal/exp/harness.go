@@ -75,8 +75,8 @@ type PathSpec struct {
 	// BufBytes is the bottleneck queue capacity in bytes (ignored for FQ
 	// kinds, which use it per flow).
 	BufBytes int
-	// QueueKind selects the AQM: "droptail" (default), "codel", "fq",
-	// "fqcodel".
+	// QueueKind selects the AQM by its netem.NewQueue name ("" is
+	// drop-tail).
 	QueueKind string
 	// Seed roots all randomness for the run.
 	Seed int64
@@ -185,35 +185,6 @@ type Runner struct {
 	faults netem.FaultInjector
 }
 
-// makeQueue builds the AQM a Path/LinkSpec asks for.
-func makeQueue(kind string, bufBytes int) netem.Queue {
-	switch kind {
-	case "", "droptail":
-		return netem.NewDropTail(bufBytes)
-	case "codel":
-		return netem.NewCoDel(bufBytes)
-	case "fq":
-		return netem.NewFQ(bufBytes)
-	case "fqcodel":
-		return netem.NewFQCoDel(bufBytes)
-	default:
-		panic(fmt.Sprintf("exp: unknown queue kind %q", kind))
-	}
-}
-
-// resetQueue re-specs a queue built by makeQueue in place for a new trial,
-// draining queued packets into pool.
-func resetQueue(q netem.Queue, bufBytes int, pool *netem.PacketPool) {
-	switch q := q.(type) {
-	case *netem.DropTail:
-		q.Reset(bufBytes, pool)
-	case *netem.CoDel:
-		q.Reset(bufBytes)
-	case *netem.FQ:
-		q.Reset(bufBytes)
-	}
-}
-
 // oneLink translates the dumbbell into the TopologySpec it is shorthand
 // for: a single zero-delay bottleneck from "senders" to "receivers" (all
 // propagation delay lives in the flows' access hops). The link is written
@@ -247,9 +218,12 @@ func NewTopologyRunner(ts TopologySpec) *Runner {
 	r.Topo = netem.NewTopology(r.Eng)
 	r.Topo.UsePool(&netem.PacketPool{})
 	for _, ls := range ts.Links {
+		q, err := netem.NewQueue(ls.QueueKind, ls.BufBytes)
+		if err != nil {
+			panic("exp: " + err.Error())
+		}
 		// No loss stream yet: respec seeds it, lazily (see netem.Rng).
-		r.Topo.AddLink(ls.Name, ls.From, ls.To, makeQueue(ls.QueueKind, ls.BufBytes),
-			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, nil)
+		r.Topo.AddLink(ls.Name, ls.From, ls.To, q, netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, nil)
 	}
 	r.bottleneck = r.Topo.LinkByName(netem.BottleneckLink)
 	r.bindSinks()
@@ -313,7 +287,7 @@ func (r *Runner) respec(ts TopologySpec) {
 		// links by registration order — no per-link map probe on a path that
 		// runs once per trial over potentially thousands of links.
 		l := r.Topo.LinkAt(i)
-		resetQueue(l.Queue, ls.BufBytes, r.Topo.Pool)
+		l.Queue.Reset(ls.BufBytes, r.Topo.Pool)
 		l.Reset(netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, r.Seeds.Next())
 	}
 	r.Path = PathSpec{Seed: ts.Seed}
@@ -497,7 +471,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			// flow's wire size, so the monitor's MI floor matches the sender.
 			pcfg.PacketSize = pktSize
 			if spec.PCCConfig != nil && pktSize != cc.MSS {
-				// Rescale the rate seeds exactly as SizedConfig would:
+				// Rescale the rate seed exactly as SizedConfig would:
 				// caller configs derive InitialRate as 2·MSS/rtt, and
 				// core.New back-solves the srtt seed from InitialRate and
 				// PacketSize — inheriting the size without rescaling the
@@ -505,7 +479,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 				// custom InitialRate with a custom size pins PacketSize in
 				// the config itself, which skips this block entirely.
 				pcfg.InitialRate = 2 * float64(pktSize) / rtt
-				pcfg.MinRate = 2 * float64(pktSize)
 			}
 		}
 		// One seed draw, at the position the fresh path's NextRand makes it.

@@ -39,17 +39,19 @@ func NewCoDel(capBytes int) *CoDel {
 	return &CoDel{CapBytes: capBytes}
 }
 
-// Reset re-specs the queue in place for a new simulation: queued packets
-// drain into the pool, the control law returns to its initial state, and
-// the physical capacity is replaced.
-func (c *CoDel) Reset(capBytes int) {
-	c.q.drain(c.Pool)
+// Reset implements Queue; the control law returns to its initial state.
+func (c *CoDel) Reset(capBytes int, pool *PacketPool) {
+	c.usePool(pool)
+	c.q.drain(pool)
 	c.CapBytes = capBytes
 	c.drops, c.dropBytes = 0, 0
 	c.dropping = false
 	c.firstAbove, c.dropNext = 0, 0
 	c.dropCount = 0
 }
+
+// usePool implements Queue.
+func (c *CoDel) usePool(pool *PacketPool) { c.Pool = pool }
 
 // Enqueue implements Queue.
 func (c *CoDel) Enqueue(p *Packet, now float64) bool {

@@ -59,38 +59,43 @@ func (f *FQ) flow(id int) *fqFlow {
 	}
 	var child Queue
 	if f.codel {
-		child = NewCoDel(f.PerFlowBytes)
+		child = &CoDel{CapBytes: f.PerFlowBytes, Pool: f.Pool}
 	} else {
 		child = NewDropTail(f.PerFlowBytes)
 	}
-	queueUsePool(child, f.Pool)
 	fl := &fqFlow{id: id, q: child}
 	f.flows = growPut(f.flows, id, fl)
 	return fl
 }
 
-// Reset re-specs the fair queue in place for a new simulation: every child
-// queue drains into the pool and is re-specced with the new per-flow
-// capacity, children created later are sized from it too, and the DRR
+// Reset implements Queue: every child queue is reset with the new per-flow
+// capacity and pool, children created later take both too, and the DRR
 // scheduler state clears.
-func (f *FQ) Reset(perFlowBytes int) {
+func (f *FQ) Reset(perFlowBytes int, pool *PacketPool) {
 	f.PerFlowBytes = perFlowBytes
+	f.Pool = pool
 	for _, fl := range f.flows {
 		if fl == nil {
 			continue
 		}
-		switch q := fl.q.(type) {
-		case *DropTail:
-			q.Reset(perFlowBytes, f.Pool)
-		case *CoDel:
-			q.Reset(perFlowBytes)
-		}
+		fl.q.Reset(perFlowBytes, pool)
 		fl.active = false
 		fl.deficit = 0
 	}
 	f.active = f.active[:0]
 	f.next = 0
 	f.bytes, f.count = 0, 0
+}
+
+// usePool implements Queue: the children present take the pool, and
+// children created later take it from f.Pool.
+func (f *FQ) usePool(pool *PacketPool) {
+	f.Pool = pool
+	for _, fl := range f.flows {
+		if fl != nil {
+			fl.q.usePool(pool)
+		}
+	}
 }
 
 // Enqueue implements Queue.

@@ -35,10 +35,6 @@ type Packet struct {
 
 	// Ack marks an acknowledgment travelling the reverse path.
 	Ack bool
-	// Marked carries an optional congestion mark (used by tests probing AQM
-	// behaviour; PCC itself needs no marks). It sits beside Ack so the two
-	// flags share a word and the struct stays in the 80-byte size class.
-	Marked bool
 	// CumAck is the receiver's next expected sequence number (cumulative
 	// acknowledgment), valid when Ack is set.
 	CumAck int64

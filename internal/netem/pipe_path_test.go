@@ -27,7 +27,7 @@ func runOverloadedLink(q Queue, delay float64, flows int) pipeRun {
 	pool := &PacketPool{}
 	l := NewLink(eng, q, Mbps(10), delay, 0, nil)
 	l.Pool = pool
-	queueUsePool(q, pool)
+	q.usePool(pool)
 	var out pipeRun
 	l.Sink = func(p *Packet) {
 		out.seqs = append(out.seqs, p.Seq)

@@ -1,5 +1,7 @@
 package netem
 
+import "fmt"
+
 // Queue is a router queue. Implementations decide drop policy at enqueue
 // (drop-tail) and/or dequeue (CoDel) time. Queues are driven by a Link.
 type Queue interface {
@@ -21,6 +23,35 @@ type Queue interface {
 	// packet sizes (a packet count alone cannot say how many bytes a
 	// mixed-MTU queue shed).
 	DroppedBytes() int64
+	// Reset re-specs the queue in place for a new simulation: queued
+	// packets drain into pool, drop counters zero, the byte capacity (per
+	// flow for fair queueing) is replaced, and dequeue-time drops recycle
+	// into pool from then on. Ring storage is kept, so a warm re-spec
+	// allocates nothing.
+	Reset(capBytes int, pool *PacketPool)
+	// usePool routes the queue's dequeue-time drops into pool from now on,
+	// leaving its packets and counters as they are; each kind knows whether
+	// it keeps a pool. Topology wires its pool into every link's queue
+	// through it.
+	usePool(pool *PacketPool)
+}
+
+// NewQueue builds the queue a kind names, holding at most capBytes bytes
+// (per flow for the fair-queueing kinds; negative means unlimited):
+// "droptail" (also ""), "codel", "fq" (drop-tail children) or "fqcodel"
+// (CoDel children). It is the one list of queue kinds.
+func NewQueue(kind string, capBytes int) (Queue, error) {
+	switch kind {
+	case "", "droptail":
+		return NewDropTail(capBytes), nil
+	case "codel":
+		return NewCoDel(capBytes), nil
+	case "fq":
+		return NewFQ(capBytes), nil
+	case "fqcodel":
+		return NewFQCoDel(capBytes), nil
+	}
+	return nil, fmt.Errorf("unknown queue kind %q (droptail, codel, fq, fqcodel)", kind)
 }
 
 // fifo is the common packet ring shared by queue implementations. The ring
@@ -106,14 +137,16 @@ func NewDropTail(capBytes int) *DropTail {
 	return &DropTail{CapBytes: capBytes}
 }
 
-// Reset re-specs the queue in place for a new simulation: queued packets
-// drain into pool, drop counters zero, and the capacity is replaced, with
-// the ring storage retained (so a warm queue re-spec allocates nothing).
+// Reset implements Queue.
 func (q *DropTail) Reset(capBytes int, pool *PacketPool) {
 	q.drain(pool)
 	q.CapBytes = capBytes
 	q.drops, q.dropBytes = 0, 0
 }
+
+// usePool implements Queue. A drop-tail queue drops only at enqueue, where
+// the Link recycles, so it keeps no pool.
+func (q *DropTail) usePool(*PacketPool) {}
 
 // Enqueue implements Queue. A packet is accepted if the queue is empty (so a
 // single-packet buffer is representable with a tiny CapBytes) or if it fits

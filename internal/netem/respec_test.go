@@ -124,59 +124,100 @@ func TestRespecFlowRebuildsOnShapeChange(t *testing.T) {
 	}
 }
 
-// TestQueueResets pins that each queue kind's Reset drains into the pool
-// and restores constructor state with the new capacity.
+// TestQueueResets drives Reset through the Queue interface for every kind
+// NewQueue builds: queued packets drain into the new pool, drop counts
+// zero, the capacity is replaced, and dequeue-time drops recycle into the
+// new pool. A fair queue's scheduler list empties; its child from before
+// the reset (flow 0) and one first created after it (flow 2) both take the
+// new per-flow capacity and, for fq_codel, the new pool.
 func TestQueueResets(t *testing.T) {
 	t.Parallel()
-	pool := &PacketPool{}
-
-	dt := NewDropTail(3000)
-	dt.Enqueue(&Packet{Size: 1500}, 0)
-	dt.Enqueue(&Packet{Size: 1500}, 0)
-	dt.Enqueue(&Packet{Size: 1500}, 0) // dropped: over cap
-	dt.Reset(6000, pool)
-	if dt.Len() != 0 || dt.Bytes() != 0 || dt.Dropped() != 0 || dt.DroppedBytes() != 0 || dt.CapBytes != 6000 {
-		t.Fatalf("DropTail.Reset left state: %+v", dt)
-	}
-	if pool.Size() != 2 {
-		t.Fatalf("DropTail.Reset recycled %d packets, want 2", pool.Size())
-	}
-
-	cd := NewCoDel(30000)
-	cd.Pool = pool
-	for i := 0; i < 4; i++ {
-		cd.Enqueue(&Packet{Size: 1500}, float64(i)*0.001)
-	}
-	cd.Reset(60000)
-	if cd.Len() != 0 || cd.Dropped() != 0 || cd.CapBytes != 60000 || cd.dropping || cd.firstAbove != 0 {
-		t.Fatalf("CoDel.Reset left state: %+v", cd)
-	}
-
-	fq := NewFQCoDel(30000)
-	fq.Pool = pool
-	fq.Enqueue(&Packet{Flow: 0, Size: 1500}, 0)
-	fq.Enqueue(&Packet{Flow: 1, Size: 1500}, 0)
-	fq.Reset(60000)
-	if fq.Len() != 0 || fq.Bytes() != 0 || len(fq.active) != 0 || fq.PerFlowBytes != 60000 {
-		t.Fatalf("FQ.Reset left state: %+v", fq)
-	}
-	if fq.Dropped() != 0 {
-		t.Fatalf("FQ.Reset left child drop counts: %d", fq.Dropped())
-	}
-	// Children are CoDel instances reset with the new cap.
-	for _, fl := range fq.flows {
-		if fl == nil {
-			continue
+	for _, kind := range []string{"droptail", "codel", "fq", "fqcodel"} {
+		q, err := NewQueue(kind, 3000)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cd, ok := fl.q.(*CoDel); !ok || cd.CapBytes != 60000 {
-			t.Fatalf("FQ child not re-specced: %+v", fl.q)
+		for i := 0; i < 3; i++ {
+			q.Enqueue(&Packet{Flow: 0, Size: 1500}, 0) // the third is over the cap
+		}
+		// Wired after the enqueues, so a fair queue's flow-0 child exists
+		// and must take the pool too.
+		old := &PacketPool{}
+		q.usePool(old)
+		if fq, ok := q.(*FQ); ok && kind == "fqcodel" && fq.flows[0].q.(*CoDel).Pool != old {
+			t.Fatalf("%s: usePool did not reach the flow-0 child", kind)
+		}
+		queued := q.Len()
+		if queued != 2 || q.Dropped() != 1 {
+			t.Fatalf("%s: %d queued and %d dropped before Reset, want 2 and 1", kind, queued, q.Dropped())
+		}
+
+		pool := &PacketPool{}
+		q.Reset(60000, pool)
+		if q.Len() != 0 || q.Bytes() != 0 || q.Dropped() != 0 || q.DroppedBytes() != 0 {
+			t.Fatalf("%s: Reset left state: len %d bytes %d drops %d", kind, q.Len(), q.Bytes(), q.Dropped())
+		}
+		if pool.Size() != queued || old.Size() != 0 {
+			t.Fatalf("%s: Reset recycled %d packets into the new pool and %d into the old, want %d and 0",
+				kind, pool.Size(), old.Size(), queued)
+		}
+		if fq, ok := q.(*FQ); ok {
+			if len(fq.active) != 0 {
+				t.Fatalf("%s: %d flows left on the scheduler list after Reset", kind, len(fq.active))
+			}
+			checkChild(t, kind, "child from before Reset", fq.flows[0].q, pool)
+		}
+		// The new capacity holds 40 packets of a flow, and not 41.
+		for i := 0; i < 40; i++ {
+			if !q.Enqueue(&Packet{Flow: 2, Size: 1500}, 0) {
+				t.Fatalf("%s: packet %d rejected under the new 60000-byte capacity", kind, i)
+			}
+		}
+		if q.Enqueue(&Packet{Flow: 2, Size: 1500}, 0) {
+			t.Fatalf("%s: 41st packet admitted over the new capacity", kind)
+		}
+		// A second dequeue 1.2 s after enqueue is past CoDel's interval: the
+		// CoDel kinds drop one packet there, into the new pool.
+		q.Dequeue(1)
+		q.Dequeue(1.2)
+		wantDrops := 0
+		if kind == "codel" || kind == "fqcodel" {
+			wantDrops = 1
+		}
+		if got := pool.Size() - queued; got != wantDrops || old.Size() != 0 {
+			t.Fatalf("%s: %d dequeue-time drops in the new pool, %d in the old; want %d and 0", kind, got, old.Size(), wantDrops)
+		}
+		switch q := q.(type) {
+		case *CoDel:
+			if q.CapBytes != 60000 || q.Pool != pool {
+				t.Fatalf("codel: CapBytes %d, pool reset %v", q.CapBytes, q.Pool == pool)
+			}
+		case *FQ:
+			if q.PerFlowBytes != 60000 || q.Pool != pool {
+				t.Fatalf("%s: PerFlowBytes %d, pool reset %v", kind, q.PerFlowBytes, q.Pool == pool)
+			}
+			checkChild(t, kind, "child created after Reset", q.flows[2].q, pool)
 		}
 	}
-	// A flow first seen after the reset gets a child sized by the new cap,
-	// not the one NewFQCoDel was built with.
-	fq.Enqueue(&Packet{Flow: 2, Size: 1500}, 0)
-	if cd, ok := fq.flows[2].q.(*CoDel); !ok || cd.CapBytes != 60000 {
-		t.Fatalf("FQ child created after Reset: %+v, want a CoDel with CapBytes 60000", fq.flows[2].q)
+}
+
+// checkChild asserts that a fair queue's child has TestQueueResets' new
+// capacity, 60000 bytes, and is a CoDel child holding the new pool exactly
+// when the fair queue is fq_codel.
+func checkChild(t *testing.T, kind, which string, child Queue, pool *PacketPool) {
+	t.Helper()
+	switch c := child.(type) {
+	case *DropTail:
+		if kind != "fq" || c.CapBytes != 60000 {
+			t.Fatalf("%s: %s is drop-tail with CapBytes %d, want an fq child with 60000", kind, which, c.CapBytes)
+		}
+	case *CoDel:
+		if kind != "fqcodel" || c.CapBytes != 60000 || c.Pool != pool {
+			t.Fatalf("%s: %s is CoDel with CapBytes %d, new pool %v; want an fqcodel child with 60000 and the new pool",
+				kind, which, c.CapBytes, c.Pool == pool)
+		}
+	default:
+		t.Fatalf("%s: %s is a %T", kind, which, child)
 	}
 }
 

@@ -37,29 +37,11 @@ type Topology struct {
 
 	links   []*linkInfo
 	linkIdx map[string]int
-	// Node names are interned to dense integer ids at first sight (AddLink
-	// endpoint order): per-node state lives in slices indexed by that id,
-	// so construction and respec at generated-topology scale (hundreds of
-	// nodes, thousands of links) do integer indexing on the hot paths while
-	// the public API stays string-keyed.
-	nodeIdx   map[string]int
-	nodeNames []string
 	// flows is indexed by flow id. Flow ids are required to be small
 	// non-negative integers (the harness hands out 0,1,2,…) precisely so
 	// SendData/SendAck's per-packet route lookup is direct slice indexing,
 	// not a map probe.
 	flows []*topoFlow
-}
-
-// nodeID interns a node name, assigning its dense id on first sight.
-func (t *Topology) nodeID(name string) int {
-	if i, ok := t.nodeIdx[name]; ok {
-		return i
-	}
-	i := len(t.nodeNames)
-	t.nodeIdx[name] = i
-	t.nodeNames = append(t.nodeNames, name)
-	return i
 }
 
 // linkInfo is a Link plus its place in the graph.
@@ -217,7 +199,6 @@ func NewTopology(eng *sim.Engine) *Topology {
 	return &Topology{
 		Eng:     eng,
 		linkIdx: map[string]int{},
-		nodeIdx: map[string]int{},
 	}
 }
 
@@ -237,14 +218,12 @@ func (t *Topology) AddLink(name, from, to string, q Queue, rateBps, delay, lossR
 	if _, dup := t.linkIdx[name]; dup {
 		panic(fmt.Sprintf("netem: duplicate link %q", name))
 	}
-	t.nodeID(from)
-	t.nodeID(to)
 	li := &linkInfo{name: name, from: from, to: to}
 	li.link = NewLink(t.Eng, q, rateBps, delay, lossRate, rng)
 	li.link.Sink = func(p *Packet) { li.dispatch(t, p) }
 	if t.Pool != nil {
 		li.link.Pool = t.Pool
-		queueUsePool(q, t.Pool)
+		q.usePool(t.Pool)
 	}
 	t.linkIdx[name] = len(t.links)
 	t.links = append(t.links, li)
@@ -268,25 +247,6 @@ func (t *Topology) NumLinks() int { return len(t.links) }
 // thousand-link rewind does integer indexing instead of map probes.
 func (t *Topology) LinkAt(i int) *Link { return t.links[i].link }
 
-// NumNodes returns the interned node count (link endpoints seen so far).
-func (t *Topology) NumNodes() int { return len(t.nodeNames) }
-
-// queueUsePool wires a free list into the queue kinds that drop packets at
-// dequeue time (enqueue-time rejections are recycled by the Link).
-func queueUsePool(q Queue, pool *PacketPool) {
-	switch q := q.(type) {
-	case *CoDel:
-		q.Pool = pool
-	case *FQ:
-		q.Pool = pool
-		for _, fl := range q.flows {
-			if fl != nil {
-				queueUsePool(fl.q, pool)
-			}
-		}
-	}
-}
-
 // UsePool routes every drop point of the topology — queue rejection,
 // dequeue-time AQM drops, wire loss, and delay-hop loss — through the given
 // free list. Links added later join the pool automatically.
@@ -294,7 +254,7 @@ func (t *Topology) UsePool(pool *PacketPool) {
 	t.Pool = pool
 	for _, li := range t.links {
 		li.link.Pool = pool
-		queueUsePool(li.link.Queue, pool)
+		li.link.Queue.usePool(pool)
 	}
 }
 

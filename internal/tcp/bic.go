@@ -7,21 +7,20 @@ import "pcc/internal/cc"
 // then max-probing beyond it.
 type BicAlgo struct {
 	reno
-	// SMax/SMin bound the per-RTT increment (defaults 16 / 0.01 packets).
-	SMax, SMin float64
-	// Beta is the multiplicative decrease (default 0.8).
-	Beta float64
-	// LowWindow: below this BIC behaves like Reno (default 14).
-	LowWindow float64
-	// FastConvergence releases bandwidth faster to new flows.
-	FastConvergence bool
-
 	wMax float64
 }
 
+// BIC's published parameters, with fast convergence always on.
+const (
+	bicSMax      float64 = 16   // largest per-RTT increment, packets
+	bicSMin      float64 = 0.01 // smallest per-RTT increment, packets
+	bicBeta      float64 = 0.8  // multiplicative decrease
+	bicLowWindow float64 = 14   // below this window BIC behaves like Reno
+)
+
 // NewBic returns a BIC instance with the published defaults.
 func NewBic() *BicAlgo {
-	return &BicAlgo{reno: newRenoState(), SMax: 16, SMin: 0.01, Beta: 0.8, LowWindow: 14, FastConvergence: true}
+	return &BicAlgo{reno: newRenoState()}
 }
 
 // Reset restores the state NewBic builds, in place.
@@ -36,13 +35,13 @@ func (a *BicAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 		a.cwnd++
 		return
 	}
-	if a.cwnd < a.LowWindow {
+	if a.cwnd < bicLowWindow {
 		a.cwnd += 1 / a.cwnd
 		return
 	}
 	var inc float64 // increment per RTT
 	if a.wMax <= 0 {
-		inc = a.SMax // no loss yet: probe at full speed
+		inc = bicSMax // no loss yet: probe at full speed
 	} else if a.cwnd < a.wMax {
 		// Binary search: jump halfway to wMax each RTT.
 		inc = (a.wMax - a.cwnd) / 2
@@ -50,11 +49,11 @@ func (a *BicAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 		// Max probing: grow away from wMax, slowly at first.
 		inc = a.cwnd - a.wMax
 	}
-	if inc > a.SMax {
-		inc = a.SMax
+	if inc > bicSMax {
+		inc = bicSMax
 	}
-	if inc < a.SMin {
-		inc = a.SMin
+	if inc < bicSMin {
+		inc = bicSMin
 	}
 	a.cwnd += inc / a.cwnd
 }
@@ -64,12 +63,12 @@ func (a *BicAlgo) OnDupAck() {}
 
 // OnLossEvent implements cc.WindowAlgo.
 func (a *BicAlgo) OnLossEvent(now float64) {
-	if a.FastConvergence && a.cwnd < a.wMax {
-		a.wMax = a.cwnd * (1 + a.Beta) / 2
+	if a.cwnd < a.wMax { // fast convergence: release bandwidth to new flows
+		a.wMax = a.cwnd * (1 + bicBeta) / 2
 	} else {
 		a.wMax = a.cwnd
 	}
-	a.cwnd *= a.Beta
+	a.cwnd *= bicBeta
 	if a.cwnd < 2 {
 		a.cwnd = 2
 	}
@@ -79,7 +78,7 @@ func (a *BicAlgo) OnLossEvent(now float64) {
 // OnTimeout implements cc.WindowAlgo.
 func (a *BicAlgo) OnTimeout(now float64) {
 	a.wMax = a.cwnd
-	a.ssthresh = a.cwnd * a.Beta
+	a.ssthresh = a.cwnd * bicBeta
 	if a.ssthresh < 2 {
 		a.ssthresh = 2
 	}

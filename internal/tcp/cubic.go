@@ -12,13 +12,6 @@ import (
 type CubicAlgo struct {
 	reno
 
-	// C is the cubic scaling constant (RFC 8312 default 0.4).
-	C float64
-	// Beta is the multiplicative decrease factor (RFC 8312 default 0.7).
-	Beta float64
-	// FastConvergence releases bandwidth faster to new flows.
-	FastConvergence bool
-
 	wMax       float64
 	epochStart float64 // <0 = no epoch
 	k          float64
@@ -27,9 +20,15 @@ type CubicAlgo struct {
 	ackCount   float64
 }
 
+// RFC 8312's constants, with fast convergence always on.
+const (
+	cubicC    float64 = 0.4 // cubic scaling constant
+	cubicBeta float64 = 0.7 // multiplicative decrease factor
+)
+
 // NewCubic returns a CUBIC instance with RFC 8312 defaults.
 func NewCubic() *CubicAlgo {
-	return &CubicAlgo{reno: newRenoState(), C: 0.4, Beta: 0.7, FastConvergence: true, epochStart: -1}
+	return &CubicAlgo{reno: newRenoState(), epochStart: -1}
 }
 
 // Reset restores the state NewCubic builds, in place.
@@ -51,7 +50,7 @@ func (a *CubicAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 	if a.epochStart < 0 {
 		a.epochStart = now
 		if a.cwnd < a.wMax {
-			a.k = math.Cbrt((a.wMax - a.cwnd) / a.C)
+			a.k = math.Cbrt((a.wMax - a.cwnd) / cubicC)
 			a.origin = a.wMax
 		} else {
 			a.k = 0
@@ -62,7 +61,7 @@ func (a *CubicAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 	}
 
 	t := now - a.epochStart + est.MinRTT
-	target := a.origin + float64(a.C*(t-a.k)*(t-a.k)*(t-a.k))
+	target := a.origin + float64(cubicC*(t-a.k)*(t-a.k)*(t-a.k))
 
 	// Cubic growth toward target over one RTT.
 	if target > a.cwnd {
@@ -73,7 +72,7 @@ func (a *CubicAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 
 	// TCP-friendly region (RFC 8312 §4.2): emulate Reno's average rate.
 	a.ackCount++
-	a.wEst += 3 * (1 - a.Beta) / (1 + a.Beta) / a.cwnd
+	a.wEst += 3 * (1 - cubicBeta) / (1 + cubicBeta) / a.cwnd
 	if a.wEst > a.cwnd {
 		a.cwnd = a.wEst
 	}
@@ -85,12 +84,12 @@ func (a *CubicAlgo) OnDupAck() {}
 // OnLossEvent implements cc.WindowAlgo.
 func (a *CubicAlgo) OnLossEvent(now float64) {
 	a.epochStart = -1
-	if a.FastConvergence && a.cwnd < a.wMax {
-		a.wMax = a.cwnd * (2 - a.Beta) / 2
+	if a.cwnd < a.wMax { // fast convergence: release bandwidth to new flows
+		a.wMax = a.cwnd * (2 - cubicBeta) / 2
 	} else {
 		a.wMax = a.cwnd
 	}
-	a.cwnd *= a.Beta
+	a.cwnd *= cubicBeta
 	if a.cwnd < 2 {
 		a.cwnd = 2
 	}
@@ -101,6 +100,6 @@ func (a *CubicAlgo) OnLossEvent(now float64) {
 func (a *CubicAlgo) OnTimeout(now float64) {
 	a.epochStart = -1
 	a.wMax = a.cwnd
-	a.ssthresh = math.Max(a.cwnd*a.Beta, 2)
+	a.ssthresh = math.Max(a.cwnd*cubicBeta, 2)
 	a.cwnd = 1
 }

@@ -13,21 +13,24 @@ import (
 // avoidance adds ρ²/cwnd per ACK.
 type HyblaAlgo struct {
 	reno
-	// RTT0 is the reference round-trip time (default 25 ms).
-	RTT0 float64
-	// RhoMax clamps ρ (default 8). Uncapped ρ on a 800 ms path is 32,
-	// whose 2^ρ slow-start and ρ² congestion-avoidance steps produce
+	rho float64
+}
+
+const (
+	// hyblaRTT0 is the reference round-trip time, seconds.
+	hyblaRTT0 float64 = 0.025
+	// hyblaRhoMax clamps ρ. Uncapped ρ on a 800 ms path is 32, whose 2^ρ
+	// slow-start and ρ² congestion-avoidance steps produce
 	// multi-thousand-packet bursts that no real 2014-era stack survived —
 	// the paper measures kernel Hybla at ~2 Mbps on exactly such a link
 	// (Fig. 6), and an idealized un-clamped SACK sender would instead fill
 	// it. The clamp reproduces deployed behaviour.
-	RhoMax float64
-	rho    float64
-}
+	hyblaRhoMax float64 = 8
+)
 
 // NewHybla returns a Hybla instance with the published defaults.
 func NewHybla() *HyblaAlgo {
-	h := &HyblaAlgo{reno: newRenoState(), RTT0: 0.025, RhoMax: 8, rho: 1}
+	h := &HyblaAlgo{reno: newRenoState(), rho: 1}
 	// Hybla recommends an initial ssthresh so slow start ends; keep the
 	// shared huge default (first loss sets it), matching the Linux module.
 	return h
@@ -42,12 +45,12 @@ func (a *HyblaAlgo) Name() string { return "hybla" }
 // OnAck implements cc.WindowAlgo.
 func (a *HyblaAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 	if est.HasSample() {
-		a.rho = est.SRTT / a.RTT0
+		a.rho = est.SRTT / hyblaRTT0
 		if a.rho < 1 {
 			a.rho = 1
 		}
-		if a.RhoMax > 0 && a.rho > a.RhoMax {
-			a.rho = a.RhoMax
+		if a.rho > hyblaRhoMax {
+			a.rho = hyblaRhoMax
 		}
 	}
 	if a.inSlowStart() {

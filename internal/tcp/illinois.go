@@ -10,9 +10,6 @@ import "pcc/internal/cc"
 type IllinoisAlgo struct {
 	reno
 
-	AlphaMax, AlphaMin float64
-	BetaMax, BetaMin   float64
-
 	baseRTT float64 // minimum observed RTT (propagation estimate)
 	maxRTT  float64 // maximum observed RTT
 	sumRTT  float64
@@ -21,14 +18,17 @@ type IllinoisAlgo struct {
 	acked   float64 // acks since last per-window delay update
 }
 
+// Illinois's published bounds on α and β.
+const (
+	illinoisAlphaMax float64 = 10
+	illinoisAlphaMin float64 = 0.3
+	illinoisBetaMax  float64 = 0.5
+	illinoisBetaMin  float64 = 0.125
+)
+
 // NewIllinois returns an Illinois instance with the published defaults.
 func NewIllinois() *IllinoisAlgo {
-	return &IllinoisAlgo{
-		reno:     newRenoState(),
-		AlphaMax: 10, AlphaMin: 0.3,
-		BetaMax: 0.5, BetaMin: 0.125,
-		baseRTT: 1e9,
-	}
+	return &IllinoisAlgo{reno: newRenoState(), baseRTT: 1e9}
 }
 
 // Reset restores the state NewIllinois builds, in place.
@@ -41,7 +41,7 @@ func (a *IllinoisAlgo) Name() string { return "illinois" }
 func (a *IllinoisAlgo) alphaBeta() (alpha, beta float64) {
 	dm := a.maxRTT - a.baseRTT // maximum queueing delay seen
 	if dm <= 0 || a.avgRTT <= 0 {
-		return a.AlphaMax, a.BetaMin
+		return illinoisAlphaMax, illinoisBetaMin
 	}
 	da := a.avgRTT - a.baseRTT
 	if da < 0 {
@@ -49,23 +49,23 @@ func (a *IllinoisAlgo) alphaBeta() (alpha, beta float64) {
 	}
 	d1 := dm / 100
 	if da <= d1 {
-		alpha = a.AlphaMax
+		alpha = illinoisAlphaMax
 	} else {
-		// alpha = k1/(k2+da) with alpha(d1)=AlphaMax, alpha(dm)=AlphaMin.
-		k1 := (dm - d1) * a.AlphaMin * a.AlphaMax / (a.AlphaMax - a.AlphaMin)
-		k2 := k1/a.AlphaMax - d1
+		// alpha = k1/(k2+da) with alpha(d1)=αmax, alpha(dm)=αmin.
+		k1 := (dm - d1) * illinoisAlphaMin * illinoisAlphaMax / (illinoisAlphaMax - illinoisAlphaMin)
+		k2 := k1/illinoisAlphaMax - d1
 		alpha = k1 / (k2 + da)
 	}
 	d2, d3 := dm/10, 8*dm/10
 	switch {
 	case da <= d2:
-		beta = a.BetaMin
+		beta = illinoisBetaMin
 	case da >= d3:
-		beta = a.BetaMax
+		beta = illinoisBetaMax
 	default:
-		// k3 + k4*da linear between (d2, BetaMin) and (d3, BetaMax).
-		k4 := (a.BetaMax - a.BetaMin) / (d3 - d2)
-		beta = a.BetaMin + float64(k4*(da-d2))
+		// k3 + k4*da linear between (d2, βmin) and (d3, βmax).
+		k4 := (illinoisBetaMax - illinoisBetaMin) / (d3 - d2)
+		beta = illinoisBetaMin + float64(k4*(da-d2))
 	}
 	return alpha, beta
 }

@@ -6,6 +6,12 @@
 // lives in internal/cc so every variant shares identical SACK recovery and
 // RTO behaviour — exactly the "hardwired mapping" split the paper describes:
 // variants differ only in how packet-level events map to window updates.
+//
+// Each variant runs on its published parameters, kept as typed float64
+// constants: the compiler rounds every operation on typed constants to
+// float64, so a folded expression such as CUBIC's 3·(1−β)/(1+β) has the
+// bits the run-time arithmetic on a field gave (untyped constants would fold
+// exactly and could move a report's last digit).
 package tcp
 
 import "pcc/internal/cc"

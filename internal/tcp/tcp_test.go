@@ -110,11 +110,11 @@ func TestIllinoisAlphaBetaBounds(t *testing.T) {
 			a.OnAck(0, rtt, e)
 		}
 		alpha, beta := a.alphaBeta()
-		if alpha < a.AlphaMin-1e-9 || alpha > a.AlphaMax+1e-9 {
-			t.Fatalf("alpha %v out of [%v,%v]", alpha, a.AlphaMin, a.AlphaMax)
+		if alpha < illinoisAlphaMin-1e-9 || alpha > illinoisAlphaMax+1e-9 {
+			t.Fatalf("alpha %v out of [%v,%v]", alpha, illinoisAlphaMin, illinoisAlphaMax)
 		}
-		if beta < a.BetaMin-1e-9 || beta > a.BetaMax+1e-9 {
-			t.Fatalf("beta %v out of [%v,%v]", beta, a.BetaMin, a.BetaMax)
+		if beta < illinoisBetaMin-1e-9 || beta > illinoisBetaMax+1e-9 {
+			t.Fatalf("beta %v out of [%v,%v]", beta, illinoisBetaMin, illinoisBetaMax)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestIllinoisAggressiveWhenDelayLow(t *testing.T) {
 	if alpha < 5 {
 		t.Fatalf("alpha %v at near-zero delay, want near AlphaMax", alpha)
 	}
-	if beta != a.BetaMin {
+	if beta != illinoisBetaMin {
 		t.Fatalf("beta %v at near-zero delay, want BetaMin", beta)
 	}
 }
@@ -166,8 +166,8 @@ func TestHyblaRhoClamp(t *testing.T) {
 	a := NewHybla()
 	e := est(2.0) // rho would be 80 unclamped
 	a.OnAck(0, 2.0, e)
-	if a.rho != a.RhoMax {
-		t.Fatalf("rho = %v, want clamp %v", a.rho, a.RhoMax)
+	if a.rho != hyblaRhoMax {
+		t.Fatalf("rho = %v, want clamp %v", a.rho, hyblaRhoMax)
 	}
 }
 

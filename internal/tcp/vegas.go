@@ -3,24 +3,28 @@ package tcp
 import "pcc/internal/cc"
 
 // VegasAlgo implements TCP Vegas (Brakmo & Peterson 1995): a delay-based
-// protocol that keeps between Alpha and Beta packets queued at the
+// protocol that keeps between vegasAlpha and vegasBeta packets queued at the
 // bottleneck, adjusting the window once per RTT based on
 // diff = cwnd · (1 − baseRTT/RTT).
 type VegasAlgo struct {
 	reno
-	// Alpha/Beta/Gamma are the queue-occupancy thresholds in packets
-	// (defaults 2/4/1).
-	Alpha, Beta, Gamma float64
-
 	baseRTT    float64
 	epochStart float64
 	epochMin   float64 // minimum RTT observed this epoch
 	epochCnt   int
 }
 
+// Vegas's published queue-occupancy thresholds, packets: grow below alpha,
+// shrink above beta, and leave slow start above gamma.
+const (
+	vegasAlpha float64 = 2
+	vegasBeta  float64 = 4
+	vegasGamma float64 = 1
+)
+
 // NewVegas returns a Vegas instance with the published defaults.
 func NewVegas() *VegasAlgo {
-	return &VegasAlgo{reno: newRenoState(), Alpha: 2, Beta: 4, Gamma: 1, baseRTT: 1e9, epochStart: -1, epochMin: 1e9}
+	return &VegasAlgo{reno: newRenoState(), baseRTT: 1e9, epochStart: -1, epochMin: 1e9}
 }
 
 // Reset restores the state NewVegas builds, in place.
@@ -53,7 +57,7 @@ func (a *VegasAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 	diff := a.cwnd * (a.epochMin - a.baseRTT) / a.epochMin
 
 	if a.inSlowStart() {
-		if diff > a.Gamma {
+		if diff > vegasGamma {
 			// Leave slow start: queue is building.
 			a.ssthresh = a.cwnd
 			a.cwnd = a.cwnd - diff
@@ -65,9 +69,9 @@ func (a *VegasAlgo) OnAck(now, rtt float64, est *cc.RTTEstimator) {
 		}
 	} else {
 		switch {
-		case diff < a.Alpha:
+		case diff < vegasAlpha:
 			a.cwnd++
-		case diff > a.Beta:
+		case diff > vegasBeta:
 			a.cwnd--
 			if a.cwnd < 2 {
 				a.cwnd = 2

@@ -70,9 +70,9 @@ func newSendCore(cfg core.Config, r io.Reader) (*sendCore, error) {
 }
 
 // wireConfig fills an unset PacketSize with the wire's payload budget (MSS,
-// 1400 B), so the monitor's MI floor tracks it rather than the 1500-byte
-// simulator default, and rescales InitialRate and MinRate by MSS/core.MSS:
-// core.DefaultConfig derives both for 1500-byte packets, and core.New
+// 1400 B), so the monitor's MI floor and the rate floor track it rather than
+// the 1500-byte simulator default, and rescales InitialRate by MSS/core.MSS:
+// core.DefaultConfig derives it for 1500-byte packets, and core.New
 // back-solves its RTT seed from InitialRate and PacketSize, so the size
 // alone would read the hint 1400/1500 too short. A caller who wants an
 // exact InitialRate pins PacketSize, which leaves the config untouched.
@@ -80,7 +80,6 @@ func wireConfig(cfg core.Config) core.Config {
 	if cfg.PacketSize == 0 {
 		cfg.PacketSize = MSS
 		cfg.InitialRate = cfg.InitialRate * MSS / core.MSS
-		cfg.MinRate = cfg.MinRate * MSS / core.MSS
 	}
 	return cfg
 }

@@ -523,12 +523,17 @@ func TestSendCoreScalesRateSeedsToWireSize(t *testing.T) {
 	if got, want := c.pcc.Controller().Rate(), 2*float64(MSS)/rtt; got != want {
 		t.Errorf("initial rate %v, want %v", got, want)
 	}
-	if got, want := wireConfig(core.DefaultConfig(rtt)).MinRate, 2*float64(MSS); got != want {
+	// An unstarted sender reports its rate floor.
+	floor := func(cfg core.Config) float64 { return core.New(cfg, nil).Rate(0) }
+	if got, want := floor(wireConfig(core.DefaultConfig(rtt))), 2*float64(MSS); got != want {
 		t.Errorf("rate floor %v, want %v", got, want)
 	}
 	pinned := core.DefaultConfig(rtt)
 	pinned.PacketSize = 1000
 	if got := wireConfig(pinned); got != pinned {
 		t.Errorf("a pinned PacketSize must leave the config untouched: %+v", got)
+	}
+	if got := floor(pinned); got != 2000 {
+		t.Errorf("pinned-size rate floor %v, want 2000 (2 packets/s of 1000 B)", got)
 	}
 }

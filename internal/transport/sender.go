@@ -39,9 +39,9 @@ type Sender struct {
 // with the given PCC configuration. The whole flow is buffered in memory —
 // these tools move files, like the paper's prototype. A config that leaves
 // PacketSize unset gets the wire's 1400-byte payload budget, with its
-// InitialRate and MinRate scaled by 1400/1500 to match (core.DefaultConfig
-// derives them for 1500-byte packets); pin PacketSize for an exact
-// InitialRate.
+// InitialRate scaled by 1400/1500 to match (core.DefaultConfig derives it
+// for 1500-byte packets; the rate floor follows PacketSize); pin PacketSize
+// for an exact InitialRate.
 func NewSender(conn UDPConn, peer *net.UDPAddr, cfg core.Config, r io.Reader) (*Sender, error) {
 	c, err := newSendCore(cfg, r)
 	if err != nil {
